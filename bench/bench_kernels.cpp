@@ -11,10 +11,11 @@
 //    GB/s per kernel × bit-width × dataset plus allocations-per-op measured
 //    via the pool-stats hook (pool_heap_allocations counts fresh heap
 //    blocks taken by the buffer pools and scratch arenas).  With
-//    --alloc-budget N the run fails if any pooled hot path (hz_add, the
-//    ring collective) exceeds N allocations per op in steady state — the
-//    CI regression gate.  The bit-plane primitives are measured once per
-//    supported dispatch level (tagged with a "level" field); --simd-floor R
+//    --alloc-budget N the run fails if any gated hot path (hz_add, the
+//    ring collective, crc32c, the frame round trip) exceeds N allocations
+//    per op in steady state — the CI regression gate.  The bit-plane
+//    primitives and crc32c are measured once per supported dispatch level
+//    (tagged with a "level" field); --simd-floor R
 //    fails the run if the best level's unpack_bits throughput at the
 //    byte-straddling widths (bits >= 3) is below R× the scalar table's —
 //    the SIMD speedup gate.  Skipped on hosts whose best level is scalar.
@@ -45,7 +46,9 @@
 #include "hzccl/homomorphic/hz_dynamic.hpp"
 #include "hzccl/homomorphic/hz_ops.hpp"
 #include "hzccl/kernels/dispatch.hpp"
+#include "hzccl/simmpi/faults.hpp"
 #include "hzccl/stats/metrics.hpp"
+#include "hzccl/util/crc32.hpp"
 #include "hzccl/util/pool.hpp"
 #include "hzccl/util/random.hpp"
 #include "hzccl/util/timer.hpp"
@@ -403,9 +406,22 @@ int run_json_mode(const JsonOptions& opts) {
       opts.quick ? std::vector<int>{1, 4, 7} : std::vector<int>{1, 2, 3, 4, 5, 6, 7};
   const std::vector<kernels::DispatchLevel> levels = kernels::supported_levels();
   const kernels::DispatchLevel prior_level = kernels::active_dispatch_level();
+  // A 1 MiB wire payload: the size of one raw ring block of a 4 x 4 MiB
+  // allreduce, checksummed twice per frame.
+  std::vector<uint8_t> wire(size_t{1} << 20);
+  {
+    Rng rng(7);
+    for (uint8_t& b : wire) b = static_cast<uint8_t>(rng.below(256));
+  }
   for (const kernels::DispatchLevel level : levels) {
     kernels::set_dispatch_level(level);
     const char* level_slug = kernels::level_name(level);
+    uint32_t crc = 0;
+    JsonEntry crc_entry = measure_json("crc32c", -1, "", wire.size(), min_seconds,
+                                       [&] { benchmark::DoNotOptimize(crc = crc32c(wire, crc)); });
+    crc_entry.level = level_slug;
+    crc_entry.gated = true;
+    entries.push_back(crc_entry);
     for (const int bits : bit_widths) {
       constexpr size_t n = 4096;
       std::vector<uint32_t> values(n);
@@ -425,6 +441,18 @@ int run_json_mode(const JsonOptions& opts) {
     }
   }
   kernels::set_dispatch_level(prior_level);
+
+  // One frame round trip at the active dispatch level: encode_frame_into
+  // (copy + seal) then decode_frame (validate) of the 1 MiB payload.
+  std::vector<uint8_t> frame(simmpi::frame_size(wire.size()));
+  uint64_t seq = 0;
+  JsonEntry roundtrip =
+      measure_json("frame_roundtrip", -1, "", wire.size(), min_seconds, [&] {
+        simmpi::encode_frame_into(seq++, wire, frame);
+        benchmark::DoNotOptimize(simmpi::decode_frame(frame).valid);
+      });
+  roundtrip.gated = true;
+  entries.push_back(roundtrip);
 
   // Stream kernels: kernel × dataset, all on their pooled hot paths.
   const std::vector<DatasetId> datasets =

@@ -4,14 +4,16 @@
 // through a handful of primitives: the ultra-fast bit-shifting pack/unpack
 // (paper §III-B3), the quantized-delta merge at the heart of hz_add
 // (§III-C), and fZ-light's fused quantize + 1-D Lorenzo predict scan
-// (§III-B2).  This header exposes those primitives as a table of function
+// (§III-B2).  The transport adds one more: the CRC-32C every wire frame
+// carries.  This header exposes those primitives as a table of function
 // pointers with one table per *dispatch level*:
 //
 //   kScalar — the portable C++ reference.  Always compiled, always
 //             supported; it is both the fallback and the oracle every
 //             vectorized variant is differentially tested against
 //             (tests/kernel_conformance_test.cpp).
-//   kAvx2   — AVX2 + BMI2: PDEP/PEXT bit-plane codecs.
+//   kAvx2   — AVX2 + BMI2 + SSE4.2: PDEP/PEXT bit-plane codecs and the
+//             hardware crc32 instruction.
 //   kAvx512 — AVX-512 (F/BW/DQ/VL/VBMI): VPERMB + VPMULTISHIFTQB unpack,
 //             8-lane int64 merge, VCVTPD2QQ exact-llrint quantizer.
 //
@@ -39,6 +41,12 @@ namespace hzccl::kernels {
 
 enum class DispatchLevel : uint8_t { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 inline constexpr int kNumDispatchLevels = 3;
+
+/// Lane length of the hardware CRC-32C kernel: it runs three crc32 chains
+/// over adjacent lanes of this many bytes and joins them with a zero-shift
+/// table built for exactly this length.  A multiple of 8 (the instruction
+/// consumes 8 bytes per step).
+inline constexpr size_t kCrc32cLaneBytes = 1024;
 
 /// Widest supported pack/unpack field.  Widths 1..7 are the paper's
 /// ultra_fast_bit_shifting_x family (remainder planes + sign plane); widths
@@ -70,6 +78,9 @@ using PredictFn = uint32_t (*)(const int64_t* q, size_t n, int32_t q_prev, uint3
 /// zeros are canonicalized to +0 in all three outputs so every level is
 /// byte-identical regardless of lane/reduction order.
 using SzxScanFn = void (*)(const float* data, size_t n, float* out);
+/// CRC-32C (Castagnoli, reflected, pre- and post-inverted) of data[0, n),
+/// continuing from the CRC `crc` of the bytes before it (0 to start).
+using Crc32cFn = uint32_t (*)(const uint8_t* data, size_t n, uint32_t crc);
 
 /// One dispatch level's kernel set.  pack/unpack are indexed by bit width
 /// (entries 1..kMaxPackBits; entry 0 is null).  Entries a level does not
@@ -83,6 +94,7 @@ struct KernelTable {
   QuantizeFn fz_quantize = nullptr;
   PredictFn fz_predict = nullptr;
   SzxScanFn szx_scan = nullptr;
+  Crc32cFn crc32c = nullptr;
 };
 
 /// "scalar" / "avx2" / "avx512".

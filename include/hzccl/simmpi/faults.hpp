@@ -243,13 +243,17 @@ constexpr size_t frame_size(size_t payload_bytes) {
   return sizeof(FrameHeader) + payload_bytes;
 }
 
-/// Wrap `payload` into a framed wire message carrying `seq`.
-std::vector<uint8_t> encode_frame(uint64_t seq, std::span<const uint8_t> payload);
-
-/// Non-allocating hot core of encode_frame: frame `payload` into `out`,
-/// whose size must be exactly frame_size(payload.size()).  This is the
-/// steady-state transmit path — encode_frame is the allocating wrapper.
+/// Frame `payload` into `out`, whose size must be exactly
+/// frame_size(payload.size()): copy the payload behind the header, then
+/// seal_frame.  Never allocates.
 void encode_frame_into(uint64_t seq, std::span<const uint8_t> payload, std::span<uint8_t> out);
+
+/// Seal a frame whose payload is already in place at
+/// frame[sizeof(FrameHeader), end): write the header carrying `seq`, the
+/// payload length and both CRCs over the first sizeof(FrameHeader) bytes.
+/// The transmit path builds the payload in the frame (copy, then sender-side
+/// faults) and seals it here, so it pays one copy and one CRC pass.
+void seal_frame(uint64_t seq, std::span<uint8_t> frame);
 
 /// Result of validating a framed message.
 struct FrameView {

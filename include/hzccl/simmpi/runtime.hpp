@@ -77,6 +77,18 @@ struct WireMessage {
   double send_vtime = 0.0;
 };
 
+/// A validated payload, still in the buffer it arrived in: payload() is
+/// bytes[offset, end).  A frame off the wire keeps its header in front
+/// (offset = sizeof(FrameHeader)); a payload rebuilt from the in-flight
+/// window has none (offset 0).
+struct Delivery {
+  std::vector<uint8_t> bytes;
+  size_t offset = 0;
+  std::span<const uint8_t> payload() const {
+    return std::span<const uint8_t>(bytes).subspan(offset);
+  }
+};
+
 /// Per-rank communicator handle, valid only inside Runtime::run.
 ///
 /// Rank addressing: `rank()`/`size()` and every src/dst argument are
@@ -183,6 +195,10 @@ class Comm {
   /// Roll the per-rank stall die around one transport operation.
   void maybe_stall(FaultKind kind);
 
+  /// The transport half of recv/recv_into: rank-fault check, limbo flush,
+  /// stall, then the runtime's blocking take.
+  Delivery receive(int src, int tag);
+
   /// Translate a virtual rank of the current group to its physical rank.
   int to_phys(int vrank) const { return group_[static_cast<size_t>(vrank)]; }
 
@@ -285,8 +301,10 @@ class Runtime {
   /// Release every frame `sender` is holding in limbo (reorder fault).
   void flush_limbo(Comm& sender);
 
-  /// One blocking receive with the full recovery state machine.
-  std::vector<uint8_t> take(Comm& receiver, int src, int tag);
+  /// One blocking receive with the full recovery state machine; returns
+  /// the accepted bytes as they are (see Delivery), without copying the
+  /// payload out.
+  Delivery take(Comm& receiver, int src, int tag);
 
   std::vector<uint8_t> refetch(Comm& receiver, int src, int tag, Comm::Refetch mode,
                                size_t raw_bytes_hint);

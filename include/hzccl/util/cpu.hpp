@@ -9,7 +9,8 @@
 
 namespace hzccl {
 
-/// AVX2 kernel family: AVX2 + BMI2 (PDEP/PEXT drive the bit-plane codecs).
+/// AVX2 kernel family: AVX2 + BMI2 (PDEP/PEXT drive the bit-plane codecs)
+/// + SSE4.2 (the crc32 instruction drives the CRC-32C).
 bool cpu_supports_avx2();
 
 /// AVX-512 kernel family: F + BW + DQ + VL + VBMI (VPERMB/VPMULTISHIFTQB

@@ -2,7 +2,9 @@
 // CMakeLists.txt); when those flags are unavailable the populate hook
 // degrades to a stub and the level reports not-compiled.
 //
-// Hand-vectorized here: the PDEP/PEXT bit-plane codecs for widths 1..8.
+// Hand-vectorized here: the PDEP/PEXT bit-plane codecs for widths 1..8 and
+// the three-lane SSE4.2 CRC-32C (-mavx2 implies -msse4.2; the CPU probe
+// checks sse4.2 explicitly).
 // The integer merge/predict bodies are recompiled under AVX2 so the
 // auto-vectorizer retargets them; wider codec widths alias the scalar
 // bitstream codec via the overlay in dispatch.cpp.
@@ -41,6 +43,7 @@ bool populate_avx2(KernelTable& t) {
   t.hz_combine_residuals = &combine_avx2;
   t.fz_predict = &predict_avx2;
   t.szx_scan = &szx_scan_avx2_body;
+  t.crc32c = &crc32c_sse42_body;
   // fz_quantize: AVX2 has no exact packed double->int64 convert, so the
   // inherited scalar entry (llrint) stays — exactness beats throughput here.
   return true;

@@ -5,7 +5,7 @@
 // iteration, widths 1..8), the 8-lane int64 residual merge, and the
 // VCVTPD2QQ quantizer (exact llrint equivalent).  Pack inherits the AVX2
 // PEXT codec through the table overlay — PEXT already saturates the port
-// the wider permutes would compete for.
+// the wider permutes would compete for — and so does the SSE4.2 CRC-32C.
 #include "hzccl/kernels/dispatch.hpp"
 #include "kernel_impls.hpp"
 

@@ -7,6 +7,7 @@
 
 #include "hzccl/util/contracts.hpp"
 #include "hzccl/util/cpu.hpp"
+#include "hzccl/util/crc32.hpp"
 #include "hzccl/util/error.hpp"
 
 namespace hzccl::kernels {
@@ -173,3 +174,11 @@ void unpack_bits(const uint8_t* src, size_t n, int bits, uint32_t* values) {
 }
 
 }  // namespace hzccl::kernels
+
+namespace hzccl {
+
+HZCCL_HOT uint32_t crc32c(std::span<const uint8_t> data, uint32_t seed) {
+  return kernels::active().crc32c(data.data(), data.size(), seed);
+}
+
+}  // namespace hzccl

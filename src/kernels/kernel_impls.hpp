@@ -4,12 +4,12 @@
 // layout: an LSB-first little-endian bitstream in which eight X-bit values
 // occupy exactly X bytes.  The SIMD sections are guarded on the including
 // TU's ISA macros, so scalar.cpp (built with the project's baseline flags)
-// sees only the references, avx2.cpp adds the PDEP/PEXT codecs, and
-// avx512.cpp adds the VPERMB/VPMULTISHIFTQB and VCVTPD2QQ paths.  The
-// integer bodies (combine/predict) are shared across all TUs on purpose:
-// recompiling them under wider -m flags lets the auto-vectorizer retarget
-// them per level while the arithmetic — and therefore the bytes — stays
-// identical.
+// sees only the references, avx2.cpp adds the PDEP/PEXT codecs and the
+// SSE4.2 CRC-32C, and avx512.cpp adds the VPERMB/VPMULTISHIFTQB and
+// VCVTPD2QQ paths.  The integer bodies (combine/predict) are shared across
+// all TUs on purpose: recompiling them under wider -m flags lets the
+// auto-vectorizer retarget them per level while the arithmetic — and
+// therefore the bytes — stays identical.
 //
 // Every function here is allocation-free and bounds-exact: packers never
 // write past ceil(n*X/8) output bytes, unpackers never read past it.  The
@@ -19,14 +19,16 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 
+#include "hzccl/kernels/dispatch.hpp"
 #include "hzccl/util/contracts.hpp"
 
-#if defined(__AVX2__) || defined(__AVX512F__)
+#if defined(__SSE4_2__) || defined(__AVX2__) || defined(__AVX512F__)
 #include <immintrin.h>
 #endif
 
@@ -267,6 +269,34 @@ inline HZCCL_HOT void szx_scan_body(const float* data, size_t n, float* out) {
 }
 
 // ---------------------------------------------------------------------------
+// CRC-32C (Castagnoli, reflected polynomial 0x82F63B78): the wire-frame and
+// stream checksum.  The byte-at-a-time table loop is the scalar slot and the
+// oracle the hardware kernel is checked against.
+// ---------------------------------------------------------------------------
+
+inline constexpr uint32_t kCrc32cPoly = 0x82F63B78;
+
+constexpr std::array<uint32_t, 256> make_crc32c_table() {
+  std::array<uint32_t, 256> table{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t crc = i;
+    for (int bit = 0; bit < 8; ++bit) crc = (crc & 1) ? (crc >> 1) ^ kCrc32cPoly : crc >> 1;
+    table[i] = crc;
+  }
+  return table;
+}
+
+// constexpr (not a function-local static) so the checksum loop carries no
+// static-init guard; the table lives in .rodata.
+inline constexpr std::array<uint32_t, 256> kCrc32cTable = make_crc32c_table();
+
+inline HZCCL_HOT uint32_t crc32c_scalar_body(const uint8_t* data, size_t n, uint32_t crc) {
+  uint32_t c = ~crc;
+  for (size_t i = 0; i < n; ++i) c = (c >> 8) ^ kCrc32cTable[(c ^ data[i]) & 0xFF];
+  return ~c;
+}
+
+// ---------------------------------------------------------------------------
 // AVX2 + BMI2: PDEP/PEXT bit-plane codecs (widths 1..8).
 // ---------------------------------------------------------------------------
 #if defined(__AVX2__) && defined(__BMI2__)
@@ -386,6 +416,87 @@ inline HZCCL_HOT void szx_scan_avx2_body(const float* data, size_t n, float* out
 }
 
 #endif  // __AVX2__ && __BMI2__
+
+// ---------------------------------------------------------------------------
+// SSE4.2: hardware CRC-32C.  The crc32 instruction retires one 8-byte step
+// per cycle but has a 3-cycle latency, so one dependent chain runs at a
+// third of its throughput.  The kernel runs three chains over adjacent
+// lanes of kCrc32cLaneBytes and joins them by CRC linearity:
+//   reg(s, A || B) = shift_|B|(reg(s, A)) ^ reg(0, B),
+// where reg(s, M) is the raw register after bytes M from state s and
+// shift_L advances a register over L zero bytes.  shift_L is linear in the
+// register, so a constexpr table of its value on every byte in each of the
+// four byte positions turns the join into four lookups.
+// ---------------------------------------------------------------------------
+#if defined(__SSE4_2__)
+
+static_assert(kCrc32cLaneBytes % 8 == 0, "crc32 lanes advance 8 bytes per step");
+
+/// a * b modulo the CRC-32C polynomial, in the reflected bit order (bit 31
+/// is x^0); a must be non-zero.
+constexpr uint32_t crc32c_multmodp(uint32_t a, uint32_t b) {
+  uint32_t m = uint32_t{1} << 31;
+  uint32_t p = 0;
+  for (;;) {
+    if (a & m) {
+      p ^= b;
+      if ((a & (m - 1)) == 0) break;
+    }
+    m >>= 1;
+    b = (b & 1) ? (b >> 1) ^ kCrc32cPoly : b >> 1;
+  }
+  return p;
+}
+
+/// shift_L for L = kCrc32cLaneBytes: entry [k][b] is (b << 8k) * x^(8L).
+constexpr std::array<std::array<uint32_t, 256>, 4> make_crc32c_lane_shift() {
+  uint32_t x8l = uint32_t{1} << 31;  // x^0
+  for (size_t i = 0; i < kCrc32cLaneBytes; ++i) {
+    x8l = crc32c_multmodp(x8l, uint32_t{1} << 23);  // * x^8
+  }
+  std::array<std::array<uint32_t, 256>, 4> table{};
+  for (int k = 0; k < 4; ++k) {
+    for (uint32_t b = 0; b < 256; ++b) table[k][b] = crc32c_multmodp(x8l, b << (8 * k));
+  }
+  return table;
+}
+
+inline constexpr std::array<std::array<uint32_t, 256>, 4> kCrc32cLaneShift =
+    make_crc32c_lane_shift();
+
+inline uint64_t crc32c_lane_shift(uint64_t c) {
+  return kCrc32cLaneShift[0][c & 0xFF] ^ kCrc32cLaneShift[1][(c >> 8) & 0xFF] ^
+         kCrc32cLaneShift[2][(c >> 16) & 0xFF] ^ kCrc32cLaneShift[3][(c >> 24) & 0xFF];
+}
+
+inline uint64_t load_u64(const uint8_t* p) {
+  uint64_t v = 0;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+inline HZCCL_HOT uint32_t crc32c_sse42_body(const uint8_t* data, size_t n, uint32_t crc) {
+  constexpr size_t kLane = kCrc32cLaneBytes;
+  uint64_t c0 = static_cast<uint32_t>(~crc);
+  for (; n >= 3 * kLane; n -= 3 * kLane, data += 3 * kLane) {
+    uint64_t c1 = 0;
+    uint64_t c2 = 0;
+    for (size_t i = 0; i < kLane; i += 8) {
+      c0 = _mm_crc32_u64(c0, load_u64(data + i));
+      c1 = _mm_crc32_u64(c1, load_u64(data + kLane + i));
+      c2 = _mm_crc32_u64(c2, load_u64(data + 2 * kLane + i));
+    }
+    c0 = crc32c_lane_shift(c0) ^ c1;
+    c0 = crc32c_lane_shift(c0) ^ c2;
+  }
+  for (; n >= 8; n -= 8, data += 8) c0 = _mm_crc32_u64(c0, load_u64(data));
+  uint32_t c = static_cast<uint32_t>(c0);
+  for (; n > 0; --n, ++data) c = _mm_crc32_u8(c, *data);
+  return ~c;
+}
+
+#endif  // __SSE4_2__
+
 
 // ---------------------------------------------------------------------------
 // AVX-512 (F/BW/DQ/VL/VBMI): 64-value unpack, 8-lane int64 merge, exact

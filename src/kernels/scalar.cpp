@@ -25,6 +25,7 @@ bool populate_scalar(KernelTable& t) {
   t.fz_quantize = &quantize_body;
   t.fz_predict = &predict_body;
   t.szx_scan = &szx_scan_body;
+  t.crc32c = &crc32c_scalar_body;
   return true;
 }
 

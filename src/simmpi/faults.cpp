@@ -269,31 +269,32 @@ std::string RetryPolicy::describe() const {
   return buf;
 }
 
-HZCCL_HOT void encode_frame_into(uint64_t seq, std::span<const uint8_t> payload,
-                                 std::span<uint8_t> out) {
+HZCCL_HOT void seal_frame(uint64_t seq, std::span<uint8_t> frame) {
+  if (frame.size() < sizeof(FrameHeader)) {
+    hzccl::detail::raise_capacity("seal_frame: frame is shorter than its header");
+  }
+  const std::span<const uint8_t> payload = frame.subspan(sizeof(FrameHeader));
   FrameHeader h;
   h.seq_lo = static_cast<uint32_t>(seq);
   h.seq_hi = static_cast<uint32_t>(seq >> 32);
   h.payload_len = static_cast<uint32_t>(payload.size());
   if (h.payload_len != payload.size()) {
-    hzccl::detail::raise_error("encode_frame: payload exceeds the 32-bit frame length field");
-  }
-  if (out.size() != frame_size(payload.size())) {
-    hzccl::detail::raise_capacity("encode_frame: output span does not match frame size");
+    hzccl::detail::raise_error("seal_frame: payload exceeds the 32-bit frame length field");
   }
   h.payload_crc = crc32c(payload);
   h.header_crc = crc32c(leading_bytes_of<offsetof(FrameHeader, header_crc)>(h));
+  std::memcpy(frame.data(), &h, sizeof(FrameHeader));
+}
 
-  std::memcpy(out.data(), &h, sizeof(FrameHeader));
+HZCCL_HOT void encode_frame_into(uint64_t seq, std::span<const uint8_t> payload,
+                                 std::span<uint8_t> out) {
+  if (out.size() != frame_size(payload.size())) {
+    hzccl::detail::raise_capacity("encode_frame: output span does not match frame size");
+  }
   if (!payload.empty()) {
     std::memcpy(out.data() + sizeof(FrameHeader), payload.data(), payload.size());
   }
-}
-
-std::vector<uint8_t> encode_frame(uint64_t seq, std::span<const uint8_t> payload) {
-  std::vector<uint8_t> frame(frame_size(payload.size()));
-  encode_frame_into(seq, payload, frame);
-  return frame;
+  seal_frame(seq, out);
 }
 
 HZCCL_HOT FrameView decode_frame(std::span<const uint8_t> frame) {

@@ -48,7 +48,7 @@ namespace {
 /// blocks' parse/heal paths are never exercised.  The wire CRC is computed
 /// over the mangled bytes, so framing cannot catch this — only the
 /// consumer's decode can, which is what the graceful-degradation path needs.
-void mangle_payload(std::vector<uint8_t>& payload, uint64_t seed, int src, int dst,
+void mangle_payload(std::span<uint8_t> payload, uint64_t seed, int src, int dst,
                     uint64_t counter) {
   static constexpr uint8_t kScribble[4] = {0xDE, 0xAD, 0xBE, 0xEF};
   for (size_t i = 0; i < payload.size() && i < sizeof(kScribble); ++i) {
@@ -68,7 +68,7 @@ void mangle_payload(std::vector<uint8_t>& payload, uint64_t seed, int src, int d
 /// Silent data corruption: flip one seeded payload bit *before* framing, so
 /// the CRC covers the flipped byte and every wire-level check passes.  The
 /// stream usually still parses; only an ABFT digest verify can catch it.
-void flip_sdc_bit(std::vector<uint8_t>& payload, uint64_t seed, int src, int dst,
+void flip_sdc_bit(std::span<uint8_t> payload, uint64_t seed, int src, int dst,
                   uint64_t counter) {
   if (payload.empty()) return;
   const uint64_t stream = (static_cast<uint64_t>(FaultKind::kSdcBit) << 48) |
@@ -86,7 +86,7 @@ uint64_t attempt_counter(uint64_t seq, uint64_t attempt) { return (seq << 6) | (
 /// per-attempt rolls.  Shared by first transmission and every retransmit so
 /// a persistently corrupting sender stays corrupt across attempts while a
 /// transient one heals.  Returns how many faults fired.
-uint64_t apply_payload_faults(std::vector<uint8_t>& payload, const FaultPlan& plan, int src,
+uint64_t apply_payload_faults(std::span<uint8_t> payload, const FaultPlan& plan, int src,
                               int dst, uint64_t counter) {
   uint64_t fired = 0;
   if (plan.mangle > 0.0 &&
@@ -187,7 +187,7 @@ void Comm::send(int dst, int tag, std::span<const uint8_t> payload) {
   }
 }
 
-std::vector<uint8_t> Comm::recv(int src, int tag) {
+Delivery Comm::receive(int src, int tag) {
   if (src < 0 || src >= size_) throw hzccl::Error("recv: bad source rank");
   runtime_->check_rank_fault(*this);
   // The NIC drains any reorder-held frames while this rank is about to wait;
@@ -195,18 +195,28 @@ std::vector<uint8_t> Comm::recv(int src, int tag) {
   // deadlock-free (a blocked rank never sits on undelivered traffic).
   runtime_->flush_limbo(*this);
   maybe_stall(FaultKind::kStallRecv);
-  std::vector<uint8_t> payload = runtime_->take(*this, to_phys(src), tag);
-  bytes_received_ += payload.size();
-  return payload;
+  Delivery delivery = runtime_->take(*this, to_phys(src), tag);
+  bytes_received_ += delivery.payload().size();
+  return delivery;
+}
+
+std::vector<uint8_t> Comm::recv(int src, int tag) {
+  Delivery delivery = receive(src, tag);
+  // Slide the payload over the header: the one copy out, with no second
+  // allocation.
+  delivery.bytes.erase(delivery.bytes.begin(),
+                       delivery.bytes.begin() + static_cast<ptrdiff_t>(delivery.offset));
+  return std::move(delivery.bytes);
 }
 
 void Comm::recv_into(int src, int tag, std::span<uint8_t> out) {
-  std::vector<uint8_t> msg = recv(src, tag);
-  if (msg.size() != out.size()) {
-    throw hzccl::Error("recv_into: message size " + std::to_string(msg.size()) +
+  const Delivery delivery = receive(src, tag);
+  const std::span<const uint8_t> payload = delivery.payload();
+  if (payload.size() != out.size()) {
+    throw hzccl::Error("recv_into: message size " + std::to_string(payload.size()) +
                        " != buffer size " + std::to_string(out.size()));
   }
-  std::memcpy(out.data(), msg.data(), msg.size());
+  std::memcpy(out.data(), payload.data(), payload.size());
 }
 
 std::vector<uint8_t> Comm::refetch(int src, int tag, Refetch mode, size_t raw_bytes_hint) {
@@ -696,19 +706,24 @@ void Runtime::transmit(Comm& sender, int dst, int tag, std::span<const uint8_t> 
   const bool on = faults_.enabled();
   ++sender.transport_.frames_sent;
 
-  std::vector<uint8_t> wire_payload(payload.begin(), payload.end());
-  if (on) {
-    sender.transport_.faults_injected +=
-        apply_payload_faults(wire_payload, faults_, src, dst, attempt_counter(seq, 0));
-  }
-
   WireMessage msg;
   msg.src = src;
   msg.tag = tag;
   msg.seq = seq;
   msg.epoch = sender.epoch_view_;
   msg.send_vtime = sender.clock_.now();
-  msg.frame = encode_frame(seq, wire_payload);
+  // Frame in place: one allocation and one copy of the caller's bytes.  The
+  // sender-side faults scribble on the frame body before the seal, so the
+  // CRCs cover the corrupted bytes and the wire checks cannot see them.
+  msg.frame.reserve(frame_size(payload.size()));
+  msg.frame.resize(sizeof(FrameHeader));
+  msg.frame.insert(msg.frame.end(), payload.begin(), payload.end());
+  if (on) {
+    sender.transport_.faults_injected +=
+        apply_payload_faults(std::span<uint8_t>(msg.frame).subspan(sizeof(FrameHeader)), faults_,
+                             src, dst, attempt_counter(seq, 0));
+  }
+  seal_frame(seq, msg.frame);
 
   // Roll the wire dice.  Drop preempts everything; the others compose.
   const bool dropped =
@@ -814,7 +829,7 @@ void Runtime::flush_limbo(Comm& sender) {
   }
 }
 
-std::vector<uint8_t> Runtime::take(Comm& receiver, int src, int tag) {
+Delivery Runtime::take(Comm& receiver, int src, int tag) {
   const int me = receiver.phys_rank_;
   Mailbox& box = *mailboxes_[static_cast<size_t>(me)];
   std::unordered_set<uint64_t>& accepted = receiver.accepted_[static_cast<size_t>(src)];
@@ -856,7 +871,7 @@ std::vector<uint8_t> Runtime::take(Comm& receiver, int src, int tag) {
     for (WindowEntry& w : box.window) {
       if (w.src == src && w.seq == keep_seq) w.consumed = true;
     }
-    return payload;
+    return Delivery{std::move(payload), 0};
   };
 
   for (;;) {
@@ -934,7 +949,6 @@ std::vector<uint8_t> Runtime::take(Comm& receiver, int src, int tag) {
             data_ready +
             net_.link_seconds(msg.frame.size(), src, me, nranks_) * receiver.cost_factor_;
         receiver.clock_.advance_to(ready, CostBucket::kMpi);
-        std::vector<uint8_t> payload(frame.payload.begin(), frame.payload.end());
         if (receiver.trace_.enabled()) {
           if (data_ready > t_enter) {
             trace::Event w;
@@ -950,7 +964,7 @@ std::vector<uint8_t> Runtime::take(Comm& receiver, int src, int tag) {
           ev.t0 = data_ready;
           ev.t1 = receiver.clock_.now();
           ev.seq = msg.seq;
-          ev.bytes = payload.size();
+          ev.bytes = frame.payload.size();
           ev.peer = src;
           ev.tag = msg.tag;
           ev.kind = trace::EventKind::kRecv;
@@ -965,7 +979,7 @@ std::vector<uint8_t> Runtime::take(Comm& receiver, int src, int tag) {
             if (w.src == src && w.seq == keep_seq) w.consumed = true;
           }
         }
-        return payload;
+        return Delivery{std::move(msg.frame), sizeof(FrameHeader)};
       }
 
       // The CRC/length validation rejected the frame: pay for having

@@ -5,7 +5,8 @@ namespace hzccl {
 #if defined(__x86_64__) || defined(__i386__)
 
 bool cpu_supports_avx2() {
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("bmi2");
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("bmi2") &&
+         __builtin_cpu_supports("sse4.2");
 }
 
 bool cpu_supports_avx512() {

@@ -37,6 +37,10 @@ struct AlgoCase {
   int nranks;
 };
 
+// Without a printer gtest dumps the raw bytes, which hold code addresses that
+// move with ASLR and so make the discovered test names differ per build.
+void PrintTo(const AlgoCase& c, std::ostream* os) { *os << c.name << " N=" << c.nranks; }
+
 class AlgoSweepTest : public ::testing::TestWithParam<AlgoCase> {};
 
 TEST_P(AlgoSweepTest, MatchesExactReduction) {

@@ -11,8 +11,10 @@
 //      same seed — virtual times and counters included.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "hzccl/collectives/movement.hpp"
@@ -27,13 +29,14 @@ using coll::CollectiveConfig;
 using coll::ring_block_range;
 using simmpi::Comm;
 using simmpi::decode_frame;
-using simmpi::encode_frame;
+using simmpi::encode_frame_into;
 using simmpi::fault_roll;
 using simmpi::FaultKind;
 using simmpi::FaultPlan;
 using simmpi::FrameView;
 using simmpi::NetModel;
 using simmpi::Runtime;
+using simmpi::seal_frame;
 
 // ---------------------------------------------------------------------------
 // 1. Unit: plan parsing, PRNG, framing
@@ -175,10 +178,17 @@ TEST(FaultRoll, IsUniformEnoughToUseAsAProbability) {
   EXPECT_NEAR(sum / 4096.0, 0.5, 0.02);
 }
 
+/// `payload` framed by encode_frame_into into a buffer of exactly its size.
+std::vector<uint8_t> framed(uint64_t seq, std::span<const uint8_t> payload) {
+  std::vector<uint8_t> frame(simmpi::frame_size(payload.size()));
+  encode_frame_into(seq, payload, frame);
+  return frame;
+}
+
 TEST(Framing, RoundTripsSequenceAndPayload) {
   const std::vector<uint8_t> payload = {1, 2, 3, 250, 0, 42};
   const uint64_t seq = (uint64_t{7} << 40) | 12345;  // exercises both halves
-  const std::vector<uint8_t> frame = encode_frame(seq, payload);
+  const std::vector<uint8_t> frame = framed(seq, payload);
   ASSERT_EQ(frame.size(), payload.size() + sizeof(simmpi::FrameHeader));
 
   const FrameView view = decode_frame(frame);
@@ -186,14 +196,34 @@ TEST(Framing, RoundTripsSequenceAndPayload) {
   EXPECT_EQ(view.seq, seq);
   EXPECT_EQ(std::vector<uint8_t>(view.payload.begin(), view.payload.end()), payload);
 
-  const std::vector<uint8_t> empty_frame = encode_frame(0, {});
+  const std::vector<uint8_t> empty_frame = framed(0, {});
   EXPECT_TRUE(decode_frame(empty_frame).valid);
   EXPECT_TRUE(decode_frame(empty_frame).payload.empty());
 }
 
+TEST(Framing, SealingInPlaceMatchesEncodeFrameInto) {
+  // The transmit path copies the payload into the frame body and seals the
+  // header over it; the wire bytes must not depend on which way was taken.
+  // 5000 bytes spans a whole three-lane CRC block plus a ragged tail.
+  for (const size_t n : {size_t{0}, size_t{1}, size_t{5000}}) {
+    std::vector<uint8_t> payload(n);
+    for (size_t i = 0; i < n; ++i) payload[i] = static_cast<uint8_t>(i * 131 + 7);
+    const uint64_t seq = (uint64_t{3} << 33) | n;
+
+    std::vector<uint8_t> in_place(simmpi::frame_size(n), 0xEE);  // stale header bytes
+    std::copy(payload.begin(), payload.end(), in_place.begin() + sizeof(simmpi::FrameHeader));
+    seal_frame(seq, in_place);
+
+    EXPECT_EQ(in_place, framed(seq, payload)) << "payload bytes " << n;
+    EXPECT_TRUE(decode_frame(in_place).valid);
+  }
+  std::vector<uint8_t> too_short(sizeof(simmpi::FrameHeader) - 1);
+  EXPECT_THROW(seal_frame(0, too_short), Error);
+}
+
 TEST(Framing, EverySingleBitFlipIsDetected) {
   const std::vector<uint8_t> payload = {0xAA, 0x55, 0x00, 0xFF, 0x10};
-  const std::vector<uint8_t> frame = encode_frame(99, payload);
+  const std::vector<uint8_t> frame = framed(99, payload);
   for (size_t bit = 0; bit < frame.size() * 8; ++bit) {
     std::vector<uint8_t> damaged = frame;
     damaged[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
@@ -202,7 +232,7 @@ TEST(Framing, EverySingleBitFlipIsDetected) {
 }
 
 TEST(Framing, TruncationAndGarbageAreDetected) {
-  const std::vector<uint8_t> frame = encode_frame(5, std::vector<uint8_t>{9, 8, 7});
+  const std::vector<uint8_t> frame = framed(5, std::vector<uint8_t>{9, 8, 7});
   for (size_t n = 0; n < frame.size(); ++n) {
     EXPECT_FALSE(decode_frame(std::span<const uint8_t>(frame.data(), n)).valid) << n;
   }

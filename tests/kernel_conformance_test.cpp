@@ -19,6 +19,8 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "hzccl/compressor/fixed_len.hpp"
@@ -31,6 +33,7 @@
 #include "hzccl/kernels/dispatch.hpp"
 #include "hzccl/simmpi/faults.hpp"
 #include "hzccl/stats/metrics.hpp"
+#include "hzccl/util/crc32.hpp"
 
 namespace hzccl {
 namespace {
@@ -319,6 +322,87 @@ TEST(KernelConformance, SzxScanCanonicalizesNegativeZero) {
           ASSERT_EQ(bits, positive_zero)
               << "level=" << kernels::level_name(lvl) << " n=" << n << " component=" << c;
         }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// CRC-32C: known answers at every level, then each hardware table against
+// the scalar oracle across the three-lane block geometry.
+// ---------------------------------------------------------------------------
+
+TEST(KernelConformance, Crc32cKnownAnswersAtEveryLevel) {
+  // RFC 3720 (iSCSI) appendix B.4 vectors plus the customary "123456789"
+  // check value.  Frame tests only round-trip, so a wrong polynomial or bit
+  // order shared by sender and receiver would pass them; it cannot pass
+  // these.
+  std::vector<uint8_t> ascending(32);
+  std::vector<uint8_t> descending(32);
+  for (size_t i = 0; i < 32; ++i) {
+    ascending[i] = static_cast<uint8_t>(i);
+    descending[i] = static_cast<uint8_t>(31 - i);
+  }
+  const std::vector<uint8_t> zeros(32, 0x00);
+  const std::vector<uint8_t> ones(32, 0xFF);
+  const std::string_view check = "123456789";
+  struct Answer {
+    const char* name;
+    std::span<const uint8_t> data;
+    uint32_t crc;
+  };
+  const Answer answers[] = {
+      {"32 x 00", zeros, 0x8A9136AAu},
+      {"32 x FF", ones, 0x62A8AB43u},
+      {"00..1F", ascending, 0x46DD794Eu},
+      {"1F..00", descending, 0x113FDB5Cu},
+      {"123456789", {reinterpret_cast<const uint8_t*>(check.data()), check.size()}, 0xE3069283u},
+  };
+  LevelGuard guard;
+  for (DispatchLevel lvl : kernels::supported_levels()) {
+    const KernelTable& t = kernels::table(lvl);
+    kernels::set_dispatch_level(lvl);
+    for (const Answer& a : answers) {
+      EXPECT_EQ(t.crc32c(a.data.data(), a.data.size(), 0), a.crc)
+          << a.name << " level=" << kernels::level_name(lvl);
+      EXPECT_EQ(crc32c(a.data), a.crc)
+          << a.name << " dispatched at level=" << kernels::level_name(lvl);
+    }
+  }
+}
+
+TEST(KernelConformance, Crc32cMatchesScalarOracle) {
+  const KernelTable& ref = kernels::table(DispatchLevel::kScalar);
+  constexpr size_t kLane = kernels::kCrc32cLaneBytes;
+  // Every length through one three-lane block plus a ragged tail, then each
+  // lane edge +-1 of the next two blocks.
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 3 * kLane + 15; ++n) lengths.push_back(n);
+  for (size_t lane = 4; lane <= 9; ++lane) {
+    for (const size_t n : {lane * kLane - 1, lane * kLane, lane * kLane + 1}) {
+      lengths.push_back(n);
+    }
+  }
+  Prng fill(/*seed=*/0xC5C32Cu, /*stream=*/0);
+  std::vector<uint8_t> bytes(lengths.back() + 8);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(fill.u32());
+
+  for (DispatchLevel lvl : vector_levels()) {
+    const KernelTable& vec = kernels::table(lvl);
+    Prng rng(/*seed=*/0xC5C32Cu, /*stream=*/1 + static_cast<uint64_t>(lvl));
+    for (size_t offset = 0; offset < 8; ++offset) {
+      const uint8_t* p = bytes.data() + offset;
+      for (const size_t n : lengths) {
+        // A non-zero seed is the CRC of bytes before these; chaining from
+        // any cut point must land on the same value.
+        const uint32_t seed = rng.u32();
+        const size_t cut = static_cast<size_t>(rng.next() % (n + 1));
+        const uint32_t want = ref.crc32c(p, n, seed);
+        ASSERT_EQ(vec.crc32c(p, n, seed), want)
+            << "level=" << kernels::level_name(lvl) << " n=" << n << " offset=" << offset;
+        ASSERT_EQ(vec.crc32c(p + cut, n - cut, vec.crc32c(p, cut, seed)), want)
+            << "chained: level=" << kernels::level_name(lvl) << " n=" << n
+            << " offset=" << offset << " cut=" << cut;
       }
     }
   }

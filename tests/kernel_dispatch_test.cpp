@@ -102,6 +102,7 @@ TEST(KernelDispatch, SupportedTablesAreFullyPopulated) {
     EXPECT_NE(t.hz_combine_residuals, nullptr);
     EXPECT_NE(t.fz_quantize, nullptr);
     EXPECT_NE(t.fz_predict, nullptr);
+    EXPECT_NE(t.crc32c, nullptr);
   }
 }
 

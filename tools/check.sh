@@ -7,8 +7,10 @@
 #   tools/check.sh --tsan     # tier 1 + ThreadSanitizer concurrency tier
 #   tools/check.sh --fuzz     # tier 1 + sanitized decoder fuzzing only
 #   tools/check.sh --perf     # tier 1 + perf smoke: zero-allocation gate,
-#                             # SIMD speedup floor, allreduce algorithm-
-#                             # selection gates (BENCH_allreduce_algos.json)
+#                             # SIMD speedup floor, verify-cost gate,
+#                             # allreduce algorithm-selection gates,
+#                             # scheduler throughput gate, end-to-end
+#                             # smoke (bench/e2e/run.sh --smoke)
 #   tools/check.sh --cov      # tier 1 + line-coverage gate (unit/property/trace)
 #   tools/check.sh --recovery # tier 1 + sanitized rank-failure tier + seed sweep
 #   tools/check.sh --sched    # tier 1 + sanitized nonblocking/scheduler tier
@@ -200,6 +202,11 @@ if [ "$run_perf" = "1" ]; then
   cmake --build "$repo/build" -j "$jobs" --target bench_sched
   "$repo/build/bench/bench_sched" --json --quick \
     --out "$repo/build/BENCH_sched.json"
+  echo "== perf smoke: end-to-end benchmark (bench/e2e/run.sh --smoke) =="
+  # Every bench/e2e workload for 1 s, timed and traced twice: outputs
+  # correct, exact counts and modeled times repeat, and the traced rebuild
+  # is byte-identical to run_collective.
+  "$repo/bench/e2e/run.sh" --smoke
 fi
 
 if [ "$run_cov" = "1" ]; then
