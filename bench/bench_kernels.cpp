@@ -15,9 +15,12 @@
 //    ring collective, crc32c, the frame round trip) exceeds N allocations
 //    per op in steady state — the CI regression gate.  The bit-plane
 //    primitives and crc32c are measured once per supported dispatch level
-//    (tagged with a "level" field); --simd-floor R
+//    (tagged with a "level" field), and so are the whole-block codec and
+//    digest fold on the codec's 32-value block (decode_block, encode_block,
+//    digest_block; "bits" is the code length); --simd-floor R
 //    fails the run if the best level's unpack_bits throughput at the
-//    byte-straddling widths (bits >= 3) is below R× the scalar table's —
+//    byte-straddling widths (bits >= 3), or its decode_block at n = 32 over
+//    the measured code lengths together, is below R× the scalar table's —
 //    the SIMD speedup gate.  Skipped on hosts whose best level is scalar.
 //    --verify-overhead P fails the run if per-round ABFT digest verification
 //    adds more than P% to the modeled end-to-end hZCCL allreduce at the
@@ -394,6 +397,67 @@ double modeled_verify_overhead_pct(const JsonOptions& opts) {
   return off_s > 0 ? (round_s / off_s - 1.0) * 100.0 : 0.0;
 }
 
+/// Code lengths of the block-kernel entries: the sign-plane-only 1, the
+/// remainder-only 5 and 7, byte-plane-only 8 and 16, and the widest, 31.
+const std::vector<int> kBlockCodeLengths = {1, 5, 7, 8, 16, 31};
+
+/// The whole-block codec and digest fold at the active level, on the
+/// fixed-length codec's production block (n = 32), per code length: the
+/// public decode_block and encode_block_prepared (checks included) and the
+/// digest_block slot the verify walk calls.  One op walks a ring of 64
+/// blocks, so the timer read stays off the per-block cost.  GB/s counts the
+/// 4-byte residuals (n * 4 bytes per block).
+std::vector<JsonEntry> measure_block_kernels(double min_seconds) {
+  constexpr size_t n = 32;
+  constexpr size_t kBlocks = 64;
+  const size_t bytes = kBlocks * n * sizeof(int32_t);
+  std::vector<JsonEntry> out;
+  for (const int c : kBlockCodeLengths) {
+    Rng rng(static_cast<uint64_t>(c));
+    std::vector<uint32_t> mags(n * kBlocks);
+    std::vector<uint32_t> signs(n * kBlocks);
+    for (size_t i = 0; i < mags.size(); ++i) {
+      mags[i] = static_cast<uint32_t>(rng.below(uint64_t{1} << c));
+      signs[i] = static_cast<uint32_t>(rng.below(2));
+    }
+    const size_t stride = max_encoded_block_size(n);
+    std::vector<uint8_t> blocks(stride * kBlocks);
+    for (size_t b = 0; b < kBlocks; ++b) {
+      encode_block_prepared(mags.data() + b * n, signs.data() + b * n, n, c,
+                            blocks.data() + b * stride, blocks.data() + (b + 1) * stride);
+    }
+    std::vector<int32_t> residuals(n * kBlocks);
+    out.push_back(measure_json("decode_block", c, "", bytes, min_seconds, [&] {
+      for (size_t b = 0; b < kBlocks; ++b) {
+        const uint8_t* src = blocks.data() + b * stride;
+        decode_block(src, src + stride, n, residuals.data() + b * n);
+      }
+      benchmark::DoNotOptimize(residuals.data());
+      benchmark::ClobberMemory();
+    }));
+    std::vector<uint8_t> encoded(stride * kBlocks);
+    out.push_back(measure_json("encode_block", c, "", bytes, min_seconds, [&] {
+      for (size_t b = 0; b < kBlocks; ++b) {
+        encode_block_prepared(mags.data() + b * n, signs.data() + b * n, n, c,
+                              encoded.data() + b * stride, encoded.data() + (b + 1) * stride);
+      }
+      benchmark::DoNotOptimize(encoded.data());
+      benchmark::ClobberMemory();
+    }));
+    const kernels::KernelTable& table = kernels::active();
+    uint64_t sum = 0;
+    uint64_t wsum = 0;
+    out.push_back(measure_json("digest_block", c, "", bytes, min_seconds, [&] {
+      int64_t q = 0;
+      for (size_t b = 0; b < kBlocks; ++b) {
+        q = table.digest_block(residuals.data() + b * n, n, q, 1 + b * n, &sum, &wsum);
+      }
+      benchmark::DoNotOptimize(q);
+    }));
+  }
+  return out;
+}
+
 int run_json_mode(const JsonOptions& opts) {
   const double min_seconds = opts.quick ? 0.05 : 0.3;
   std::vector<JsonEntry> entries;
@@ -438,6 +502,10 @@ int run_json_mode(const JsonOptions& opts) {
                        [&] { unpack_bits(packed.data(), n, bits, unpacked.data()); });
       unpack.level = level_slug;
       entries.push_back(unpack);
+    }
+    for (JsonEntry& e : measure_block_kernels(min_seconds)) {
+      e.level = level_slug;
+      entries.push_back(std::move(e));
     }
   }
   kernels::set_dispatch_level(prior_level);
@@ -588,10 +656,11 @@ int run_json_mode(const JsonOptions& opts) {
     }
   }
 
-  // SIMD speedup gate: the best level's unpack at byte-straddling widths
-  // (bits >= 3 — the shift-cascade cases the vector kernels exist for) must
-  // beat the scalar table by the requested factor.  Scalar-only hosts have
-  // nothing to compare, so the gate reports itself skipped.
+  // SIMD speedup gate: the best level's whole-block decode at n = 32 (the
+  // loop the codec runs) and its unpack at byte-straddling widths (bits >= 3
+  // — the shift-cascade cases the vector kernels exist for) must beat the
+  // scalar table by the requested factor.  Scalar-only hosts have nothing
+  // to compare, so the gate reports itself skipped.
   if (opts.simd_floor > 0) {
     const kernels::DispatchLevel best = kernels::best_supported_level();
     if (best == kernels::DispatchLevel::kScalar) {
@@ -604,6 +673,29 @@ int run_json_mode(const JsonOptions& opts) {
         return 0.0;
       };
       const char* best_slug = kernels::level_name(best);
+      // The codec's production path: whole-block decode at n = 32, gated on
+      // the time to decode one block at each measured code length (equal
+      // bytes per entry, so the per-c seconds per GB add up).
+      double scalar_s = 0.0;
+      double best_s = 0.0;
+      for (const int c : kBlockCodeLengths) {
+        const double scalar_gbps = find_gbps("decode_block", c, "scalar");
+        const double best_gbps = find_gbps("decode_block", c, best_slug);
+        scalar_s += scalar_gbps > 0 ? 1.0 / scalar_gbps : 0.0;
+        best_s += best_gbps > 0 ? 1.0 / best_gbps : 0.0;
+        std::printf("simd-floor decode_block n=32 c=%d: %s %.3f GB/s vs scalar %.3f GB/s (%.2fx)\n",
+                    c, best_slug, best_gbps, scalar_gbps,
+                    scalar_gbps > 0 ? best_gbps / scalar_gbps : 0.0);
+      }
+      const double block_ratio = best_s > 0 ? scalar_s / best_s : 0.0;
+      std::printf("simd-floor decode_block n=32, all code lengths: %s %.2fx scalar (floor %.2fx)\n",
+                  best_slug, block_ratio, opts.simd_floor);
+      if (block_ratio < opts.simd_floor) {
+        std::fprintf(stderr,
+                     "bench_kernels: decode_block n=32 at %s is %.2fx scalar, floor is %.2fx\n",
+                     best_slug, block_ratio, opts.simd_floor);
+        ++failures;
+      }
       for (const int bits : bit_widths) {
         if (bits < 3) continue;
         const double scalar_gbps = find_gbps("unpack_bits", bits, "scalar");

@@ -16,6 +16,11 @@
 // c == 0 marks a constant (all-zero-residual) block with no further bytes —
 // the case hZ-dynamic's pipeline 1 reduces to a single byte write.
 //
+// encode_block_prepared and decode_block check their arguments, then run
+// the whole block — sign plane, byte planes and remainder — through one
+// kernel-table call (kernels::KernelTable::encode_block / decode_block),
+// which picks the widest byte-identical variant the host supports.
+//
 // c == 0xFF marks a *raw* block: the n original floats stored verbatim
 // (little-endian), the fallback encoders use for values the quantized
 // residual domain cannot carry (NaN/Inf, denormal-heavy blocks).  Raw blocks
@@ -103,7 +108,8 @@ uint8_t* encode_block(const int32_t* residuals, size_t n, uint8_t* out,
 
 /// Encode when the caller already knows the code length and magnitudes
 /// (the compressor's fused path and hZ-dynamic's pipeline 4 both have them).
-/// Same [out, out_end) capacity contract as encode_block.
+/// Same [out, out_end) capacity contract as encode_block; a code length
+/// outside 0..31 throws QuantizationRangeError.
 uint8_t* encode_block_prepared(const uint32_t* magnitudes, const uint32_t* sign_bits, size_t n,
                                int code_len, uint8_t* out, const uint8_t* out_end);
 

@@ -30,6 +30,20 @@
 // contribution at positions that become raw output blocks must not leak
 // into the folded value.
 //
+// Verify walk: fz_verify_digests re-derives each chunk's digest from its
+// encoded residual chain without the per-value prefix sum.  A residual
+// block of n values that starts at chain value q and 1-based position p
+// adds, with T = n(n-1)/2,
+//
+//   sum  += n·q + SA
+//   wsum += q·(n·p + T) + p·SA + SB
+//
+// where SA = Σ_j (n − j)·r_j and SB = Σ_j (T − j(j−1)/2)·r_j (0-based j),
+// and the chain leaves the block at q + Σ r_j.  The sums are exact in
+// int64 for |r| < 2^31 and n ≤ 512, and the combination wraps mod 2^64,
+// so the words equal the per-value loop's.  The kernel table's
+// digest_block slot computes it (kernels/dispatch.hpp).
+//
 // Everything here is trivially copyable, allocation-free and HZCCL_HOT —
 // digest emission rides the compressors' existing per-block loops and
 // folding is O(1) per chunk.

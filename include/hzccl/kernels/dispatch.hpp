@@ -2,20 +2,23 @@
 //
 // The compressors and homomorphic operators do all of their per-element work
 // through a handful of primitives: the ultra-fast bit-shifting pack/unpack
-// (paper §III-B3), the quantized-delta merge at the heart of hz_add
-// (§III-C), and fZ-light's fused quantize + 1-D Lorenzo predict scan
-// (§III-B2).  The transport adds one more: the CRC-32C every wire frame
-// carries.  This header exposes those primitives as a table of function
+// (paper §III-B3) and the whole-block fixed-length codec built on it, the
+// quantized-delta merge at the heart of hz_add (§III-C), fZ-light's fused
+// quantize + 1-D Lorenzo predict scan (§III-B2), and the ABFT digest fold
+// of the verify walk.  The transport adds one more: the CRC-32C every wire
+// frame carries.  This header exposes those primitives as a table of function
 // pointers with one table per *dispatch level*:
 //
 //   kScalar — the portable C++ reference.  Always compiled, always
 //             supported; it is both the fallback and the oracle every
 //             vectorized variant is differentially tested against
 //             (tests/kernel_conformance_test.cpp).
-//   kAvx2   — AVX2 + BMI2 + SSE4.2: PDEP/PEXT bit-plane codecs and the
-//             hardware crc32 instruction.
+//   kAvx2   — AVX2 + BMI2 + SSE4.2: PDEP/PEXT bit-plane codecs, the block
+//             codec on 8-value PDEP/PEXT groups, and the hardware crc32
+//             instruction.
 //   kAvx512 — AVX-512 (F/BW/DQ/VL/VBMI): VPERMB + VPMULTISHIFTQB unpack,
-//             8-lane int64 merge, VCVTPD2QQ exact-llrint quantizer.
+//             the block codec on 32-value groups, 8-lane int64 merge,
+//             VCVTPD2QQ exact-llrint quantizer.
 //
 // Contract: every variant produces byte-identical output to the scalar
 // reference on identical input — including sign conventions, guard
@@ -82,6 +85,31 @@ using SzxScanFn = void (*)(const float* data, size_t n, float* out);
 /// continuing from the CRC `crc` of the bytes before it (0 to start).
 using Crc32cFn = uint32_t (*)(const uint8_t* data, size_t n, uint32_t crc);
 
+/// Largest block the whole-block codec slots accept (fZ-light's block_len
+/// limit).
+inline constexpr size_t kMaxBlockValues = 512;
+
+/// Whole-block fixed-length decode (hzccl/compressor/fixed_len.hpp layout):
+/// `payload` is a block's bytes after its code-length byte, at code length
+/// c in 1..31, for n <= kMaxBlockValues values; writes n signed
+/// residuals.  Reads exactly the payload's ceil(n/8) + (c/8)*n +
+/// ceil(n*(c%8)/8) bytes.  The caller has checked c, n and the length.
+using DecodeBlockFn = void (*)(const uint8_t* payload, size_t n, int code_len,
+                               int32_t* residuals);
+/// Whole-block fixed-length encode, the inverse of DecodeBlockFn: bit 0 of
+/// each sign word and the low c bits of each magnitude (bits above c are
+/// dropped) become the payload after the code-length byte.  Writes exactly
+/// the payload bytes DecodeBlockFn reads, nothing past them.
+using EncodeBlockFn = void (*)(const uint32_t* mags, const uint32_t* signs, size_t n,
+                               int code_len, uint8_t* payload);
+/// ABFT digest fold of one residual block (hzccl/integrity/digest.hpp): the
+/// chain runs q_j = q + r_0 + ... + r_j at 1-based position pos + j, and
+/// each q_j is added to *sum and (pos + j) * q_j to *wsum, mod 2^64.
+/// Returns the chain value after the block.  Contract: n <= kMaxBlockValues
+/// and every |r| < 2^31.
+using DigestBlockFn = int64_t (*)(const int32_t* residuals, size_t n, int64_t q, uint64_t pos,
+                                  uint64_t* sum, uint64_t* wsum);
+
 /// One dispatch level's kernel set.  pack/unpack are indexed by bit width
 /// (entries 1..kMaxPackBits; entry 0 is null).  Entries a level does not
 /// hand-vectorize alias the next-lower level's function, so every slot of a
@@ -95,6 +123,9 @@ struct KernelTable {
   PredictFn fz_predict = nullptr;
   SzxScanFn szx_scan = nullptr;
   Crc32cFn crc32c = nullptr;
+  DecodeBlockFn decode_block = nullptr;
+  EncodeBlockFn encode_block = nullptr;
+  DigestBlockFn digest_block = nullptr;
 };
 
 /// "scalar" / "avx2" / "avx512".

@@ -53,39 +53,17 @@ HZCCL_HOT uint8_t* encode_block_prepared(const uint32_t* magnitudes, const uint3
       encoded_block_size(code_len, n) > static_cast<size_t>(out_end - out)) {
     detail::raise_capacity("encode_block: encoded block exceeds output capacity");
   }
+  if (code_len < 0 || code_len > kMaxCodeLength) {
+    detail::raise_quant_range("encode_block: code length outside 0..31");
+  }
   *out++ = static_cast<uint8_t>(code_len);
   if (code_len == 0) return out;
-  // Blocks longer than the stack scratch are encoded in slices; slice
-  // boundaries only matter to this scratch, not to the wire layout, so the
-  // caller-visible contract is unchanged for any n the compressor produces.
-  if (n > 512) detail::raise_error("encode_block: block length > 512 unsupported");
-
-  const kernels::KernelTable& k = kernels::active();
-  k.pack[1](sign_bits, n, out);
-  out += (n + 7) / 8;
-
-  // Full byte planes: plane k holds byte k of every magnitude.  Plain shifts
-  // over a contiguous destination — the encoder's hottest, fully
-  // vectorizable loop.
-  const int byte_count = code_len / 8;
-  for (int p = 0; p < byte_count; ++p) {
-    const int shift = 8 * p;
-    for (size_t i = 0; i < n; ++i) out[i] = static_cast<uint8_t>(magnitudes[i] >> shift);
-    out += n;
+  if (n > kernels::kMaxBlockValues) {
+    detail::raise_error("encode_block: block length > 512 unsupported");
   }
-
-  // Remainder bits: isolate the high (code_len % 8) bits the planes did not
-  // cover (the paper's left-shift-then-right-shift trick) and pack the whole
-  // block with one table call so the vectorized codecs see full runs.
-  const int rem = code_len % 8;
-  if (rem > 0) {
-    uint32_t hi[512];
-    const int shift = 8 * byte_count;
-    for (size_t i = 0; i < n; ++i) hi[i] = magnitudes[i] >> shift;
-    k.pack[rem](hi, n, out);
-    out += packed_size(n, rem);
-  }
-  return out;
+  // Sign plane, byte planes and remainder plane in one table call.
+  kernels::active().encode_block(magnitudes, sign_bits, n, code_len, out);
+  return out + (encoded_block_size(code_len, n) - 1);
 }
 
 HZCCL_HOT uint8_t* encode_block(const int32_t* residuals, size_t n, uint8_t* out,
@@ -123,41 +101,15 @@ HZCCL_HOT const uint8_t* decode_block(const uint8_t* src, const uint8_t* end, si
     detail::raise_parse("decode_block: raw block in a residual-only context");
   }
   if (c > kMaxCodeLength) detail::raise_parse("decode_block: bad code length");
-  const size_t sign_bytes = (n + 7) / 8;
-  const size_t plane_bytes = static_cast<size_t>(c / 8) * n;
-  const size_t rem_bytes = packed_size(n, c % 8);
-  if (static_cast<size_t>(end - src) < sign_bytes + plane_bytes + rem_bytes) {
+  const size_t payload = encoded_block_size(c, n) - 1;
+  if (static_cast<size_t>(end - src) < payload) {
     detail::raise_parse("decode_block: truncated block payload");
   }
-
-  uint32_t signs[512];
-  uint32_t mags[512];
-  if (n > 512) detail::raise_parse("decode_block: block length > 512 unsupported");
-  const kernels::KernelTable& k = kernels::active();
-  k.unpack[1](src, n, signs);
-  src += sign_bytes;
-
-  std::memset(mags, 0, n * sizeof(uint32_t));
-  const int byte_count = c / 8;
-  for (int p = 0; p < byte_count; ++p) {
-    const int shift = 8 * p;
-    for (size_t i = 0; i < n; ++i) mags[i] |= static_cast<uint32_t>(src[i]) << shift;
-    src += n;
+  if (n > kernels::kMaxBlockValues) {
+    detail::raise_parse("decode_block: block length > 512 unsupported");
   }
-  const int rem = c % 8;
-  if (rem > 0) {
-    uint32_t hi[512];
-    const int shift = 8 * byte_count;
-    k.unpack[rem](src, n, hi);
-    for (size_t i = 0; i < n; ++i) mags[i] |= hi[i] << shift;
-    src += rem_bytes;
-  }
-
-  for (size_t i = 0; i < n; ++i) {
-    const int32_t mag = static_cast<int32_t>(mags[i]);
-    residuals[i] = signs[i] ? -mag : mag;
-  }
-  return src;
+  kernels::active().decode_block(src, n, c, residuals);
+  return src + payload;
 }
 
 HZCCL_HOT uint8_t* encode_raw_block(const float* values, size_t n, uint8_t* out,

@@ -189,8 +189,10 @@ HZCCL_HOT void decompress_range_chunk(const FzView& view, const Quantizer& quant
 
 /// Recompute one chunk's digest from its encoded residual chain.  Integer
 /// domain only — the walk mirrors decompress_chunk but never converts to
-/// floats; constant blocks fold in O(1).  A standalone HZCCL_HOT root so
-/// tools/analyze proves the verify pass allocation- and throw-free.
+/// floats; constant blocks fold in O(1) and residual blocks through the
+/// digest_block kernel (closed form, no per-value prefix sum).  A
+/// standalone HZCCL_HOT root so tools/analyze proves the verify pass
+/// allocation- and throw-free.
 HZCCL_HOT integrity::Digest verify_chunk_digest(const FzView& view, uint32_t block_len, Range r,
                                                 uint32_t c) {
   const auto chunk = view.chunk_payload(c);
@@ -198,6 +200,7 @@ HZCCL_HOT integrity::Digest verify_chunk_digest(const FzView& view, uint32_t blo
   const uint8_t* const end = src + chunk.size();
 
   int32_t rbuf[kMaxBlockLen];
+  const kernels::KernelTable& k = kernels::active();
   integrity::Digest digest;
   int64_t q = view.chunk_outliers[c];
   uint64_t pos = 1;  // 1-based chunk-local position
@@ -212,10 +215,7 @@ HZCCL_HOT integrity::Digest verify_chunk_digest(const FzView& view, uint32_t blo
       digest.accumulate_run(q, pos, n);
     } else {
       src = decode_block(src, end, n, rbuf);
-      for (size_t i = 0; i < n; ++i) {
-        q += rbuf[i];
-        digest.accumulate(q, pos + i);
-      }
+      q = k.digest_block(rbuf, n, q, pos, &digest.sum, &digest.wsum);
     }
     pos += n;
     remaining -= n;

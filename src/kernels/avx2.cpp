@@ -2,12 +2,13 @@
 // CMakeLists.txt); when those flags are unavailable the populate hook
 // degrades to a stub and the level reports not-compiled.
 //
-// Hand-vectorized here: the PDEP/PEXT bit-plane codecs for widths 1..8 and
-// the three-lane SSE4.2 CRC-32C (-mavx2 implies -msse4.2; the CPU probe
-// checks sse4.2 explicitly).
-// The integer merge/predict bodies are recompiled under AVX2 so the
-// auto-vectorizer retargets them; wider codec widths alias the scalar
-// bitstream codec via the overlay in dispatch.cpp.
+// Hand-vectorized here: the PDEP/PEXT bit-plane codecs for widths 1..8, the
+// whole-block codec built on them (8-value groups, one instantiation per
+// code length), and the three-lane SSE4.2 CRC-32C (-mavx2 implies
+// -msse4.2; the CPU probe checks sse4.2 explicitly).
+// The integer merge/predict bodies and the closed-form digest fold are
+// recompiled under AVX2 so the auto-vectorizer retargets them; wider codec
+// widths alias the scalar bitstream codec via the overlay in dispatch.cpp.
 #include <utility>
 
 #include "hzccl/kernels/dispatch.hpp"
@@ -35,6 +36,11 @@ HZCCL_HOT uint32_t predict_avx2(const int64_t* q, size_t n, int32_t q_prev, uint
   return predict_body(q, n, q_prev, mags, signs);
 }
 
+HZCCL_HOT int64_t digest_block_avx2(const int32_t* residuals, size_t n, int64_t q, uint64_t pos,
+                                    uint64_t* sum, uint64_t* wsum) {
+  return digest_block_body(residuals, n, q, pos, sum, wsum);
+}
+
 }  // namespace
 
 bool populate_avx2(KernelTable& t) {
@@ -44,6 +50,9 @@ bool populate_avx2(KernelTable& t) {
   t.fz_predict = &predict_avx2;
   t.szx_scan = &szx_scan_avx2_body;
   t.crc32c = &crc32c_sse42_body;
+  t.decode_block = &decode_block_avx2_body;
+  t.encode_block = &encode_block_avx2_body;
+  t.digest_block = &digest_block_avx2;
   // fz_quantize: AVX2 has no exact packed double->int64 convert, so the
   // inherited scalar entry (llrint) stays — exactness beats throughput here.
   return true;

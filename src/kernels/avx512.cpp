@@ -2,8 +2,9 @@
 // flag set (see CMakeLists.txt); stubs out when the compiler lacks them.
 //
 // Hand-vectorized here: the VPERMB + VPMULTISHIFTQB unpack (64 values per
-// iteration, widths 1..8), the 8-lane int64 residual merge, and the
-// VCVTPD2QQ quantizer (exact llrint equivalent).  Pack inherits the AVX2
+// iteration, widths 1..8), the whole-block codec on 32-value groups (the
+// fixed-length block's size), the closed-form digest fold, the 8-lane int64
+// residual merge, and the VCVTPD2QQ quantizer (exact llrint equivalent).  Pack inherits the AVX2
 // PEXT codec through the table overlay — PEXT already saturates the port
 // the wider permutes would compete for — and so does the SSE4.2 CRC-32C.
 #include "hzccl/kernels/dispatch.hpp"
@@ -31,6 +32,9 @@ bool populate_avx512(KernelTable& t) {
   t.fz_quantize = &quantize_avx512_body;
   t.fz_predict = &predict_body;  // recompiled under AVX-512 flags
   t.szx_scan = &szx_scan_avx512_body;
+  t.decode_block = &decode_block_avx512_body;
+  t.encode_block = &encode_block_avx512_body;
+  t.digest_block = &digest_block_avx512_body;
   return true;
 }
 

@@ -243,8 +243,10 @@ inline HZCCL_HOT uint64_t quantize_body(const float* data, size_t n, double inv_
   for (size_t i = 0; i < n; ++i) {
     const long long qi = std::llrint(static_cast<double>(data[i]) * inv_twice_eb);
     q[i] = qi;
-    const long long neg = qi >> 63;
-    guard |= static_cast<uint64_t>((qi ^ neg) - neg);
+    // |qi| in uint64: llrint's out-of-range result LLONG_MIN maps to 2^63
+    // (what the vector abs yields) without a signed overflow.
+    const uint64_t neg = static_cast<uint64_t>(qi >> 63);
+    guard |= (static_cast<uint64_t>(qi) ^ neg) - neg;
   }
   return guard;
 }
@@ -297,6 +299,146 @@ inline HZCCL_HOT uint32_t crc32c_scalar_body(const uint8_t* data, size_t n, uint
 }
 
 // ---------------------------------------------------------------------------
+// Whole-block fixed-length codec (hzccl/compressor/fixed_len.hpp layout):
+// after the code-length byte c come the sign plane (ceil(n/8) bytes), c/8
+// full byte planes of n bytes each, and the packed high c%8 bits of every
+// magnitude (ceil(n*(c%8)/8) bytes).  The scalar bodies, one pass per plane,
+// are the oracle.
+// ---------------------------------------------------------------------------
+
+/// scalar_unpack / scalar_pack at a remainder width x in 1..7 known only at
+/// run time.
+inline void scalar_unpack_rem(int x, const uint8_t* src, size_t n, uint32_t* v) {
+  switch (x) {
+    case 1: return scalar_unpack<1>(src, n, v);
+    case 2: return scalar_unpack<2>(src, n, v);
+    case 3: return scalar_unpack<3>(src, n, v);
+    case 4: return scalar_unpack<4>(src, n, v);
+    case 5: return scalar_unpack<5>(src, n, v);
+    case 6: return scalar_unpack<6>(src, n, v);
+    default: return scalar_unpack<7>(src, n, v);
+  }
+}
+
+inline void scalar_pack_rem(int x, const uint32_t* v, size_t n, uint8_t* out) {
+  switch (x) {
+    case 1: return scalar_pack<1>(v, n, out);
+    case 2: return scalar_pack<2>(v, n, out);
+    case 3: return scalar_pack<3>(v, n, out);
+    case 4: return scalar_pack<4>(v, n, out);
+    case 5: return scalar_pack<5>(v, n, out);
+    case 6: return scalar_pack<6>(v, n, out);
+    default: return scalar_pack<7>(v, n, out);
+  }
+}
+
+inline HZCCL_HOT void decode_block_scalar_body(const uint8_t* src, size_t n, int c,
+                                               int32_t* residuals) {
+  uint32_t signs[kMaxBlockValues];
+  uint32_t mags[kMaxBlockValues];
+  scalar_unpack<1>(src, n, signs);
+  src += (n + 7) / 8;
+
+  std::memset(mags, 0, n * sizeof(uint32_t));
+  const int byte_count = c / 8;
+  for (int p = 0; p < byte_count; ++p) {
+    const int shift = 8 * p;
+    for (size_t i = 0; i < n; ++i) mags[i] |= static_cast<uint32_t>(src[i]) << shift;
+    src += n;
+  }
+  const int rem = c % 8;
+  if (rem > 0) {
+    uint32_t hi[kMaxBlockValues];
+    const int shift = 8 * byte_count;
+    scalar_unpack_rem(rem, src, n, hi);
+    for (size_t i = 0; i < n; ++i) mags[i] |= hi[i] << shift;
+  }
+
+  for (size_t i = 0; i < n; ++i) {
+    const int32_t mag = static_cast<int32_t>(mags[i]);
+    residuals[i] = signs[i] ? -mag : mag;
+  }
+}
+
+inline HZCCL_HOT void encode_block_scalar_body(const uint32_t* magnitudes,
+                                               const uint32_t* sign_bits, size_t n,
+                                               int code_len, uint8_t* out) {
+  scalar_pack<1>(sign_bits, n, out);
+  out += (n + 7) / 8;
+
+  // Full byte planes: plane k holds byte k of every magnitude.
+  const int byte_count = code_len / 8;
+  for (int p = 0; p < byte_count; ++p) {
+    const int shift = 8 * p;
+    for (size_t i = 0; i < n; ++i) out[i] = static_cast<uint8_t>(magnitudes[i] >> shift);
+    out += n;
+  }
+
+  // Remainder bits: isolate the high (code_len % 8) bits the planes did not
+  // cover (the paper's left-shift-then-right-shift trick) and pack them.
+  const int rem = code_len % 8;
+  if (rem > 0) {
+    uint32_t hi[kMaxBlockValues];
+    const int shift = 8 * byte_count;
+    for (size_t i = 0; i < n; ++i) hi[i] = magnitudes[i] >> shift;
+    scalar_pack_rem(rem, hi, n, out);
+  }
+}
+
+/// The digest fold one prefix-sum step per value: the oracle.
+inline HZCCL_HOT int64_t digest_block_scalar_body(const int32_t* residuals, size_t n, int64_t q,
+                                                  uint64_t pos, uint64_t* sum, uint64_t* wsum) {
+  uint64_t s = *sum;
+  uint64_t w = *wsum;
+  for (size_t i = 0; i < n; ++i) {
+    q += residuals[i];
+    const uint64_t u = static_cast<uint64_t>(q);
+    s += u;
+    w += (pos + i) * u;
+  }
+  *sum = s;
+  *wsum = w;
+  return q;
+}
+
+/// Closed form of the same fold, with no serial chain.  With T = n(n-1)/2,
+/// summing q_j = q + r_0 + ... + r_j over the block gives
+///   sum  += n*q + SA,        SA = sum_j (n - j) r_j = n*S0 - S1
+///   wsum += q*(n*pos + T) + pos*SA + SB,
+///                            SB = sum_j (T - j(j-1)/2) r_j = T*S0 - S2
+/// where S0 = sum r_j, S1 = sum j*r_j and S2 = sum j(j-1)/2 * r_j carry
+/// weights that do not depend on n.  For |r| < 2^31 and n <= 512 all three
+/// are exact in int64 (|S2| < 2^56); the combination wraps mod 2^64 like
+/// the serial loop, so the digest words are identical.
+inline void digest_fold_sums(size_t n, int64_t q, uint64_t pos, int64_t s0, int64_t s1,
+                             int64_t s2, uint64_t* sum, uint64_t* wsum) {
+  const uint64_t un = n;
+  const uint64_t tri = un * (un - 1) / 2;
+  const uint64_t sa = un * static_cast<uint64_t>(s0) - static_cast<uint64_t>(s1);
+  const uint64_t sb = tri * static_cast<uint64_t>(s0) - static_cast<uint64_t>(s2);
+  const uint64_t uq = static_cast<uint64_t>(q);
+  *sum += un * uq + sa;
+  *wsum += uq * (un * pos + tri) + pos * sa + sb;
+}
+
+/// Portable closed-form fold; each SIMD TU's auto-vectorizer retargets it.
+inline HZCCL_HOT int64_t digest_block_body(const int32_t* residuals, size_t n, int64_t q,
+                                           uint64_t pos, uint64_t* sum, uint64_t* wsum) {
+  int64_t s0 = 0;
+  int64_t s1 = 0;
+  int64_t s2 = 0;
+  for (size_t j = 0; j < n; ++j) {
+    const int32_t jj = static_cast<int32_t>(j);
+    const int64_t r = residuals[j];
+    s0 += r;
+    s1 += static_cast<int64_t>(jj) * r;
+    s2 += static_cast<int64_t>(jj * (jj - 1) / 2) * r;
+  }
+  digest_fold_sums(n, q, pos, s0, s1, s2, sum, wsum);
+  return q + s0;
+}
+
+// ---------------------------------------------------------------------------
 // AVX2 + BMI2: PDEP/PEXT bit-plane codecs (widths 1..8).
 // ---------------------------------------------------------------------------
 #if defined(__AVX2__) && defined(__BMI2__)
@@ -310,17 +452,23 @@ constexpr uint64_t spread_mask(int x) {
   return m;
 }
 
-/// Low byte of eight consecutive uint32 values as one 64-bit word (the
-/// PEXT source): one load + one in-lane shuffle + a cross-lane merge.
-inline uint64_t gather_low_bytes8(const uint32_t* v) {
-  const __m256i ctrl = _mm256_setr_epi8(0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-                                        -1, -1, 0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1,
-                                        -1, -1, -1, -1);
-  const __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v));
+/// Byte B of each of eight uint32 lanes as one 64-bit word: one in-lane
+/// shuffle + a cross-lane merge.
+template <int B>
+inline uint64_t lane_bytes8(__m256i x) {
+  const __m256i ctrl = _mm256_setr_epi8(B, 4 + B, 8 + B, 12 + B, -1, -1, -1, -1, -1, -1, -1, -1,
+                                        -1, -1, -1, -1, B, 4 + B, 8 + B, 12 + B, -1, -1, -1, -1,
+                                        -1, -1, -1, -1, -1, -1, -1, -1);
   const __m256i g = _mm256_shuffle_epi8(x, ctrl);
   const uint64_t lo = static_cast<uint32_t>(_mm_cvtsi128_si32(_mm256_castsi256_si128(g)));
   const uint64_t hi = static_cast<uint32_t>(_mm_cvtsi128_si32(_mm256_extracti128_si256(g, 1)));
   return lo | (hi << 32);
+}
+
+/// Low byte of eight consecutive uint32 values as one 64-bit word (the
+/// PEXT source).
+inline uint64_t gather_low_bytes8(const uint32_t* v) {
+  return lane_bytes8<0>(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(v)));
 }
 
 template <int X>
@@ -373,6 +521,186 @@ inline HZCCL_HOT void unpack_pdep(const uint8_t* src, size_t n, uint32_t* v) {
     s += X;
   }
   if (i < n) scalar_unpack<X>(src + s, n - i, v + i);
+}
+
+inline void store_u64(uint8_t* dst, uint64_t bytes) { std::memcpy(dst, &bytes, sizeof(bytes)); }
+
+/// Exactly X (1..7) little-endian bytes, as 4/2/1-byte pieces joined in a
+/// register: one memcpy of X bytes into a stack word would go through
+/// partial stores that a wider reload cannot forward from.
+template <int X>
+inline uint64_t load_le(const uint8_t* p) {
+  uint64_t v = 0;
+  int o = 0;
+  if constexpr ((X & 4) != 0) {
+    uint32_t a = 0;
+    std::memcpy(&a, p, 4);
+    v = a;
+    o = 4;
+  }
+  if constexpr ((X & 2) != 0) {
+    uint16_t b = 0;
+    std::memcpy(&b, p + o, 2);
+    v |= static_cast<uint64_t>(b) << (8 * o);
+    o += 2;
+  }
+  if constexpr ((X & 1) != 0) v |= static_cast<uint64_t>(p[o]) << (8 * o);
+  return v;
+}
+
+template <int X>
+inline void store_le(uint8_t* p, uint64_t v) {
+  int o = 0;
+  if constexpr ((X & 4) != 0) {
+    const auto a = static_cast<uint32_t>(v);
+    std::memcpy(p, &a, 4);
+    o = 4;
+  }
+  if constexpr ((X & 2) != 0) {
+    const auto b = static_cast<uint16_t>(v >> (8 * o));
+    std::memcpy(p + o, &b, 2);
+    o += 2;
+  }
+  if constexpr ((X & 1) != 0) p[o] = static_cast<uint8_t>(v >> (8 * o));
+}
+
+// Whole-block codec over the PDEP/PEXT group codecs.  Each 8-value group
+// loads and stores exactly its own bytes (its X remainder bytes through
+// load_le/store_le), so every full group stays vectorized at any n; only
+// the n % 8 values after the last full group take a scalar tail.  The code
+// length is a template parameter, picked by one switch per block.
+
+template <int C>
+struct DecodeAvx2 {
+  static constexpr int kPlanes = C / 8;
+  static constexpr int kRem = C % 8;
+
+  static void run(const uint8_t* src, size_t n, int32_t* r) {
+    const uint8_t* const signs = src;
+    const uint8_t* const planes = src + (n + 7) / 8;
+    const uint8_t* const rem = planes + kPlanes * n;
+    const __m256i bit = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+      __m256i mag = _mm256_setzero_si256();
+      for (int p = 0; p < kPlanes; ++p) {
+        const __m128i b = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(planes + p * n + i));
+        mag = _mm256_or_si256(mag, _mm256_slli_epi32(_mm256_cvtepu8_epi32(b), 8 * p));
+      }
+      if constexpr (kRem > 0) {
+        const uint64_t b8 = _pdep_u64(load_le<kRem>(rem + (i / 8) * kRem), spread_mask(kRem));
+        const __m128i b = _mm_cvtsi64_si128(static_cast<long long>(b8));
+        mag = _mm256_or_si256(mag, _mm256_slli_epi32(_mm256_cvtepu8_epi32(b), 8 * kPlanes));
+      }
+      // Sign byte -> all-ones lanes; (m ^ -1) - (-1) negates.
+      const __m256i neg =
+          _mm256_cmpeq_epi32(_mm256_and_si256(_mm256_set1_epi32(signs[i / 8]), bit), bit);
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(r + i),
+                          _mm256_sub_epi32(_mm256_xor_si256(mag, neg), neg));
+    }
+    if (i < n) {
+      const size_t t = n - i;
+      uint32_t hi[8] = {};
+      if constexpr (kRem > 0) unpack_tail<kRem>(rem + (i / 8) * kRem, t, hi);
+      const uint32_t sign_byte = signs[i / 8];
+      for (size_t k = 0; k < t; ++k) {
+        uint32_t mag = hi[k] << (8 * kPlanes);
+        for (int p = 0; p < kPlanes; ++p) {
+          mag |= static_cast<uint32_t>(planes[p * n + i + k]) << (8 * p);
+        }
+        const int32_t m = static_cast<int32_t>(mag);
+        r[i + k] = ((sign_byte >> k) & 1u) ? -m : m;
+      }
+    }
+  }
+};
+
+template <int C>
+struct EncodeAvx2 {
+  static constexpr int kPlanes = C / 8;
+  static constexpr int kRem = C % 8;
+
+  static void run(const uint32_t* mags, const uint32_t* signs, size_t n, uint8_t* out) {
+    uint8_t* const sign_plane = out;
+    uint8_t* const planes = out + (n + 7) / 8;
+    uint8_t* const rem = planes + kPlanes * n;
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+      const __m256i m = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mags + i));
+      const __m256i s = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(signs + i));
+      // Bit 0 of each sign word, moved to the lane's sign bit.
+      sign_plane[i / 8] = static_cast<uint8_t>(
+          _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_slli_epi32(s, 31))));
+      if constexpr (kPlanes > 0) store_u64(planes + i, lane_bytes8<0>(m));
+      if constexpr (kPlanes > 1) store_u64(planes + n + i, lane_bytes8<1>(m));
+      if constexpr (kPlanes > 2) store_u64(planes + 2 * n + i, lane_bytes8<2>(m));
+      if constexpr (kRem > 0) {
+        store_le<kRem>(rem + (i / 8) * kRem,
+                       _pext_u64(lane_bytes8<kPlanes>(m), spread_mask(kRem)));
+      }
+    }
+    if (i < n) {
+      const size_t t = n - i;
+      pack_tail<1>(signs + i, t, sign_plane + i / 8);
+      for (int p = 0; p < kPlanes; ++p) {
+        for (size_t k = 0; k < t; ++k) {
+          planes[p * n + i + k] = static_cast<uint8_t>(mags[i + k] >> (8 * p));
+        }
+      }
+      if constexpr (kRem > 0) {
+        uint32_t hi[8];
+        for (size_t k = 0; k < t; ++k) hi[k] = mags[i + k] >> (8 * kPlanes);
+        pack_tail<kRem>(hi, t, rem + (i / 8) * kRem);
+      }
+    }
+  }
+};
+
+/// Op<C>::run(args...) for a code length c in 1..31 known only at run time.
+template <template <int> class Op, class... Args>
+inline void with_code_len(int c, Args... args) {
+  switch (c) {
+    case 1: return Op<1>::run(args...);
+    case 2: return Op<2>::run(args...);
+    case 3: return Op<3>::run(args...);
+    case 4: return Op<4>::run(args...);
+    case 5: return Op<5>::run(args...);
+    case 6: return Op<6>::run(args...);
+    case 7: return Op<7>::run(args...);
+    case 8: return Op<8>::run(args...);
+    case 9: return Op<9>::run(args...);
+    case 10: return Op<10>::run(args...);
+    case 11: return Op<11>::run(args...);
+    case 12: return Op<12>::run(args...);
+    case 13: return Op<13>::run(args...);
+    case 14: return Op<14>::run(args...);
+    case 15: return Op<15>::run(args...);
+    case 16: return Op<16>::run(args...);
+    case 17: return Op<17>::run(args...);
+    case 18: return Op<18>::run(args...);
+    case 19: return Op<19>::run(args...);
+    case 20: return Op<20>::run(args...);
+    case 21: return Op<21>::run(args...);
+    case 22: return Op<22>::run(args...);
+    case 23: return Op<23>::run(args...);
+    case 24: return Op<24>::run(args...);
+    case 25: return Op<25>::run(args...);
+    case 26: return Op<26>::run(args...);
+    case 27: return Op<27>::run(args...);
+    case 28: return Op<28>::run(args...);
+    case 29: return Op<29>::run(args...);
+    case 30: return Op<30>::run(args...);
+    default: return Op<31>::run(args...);
+  }
+}
+
+inline HZCCL_HOT void decode_block_avx2_body(const uint8_t* src, size_t n, int c, int32_t* r) {
+  with_code_len<DecodeAvx2>(c, src, n, r);
+}
+
+inline HZCCL_HOT void encode_block_avx2_body(const uint32_t* mags, const uint32_t* signs,
+                                             size_t n, int c, uint8_t* out) {
+  with_code_len<EncodeAvx2>(c, mags, signs, n, out);
 }
 
 /// 8-lane SZx scan.  min/max are idempotent, so the tail is an *overlapping*
@@ -628,6 +956,256 @@ inline HZCCL_HOT void szx_scan_avx512_body(const float* data, size_t n, float* o
   out[0] = _mm512_reduce_min_ps(vmn) + 0.0f;
   out[1] = _mm512_reduce_max_ps(vmx) + 0.0f;
   out[2] = _mm512_reduce_max_ps(vab) + 0.0f;
+}
+
+// ---------------------------------------------------------------------------
+// Whole-block codec on 32-value groups.  A group's sign bits are 4 bytes (a
+// __mmask32), its byte planes 32 bytes each and its remainder plane exactly
+// 4x bytes for x = c % 8.  The body takes c at run time and has no branch on
+// it: absent planes are loads and stores under an all-zero mask, and the
+// x-dependent permutes come from a table.  The last group of a block that
+// is not a multiple of 32 runs the same body under shorter masks, so every
+// load and store covers exactly the block's bytes.
+// ---------------------------------------------------------------------------
+
+/// Constants of a remainder plane of width x = c % 8 (row 0: none).
+struct RemPlaneConsts {
+  /// VPERMB index: qword lane g of a group receives remainder bytes
+  /// [g*x, g*x + 8), the eight x-bit fields of values 8g..8g+7.
+  std::array<uint8_t, 32> gather{};
+  /// VPERMB index gathering the low x bytes of each qword lane into 4x
+  /// contiguous bytes.
+  std::array<uint8_t, 32> compact{};
+  /// VPMULTISHIFTQB control: byte k selects the field at bit k*x.
+  uint64_t shifts = 0;
+  /// Low x bits set.
+  uint8_t field = 0;
+  /// Packing weights: [1, 2^x] per byte pair (VPMADDUBSW) and [1, 2^2x] per
+  /// word pair (VPMADDWD).
+  uint16_t pair_weight = 0;
+  uint32_t quad_weight = 0;
+};
+
+constexpr std::array<RemPlaneConsts, 8> make_rem_plane_consts() {
+  std::array<RemPlaneConsts, 8> t{};
+  for (int x = 1; x < 8; ++x) {
+    for (int b = 0; b < 32; ++b) {
+      t[x].gather[b] = static_cast<uint8_t>((b / 8) * x + b % 8);
+      t[x].compact[b] = static_cast<uint8_t>(b < 4 * x ? 8 * (b / x) + b % x : 0);
+    }
+    t[x].shifts = multishift_ctrl(x);
+    t[x].field = static_cast<uint8_t>((1 << x) - 1);
+    t[x].pair_weight = static_cast<uint16_t>(1 | (1 << (x + 8)));
+    t[x].quad_weight = 1u | (1u << (2 * x + 16));
+  }
+  return t;
+}
+
+inline constexpr std::array<RemPlaneConsts, 8> kRemPlane = make_rem_plane_consts();
+
+/// VPERMT2B indices that build 16 magnitudes from the column tables
+/// [plane 0 | plane 1] and [plane 2 | remainder] (32 bytes each), for a
+/// block with `planes` = c / 8 full byte planes: byte k of value j comes
+/// from plane k (index 32k + j) below `planes`, from the remainder column
+/// (index 96 + j) at `planes`, and is zeroed (outside `keep`) above it.
+struct PlaneAssembly {
+  std::array<uint8_t, 64> lo{};  ///< values 0..15 of a group
+  std::array<uint8_t, 64> hi{};  ///< values 16..31
+  uint64_t keep = 0;
+};
+
+constexpr std::array<PlaneAssembly, 4> make_plane_assembly() {
+  std::array<PlaneAssembly, 4> t{};
+  for (int planes = 0; planes < 4; ++planes) {
+    for (int b = 0; b < 64; ++b) {
+      const int value = b / 4;
+      const int k = b % 4;
+      const int column = k < planes ? 32 * k : 96;
+      t[planes].lo[b] = static_cast<uint8_t>(column + value);
+      t[planes].hi[b] = static_cast<uint8_t>(column + value + 16);
+      if (k <= planes) t[planes].keep |= uint64_t{1} << b;
+    }
+  }
+  return t;
+}
+
+inline constexpr std::array<PlaneAssembly, 4> kPlaneAssembly = make_plane_assembly();
+
+/// VPERMT2B index transposing a group's 32 magnitudes (two registers of 16
+/// dwords, 128 bytes): output bytes 0..31 are byte 0 of values 0..31 and
+/// bytes 32..63 byte 1; adding 2 to the whole index gives bytes 2 and 3.
+/// Byte k of value j sits at 4j + k.
+constexpr std::array<uint8_t, 64> make_transpose_index() {
+  std::array<uint8_t, 64> t{};
+  for (int b = 0; b < 64; ++b) t[b] = static_cast<uint8_t>(4 * (b % 32) + b / 32);
+  return t;
+}
+
+inline constexpr std::array<uint8_t, 64> kTransposeIndex = make_transpose_index();
+
+inline __mmask32 low_mask32(size_t bits) { return _bzhi_u32(~0u, static_cast<unsigned>(bits)); }
+
+inline __m256i load_bytes32(const std::array<uint8_t, 32>& a) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a.data()));
+}
+
+inline __m512i load_bytes64(const std::array<uint8_t, 64>& a) {
+  return _mm512_loadu_si512(a.data());
+}
+
+/// Load/store masks of one 32-value group with t values: the values, the
+/// sign bytes and the x-bit remainder bytes.
+struct GroupMasks {
+  __mmask32 values;
+  __mmask16 sign_bytes;
+  __mmask32 rem_bytes;
+};
+
+inline GroupMasks group_masks(size_t t, int x) {
+  return {low_mask32(t), static_cast<__mmask16>(low_mask32((t + 7) / 8)),
+          low_mask32((t * static_cast<size_t>(x) + 7) / 8)};
+}
+
+inline HZCCL_HOT void decode_block_avx512_body(const uint8_t* src, size_t n, int c,
+                                               int32_t* r) {
+  const int planes = static_cast<int>(static_cast<unsigned>(c) / 8);
+  const int x = static_cast<int>(static_cast<unsigned>(c) % 8);
+  const size_t base = (n + 7) / 8;  // byte plane 0, relative to src
+  const uint8_t* const rem = src + base + static_cast<size_t>(planes) * n;
+  // Plane k present: an all-ones load mask and offset select; absent: both
+  // zero, so the load touches nothing and its address stays at src (no
+  // pointer past the payload is formed).  Arithmetic, not branches: c
+  // varies block to block.
+  const uint32_t has[3] = {0u - (planes > 0), 0u - (planes > 1), 0u - (planes > 2)};
+  const size_t off[3] = {0 - size_t{planes > 0}, 0 - size_t{planes > 1}, 0 - size_t{planes > 2}};
+  const PlaneAssembly& assembly = kPlaneAssembly[planes];
+  const __m512i idx_lo = load_bytes64(assembly.lo);
+  const __m512i idx_hi = load_bytes64(assembly.hi);
+  const __mmask64 keep = assembly.keep;
+  const RemPlaneConsts& rc = kRemPlane[x];
+  const __m256i gather = load_bytes32(rc.gather);
+  const __m256i shifts = _mm256_set1_epi64x(static_cast<long long>(rc.shifts));
+  const __m256i field = _mm256_set1_epi8(static_cast<char>(rc.field));
+  const __m512i zero = _mm512_setzero_si512();
+  const auto group = [&](size_t i, GroupMasks m) {
+    const uint32_t neg = static_cast<uint32_t>(
+        _mm_cvtsi128_si32(_mm_maskz_loadu_epi8(m.sign_bytes, src + i / 8)));
+    const __m256i b0 = _mm256_maskz_loadu_epi8(m.values & has[0], src + (off[0] & (base + i)));
+    const __m256i b1 =
+        _mm256_maskz_loadu_epi8(m.values & has[1], src + (off[1] & (base + n + i)));
+    const __m256i b2 =
+        _mm256_maskz_loadu_epi8(m.values & has[2], src + (off[2] & (base + 2 * n + i)));
+    const __m256i raw = _mm256_maskz_loadu_epi8(m.rem_bytes, rem + (i / 8) * x);
+    const __m256i hi = _mm256_and_si256(
+        _mm256_multishift_epi64_epi8(shifts, _mm256_permutexvar_epi8(gather, raw)), field);
+    const __m512i ta = _mm512_inserti64x4(_mm512_castsi256_si512(b0), b1, 1);
+    const __m512i tb = _mm512_inserti64x4(_mm512_castsi256_si512(b2), hi, 1);
+    const __m512i mag_lo = _mm512_maskz_permutex2var_epi8(keep, ta, idx_lo, tb);
+    const __m512i mag_hi = _mm512_maskz_permutex2var_epi8(keep, ta, idx_hi, tb);
+    _mm512_mask_storeu_epi32(
+        r + i, static_cast<__mmask16>(m.values),
+        _mm512_mask_sub_epi32(mag_lo, static_cast<__mmask16>(neg), zero, mag_lo));
+    _mm512_mask_storeu_epi32(
+        r + i + 16, static_cast<__mmask16>(m.values >> 16),
+        _mm512_mask_sub_epi32(mag_hi, static_cast<__mmask16>(neg >> 16), zero, mag_hi));
+  };
+  const GroupMasks full = group_masks(32, x);
+  size_t i = 0;
+  for (; i + 32 <= n; i += 32) group(i, full);
+  if (i < n) group(i, group_masks(n - i, x));
+}
+
+inline HZCCL_HOT void encode_block_avx512_body(const uint32_t* mags, const uint32_t* signs,
+                                               size_t n, int c, uint8_t* out) {
+  const int planes = static_cast<int>(static_cast<unsigned>(c) / 8);
+  const int x = static_cast<int>(static_cast<unsigned>(c) % 8);
+  const size_t base = (n + 7) / 8;
+  uint8_t* const rem = out + base + static_cast<size_t>(planes) * n;
+  // Absent planes store nothing, at out (see decode_block_avx512_body).
+  const uint32_t has[3] = {0u - (planes > 0), 0u - (planes > 1), 0u - (planes > 2)};
+  const size_t off[3] = {0 - size_t{planes > 0}, 0 - size_t{planes > 1}, 0 - size_t{planes > 2}};
+  // Byte columns of a group: [byte 0 | byte 1] and [byte 2 | byte 3] for
+  // the planes, and byte `planes` of each magnitude (the bits above the
+  // full planes) for the remainder, each one VPERMT2B.
+  const __m512i idx_01 = load_bytes64(kTransposeIndex);
+  const __m512i idx_23 = _mm512_add_epi8(idx_01, _mm512_set1_epi8(2));
+  const __m256i rem_index = _mm256_add_epi8(_mm512_castsi512_si256(idx_01),
+                                            _mm256_set1_epi8(static_cast<char>(planes)));
+  const RemPlaneConsts& rc = kRemPlane[x];
+  const __m256i field = _mm256_set1_epi8(static_cast<char>(rc.field));
+  // Remainder packing: pairs of x-bit fields -> 2x bits (VPMADDUBSW), pairs
+  // of those -> 4x bits (VPMADDWD), pairs of dwords -> 8x bits per qword;
+  // then the low x bytes of each qword are gathered into 4x bytes.
+  const __m256i w1 = _mm256_set1_epi16(static_cast<short>(rc.pair_weight));
+  const __m256i w2 = _mm256_set1_epi32(static_cast<int>(rc.quad_weight));
+  const __m128i shift4x = _mm_cvtsi32_si128(4 * x);
+  const __m256i low32 = _mm256_set1_epi64x(0xFFFFFFFFll);
+  const __m256i compact = load_bytes32(rc.compact);
+  const __m512i one = _mm512_set1_epi32(1);
+  const auto group = [&](size_t i, GroupMasks m) {
+    const auto lo16 = static_cast<__mmask16>(m.values);
+    const auto hi16 = static_cast<__mmask16>(m.values >> 16);
+    const __m512i mag_lo = _mm512_maskz_loadu_epi32(lo16, mags + i);
+    const __m512i mag_hi = _mm512_maskz_loadu_epi32(hi16, mags + i + 16);
+    const uint32_t neg =
+        static_cast<uint32_t>(
+            _mm512_test_epi32_mask(_mm512_maskz_loadu_epi32(lo16, signs + i), one)) |
+        (static_cast<uint32_t>(
+             _mm512_test_epi32_mask(_mm512_maskz_loadu_epi32(hi16, signs + i + 16), one))
+         << 16);
+    _mm_mask_storeu_epi8(out + i / 8, m.sign_bytes, _mm_cvtsi32_si128(static_cast<int>(neg)));
+    const __m512i c01 = _mm512_permutex2var_epi8(mag_lo, idx_01, mag_hi);
+    const __m512i c23 = _mm512_permutex2var_epi8(mag_lo, idx_23, mag_hi);
+    _mm256_mask_storeu_epi8(out + (off[0] & (base + i)), m.values & has[0],
+                            _mm512_castsi512_si256(c01));
+    _mm256_mask_storeu_epi8(out + (off[1] & (base + n + i)), m.values & has[1],
+                            _mm512_extracti64x4_epi64(c01, 1));
+    _mm256_mask_storeu_epi8(out + (off[2] & (base + 2 * n + i)), m.values & has[2],
+                            _mm512_castsi512_si256(c23));
+    const __m256i top = _mm512_castsi512_si256(_mm512_permutex2var_epi8(
+        mag_lo, _mm512_castsi256_si512(rem_index), mag_hi));
+    const __m256i v = _mm256_and_si256(top, field);
+    const __m256i v32 = _mm256_madd_epi16(_mm256_maddubs_epi16(w1, v), w2);
+    const __m256i v64 = _mm256_or_si256(_mm256_and_si256(v32, low32),
+                                        _mm256_sll_epi64(_mm256_srli_epi64(v32, 32), shift4x));
+    _mm256_mask_storeu_epi8(rem + (i / 8) * x, m.rem_bytes,
+                            _mm256_permutexvar_epi8(compact, v64));
+  };
+  const GroupMasks full = group_masks(32, x);
+  size_t i = 0;
+  for (; i + 32 <= n; i += 32) group(i, full);
+  if (i < n) group(i, group_masks(n - i, x));
+}
+
+/// Closed-form digest fold (see digest_fold_sums), 8 int64 lanes at a time.
+/// VPMULDQ multiplies the low signed dwords: r, j and j(j-1)/2 all fit.
+inline HZCCL_HOT int64_t digest_block_avx512_body(const int32_t* residuals, size_t n, int64_t q,
+                                                  uint64_t pos, uint64_t* sum, uint64_t* wsum) {
+  __m512i a0 = _mm512_setzero_si512();
+  __m512i a1 = _mm512_setzero_si512();
+  __m512i a2 = _mm512_setzero_si512();
+  __m512i j = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
+  const __m512i one = _mm512_set1_epi64(1);
+  const __m512i eight = _mm512_set1_epi64(8);
+  const auto group = [&](__m256i r32) {
+    const __m512i r = _mm512_cvtepi32_epi64(r32);
+    const __m512i tri = _mm512_srli_epi64(_mm512_mul_epu32(j, _mm512_sub_epi64(j, one)), 1);
+    a0 = _mm512_add_epi64(a0, r);
+    a1 = _mm512_add_epi64(a1, _mm512_mul_epi32(r, j));
+    a2 = _mm512_add_epi64(a2, _mm512_mul_epi32(r, tri));
+    j = _mm512_add_epi64(j, eight);
+  };
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    group(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(residuals + i)));
+  }
+  if (i < n) {
+    group(_mm256_maskz_loadu_epi32(static_cast<__mmask8>(low_mask32(n - i)), residuals + i));
+  }
+  const int64_t s0 = _mm512_reduce_add_epi64(a0);
+  digest_fold_sums(n, q, pos, s0, _mm512_reduce_add_epi64(a1), _mm512_reduce_add_epi64(a2), sum,
+                   wsum);
+  return q + s0;
 }
 
 #endif  // AVX-512 family

@@ -26,6 +26,9 @@ bool populate_scalar(KernelTable& t) {
   t.fz_predict = &predict_body;
   t.szx_scan = &szx_scan_body;
   t.crc32c = &crc32c_scalar_body;
+  t.decode_block = &decode_block_scalar_body;
+  t.encode_block = &encode_block_scalar_body;
+  t.digest_block = &digest_block_scalar_body;
   return true;
 }
 

@@ -12,6 +12,8 @@
 // Randomness comes from simmpi's counter-based fault_mix, so a failure
 // reproduces from the test name alone.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
@@ -20,6 +22,7 @@
 #include <iterator>
 #include <limits>
 #include <span>
+#include <stdexcept>
 #include <string_view>
 #include <vector>
 
@@ -404,6 +407,216 @@ TEST(KernelConformance, Crc32cMatchesScalarOracle) {
             << "chained: level=" << kernels::level_name(lvl) << " n=" << n
             << " offset=" << offset << " cut=" << cut;
       }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Whole-block codec and digest fold: each level's block slots against the
+// scalar oracle at every code length.  Inputs sit flush against the end of
+// their allocation (so an over-read leaves it, which the sanitized kernels
+// tier reports), and outputs are framed by canaries (an over-write changes
+// one).  Every case also runs once with its payload ending at an
+// inaccessible page, so an over-read faults in any build.
+// ---------------------------------------------------------------------------
+
+constexpr int32_t kCanary32 = static_cast<int32_t>(0x5A5A5A5A);
+
+/// A read-only byte copy that ends where an inaccessible page begins.
+class GuardedBytes {
+ public:
+  explicit GuardedBytes(std::span<const uint8_t> bytes) {
+    const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+    map_len_ = (bytes.size() + page - 1) / page * page + page;
+    void* map = mmap(nullptr, map_len_, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (map == MAP_FAILED) throw std::runtime_error("GuardedBytes: mmap failed");
+    base_ = static_cast<uint8_t*>(map);
+    uint8_t* const guard = base_ + map_len_ - page;
+    if (mprotect(guard, page, PROT_NONE) != 0) {
+      munmap(map, map_len_);
+      throw std::runtime_error("GuardedBytes: mprotect failed");
+    }
+    data_ = guard - bytes.size();
+    std::copy(bytes.begin(), bytes.end(), data_);
+  }
+  GuardedBytes(const GuardedBytes&) = delete;
+  GuardedBytes& operator=(const GuardedBytes&) = delete;
+  ~GuardedBytes() { munmap(base_, map_len_); }
+
+  const uint8_t* data() const { return data_; }
+
+ private:
+  uint8_t* base_ = nullptr;
+  uint8_t* data_ = nullptr;
+  size_t map_len_ = 0;
+};
+
+std::vector<size_t> block_lengths() {
+  std::vector<size_t> out;
+  for (size_t n = 1; n <= 64; ++n) out.push_back(n);
+  for (const size_t n : {size_t{100}, size_t{511}, size_t{512}}) out.push_back(n);
+  return out;
+}
+
+size_t block_payload_size(int c, size_t n) { return encoded_block_size(c, n) - 1; }
+
+/// Decode `payload` with `t` into a canary-framed buffer at element offset
+/// `dst_off`; fails the test if a canary changed.  Returns the n values.
+std::vector<int32_t> decode_framed(const KernelTable& t, const uint8_t* payload, size_t n, int c,
+                                   size_t dst_off) {
+  std::vector<int32_t> out(dst_off + n + 8, kCanary32);
+  t.decode_block(payload, n, c, out.data() + dst_off);
+  for (size_t i = 0; i < out.size(); ++i) {
+    if (i >= dst_off && i < dst_off + n) continue;
+    EXPECT_EQ(out[i], kCanary32) << "decode_block wrote outside its n values: level="
+                                 << kernels::level_name(t.level) << " c=" << c << " n=" << n
+                                 << " at element " << i;
+  }
+  return {out.begin() + static_cast<ptrdiff_t>(dst_off),
+          out.begin() + static_cast<ptrdiff_t>(dst_off + n)};
+}
+
+TEST(KernelConformance, DecodeBlockMatchesScalarOracle) {
+  const KernelTable& ref = kernels::table(DispatchLevel::kScalar);
+  for (DispatchLevel lvl : vector_levels()) {
+    const KernelTable& vec = kernels::table(lvl);
+    Prng rng(/*seed=*/0xDEC0DEu, /*stream=*/static_cast<uint64_t>(lvl));
+    for (int c = 1; c <= kMaxCodeLength; ++c) {
+      for (const size_t n : block_lengths()) {
+        const size_t size = block_payload_size(c, n);
+        // Random bytes: every bit pattern is a valid payload, including set
+        // padding bits past the n-th value, which every level must ignore.
+        std::vector<uint8_t> payload(size);
+        for (uint8_t& b : payload) b = static_cast<uint8_t>(rng.u32());
+        const std::vector<int32_t> want = decode_framed(ref, payload.data(), n, c, 0);
+        for (size_t misalign = 0; misalign < 8; ++misalign) {
+          // Payload flush against the end of its allocation, starting at
+          // byte `misalign`.
+          std::vector<uint8_t> src(misalign + size);
+          std::copy(payload.begin(), payload.end(), src.begin() + static_cast<ptrdiff_t>(misalign));
+          ASSERT_EQ(decode_framed(vec, src.data() + misalign, n, c, misalign), want)
+              << "level=" << kernels::level_name(lvl) << " c=" << c << " n=" << n
+              << " misalign=" << misalign;
+        }
+        const GuardedBytes guarded(payload);
+        ASSERT_EQ(decode_framed(vec, guarded.data(), n, c, 0), want)
+            << "guarded: level=" << kernels::level_name(lvl) << " c=" << c << " n=" << n;
+        if (HasFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(KernelConformance, EncodeBlockMatchesScalarOracle) {
+  const KernelTable& ref = kernels::table(DispatchLevel::kScalar);
+  for (DispatchLevel lvl : vector_levels()) {
+    const KernelTable& vec = kernels::table(lvl);
+    Prng rng(/*seed=*/0xE4C0DEu, /*stream=*/static_cast<uint64_t>(lvl));
+    for (int c = 1; c <= kMaxCodeLength; ++c) {
+      for (const size_t n : block_lengths()) {
+        // Magnitudes carry random bits above c half the time (the encoder
+        // drops them); sign words are 0/1.
+        std::vector<uint32_t> mags(n);
+        std::vector<uint32_t> signs(n);
+        const uint32_t low = (1u << c) - 1u;
+        for (size_t i = 0; i < n; ++i) {
+          const uint32_t v = rng.u32();
+          mags[i] = (rng.u32() % 2u == 0) ? v : (v & low);
+          signs[i] = rng.u32() & 1u;
+        }
+        const size_t size = block_payload_size(c, n);
+        std::vector<uint8_t> want(size + 16, kGuardByte);
+        ref.encode_block(mags.data(), signs.data(), n, c, want.data());
+        for (size_t misalign = 0; misalign < 8; ++misalign) {
+          // Inputs flush against the end of their allocations, starting at
+          // element `misalign`.
+          std::vector<uint32_t> m_in(misalign + n);
+          std::vector<uint32_t> s_in(misalign + n);
+          std::copy(mags.begin(), mags.end(), m_in.begin() + static_cast<ptrdiff_t>(misalign));
+          std::copy(signs.begin(), signs.end(), s_in.begin() + static_cast<ptrdiff_t>(misalign));
+          std::vector<uint8_t> out(misalign + size + 16, kGuardByte);
+          vec.encode_block(m_in.data() + misalign, s_in.data() + misalign, n, c,
+                           out.data() + misalign);
+          for (size_t b = 0; b < misalign; ++b) {
+            ASSERT_EQ(out[b], kGuardByte) << "encode_block wrote before its payload: level="
+                                          << kernels::level_name(lvl) << " c=" << c
+                                          << " n=" << n << " misalign=" << misalign;
+          }
+          ASSERT_EQ(std::vector<uint8_t>(out.begin() + static_cast<ptrdiff_t>(misalign), out.end()),
+                    want)
+              << "encode_block bytes (or the canaries after them) differ: level="
+              << kernels::level_name(lvl) << " c=" << c << " n=" << n << " misalign=" << misalign;
+        }
+        // The oracle's payload decodes back to the low c bits at every level.
+        const GuardedBytes guarded(std::span<const uint8_t>(want.data(), size));
+        const std::vector<int32_t> back = decode_framed(vec, guarded.data(), n, c, 0);
+        for (size_t i = 0; i < n; ++i) {
+          const auto mag = static_cast<int32_t>(mags[i] & low);
+          ASSERT_EQ(back[i], signs[i] != 0 ? -mag : mag)
+              << "level=" << kernels::level_name(lvl) << " c=" << c << " n=" << n << " i=" << i;
+        }
+        if (HasFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(KernelConformance, DigestBlockMatchesScalarOracle) {
+  const KernelTable& ref = kernels::table(DispatchLevel::kScalar);
+  constexpr int32_t kMaxResidual = std::numeric_limits<int32_t>::max();
+  std::vector<size_t> lengths = block_lengths();
+  lengths.insert(lengths.begin(), 0);
+  for (DispatchLevel lvl : vector_levels()) {
+    const KernelTable& vec = kernels::table(lvl);
+    Prng rng(/*seed=*/0xD16E57u, /*stream=*/static_cast<uint64_t>(lvl));
+    for (const size_t n : lengths) {
+      for (int trial = 0; trial < 4; ++trial) {
+        // Residuals up to |r| = 2^31 - 1 (extremes mixed in), chain values
+        // up to +-2^62, positions up to 2^40, and a non-zero digest to
+        // fold into.
+        std::vector<int32_t> r(n);
+        for (size_t i = 0; i < n; ++i) {
+          switch (rng.u32() % 4u) {
+            case 0: r[i] = kMaxResidual; break;
+            case 1: r[i] = -kMaxResidual; break;
+            default: r[i] = static_cast<int32_t>(rng.u32() % (1u << 31)) *
+                            ((rng.u32() & 1u) != 0 ? 1 : -1);
+          }
+        }
+        const auto q = static_cast<int64_t>(rng.next() % (uint64_t{1} << 63)) -
+                       (int64_t{1} << 62);
+        const uint64_t pos = 1 + rng.next() % (uint64_t{1} << 40);
+        uint64_t sum_ref = rng.next();
+        uint64_t wsum_ref = rng.next();
+        uint64_t sum_vec = sum_ref;
+        uint64_t wsum_vec = wsum_ref;
+        const int64_t q_ref = ref.digest_block(r.data(), n, q, pos, &sum_ref, &wsum_ref);
+        const int64_t q_vec = vec.digest_block(r.data(), n, q, pos, &sum_vec, &wsum_vec);
+        ASSERT_EQ(q_vec, q_ref) << "level=" << kernels::level_name(lvl) << " n=" << n;
+        ASSERT_EQ(sum_vec, sum_ref) << "level=" << kernels::level_name(lvl) << " n=" << n;
+        ASSERT_EQ(wsum_vec, wsum_ref) << "level=" << kernels::level_name(lvl) << " n=" << n;
+      }
+    }
+    // Chained blocks: folding a run block by block, each continuing from the
+    // previous chain value and position, equals one serial fold of the run.
+    Prng fill(/*seed=*/0xC4A1Du, /*stream=*/static_cast<uint64_t>(lvl));
+    std::vector<int32_t> run(kernels::kMaxBlockValues);
+    for (int32_t& v : run) v = static_cast<int32_t>(fill.u32() >> 1) - (1 << 30);
+    uint64_t sum_ref = 0;
+    uint64_t wsum_ref = 0;
+    const int64_t q0 = int64_t{1} << 61;
+    const int64_t q_ref = ref.digest_block(run.data(), run.size(), q0, 1, &sum_ref, &wsum_ref);
+    for (const size_t block : {size_t{1}, size_t{7}, size_t{32}, size_t{100}, size_t{512}}) {
+      uint64_t sum = 0;
+      uint64_t wsum = 0;
+      int64_t q = q0;
+      for (size_t at = 0; at < run.size(); at += block) {
+        const size_t n = std::min(block, run.size() - at);
+        q = vec.digest_block(run.data() + at, n, q, 1 + at, &sum, &wsum);
+      }
+      EXPECT_EQ(q, q_ref) << "level=" << kernels::level_name(lvl) << " block=" << block;
+      EXPECT_EQ(sum, sum_ref) << "level=" << kernels::level_name(lvl) << " block=" << block;
+      EXPECT_EQ(wsum, wsum_ref) << "level=" << kernels::level_name(lvl) << " block=" << block;
     }
   }
 }

@@ -102,7 +102,11 @@ TEST(KernelDispatch, SupportedTablesAreFullyPopulated) {
     EXPECT_NE(t.hz_combine_residuals, nullptr);
     EXPECT_NE(t.fz_quantize, nullptr);
     EXPECT_NE(t.fz_predict, nullptr);
+    EXPECT_NE(t.szx_scan, nullptr);
     EXPECT_NE(t.crc32c, nullptr);
+    EXPECT_NE(t.decode_block, nullptr);
+    EXPECT_NE(t.encode_block, nullptr);
+    EXPECT_NE(t.digest_block, nullptr);
   }
 }
 

@@ -18,7 +18,8 @@
 #   tools/check.sh --integrity # tier 1 + sanitized ABFT/SDC tier + 8-seed
 #                             # silent-corruption sweep through the CLI
 #   tools/check.sh --kernels  # tier 1 + conformance tier at every forced
-#                             # dispatch level + SIMD speedup gate
+#                             # dispatch level, plain and under ASan/UBSan,
+#                             # + SIMD speedup gate
 #   tools/check.sh --analyze  # tier 1 + whole-program static contracts
 #                             # (hot-path allocation/stack/exception proofs)
 #   tools/check.sh --all      # everything
@@ -171,6 +172,21 @@ if [ "$run_kernels" = "1" ]; then
   for level in scalar avx2 avx512; do
     echo "-- kernels: HZCCL_KERNEL_LEVEL=$level"
     (cd "$repo/build" && HZCCL_KERNEL_LEVEL=$level ctest -L kernels --output-on-failure)
+  done
+  echo "== kernels: sanitized conformance tier (ASan/UBSan) at every forced level =="
+  # The block kernels rely on exact-length masked loads and stores; the
+  # conformance tests place inputs flush against the end of their
+  # allocations and frame outputs with canaries, so under ASan/UBSan an
+  # over-read, an over-write or a signed overflow in a kernel body fails.
+  cmake -B "$repo/build-asan" -S "$repo" \
+    -DCMAKE_BUILD_TYPE=Debug \
+    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -g -O1" \
+    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
+  cmake --build "$repo/build-asan" -j "$jobs" \
+    --target kernel_conformance_test kernel_dispatch_test
+  for level in scalar avx2 avx512; do
+    echo "-- kernels (sanitized): HZCCL_KERNEL_LEVEL=$level"
+    (cd "$repo/build-asan" && HZCCL_KERNEL_LEVEL=$level ctest -L kernels --output-on-failure)
   done
   echo "== kernels: SIMD speedup gate (bench_kernels --simd-floor) =="
   "$repo/build/bench/bench_kernels" --json --quick \
