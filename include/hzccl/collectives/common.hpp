@@ -145,6 +145,11 @@ inline constexpr int kTagSize = 1 << 21;
 /// virtual rank so a leader's flows to its members never alias.
 inline constexpr int kTagIntraReduce = 1 << 23;
 inline constexpr int kTagIntraBcast = (1 << 23) + (1 << 20);
+/// Raw recursive-doubling / Rabenseifner exchanges: the fold onto active
+/// ranks, the per-step exchanges (offset by step) and the unfold.
+inline constexpr int kTagFold = 1 << 22;
+inline constexpr int kTagStep = (1 << 22) + 1;
+inline constexpr int kTagUnfold = (1 << 22) + 4096;
 /// Compressed recursive-doubling / Rabenseifner exchanges (offset by step,
 /// and for Rabenseifner also by block index: step * nranks + block).
 inline constexpr int kTagDoubling = 1 << 24;
@@ -174,15 +179,42 @@ const char* allreduce_algo_name(AllreduceAlgo algo);
 /// on an unknown algorithm.
 AllreduceAlgo parse_allreduce_algo(const std::string& text);
 
+/// Homomorphic collectives reduce in the residual domain and support kSum
+/// only; throws hzccl::Error for any other operator.
+void require_sum(const CollectiveConfig& config);
+
+/// {0, 1, ..., size - 1}: the member list of the flat ring.
+std::vector<int> identity_members(int size);
+
+/// Recursive-doubling rank layout (MPICH): with p2 the largest power of two
+/// <= size and rem = size - p2, the first 2*rem ranks pair up and the even
+/// rank of each pair folds its data onto the odd one, so p2 ranks stay
+/// active for the log2(p2) exchanges; the unfold hands the result back.
+struct DoublingLayout {
+  int p2 = 1;
+  int rem = 0;
+  bool folded_pair = false;  ///< rank < 2*rem: one half of a fold pair
+  int active = -1;           ///< index among the active ranks; -1 once folded away
+  /// Real rank of active index `a`.
+  int real_rank(int a) const { return a < rem ? 2 * a + 1 : a + rem; }
+};
+DoublingLayout doubling_layout(int rank, int size);
+
+/// Node grouping of the two-level schedules.  Membership comes from
+/// *physical* ranks, so remainder nodes and shrunk (post-failure) groups fall
+/// out naturally: whatever survivors a node still has elect its lowest
+/// virtual rank as leader.  The group is sorted by physical rank, so
+/// co-located members are contiguous.
+struct NodeGroups {
+  std::vector<int> leaders;       ///< virtual rank of every node's leader
+  std::vector<int> node_members;  ///< my node's virtual ranks, leader first
+  int my_leader_idx = -1;         ///< my node's index in `leaders`
+};
+NodeGroups node_groups(const simmpi::Topology& topo, const std::vector<int>& group, int rank);
+
 // ---------------------------------------------------------------------------
-// Receive-side healing of compressed blocks (graceful degradation).
-//
-// The simmpi transport already heals wire-level damage (CRC-rejected frames,
-// drops, duplicates) transparently inside Comm::recv.  What it cannot catch
-// is CRC-*valid* corruption — a faulty sender whose encoder scribbled the
-// stream before framing.  These helpers close that gap: validate that a
-// received stream actually decodes, NACK once for a retransmission, and on
-// persistent failure request the raw block instead of aborting the job.
+// Receive-side healing helpers shared by the collective bodies
+// (schedules.hpp) and the blocking movement collectives.
 // ---------------------------------------------------------------------------
 
 /// True when `bytes` parse as an fZ-light stream carrying `expect_elements`
@@ -200,15 +232,6 @@ struct CheckedBlock {
   bool degraded = false;
 };
 
-/// Receive one fZ-light block from (src, tag) and validate that it decodes
-/// to `expect_elements` elements.  Decode failures under a FaultPlan heal in
-/// two stages: one NACK/retransmit, then the raw-block fallback (the sender
-/// decompresses its intact copy and ships floats; the sender-side decode is
-/// charged to DPR here and the wire is priced at raw size by the runtime).
-/// Without a FaultPlan a decode failure throws FormatError.
-CheckedBlock recv_checked_block(simmpi::Comm& comm, int src, int tag, size_t expect_elements,
-                                const CollectiveConfig& config);
-
 /// Validate-and-heal an already received stream in place: returns bytes
 /// guaranteed to parse as fZ-light, retransmitting and finally refetching
 /// the sender's pristine stream if needed.  For paths (like bcast) that
@@ -217,50 +240,10 @@ CheckedBlock recv_checked_block(simmpi::Comm& comm, int src, int tag, size_t exp
 [[nodiscard]] CompressedBuffer heal_stream(simmpi::Comm& comm, int src, int tag, CompressedBuffer received,
                              const CollectiveConfig& config);
 
-// ---------------------------------------------------------------------------
-// ABFT digest verification (the verify-and-recover layer).
-//
-// recv_checked_block and heal_stream fold these in automatically under
-// VerifyPolicy::kPerRound; the combine and final-decode call sites invoke
-// them directly.  All verification work is charged to the virtual clock as
-// kVerify spans and tallied in Comm::integrity().
-// ---------------------------------------------------------------------------
-
-/// Record a zero-duration integrity marker (kSdcDetected / kRecompute) at
-/// virtual now.  Markers carry no bytes or peer, so phase and byte
-/// reconciliation over the trace is untouched.
-void record_integrity_marker(simmpi::Comm& comm, trace::EventKind kind);
-
-/// Recheck the per-chunk digest table of `bytes` (one integer-domain decode
-/// pass, no float writes).  Charges a kVerify span and bumps
-/// integrity().digests_checked; on mismatch bumps mismatches, records a
-/// kSdcDetected marker and returns false.  Streams that do not parse also
-/// return false; streams without digests pass vacuously (nothing to check).
-bool verify_stream_digests(simmpi::Comm& comm, std::span<const uint8_t> bytes,
-                           const CollectiveConfig& config);
-
-/// Final-decode gate: under any active verify policy, recheck `stream`
-/// before its contents become the collective's result; throws
-/// IntegrityError on mismatch (detection — per-round recovery, if wanted,
-/// already happened upstream).  kOff is a no-op.
-void final_verify_stream(simmpi::Comm& comm, const CompressedBuffer& stream,
-                         const CollectiveConfig& config);
-
 /// Wire form of a content-digest trailer: two little-endian u64 words
-/// (sum, wsum).  Shared by the blocking stacks and the sched engine's
-/// nonblocking transcriptions so the two speak one format.
+/// (sum, wsum), shipped on `tag + kTagDigest` after a raw-float payload
+/// under a verify policy.
 std::array<uint8_t, 16> digest_trailer_bytes(const integrity::Digest& digest);
 integrity::Digest parse_digest_trailer(std::span<const uint8_t> wire);
-
-/// Raw-float exchange with an optional content-digest trailer.  Under a
-/// verify policy the sender ships digest(payload bytes) as a 16-byte message
-/// on `tag + kTagDigest`; the receiver recomputes and compares, healing a
-/// mismatch by retransmitting the payload, then the trailer, and finally
-/// accepting the sender's pristine copy (ground truth by construction).
-/// With kOff these are exactly send_floats / recv_floats_into.
-void send_floats_checked(simmpi::Comm& comm, int dst, int tag, std::span<const float> data,
-                         const CollectiveConfig& config);
-void recv_floats_checked(simmpi::Comm& comm, int src, int tag, std::span<float> out,
-                         const CollectiveConfig& config);
 
 }  // namespace hzccl::coll

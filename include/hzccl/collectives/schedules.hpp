@@ -1,0 +1,1065 @@
+// Every collective schedule, written once as a coroutine over a Transport.
+//
+// The blocking entry points (raw.hpp, ccoll.hpp, hzccl_coll.hpp,
+// algorithms.hpp) run these bodies to completion on the rank thread through
+// CommTransport; the sched::Engine resumes the same bodies through its Port.
+// Block arithmetic, tags, compression calls, clock charges and the healing
+// ladders therefore exist once, and the two executors agree byte for byte by
+// construction.  The healing branches (NACK/retransmit, raw fallback) run
+// only under an enabled link-fault plan, which only the threaded runtime
+// accepts; on the engine they reduce to their clean paths.
+//
+// Conventions: a body takes its transport by value (a copyable handle) and
+// references to the caller's data, and is awaited by its caller at once
+// (see util/task.hpp for the lifetime rule).  Synchronous helpers take the
+// transport by reference.
+#pragma once
+
+#include <array>
+#include <cstring>
+#include <span>
+#include <utility>
+#include <vector>
+
+#include "hzccl/collectives/common.hpp"
+#include "hzccl/collectives/transport.hpp"
+#include "hzccl/compressor/fz_light.hpp"
+#include "hzccl/homomorphic/hz_dynamic.hpp"
+#include "hzccl/integrity/digest.hpp"
+#include "hzccl/util/bytes.hpp"
+#include "hzccl/util/error.hpp"
+#include "hzccl/util/task.hpp"
+
+namespace hzccl::coll::body {
+
+using simmpi::CostBucket;
+using simmpi::Mode;
+using trace::EventKind;
+
+// ---------------------------------------------------------------------------
+// ABFT digest verification (the verify-and-recover layer).  All work is
+// charged to the virtual clock as kVerify spans and tallied in integrity().
+// ---------------------------------------------------------------------------
+
+/// Recheck the per-chunk digest table of `bytes` (one integer-domain decode
+/// pass, no float writes).  Charges a kVerify span and bumps
+/// digests_checked; on mismatch bumps mismatches, marks kSdcDetected and
+/// returns false.  Streams that do not parse also return false; streams
+/// without digests pass vacuously (nothing to check).
+template <Transport T>
+bool verify_stream_digests(T& t, std::span<const uint8_t> bytes, const CollectiveConfig& config) {
+  DigestCheck check;
+  try {
+    check = fz_verify_digests(parse_fz(bytes), config.host_threads);
+  } catch (const Error&) {
+    // A digest walk that throws mid-chunk (corrupt residual encoding inside
+    // a stream that still parses) is itself a detection — count it so the
+    // mismatch tally covers every recovery the caller performs.
+    ++t.integrity().digests_checked;
+    ++t.integrity().mismatches;
+    t.mark(EventKind::kSdcDetected);
+    return false;
+  }
+  if (!check.checked) return true;  // no digest table: nothing to recheck
+  t.charge(CostBucket::kCpt, config.cost.seconds_digest_verify(bytes.size(), config.mode),
+           EventKind::kVerify, bytes.size());
+  ++t.integrity().digests_checked;
+  if (check.ok) return true;
+  ++t.integrity().mismatches;
+  t.mark(EventKind::kSdcDetected);
+  return false;
+}
+
+/// Final-decode gate: under any active verify policy, recheck `stream`
+/// before its contents become the collective's result; throws
+/// IntegrityError on mismatch (detection — per-round recovery, if wanted,
+/// already happened upstream).  kOff is a no-op.
+template <Transport T>
+void final_verify_stream(T& t, const CompressedBuffer& stream, const CollectiveConfig& config) {
+  if (config.verify == VerifyPolicy::kOff) return;
+  if (verify_stream_digests(t, stream.bytes, config)) return;
+  throw IntegrityError(
+      "ABFT digest mismatch at the final decode: the result would carry "
+      "silent data corruption");
+}
+
+// ---------------------------------------------------------------------------
+// Codec steps with their clock charges.
+// ---------------------------------------------------------------------------
+
+/// Compress a float block into pooled storage and charge CPR.
+template <Transport T>
+[[nodiscard]] CompressedBuffer compress_block(T& t, std::span<const float> block,
+                                              const CollectiveConfig& config) {
+  CompressedBuffer out = fz_compress(block, config.fz_params(block.size()), &t.pool());
+  t.charge(CostBucket::kCpr, config.cost.seconds_fz_compress(block.size_bytes(), config.mode),
+           EventKind::kCompress, block.size_bytes(), out.bytes.size());
+  return out;
+}
+
+/// Decode `stream` into `out` and charge DPR.
+template <Transport T>
+void decompress_charged(T& t, const CompressedBuffer& stream, std::span<float> out,
+                        const CollectiveConfig& config) {
+  fz_decompress(stream, out, config.host_threads);
+  t.charge(CostBucket::kDpr, config.cost.seconds_fz_decompress(out.size_bytes(), config.mode),
+           EventKind::kDecompress, out.size_bytes(), stream.bytes.size());
+}
+
+/// Round 1 of the paper's Fig 5: compress all `nblocks` ring blocks of this
+/// rank's input in one pass; the CPR charge covers the full input.
+/// `nblocks` is the ring size — the whole communicator for the flat ring,
+/// the leader count for the two-level inter-node ring.
+template <Transport T>
+std::vector<CompressedBuffer> compress_all_blocks(T& t, std::span<const float> input, int nblocks,
+                                                  const CollectiveConfig& config) {
+  std::vector<CompressedBuffer> blocks(static_cast<size_t>(nblocks));
+  for (int b = 0; b < nblocks; ++b) {
+    const Range r = ring_block_range(input.size(), nblocks, b);
+    blocks[static_cast<size_t>(b)] = fz_compress(input.subspan(r.begin, r.size()),
+                                                 config.fz_params(r.size()), &t.pool());
+  }
+  uint64_t compressed_bytes = 0;
+  for (const CompressedBuffer& b : blocks) compressed_bytes += b.bytes.size();
+  t.charge(CostBucket::kCpr, config.cost.seconds_fz_compress(input.size_bytes(), config.mode),
+           EventKind::kCompress, input.size_bytes(), compressed_bytes);
+  return blocks;
+}
+
+/// The last stage of every compressed allgather: verify (any active policy)
+/// and decode each ring block into place, recycling every stream, then one
+/// DPR charge for the whole vector.
+template <Transport T>
+void decode_all_blocks(T& t, std::vector<CompressedBuffer>& blocks, size_t total_elements,
+                       std::vector<float>& out_full, const CollectiveConfig& config) {
+  const int nblocks = static_cast<int>(blocks.size());
+  out_full.assign(total_elements, 0.0f);
+  uint64_t compressed_bytes = 0;
+  for (int b = 0; b < nblocks; ++b) {
+    CompressedBuffer& block = blocks[static_cast<size_t>(b)];
+    const Range r = ring_block_range(total_elements, nblocks, b);
+    final_verify_stream(t, block, config);
+    fz_decompress(block, std::span<float>(out_full).subspan(r.begin, r.size()),
+                  config.host_threads);
+    compressed_bytes += block.bytes.size();
+    t.pool().release(std::move(block.bytes));
+  }
+  t.charge(CostBucket::kDpr,
+           config.cost.seconds_fz_decompress(total_elements * sizeof(float), config.mode),
+           EventKind::kDecompress, total_elements * sizeof(float), compressed_bytes);
+}
+
+/// The working copy a schedule accumulates in place, charged as a pack.
+template <Transport T>
+std::vector<float> working_copy(T& t, std::span<const float> input,
+                                const CollectiveConfig& config) {
+  std::vector<float> acc(input.begin(), input.end());
+  t.charge(CostBucket::kOther, config.cost.seconds_memcpy(input.size_bytes()), EventKind::kPack,
+           input.size_bytes());
+  return acc;
+}
+
+/// `acc[offset..] op= incoming`, charged as a float reduction at `mode`:
+/// MPI reduces inside its single-threaded progress engine, DOC and the
+/// two-level hZ leader at the job's mode.
+template <Transport T>
+void reduce_into(T& t, std::span<float> acc, std::span<const float> incoming, size_t offset,
+                 const CollectiveConfig& config, Mode mode) {
+  reduce_combine_span(config.reduce_op, acc.data() + offset, incoming.data(), incoming.size());
+  t.charge(CostBucket::kCpt, config.cost.seconds_raw_sum(incoming.size_bytes(), mode),
+           EventKind::kReduce, incoming.size_bytes());
+}
+
+// ---------------------------------------------------------------------------
+// Receive-side healing of compressed blocks (graceful degradation).
+//
+// The transport heals wire damage (CRC-rejected frames, drops, duplicates)
+// inside its receive.  What it cannot catch is CRC-*valid* corruption — a
+// faulty sender whose encoder scribbled the stream before framing.
+// recv_checked_block closes that gap: validate that a received stream
+// decodes, NACK once for a retransmission, and on persistent failure request
+// the raw block instead of aborting the job.
+// ---------------------------------------------------------------------------
+
+/// Receive one fZ-light block from (src, tag) and validate that it decodes
+/// to `expect_elements` elements (and, under per-round verification, passes
+/// its digests).  Failures under a link-fault plan heal in two stages: one
+/// NACK/retransmit, then the raw-block fallback (the sender decompresses its
+/// intact copy and ships floats; the sender-side decode is charged to DPR
+/// here and the wire is priced at raw size by the transport).  Without one a
+/// failure is a producer bug and throws.
+template <Transport T>
+Task<CheckedBlock> recv_checked_block(T t, int src, int tag, size_t expect_elements,
+                                      const CollectiveConfig& config) {
+  CheckedBlock out;
+  out.compressed.bytes = co_await t.recv(src, tag);
+  // Per-round verification stacks the digest recheck on top of the
+  // structural decode check: a CRC-valid, well-formed stream whose payload
+  // was silently flipped decodes fine but fails its digests.
+  const bool check_digests = config.verify == VerifyPolicy::kPerRound;
+  const auto stream_ok = [&](const std::vector<uint8_t>& bytes, bool* digest_failure) {
+    if (!fz_stream_decodes(bytes, expect_elements)) return false;
+    if (check_digests && !verify_stream_digests(t, bytes, config)) {
+      if (digest_failure != nullptr) *digest_failure = true;
+      return false;
+    }
+    return true;
+  };
+  bool digest_failure = false;
+  if (stream_ok(out.compressed.bytes, &digest_failure)) co_return out;
+
+  if (!t.faults().enabled()) {
+    // No faults were injected, so this is a genuine producer bug — surface
+    // it instead of silently working around it.
+    if (digest_failure) {
+      throw IntegrityError("received stream fails its ABFT digests with no fault plan");
+    }
+    throw FormatError("received stream does not decode to the expected block");
+  }
+
+  // Stage 1: one NACK/retransmit.  Heals anything that damaged only this
+  // wire copy; a sender whose encoder is corrupting the stream itself
+  // re-rolls its fault and may fail again.
+  out.compressed.bytes = t.refetch(src, tag, simmpi::Comm::Refetch::kRetransmit);
+  if (stream_ok(out.compressed.bytes, nullptr)) {
+    if (digest_failure) ++t.integrity().retransmit_recoveries;
+    co_return out;
+  }
+
+  // Stage 2: persistent decode failure — request the raw block.  The
+  // transport hands back the sender's pristine stream and prices the wire
+  // at raw size; decoding it locally stands in for the sender decompressing
+  // its intact copy before shipping floats, so the DPR charge lands here.
+  // The pristine stream is the sender's own output, so it is ground truth:
+  // no digest recheck can reject it.
+  CompressedBuffer pristine;
+  pristine.bytes = t.refetch(src, tag, simmpi::Comm::Refetch::kRawFallback,
+                             expect_elements * sizeof(float));
+  out.raw.resize(expect_elements);
+  decompress_charged(t, pristine, out.raw, config);
+  out.compressed = CompressedBuffer{};
+  out.degraded = true;
+  if (digest_failure) ++t.integrity().raw_fallbacks;
+  co_return out;
+}
+
+/// A received compressed block ready to forward: a raw-fallback block is
+/// re-encoded so downstream ranks keep receiving compressed traffic.
+template <Transport T>
+[[nodiscard]] CompressedBuffer forwardable(T& t, CheckedBlock received,
+                                           const CollectiveConfig& config) {
+  if (received.degraded) return compress_block(t, received.raw, config);
+  return std::move(received.compressed);
+}
+
+// ---------------------------------------------------------------------------
+// Raw-float exchange with an optional content-digest trailer.  Under a
+// verify policy the sender ships digest(payload bytes) as a 16-byte message
+// on `tag + kTagDigest`; the receiver recomputes and compares, healing a
+// mismatch by retransmitting the payload, then the trailer, and finally
+// accepting the sender's pristine copy (ground truth by construction).
+// With kOff these are exactly send_floats / recv_into.
+// ---------------------------------------------------------------------------
+
+/// One pass over a float payload for its content digest, charged like a
+/// compressed-stream verify.
+template <Transport T>
+integrity::Digest charged_content_digest(T& t, std::span<const float> data,
+                                         const CollectiveConfig& config) {
+  const integrity::Digest d = integrity::content_digest(std::as_bytes(data));
+  t.charge(CostBucket::kCpt, config.cost.seconds_digest_verify(data.size_bytes(), config.mode),
+           EventKind::kVerify, data.size_bytes());
+  return d;
+}
+
+template <Transport T>
+void send_floats_checked(T& t, int dst, int tag, std::span<const float> data,
+                         const CollectiveConfig& config) {
+  t.send_floats(dst, tag, data);
+  if (config.verify == VerifyPolicy::kOff) return;
+  const std::array<uint8_t, 16> wire =
+      digest_trailer_bytes(charged_content_digest(t, data, config));
+  t.send(dst, tag + kTagDigest, wire);
+}
+
+template <Transport T>
+Task<void> recv_floats_checked(T t, int src, int tag, std::span<float> out,
+                               const CollectiveConfig& config) {
+  co_await t.recv_into(src, tag, writable_bytes_of(out));
+  if (config.verify == VerifyPolicy::kOff) co_return;
+  integrity::Digest expected = parse_digest_trailer(co_await t.recv(src, tag + kTagDigest));
+  const auto matches = [&] {
+    ++t.integrity().digests_checked;
+    return charged_content_digest(t, out, config) == expected;
+  };
+  if (matches()) co_return;
+  ++t.integrity().mismatches;
+  t.mark(EventKind::kSdcDetected);
+  if (config.verify != VerifyPolicy::kPerRound) {
+    // Verify-final is detection without recovery.
+    throw IntegrityError("raw float payload fails its content digest (verify=final)");
+  }
+  if (!t.faults().enabled()) {
+    throw IntegrityError("raw float payload fails its content digest with no fault plan");
+  }
+
+  // Stage 1: retransmit the payload — heals a flipped payload copy.
+  const std::vector<uint8_t> again = t.refetch(src, tag, simmpi::Comm::Refetch::kRetransmit);
+  if (again.size() == out.size_bytes()) {
+    std::memcpy(out.data(), again.data(), again.size());
+    if (matches()) {
+      ++t.integrity().retransmit_recoveries;
+      co_return;
+    }
+  }
+
+  // Stage 2: the trailer itself rides the faulty wire too — retransmit it
+  // and recompare before blaming the payload again.
+  try {
+    expected = parse_digest_trailer(
+        t.refetch(src, tag + kTagDigest, simmpi::Comm::Refetch::kRetransmit));
+  } catch (const FormatError&) {
+    // a mangled retransmitted trailer: fall through to the pristine payload
+  }
+  if (matches()) {
+    ++t.integrity().retransmit_recoveries;
+    co_return;
+  }
+
+  // Stage 3: the sender's pristine payload is ground truth by construction —
+  // accept it unconditionally.
+  const std::vector<uint8_t> pristine =
+      t.refetch(src, tag, simmpi::Comm::Refetch::kRawFallback, out.size_bytes());
+  if (pristine.size() != out.size_bytes()) {
+    throw FormatError("pristine raw payload size does not match the receive buffer");
+  }
+  std::memcpy(out.data(), pristine.data(), pristine.size());
+  ++t.integrity().raw_fallbacks;
+}
+
+// ---------------------------------------------------------------------------
+// The homomorphic combine (HPR) with its healing ladder.
+// ---------------------------------------------------------------------------
+
+/// Reduce `received` into `acc` (both streams carry `elements` floats).
+/// The clean round is the co-designed one — hz_add reduces the two
+/// compressed operands directly (HPR).  A degraded operand (raw-fallback
+/// floats), or a stream that parsed but would not reduce homomorphically,
+/// demotes just this round to the classic DOC path: decompress our partial,
+/// add floats, re-encode — and the accumulator rejoins the homomorphic
+/// pipeline on the next round.  Shared by the ring, recursive-doubling and
+/// Rabenseifner schedules so every algorithm heals identically.
+template <Transport T>
+void combine_checked_block(T& t, CompressedBuffer& acc, CheckedBlock received, size_t elements,
+                           int src, int tag, const CollectiveConfig& config,
+                           HzPipelineStats* pipeline_stats, std::vector<float>& scratch) {
+  BufferPool& pool = t.pool();
+  if (!received.degraded) {
+    try {
+      HzPipelineStats stats;
+      CompressedBuffer summed =
+          hz_add(acc, received.compressed, &stats, config.host_threads, &pool);
+      t.charge(CostBucket::kHpr, config.cost.seconds_hz_add(stats, config.block_len, config.mode),
+               EventKind::kHomReduce, elements * sizeof(float), summed.bytes.size());
+      // Combine-output verification: hz_add folded the operands' digests
+      // algebraically, so a combine whose data lane was silently perturbed
+      // (a poisoned combine) contradicts its own digest table.  Recompute
+      // once — the injection counter has advanced, so a transient fault
+      // heals; a persistent one demotes this round to DOC below, where
+      // fz_compress re-derives digests from the data.
+      bool verified = true;
+      if (config.verify == VerifyPolicy::kPerRound &&
+          !verify_stream_digests(t, summed.bytes, config)) {
+        t.mark(EventKind::kRecompute);
+        ++t.integrity().recomputes;
+        pool.release(std::move(summed.bytes));
+        HzPipelineStats retry_stats;
+        summed = hz_add(acc, received.compressed, &retry_stats, config.host_threads, &pool);
+        t.charge(CostBucket::kHpr,
+                 config.cost.seconds_hz_add(retry_stats, config.block_len, config.mode),
+                 EventKind::kHomReduce, elements * sizeof(float), summed.bytes.size());
+        stats += retry_stats;
+        verified = verify_stream_digests(t, summed.bytes, config);
+      }
+      if (verified) {
+        if (pipeline_stats) *pipeline_stats += stats;
+        pool.release(std::move(received.compressed.bytes));
+        pool.release(std::move(acc.bytes));
+        acc = std::move(summed);
+        return;
+      }
+      // Persistent combine corruption.  The received operand passed its own
+      // checks on receive — the fault is in *our* combine — so decode it
+      // locally and take the classic DOC round (no wire round-trip needed).
+      pool.release(std::move(summed.bytes));
+      received.raw.resize(elements);
+      decompress_charged(t, received.compressed, received.raw, config);
+      pool.release(std::move(received.compressed.bytes));
+      received.degraded = true;
+      ++t.integrity().raw_fallbacks;
+    } catch (const Error&) {
+      // The stream parsed but could not be reduced homomorphically (deeper
+      // corruption, layout drift, residual overflow).  Fetch the raw block
+      // and degrade just this round instead of aborting.
+      if (!t.faults().enabled()) throw;
+      CompressedBuffer pristine;
+      pristine.bytes = t.refetch(src, tag, simmpi::Comm::Refetch::kRawFallback,
+                                 elements * sizeof(float));
+      received.raw.resize(elements);
+      decompress_charged(t, pristine, received.raw, config);
+      received.degraded = true;
+    }
+  }
+
+  // Degraded DOC round: the incoming operand is raw floats, so reduce the
+  // classic way — decompress our partial, add, re-encode.
+  scratch.resize(elements);
+  decompress_charged(t, acc, scratch, config);
+  // reduce_op is kSum here: every homomorphic body starts with require_sum.
+  reduce_into(t, scratch, received.raw, 0, config, config.mode);
+  pool.release(std::move(acc.bytes));
+  acc = compress_block(t, scratch, config);
+}
+
+/// Receive a compressed block from (src, tag) and combine it into `acc`.
+template <Transport T>
+Task<void> combine_from(T t, CompressedBuffer& acc, size_t elements, int src, int tag,
+                        const CollectiveConfig& config, HzPipelineStats* pipeline_stats,
+                        std::vector<float>& scratch) {
+  CheckedBlock received = co_await recv_checked_block(t, src, tag, elements, config);
+  combine_checked_block(t, acc, std::move(received), elements, src, tag, config, pipeline_stats,
+                        scratch);
+}
+
+// ---------------------------------------------------------------------------
+// Raw ("original MPI") stack: float rings; reductions are charged
+// single-threaded because MPI reduces inside its progress engine.
+// ---------------------------------------------------------------------------
+
+/// Ring reduce-scatter steps over `members` (virtual ranks, members[idx] is
+/// this rank), accumulating in place: afterwards `acc` holds the fully
+/// reduced block rs_owned_block(idx, members.size()).
+template <Transport T>
+Task<void> raw_ring_reduce_scatter_steps(T t, std::span<float> acc,
+                                         const std::vector<int>& members, int idx,
+                                         const CollectiveConfig& config) {
+  const int n = static_cast<int>(members.size());
+  const int next = members[static_cast<size_t>(ring_next(idx, n))];
+  const int prev = members[static_cast<size_t>(ring_prev(idx, n))];
+  std::vector<float> recv_buf;
+  for (int step = 0; step < n - 1; ++step) {
+    const Range send_r = ring_block_range(acc.size(), n, rs_send_block(idx, step, n));
+    const Range recv_r = ring_block_range(acc.size(), n, rs_recv_block(idx, step, n));
+    send_floats_checked(t, next, kTagReduceScatter + step,
+                        acc.subspan(send_r.begin, send_r.size()), config);
+    recv_buf.resize(recv_r.size());
+    co_await recv_floats_checked(t, prev, kTagReduceScatter + step, recv_buf, config);
+    reduce_into(t, acc, recv_buf, recv_r.begin, config, Mode::kSingleThread);
+  }
+}
+
+/// Ring allgather steps over `members` in place: `buf` holds this rank's
+/// owned block on entry and every block on return.
+template <Transport T>
+Task<void> raw_ring_allgather_steps(T t, std::span<float> buf, const std::vector<int>& members,
+                                    int idx, const CollectiveConfig& config) {
+  const int n = static_cast<int>(members.size());
+  const int next = members[static_cast<size_t>(ring_next(idx, n))];
+  const int prev = members[static_cast<size_t>(ring_prev(idx, n))];
+  for (int step = 0; step < n - 1; ++step) {
+    const Range send_r = ring_block_range(buf.size(), n, ag_send_block(idx, step, n));
+    const Range recv_r = ring_block_range(buf.size(), n, ag_recv_block(idx, step, n));
+    send_floats_checked(t, next, kTagAllgather + step, buf.subspan(send_r.begin, send_r.size()),
+                        config);
+    co_await recv_floats_checked(t, prev, kTagAllgather + step,
+                                 buf.subspan(recv_r.begin, recv_r.size()), config);
+  }
+}
+
+template <Transport T>
+Task<void> raw_reduce_scatter(T t, std::span<const float> input, std::vector<float>& out_block,
+                              const CollectiveConfig& config) {
+  std::vector<float> acc = working_copy(t, input, config);
+  const std::vector<int> members = identity_members(t.size());
+  co_await raw_ring_reduce_scatter_steps(t, acc, members, t.rank(), config);
+  const Range owned = ring_block_range(acc.size(), t.size(), rs_owned_block(t.rank(), t.size()));
+  out_block.assign(acc.begin() + static_cast<ptrdiff_t>(owned.begin),
+                   acc.begin() + static_cast<ptrdiff_t>(owned.end));
+}
+
+template <Transport T>
+Task<void> raw_allgather(T t, std::span<const float> my_block, size_t total_elements,
+                         std::vector<float>& out_full, const CollectiveConfig& config) {
+  out_full.assign(total_elements, 0.0f);
+  const Range own = ring_block_range(total_elements, t.size(), rs_owned_block(t.rank(), t.size()));
+  if (my_block.size() != own.size()) {
+    throw Error("raw_allgather: my_block size does not match the owned block");
+  }
+  std::memcpy(out_full.data() + own.begin, my_block.data(), my_block.size_bytes());
+  t.charge(CostBucket::kOther, config.cost.seconds_memcpy(my_block.size_bytes()),
+           EventKind::kPack, my_block.size_bytes());
+  const std::vector<int> members = identity_members(t.size());
+  co_await raw_ring_allgather_steps(t, out_full, members, t.rank(), config);
+}
+
+template <Transport T>
+Task<void> raw_allreduce(T t, std::span<const float> input, std::vector<float>& out_full,
+                         const CollectiveConfig& config) {
+  std::vector<float> block;
+  co_await raw_reduce_scatter(t, input, block, config);
+  co_await raw_allgather(t, block, input.size(), out_full, config);
+}
+
+template <Transport T>
+Task<void> raw_allreduce_recursive_doubling(T t, std::span<const float> input,
+                                            std::vector<float>& out_full,
+                                            const CollectiveConfig& config) {
+  const int rank = t.rank();
+  std::vector<float> acc = working_copy(t, input, config);
+  const DoublingLayout d = doubling_layout(rank, t.size());
+
+  // Fold phase: even ranks of each folded pair hand their data to the odd one.
+  if (d.folded_pair) {
+    if (rank % 2 == 0) {
+      send_floats_checked(t, rank + 1, kTagFold, acc, config);
+    } else {
+      std::vector<float> incoming(acc.size());
+      co_await recv_floats_checked(t, rank - 1, kTagFold, incoming, config);
+      reduce_into(t, acc, incoming, 0, config, Mode::kSingleThread);
+    }
+  }
+
+  if (d.active >= 0) {
+    std::vector<float> incoming(acc.size());
+    int step = 0;
+    for (int mask = 1; mask < d.p2; mask <<= 1, ++step) {
+      const int partner = d.real_rank(d.active ^ mask);
+      send_floats_checked(t, partner, kTagStep + step, acc, config);
+      co_await recv_floats_checked(t, partner, kTagStep + step, incoming, config);
+      reduce_into(t, acc, incoming, 0, config, Mode::kSingleThread);
+    }
+  }
+
+  // Unfold phase: the folded even ranks receive the finished result.
+  if (d.folded_pair) {
+    if (rank % 2 == 0) {
+      co_await recv_floats_checked(t, rank + 1, kTagUnfold, acc, config);
+    } else {
+      send_floats_checked(t, rank - 1, kTagUnfold, acc, config);
+    }
+  }
+  out_full = std::move(acc);
+}
+
+template <Transport T>
+Task<void> raw_allreduce_rabenseifner(T t, std::span<const float> input,
+                                      std::vector<float>& out_full,
+                                      const CollectiveConfig& config) {
+  const int size = t.size();
+  const int rank = t.rank();
+  if ((size & (size - 1)) != 0) {
+    // Non-power-of-two: MPICH falls back; so do we, to the ring.
+    co_await raw_allreduce(t, input, out_full, config);
+    co_return;
+  }
+
+  std::vector<float> acc = working_copy(t, input, config);
+
+  // Recursive-halving reduce-scatter: each exchange halves the live segment
+  // [lo, hi); the lower-ranked partner keeps the lower half.
+  size_t lo = 0, hi = acc.size();
+  std::vector<std::pair<size_t, size_t>> splits;  // segment before each split
+  std::vector<float> incoming;
+  int step = 0;
+  for (int mask = size / 2; mask >= 1; mask >>= 1, ++step) {
+    const int partner = rank ^ mask;
+    const size_t mid = lo + (hi - lo) / 2;
+    splits.emplace_back(lo, hi);
+    const bool keep_low = rank < partner;
+    const size_t send_lo = keep_low ? mid : lo;
+    const size_t send_hi = keep_low ? hi : mid;
+    send_floats_checked(t, partner, kTagStep + step,
+                        std::span<const float>(acc).subspan(send_lo, send_hi - send_lo), config);
+    lo = keep_low ? lo : mid;
+    hi = keep_low ? mid : hi;
+    incoming.resize(hi - lo);
+    co_await recv_floats_checked(t, partner, kTagStep + step, incoming, config);
+    reduce_into(t, acc, incoming, lo, config, Mode::kSingleThread);
+  }
+
+  // Recursive-doubling allgather: walk the splits back, each exchange
+  // restoring the sibling half of the enclosing segment.
+  for (int mask = 1; mask < size; mask <<= 1, ++step) {
+    const int partner = rank ^ mask;
+    const auto [parent_lo, parent_hi] = splits.back();
+    splits.pop_back();
+    send_floats_checked(t, partner, kTagStep + step,
+                        std::span<const float>(acc).subspan(lo, hi - lo), config);
+    // Holding the lower half, the partner supplies [hi, parent_hi).
+    const size_t recv_lo = lo == parent_lo ? hi : parent_lo;
+    const size_t recv_hi = lo == parent_lo ? parent_hi : lo;
+    co_await recv_floats_checked(t, partner, kTagStep + step,
+                                 std::span<float>(acc).subspan(recv_lo, recv_hi - recv_lo),
+                                 config);
+    lo = parent_lo;
+    hi = parent_hi;
+  }
+  out_full = std::move(acc);
+}
+
+// ---------------------------------------------------------------------------
+// The intra-node stage of both two-level schedules.
+// ---------------------------------------------------------------------------
+
+/// Members ship raw floats to their node leader over the fast intra-node
+/// channel and receive the finished vector into `out_full` (compression
+/// would cost more than the copy saves on a shared-memory-class link; a
+/// verify policy rides a content-digest trailer instead) — returns false.
+/// The leader accumulates the node-local sum uncompressed into `acc`,
+/// charging each reduction at `reduce_mode`, and returns true; it then runs
+/// its inter-node stage and finishes with intra_node_bcast.
+template <Transport T>
+Task<bool> intra_node_reduce(T t, std::span<const float> input, const NodeGroups& g,
+                             std::vector<float>& acc, std::vector<float>& out_full,
+                             const CollectiveConfig& config, Mode reduce_mode) {
+  const int rank = t.rank();
+  const int leader = g.node_members.front();
+  if (rank != leader) {
+    send_floats_checked(t, leader, kTagIntraReduce + rank, input, config);
+    out_full.resize(input.size());
+    co_await recv_floats_checked(t, leader, kTagIntraBcast + rank, out_full, config);
+    co_return false;
+  }
+
+  acc = working_copy(t, input, config);
+  std::vector<float> incoming;
+  for (size_t m = 1; m < g.node_members.size(); ++m) {
+    const int member = g.node_members[m];
+    incoming.resize(input.size());
+    co_await recv_floats_checked(t, member, kTagIntraReduce + member, incoming, config);
+    reduce_into(t, acc, incoming, 0, config, reduce_mode);
+  }
+  co_return true;
+}
+
+/// The leader's last step: the finished vector to every node member.
+template <Transport T>
+void intra_node_bcast(T& t, const NodeGroups& g, std::span<const float> out_full,
+                      const CollectiveConfig& config) {
+  for (size_t m = 1; m < g.node_members.size(); ++m) {
+    send_floats_checked(t, g.node_members[m], kTagIntraBcast + g.node_members[m], out_full,
+                        config);
+  }
+}
+
+/// Raw two-level: the float ring among the node leaders (the flat raw ring
+/// over the leader subset), reductions charged single-threaded throughout.
+template <Transport T>
+Task<void> raw_allreduce_two_level(T t, std::span<const float> input,
+                                   std::vector<float>& out_full, const CollectiveConfig& config) {
+  const NodeGroups g = node_groups(t.net().topo, t.group(), t.rank());
+  std::vector<float> acc;
+  if (!co_await intra_node_reduce(t, input, g, acc, out_full, config, Mode::kSingleThread)) {
+    co_return;
+  }
+  if (g.leaders.size() > 1) {
+    co_await raw_ring_reduce_scatter_steps(t, acc, g.leaders, g.my_leader_idx, config);
+    co_await raw_ring_allgather_steps(t, acc, g.leaders, g.my_leader_idx, config);
+  }
+  out_full = std::move(acc);
+  intra_node_bcast(t, g, out_full, config);
+}
+
+// ---------------------------------------------------------------------------
+// C-Coll (DOC) stack: every reduce-scatter round compresses, decompresses
+// and reduces over floats; the allgather compresses once.
+// ---------------------------------------------------------------------------
+
+/// Decompress a received stream for a DOC reduction and charge DPR.  DOC
+/// consumes every stream right here (there is no later decode to gate), so
+/// the verify-final policy checks digests at this point; per-round
+/// verification already happened inside recv_checked_block with recovery,
+/// so it is not repeated.
+template <Transport T>
+void doc_decompress(T& t, const CompressedBuffer& compressed, std::span<float> out,
+                    const CollectiveConfig& config) {
+  if (config.verify == VerifyPolicy::kFinal) final_verify_stream(t, compressed, config);
+  decompress_charged(t, compressed, out, config);
+}
+
+template <Transport T>
+Task<void> ccoll_reduce_scatter(T t, std::span<const float> input, std::vector<float>& out_block,
+                                const CollectiveConfig& config) {
+  const int size = t.size();
+  const int rank = t.rank();
+  std::vector<float> acc = working_copy(t, input, config);
+
+  // The per-round compressed send buffer ping-pongs between the pool and
+  // the wire, and received streams are recycled after decode, so warm
+  // rounds allocate nothing.
+  BufferPool& pool = t.pool();
+  std::vector<float> decoded;
+  for (int step = 0; step < size - 1; ++step) {
+    const Range send_r = ring_block_range(acc.size(), size, rs_send_block(rank, step, size));
+    const Range recv_r = ring_block_range(acc.size(), size, rs_recv_block(rank, step, size));
+
+    // DOC round, send side: compress the partially reduced block.  send()
+    // copies the payload synchronously, so the stream's storage goes back
+    // to the pool right away.
+    CompressedBuffer to_send =
+        compress_block(t, std::span<const float>(acc).subspan(send_r.begin, send_r.size()),
+                       config);
+    t.send(ring_next(rank, size), kTagReduceScatter + step, to_send.span());
+    pool.release(std::move(to_send.bytes));
+
+    // DOC round, receive side: decompress, then reduce over floats.  A
+    // degraded block already arrives as floats (sender-side decode charged
+    // by the healing path), so it skips the local decompression.
+    CheckedBlock received = co_await recv_checked_block(t, ring_prev(rank, size),
+                                                        kTagReduceScatter + step, recv_r.size(),
+                                                        config);
+    if (received.degraded) {
+      decoded = std::move(received.raw);
+    } else {
+      decoded.resize(recv_r.size());
+      doc_decompress(t, received.compressed, decoded, config);
+      pool.release(std::move(received.compressed.bytes));
+    }
+
+    reduce_into(t, acc, decoded, recv_r.begin, config, config.mode);
+  }
+
+  const Range owned = ring_block_range(acc.size(), size, rs_owned_block(rank, size));
+  out_block.assign(acc.begin() + static_cast<ptrdiff_t>(owned.begin),
+                   acc.begin() + static_cast<ptrdiff_t>(owned.end));
+}
+
+template <Transport T>
+Task<void> ccoll_allgather(T t, std::span<const float> my_block, size_t total_elements,
+                           std::vector<float>& out_full, const CollectiveConfig& config) {
+  const int size = t.size();
+  const int rank = t.rank();
+  out_full.assign(total_elements, 0.0f);
+  const int own_idx = rs_owned_block(rank, size);
+  const Range own = ring_block_range(total_elements, size, own_idx);
+  if (my_block.size() != own.size()) {
+    throw Error("ccoll_allgather: my_block size does not match the owned block");
+  }
+  std::memcpy(out_full.data() + own.begin, my_block.data(), my_block.size_bytes());
+
+  // Compress once; every hop forwards compressed bytes.
+  std::vector<CompressedBuffer> blocks(static_cast<size_t>(size));
+  blocks[static_cast<size_t>(own_idx)] = compress_block(t, my_block, config);
+
+  for (int step = 0; step < size - 1; ++step) {
+    const size_t send_idx = static_cast<size_t>(ag_send_block(rank, step, size));
+    const int recv_idx = ag_recv_block(rank, step, size);
+    t.send(ring_next(rank, size), kTagAllgather + step, blocks[send_idx].span());
+    const Range recv_r = ring_block_range(total_elements, size, recv_idx);
+    blocks[static_cast<size_t>(recv_idx)] = forwardable(
+        t,
+        co_await recv_checked_block(t, ring_prev(rank, size), kTagAllgather + step,
+                                    recv_r.size(), config),
+        config);
+  }
+
+  // Decompress the N-1 received chunks (own block is already in place),
+  // recycling every stream's storage as it is consumed.
+  for (int b = 0; b < size; ++b) {
+    if (b != own_idx) {
+      const Range r = ring_block_range(total_elements, size, b);
+      doc_decompress(t, blocks[static_cast<size_t>(b)],
+                     std::span<float>(out_full).subspan(r.begin, r.size()), config);
+    }
+    t.pool().release(std::move(blocks[static_cast<size_t>(b)].bytes));
+  }
+}
+
+template <Transport T>
+Task<void> ccoll_allreduce(T t, std::span<const float> input, std::vector<float>& out_full,
+                           const CollectiveConfig& config) {
+  std::vector<float> block;
+  co_await ccoll_reduce_scatter(t, input, block, config);
+  co_await ccoll_allgather(t, block, input.size(), out_full, config);
+}
+
+// ---------------------------------------------------------------------------
+// hZCCL stack: compress once, reduce in the compressed domain (HPR),
+// decompress once.
+// ---------------------------------------------------------------------------
+
+/// Homomorphic ring reduce-scatter over an explicit member list (virtual
+/// ranks, members[idx] is this rank); returns the reduced owned block still
+/// compressed.  The flat collective passes the identity list; the two-level
+/// allreduce passes the node leaders, so the inter-node ring runs unchanged
+/// over a subset.
+template <Transport T>
+Task<CompressedBuffer> reduce_scatter_compressed_members(T t, std::span<const float> input,
+                                                         const std::vector<int>& members,
+                                                         int idx, const CollectiveConfig& config,
+                                                         HzPipelineStats* pipeline_stats) {
+  const int n = static_cast<int>(members.size());
+  const int next = members[static_cast<size_t>(ring_next(idx, n))];
+  const int prev = members[static_cast<size_t>(ring_prev(idx, n))];
+  // Every per-round buffer — compressed partials, hz_add outputs, degraded
+  // re-encodes — cycles through the transport's pool, so warm rounds
+  // perform no heap allocation.
+  std::vector<CompressedBuffer> blocks = compress_all_blocks(t, input, n, config);
+  std::vector<float> scratch;  // degraded-round scratch, reused across rounds
+
+  for (int step = 0; step < n - 1; ++step) {
+    CompressedBuffer& sent = blocks[static_cast<size_t>(rs_send_block(idx, step, n))];
+    const int recv_idx = rs_recv_block(idx, step, n);
+    t.send(next, kTagReduceScatter + step, sent.span());
+    // The ring schedule never touches the sent block again on this rank,
+    // and send() copies the payload synchronously, so its storage can be
+    // recycled immediately.
+    t.pool().release(std::move(sent.bytes));
+
+    const Range recv_r = ring_block_range(input.size(), n, recv_idx);
+    co_await combine_from(t, blocks[static_cast<size_t>(recv_idx)], recv_r.size(), prev,
+                          kTagReduceScatter + step, config, pipeline_stats, scratch);
+  }
+
+  co_return std::move(blocks[static_cast<size_t>(rs_owned_block(idx, n))]);
+}
+
+/// Ring allgather over already-compressed chunks, over a member list like
+/// the reduce-scatter above.  No compression here: the input is already
+/// compressed (the co-design's second saving).  Chunk sizes ride along with
+/// the self-sizing messages, standing in for C-Coll's explicit size
+/// synchronization.  The own block is copied into pooled storage so every
+/// entry of `blocks` is owned uniformly and recycled once decoded.
+template <Transport T>
+Task<void> allgather_compressed_members(T t, const CompressedBuffer& my_block,
+                                        size_t total_elements, std::vector<float>& out_full,
+                                        const std::vector<int>& members, int idx,
+                                        const CollectiveConfig& config) {
+  const int n = static_cast<int>(members.size());
+  const int next = members[static_cast<size_t>(ring_next(idx, n))];
+  const int prev = members[static_cast<size_t>(ring_prev(idx, n))];
+  std::vector<CompressedBuffer> blocks(static_cast<size_t>(n));
+  CompressedBuffer& own = blocks[static_cast<size_t>(rs_owned_block(idx, n))];
+  own.bytes = t.pool().acquire(my_block.bytes.size());
+  own.bytes.assign(my_block.bytes.begin(), my_block.bytes.end());
+
+  for (int step = 0; step < n - 1; ++step) {
+    const size_t send_idx = static_cast<size_t>(ag_send_block(idx, step, n));
+    const int recv_idx = ag_recv_block(idx, step, n);
+    t.send(next, kTagAllgather + step, blocks[send_idx].span());
+    const Range recv_r = ring_block_range(total_elements, n, recv_idx);
+    blocks[static_cast<size_t>(recv_idx)] = forwardable(
+        t, co_await recv_checked_block(t, prev, kTagAllgather + step, recv_r.size(), config),
+        config);
+  }
+  decode_all_blocks(t, blocks, total_elements, out_full, config);
+}
+
+template <Transport T>
+Task<CompressedBuffer> hzccl_reduce_scatter_compressed(T t, std::span<const float> input,
+                                                       const CollectiveConfig& config,
+                                                       HzPipelineStats* pipeline_stats) {
+  require_sum(config);
+  const std::vector<int> members = identity_members(t.size());
+  co_return co_await reduce_scatter_compressed_members(t, input, members, t.rank(), config,
+                                                       pipeline_stats);
+}
+
+template <Transport T>
+Task<void> hzccl_reduce_scatter(T t, std::span<const float> input, std::vector<float>& out_block,
+                                const CollectiveConfig& config,
+                                HzPipelineStats* pipeline_stats) {
+  CompressedBuffer owned = co_await hzccl_reduce_scatter_compressed(t, input, config,
+                                                                    pipeline_stats);
+  const Range r = ring_block_range(input.size(), t.size(), rs_owned_block(t.rank(), t.size()));
+  out_block.resize(r.size());
+  final_verify_stream(t, owned, config);
+  decompress_charged(t, owned, out_block, config);
+  t.pool().release(std::move(owned.bytes));
+}
+
+template <Transport T>
+Task<void> hzccl_allgather_compressed(T t, const CompressedBuffer& my_block,
+                                      size_t total_elements, std::vector<float>& out_full,
+                                      const CollectiveConfig& config) {
+  const std::vector<int> members = identity_members(t.size());
+  co_await allgather_compressed_members(t, my_block, total_elements, out_full, members, t.rank(),
+                                        config);
+}
+
+/// The hZCCL allgather from floats: compress the owned block once (CPR),
+/// then forward compressed traffic — what a blocking caller composes out of
+/// fz_compress + hzccl_allgather_compressed.
+template <Transport T>
+Task<void> hzccl_allgather(T t, std::span<const float> my_block, size_t total_elements,
+                           std::vector<float>& out_full, const CollectiveConfig& config) {
+  CompressedBuffer own = compress_block(t, my_block, config);
+  co_await hzccl_allgather_compressed(t, own, total_elements, out_full, config);
+  t.pool().release(std::move(own.bytes));
+}
+
+template <Transport T>
+Task<void> hzccl_allreduce(T t, std::span<const float> input, std::vector<float>& out_full,
+                           const CollectiveConfig& config, HzPipelineStats* pipeline_stats) {
+  CompressedBuffer owned = co_await hzccl_reduce_scatter_compressed(t, input, config,
+                                                                    pipeline_stats);
+  co_await hzccl_allgather_compressed(t, owned, input.size(), out_full, config);
+  t.pool().release(std::move(owned.bytes));
+}
+
+template <Transport T>
+Task<void> hzccl_allreduce_recursive_doubling(T t, std::span<const float> input,
+                                              std::vector<float>& out_full,
+                                              const CollectiveConfig& config,
+                                              HzPipelineStats* pipeline_stats) {
+  require_sum(config);
+  const int rank = t.rank();
+  std::vector<float> scratch;
+
+  // One whole-vector stream per rank.  fZ-light quantizes each element
+  // independently of its neighbours and hz_add sums the quantized integers
+  // exactly, so exchanging whole-vector streams instead of ring chunks
+  // reaches a bit-identical result — only the schedule changes.
+  CompressedBuffer acc = compress_block(t, input, config);
+  const DoublingLayout d = doubling_layout(rank, t.size());
+  const int fold_tag = kTagDoubling;
+  const int unfold_tag = kTagDoubling + 4096;
+
+  // Fold phase: even ranks of each folded pair hand their stream to the
+  // odd one.
+  if (d.folded_pair) {
+    if (rank % 2 == 0) {
+      t.send(rank + 1, fold_tag, acc.span());
+    } else {
+      co_await combine_from(t, acc, input.size(), rank - 1, fold_tag, config, pipeline_stats,
+                            scratch);
+    }
+  }
+
+  if (d.active >= 0) {
+    int step = 0;
+    for (int mask = 1; mask < d.p2; mask <<= 1, ++step) {
+      const int partner = d.real_rank(d.active ^ mask);
+      t.send(partner, kTagDoubling + 1 + step, acc.span());
+      co_await combine_from(t, acc, input.size(), partner, kTagDoubling + 1 + step, config,
+                            pipeline_stats, scratch);
+    }
+  }
+
+  // Unfold phase: the folded even ranks receive the finished stream.
+  if (d.folded_pair) {
+    if (rank % 2 == 0) {
+      CheckedBlock received =
+          co_await recv_checked_block(t, rank + 1, unfold_tag, input.size(), config);
+      t.pool().release(std::move(acc.bytes));
+      if (received.degraded) {
+        out_full = std::move(received.raw);
+        co_return;
+      }
+      acc = std::move(received.compressed);
+    } else {
+      t.send(rank - 1, unfold_tag, acc.span());
+    }
+  }
+
+  out_full.resize(input.size());
+  final_verify_stream(t, acc, config);
+  decompress_charged(t, acc, out_full, config);
+  t.pool().release(std::move(acc.bytes));
+}
+
+template <Transport T>
+Task<void> hzccl_allreduce_rabenseifner(T t, std::span<const float> input,
+                                        std::vector<float>& out_full,
+                                        const CollectiveConfig& config,
+                                        HzPipelineStats* pipeline_stats) {
+  require_sum(config);
+  const int size = t.size();
+  const int rank = t.rank();
+  if (size == 1 || (size & (size - 1)) != 0) {
+    // Non-power-of-two: MPICH falls back; so do we, to the ring.
+    co_await hzccl_allreduce(t, input, out_full, config, pipeline_stats);
+    co_return;
+  }
+
+  // Recursive halving over *ring-block indices*: the input is chunked
+  // exactly as the flat ring chunks it (one stream per block), so every
+  // exchanged stream — and therefore the decompressed result — matches the
+  // ring bit for bit; only the schedule differs (log2 P halving exchanges
+  // instead of P-1 ring steps).
+  std::vector<CompressedBuffer> blocks = compress_all_blocks(t, input, size, config);
+  std::vector<float> scratch;
+  const auto tag_of = [size](int step, int block) { return kTagHalving + step * size + block; };
+
+  int blo = 0;
+  int bhi = size;
+  std::vector<std::pair<int, int>> splits;  // block range before each split
+  int step = 0;
+  for (int mask = size / 2; mask >= 1; mask >>= 1, ++step) {
+    const int partner = rank ^ mask;
+    const int mid = blo + (bhi - blo) / 2;
+    splits.emplace_back(blo, bhi);
+    const bool keep_low = rank < partner;
+    const int send_lo = keep_low ? mid : blo;
+    const int send_hi = keep_low ? bhi : mid;
+    for (int b = send_lo; b < send_hi; ++b) {
+      t.send(partner, tag_of(step, b), blocks[static_cast<size_t>(b)].span());
+      t.pool().release(std::move(blocks[static_cast<size_t>(b)].bytes));
+    }
+    blo = keep_low ? blo : mid;
+    bhi = keep_low ? mid : bhi;
+    for (int b = blo; b < bhi; ++b) {
+      const Range r = ring_block_range(input.size(), size, b);
+      co_await combine_from(t, blocks[static_cast<size_t>(b)], r.size(), partner,
+                            tag_of(step, b), config, pipeline_stats, scratch);
+    }
+  }
+
+  // Recursive-doubling allgather: walk the splits back, each exchange
+  // restoring the sibling block range of the enclosing segment.
+  for (int mask = 1; mask < size; mask <<= 1, ++step) {
+    const int partner = rank ^ mask;
+    const auto [parent_lo, parent_hi] = splits.back();
+    splits.pop_back();
+    for (int b = blo; b < bhi; ++b) {
+      t.send(partner, tag_of(step, b), blocks[static_cast<size_t>(b)].span());
+    }
+    const int recv_lo = blo == parent_lo ? bhi : parent_lo;
+    const int recv_hi = blo == parent_lo ? parent_hi : blo;
+    for (int b = recv_lo; b < recv_hi; ++b) {
+      const Range r = ring_block_range(input.size(), size, b);
+      blocks[static_cast<size_t>(b)] = forwardable(
+          t, co_await recv_checked_block(t, partner, tag_of(step, b), r.size(), config), config);
+    }
+    blo = parent_lo;
+    bhi = parent_hi;
+  }
+
+  decode_all_blocks(t, blocks, input.size(), out_full, config);
+}
+
+/// hZCCL two-level: the compressed ring among the node leaders — the flat
+/// algorithm verbatim over the leader subset.  The two-level variant
+/// re-quantizes the node-local float sums (reduced at config.mode), so it is
+/// differential-equal to the flat ring, not bit-equal.
+template <Transport T>
+Task<void> hzccl_allreduce_two_level(T t, std::span<const float> input,
+                                     std::vector<float>& out_full, const CollectiveConfig& config,
+                                     HzPipelineStats* pipeline_stats) {
+  require_sum(config);
+  const NodeGroups g = node_groups(t.net().topo, t.group(), t.rank());
+  std::vector<float> acc;
+  if (!co_await intra_node_reduce(t, input, g, acc, out_full, config, config.mode)) co_return;
+  if (g.leaders.size() <= 1) {
+    out_full = std::move(acc);
+  } else {
+    CompressedBuffer owned = co_await reduce_scatter_compressed_members(
+        t, acc, g.leaders, g.my_leader_idx, config, pipeline_stats);
+    co_await allgather_compressed_members(t, owned, acc.size(), out_full, g.leaders,
+                                          g.my_leader_idx, config);
+    t.pool().release(std::move(owned.bytes));
+  }
+  intra_node_bcast(t, g, out_full, config);
+}
+
+}  // namespace hzccl::coll::body

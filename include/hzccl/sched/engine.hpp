@@ -8,8 +8,10 @@
 // links are shared *between* jobs.  The Engine models exactly that:
 //
 //   * iallreduce / ireduce_scatter / iallgather return a Request immediately;
-//     per-rank progress is a coroutine (see task.hpp) that suspends at every
-//     receive, so one engine interleaves all ranks of all jobs;
+//     per-rank progress is the collective's one coroutine body (see
+//     collectives/schedules.hpp), the same body the blocking entry points
+//     run, resumed through this engine's Port; it suspends at every receive,
+//     so one engine interleaves all ranks of all jobs;
 //   * a single discrete-event loop picks, deterministically, the runnable
 //     rank-step with the smallest ready virtual time (ties: lowest rank,
 //     then lowest job id) — same seed and job mix replay the same schedule,
@@ -25,8 +27,10 @@
 //     survivors at the detection deadline, charges the PR 5 recovery
 //     sequence (suspect/detect/agree + backoff/shrink), and retries over the
 //     survivors under its RetryPolicy.  Link-level fault injection
-//     (drop/corrupt/...) stays exclusive to the threaded runtime: the engine
-//     rejects such plans at construction.
+//     (drop/corrupt/sdc/...) stays exclusive to the threaded runtime: the
+//     engine rejects such plans at construction.  Poisoned combines
+//     (FaultPlan::poison) are compute-side and honoured: each rank of each
+//     job runs under its own SdcInjector, seeded like the runtime's.
 //
 // The scheduler lifecycle of every job is traced as zero-duration markers
 // (kEnqueue/kFuse/kGrant/kComplete) on a dedicated pseudo-rank stream — the
@@ -41,13 +45,14 @@
 #include <vector>
 
 #include "hzccl/collectives/common.hpp"
+#include "hzccl/collectives/transport.hpp"
 #include "hzccl/core/hzccl.hpp"
-#include "hzccl/sched/task.hpp"
 #include "hzccl/simmpi/faults.hpp"
 #include "hzccl/simmpi/netmodel.hpp"
 #include "hzccl/stats/metrics.hpp"
 #include "hzccl/trace/trace.hpp"
 #include "hzccl/util/pool.hpp"
+#include "hzccl/util/task.hpp"
 
 namespace hzccl::sched {
 
@@ -65,9 +70,9 @@ const char* icoll_op_name(ICollOp op);
 struct EngineConfig {
   int fleet_ranks = 8;
   simmpi::NetModel net;
-  /// Rank-fault schedules only (crash/hang/straggler).  Link-fault
-  /// probabilities (drop/corrupt/...) are a threaded-runtime feature; the
-  /// engine throws at construction when any is set.
+  /// Rank-fault schedules (crash/hang/straggler) and poisoned combines.
+  /// Link-fault probabilities (drop/corrupt/sdc/...) are a threaded-runtime
+  /// feature; the engine throws at construction when any is set.
   simmpi::FaultPlan faults;
   trace::Options trace;
   /// Jobs admitted concurrently; 0 = unlimited, 1 = serialized execution
@@ -123,9 +128,10 @@ struct JobOutcome {
 
   uint64_t payload_bytes_sent = 0;  ///< payload bytes this job injected
   TransportStats transport;         ///< summed over the job's ranks
-  /// ABFT digest verify/recover counters summed over the job's ranks.  The
-  /// engine's transport is clean, so mismatches here mean compute-side
-  /// corruption (an armed SdcInjector poisoning combines) — a job with
+  /// ABFT digest verify/recover counters summed over the job's ranks
+  /// (poisoned_combines included).  The engine's transport is clean, so
+  /// mismatches here mean compute-side corruption (FaultPlan::poison, or an
+  /// externally armed SdcInjector) — a job with
   /// !integrity.clean() is *tainted* and the Scheduler re-verifies fused
   /// members individually before splitting its result.
   IntegrityStats integrity;
@@ -138,9 +144,9 @@ struct JobOutcome {
   std::string tenant;
 };
 
-/// The per-rank face of the engine inside a collective coroutine: the
-/// Comm-shaped surface (rank/size/group/send/charge) plus an awaitable
-/// recv.  Copyable value handle — coroutines take it by value.
+/// The per-rank face of the engine inside a collective body: a
+/// coll::Transport whose receives suspend until the engine delivers the
+/// matching frame.  Copyable value handle — bodies take it by value.
 class Port;
 
 /// Awaitable returned by Port::recv: always suspends; the engine resumes
@@ -154,6 +160,7 @@ class RecvAwaitable {
 
  private:
   friend class Port;
+  friend class RecvIntoAwaitable;
   friend struct EngineImpl;
   RecvAwaitable(EngineImpl* eng, int job, int vrank, int src, int tag)
       : eng_(eng), job_(job), vrank_(vrank), src_(src), tag_(tag) {}
@@ -167,6 +174,20 @@ class RecvAwaitable {
   std::exception_ptr error_;
 };
 
+/// Awaitable returned by Port::recv_into: a RecvAwaitable that lands the
+/// payload in a caller buffer of exactly its size.
+class RecvIntoAwaitable : public RecvAwaitable {
+ public:
+  void await_resume();
+
+ private:
+  friend class Port;
+  RecvIntoAwaitable(RecvAwaitable base, std::span<uint8_t> out)
+      : RecvAwaitable(std::move(base)), out_(out) {}
+
+  std::span<uint8_t> out_;
+};
+
 class Port {
  public:
   [[nodiscard]] int rank() const { return vrank_; }
@@ -175,6 +196,9 @@ class Port {
   /// Fleet ranks of the job's current attempt, indexed by virtual rank.
   [[nodiscard]] const std::vector<int>& group() const;
   [[nodiscard]] const simmpi::NetModel& net() const;
+  /// The fleet's plan: never FaultPlan::enabled(), so the bodies' healing
+  /// branches (and refetch) stay unreached.
+  [[nodiscard]] const simmpi::FaultPlan& faults() const;
   [[nodiscard]] BufferPool& pool() const;
 
   /// Eager send to a virtual rank of this job (never suspends).
@@ -183,11 +207,21 @@ class Port {
 
   /// Awaitable receive from a virtual rank of this job.
   [[nodiscard]] RecvAwaitable recv(int src, int tag);
+  /// Awaitable receive into `out`; the message size must match exactly.
+  [[nodiscard]] RecvIntoAwaitable recv_into(int src, int tag, std::span<uint8_t> out);
+
+  /// The engine's transport is clean, with no in-flight window to refetch
+  /// from: throws (the bodies only refetch under an enabled link-fault plan).
+  [[noreturn]] std::vector<uint8_t> refetch(int src, int tag, simmpi::Comm::Refetch mode,
+                                            size_t raw_bytes_hint = 0);
 
   /// Spend straggler-scaled local time in `bucket` and record the typed,
   /// job-attributed span — the engine's Comm::charge.
   void charge(simmpi::CostBucket bucket, double seconds, trace::EventKind kind,
               uint64_t bytes = 0, uint64_t bytes_out = 0);
+
+  /// Zero-duration, job-attributed integrity marker at the rank's now.
+  void mark(trace::EventKind kind) { charge(simmpi::CostBucket::kCpt, 0.0, kind); }
 
   /// The job's ABFT verify/recover counters — the engine's Comm::integrity
   /// (job-wide rather than per-rank: the engine interleaves all ranks on one
@@ -202,6 +236,8 @@ class Port {
   int job_;
   int vrank_;
 };
+
+static_assert(coll::Transport<Port>);
 
 class Engine {
  public:

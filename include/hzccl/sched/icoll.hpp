@@ -1,12 +1,11 @@
-// Coroutine bodies of the nonblocking collectives.
+// The engine's root task for one rank of one job.
 //
-// These are the blocking collective stacks (raw, C-Coll DOC, hZCCL — see
-// src/collectives/) transcribed onto the Port surface: identical block
-// arithmetic, identical tags, identical compression calls and clock charges,
-// with every blocking Comm::recv replaced by `co_await port.recv(...)`.
-// Because fZ-light and hz_add are bit-deterministic and the schedules are
-// unchanged, a rank's output is byte-identical to its blocking counterpart —
-// the differential sched tier pins exactly that.
+// There are no engine-side collective bodies: run_rank_collective awaits
+// run_stack (core/dispatch.hpp), the same kernel x op x algorithm dispatch
+// run_collective drives, over the same coroutine bodies (see
+// collectives/schedules.hpp), with the engine's Port as the transport.  The
+// two executors are byte-identical by construction; the differential sched
+// tier remains as the safety net.
 #pragma once
 
 #include <vector>

@@ -1,5 +1,6 @@
 #include "hzccl/cluster/autotune.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "hzccl/cluster/roundsim.hpp"
@@ -120,6 +121,18 @@ AlgoSelection choose_allreduce_algo(std::span<const float> sample, Kernel kernel
   }
   result.algo = static_cast<coll::AllreduceAlgo>(best);
   return result;
+}
+
+coll::AllreduceAlgo resolve_job_algo(Kernel kernel, bool allreduce, const JobConfig& config,
+                                     const RankInputFn& rank_input) {
+  if (!allreduce) return coll::AllreduceAlgo::kRing;
+  if (config.algo != coll::AllreduceAlgo::kAuto) return config.algo;
+  const std::vector<float> probe = rank_input(0);
+  if (probe.empty() || config.nranks < 2) return coll::AllreduceAlgo::kRing;
+  constexpr size_t kProbeElems = size_t{1} << 16;
+  std::span<const float> sample(probe.data(), std::min(probe.size(), kProbeElems));
+  if (kernel == Kernel::kMpi) sample = {};
+  return choose_allreduce_algo(sample, kernel, probe.size() * sizeof(float), config).algo;
 }
 
 }  // namespace hzccl

@@ -2,22 +2,22 @@
 
 #include <array>
 #include <cstring>
+#include <numeric>
 #include <span>
 
-#include "hzccl/integrity/digest.hpp"
+#include "hzccl/collectives/schedules.hpp"
 #include "hzccl/util/bytes.hpp"
 
 namespace hzccl::coll {
 
 using simmpi::Comm;
-using simmpi::CostBucket;
 
-void record_integrity_marker(Comm& comm, trace::EventKind kind) {
-  if (!comm.tracer().enabled()) return;
+void CommTransport::mark(trace::EventKind kind) {
+  if (!comm_->tracer().enabled()) return;
   trace::Event e;
-  e.t0 = e.t1 = comm.clock().now();
+  e.t0 = e.t1 = comm_->clock().now();
   e.kind = kind;
-  comm.tracer().record(e);
+  comm_->tracer().record(e);
 }
 
 const char* allreduce_algo_name(AllreduceAlgo algo) {
@@ -72,102 +72,56 @@ bool fz_stream_decodes(std::span<const uint8_t> bytes, size_t expect_elements) {
   }
 }
 
-bool verify_stream_digests(Comm& comm, std::span<const uint8_t> bytes,
-                           const CollectiveConfig& config) {
-  DigestCheck check;
-  try {
-    check = fz_verify_digests(parse_fz(bytes), config.host_threads);
-  } catch (const Error&) {
-    // A digest walk that throws mid-chunk (corrupt residual encoding inside
-    // a stream that still parses) is itself a detection — count it so the
-    // mismatch tally covers every recovery the caller performs.
-    ++comm.integrity().digests_checked;
-    ++comm.integrity().mismatches;
-    record_integrity_marker(comm, trace::EventKind::kSdcDetected);
-    return false;
+void require_sum(const CollectiveConfig& config) {
+  if (config.reduce_op != ReduceOp::kSum) {
+    throw Error(
+        "hZCCL collectives reduce homomorphically and support kSum only; "
+        "use the C-Coll (DOC) stack for min/max");
   }
-  if (!check.checked) return true;  // no digest table: nothing to recheck
-  comm.charge(CostBucket::kCpt,
-              config.cost.seconds_digest_verify(bytes.size(), config.mode),
-              trace::EventKind::kVerify, bytes.size());
-  ++comm.integrity().digests_checked;
-  if (check.ok) return true;
-  ++comm.integrity().mismatches;
-  record_integrity_marker(comm, trace::EventKind::kSdcDetected);
-  return false;
 }
 
-void final_verify_stream(Comm& comm, const CompressedBuffer& stream,
-                         const CollectiveConfig& config) {
-  if (config.verify == VerifyPolicy::kOff) return;
-  if (verify_stream_digests(comm, stream.bytes, config)) return;
-  throw IntegrityError(
-      "ABFT digest mismatch at the final decode: the result would carry "
-      "silent data corruption");
+std::vector<int> identity_members(int size) {
+  std::vector<int> members(static_cast<size_t>(size));
+  std::iota(members.begin(), members.end(), 0);
+  return members;
 }
 
-CheckedBlock recv_checked_block(Comm& comm, int src, int tag, size_t expect_elements,
-                                const CollectiveConfig& config) {
-  CheckedBlock out;
-  out.compressed.bytes = comm.recv(src, tag);
-  // Per-round verification stacks the digest recheck on top of the
-  // structural decode check: a CRC-valid, well-formed stream whose payload
-  // was silently flipped decodes fine but fails its digests.
-  const bool check_digests = config.verify == VerifyPolicy::kPerRound;
-  auto stream_ok = [&](const std::vector<uint8_t>& bytes, bool* digest_failure) {
-    if (!fz_stream_decodes(bytes, expect_elements)) return false;
-    if (check_digests && !verify_stream_digests(comm, bytes, config)) {
-      if (digest_failure != nullptr) *digest_failure = true;
-      return false;
-    }
-    return true;
-  };
-  bool digest_failure = false;
-  if (stream_ok(out.compressed.bytes, &digest_failure)) return out;
-
-  if (!comm.faults().enabled()) {
-    // No faults were injected, so this is a genuine producer bug — surface
-    // it instead of silently working around it.
-    if (digest_failure) {
-      throw IntegrityError("received stream fails its ABFT digests with no fault plan");
-    }
-    throw FormatError("received stream does not decode to the expected block");
+DoublingLayout doubling_layout(int rank, int size) {
+  DoublingLayout d;
+  while (d.p2 * 2 <= size) d.p2 *= 2;
+  d.rem = size - d.p2;
+  d.folded_pair = rank < 2 * d.rem;
+  if (!d.folded_pair) {
+    d.active = rank - d.rem;
+  } else if (rank % 2 == 1) {
+    d.active = rank / 2;
   }
+  return d;
+}
 
-  // Stage 1: one NACK/retransmit.  Heals anything that damaged only this
-  // wire copy; a sender whose encoder is corrupting the stream itself
-  // re-rolls its fault and may fail again.
-  out.compressed.bytes = comm.refetch(src, tag, Comm::Refetch::kRetransmit);
-  if (stream_ok(out.compressed.bytes, nullptr)) {
-    if (digest_failure) ++comm.integrity().retransmit_recoveries;
-    return out;
+NodeGroups node_groups(const simmpi::Topology& topo, const std::vector<int>& group, int rank) {
+  NodeGroups g;
+  const int my_node = topo.node_of(group[static_cast<size_t>(rank)]);
+  int prev_node = -1;
+  for (size_t v = 0; v < group.size(); ++v) {
+    const int node = topo.node_of(group[v]);
+    if (node != prev_node) {
+      if (node == my_node) g.my_leader_idx = static_cast<int>(g.leaders.size());
+      g.leaders.push_back(static_cast<int>(v));
+      prev_node = node;
+    }
+    if (node == my_node) g.node_members.push_back(static_cast<int>(v));
   }
-
-  // Stage 2: persistent decode failure — request the raw block.  The
-  // transport hands back the sender's pristine stream and prices the wire
-  // at raw size; decoding it locally stands in for the sender decompressing
-  // its intact copy before shipping floats, so the DPR charge lands here.
-  // The pristine stream is the sender's own output, so it is ground truth:
-  // no digest recheck can reject it.
-  const size_t raw_bytes = expect_elements * sizeof(float);
-  CompressedBuffer pristine;
-  pristine.bytes = comm.refetch(src, tag, Comm::Refetch::kRawFallback, raw_bytes);
-  out.raw.resize(expect_elements);
-  fz_decompress(pristine, out.raw, config.host_threads);
-  comm.charge(CostBucket::kDpr, config.cost.seconds_fz_decompress(raw_bytes, config.mode),
-              trace::EventKind::kDecompress, raw_bytes, pristine.bytes.size());
-  out.compressed = CompressedBuffer{};
-  out.degraded = true;
-  if (digest_failure) ++comm.integrity().raw_fallbacks;
-  return out;
+  return g;
 }
 
 CompressedBuffer heal_stream(Comm& comm, int src, int tag, CompressedBuffer received,
                              const CollectiveConfig& config) {
+  CommTransport t(comm);
   const bool check_digests = config.verify == VerifyPolicy::kPerRound;
   auto stream_ok = [&](const std::vector<uint8_t>& bytes, bool* digest_failure) {
     if (!fz_stream_decodes(bytes, 0)) return false;
-    if (check_digests && !verify_stream_digests(comm, bytes, config)) {
+    if (check_digests && !body::verify_stream_digests(t, bytes, config)) {
       if (digest_failure != nullptr) *digest_failure = true;
       return false;
     }
@@ -210,84 +164,6 @@ integrity::Digest parse_digest_trailer(std::span<const uint8_t> wire) {
   d.sum = reader.read<uint64_t>("sum");
   d.wsum = reader.read<uint64_t>("wsum");
   return d;
-}
-
-namespace {
-
-/// Compute-and-charge the content digest of a float payload: one pass over
-/// the payload bytes, same cost basis as a compressed-stream verify.
-integrity::Digest charged_content_digest(Comm& comm, std::span<const float> data,
-                                         const CollectiveConfig& config) {
-  const integrity::Digest d = integrity::content_digest(std::as_bytes(data));
-  comm.charge(CostBucket::kCpt,
-              config.cost.seconds_digest_verify(data.size_bytes(), config.mode),
-              trace::EventKind::kVerify, data.size_bytes());
-  return d;
-}
-
-}  // namespace
-
-void send_floats_checked(Comm& comm, int dst, int tag, std::span<const float> data,
-                         const CollectiveConfig& config) {
-  comm.send_floats(dst, tag, data);
-  if (config.verify == VerifyPolicy::kOff) return;
-  const std::array<uint8_t, 16> wire =
-      digest_trailer_bytes(charged_content_digest(comm, data, config));
-  comm.send(dst, tag + kTagDigest, wire);
-}
-
-void recv_floats_checked(Comm& comm, int src, int tag, std::span<float> out,
-                         const CollectiveConfig& config) {
-  comm.recv_floats_into(src, tag, out);
-  if (config.verify == VerifyPolicy::kOff) return;
-  integrity::Digest expected = parse_digest_trailer(comm.recv(src, tag + kTagDigest));
-  auto matches = [&]() {
-    ++comm.integrity().digests_checked;
-    return charged_content_digest(comm, out, config) == expected;
-  };
-  if (matches()) return;
-  ++comm.integrity().mismatches;
-  record_integrity_marker(comm, trace::EventKind::kSdcDetected);
-  if (config.verify != VerifyPolicy::kPerRound) {
-    // Verify-final is detection without recovery.
-    throw IntegrityError("raw float payload fails its content digest (verify=final)");
-  }
-  if (!comm.faults().enabled()) {
-    throw IntegrityError("raw float payload fails its content digest with no fault plan");
-  }
-
-  // Stage 1: retransmit the payload — heals a flipped payload copy.
-  const std::vector<uint8_t> again = comm.refetch(src, tag, Comm::Refetch::kRetransmit);
-  if (again.size() == out.size_bytes()) {
-    std::memcpy(out.data(), again.data(), again.size());
-    if (matches()) {
-      ++comm.integrity().retransmit_recoveries;
-      return;
-    }
-  }
-
-  // Stage 2: the trailer itself rides the faulty wire too — retransmit it
-  // and recompare before blaming the payload again.
-  try {
-    expected =
-        parse_digest_trailer(comm.refetch(src, tag + kTagDigest, Comm::Refetch::kRetransmit));
-  } catch (const FormatError&) {
-    // a mangled retransmitted trailer: fall through to the pristine payload
-  }
-  if (matches()) {
-    ++comm.integrity().retransmit_recoveries;
-    return;
-  }
-
-  // Stage 3: the sender's pristine payload is ground truth by construction —
-  // accept it unconditionally.
-  const std::vector<uint8_t> pristine =
-      comm.refetch(src, tag, Comm::Refetch::kRawFallback, out.size_bytes());
-  if (pristine.size() != out.size_bytes()) {
-    throw FormatError("pristine raw payload size does not match the receive buffer");
-  }
-  std::memcpy(out.data(), pristine.data(), pristine.size());
-  ++comm.integrity().raw_fallbacks;
 }
 
 }  // namespace hzccl::coll

@@ -1,10 +1,9 @@
 #include "hzccl/core/hzccl.hpp"
 
-#include <algorithm>
 #include <mutex>
 
 #include "hzccl/cluster/autotune.hpp"
-#include "hzccl/collectives/algorithms.hpp"
+#include "hzccl/core/dispatch.hpp"
 
 namespace hzccl {
 
@@ -46,23 +45,8 @@ JobResult run_collective(Kernel kernel, Op op, const JobConfig& config,
   JobResult result;
   std::mutex result_mutex;
 
-  // Resolve the Allreduce schedule once, up front, so every rank (and every
-  // retry attempt after a shrink) runs the same algorithm and the trace,
-  // recovery and fault layers all see one consistent choice.
-  coll::AllreduceAlgo algo = config.algo;
-  if (op != Op::kAllreduce) {
-    algo = coll::AllreduceAlgo::kRing;
-  } else if (algo == coll::AllreduceAlgo::kAuto) {
-    const std::vector<float> probe = rank_input(0);
-    if (probe.empty() || config.nranks < 2) {
-      algo = coll::AllreduceAlgo::kRing;
-    } else {
-      constexpr size_t kProbeElems = size_t{1} << 16;
-      std::span<const float> sample(probe.data(), std::min(probe.size(), kProbeElems));
-      if (kernel == Kernel::kMpi) sample = {};
-      algo = choose_allreduce_algo(sample, kernel, probe.size() * sizeof(float), config).algo;
-    }
-  }
+  const coll::AllreduceAlgo algo =
+      resolve_job_algo(kernel, op == Op::kAllreduce, config, rank_input);
   result.algo = algo;
 
   auto rank_fn = [&](simmpi::Comm& comm) {
@@ -88,56 +72,8 @@ JobResult run_collective(Kernel kernel, Op op, const JobConfig& config,
       // the failed run are discarded, not merged.
       output.clear();
       stats = HzPipelineStats{};
-      switch (kernel) {
-        case Kernel::kMpi:
-          if (op == Op::kReduceScatter) {
-            coll::raw_reduce_scatter(comm, input, output, cc);
-          } else {
-            switch (algo) {
-              case coll::AllreduceAlgo::kRecursiveDoubling:
-                coll::raw_allreduce_recursive_doubling(comm, input, output, cc);
-                break;
-              case coll::AllreduceAlgo::kRabenseifner:
-                coll::raw_allreduce_rabenseifner(comm, input, output, cc);
-                break;
-              case coll::AllreduceAlgo::kTwoLevel:
-                coll::raw_allreduce_two_level(comm, input, output, cc);
-                break;
-              default: coll::raw_allreduce(comm, input, output, cc); break;
-            }
-          }
-          break;
-        case Kernel::kCCollMultiThread:
-        case Kernel::kCCollSingleThread:
-          // C-Coll always rings: its per-round decompress/recompress scales
-          // with the data volume per step, which the latency-optimal
-          // schedules inflate.
-          if (op == Op::kReduceScatter) {
-            coll::ccoll_reduce_scatter(comm, input, output, cc);
-          } else {
-            coll::ccoll_allreduce(comm, input, output, cc);
-          }
-          break;
-        case Kernel::kHzcclMultiThread:
-        case Kernel::kHzcclSingleThread:
-          if (op == Op::kReduceScatter) {
-            coll::hzccl_reduce_scatter(comm, input, output, cc, &stats);
-          } else {
-            switch (algo) {
-              case coll::AllreduceAlgo::kRecursiveDoubling:
-                coll::hzccl_allreduce_recursive_doubling(comm, input, output, cc, &stats);
-                break;
-              case coll::AllreduceAlgo::kRabenseifner:
-                coll::hzccl_allreduce_rabenseifner(comm, input, output, cc, &stats);
-                break;
-              case coll::AllreduceAlgo::kTwoLevel:
-                coll::hzccl_allreduce_two_level(comm, input, output, cc, &stats);
-                break;
-              default: coll::hzccl_allreduce(comm, input, output, cc, &stats); break;
-            }
-          }
-          break;
-      }
+      run_to_completion(run_stack(coll::CommTransport(comm), kernel, op, algo, input, output,
+                                  cc, &stats));
     };
 
     std::vector<int> lost;

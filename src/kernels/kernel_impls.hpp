@@ -9,7 +9,12 @@
 // VCVTPD2QQ paths.  The integer bodies (combine/predict) are shared across
 // all TUs on purpose: recompiling them under wider -m flags lets the
 // auto-vectorizer retarget them per level while the arithmetic — and
-// therefore the bytes — stays identical.
+// therefore the bytes — stays identical.  Everything here has internal
+// linkage (the unnamed namespace below), so each variant TU keeps its own
+// copy: the linker can never fold a body two TUs emit out of line into one
+// copy that both tables then call (an AVX-512 recompile behind the scalar
+// table, or the scalar one behind the AVX-512 table).  The ctest
+// KernelSymbols.NoDefinitionSharedAcrossIsaObjects checks this with nm.
 //
 // Every function here is allocation-free and bounds-exact: packers never
 // write past ceil(n*X/8) output bytes, unpackers never read past it.  The
@@ -33,6 +38,7 @@
 #endif
 
 namespace hzccl::kernels::detail {
+namespace {
 
 // ---------------------------------------------------------------------------
 // Scalar reference: pack/unpack (the conformance oracle).
@@ -1210,4 +1216,5 @@ inline HZCCL_HOT int64_t digest_block_avx512_body(const int32_t* residuals, size
 
 #endif  // AVX-512 family
 
+}  // namespace
 }  // namespace hzccl::kernels::detail

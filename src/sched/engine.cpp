@@ -30,6 +30,7 @@
 #include <utility>
 
 #include "hzccl/cluster/autotune.hpp"
+#include "hzccl/integrity/sdc.hpp"
 #include "hzccl/sched/icoll.hpp"
 #include "hzccl/simmpi/clock.hpp"
 #include "hzccl/util/error.hpp"
@@ -148,6 +149,10 @@ struct EngineImpl {
     /// Verify/recover counters, accumulated across attempts (a retry keeps
     /// the tallies of the failed run, like the threaded Comm does).
     IntegrityStats integrity;
+    /// Poisoned-combine injectors by job-relative physical rank, armed
+    /// around each resume when FaultPlan::poison > 0; like the threaded
+    /// runtime's per-rank-thread injectors they live across attempts.
+    std::vector<integrity::SdcInjector> injectors;
 
     JobOutcome out;
   };
@@ -506,7 +511,16 @@ struct EngineImpl {
   // -- Step execution -------------------------------------------------------
 
   void resume_and_settle(JobState& j, int vrank, std::coroutine_handle<> h) {
-    h.resume();
+    if (cfg.faults.poison > 0.0) {
+      // Compute-side SDC: the rank's own injector for the duration of the
+      // resume, as the threaded runtime arms one around each rank body.
+      const int rel = j.group[static_cast<size_t>(vrank)] - j.opt.first_rank;
+      const integrity::ScopedSdcInjector scoped(&j.injectors[static_cast<size_t>(rel)]);
+      h.resume();
+    } else {
+      // No plan-driven poison: an injector armed by the caller stays in effect.
+      h.resume();
+    }
     Root& root = j.roots[static_cast<size_t>(vrank)];
     if (root.task.valid() && root.task.done() && !root.settled) settle_root(j, vrank);
   }
@@ -683,6 +697,9 @@ struct EngineImpl {
     j.out.complete_vtime = t_end;
     j.out.final_epoch = epoch;
     j.out.attempts = j.attempt + 1;
+    for (const integrity::SdcInjector& inj : j.injectors) {
+      j.integrity.poisoned_combines += inj.injected;
+    }
     j.out.integrity = j.integrity;
     j.chans.clear();
     j.waiters.clear();
@@ -753,26 +770,6 @@ struct EngineImpl {
 
   // -- Admission ------------------------------------------------------------
 
-  void resolve_algo(JobState& j) {
-    coll::AllreduceAlgo algo = j.config.algo;
-    if (j.op != ICollOp::kAllreduce) {
-      algo = coll::AllreduceAlgo::kRing;
-    } else if (algo == coll::AllreduceAlgo::kAuto) {
-      const std::vector<float> probe = j.input(0);
-      if (probe.empty() || j.config.nranks < 2) {
-        algo = coll::AllreduceAlgo::kRing;
-      } else {
-        constexpr size_t kProbeElems = size_t{1} << 16;
-        std::span<const float> sample(probe.data(), std::min(probe.size(), kProbeElems));
-        if (j.kernel == Kernel::kMpi) sample = {};
-        algo = choose_allreduce_algo(sample, j.kernel, probe.size() * sizeof(float), j.config)
-                   .algo;
-      }
-    }
-    j.algo = algo;
-    j.out.algo = algo;
-  }
-
   void grant(JobState& j, double t) {
     j.phase = Phase::kActive;
     j.out.grant_vtime = std::max(t, j.out.enqueue_vtime);
@@ -792,7 +789,8 @@ struct EngineImpl {
       cleanup_job(j, j.out.grant_vtime, 1);
       return;
     }
-    resolve_algo(j);
+    j.algo = resolve_job_algo(j.kernel, j.op == ICollOp::kAllreduce, j.config, j.input);
+    j.out.algo = j.algo;
 
     j.vrank_of.assign(static_cast<size_t>(cfg.fleet_ranks), -1);
     for (size_t v = 0; v < j.group.size(); ++v) {
@@ -942,6 +940,12 @@ struct EngineImpl {
     j.cc = j.config.collective_config(kernel_mode(kernel));
     j.input = input;
     j.opt = options;
+    j.injectors.resize(static_cast<size_t>(config.nranks));
+    for (size_t i = 0; i < j.injectors.size(); ++i) {
+      j.injectors[i].seed = cfg.faults.seed;
+      j.injectors[i].poison = cfg.faults.poison;
+      j.injectors[i].rank = static_cast<int>(i);
+    }
     j.out.enqueue_vtime = options.enqueue_vtime;
     j.out.tenant = options.tenant;
 
@@ -978,6 +982,8 @@ const std::vector<int>& Port::group() const {
 
 const simmpi::NetModel& Port::net() const { return eng_->cfg.net; }
 
+const simmpi::FaultPlan& Port::faults() const { return eng_->cfg.faults; }
+
 BufferPool& Port::pool() const { return eng_->pool; }
 
 void Port::send(int dst, int tag, std::span<const uint8_t> payload) {
@@ -996,6 +1002,16 @@ RecvAwaitable Port::recv(int src, int tag) {
   return RecvAwaitable(eng_, job_, vrank_, src, tag);
 }
 
+RecvIntoAwaitable Port::recv_into(int src, int tag, std::span<uint8_t> out) {
+  return RecvIntoAwaitable(recv(src, tag), out);
+}
+
+std::vector<uint8_t> Port::refetch(int /*src*/, int /*tag*/, simmpi::Comm::Refetch /*mode*/,
+                                   size_t /*raw_bytes_hint*/) {
+  throw Error(
+      "sched::Engine models a clean transport: there is no in-flight window to refetch from");
+}
+
 void Port::charge(simmpi::CostBucket bucket, double seconds, trace::EventKind kind,
                   uint64_t bytes, uint64_t bytes_out) {
   eng_->port_charge(job_, vrank_, bucket, seconds, kind, bytes, bytes_out);
@@ -1012,6 +1028,15 @@ void RecvAwaitable::await_suspend(std::coroutine_handle<> h) {
 std::vector<uint8_t> RecvAwaitable::await_resume() {
   if (error_) std::rethrow_exception(error_);
   return std::move(payload_);
+}
+
+void RecvIntoAwaitable::await_resume() {
+  const std::vector<uint8_t> payload = RecvAwaitable::await_resume();
+  if (payload.size() != out_.size()) {
+    throw Error("recv_into: message size " + std::to_string(payload.size()) +
+                " != buffer size " + std::to_string(out_.size()));
+  }
+  std::memcpy(out_.data(), payload.data(), payload.size());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,1018 +1,40 @@
-// Nonblocking collective bodies: the blocking stacks transcribed onto Port.
-//
-// Each function here is a line-for-line transcription of its blocking
-// counterpart in src/collectives/ — same block arithmetic, same tags, same
-// compression calls, same clock charges — with Comm::recv* replaced by
-// `co_await port.recv(...)` and the thread-local BufferPool replaced by the
-// engine-wide one.  The engine models a clean transport (link faults are
-// rejected at construction), so the healing branches of recv_checked_block
-// and combine_checked_block reduce to their no-fault paths: a stream that
-// does not decode is a producer bug and throws, exactly as the blocking code
-// does when no faults are injected.  Keep the two in lockstep: the sched
-// differential tier pins byte-identical outputs against src/collectives/.
+// The engine's root task: one rank's collective, dispatched through
+// run_stack (core/dispatch.hpp) to the shared coroutine bodies of
+// collectives/schedules.hpp — the same bodies run_collective runs — with
+// this engine's Port as the transport.
 #include "hzccl/sched/icoll.hpp"
 
-#include <cstring>
-#include <numeric>
-#include <utility>
-
-#include "hzccl/compressor/fz_light.hpp"
-#include "hzccl/homomorphic/hz_dynamic.hpp"
-#include "hzccl/integrity/digest.hpp"
-#include "hzccl/util/error.hpp"
+#include "hzccl/core/dispatch.hpp"
 
 namespace hzccl::sched {
-
-using coll::ag_recv_block;
-using coll::ag_send_block;
-using coll::AllreduceAlgo;
-using coll::CollectiveConfig;
-using coll::kTagAllgather;
-using coll::kTagDoubling;
-using coll::kTagHalving;
-using coll::kTagIntraBcast;
-using coll::kTagIntraReduce;
-using coll::kTagReduceScatter;
-using coll::reduce_combine_span;
-using coll::ring_block_range;
-using coll::ring_next;
-using coll::ring_prev;
-using coll::rs_owned_block;
-using coll::rs_recv_block;
-using coll::rs_send_block;
-using simmpi::CostBucket;
-using simmpi::Mode;
-
-namespace {
-
-// Raw recursive-doubling tags (private to algorithms.cpp, duplicated here).
-constexpr int kTagFold = 1 << 22;
-constexpr int kTagStep = (1 << 22) + 1;
-constexpr int kTagUnfold = (1 << 22) + 4096;
-
-// -- Receive adapters -------------------------------------------------------
-
-/// recv_floats_into: the payload must carry exactly `out.size()` floats.
-void floats_from_payload(std::span<float> out, const std::vector<uint8_t>& payload) {
-  if (payload.size() != out.size_bytes()) {
-    throw Error("sched: received frame carries " + std::to_string(payload.size()) +
-                " bytes where " + std::to_string(out.size_bytes()) + " were expected");
-  }
-  std::memcpy(out.data(), payload.data(), payload.size());
-}
-
-// -- ABFT verification on Port (the Comm-based layer of common.cpp) ---------
-
-/// verify_stream_digests on a Port: recheck the stream's digest table,
-/// charge a kVerify span and tally into the job's IntegrityStats; on
-/// mismatch record a zero-duration kSdcDetected marker and return false.
-bool port_verify_digests(Port& port, std::span<const uint8_t> bytes,
-                         const CollectiveConfig& config) {
-  DigestCheck check;
-  try {
-    check = fz_verify_digests(parse_fz(bytes), config.host_threads);
-  } catch (const Error&) {
-    // A digest walk that throws mid-chunk is itself a detection (the stream
-    // parsed but its residual encoding is corrupt) — tally it as a mismatch.
-    ++port.integrity().digests_checked;
-    ++port.integrity().mismatches;
-    port.charge(CostBucket::kCpt, 0.0, trace::EventKind::kSdcDetected);
-    return false;
-  }
-  if (!check.checked) return true;
-  port.charge(CostBucket::kCpt, config.cost.seconds_digest_verify(bytes.size(), config.mode),
-              trace::EventKind::kVerify, bytes.size());
-  ++port.integrity().digests_checked;
-  if (check.ok) return true;
-  ++port.integrity().mismatches;
-  port.charge(CostBucket::kCpt, 0.0, trace::EventKind::kSdcDetected);
-  return false;
-}
-
-/// final_verify_stream on a Port: any active policy rechecks the stream
-/// before its contents become the collective's result.
-void port_final_verify(Port& port, const CompressedBuffer& stream,
-                       const CollectiveConfig& config) {
-  if (config.verify == coll::VerifyPolicy::kOff) return;
-  if (port_verify_digests(port, stream.bytes, config)) return;
-  throw IntegrityError(
-      "ABFT digest mismatch at the final decode: the result would carry "
-      "silent data corruption");
-}
-
-/// recv_checked_block on a clean transport: the stream must decode to the
-/// expected element count (anything else is a producer bug, as in the
-/// blocking path with no faults injected), and under per-round verification
-/// must pass its digests.  There is no in-flight window to refetch from —
-/// every stream a rank ships was fresh-compressed or combine-verified, so a
-/// failing receive means the producer itself is corrupt and the job aborts.
-CompressedBuffer stream_from_payload(Port& port, std::vector<uint8_t> payload,
-                                     size_t expect_elements, const CollectiveConfig& config) {
-  CompressedBuffer out;
-  out.bytes = std::move(payload);
-  if (!coll::fz_stream_decodes(out.bytes, expect_elements)) {
-    throw FormatError("received stream does not decode to the expected block");
-  }
-  if (config.verify == coll::VerifyPolicy::kPerRound &&
-      !port_verify_digests(port, out.bytes, config)) {
-    throw IntegrityError("received stream fails its ABFT digests on a clean transport");
-  }
-  return out;
-}
-
-/// One pass over a float payload for its content digest, charged like a
-/// compressed-stream verify.
-integrity::Digest charged_content_digest(Port& port, std::span<const float> data,
-                                         const CollectiveConfig& config) {
-  const auto* bytes = reinterpret_cast<const uint8_t*>(data.data());
-  const integrity::Digest d = integrity::content_digest(bytes, data.size_bytes());
-  port.charge(CostBucket::kCpt,
-              config.cost.seconds_digest_verify(data.size_bytes(), config.mode),
-              trace::EventKind::kVerify, data.size_bytes());
-  return d;
-}
-
-/// send_floats_checked on a Port: the payload, then its content-digest
-/// trailer on tag + kTagDigest — the same wire format the blocking raw
-/// stack ships.
-void send_floats_checked(Port& port, int dst, int tag, std::span<const float> data,
-                         const CollectiveConfig& config) {
-  port.send_floats(dst, tag, data);
-  if (config.verify == coll::VerifyPolicy::kOff) return;
-  port.send(dst, tag + coll::kTagDigest,
-            coll::digest_trailer_bytes(charged_content_digest(port, data, config)));
-}
-
-/// recv_floats_checked on a Port: receive the payload and, under a verify
-/// policy, compare it against its trailer.  The clean transport cannot
-/// damage frames and offers no retransmit window, so a mismatch means the
-/// sender's buffer was corrupt — unrecoverable, abort the job.
-Task<void> irecv_floats_checked(Port port, int src, int tag, std::span<float> out,
-                                CollectiveConfig config) {
-  floats_from_payload(out, co_await port.recv(src, tag));
-  if (config.verify == coll::VerifyPolicy::kOff) co_return;
-  const integrity::Digest expected =
-      coll::parse_digest_trailer(co_await port.recv(src, tag + coll::kTagDigest));
-  ++port.integrity().digests_checked;
-  if (charged_content_digest(port, out, config) == expected) co_return;
-  ++port.integrity().mismatches;
-  port.charge(CostBucket::kCpt, 0.0, trace::EventKind::kSdcDetected);
-  throw IntegrityError("raw float payload fails its content digest on a clean transport");
-}
-
-// -- Shared compression helpers (ccoll.cpp / hzccl_coll.cpp transcripts) ----
-
-CompressedBuffer compress_block(Port& port, std::span<const float> block,
-                                const CollectiveConfig& config) {
-  const FzParams params = config.fz_params(block.size());
-  CompressedBuffer out = fz_compress(block, params, &port.pool());
-  port.charge(CostBucket::kCpr, config.cost.seconds_fz_compress(block.size_bytes(), config.mode),
-              trace::EventKind::kCompress, block.size_bytes(), out.bytes.size());
-  return out;
-}
-
-void decompress_block(Port& port, const CompressedBuffer& compressed, std::span<float> out,
-                      const CollectiveConfig& config) {
-  // DOC consumes every stream right here, so verify-final checks digests at
-  // this point; per-round verification already happened in
-  // stream_from_payload and is not repeated.
-  if (config.verify == coll::VerifyPolicy::kFinal) port_final_verify(port, compressed, config);
-  fz_decompress(compressed, out, config.host_threads);
-  port.charge(CostBucket::kDpr, config.cost.seconds_fz_decompress(out.size_bytes(), config.mode),
-              trace::EventKind::kDecompress, out.size_bytes(), compressed.bytes.size());
-}
-
-std::vector<CompressedBuffer> compress_all_blocks(Port& port, std::span<const float> input,
-                                                  int nblocks, const CollectiveConfig& config) {
-  std::vector<CompressedBuffer> blocks(static_cast<size_t>(nblocks));
-  for (int b = 0; b < nblocks; ++b) {
-    const Range r = ring_block_range(input.size(), nblocks, b);
-    const FzParams params = config.fz_params(r.size());
-    blocks[static_cast<size_t>(b)] =
-        fz_compress(std::span<const float>(input.data() + r.begin, r.size()), params,
-                    &port.pool());
-  }
-  uint64_t compressed_bytes = 0;
-  for (const CompressedBuffer& b : blocks) compressed_bytes += b.bytes.size();
-  port.charge(CostBucket::kCpr, config.cost.seconds_fz_compress(input.size_bytes(), config.mode),
-              trace::EventKind::kCompress, input.size_bytes(), compressed_bytes);
-  return blocks;
-}
-
-/// combine_checked_block's clean (HPR) round: hz_add the received stream
-/// into the accumulator.  An operand that parsed but will not reduce
-/// homomorphically propagates — the blocking path rethrows too when no
-/// faults are injected.  Under per-round verification the combine output is
-/// rechecked against its folded digests: the transport is clean, so a
-/// mismatch is compute-side poison (an armed SdcInjector) — recompute once,
-/// and if the poison is persistent rebuild the round in the float domain
-/// from the two verified operands, exactly like the blocking degrade path.
-void combine_compressed(Port& port, CompressedBuffer& acc, CompressedBuffer received,
-                        size_t elements, const CollectiveConfig& config,
-                        HzPipelineStats* pipeline_stats) {
-  HzPipelineStats stats;
-  CompressedBuffer summed = hz_add(acc, received, &stats, config.host_threads, &port.pool());
-  port.charge(CostBucket::kHpr, config.cost.seconds_hz_add(stats, config.block_len, config.mode),
-              trace::EventKind::kHomReduce, elements * sizeof(float), summed.bytes.size());
-  if (pipeline_stats) *pipeline_stats += stats;
-  if (config.verify == coll::VerifyPolicy::kPerRound &&
-      !port_verify_digests(port, summed.bytes, config)) {
-    port.charge(CostBucket::kCpt, 0.0, trace::EventKind::kRecompute);
-    ++port.integrity().recomputes;
-    port.pool().release(std::move(summed.bytes));
-    HzPipelineStats retry_stats;
-    summed = hz_add(acc, received, &retry_stats, config.host_threads, &port.pool());
-    port.charge(CostBucket::kHpr,
-                config.cost.seconds_hz_add(retry_stats, config.block_len, config.mode),
-                trace::EventKind::kHomReduce, elements * sizeof(float), summed.bytes.size());
-    if (pipeline_stats) *pipeline_stats += retry_stats;
-    if (!port_verify_digests(port, summed.bytes, config)) {
-      // Persistent poison: decode both operands (each passed its own
-      // checks), add floats, and re-encode a clean digest-bearing stream —
-      // fz_compress is outside the injector's reach.
-      ++port.integrity().raw_fallbacks;
-      port.pool().release(std::move(summed.bytes));
-      std::vector<float> mine(elements);
-      std::vector<float> theirs(elements);
-      fz_decompress(acc, mine, config.host_threads);
-      fz_decompress(received, theirs, config.host_threads);
-      port.charge(CostBucket::kDpr,
-                  2.0 * config.cost.seconds_fz_decompress(elements * sizeof(float), config.mode),
-                  trace::EventKind::kDecompress, 2 * elements * sizeof(float),
-                  acc.bytes.size() + received.bytes.size());
-      reduce_combine_span(config.reduce_op, mine.data(), theirs.data(), elements);
-      port.charge(CostBucket::kCpt,
-                  config.cost.seconds_raw_sum(elements * sizeof(float), config.mode),
-                  trace::EventKind::kReduce, elements * sizeof(float));
-      summed = fz_compress(mine, config.fz_params(elements), &port.pool());
-      port.charge(CostBucket::kCpr,
-                  config.cost.seconds_fz_compress(elements * sizeof(float), config.mode),
-                  trace::EventKind::kCompress, elements * sizeof(float), summed.bytes.size());
-    }
-  }
-  port.pool().release(std::move(received.bytes));
-  port.pool().release(std::move(acc.bytes));
-  acc = std::move(summed);
-}
-
-std::vector<int> identity_members(int size) {
-  std::vector<int> members(static_cast<size_t>(size));
-  std::iota(members.begin(), members.end(), 0);
-  return members;
-}
-
-void require_sum(const CollectiveConfig& config) {
-  if (config.reduce_op != coll::ReduceOp::kSum) {
-    throw Error(
-        "hZCCL collectives reduce homomorphically and support kSum only; "
-        "use the C-Coll (DOC) stack for min/max");
-  }
-}
-
-int largest_power_of_two_below(int n) {
-  int p2 = 1;
-  while (p2 * 2 <= n) p2 *= 2;
-  return p2;
-}
-
-/// Node grouping of the two-level schedules (identical loop in
-/// algorithms.cpp and hzccl_coll.cpp): leaders, my node's members, and my
-/// leader's index in the leader ring.
-struct NodeGroups {
-  std::vector<int> leaders;
-  std::vector<int> node_members;
-  int my_leader_idx = -1;
-};
-
-NodeGroups node_groups(const Port& port) {
-  NodeGroups g;
-  const simmpi::Topology& topo = port.net().topo;
-  const std::vector<int>& group = port.group();
-  const int size = port.size();
-  const int my_node = topo.node_of(group[static_cast<size_t>(port.rank())]);
-  int prev_node = -1;
-  for (int v = 0; v < size; ++v) {
-    const int node = topo.node_of(group[static_cast<size_t>(v)]);
-    if (node != prev_node) {
-      if (node == my_node) g.my_leader_idx = static_cast<int>(g.leaders.size());
-      g.leaders.push_back(v);
-      prev_node = node;
-    }
-    if (node == my_node) g.node_members.push_back(v);
-  }
-  return g;
-}
-
-// -- Raw (MPI-like) stack ---------------------------------------------------
-
-Task<std::vector<float>> raw_irs(Port port, std::span<const float> input,
-                                 CollectiveConfig config) {
-  const int size = port.size();
-  const int rank = port.rank();
-  const size_t total = input.size();
-
-  std::vector<float> acc(input.begin(), input.end());
-  port.charge(CostBucket::kOther, config.cost.seconds_memcpy(total * sizeof(float)),
-              trace::EventKind::kPack, total * sizeof(float));
-
-  for (int step = 0; step < size - 1; ++step) {
-    const Range send_r = ring_block_range(total, size, rs_send_block(rank, step, size));
-    const Range recv_r = ring_block_range(total, size, rs_recv_block(rank, step, size));
-
-    send_floats_checked(port, ring_next(rank, size), kTagReduceScatter + step,
-                        std::span<const float>(acc.data() + send_r.begin, send_r.size()),
-                        config);
-    std::vector<float> recv_buf(recv_r.size());
-    co_await irecv_floats_checked(port, ring_prev(rank, size), kTagReduceScatter + step,
-                                  recv_buf, config);
-
-    reduce_combine_span(config.reduce_op, acc.data() + recv_r.begin, recv_buf.data(),
-                        recv_r.size());
-    port.charge(CostBucket::kCpt,
-                config.cost.seconds_raw_sum(recv_r.size() * sizeof(float), Mode::kSingleThread),
-                trace::EventKind::kReduce, recv_r.size() * sizeof(float));
-  }
-
-  const Range owned = ring_block_range(total, size, rs_owned_block(rank, size));
-  co_return std::vector<float>(acc.begin() + static_cast<ptrdiff_t>(owned.begin),
-                               acc.begin() + static_cast<ptrdiff_t>(owned.end));
-}
-
-Task<std::vector<float>> raw_iag(Port port, std::vector<float> my_block, size_t total_elements,
-                                 CollectiveConfig config) {
-  const int size = port.size();
-  const int rank = port.rank();
-
-  std::vector<float> out_full(total_elements, 0.0f);
-  const Range own = ring_block_range(total_elements, size, rs_owned_block(rank, size));
-  if (my_block.size() != own.size()) {
-    throw Error("raw_allgather: my_block size does not match the owned block");
-  }
-  std::memcpy(out_full.data() + own.begin, my_block.data(), my_block.size() * sizeof(float));
-  port.charge(CostBucket::kOther, config.cost.seconds_memcpy(my_block.size() * sizeof(float)),
-              trace::EventKind::kPack, my_block.size() * sizeof(float));
-
-  for (int step = 0; step < size - 1; ++step) {
-    const Range send_r = ring_block_range(total_elements, size, ag_send_block(rank, step, size));
-    const Range recv_r = ring_block_range(total_elements, size, ag_recv_block(rank, step, size));
-    send_floats_checked(port, ring_next(rank, size), kTagAllgather + step,
-                        std::span<const float>(out_full.data() + send_r.begin, send_r.size()),
-                        config);
-    co_await irecv_floats_checked(port, ring_prev(rank, size), kTagAllgather + step,
-                                  std::span<float>(out_full.data() + recv_r.begin, recv_r.size()),
-                                  config);
-  }
-  co_return out_full;
-}
-
-Task<std::vector<float>> raw_iallreduce(Port port, std::span<const float> input,
-                                        CollectiveConfig config) {
-  std::vector<float> block = co_await raw_irs(port, input, config);
-  co_return co_await raw_iag(port, std::move(block), input.size(), config);
-}
-
-Task<std::vector<float>> raw_ird(Port port, std::span<const float> input,
-                                 CollectiveConfig config) {
-  const int size = port.size();
-  const int rank = port.rank();
-  std::vector<float> acc(input.begin(), input.end());
-  port.charge(CostBucket::kOther, config.cost.seconds_memcpy(input.size_bytes()),
-              trace::EventKind::kPack, input.size_bytes());
-
-  const auto reduce_into = [&](std::span<const float> incoming, size_t offset) {
-    reduce_combine_span(config.reduce_op, acc.data() + offset, incoming.data(), incoming.size());
-    port.charge(CostBucket::kCpt,
-                config.cost.seconds_raw_sum(incoming.size() * sizeof(float), Mode::kSingleThread),
-                trace::EventKind::kReduce, incoming.size() * sizeof(float));
-  };
-
-  const int p2 = largest_power_of_two_below(size);
-  const int rem = size - p2;
-
-  int active = -1;
-  if (rank < 2 * rem) {
-    if (rank % 2 == 0) {
-      send_floats_checked(port, rank + 1, kTagFold, acc, config);
-    } else {
-      std::vector<float> incoming(acc.size());
-      co_await irecv_floats_checked(port, rank - 1, kTagFold, incoming, config);
-      reduce_into(incoming, 0);
-      active = rank / 2;
-    }
-  } else {
-    active = rank - rem;
-  }
-
-  const auto real_rank_of = [&](int active_rank) {
-    return active_rank < rem ? 2 * active_rank + 1 : active_rank + rem;
-  };
-
-  if (active >= 0) {
-    std::vector<float> incoming(acc.size());
-    int step = 0;
-    for (int mask = 1; mask < p2; mask <<= 1, ++step) {
-      const int partner = real_rank_of(active ^ mask);
-      send_floats_checked(port, partner, kTagStep + step, acc, config);
-      co_await irecv_floats_checked(port, partner, kTagStep + step, incoming, config);
-      reduce_into(incoming, 0);
-    }
-  }
-
-  if (rank < 2 * rem) {
-    if (rank % 2 == 0) {
-      co_await irecv_floats_checked(port, rank + 1, kTagUnfold, acc, config);
-    } else {
-      send_floats_checked(port, rank - 1, kTagUnfold, acc, config);
-    }
-  }
-  co_return acc;
-}
-
-Task<std::vector<float>> raw_irab(Port port, std::span<const float> input,
-                                  CollectiveConfig config) {
-  const int size = port.size();
-  const int rank = port.rank();
-  if ((size & (size - 1)) != 0) {
-    co_return co_await raw_iallreduce(port, input, config);
-  }
-
-  std::vector<float> acc(input.begin(), input.end());
-  port.charge(CostBucket::kOther, config.cost.seconds_memcpy(input.size_bytes()),
-              trace::EventKind::kPack, input.size_bytes());
-
-  const auto reduce_into = [&](std::span<const float> incoming, size_t offset) {
-    reduce_combine_span(config.reduce_op, acc.data() + offset, incoming.data(), incoming.size());
-    port.charge(CostBucket::kCpt,
-                config.cost.seconds_raw_sum(incoming.size() * sizeof(float), Mode::kSingleThread),
-                trace::EventKind::kReduce, incoming.size() * sizeof(float));
-  };
-
-  size_t lo = 0, hi = acc.size();
-  std::vector<std::pair<size_t, size_t>> splits;
-  std::vector<float> incoming;
-  int step = 0;
-  for (int mask = size / 2; mask >= 1; mask >>= 1, ++step) {
-    const int partner = rank ^ mask;
-    const size_t mid = lo + (hi - lo) / 2;
-    splits.emplace_back(lo, hi);
-    if (rank < partner) {
-      send_floats_checked(port, partner, kTagStep + step,
-                          std::span<const float>(acc.data() + mid, hi - mid), config);
-      incoming.resize(mid - lo);
-      co_await irecv_floats_checked(port, partner, kTagStep + step, incoming, config);
-      reduce_into(incoming, lo);
-      hi = mid;
-    } else {
-      send_floats_checked(port, partner, kTagStep + step,
-                          std::span<const float>(acc.data() + lo, mid - lo), config);
-      incoming.resize(hi - mid);
-      co_await irecv_floats_checked(port, partner, kTagStep + step, incoming, config);
-      reduce_into(incoming, mid);
-      lo = mid;
-    }
-  }
-
-  for (int mask = 1; mask < size; mask <<= 1, ++step) {
-    const int partner = rank ^ mask;
-    const auto [parent_lo, parent_hi] = splits.back();
-    splits.pop_back();
-    send_floats_checked(port, partner, kTagStep + step,
-                        std::span<const float>(acc.data() + lo, hi - lo), config);
-    if (lo == parent_lo) {
-      co_await irecv_floats_checked(port, partner, kTagStep + step,
-                                    std::span<float>(acc.data() + hi, parent_hi - hi), config);
-    } else {
-      co_await irecv_floats_checked(port, partner, kTagStep + step,
-                                    std::span<float>(acc.data() + parent_lo, lo - parent_lo),
-                                    config);
-    }
-    lo = parent_lo;
-    hi = parent_hi;
-  }
-  co_return acc;
-}
-
-Task<std::vector<float>> raw_i2level(Port port, std::span<const float> input,
-                                     CollectiveConfig config) {
-  const NodeGroups g = node_groups(port);
-  const int rank = port.rank();
-  const int leader = g.node_members.front();
-
-  if (rank != leader) {
-    send_floats_checked(port, leader, kTagIntraReduce + rank, input, config);
-    std::vector<float> out_full(input.size());
-    co_await irecv_floats_checked(port, leader, kTagIntraBcast + rank, out_full, config);
-    co_return out_full;
-  }
-
-  std::vector<float> acc(input.begin(), input.end());
-  port.charge(CostBucket::kOther, config.cost.seconds_memcpy(input.size_bytes()),
-              trace::EventKind::kPack, input.size_bytes());
-  std::vector<float> incoming;
-  for (size_t m = 1; m < g.node_members.size(); ++m) {
-    const int member = g.node_members[m];
-    incoming.resize(input.size());
-    co_await irecv_floats_checked(port, member, kTagIntraReduce + member, incoming, config);
-    reduce_combine_span(config.reduce_op, acc.data(), incoming.data(), acc.size());
-    port.charge(CostBucket::kCpt,
-                config.cost.seconds_raw_sum(input.size_bytes(), Mode::kSingleThread),
-                trace::EventKind::kReduce, input.size_bytes());
-  }
-
-  const int nleaders = static_cast<int>(g.leaders.size());
-  if (nleaders > 1) {
-    const int idx = g.my_leader_idx;
-    for (int step = 0; step < nleaders - 1; ++step) {
-      const Range send_r =
-          ring_block_range(acc.size(), nleaders, rs_send_block(idx, step, nleaders));
-      send_floats_checked(port, g.leaders[static_cast<size_t>(ring_next(idx, nleaders))],
-                          kTagReduceScatter + step,
-                          std::span<const float>(acc.data() + send_r.begin, send_r.size()),
-                          config);
-      const Range recv_r =
-          ring_block_range(acc.size(), nleaders, rs_recv_block(idx, step, nleaders));
-      incoming.resize(recv_r.size());
-      co_await irecv_floats_checked(
-          port, g.leaders[static_cast<size_t>(ring_prev(idx, nleaders))],
-          kTagReduceScatter + step, incoming, config);
-      reduce_combine_span(config.reduce_op, acc.data() + recv_r.begin, incoming.data(),
-                          recv_r.size());
-      port.charge(CostBucket::kCpt,
-                  config.cost.seconds_raw_sum(recv_r.size() * sizeof(float), Mode::kSingleThread),
-                  trace::EventKind::kReduce, recv_r.size() * sizeof(float));
-    }
-    for (int step = 0; step < nleaders - 1; ++step) {
-      const Range send_r =
-          ring_block_range(acc.size(), nleaders, ag_send_block(idx, step, nleaders));
-      send_floats_checked(port, g.leaders[static_cast<size_t>(ring_next(idx, nleaders))],
-                          kTagAllgather + step,
-                          std::span<const float>(acc.data() + send_r.begin, send_r.size()),
-                          config);
-      const Range recv_r =
-          ring_block_range(acc.size(), nleaders, ag_recv_block(idx, step, nleaders));
-      co_await irecv_floats_checked(
-          port, g.leaders[static_cast<size_t>(ring_prev(idx, nleaders))], kTagAllgather + step,
-          std::span<float>(acc.data() + recv_r.begin, recv_r.size()), config);
-    }
-  }
-
-  for (size_t m = 1; m < g.node_members.size(); ++m) {
-    send_floats_checked(port, g.node_members[m], kTagIntraBcast + g.node_members[m], acc,
-                        config);
-  }
-  co_return acc;
-}
-
-// -- C-Coll (DOC) stack -----------------------------------------------------
-
-Task<std::vector<float>> ccoll_irs(Port port, std::span<const float> input,
-                                   CollectiveConfig config) {
-  const int size = port.size();
-  const int rank = port.rank();
-  const size_t total = input.size();
-
-  std::vector<float> acc(input.begin(), input.end());
-  port.charge(CostBucket::kOther, config.cost.seconds_memcpy(total * sizeof(float)),
-              trace::EventKind::kPack, total * sizeof(float));
-
-  std::vector<float> decoded;
-  for (int step = 0; step < size - 1; ++step) {
-    const Range send_r = ring_block_range(total, size, rs_send_block(rank, step, size));
-    const Range recv_r = ring_block_range(total, size, rs_recv_block(rank, step, size));
-
-    CompressedBuffer to_send = compress_block(
-        port, std::span<const float>(acc.data() + send_r.begin, send_r.size()), config);
-    port.send(ring_next(rank, size), kTagReduceScatter + step, to_send.span());
-    port.pool().release(std::move(to_send.bytes));
-
-    CompressedBuffer received = stream_from_payload(
-        port, co_await port.recv(ring_prev(rank, size), kTagReduceScatter + step), recv_r.size(),
-        config);
-    decoded.resize(recv_r.size());
-    decompress_block(port, received, decoded, config);
-    port.pool().release(std::move(received.bytes));
-
-    reduce_combine_span(config.reduce_op, acc.data() + recv_r.begin, decoded.data(),
-                        recv_r.size());
-    port.charge(CostBucket::kCpt,
-                config.cost.seconds_raw_sum(recv_r.size() * sizeof(float), config.mode),
-                trace::EventKind::kReduce, recv_r.size() * sizeof(float));
-  }
-
-  const Range owned = ring_block_range(total, size, rs_owned_block(rank, size));
-  co_return std::vector<float>(acc.begin() + static_cast<ptrdiff_t>(owned.begin),
-                               acc.begin() + static_cast<ptrdiff_t>(owned.end));
-}
-
-Task<std::vector<float>> ccoll_iag(Port port, std::vector<float> my_block,
-                                   size_t total_elements, CollectiveConfig config) {
-  const int size = port.size();
-  const int rank = port.rank();
-
-  std::vector<float> out_full(total_elements, 0.0f);
-  const Range own = ring_block_range(total_elements, size, rs_owned_block(rank, size));
-  if (my_block.size() != own.size()) {
-    throw Error("ccoll_allgather: my_block size does not match the owned block");
-  }
-  std::memcpy(out_full.data() + own.begin, my_block.data(), my_block.size() * sizeof(float));
-
-  std::vector<CompressedBuffer> blocks(static_cast<size_t>(size));
-  blocks[static_cast<size_t>(rs_owned_block(rank, size))] =
-      compress_block(port, my_block, config);
-
-  for (int step = 0; step < size - 1; ++step) {
-    const int send_idx = ag_send_block(rank, step, size);
-    const int recv_idx = ag_recv_block(rank, step, size);
-    port.send(ring_next(rank, size), kTagAllgather + step,
-              blocks[static_cast<size_t>(send_idx)].span());
-    const Range recv_r = ring_block_range(total_elements, size, recv_idx);
-    blocks[static_cast<size_t>(recv_idx)] = stream_from_payload(
-        port, co_await port.recv(ring_prev(rank, size), kTagAllgather + step), recv_r.size(),
-        config);
-  }
-
-  for (int b = 0; b < size; ++b) {
-    if (b != rs_owned_block(rank, size)) {
-      const Range r = ring_block_range(total_elements, size, b);
-      decompress_block(port, blocks[static_cast<size_t>(b)],
-                       std::span<float>(out_full.data() + r.begin, r.size()), config);
-    }
-    port.pool().release(std::move(blocks[static_cast<size_t>(b)].bytes));
-  }
-  co_return out_full;
-}
-
-Task<std::vector<float>> ccoll_iallreduce(Port port, std::span<const float> input,
-                                          CollectiveConfig config) {
-  std::vector<float> block = co_await ccoll_irs(port, input, config);
-  co_return co_await ccoll_iag(port, std::move(block), input.size(), config);
-}
-
-// -- hZCCL (HPR) stack ------------------------------------------------------
-
-Task<CompressedBuffer> hz_irs_members(Port port, std::span<const float> input,
-                                      std::vector<int> members, int idx,
-                                      CollectiveConfig config, HzPipelineStats* pipeline_stats) {
-  const int nmembers = static_cast<int>(members.size());
-  std::vector<CompressedBuffer> blocks = compress_all_blocks(port, input, nmembers, config);
-
-  for (int step = 0; step < nmembers - 1; ++step) {
-    const int send_idx = rs_send_block(idx, step, nmembers);
-    const int recv_idx = rs_recv_block(idx, step, nmembers);
-
-    port.send(members[static_cast<size_t>(ring_next(idx, nmembers))], kTagReduceScatter + step,
-              blocks[static_cast<size_t>(send_idx)].span());
-    port.pool().release(std::move(blocks[static_cast<size_t>(send_idx)].bytes));
-
-    const Range recv_r = ring_block_range(input.size(), nmembers, recv_idx);
-    const int src = members[static_cast<size_t>(ring_prev(idx, nmembers))];
-    CompressedBuffer received = stream_from_payload(
-        port, co_await port.recv(src, kTagReduceScatter + step), recv_r.size(), config);
-    combine_compressed(port, blocks[static_cast<size_t>(recv_idx)], std::move(received),
-                       recv_r.size(), config, pipeline_stats);
-  }
-
-  co_return std::move(blocks[static_cast<size_t>(rs_owned_block(idx, nmembers))]);
-}
-
-Task<std::vector<float>> hz_iag_members(Port port, CompressedBuffer my_block,
-                                        size_t total_elements, std::vector<int> members, int idx,
-                                        CollectiveConfig config) {
-  const int nmembers = static_cast<int>(members.size());
-
-  std::vector<CompressedBuffer> blocks(static_cast<size_t>(nmembers));
-  CompressedBuffer& own = blocks[static_cast<size_t>(rs_owned_block(idx, nmembers))];
-  own.bytes = port.pool().acquire(my_block.bytes.size());
-  own.bytes.assign(my_block.bytes.begin(), my_block.bytes.end());
-
-  for (int step = 0; step < nmembers - 1; ++step) {
-    const int send_idx = ag_send_block(idx, step, nmembers);
-    const int recv_idx = ag_recv_block(idx, step, nmembers);
-    port.send(members[static_cast<size_t>(ring_next(idx, nmembers))], kTagAllgather + step,
-              blocks[static_cast<size_t>(send_idx)].span());
-    const Range recv_r = ring_block_range(total_elements, nmembers, recv_idx);
-    blocks[static_cast<size_t>(recv_idx)] = stream_from_payload(
-        port,
-        co_await port.recv(members[static_cast<size_t>(ring_prev(idx, nmembers))],
-                           kTagAllgather + step),
-        recv_r.size(), config);
-  }
-
-  std::vector<float> out_full(total_elements, 0.0f);
-  uint64_t compressed_bytes = 0;
-  for (int b = 0; b < nmembers; ++b) {
-    const Range r = ring_block_range(total_elements, nmembers, b);
-    port_final_verify(port, blocks[static_cast<size_t>(b)], config);
-    fz_decompress(blocks[static_cast<size_t>(b)],
-                  std::span<float>(out_full.data() + r.begin, r.size()), config.host_threads);
-    compressed_bytes += blocks[static_cast<size_t>(b)].bytes.size();
-    port.pool().release(std::move(blocks[static_cast<size_t>(b)].bytes));
-  }
-  port.charge(CostBucket::kDpr,
-              config.cost.seconds_fz_decompress(total_elements * sizeof(float), config.mode),
-              trace::EventKind::kDecompress, total_elements * sizeof(float), compressed_bytes);
-  co_return out_full;
-}
-
-Task<std::vector<float>> hz_irs(Port port, std::span<const float> input,
-                                CollectiveConfig config, HzPipelineStats* pipeline_stats) {
-  require_sum(config);
-  CompressedBuffer owned = co_await hz_irs_members(port, input, identity_members(port.size()),
-                                                   port.rank(), config, pipeline_stats);
-  const Range r =
-      ring_block_range(input.size(), port.size(), rs_owned_block(port.rank(), port.size()));
-  std::vector<float> out_block(r.size());
-  port_final_verify(port, owned, config);
-  fz_decompress(owned, out_block, config.host_threads);
-  const uint64_t compressed_bytes = owned.bytes.size();
-  port.pool().release(std::move(owned.bytes));
-  port.charge(CostBucket::kDpr,
-              config.cost.seconds_fz_decompress(out_block.size() * sizeof(float), config.mode),
-              trace::EventKind::kDecompress, out_block.size() * sizeof(float), compressed_bytes);
-  co_return out_block;
-}
-
-Task<std::vector<float>> hz_iallreduce(Port port, std::span<const float> input,
-                                       CollectiveConfig config,
-                                       HzPipelineStats* pipeline_stats) {
-  require_sum(config);
-  CompressedBuffer owned = co_await hz_irs_members(port, input, identity_members(port.size()),
-                                                   port.rank(), config, pipeline_stats);
-  std::vector<float> out_full = co_await hz_iag_members(
-      port, std::move(owned), input.size(), identity_members(port.size()), port.rank(), config);
-  co_return out_full;
-}
-
-/// The hZCCL allgather entry point: compress the owned block, forward
-/// compressed traffic — what a blocking caller composes out of fz_compress +
-/// hzccl_allgather_compressed.
-Task<std::vector<float>> hz_iag(Port port, std::vector<float> my_block, size_t total_elements,
-                                CollectiveConfig config) {
-  CompressedBuffer own = compress_block(port, my_block, config);
-  std::vector<float> out_full = co_await hz_iag_members(
-      port, std::move(own), total_elements, identity_members(port.size()), port.rank(), config);
-  co_return out_full;
-}
-
-Task<void> hz_combine_from(Port port, CompressedBuffer& acc, size_t elements, int src, int tag,
-                           CollectiveConfig config, HzPipelineStats* pipeline_stats) {
-  CompressedBuffer received =
-      stream_from_payload(port, co_await port.recv(src, tag), elements, config);
-  combine_compressed(port, acc, std::move(received), elements, config, pipeline_stats);
-}
-
-Task<std::vector<float>> hz_ird(Port port, std::span<const float> input,
-                                CollectiveConfig config, HzPipelineStats* pipeline_stats) {
-  require_sum(config);
-  const int size = port.size();
-  const int rank = port.rank();
-
-  CompressedBuffer acc = fz_compress(input, config.fz_params(input.size()), &port.pool());
-  port.charge(CostBucket::kCpr, config.cost.seconds_fz_compress(input.size_bytes(), config.mode),
-              trace::EventKind::kCompress, input.size_bytes(), acc.bytes.size());
-
-  const int p2 = largest_power_of_two_below(size);
-  const int rem = size - p2;
-  const int fold_tag = kTagDoubling;
-  const int unfold_tag = kTagDoubling + 4096;
-
-  int active = -1;
-  if (rank < 2 * rem) {
-    if (rank % 2 == 0) {
-      port.send(rank + 1, fold_tag, acc.span());
-    } else {
-      co_await hz_combine_from(port, acc, input.size(), rank - 1, fold_tag, config,
-                               pipeline_stats);
-      active = rank / 2;
-    }
-  } else {
-    active = rank - rem;
-  }
-
-  const auto real_rank_of = [&](int active_rank) {
-    return active_rank < rem ? 2 * active_rank + 1 : active_rank + rem;
-  };
-
-  if (active >= 0) {
-    int step = 0;
-    for (int mask = 1; mask < p2; mask <<= 1, ++step) {
-      const int partner = real_rank_of(active ^ mask);
-      port.send(partner, kTagDoubling + 1 + step, acc.span());
-      co_await hz_combine_from(port, acc, input.size(), partner, kTagDoubling + 1 + step, config,
-                               pipeline_stats);
-    }
-  }
-
-  if (rank < 2 * rem) {
-    if (rank % 2 == 0) {
-      CompressedBuffer received = stream_from_payload(
-          port, co_await port.recv(rank + 1, unfold_tag), input.size(), config);
-      port.pool().release(std::move(acc.bytes));
-      acc = std::move(received);
-    } else {
-      port.send(rank - 1, unfold_tag, acc.span());
-    }
-  }
-
-  std::vector<float> out_full(input.size());
-  port_final_verify(port, acc, config);
-  fz_decompress(acc, out_full, config.host_threads);
-  port.charge(CostBucket::kDpr,
-              config.cost.seconds_fz_decompress(input.size_bytes(), config.mode),
-              trace::EventKind::kDecompress, input.size_bytes(), acc.bytes.size());
-  port.pool().release(std::move(acc.bytes));
-  co_return out_full;
-}
-
-Task<std::vector<float>> hz_irab(Port port, std::span<const float> input,
-                                 CollectiveConfig config, HzPipelineStats* pipeline_stats) {
-  require_sum(config);
-  const int size = port.size();
-  const int rank = port.rank();
-  if (size == 1 || (size & (size - 1)) != 0) {
-    co_return co_await hz_iallreduce(port, input, config, pipeline_stats);
-  }
-
-  std::vector<CompressedBuffer> blocks = compress_all_blocks(port, input, size, config);
-
-  const auto tag_of = [&](int step, int block) { return kTagHalving + step * size + block; };
-
-  int blo = 0;
-  int bhi = size;
-  std::vector<std::pair<int, int>> splits;
-  int step = 0;
-  for (int mask = size / 2; mask >= 1; mask >>= 1, ++step) {
-    const int partner = rank ^ mask;
-    const int mid = blo + (bhi - blo) / 2;
-    splits.emplace_back(blo, bhi);
-    const bool keep_low = rank < partner;
-    const int send_lo = keep_low ? mid : blo;
-    const int send_hi = keep_low ? bhi : mid;
-    for (int b = send_lo; b < send_hi; ++b) {
-      port.send(partner, tag_of(step, b), blocks[static_cast<size_t>(b)].span());
-      port.pool().release(std::move(blocks[static_cast<size_t>(b)].bytes));
-    }
-    const int keep_lo = keep_low ? blo : mid;
-    const int keep_hi = keep_low ? mid : bhi;
-    for (int b = keep_lo; b < keep_hi; ++b) {
-      const Range r = ring_block_range(input.size(), size, b);
-      CompressedBuffer received = stream_from_payload(
-          port, co_await port.recv(partner, tag_of(step, b)), r.size(), config);
-      combine_compressed(port, blocks[static_cast<size_t>(b)], std::move(received), r.size(),
-                         config, pipeline_stats);
-    }
-    blo = keep_lo;
-    bhi = keep_hi;
-  }
-
-  for (int mask = 1; mask < size; mask <<= 1, ++step) {
-    const int partner = rank ^ mask;
-    const auto [parent_lo, parent_hi] = splits.back();
-    splits.pop_back();
-    for (int b = blo; b < bhi; ++b) {
-      port.send(partner, tag_of(step, b), blocks[static_cast<size_t>(b)].span());
-    }
-    const int recv_lo = blo == parent_lo ? bhi : parent_lo;
-    const int recv_hi = blo == parent_lo ? parent_hi : blo;
-    for (int b = recv_lo; b < recv_hi; ++b) {
-      const Range r = ring_block_range(input.size(), size, b);
-      blocks[static_cast<size_t>(b)] = stream_from_payload(
-          port, co_await port.recv(partner, tag_of(step, b)), r.size(), config);
-    }
-    blo = parent_lo;
-    bhi = parent_hi;
-  }
-
-  std::vector<float> out_full(input.size(), 0.0f);
-  uint64_t compressed_bytes = 0;
-  for (int b = 0; b < size; ++b) {
-    const Range r = ring_block_range(input.size(), size, b);
-    port_final_verify(port, blocks[static_cast<size_t>(b)], config);
-    fz_decompress(blocks[static_cast<size_t>(b)],
-                  std::span<float>(out_full.data() + r.begin, r.size()), config.host_threads);
-    compressed_bytes += blocks[static_cast<size_t>(b)].bytes.size();
-    port.pool().release(std::move(blocks[static_cast<size_t>(b)].bytes));
-  }
-  port.charge(CostBucket::kDpr,
-              config.cost.seconds_fz_decompress(input.size_bytes(), config.mode),
-              trace::EventKind::kDecompress, input.size_bytes(), compressed_bytes);
-  co_return out_full;
-}
-
-Task<std::vector<float>> hz_i2level(Port port, std::span<const float> input,
-                                    CollectiveConfig config, HzPipelineStats* pipeline_stats) {
-  require_sum(config);
-  const NodeGroups g = node_groups(port);
-  const int rank = port.rank();
-  const int leader = g.node_members.front();
-
-  if (rank != leader) {
-    send_floats_checked(port, leader, kTagIntraReduce + rank, input, config);
-    std::vector<float> out_full(input.size());
-    co_await irecv_floats_checked(port, leader, kTagIntraBcast + rank, out_full, config);
-    co_return out_full;
-  }
-
-  std::vector<float> acc(input.begin(), input.end());
-  port.charge(CostBucket::kOther, config.cost.seconds_memcpy(input.size_bytes()),
-              trace::EventKind::kPack, input.size_bytes());
-  std::vector<float> incoming;
-  for (size_t m = 1; m < g.node_members.size(); ++m) {
-    const int member = g.node_members[m];
-    incoming.resize(input.size());
-    co_await irecv_floats_checked(port, member, kTagIntraReduce + member, incoming, config);
-    reduce_combine_span(config.reduce_op, acc.data(), incoming.data(), acc.size());
-    port.charge(CostBucket::kCpt, config.cost.seconds_raw_sum(input.size_bytes(), config.mode),
-                trace::EventKind::kReduce, input.size_bytes());
-  }
-
-  std::vector<float> out_full;
-  if (g.leaders.size() <= 1) {
-    out_full = std::move(acc);
-  } else {
-    CompressedBuffer owned = co_await hz_irs_members(port, acc, g.leaders, g.my_leader_idx,
-                                                     config, pipeline_stats);
-    out_full = co_await hz_iag_members(port, std::move(owned), acc.size(), g.leaders,
-                                       g.my_leader_idx, config);
-  }
-
-  for (size_t m = 1; m < g.node_members.size(); ++m) {
-    send_floats_checked(port, g.node_members[m], kTagIntraBcast + g.node_members[m], out_full,
-                        config);
-  }
-  co_return out_full;
-}
-
-}  // namespace
 
 Task<RootOutcome> run_rank_collective(Port port, Kernel kernel, ICollOp op,
                                       coll::AllreduceAlgo algo, coll::CollectiveConfig config,
                                       std::vector<float> input) {
   RootOutcome out;
-  const bool hz = kernel == Kernel::kHzcclMultiThread || kernel == Kernel::kHzcclSingleThread;
-  const bool raw = kernel == Kernel::kMpi;
+  if (op != ICollOp::kAllgather) {
+    const Op stack_op = op == ICollOp::kAllreduce ? Op::kAllreduce : Op::kReduceScatter;
+    co_await run_stack(port, kernel, stack_op, algo, input, out.output, config, &out.stats);
+    co_return out;
+  }
 
-  switch (op) {
-    case ICollOp::kReduceScatter: {
-      if (raw) {
-        out.output = co_await raw_irs(port, input, config);
-      } else if (hz) {
-        out.output = co_await hz_irs(port, input, config, &out.stats);
-      } else {
-        out.output = co_await ccoll_irs(port, input, config);
-      }
+  // Allgather (engine only): the rank contributes its owned ring block of
+  // `input`, mirroring the blocking reduce-scatter + allgather decomposition.
+  const Range own = coll::ring_block_range(input.size(), port.size(),
+                                           coll::rs_owned_block(port.rank(), port.size()));
+  const std::span<const float> mine(input.data() + own.begin, own.size());
+  switch (kernel) {
+    case Kernel::kMpi:
+      co_await coll::body::raw_allgather(port, mine, input.size(), out.output, config);
       break;
-    }
-    case ICollOp::kAllgather: {
-      // The rank contributes its owned ring block of `input`, mirroring the
-      // blocking reduce-scatter + allgather decomposition.
-      const Range own =
-          ring_block_range(input.size(), port.size(), rs_owned_block(port.rank(), port.size()));
-      std::vector<float> my_block(input.begin() + static_cast<ptrdiff_t>(own.begin),
-                                  input.begin() + static_cast<ptrdiff_t>(own.end));
-      if (raw) {
-        out.output = co_await raw_iag(port, std::move(my_block), input.size(), config);
-      } else if (hz) {
-        out.output = co_await hz_iag(port, std::move(my_block), input.size(), config);
-      } else {
-        out.output = co_await ccoll_iag(port, std::move(my_block), input.size(), config);
-      }
+    case Kernel::kCCollMultiThread:
+    case Kernel::kCCollSingleThread:
+      co_await coll::body::ccoll_allgather(port, mine, input.size(), out.output, config);
       break;
-    }
-    case ICollOp::kAllreduce: {
-      if (raw) {
-        switch (algo) {
-          case AllreduceAlgo::kRecursiveDoubling:
-            out.output = co_await raw_ird(port, input, config);
-            break;
-          case AllreduceAlgo::kRabenseifner:
-            out.output = co_await raw_irab(port, input, config);
-            break;
-          case AllreduceAlgo::kTwoLevel:
-            out.output = co_await raw_i2level(port, input, config);
-            break;
-          default: out.output = co_await raw_iallreduce(port, input, config); break;
-        }
-      } else if (hz) {
-        switch (algo) {
-          case AllreduceAlgo::kRecursiveDoubling:
-            out.output = co_await hz_ird(port, input, config, &out.stats);
-            break;
-          case AllreduceAlgo::kRabenseifner:
-            out.output = co_await hz_irab(port, input, config, &out.stats);
-            break;
-          case AllreduceAlgo::kTwoLevel:
-            out.output = co_await hz_i2level(port, input, config, &out.stats);
-            break;
-          default: out.output = co_await hz_iallreduce(port, input, config, &out.stats); break;
-        }
-      } else {
-        // C-Coll always rings: the DOC stack has no rd/rab/2level schedules,
-        // matching run_collective's dispatch.
-        out.output = co_await ccoll_iallreduce(port, input, config);
-      }
+    case Kernel::kHzcclMultiThread:
+    case Kernel::kHzcclSingleThread:
+      co_await coll::body::hzccl_allgather(port, mine, input.size(), out.output, config);
       break;
-    }
   }
   co_return out;
 }

@@ -590,6 +590,39 @@ TEST(SchedIntegrity, AnArmedInjectorTaintsAnEngineJob) {
   EXPECT_LE(max_abs_err(out.rank0_output, exact_reduction(config.nranks, inputs)), envelope);
 }
 
+TEST(SchedIntegrity, PlanPoisonMatchesTheThreadedRuntime) {
+  // FaultPlan::poison is compute-side, so the engine honours it: each rank
+  // runs under its own injector, seeded by the plan and keyed by the rank's
+  // job-relative physical rank exactly as the threaded runtime keys its rank
+  // threads.  A solo job therefore poisons the same combines, heals them the
+  // same way and lands the same bytes and counters as run_collective.
+  const RankInputFn inputs = sweep_inputs(6000, DatasetId::kNyx);
+  FaultPlan plan;
+  plan.seed = 3;
+  plan.poison = 0.05;
+  JobConfig config;
+  config.nranks = 8;
+  config.abs_error_bound = 1e-3;
+  config.verify = VerifyPolicy::kPerRound;
+  config.faults = plan;
+  const JobResult blocking =
+      run_collective(Kernel::kHzcclMultiThread, Op::kAllreduce, config, inputs);
+  ASSERT_GT(blocking.integrity.poisoned_combines, 0u);
+  ASSERT_GT(blocking.integrity.mismatches, 0u);
+
+  EngineConfig ec;
+  ec.fleet_ranks = 8;
+  ec.faults = plan;
+  Engine engine(ec);
+  const sched::Request req =
+      engine.submit(Kernel::kHzcclMultiThread, ICollOp::kAllreduce, config, inputs);
+  engine.run();
+  const sched::JobOutcome& out = engine.outcome(req);
+  ASSERT_TRUE(out.completed) << out.error;
+  EXPECT_EQ(out.rank0_output, blocking.rank0_output);
+  EXPECT_EQ(describe(out.integrity), describe(blocking.integrity));
+}
+
 TEST(SchedIntegrity, ATaintedFusedSuperJobIsReverifiedPerMember) {
   // Two small same-shape allreduces fuse into one super-job; a poisoned
   // combine taints it, and the Scheduler re-verifies each member's slice

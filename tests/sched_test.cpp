@@ -1,16 +1,22 @@
 // Differential tests for the nonblocking sched tier: every i-collective the
 // Engine runs must be *byte-identical* to its blocking counterpart — same
-// kernel, same algorithm, same topology, same dataset.  The engine
-// transcribes the blocking schedules onto coroutines, and both paths reduce
-// the same real bytes, so nothing weaker than EXPECT_EQ on the float vectors
-// is acceptable.  The sweep covers the three stacks (raw MPI, C-Coll,
-// hZCCL), the four explicit allreduce schedules, flat and hierarchical
-// topologies, and all five datasets; a second group checks that N jobs
-// progressing interleaved through one engine still each produce their solo
-// blocking bytes regardless of submission order or seed.
+// kernel, same algorithm, same topology, same dataset.  Both executors run
+// the same coroutine body per schedule (collectives/schedules.hpp), so this
+// tier is the safety net over that one body and over the executors' own
+// plumbing: nothing weaker than EXPECT_EQ on the float vectors is
+// acceptable, and for reduce-scatter and allreduce the integrity counters,
+// the hZ pipeline mix, the frames sent and the completion time must match
+// too.  The sweep covers the three stacks (raw MPI, C-Coll, hZCCL), the four
+// explicit allreduce schedules, the three verify policies, flat and
+// hierarchical topologies, and the datasets; a second group checks that N
+// jobs progressing interleaved through one engine still each produce their
+// solo blocking bytes regardless of submission order or seed.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -30,6 +36,7 @@ namespace hzccl {
 namespace {
 
 using coll::AllreduceAlgo;
+using coll::VerifyPolicy;
 using sched::Engine;
 using sched::EngineConfig;
 using sched::ICollOp;
@@ -41,12 +48,25 @@ using simmpi::NetModel;
 constexpr size_t kElements = 3001;  // ragged blocks across 8 ranks
 
 /// Rank inputs drawn from a dataset field; `salt` decorrelates the inputs of
-/// distinct jobs sharing a dataset.
+/// distinct jobs sharing a dataset.  Each rank's field is generated once and
+/// served from a cache (rank threads call in concurrently), so the sweep
+/// spends its time in the collectives rather than in field synthesis.
 RankInputFn dataset_input(DatasetId id, size_t elements, uint32_t salt = 0) {
-  return [id, elements, salt](int rank) {
-    std::vector<float> f = generate_field(id, Scale::kTiny, static_cast<uint32_t>(rank) + salt);
-    f.resize(elements, 0.25f * static_cast<float>(rank + 1));
-    return f;
+  struct Cache {
+    std::mutex mutex;
+    std::map<int, std::vector<float>> fields;
+  };
+  auto cache = std::make_shared<Cache>();
+  return [id, elements, salt, cache](int rank) {
+    const std::lock_guard<std::mutex> lock(cache->mutex);
+    auto it = cache->fields.find(rank);
+    if (it == cache->fields.end()) {
+      std::vector<float> f =
+          generate_field(id, Scale::kTiny, static_cast<uint32_t>(rank) + salt);
+      f.resize(elements, 0.25f * static_cast<float>(rank + 1));
+      it = cache->fields.emplace(rank, std::move(f)).first;
+    }
+    return it->second;
   };
 }
 
@@ -134,12 +154,49 @@ std::string diff_name(const testing::TestParamInfo<DiffCase>& info) {
 
 class SchedDifferential : public testing::TestWithParam<DiffCase> {};
 
+/// One job on a lone engine against its blocking run.  Output bytes always;
+/// reduce-scatter and allreduce, which run_collective reproduces whole, must
+/// also match its digest checks and mismatches, hZ pipeline mix and frames
+/// sent, and — granted at 0 with nothing else running — complete at the
+/// blocking run's slowest-rank time exactly.
+void expect_engine_matches_blocking(Kernel kernel, ICollOp op, const JobConfig& config,
+                                    const RankInputFn& input, const NetModel& net,
+                                    const std::string& what) {
+  if (op == ICollOp::kAllgather) {
+    ASSERT_EQ(engine_output(kernel, op, config, input, net),
+              blocking_reference(kernel, op, config, input))
+        << what;
+    return;
+  }
+  const Op blocking_op = op == ICollOp::kAllreduce ? Op::kAllreduce : Op::kReduceScatter;
+  const JobResult want = run_collective(kernel, blocking_op, config, input);
+
+  EngineConfig ec;
+  ec.fleet_ranks = config.nranks;
+  ec.net = net;
+  Engine engine(ec);
+  const Request req = engine.submit(kernel, op, config, input);
+  engine.run();
+  const JobOutcome& got = engine.outcome(req);
+  ASSERT_TRUE(got.completed) << what << ": " << got.error;
+  ASSERT_EQ(got.rank0_output, want.rank0_output) << what;
+  EXPECT_EQ(got.integrity.digests_checked, want.integrity.digests_checked) << what;
+  EXPECT_EQ(got.integrity.mismatches, want.integrity.mismatches) << what;
+  EXPECT_EQ(got.pipeline_stats.p1, want.pipeline_stats.p1) << what;
+  EXPECT_EQ(got.pipeline_stats.p2, want.pipeline_stats.p2) << what;
+  EXPECT_EQ(got.pipeline_stats.p3, want.pipeline_stats.p3) << what;
+  EXPECT_EQ(got.pipeline_stats.p4, want.pipeline_stats.p4) << what;
+  EXPECT_EQ(got.transport.frames_sent, want.transport.frames_sent) << what;
+  EXPECT_EQ(got.grant_vtime, 0.0) << what;
+  EXPECT_EQ(got.complete_vtime, want.slowest.total_seconds) << what;
+}
+
 TEST_P(SchedDifferential, MatchesBlockingBitwise) {
   const DiffCase p = GetParam();
   const NetModel net =
       p.hierarchical ? NetModel::omnipath_100g_nodes(4) : NetModel::omnipath_100g();
   const int nranks = 8;
-  const JobConfig config = job_config(nranks, net, p.algo);
+  JobConfig config = job_config(nranks, net, p.algo);
 
   // Reduce-scatter and allgather always ring, so sweeping them once (on the
   // ring rows) covers them; the non-ring rows exercise allreduce only.
@@ -148,13 +205,26 @@ TEST_P(SchedDifferential, MatchesBlockingBitwise) {
     ops = {ICollOp::kReduceScatter, ICollOp::kAllreduce, ICollOp::kAllgather};
   }
 
-  for (const DatasetId id : all_datasets()) {
-    const RankInputFn input = dataset_input(id, kElements);
-    for (const ICollOp op : ops) {
-      const std::vector<float> got = engine_output(p.kernel, op, config, input, net);
-      const std::vector<float> want = blocking_reference(p.kernel, op, config, input);
-      ASSERT_EQ(got, want) << "dataset " << dataset_name(id) << " op "
-                           << sched::icoll_op_name(op);
+  // Every dataset with verification off; three of them under each digest
+  // policy (final: check at the last decode; round: check every stream and
+  // every combine).
+  const std::span<const DatasetId> all = all_datasets();
+  const std::vector<DatasetId> every(all.begin(), all.end());
+  const std::vector<DatasetId> verified{DatasetId::kCesmAtm, DatasetId::kHurricane,
+                                        DatasetId::kNyx};
+  for (const VerifyPolicy verify :
+       {VerifyPolicy::kOff, VerifyPolicy::kFinal, VerifyPolicy::kPerRound}) {
+    config.verify = verify;
+    const std::vector<DatasetId>& datasets = verify == VerifyPolicy::kOff ? every : verified;
+    for (const DatasetId id : datasets) {
+      const RankInputFn input = dataset_input(id, kElements);
+      for (const ICollOp op : ops) {
+        expect_engine_matches_blocking(
+            p.kernel, op, config, input, net,
+            std::string("dataset ") + dataset_name(id) + " op " + sched::icoll_op_name(op) +
+                " verify " + coll::verify_policy_name(verify));
+        if (HasFatalFailure()) return;
+      }
     }
   }
 }

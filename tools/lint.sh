@@ -13,6 +13,11 @@
 #      parse/compress result and usually hides a bug.
 #   4. Header hygiene: every public header carries #pragma once and no
 #      file-scope `using namespace`.
+#   5. No second copy of a collective schedule: nothing under src/sched/ or
+#      include/hzccl/sched/ calls the codec (fz_compress, fz_decompress),
+#      the homomorphic combine (hz_add) or the ring step arithmetic
+#      (rs_send_block, rs_recv_block, ag_send_block, ag_recv_block).  The
+#      engine runs the bodies in include/hzccl/collectives/schedules.hpp.
 #
 # Exits nonzero listing every violation.  Runs clang-tidy (.clang-tidy) on
 # top when the binary exists; the baseline image is GCC-only, so the text
@@ -58,6 +63,12 @@ report "pragma-once" "$matches"
 # Rule 4b: no file-scope using-namespace in headers.
 matches=$(grep -rnE "^\s*using namespace" include/ --include="*.hpp" 2>/dev/null || true)
 report "no-using-namespace-in-headers" "$matches"
+
+# Rule 5: the engine dispatches to the shared collective bodies and never
+# carries its own copy of a schedule.
+matches=$(grep -rnE "\b(fz_compress|fz_decompress|hz_add|rs_send_block|rs_recv_block|ag_send_block|ag_recv_block)\s*\(" \
+  src/sched include/hzccl/sched 2>/dev/null || true)
+report "no-schedule-copy-in-sched" "$matches"
 
 # Optional deep pass: clang-tidy with the checked-in .clang-tidy, if a
 # compilation database and the tool are both available.
