@@ -1,7 +1,7 @@
 // Kernel-level microbenchmarks: the primitives whose cost structure the
 // paper's design arguments rest on — the bit-shifting pack/unpack routines,
-// block encode/decode, fused quantize+predict, the compressors end-to-end,
-// and hz_add versus doc_add.
+// block encode/decode, the fused classify-quantize-predict block pass, the
+// compressors end-to-end, and hz_add versus doc_add.
 //
 // Two modes:
 //  * default — the google-benchmark harness (filters, repetitions, etc.);
@@ -17,11 +17,13 @@
 //    primitives and crc32c are measured once per supported dispatch level
 //    (tagged with a "level" field), and so are the whole-block codec and
 //    digest fold on the codec's 32-value block (decode_block, encode_block,
-//    digest_block; "bits" is the code length); --simd-floor R
+//    digest_block; "bits" is the code length) and the fused block pass on
+//    32-value blocks of three datasets (fz_quantize_predict); --simd-floor R
 //    fails the run if the best level's unpack_bits throughput at the
-//    byte-straddling widths (bits >= 3), or its decode_block at n = 32 over
-//    the measured code lengths together, is below R× the scalar table's —
-//    the SIMD speedup gate.  Skipped on hosts whose best level is scalar.
+//    byte-straddling widths (bits >= 3), its decode_block at n = 32 over the
+//    measured code lengths together, or its fz_quantize_predict over the
+//    three datasets together, is below R× the scalar table's — the SIMD
+//    speedup gate.  Skipped on hosts whose best level is scalar.
 //    --verify-overhead P fails the run if per-round ABFT digest verification
 //    adds more than P% to the modeled end-to-end hZCCL allreduce at the
 //    paper's scalability point (512 ranks x 8 MiB per rank, RoundSim +
@@ -36,6 +38,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hzccl/cluster/roundsim.hpp"
@@ -458,6 +461,43 @@ std::vector<JsonEntry> measure_block_kernels(double min_seconds) {
   return out;
 }
 
+/// Datasets of the fz_quantize_predict entries.
+const std::vector<DatasetId> kBlockPassDatasets = {DatasetId::kRtmSim1, DatasetId::kCesmAtm,
+                                                   DatasetId::kHurricane};
+
+/// The fused classify-quantize-predict slot at the active level on the
+/// codec's production block (n = 32): one op walks a whole dataset field
+/// block by block, carrying the chain as compress_chunk does.  GB/s counts
+/// the input floats.
+std::vector<JsonEntry> measure_block_pass(const std::vector<std::vector<float>>& fields,
+                                          double min_seconds) {
+  constexpr size_t n = 32;
+  const kernels::KernelTable& table = kernels::active();
+  std::vector<JsonEntry> out;
+  for (size_t d = 0; d < kBlockPassDatasets.size(); ++d) {
+    const std::vector<float>& field = fields[d];
+    const double inv_twice_eb = 1.0 / (2.0 * abs_bound_from_rel(field, 1e-3));
+    const size_t nblocks = field.size() / n;
+    int64_t q[n];
+    uint32_t mags[n];
+    uint32_t signs[n];
+    out.push_back(measure_json("fz_quantize_predict", -1, dataset_slug(kBlockPassDatasets[d]),
+                               nblocks * n * sizeof(float), min_seconds, [&] {
+      int32_t q_prev = 0;
+      uint64_t guards = 0;
+      for (size_t b = 0; b < nblocks; ++b) {
+        const kernels::QuantizePredictResult r = table.fz_quantize_predict(
+            field.data() + b * n, n, inv_twice_eb, q_prev, false, q, mags, signs);
+        guards |= r.q_guard | r.max_mag;
+        if (r.raw == kernels::RawVerdict::kNone) q_prev = static_cast<int32_t>(q[n - 1]);
+      }
+      benchmark::DoNotOptimize(guards);
+      benchmark::ClobberMemory();
+    }));
+  }
+  return out;
+}
+
 int run_json_mode(const JsonOptions& opts) {
   const double min_seconds = opts.quick ? 0.05 : 0.3;
   std::vector<JsonEntry> entries;
@@ -476,6 +516,10 @@ int run_json_mode(const JsonOptions& opts) {
   {
     Rng rng(7);
     for (uint8_t& b : wire) b = static_cast<uint8_t>(rng.below(256));
+  }
+  std::vector<std::vector<float>> block_pass_fields;
+  for (const DatasetId id : kBlockPassDatasets) {
+    block_pass_fields.push_back(generate_field(id, Scale::kTiny, 0));
   }
   for (const kernels::DispatchLevel level : levels) {
     kernels::set_dispatch_level(level);
@@ -504,6 +548,10 @@ int run_json_mode(const JsonOptions& opts) {
       entries.push_back(unpack);
     }
     for (JsonEntry& e : measure_block_kernels(min_seconds)) {
+      e.level = level_slug;
+      entries.push_back(std::move(e));
+    }
+    for (JsonEntry& e : measure_block_pass(block_pass_fields, min_seconds)) {
       e.level = level_slug;
       entries.push_back(std::move(e));
     }
@@ -656,50 +704,63 @@ int run_json_mode(const JsonOptions& opts) {
     }
   }
 
-  // SIMD speedup gate: the best level's whole-block decode at n = 32 (the
-  // loop the codec runs) and its unpack at byte-straddling widths (bits >= 3
-  // — the shift-cascade cases the vector kernels exist for) must beat the
-  // scalar table by the requested factor.  Scalar-only hosts have nothing
-  // to compare, so the gate reports itself skipped.
+  // SIMD speedup gate: the best level's whole-block decode and fused block
+  // pass at n = 32 (the loops the codec runs) and its unpack at
+  // byte-straddling widths (bits >= 3 — the shift-cascade cases the vector
+  // kernels exist for) must beat the scalar table by the requested factor.
+  // Scalar-only hosts have nothing to compare, so the gate reports itself
+  // skipped.
   if (opts.simd_floor > 0) {
     const kernels::DispatchLevel best = kernels::best_supported_level();
     if (best == kernels::DispatchLevel::kScalar) {
       std::printf("simd-floor gate skipped: best supported level is scalar\n");
     } else {
-      const auto find_gbps = [&](const char* kernel, int bits, const char* level) {
+      const auto find_gbps = [&](const char* kernel, int bits, const std::string& dataset,
+                                 const char* level) {
         for (const JsonEntry& e : entries) {
-          if (e.kernel == kernel && e.bits == bits && e.level == level) return e.gbps;
+          if (e.kernel == kernel && e.bits == bits && e.dataset == dataset && e.level == level) {
+            return e.gbps;
+          }
         }
         return 0.0;
       };
       const char* best_slug = kernels::level_name(best);
-      // The codec's production path: whole-block decode at n = 32, gated on
-      // the time to decode one block at each measured code length (equal
-      // bytes per entry, so the per-c seconds per GB add up).
-      double scalar_s = 0.0;
-      double best_s = 0.0;
-      for (const int c : kBlockCodeLengths) {
-        const double scalar_gbps = find_gbps("decode_block", c, "scalar");
-        const double best_gbps = find_gbps("decode_block", c, best_slug);
-        scalar_s += scalar_gbps > 0 ? 1.0 / scalar_gbps : 0.0;
-        best_s += best_gbps > 0 ? 1.0 / best_gbps : 0.0;
-        std::printf("simd-floor decode_block n=32 c=%d: %s %.3f GB/s vs scalar %.3f GB/s (%.2fx)\n",
-                    c, best_slug, best_gbps, scalar_gbps,
-                    scalar_gbps > 0 ? best_gbps / scalar_gbps : 0.0);
-      }
-      const double block_ratio = best_s > 0 ? scalar_s / best_s : 0.0;
-      std::printf("simd-floor decode_block n=32, all code lengths: %s %.2fx scalar (floor %.2fx)\n",
-                  best_slug, block_ratio, opts.simd_floor);
-      if (block_ratio < opts.simd_floor) {
-        std::fprintf(stderr,
-                     "bench_kernels: decode_block n=32 at %s is %.2fx scalar, floor is %.2fx\n",
-                     best_slug, block_ratio, opts.simd_floor);
-        ++failures;
-      }
+      // A production-path kernel at n = 32, gated on the time to process the
+      // same bytes at each measured point (bits, dataset) together: equal
+      // bytes per point, so the per-point seconds per GB add up.
+      const auto gate_points = [&](const char* kernel, const char* points_label,
+                                   const std::vector<std::pair<int, std::string>>& points) {
+        double scalar_s = 0.0;
+        double best_s = 0.0;
+        for (const auto& [bits, dataset] : points) {
+          const double scalar_gbps = find_gbps(kernel, bits, dataset, "scalar");
+          const double best_gbps = find_gbps(kernel, bits, dataset, best_slug);
+          scalar_s += scalar_gbps > 0 ? 1.0 / scalar_gbps : 0.0;
+          best_s += best_gbps > 0 ? 1.0 / best_gbps : 0.0;
+          const std::string point = bits >= 0 ? "c=" + std::to_string(bits) : dataset;
+          std::printf("simd-floor %s n=32 %s: %s %.3f GB/s vs scalar %.3f GB/s (%.2fx)\n", kernel,
+                      point.c_str(), best_slug, best_gbps, scalar_gbps,
+                      scalar_gbps > 0 ? best_gbps / scalar_gbps : 0.0);
+        }
+        const double ratio = best_s > 0 ? scalar_s / best_s : 0.0;
+        std::printf("simd-floor %s n=32, %s: %s %.2fx scalar (floor %.2fx)\n", kernel,
+                    points_label, best_slug, ratio, opts.simd_floor);
+        if (ratio < opts.simd_floor) {
+          std::fprintf(stderr, "bench_kernels: %s n=32 at %s is %.2fx scalar, floor is %.2fx\n",
+                       kernel, best_slug, ratio, opts.simd_floor);
+          ++failures;
+        }
+      };
+      std::vector<std::pair<int, std::string>> code_lengths;
+      for (const int c : kBlockCodeLengths) code_lengths.emplace_back(c, "");
+      gate_points("decode_block", "all code lengths", code_lengths);
+      std::vector<std::pair<int, std::string>> datasets;
+      for (const DatasetId id : kBlockPassDatasets) datasets.emplace_back(-1, dataset_slug(id));
+      gate_points("fz_quantize_predict", "all datasets", datasets);
       for (const int bits : bit_widths) {
         if (bits < 3) continue;
-        const double scalar_gbps = find_gbps("unpack_bits", bits, "scalar");
-        const double best_gbps = find_gbps("unpack_bits", bits, best_slug);
+        const double scalar_gbps = find_gbps("unpack_bits", bits, "", "scalar");
+        const double best_gbps = find_gbps("unpack_bits", bits, "", best_slug);
         const double ratio = scalar_gbps > 0 ? best_gbps / scalar_gbps : 0.0;
         std::printf("simd-floor unpack_bits bits=%d: %s %.3f GB/s vs scalar %.3f GB/s "
                     "(%.2fx, floor %.2fx)\n",

@@ -187,24 +187,26 @@ inline bool has_raw_blocks(const FzHeader& h) { return (h.flags & kFlagHasRawBlo
 [[nodiscard]] CompressedBuffer strip_checksum(CompressedBuffer stream);
 
 /// Assembles an fZ-light stream from per-chunk payloads produced in
-/// parallel.  Each chunk gets a worst-case padded region that threads write
-/// independently; finish() compacts the regions, fills the offset/outlier
-/// tables and header, and returns the tight stream.  Shared by the
-/// compressor and every homomorphic operator.
+/// parallel.  Each chunk gets a worst-case region of uninitialized arena
+/// scratch that threads write independently; only the bytes a chunk keeps
+/// are ever written.  finish() sizes the tight stream, copies each chunk's
+/// payload into it once, fills the offset/outlier tables and header, and
+/// returns it.  Shared by the compressor and every homomorphic operator.
 class ChunkedStreamAssembler {
  public:
   /// `header` must carry the final element count, block length, chunk count
   /// and error bound; the magic/version are forced to the fZ values.  With a
-  /// `pool`, the result's byte storage is acquired from it (the caller later
-  /// releases the finished stream back); the offset/size/outlier scratch
-  /// always comes from the thread-local ScratchArena, so a warm steady-state
-  /// assembly performs no heap allocation at all.
+  /// `pool`, finish() acquires the result's byte storage from it (the caller
+  /// later releases the finished stream back).  The tables and the chunk
+  /// regions come from the thread-local ScratchArena, tables first, so a
+  /// warm steady-state assembly performs no heap allocation at all.
   explicit ChunkedStreamAssembler(FzHeader header, BufferPool* pool = nullptr);
 
   uint32_t num_chunks() const { return header_.num_chunks; }
 
-  /// Padded scratch region for chunk `c`; safe for concurrent use across
-  /// distinct chunks.
+  /// Worst-case scratch region for chunk `c`, uninitialized; safe for
+  /// concurrent use across distinct chunks.  Bytes past the payload size
+  /// given to set_chunk are never read.
   uint8_t* chunk_buffer(uint32_t c);
 
   /// Worst-case capacity of chunk `c`'s region.
@@ -234,21 +236,23 @@ class ChunkedStreamAssembler {
     header_.flags |= flags;
   }
 
-  /// Compact and seal; the assembler is spent afterwards.
+  /// Copy the chunks into the tight stream and seal it; the assembler is
+  /// spent afterwards.
   [[nodiscard]] CompressedBuffer finish();
 
  private:
   FzHeader header_;
-  /// Arena region backing the three table spans below (and finish()'s tight
-  /// offset table); rewound when the assembler dies.  Assemblers nest LIFO
-  /// (one per in-flight op per thread), which member destruction order and
-  /// RAII guarantee.
+  BufferPool* pool_;
+  /// Arena region backing every span below; rewound when the assembler
+  /// dies.  Assemblers nest LIFO (one per in-flight op per thread), which
+  /// member destruction order and RAII guarantee.
   ArenaScope scratch_;
   std::span<size_t> worst_offset_;  ///< num_chunks + 1 entries
   std::span<size_t> chunk_size_;
   std::span<int32_t> outliers_;
-  std::span<uint64_t> digests_;  ///< 2 words per chunk when emitting digests
-  CompressedBuffer result_;
+  std::span<uint64_t> digests_;       ///< 2 words per chunk when emitting digests
+  std::span<uint64_t> tight_offset_;  ///< finish()'s offset table
+  std::span<uint8_t> regions_;        ///< the chunk regions, uninitialized
 };
 
 }  // namespace hzccl

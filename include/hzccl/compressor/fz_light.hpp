@@ -2,10 +2,13 @@
 // architectures (§III-B2/B3).
 //
 // Pipeline: multi-layer partitioning (contiguous per-thread chunks, then
-// small blocks) -> fused quantization + 1-D Lorenzo prediction -> ultra-fast
-// fixed-length encoding.  One outlier (the first quantized value) is stored
-// per *chunk*, versus one per block in cuSZp/ompSZp — the source of the
-// compression-ratio advantage in Table III.
+// small blocks) -> one fused pass per block (the fz_quantize_predict kernel
+// slot: raw-fallback classification, quantization and 1-D Lorenzo
+// prediction) -> ultra-fast fixed-length encoding, written straight into the
+// chunk's arena scratch region; the stream is assembled from the bytes each
+// chunk keeps, with one copy.  One outlier (the first quantized value) is
+// stored per *chunk*, versus one per block in cuSZp/ompSZp — the source of
+// the compression-ratio advantage in Table III.
 #pragma once
 
 #include <cstdint>

@@ -12,6 +12,8 @@
 #include <cstdint>
 
 #include "hzccl/compressor/format.hpp"
+#include "hzccl/kernels/dispatch.hpp"
+#include "hzccl/stats/metrics.hpp"
 #include "hzccl/util/contracts.hpp"
 #include "hzccl/util/error.hpp"
 #include "hzccl/util/raise.hpp"
@@ -51,5 +53,12 @@ struct Quantizer {
   /// homomorphically reduced streams can carry sums of many operands.
   float dequantize(int64_t q) const { return static_cast<float>(static_cast<double>(q) * twice_eb); }
 };
+
+/// Count a raw verdict of the fused block slot (kernels::RawVerdict, not
+/// kNone) under the matching classify_raw_block reason.
+inline void count_raw_block(kernels::RawVerdict verdict) {
+  count_raw_block(verdict == kernels::RawVerdict::kNonFinite ? RawBlockReason::kNonFinite
+                                                             : RawBlockReason::kDenormalHeavy);
+}
 
 }  // namespace hzccl

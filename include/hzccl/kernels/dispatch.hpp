@@ -4,8 +4,11 @@
 // through a handful of primitives: the ultra-fast bit-shifting pack/unpack
 // (paper §III-B3) and the whole-block fixed-length codec built on it, the
 // quantized-delta merge at the heart of hz_add (§III-C), fZ-light's fused
-// quantize + 1-D Lorenzo predict scan (§III-B2), and the ABFT digest fold
-// of the verify walk.  The transport adds one more: the CRC-32C every wire
+// block pass — raw-fallback classification, quantization and 1-D Lorenzo
+// prediction in one walk over the block (§III-B2; the fz_quantize_predict
+// slot, which replaced separate fz_quantize and fz_predict slots and the
+// per-block classify_raw_block call) — and the ABFT digest fold of the
+// verify walk.  The transport adds one more: the CRC-32C every wire
 // frame carries.  This header exposes those primitives as a table of function
 // pointers with one table per *dispatch level*:
 //
@@ -17,8 +20,9 @@
 //             codec on 8-value PDEP/PEXT groups, and the hardware crc32
 //             instruction.
 //   kAvx512 — AVX-512 (F/BW/DQ/VL/VBMI): VPERMB + VPMULTISHIFTQB unpack,
-//             the block codec on 32-value groups, 8-lane int64 merge,
-//             VCVTPD2QQ exact-llrint quantizer.
+//             the block codec on 32-value groups, 8-lane int64 merge, and
+//             the fused block pass in one masked walk (VCVTPD2QQ, the exact
+//             llrint, with the predecessor lane from VALIGND).
 //
 // Contract: every variant produces byte-identical output to the scalar
 // reference on identical input — including sign conventions, guard
@@ -67,14 +71,33 @@ using UnpackFn = void (*)(const uint8_t* src, size_t n, uint32_t* values);
 /// before using mags/signs.
 using CombineFn = uint64_t (*)(const int32_t* ra, const int32_t* rb, size_t n, int sign_b,
                                uint32_t* mags, uint32_t* signs);
-/// q[i] = llrint(data[i] * inv_twice_eb) in double; returns the OR of all
-/// |q| so the caller can range-check the whole block with one compare.
-using QuantizeFn = uint64_t (*)(const float* data, size_t n, double inv_twice_eb, int64_t* q);
-/// 1-D Lorenzo predict over a quantized block: r[i] = q[i] - q[i-1] (q[-1]
-/// = q_prev), emitted directly as the magnitude/sign split; returns the OR
-/// of the magnitudes (== code-length source; 0 means a constant block).
-using PredictFn = uint32_t (*)(const int64_t* q, size_t n, int32_t q_prev, uint32_t* mags,
-                               uint32_t* signs);
+/// Raw-fallback verdict of the fused block pass, decided exactly as
+/// classify_raw_block (hzccl/stats/metrics.hpp) decides it: any NaN or
+/// infinity makes the block non-finite; otherwise more than n/2 subnormal
+/// values make it denormal-heavy.
+enum class RawVerdict : uint8_t { kNone = 0, kNonFinite = 1, kDenormalHeavy = 2 };
+
+/// What the fused block pass found.  On a raw verdict the guards are 0.
+struct QuantizePredictResult {
+  uint64_t q_guard = 0;  ///< OR of all |q| (64-bit; llrint's overflow value counts as 2^63)
+  uint32_t max_mag = 0;  ///< OR of all residual magnitudes (the code-length source)
+  RawVerdict raw = RawVerdict::kNone;
+};
+
+/// fZ-light's fused block pass (paper §III-B2) over data[0, n), n <=
+/// kMaxBlockValues; reads exactly n floats.  First the raw verdict: on a
+/// raw one the slot returns it and writes nothing.  Otherwise it writes
+/// q[i] = llrint(data[i] * inv_twice_eb) in double and the 1-D Lorenzo
+/// residuals r[i] = (int32)q[i] - (int32)q[i-1] in int64 as the
+/// magnitude/sign split (sign 1 = negative), and returns both guards.  The
+/// chain starts from q[-1] = q_prev, or with `restart` from the block's own
+/// first value (q[-1] = (int32)q[0], so r[0] = 0).  The slot never raises:
+/// a q_guard above the quantization domain is the caller's to reject
+/// before it uses q, mags or signs.
+using QuantizePredictFn = QuantizePredictResult (*)(const float* data, size_t n,
+                                                    double inv_twice_eb, int32_t q_prev,
+                                                    bool restart, int64_t* q, uint32_t* mags,
+                                                    uint32_t* signs);
 /// SZx classification scan: out = {min, max, max |value|} over data[0, n).
 /// Contract: n >= 1 and the block is NaN-free (classify_raw_block routes
 /// non-finite blocks to the raw fallback before the scan runs).  Negative
@@ -119,8 +142,7 @@ struct KernelTable {
   PackFn pack[kMaxPackBits + 1] = {};
   UnpackFn unpack[kMaxPackBits + 1] = {};
   CombineFn hz_combine_residuals = nullptr;
-  QuantizeFn fz_quantize = nullptr;
-  PredictFn fz_predict = nullptr;
+  QuantizePredictFn fz_quantize_predict = nullptr;
   SzxScanFn szx_scan = nullptr;
   Crc32cFn crc32c = nullptr;
   DecodeBlockFn decode_block = nullptr;

@@ -15,11 +15,15 @@
 //    simmpi means one per rank — the "per-Comm pool" the ring collectives
 //    share across rounds and across calls.
 //
-//  * ScratchArena — a rewindable bump allocator for per-op table scratch
-//    (assembler offset tables, per-chunk pipeline stats).  ArenaScope marks
-//    the cursor on entry and rewinds on exit; blocks are never freed, so
-//    nested ops (hz_add inside a collective round) reuse the same few blocks
-//    forever.  Scopes must nest LIFO, which RAII enforces naturally.
+//  * ScratchArena — a rewindable bump allocator for per-op scratch
+//    (assembler offset tables and worst-case chunk regions, per-chunk
+//    pipeline stats).  ArenaScope marks the cursor on entry and rewinds on
+//    exit; blocks are never freed, so nested ops (hz_add inside a collective
+//    round) reuse the same few blocks forever.  Scopes must nest LIFO, which
+//    RAII enforces naturally.  Blocks are minted uninitialized: alloc()
+//    zeroes what it hands out, alloc_for_overwrite() does not, so a region
+//    the caller fully writes before reading costs no zero-fill (and no page
+//    faults on the pages it never touches).
 //
 // Observability: every fresh heap block either facility has to mint is also
 // counted into a process-wide atomic, pool_heap_allocations().  The perf
@@ -104,9 +108,9 @@ class BufferPool {
 };
 
 /// Rewindable bump allocator for trivially-copyable per-op scratch.  Grows a
-/// chain of blocks on demand and never frees them; rewinding (ArenaScope)
-/// just moves the cursor back, so steady-state allocation cost is zero.
-/// Not thread-safe: one arena per thread (see local()).
+/// chain of uninitialized blocks on demand and never frees them; rewinding
+/// (ArenaScope) just moves the cursor back, so steady-state allocation cost
+/// is zero.  Not thread-safe: one arena per thread (see local()).
 class ScratchArena {
  public:
   ScratchArena() = default;
@@ -129,11 +133,19 @@ class ScratchArena {
   /// runs destructors).
   template <class T>
   std::span<T> alloc(size_t n) {
+    const std::span<T> s = alloc_for_overwrite<T>(n);
+    if (!s.empty()) std::memset(static_cast<void*>(s.data()), 0, s.size_bytes());
+    return s;
+  }
+
+  /// Like alloc, but the values are left as they are: whatever an earlier
+  /// scope wrote there, or nothing.  For regions the caller writes before
+  /// it reads them.
+  template <class T>
+  std::span<T> alloc_for_overwrite(size_t n) {
     static_assert(std::is_trivially_copyable_v<T>, "arena scratch must be trivially copyable");
     if (n == 0) return {};
-    void* p = raw(n * sizeof(T), alignof(T));
-    std::memset(p, 0, n * sizeof(T));
-    return {static_cast<T*>(p), n};
+    return {static_cast<T*>(raw(n * sizeof(T), alignof(T))), n};
   }
 
   /// Blocks minted so far (steady state: stops moving).
@@ -169,6 +181,11 @@ class ArenaScope {
   template <class T>
   std::span<T> alloc(size_t n) {
     return arena_.alloc<T>(n);
+  }
+
+  template <class T>
+  std::span<T> alloc_for_overwrite(size_t n) {
+    return arena_.alloc_for_overwrite<T>(n);
   }
 
  private:

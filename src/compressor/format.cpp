@@ -126,7 +126,7 @@ bool layout_compatible(const FzView& a, const FzView& b) {
 }
 
 ChunkedStreamAssembler::ChunkedStreamAssembler(FzHeader header, BufferPool* pool)
-    : header_(header), scratch_(ScratchArena::local()) {
+    : header_(header), pool_(pool), scratch_(ScratchArena::local()) {
   header_.magic = kFzMagic;
   header_.version = kFormatVersion;
   const uint32_t nchunks = header_.num_chunks;
@@ -143,18 +143,15 @@ ChunkedStreamAssembler::ChunkedStreamAssembler(FzHeader header, BufferPool* pool
   }
   chunk_size_ = scratch_.alloc<size_t>(nchunks);
   outliers_ = scratch_.alloc<int32_t>(nchunks);
-  if (has_digests(header_)) {
-    digests_ = scratch_.alloc<uint64_t>(2 * size_t{nchunks});
-    std::fill(digests_.begin(), digests_.end(), uint64_t{0});
-  }
-  const size_t total = fz_preamble_size(nchunks, header_.flags) + worst_offset_[nchunks];
-  if (pool) result_.bytes = pool->acquire(total);
-  result_.bytes.resize(total);
+  if (has_digests(header_)) digests_ = scratch_.alloc<uint64_t>(2 * size_t{nchunks});
+  tight_offset_ = scratch_.alloc<uint64_t>(nchunks);
+  // The regions come last, after every table: a table taken after them
+  // would sit past the largest request and could force a block of its own.
+  regions_ = scratch_.alloc_for_overwrite<uint8_t>(worst_offset_[nchunks]);
 }
 
 uint8_t* ChunkedStreamAssembler::chunk_buffer(uint32_t c) {
-  return result_.bytes.data() + fz_preamble_size(header_.num_chunks, header_.flags) +
-         worst_offset_[c];
+  return regions_.data() + worst_offset_[c];
 }
 
 size_t ChunkedStreamAssembler::chunk_capacity(uint32_t c) const {
@@ -183,27 +180,31 @@ void ChunkedStreamAssembler::set_chunk_digest(uint32_t c, integrity::Digest d) {
 CompressedBuffer ChunkedStreamAssembler::finish() {
   const uint32_t nchunks = header_.num_chunks;
   const size_t preamble = fz_preamble_size(nchunks, header_.flags);
-  uint8_t* const payload = result_.bytes.data() + preamble;
-
-  const std::span<uint64_t> tight_offset = scratch_.alloc<uint64_t>(nchunks);
-  size_t write = 0;
+  size_t payload = 0;
   for (uint32_t c = 0; c < nchunks; ++c) {
-    tight_offset[c] = write;
-    if (write != worst_offset_[c] && chunk_size_[c] > 0) {
-      std::memmove(payload + write, payload + worst_offset_[c], chunk_size_[c]);
-    }
-    write += chunk_size_[c];
+    tight_offset_[c] = payload;
+    payload += chunk_size_[c];
   }
-  result_.bytes.resize(preamble + write);
 
-  ByteWriter writer({result_.bytes.data(), preamble}, "fz preamble");
+  // Only the preamble is value-initialized (and then overwritten); each
+  // chunk's kept bytes are appended into reserved capacity, one copy each.
+  CompressedBuffer result;
+  if (pool_) result.bytes = pool_->acquire(preamble + payload);
+  result.bytes.reserve(preamble + payload);
+  result.bytes.resize(preamble);
+  for (uint32_t c = 0; c < nchunks; ++c) {
+    const uint8_t* const chunk = chunk_buffer(c);
+    result.bytes.insert(result.bytes.end(), chunk, chunk + chunk_size_[c]);
+  }
+
+  ByteWriter writer({result.bytes.data(), preamble}, "fz preamble");
   writer.write(header_, "header");
-  writer.write_array(tight_offset.data(), nchunks, "chunk offset table");
+  writer.write_array(tight_offset_.data(), nchunks, "chunk offset table");
   if (has_digests(header_)) {
     writer.write_array(digests_.data(), 2 * size_t{nchunks}, "chunk digest table");
   }
   writer.write_array(outliers_.data(), nchunks, "chunk outlier table");
-  return std::move(result_);
+  return result;
 }
 
 CompressedBuffer add_checksum(CompressedBuffer stream) {

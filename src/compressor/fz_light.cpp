@@ -54,28 +54,27 @@ HZCCL_HOT size_t compress_chunk(std::span<const float> data, Range range, uint32
   const kernels::KernelTable& k = kernels::active();
   while (pos < range.end) {
     const size_t n = std::min<size_t>(block_len, range.end - pos);
+    // Fused classify + quantize + predict (paper §III-B2): one dispatched
+    // pass over the block decides the raw verdict, quantizes and emits the
+    // magnitude/sign split, OR-accumulating both guards.
+    const kernels::QuantizePredictResult s = k.fz_quantize_predict(
+        data.data() + pos, n, quant.inv_twice_eb, q_prev, /*restart=*/false, qbuf, mags, signs);
     // Raw fallback: blocks the residual domain cannot carry faithfully
     // (NaN/Inf would poison llrint; denormal-heavy blocks would collapse to
     // zeros) store their floats verbatim and stay outside the prediction
-    // chain — q_prev is deliberately not advanced.
-    if (const auto reason = classify_raw_block(data.data() + pos, n)) {
-      count_raw_block(*reason);
+    // chain — q_prev is deliberately not advanced.  The verdict outranks
+    // the range guard, so a NaN block never raises.
+    if (s.raw != kernels::RawVerdict::kNone) {
+      count_raw_block(s.raw);
       out = encode_raw_block(data.data() + pos, n, out, out_end);
       *emitted_raw = true;
       pos += n;
       continue;
     }
-    // Fused quantize + predict (paper §III-B2), staged per block through the
-    // dispatched kernels: a branch-free quantization pass (the range guard
-    // is OR-accumulated and checked once per block), then the prediction
-    // pass emitting the magnitude/sign split directly.  Staging keeps the
-    // llrint pipeline free of the prediction dependency chain.
-    const uint64_t q_guard = k.fz_quantize(data.data() + pos, n, quant.inv_twice_eb, qbuf);
-    if (q_guard > static_cast<uint64_t>(kMaxQuantMagnitude)) {
+    if (s.q_guard > static_cast<uint64_t>(kMaxQuantMagnitude)) {
       detail::raise_quant_range(
           "value/error-bound ratio exceeds the 30-bit quantization domain");
     }
-    const uint32_t max_mag = k.fz_predict(qbuf, n, q_prev, mags, signs);
     q_prev = static_cast<int32_t>(qbuf[n - 1]);
     // ABFT digest: the decoder's chain value at element i is exactly
     // qbuf[i], so the digest folds straight off the quantization buffer.
@@ -84,13 +83,13 @@ HZCCL_HOT size_t compress_chunk(std::span<const float> data, Range range, uint32
       const uint64_t base = static_cast<uint64_t>(pos - range.begin) + 1;
       for (size_t i = 0; i < n; ++i) digest->accumulate(qbuf[i], base + i);
     }
-    if (max_mag == 0) {
+    if (s.max_mag == 0) {
       // Constant block: one code-length byte, no sign/magnitude work at all
       // (the quiet-data fast path that dominates scientific fields).
       if (out >= out_end) detail::raise_capacity("fz_compress: chunk capacity exceeded");
       *out++ = 0;
     } else {
-      out = encode_block_prepared(mags, signs, n, code_length_for(max_mag), out, out_end);
+      out = encode_block_prepared(mags, signs, n, code_length_for(s.max_mag), out, out_end);
     }
     pos += n;
   }

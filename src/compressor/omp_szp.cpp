@@ -20,10 +20,13 @@ namespace {
 
 constexpr uint32_t kMaxBlockLen = kMaxWireBlockLen;
 
-/// Quantize one block; returns its code length, outlier and whether every
-/// quantized value is zero.  Residual prediction restarts at each block
-/// (single-layer partitioning: there is no chunk to carry state across).
+/// Classify and quantize one block through the fused slot; returns its raw
+/// verdict and, for a quantized block, its code length, outlier and whether
+/// every quantized value is zero.  Residual prediction restarts at each
+/// block (single-layer partitioning: there is no chunk to carry state
+/// across).
 struct BlockScan {
+  kernels::RawVerdict raw = kernels::RawVerdict::kNone;
   int32_t outlier = 0;
   int code_len = 0;
   bool all_zero = false;
@@ -31,19 +34,21 @@ struct BlockScan {
 
 HZCCL_HOT BlockScan scan_block(const float* data, size_t n, const Quantizer& quant, int64_t* qbuf,
                      uint32_t* mags, uint32_t* signs) {
-  const kernels::KernelTable& k = kernels::active();
-  const uint64_t q_guard = k.fz_quantize(data, n, quant.inv_twice_eb, qbuf);
-  if (q_guard > static_cast<uint64_t>(kMaxQuantMagnitude)) {
+  const kernels::QuantizePredictResult r = kernels::active().fz_quantize_predict(
+      data, n, quant.inv_twice_eb, 0, /*restart=*/true, qbuf, mags, signs);
+  BlockScan s;
+  s.raw = r.raw;
+  if (r.raw != kernels::RawVerdict::kNone) return s;
+  if (r.q_guard > static_cast<uint64_t>(kMaxQuantMagnitude)) {
     detail::raise_quant_range(
         "value/error-bound ratio exceeds the 30-bit quantization domain");
   }
-  BlockScan s;
   s.outlier = static_cast<int32_t>(qbuf[0]);
   // Prediction restarts at the outlier, so the first residual is zero by
-  // construction and the predict kernel's max over the whole block equals
-  // the scalar scan over elements 1..n-1.
-  s.code_len = code_length_for(k.fz_predict(qbuf, n, s.outlier, mags, signs));
-  s.all_zero = (q_guard == 0);
+  // construction and the slot's max over the whole block equals the scan
+  // over elements 1..n-1.
+  s.code_len = code_length_for(r.max_mag);
+  s.all_zero = (r.q_guard == 0);
   return s;
 }
 
@@ -60,16 +65,19 @@ HZCCL_HOT void write_block(const float* block_data, size_t n, uint8_t meta,
     writer.write_array(block_data, n, "raw block floats");
     return;
   }
-  const uint64_t q_guard = k.fz_quantize(block_data, n, quant.inv_twice_eb, qbuf);
-  if (q_guard > static_cast<uint64_t>(kMaxQuantMagnitude)) {
+  const kernels::QuantizePredictResult r = k.fz_quantize_predict(
+      block_data, n, quant.inv_twice_eb, 0, /*restart=*/true, qbuf, mags, signs);
+  if (r.raw != kernels::RawVerdict::kNone) {
+    detail::raise_error("szp_compress: block classified raw after its scan");
+  }
+  if (r.q_guard > static_cast<uint64_t>(kMaxQuantMagnitude)) {
     detail::raise_quant_range(
         "value/error-bound ratio exceeds the 30-bit quantization domain");
   }
   const int32_t q0 = static_cast<int32_t>(qbuf[0]);
   writer.write(q0, "block outlier");
   if (meta == 0) return;  // constant block
-  const uint32_t max_mag = k.fz_predict(qbuf, n, q0, mags, signs);
-  encode_block_prepared(mags, signs, n, code_length_for(max_mag),
+  encode_block_prepared(mags, signs, n, code_length_for(r.max_mag),
                         block_begin + sizeof(int32_t), block_end);
 }
 
@@ -196,11 +204,11 @@ CompressedBuffer szp_compress(std::span<const float> data, const SzpParams& para
         const size_t begin = b * block_len;
         const size_t n = std::min<size_t>(block_len, d - begin);
         uint8_t m;
-        if (const auto reason = classify_raw_block(data.data() + begin, n)) {
-          count_raw_block(*reason);
+        const BlockScan s = scan_block(data.data() + begin, n, quant, qbuf, mags, signs);
+        if (s.raw != kernels::RawVerdict::kNone) {
+          count_raw_block(s.raw);
           m = kSzpRawBlock;
         } else {
-          const BlockScan s = scan_block(data.data() + begin, n, quant, qbuf, mags, signs);
           m = s.all_zero ? kSzpZeroBlock : static_cast<uint8_t>(s.code_len);
           if (params.emit_digests && !s.all_zero) {
             for (size_t i = 0; i < n; ++i) local.accumulate(qbuf[i], begin + 1 + i);

@@ -252,9 +252,11 @@ CompressedBuffer hz_combine_raw(const FzView& a, const FzView& b, int sign_b,
   const bool emit_digests = a.has_digests() && b.has_digests();
   if (!emit_digests) header.flags &= static_cast<uint16_t>(~kFlagHasDigests);
 
-  ChunkedStreamAssembler assembler(header, pool);
+  // Tables before the assembler's chunk regions: taken after them, a table
+  // could need an arena block of its own.
   ArenaScope scratch;
   const std::span<HzPipelineStats> chunk_stats = scratch.alloc<HzPipelineStats>(nchunks);
+  ChunkedStreamAssembler assembler(header, pool);
 
   {
     ScopedNumThreads scoped(num_threads);
@@ -335,9 +337,11 @@ CompressedBuffer hz_add(const FzView& a, const FzView& b, HzPipelineStats* stats
   FzHeader header = a.header;
   const bool fold_digests = a.has_digests() && b.has_digests();
   if (!fold_digests) header.flags &= static_cast<uint16_t>(~kFlagHasDigests);
-  ChunkedStreamAssembler assembler(header, pool);
+  // Tables before the assembler's chunk regions: taken after them, a table
+  // could need an arena block of its own.
   ArenaScope scratch;
   const std::span<HzPipelineStats> chunk_stats = scratch.alloc<HzPipelineStats>(nchunks);
+  ChunkedStreamAssembler assembler(header, pool);
 
   {
     ScopedNumThreads scoped(num_threads);

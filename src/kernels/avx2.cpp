@@ -4,11 +4,13 @@
 //
 // Hand-vectorized here: the PDEP/PEXT bit-plane codecs for widths 1..8, the
 // whole-block codec built on them (8-value groups, one instantiation per
-// code length), and the three-lane SSE4.2 CRC-32C (-mavx2 implies
-// -msse4.2; the CPU probe checks sse4.2 explicitly).
-// The integer merge/predict bodies and the closed-form digest fold are
-// recompiled under AVX2 so the auto-vectorizer retargets them; wider codec
-// widths alias the scalar bitstream codec via the overlay in dispatch.cpp.
+// code length), the fused block pass's classification and prediction
+// (around the scalar llrint: AVX2 has no exact packed double->int64
+// convert), and the three-lane SSE4.2 CRC-32C (-mavx2 implies -msse4.2; the
+// CPU probe checks sse4.2 explicitly).
+// The integer merge body and the closed-form digest fold are recompiled
+// under AVX2 so the auto-vectorizer retargets them; wider codec widths
+// alias the scalar bitstream codec via the overlay in dispatch.cpp.
 #include <utility>
 
 #include "hzccl/kernels/dispatch.hpp"
@@ -31,11 +33,6 @@ HZCCL_HOT uint64_t combine_avx2(const int32_t* ra, const int32_t* rb, size_t n, 
   return combine_body(ra, rb, n, sign_b, mags, signs);
 }
 
-HZCCL_HOT uint32_t predict_avx2(const int64_t* q, size_t n, int32_t q_prev, uint32_t* mags,
-                                uint32_t* signs) {
-  return predict_body(q, n, q_prev, mags, signs);
-}
-
 HZCCL_HOT int64_t digest_block_avx2(const int32_t* residuals, size_t n, int64_t q, uint64_t pos,
                                     uint64_t* sum, uint64_t* wsum) {
   return digest_block_body(residuals, n, q, pos, sum, wsum);
@@ -47,14 +44,12 @@ bool populate_avx2(KernelTable& t) {
   t.level = DispatchLevel::kAvx2;
   fill_codecs(t, std::make_integer_sequence<int, 8>{});
   t.hz_combine_residuals = &combine_avx2;
-  t.fz_predict = &predict_avx2;
+  t.fz_quantize_predict = &quantize_predict_avx2_body;
   t.szx_scan = &szx_scan_avx2_body;
   t.crc32c = &crc32c_sse42_body;
   t.decode_block = &decode_block_avx2_body;
   t.encode_block = &encode_block_avx2_body;
   t.digest_block = &digest_block_avx2;
-  // fz_quantize: AVX2 has no exact packed double->int64 convert, so the
-  // inherited scalar entry (llrint) stays — exactness beats throughput here.
   return true;
 }
 

@@ -4,9 +4,10 @@
 // Hand-vectorized here: the VPERMB + VPMULTISHIFTQB unpack (64 values per
 // iteration, widths 1..8), the whole-block codec on 32-value groups (the
 // fixed-length block's size), the closed-form digest fold, the 8-lane int64
-// residual merge, and the VCVTPD2QQ quantizer (exact llrint equivalent).  Pack inherits the AVX2
-// PEXT codec through the table overlay — PEXT already saturates the port
-// the wider permutes would compete for — and so does the SSE4.2 CRC-32C.
+// residual merge, and the fused block pass in one masked walk (VCVTPD2QQ,
+// the exact llrint equivalent).  Pack inherits the AVX2 PEXT codec through
+// the table overlay — PEXT already saturates the port the wider permutes
+// would compete for — and so does the SSE4.2 CRC-32C.
 #include "hzccl/kernels/dispatch.hpp"
 #include "kernel_impls.hpp"
 
@@ -29,8 +30,7 @@ bool populate_avx512(KernelTable& t) {
   t.level = DispatchLevel::kAvx512;
   fill_unpack(t, std::make_integer_sequence<int, 8>{});
   t.hz_combine_residuals = &combine_avx512_body;
-  t.fz_quantize = &quantize_avx512_body;
-  t.fz_predict = &predict_body;  // recompiled under AVX-512 flags
+  t.fz_quantize_predict = &quantize_predict_avx512_body;
   t.szx_scan = &szx_scan_avx512_body;
   t.decode_block = &decode_block_avx512_body;
   t.encode_block = &encode_block_avx512_body;

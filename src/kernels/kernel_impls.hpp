@@ -6,12 +6,12 @@
 // TU's ISA macros, so scalar.cpp (built with the project's baseline flags)
 // sees only the references, avx2.cpp adds the PDEP/PEXT codecs and the
 // SSE4.2 CRC-32C, and avx512.cpp adds the VPERMB/VPMULTISHIFTQB and
-// VCVTPD2QQ paths.  The integer bodies (combine/predict) are shared across
-// all TUs on purpose: recompiling them under wider -m flags lets the
-// auto-vectorizer retarget them per level while the arithmetic — and
-// therefore the bytes — stays identical.  Everything here has internal
-// linkage (the unnamed namespace below), so each variant TU keeps its own
-// copy: the linker can never fold a body two TUs emit out of line into one
+// VCVTPD2QQ paths.  The integer bodies (combine, and the scalar steps of
+// the fused block pass) are shared across all TUs on purpose: recompiling
+// them under wider -m flags lets the auto-vectorizer retarget them per
+// level while the arithmetic — and therefore the bytes — stays identical.
+// Everything here has internal linkage (the unnamed namespace below), so
+// each variant TU keeps its own copy: the linker can never fold a body two TUs emit out of line into one
 // copy that both tables then call (an AVX-512 recompile behind the scalar
 // table, or the scalar one behind the AVX-512 table).  The ctest
 // KernelSymbols.NoDefinitionSharedAcrossIsaObjects checks this with nm.
@@ -191,7 +191,7 @@ inline HZCCL_HOT void scalar_unpack(const uint8_t* src, size_t n, uint32_t* v) {
 }
 
 // ---------------------------------------------------------------------------
-// Integer merge / predict / quantize bodies (shared across all levels; each
+// Integer merge and the fused block pass (shared across all levels; each
 // TU's auto-vectorizer retargets them, the arithmetic is ISA-independent).
 // ---------------------------------------------------------------------------
 
@@ -218,7 +218,10 @@ inline HZCCL_HOT uint64_t combine_body(const int32_t* ra, const int32_t* rb, siz
                      : combine_loop<-1>(ra, rb, n, mags, signs);
 }
 
-inline HZCCL_HOT uint32_t predict_body(const int64_t* q, size_t n, int32_t q_prev, uint32_t* mags,
+/// 1-D Lorenzo predict over a quantized block: r[i] = (int32)q[i] -
+/// (int32)q[i-1] in int64, q[-1] = q_prev, emitted as the magnitude/sign
+/// split; returns the OR of the magnitudes.
+inline uint32_t predict_body(const int64_t* q, size_t n, int32_t q_prev, uint32_t* mags,
                              uint32_t* signs) {
   if (n == 0) return 0;
   uint32_t max_mag = 0;
@@ -244,17 +247,71 @@ inline HZCCL_HOT uint32_t predict_body(const int64_t* q, size_t n, int32_t q_pre
   return max_mag;
 }
 
-inline HZCCL_HOT uint64_t quantize_body(const float* data, size_t n, double inv_twice_eb, int64_t* q) {
+/// |qi| in uint64: llrint's out-of-range result LLONG_MIN maps to 2^63
+/// (what the vector abs yields) without a signed overflow.
+inline uint64_t quant_magnitude(long long qi) {
+  const uint64_t neg = static_cast<uint64_t>(qi >> 63);
+  return (static_cast<uint64_t>(qi) ^ neg) - neg;
+}
+
+/// q[i] = llrint(data[i] * inv_twice_eb) in double; returns the OR of all
+/// |q|.  The guard is returned, never raised on.
+inline uint64_t quantize_body(const float* data, size_t n, double inv_twice_eb, int64_t* q) {
   uint64_t guard = 0;
   for (size_t i = 0; i < n; ++i) {
     const long long qi = std::llrint(static_cast<double>(data[i]) * inv_twice_eb);
     q[i] = qi;
-    // |qi| in uint64: llrint's out-of-range result LLONG_MIN maps to 2^63
-    // (what the vector abs yields) without a signed overflow.
-    const uint64_t neg = static_cast<uint64_t>(qi >> 63);
-    guard |= (static_cast<uint64_t>(qi) ^ neg) - neg;
+    guard |= quant_magnitude(qi);
   }
   return guard;
+}
+
+/// Float bit fields the raw-fallback rule reads.
+inline constexpr uint32_t kFloatExpMask = 0x7f800000u;
+inline constexpr uint32_t kFloatMantissaMask = 0x007fffffu;
+
+/// Raw-fallback evidence of a block: non-finite lanes seen, subnormal
+/// lanes counted.
+struct RawCounts {
+  uint32_t nonfinite = 0;
+  size_t subnormals = 0;
+};
+
+/// The raw-fallback classification loop of classify_raw_block over
+/// data[0, n), added to `c`: exponent all-ones is non-finite, exponent zero
+/// with a nonzero mantissa is subnormal.  Bit tests only, so NaNs cannot
+/// poison the decision.
+inline void count_raw_lanes(const float* data, size_t n, RawCounts& c) {
+  for (size_t i = 0; i < n; ++i) {
+    uint32_t bits = 0;
+    std::memcpy(&bits, &data[i], sizeof bits);
+    const uint32_t exp = bits & kFloatExpMask;
+    c.nonfinite |= static_cast<uint32_t>(exp == kFloatExpMask);
+    c.subnormals += static_cast<size_t>(exp == 0 && (bits & kFloatMantissaMask) != 0);
+  }
+}
+
+/// classify_raw_block's rule on the counts of an n-value block.
+inline RawVerdict raw_verdict(const RawCounts& c, size_t n) {
+  if (c.nonfinite != 0) return RawVerdict::kNonFinite;
+  if (2 * c.subnormals > n) return RawVerdict::kDenormalHeavy;
+  return RawVerdict::kNone;
+}
+
+/// The fused block pass as three walks in sequence — classify, quantize,
+/// predict: the scalar slot and the oracle every level matches.
+inline HZCCL_HOT QuantizePredictResult quantize_predict_body(const float* data, size_t n,
+                                                             double inv_twice_eb, int32_t q_prev,
+                                                             bool restart, int64_t* q,
+                                                             uint32_t* mags, uint32_t* signs) {
+  QuantizePredictResult res;
+  RawCounts counts;
+  count_raw_lanes(data, n, counts);
+  res.raw = raw_verdict(counts, n);
+  if (res.raw != RawVerdict::kNone || n == 0) return res;
+  res.q_guard = quantize_body(data, n, inv_twice_eb, q);
+  res.max_mag = predict_body(q, n, restart ? static_cast<int32_t>(q[0]) : q_prev, mags, signs);
+  return res;
 }
 
 /// SZx classification scan (SzxScanFn contract: n >= 1, NaN-free input).
@@ -749,6 +806,74 @@ inline HZCCL_HOT void szx_scan_avx2_body(const float* data, size_t n, float* out
   out[2] = hreduce(vab, max_op) + 0.0f;
 }
 
+/// The fused block pass at AVX2: classification on 8-float groups and
+/// prediction on 8 int32 lanes, around a scalar llrint (AVX2 has no exact
+/// packed double->int64 convert, and exactness beats throughput).  The
+/// llrint is CVTSD2SI itself, which is what llrint is on x86-64 (the
+/// current rounding mode, and the 0x8000... indefinite on out-of-range
+/// input) but inlined rather than a libm call.  The quantize loop also
+/// writes the int32-truncated chain t[1..n] after t[0] = q[-1], so lane i's
+/// predecessor is one unaligned load away.  A residual of two int32 values
+/// has |r| < 2^32: its magnitude is the 32-bit difference taken in the
+/// order that is non-negative, its sign one signed compare.
+inline HZCCL_HOT QuantizePredictResult quantize_predict_avx2_body(const float* data, size_t n,
+                                                                  double inv_twice_eb,
+                                                                  int32_t q_prev, bool restart,
+                                                                  int64_t* q, uint32_t* mags,
+                                                                  uint32_t* signs) {
+  QuantizePredictResult res;
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256i exp_mask = _mm256_set1_epi32(static_cast<int>(kFloatExpMask));
+  const __m256i mant_mask = _mm256_set1_epi32(static_cast<int>(kFloatMantissaMask));
+  __m256i nonfinite = zero;
+  RawCounts counts;
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256i bits = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(data + i));
+    const __m256i exp = _mm256_and_si256(bits, exp_mask);
+    nonfinite = _mm256_or_si256(nonfinite, _mm256_cmpeq_epi32(exp, exp_mask));
+    const __m256i mant_zero = _mm256_cmpeq_epi32(_mm256_and_si256(bits, mant_mask), zero);
+    const __m256i sub = _mm256_andnot_si256(mant_zero, _mm256_cmpeq_epi32(exp, zero));
+    counts.subnormals += static_cast<size_t>(
+        __builtin_popcount(static_cast<unsigned>(_mm256_movemask_ps(_mm256_castsi256_ps(sub)))));
+  }
+  counts.nonfinite = static_cast<uint32_t>(_mm256_movemask_ps(_mm256_castsi256_ps(nonfinite)));
+  count_raw_lanes(data + i, n - i, counts);
+  res.raw = raw_verdict(counts, n);
+  if (res.raw != RawVerdict::kNone || n == 0) return res;
+
+  int32_t t[kMaxBlockValues + 1];
+  uint64_t guard = 0;
+  for (size_t j = 0; j < n; ++j) {
+    const long long qi = _mm_cvtsd_si64(_mm_set_sd(static_cast<double>(data[j]) * inv_twice_eb));
+    q[j] = qi;
+    guard |= quant_magnitude(qi);
+    t[j + 1] = static_cast<int32_t>(qi);
+  }
+  t[0] = restart ? static_cast<int32_t>(q[0]) : q_prev;
+  res.q_guard = guard;
+
+  const __m256i one = _mm256_set1_epi32(1);
+  __m256i acc = zero;
+  size_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    const __m256i cur = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(t + j + 1));
+    const __m256i prev = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(t + j));
+    const __m256i neg = _mm256_cmpgt_epi32(prev, cur);
+    const __m256i mag =
+        _mm256_blendv_epi8(_mm256_sub_epi32(cur, prev), _mm256_sub_epi32(prev, cur), neg);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(mags + j), mag);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(signs + j), _mm256_and_si256(neg, one));
+    acc = _mm256_or_si256(acc, mag);
+  }
+  __m128i lanes = _mm_or_si128(_mm256_castsi256_si128(acc), _mm256_extracti128_si256(acc, 1));
+  lanes = _mm_or_si128(lanes, _mm_shuffle_epi32(lanes, 0x4E));
+  lanes = _mm_or_si128(lanes, _mm_shuffle_epi32(lanes, 0xB1));
+  res.max_mag = static_cast<uint32_t>(_mm_cvtsi128_si32(lanes));
+  if (j < n) res.max_mag |= predict_body(q + j, n - j, t[j], mags + j, signs + j);
+  return res;
+}
+
 #endif  // __AVX2__ && __BMI2__
 
 // ---------------------------------------------------------------------------
@@ -833,8 +958,8 @@ inline HZCCL_HOT uint32_t crc32c_sse42_body(const uint8_t* data, size_t n, uint3
 
 
 // ---------------------------------------------------------------------------
-// AVX-512 (F/BW/DQ/VL/VBMI): 64-value unpack, 8-lane int64 merge, exact
-// llrint quantizer.
+// AVX-512 (F/BW/DQ/VL/VBMI): 64-value unpack, 8-lane int64 merge, and the
+// fused block pass.
 // ---------------------------------------------------------------------------
 #if defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512DQ__) && \
     defined(__AVX512VL__) && defined(__AVX512VBMI__) && defined(__AVX2__) &&  \
@@ -914,24 +1039,81 @@ inline HZCCL_HOT uint64_t combine_avx512_body(const int32_t* ra, const int32_t* 
                      : combine_avx512_loop<-1>(ra, rb, n, mags, signs);
 }
 
-/// VCVTPD2QQ rounds per MXCSR exactly like llrint (both default to
-/// round-nearest-even, both yield the 0x8000... indefinite on out-of-range
-/// input), so the vector path is bit-identical to quantize_body even on
-/// values the caller is about to reject.
-inline HZCCL_HOT uint64_t quantize_avx512_body(const float* data, size_t n, double inv_twice_eb,
-                                     int64_t* q) {
-  const __m512d vinv = _mm512_set1_pd(inv_twice_eb);
-  __m512i guard_acc = _mm512_setzero_si512();
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d d = _mm512_cvtps_pd(_mm256_loadu_ps(data + i));
-    const __m512i qi = _mm512_cvtpd_epi64(_mm512_mul_pd(d, vinv));
-    _mm512_storeu_si512(q + i, qi);
-    guard_acc = _mm512_or_si512(guard_acc, _mm512_abs_epi64(qi));
+/// Lanes [0, k) of a 16-lane mask (k clamped to 16).
+inline __mmask16 lane_mask16(size_t k) {
+  return k >= 16 ? static_cast<__mmask16>(0xFFFF) : static_cast<__mmask16>((1u << k) - 1);
+}
+
+/// The fused block pass in one masked walk.  The raw verdict comes first,
+/// from exponent tests on 16-float groups (loads only, so a raw block
+/// leaves every output untouched); then each 16-float group is quantized,
+/// stored and predicted while its values are in registers.  VCVTPD2QQ
+/// rounds per MXCSR exactly like llrint (both default to round-nearest-
+/// even, both yield the 0x8000... indefinite on out-of-range input), so q
+/// and the guard match quantize_body bit for bit even on values the caller
+/// is about to reject.  Prediction runs on the group's 16 int32 truncations
+/// (one VPERMT2D), the predecessor lane coming from VALIGND over the
+/// previous group, and the n % 16 tail runs the same body under masks:
+/// masked loads read exactly n floats and masked stores write exactly n
+/// lanes.
+inline HZCCL_HOT QuantizePredictResult quantize_predict_avx512_body(
+    const float* data, size_t n, double inv_twice_eb, int32_t q_prev, bool restart, int64_t* q,
+    uint32_t* mags, uint32_t* signs) {
+  QuantizePredictResult res;
+  const __m512i exp_mask = _mm512_set1_epi32(static_cast<int>(kFloatExpMask));
+  const __m512i mant_mask = _mm512_set1_epi32(static_cast<int>(kFloatMantissaMask));
+  RawCounts counts;
+  for (size_t i = 0; i < n; i += 16) {
+    // Masked-off lanes load as +0: neither non-finite nor subnormal.
+    const __m512i bits = _mm512_maskz_loadu_epi32(lane_mask16(n - i), data + i);
+    const __m512i exp = _mm512_and_si512(bits, exp_mask);
+    counts.nonfinite |= _mm512_cmpeq_epi32_mask(exp, exp_mask);
+    const __mmask16 sub =
+        _mm512_testn_epi32_mask(bits, exp_mask) & _mm512_test_epi32_mask(bits, mant_mask);
+    counts.subnormals += static_cast<size_t>(__builtin_popcount(sub));
   }
-  uint64_t guard = static_cast<uint64_t>(_mm512_reduce_or_epi64(guard_acc));
-  if (i < n) guard |= quantize_body(data + i, n - i, inv_twice_eb, q + i);
-  return guard;
+  res.raw = raw_verdict(counts, n);
+  if (res.raw != RawVerdict::kNone || n == 0) return res;
+
+  const __m512d vinv = _mm512_set1_pd(inv_twice_eb);
+  const __m512i one = _mm512_set1_epi32(1);
+  // VPERMT2D index gathering the low dwords of two int64 vectors: the
+  // int32 truncations of 16 quantized values, in order.
+  const __m512i low_dwords =
+      _mm512_set_epi32(30, 28, 26, 24, 22, 20, 18, 16, 14, 12, 10, 8, 6, 4, 2, 0);
+  __m512i guard = _mm512_setzero_si512();
+  __m512i mag_acc = _mm512_setzero_si512();
+  // Lane 15 of `carry` is the predecessor of the next group's lane 0.
+  __m512i carry = _mm512_set1_epi32(q_prev);
+  for (size_t i = 0; i < n; i += 16) {
+    const __mmask16 m = lane_mask16(n - i);
+    const __mmask8 m_lo = static_cast<__mmask8>(m);
+    const __mmask8 m_hi = static_cast<__mmask8>(m >> 8);
+    const __m512 f = _mm512_maskz_loadu_ps(m, data + i);
+    const __m512i q_lo = _mm512_cvtpd_epi64(
+        _mm512_mul_pd(_mm512_cvtps_pd(_mm512_castps512_ps256(f)), vinv));
+    const __m512i q_hi =
+        _mm512_cvtpd_epi64(_mm512_mul_pd(_mm512_cvtps_pd(_mm512_extractf32x8_ps(f, 1)), vinv));
+    _mm512_mask_storeu_epi64(q + i, m_lo, q_lo);
+    if (m_hi != 0) _mm512_mask_storeu_epi64(q + i + 8, m_hi, q_hi);
+    // Masked-off lanes quantize 0.0 to 0, so they leave the guard alone.
+    guard = _mm512_or_si512(guard, _mm512_or_si512(_mm512_abs_epi64(q_lo), _mm512_abs_epi64(q_hi)));
+    const __m512i t = _mm512_permutex2var_epi32(q_lo, low_dwords, q_hi);
+    if (i == 0 && restart) carry = _mm512_broadcastd_epi32(_mm512_castsi512_si128(t));
+    const __m512i prev = _mm512_alignr_epi32(t, carry, 15);
+    // r = t - prev in int64 has |r| < 2^32: its magnitude is the 32-bit
+    // difference taken in the order that is non-negative, its sign one
+    // signed compare.
+    const __mmask16 neg = _mm512_cmpgt_epi32_mask(prev, t);
+    const __m512i mag = _mm512_mask_sub_epi32(_mm512_sub_epi32(t, prev), neg, prev, t);
+    mag_acc = _mm512_mask_or_epi32(mag_acc, m, mag_acc, mag);
+    _mm512_mask_storeu_epi32(mags + i, m, mag);
+    _mm512_mask_storeu_epi32(signs + i, m, _mm512_maskz_mov_epi32(neg, one));
+    carry = t;
+  }
+  res.q_guard = static_cast<uint64_t>(_mm512_reduce_or_epi64(guard));
+  res.max_mag = static_cast<uint32_t>(_mm512_reduce_or_epi32(mag_acc));
+  return res;
 }
 
 /// 16-lane SZx scan; same overlapping-tail + canonicalization scheme as the

@@ -22,8 +22,7 @@ bool populate_scalar(KernelTable& t) {
   t.level = DispatchLevel::kScalar;
   fill_codecs(t, std::make_integer_sequence<int, kMaxPackBits>{});
   t.hz_combine_residuals = &combine_body;
-  t.fz_quantize = &quantize_body;
-  t.fz_predict = &predict_body;
+  t.fz_quantize_predict = &quantize_predict_body;
   t.szx_scan = &szx_scan_body;
   t.crc32c = &crc32c_scalar_body;
   t.decode_block = &decode_block_scalar_body;

@@ -96,7 +96,9 @@ void* ScratchArena::raw(size_t bytes, size_t align) {
     }
     const size_t last = blocks_.empty() ? 0 : blocks_.back().size;
     const size_t want = std::max({kMinBlock, last * 2, bytes + align});
-    blocks_.push_back(Block{std::make_unique<uint8_t[]>(want), want});
+    // Uninitialized: alloc() zeroes what it hands out, and
+    // alloc_for_overwrite() regions are written before they are read.
+    blocks_.push_back(Block{std::make_unique_for_overwrite<uint8_t[]>(want), want});
     ++block_allocations_;
     g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
   }

@@ -21,8 +21,10 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <optional>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -200,11 +202,56 @@ TEST(KernelConformance, CombineResidualsMatchesScalarOracle) {
 }
 
 // ---------------------------------------------------------------------------
-// fZ quantize + predict differentials.
+// fZ fused block pass (fz_quantize_predict) differentials.  Every call's
+// outputs are framed by canary lanes, and the oracle writes exactly its n
+// lanes, so comparing the whole frames also proves a level writes nothing
+// outside them.
 // ---------------------------------------------------------------------------
 
+constexpr size_t kSlotPad = 4;
+constexpr int64_t kCanary64 = 0x5A5A5A5A5A5A5A5ALL;
+constexpr uint32_t kCanaryU32 = 0x5A5A5A5Au;
+
+/// One fz_quantize_predict call with canary-framed outputs.
+struct SlotRun {
+  kernels::QuantizePredictResult res;
+  std::vector<int64_t> q;
+  std::vector<uint32_t> mags;
+  std::vector<uint32_t> signs;
+};
+
+SlotRun run_slot(const KernelTable& t, const float* data, size_t n, double inv, int32_t q_prev,
+                 bool restart) {
+  SlotRun run;
+  run.q.assign(n + 2 * kSlotPad, kCanary64);
+  run.mags.assign(n + 2 * kSlotPad, kCanaryU32);
+  run.signs.assign(n + 2 * kSlotPad, kCanaryU32);
+  run.res = t.fz_quantize_predict(data, n, inv, q_prev, restart, run.q.data() + kSlotPad,
+                                  run.mags.data() + kSlotPad, run.signs.data() + kSlotPad);
+  return run;
+}
+
+/// `vec` matches the scalar oracle on one input, outputs and guards alike.
+/// Returns the oracle's run.
+SlotRun expect_slot_matches_oracle(const KernelTable& vec, const float* data, size_t n,
+                                   double inv, int32_t q_prev, bool restart) {
+  const SlotRun want =
+      run_slot(kernels::table(DispatchLevel::kScalar), data, n, inv, q_prev, restart);
+  const SlotRun got = run_slot(vec, data, n, inv, q_prev, restart);
+  const std::string where = std::string("level=") + kernels::level_name(vec.level) +
+                            " n=" + std::to_string(n) + " inv=" + std::to_string(inv) +
+                            " q_prev=" + std::to_string(q_prev) +
+                            " restart=" + std::to_string(restart);
+  EXPECT_EQ(got.res.raw, want.res.raw) << "raw verdict mismatch: " << where;
+  EXPECT_EQ(got.res.q_guard, want.res.q_guard) << "quantize guard mismatch: " << where;
+  EXPECT_EQ(got.res.max_mag, want.res.max_mag) << "predict max mismatch: " << where;
+  EXPECT_EQ(got.q, want.q) << "quantized values (or their canaries) differ: " << where;
+  EXPECT_EQ(got.mags, want.mags) << "magnitudes (or their canaries) differ: " << where;
+  EXPECT_EQ(got.signs, want.signs) << "signs (or their canaries) differ: " << where;
+  return want;
+}
+
 TEST(KernelConformance, QuantizeMatchesScalarOracle) {
-  const KernelTable& ref = kernels::table(DispatchLevel::kScalar);
   for (DispatchLevel lvl : vector_levels()) {
     const KernelTable& vec = kernels::table(lvl);
     Prng rng(/*seed=*/0xF10A7u, /*stream=*/static_cast<uint64_t>(lvl));
@@ -225,41 +272,48 @@ TEST(KernelConformance, QuantizeMatchesScalarOracle) {
             break;
         }
       }
+      const int32_t q_prev = static_cast<int32_t>(rng.u32()) >> 2;
       for (const double inv : {500.0, 1.0 / 3e-4, 1e6}) {
-        std::vector<int64_t> q_ref(n + 1, -77), q_vec(n + 1, -77);
-        const uint64_t g_ref = ref.fz_quantize(data.data(), n, inv, q_ref.data());
-        const uint64_t g_vec = vec.fz_quantize(data.data(), n, inv, q_vec.data());
-        ASSERT_EQ(g_ref, g_vec) << "quantize guard mismatch: level="
-                                << kernels::level_name(vec.level) << " n=" << n << " inv=" << inv;
-        ASSERT_EQ(q_ref, q_vec) << "quantize output mismatch: level="
-                                << kernels::level_name(vec.level) << " n=" << n << " inv=" << inv;
+        for (const bool restart : {false, true}) {
+          expect_slot_matches_oracle(vec, data.data(), n, inv, q_prev, restart);
+        }
       }
-      if (HasFatalFailure()) return;
+      if (HasFailure()) return;
     }
   }
 }
 
 TEST(KernelConformance, PredictMatchesScalarOracle) {
-  const KernelTable& ref = kernels::table(DispatchLevel::kScalar);
   for (DispatchLevel lvl : vector_levels()) {
     const KernelTable& vec = kernels::table(lvl);
     Prng rng(/*seed=*/0x9E0u, /*stream=*/static_cast<uint64_t>(lvl));
     for (const size_t n : kLengths) {
       if (n == 0 || n > 512) continue;
-      std::vector<int64_t> q(n);
-      for (size_t i = 0; i < n; ++i) {
-        // In-domain quantized values (the quantize guard admits |q| < 2^30).
-        q[i] = static_cast<int64_t>(static_cast<int32_t>(rng.u32()) >> 2);
+      const int32_t q_prev = static_cast<int32_t>(rng.u32()) >> 1;
+      // Power-of-two scales keep data[i] * inv exact, so the floats quantize
+      // to the in-domain targets they were made from.
+      for (const double inv : {1.0, 1024.0}) {
+        std::vector<float> data(n);
+        for (size_t i = 0; i < n; ++i) {
+          // In-domain quantized values across +-2^30 (the quantize guard
+          // admits |q| < 2^30), every fourth one small.
+          const uint32_t span = rng.u32() % 4u == 0 ? 2000u : 2u * kMaxQuantMagnitude;
+          float target = static_cast<float>(static_cast<int64_t>(rng.u32() % (span + 1u)) -
+                                            static_cast<int64_t>(span / 2));
+          if (std::fabs(target) > static_cast<float>(kMaxQuantMagnitude)) {
+            target = std::nextafter(target, 0.0f);  // rounded up to 2^30
+          }
+          data[i] = target / static_cast<float>(inv);
+        }
+        for (const bool restart : {false, true}) {
+          const SlotRun want = expect_slot_matches_oracle(vec, data.data(), n, inv, q_prev, restart);
+          ASSERT_LE(want.res.q_guard, static_cast<uint64_t>(kMaxQuantMagnitude)) << "n=" << n;
+          if (restart) {
+            ASSERT_EQ(want.mags[kSlotPad], 0u) << "restart must zero r[0]: n=" << n;
+          }
+        }
       }
-      const int32_t q_prev = static_cast<int32_t>(rng.u32()) >> 2;
-      std::vector<uint32_t> mags_ref(n, 0xEE), signs_ref(n, 0xEE);
-      std::vector<uint32_t> mags_vec(n, 0xEE), signs_vec(n, 0xEE);
-      const uint32_t m_ref = ref.fz_predict(q.data(), n, q_prev, mags_ref.data(), signs_ref.data());
-      const uint32_t m_vec = vec.fz_predict(q.data(), n, q_prev, mags_vec.data(), signs_vec.data());
-      ASSERT_EQ(m_ref, m_vec) << "predict max mismatch: n=" << n;
-      ASSERT_EQ(mags_ref, mags_vec) << "predict magnitudes mismatch: n=" << n;
-      ASSERT_EQ(signs_ref, signs_vec) << "predict signs mismatch: n=" << n;
-      if (HasFatalFailure()) return;
+      if (HasFailure()) return;
     }
   }
 }
@@ -617,6 +671,118 @@ TEST(KernelConformance, DigestBlockMatchesScalarOracle) {
       EXPECT_EQ(q, q_ref) << "level=" << kernels::level_name(lvl) << " block=" << block;
       EXPECT_EQ(sum, sum_ref) << "level=" << kernels::level_name(lvl) << " block=" << block;
       EXPECT_EQ(wsum, wsum_ref) << "level=" << kernels::level_name(lvl) << " block=" << block;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The fused pass's raw verdict against classify_raw_block at every level,
+// the scalar slot included: NaN and infinities at every lane, signed zeros,
+// subnormal counts on both sides of the n/2 rule, and out-of-domain blocks
+// the verdict outranks.  A raw verdict must leave every output canary
+// standing.  Each input starts 0-3 floats into an allocation it ends flush
+// against, and runs once more ending at an inaccessible page.
+// ---------------------------------------------------------------------------
+
+kernels::RawVerdict classify_oracle(const float* data, size_t n) {
+  const std::optional<RawBlockReason> reason = classify_raw_block(data, n);
+  if (!reason) return kernels::RawVerdict::kNone;
+  return *reason == RawBlockReason::kNonFinite ? kernels::RawVerdict::kNonFinite
+                                               : kernels::RawVerdict::kDenormalHeavy;
+}
+
+void check_raw_verdict(const KernelTable& t, const std::vector<float>& block,
+                       const std::string& what) {
+  const size_t n = block.size();
+  const kernels::RawVerdict want = classify_oracle(block.data(), n);
+  const auto check = [&](const float* data, const std::string& where) {
+    const SlotRun run = run_slot(t, data, n, 500.0, -7, /*restart=*/false);
+    ASSERT_EQ(run.res.raw, want) << where;
+    if (want == kernels::RawVerdict::kNone) {
+      expect_slot_matches_oracle(t, data, n, 500.0, -7, /*restart=*/false);
+      return;
+    }
+    EXPECT_EQ(run.res.q_guard, 0u) << where;
+    EXPECT_EQ(run.res.max_mag, 0u) << where;
+    for (size_t i = 0; i < run.q.size(); ++i) {
+      ASSERT_EQ(run.q[i], kCanary64) << "a raw verdict wrote q[" << i << "]: " << where;
+      ASSERT_EQ(run.mags[i], kCanaryU32) << "a raw verdict wrote mags[" << i << "]: " << where;
+      ASSERT_EQ(run.signs[i], kCanaryU32) << "a raw verdict wrote signs[" << i << "]: " << where;
+    }
+  };
+  const std::string base = std::string("level=") + kernels::level_name(t.level) +
+                           " n=" + std::to_string(n) + " " + what;
+  for (size_t misalign = 0; misalign < 4; ++misalign) {
+    std::vector<float> in(misalign + n);
+    std::copy(block.begin(), block.end(), in.begin() + static_cast<ptrdiff_t>(misalign));
+    check(in.data() + misalign, base + " misalign=" + std::to_string(misalign));
+  }
+  const GuardedBytes guarded(
+      std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(block.data()), n * sizeof(float)));
+  check(reinterpret_cast<const float*>(guarded.data()), base + " guarded");
+}
+
+constexpr uint32_t kFloatMantissaBits = 0x007FFFFFu;
+
+float float_from_bits(uint32_t bits) {
+  float f;
+  std::memcpy(&f, &bits, sizeof f);
+  return f;
+}
+
+TEST(KernelConformance, QuantizePredictRawVerdictMatchesClassifyRawBlock) {
+  // Quiet, negative, signaling and payload-carrying NaNs.
+  const uint32_t kNaNs[] = {0x7FC00000u, 0xFFC00000u, 0x7F800001u, 0x7FC12345u};
+  const float inf = std::numeric_limits<float>::infinity();
+  for (DispatchLevel lvl : kernels::supported_levels()) {
+    const KernelTable& t = kernels::table(lvl);
+    Prng rng(/*seed=*/0x4A3B1Cu, /*stream=*/static_cast<uint64_t>(lvl));
+    const auto subnormal = [&] {
+      const uint32_t mantissa = std::max(rng.u32() & kFloatMantissaBits, 1u);
+      return float_from_bits(mantissa | ((rng.u32() & 1u) << 31));
+    };
+    for (const size_t n : block_lengths()) {
+      std::vector<float> finite(n);
+      for (float& v : finite) {
+        v = (static_cast<float>(rng.u32() % 2000001u) - 1000000.0f) * 1e-3f;
+      }
+      for (size_t i = 0; i < n; ++i) {
+        std::vector<float> block = finite;
+        block[i] = float_from_bits(kNaNs[i % std::size(kNaNs)]);
+        check_raw_verdict(t, block, "NaN at lane " + std::to_string(i));
+        block[i] = inf;
+        check_raw_verdict(t, block, "+Inf at lane " + std::to_string(i));
+        block[i] = -inf;
+        check_raw_verdict(t, block, "-Inf at lane " + std::to_string(i));
+        if (HasFatalFailure()) return;
+      }
+      std::vector<float> zeros(n, 0.0f);
+      for (size_t i = 0; i < n; i += 2) zeros[i] = -0.0f;
+      check_raw_verdict(t, zeros, "signed zeros");
+
+      // Subnormals at shuffled lanes: n/2 of them stay quantized, n/2 + 1
+      // make the block denormal-heavy.
+      std::vector<size_t> lanes(n);
+      for (size_t i = 0; i < n; ++i) lanes[i] = i;
+      for (size_t i = n; i > 1; --i) std::swap(lanes[i - 1], lanes[rng.u32() % i]);
+      for (const size_t count : {n / 2, n / 2 + 1}) {
+        std::vector<float> block = finite;
+        for (size_t k = 0; k < count; ++k) block[lanes[k]] = subnormal();
+        check_raw_verdict(t, block, std::to_string(count) + " subnormals");
+        if (count == n / 2 + 1) {
+          block[lanes[n - 1]] = float_from_bits(kNaNs[0]);
+          check_raw_verdict(t, block, "denormal-heavy with a NaN");
+        }
+      }
+
+      // Out of the quantization domain: quantized (the caller raises), unless
+      // a non-finite lane makes it raw first.
+      std::vector<float> huge(n);
+      for (float& v : huge) v = (rng.u32() % 2u ? 1.0f : -1.0f) * 1e13f;
+      check_raw_verdict(t, huge, "out of domain");
+      huge[n - 1] = -inf;
+      check_raw_verdict(t, huge, "out of domain with -Inf");
+      if (HasFatalFailure()) return;
     }
   }
 }

@@ -100,8 +100,7 @@ TEST(KernelDispatch, SupportedTablesAreFullyPopulated) {
           << "level " << kernels::level_name(lvl) << " bits " << bits;
     }
     EXPECT_NE(t.hz_combine_residuals, nullptr);
-    EXPECT_NE(t.fz_quantize, nullptr);
-    EXPECT_NE(t.fz_predict, nullptr);
+    EXPECT_NE(t.fz_quantize_predict, nullptr);
     EXPECT_NE(t.szx_scan, nullptr);
     EXPECT_NE(t.crc32c, nullptr);
     EXPECT_NE(t.decode_block, nullptr);

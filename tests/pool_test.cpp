@@ -1,7 +1,8 @@
 // Tests for the zero-allocation substrate (BufferPool / ScratchArena) and
 // the differential guarantee the whole PR rests on: every pooled hot path
 // produces byte-identical output to the fresh-allocation path, even when the
-// pool is warm with poisoned recycled buffers.
+// pool is warm with poisoned recycled buffers and the arena scratch is
+// stale.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -18,6 +19,16 @@
 
 namespace hzccl {
 namespace {
+
+/// Make the scratch `arena` hands out next stale: take one large request,
+/// fill it with kPoolPoisonByte, and rewind the cursor to its start.  The
+/// caller's enclosing scope restores the cursor it had before.
+void scribble_arena(ScratchArena& arena, size_t bytes) {
+  const std::span<uint8_t> stale = arena.alloc_for_overwrite<uint8_t>(bytes);
+  std::memset(stale.data(), kPoolPoisonByte, stale.size());
+  const ScratchArena::Marker end = arena.mark();
+  arena.rewind({end.block, end.offset - stale.size()});
+}
 
 // ---------------------------------------------------------------------------
 // BufferPool mechanics
@@ -116,6 +127,24 @@ TEST(ScratchArena, AllocReturnsZeroedSpans) {
   EXPECT_TRUE(arena.alloc<int>(0).empty());
 }
 
+TEST(ScratchArena, AllocZeroesStaleScratch) {
+  ScratchArena arena;
+  ArenaScope outer(arena);
+  scribble_arena(arena, 4096);
+  const uint8_t* stale = nullptr;
+  {
+    // alloc_for_overwrite hands the stale bytes back as they are...
+    ArenaScope scope(arena);
+    const std::span<uint8_t> raw = scope.alloc_for_overwrite<uint8_t>(4096);
+    for (uint8_t b : raw) ASSERT_EQ(b, kPoolPoisonByte);
+    stale = raw.data();
+  }
+  // ...while alloc zeroes the same storage.
+  const std::span<uint64_t> s = arena.alloc<uint64_t>(4096 / sizeof(uint64_t));
+  EXPECT_EQ(static_cast<const void*>(s.data()), static_cast<const void*>(stale));
+  for (uint64_t v : s) ASSERT_EQ(v, 0u);
+}
+
 TEST(ScratchArena, RewindRecyclesTheSameStorage) {
   ScratchArena arena;
   ScratchArena::Marker m = arena.mark();
@@ -176,10 +205,15 @@ TEST(ScratchArena, MixedAlignmentAllocationsStayAligned) {
 
 // ---------------------------------------------------------------------------
 // Differential: pooled output == fresh output, byte for byte, on a warm
-// poisoned pool.  Poison mode makes any read of recycled contents visible as
-// a mismatch, so passing here means the pooled paths fully overwrite what
-// they recycle.
+// poisoned pool and stale arena scratch.  Poison mode makes any read of
+// recycled contents visible as a mismatch, and the scribbled arena does the
+// same for scratch, so passing here means the pooled paths fully overwrite
+// what they recycle and no stream byte depends on uninitialized scratch.
 // ---------------------------------------------------------------------------
+
+/// Larger than any op's arena scratch on the tiny fields (an assembler's
+/// worst-case chunk regions are about 1.01x the input bytes).
+constexpr size_t kStaleScratchBytes = size_t{4} << 20;
 
 class PooledDifferentialTest : public ::testing::TestWithParam<DatasetId> {
  protected:
@@ -191,11 +225,14 @@ class PooledDifferentialTest : public ::testing::TestWithParam<DatasetId> {
   }
 
   /// Run `op` twice through the pool — once to warm (and poison) the free
-  /// lists, once measured — and check the measured bytes against `fresh`.
+  /// lists, once measured on scribbled arena scratch — and check the
+  /// measured bytes against `fresh`.
   template <class Fn>
   void expect_identical(const CompressedBuffer& fresh, const Fn& op) {
     CompressedBuffer warm = op(&pool_);
     pool_.release(std::move(warm.bytes));
+    ArenaScope stale(ScratchArena::local());
+    scribble_arena(ScratchArena::local(), kStaleScratchBytes);
     CompressedBuffer pooled = op(&pool_);
     EXPECT_EQ(pooled.bytes, fresh.bytes);
     pool_.release(std::move(pooled.bytes));

@@ -1,11 +1,13 @@
 #!/usr/bin/env sh
 # Staged verification driver (see docs/ANALYSIS.md for the tier model).
 #
-#   tools/check.sh            # tier 1 + tier 2 (ASan/UBSan chaos + fuzz)
+#   tools/check.sh            # tier 1 + tier 2 (ASan/UBSan chaos, arena and
+#                             # assembler tests, fuzz)
 #   tools/check.sh --fast     # tier 1 only: release build + full ctest
 #   tools/check.sh --lint     # tier 1 + project lint
 #   tools/check.sh --tsan     # tier 1 + ThreadSanitizer concurrency tier
-#   tools/check.sh --fuzz     # tier 1 + sanitized decoder fuzzing only
+#   tools/check.sh --fuzz     # tier 1 + sanitized arena/assembler tests and
+#                             # decoder fuzzing
 #   tools/check.sh --perf     # tier 1 + perf smoke: zero-allocation gate,
 #                             # SIMD speedup floor, verify-cost gate,
 #                             # allreduce algorithm-selection gates,
@@ -80,13 +82,19 @@ if [ "$run_asan" = "1" ] || [ "$run_fuzz" = "1" ] || [ "$run_recovery" = "1" ] |
     -DCMAKE_CXX_FLAGS="$san_flags" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
   cmake --build "$repo/build-asan" -j "$jobs" \
-    --target faults_test property_test trace_test bytes_test fuzz_decoders \
-             recovery_test hzcclc
+    --target faults_test property_test trace_test bytes_test pool_test format_test \
+             fuzz_decoders recovery_test hzcclc
   if [ "$run_asan" = "1" ]; then
     echo "== tier 2: sanitized chaos + property + trace + corpus =="
     (cd "$repo/build-asan" && ctest -L 'chaos|property|trace' --output-on-failure)
     "$repo/build-asan/tests/bytes_test"
   fi
+  echo "== tier 2: sanitized scratch arena + stream assembler (pool_test, format_test) =="
+  # The assembler's chunk regions are uninitialized arena scratch; under
+  # ASan/UBSan the stale-scratch differential and the assembler tests catch
+  # a read of a byte no op wrote, or a write past a region.
+  "$repo/build-asan/tests/pool_test"
+  "$repo/build-asan/tests/format_test"
   echo "== tier 2: sanitized decoder fuzzing =="
   "$repo/build-asan/tests/fuzz_decoders" --iterations="${HZCCL_FUZZ_ITERATIONS:-10000}"
 fi
