@@ -1,29 +1,28 @@
 // Kernel-level microbenchmarks: the primitives whose cost structure the
-// paper's design arguments rest on — the bit-shifting pack/unpack routines,
-// block encode/decode, the fused classify-quantize-predict block pass, the
-// compressors end-to-end, and hz_add versus doc_add.
+// paper's design arguments rest on — whole-block encode/decode (the
+// bit-shifting fixed-length codec), the fused classify-quantize-predict
+// block pass, the compressors end-to-end, and hz_add versus doc_add.
 //
 // Two modes:
 //  * default — the google-benchmark harness (filters, repetitions, etc.);
 //  * --json [--quick] [--out PATH] [--alloc-budget N] [--simd-floor R]
 //    [--verify-overhead P] —
 //    the hand-timed perf-regression mode: emits BENCH_kernels.json with
-//    GB/s per kernel × bit-width × dataset plus allocations-per-op measured
+//    GB/s per kernel × code length × dataset plus allocations-per-op measured
 //    via the pool-stats hook (pool_heap_allocations counts fresh heap
 //    blocks taken by the buffer pools and scratch arenas).  With
 //    --alloc-budget N the run fails if any gated hot path (hz_add, the
 //    ring collective, crc32c, the frame round trip) exceeds N allocations
-//    per op in steady state — the CI regression gate.  The bit-plane
-//    primitives and crc32c are measured once per supported dispatch level
-//    (tagged with a "level" field), and so are the whole-block codec and
-//    digest fold on the codec's 32-value block (decode_block, encode_block,
-//    digest_block; "bits" is the code length) and the fused block pass on
-//    32-value blocks of three datasets (fz_quantize_predict); --simd-floor R
-//    fails the run if the best level's unpack_bits throughput at the
-//    byte-straddling widths (bits >= 3), its decode_block at n = 32 over the
-//    measured code lengths together, or its fz_quantize_predict over the
-//    three datasets together, is below R× the scalar table's — the SIMD
-//    speedup gate.  Skipped on hosts whose best level is scalar.
+//    per op in steady state — the CI regression gate.  crc32c, the
+//    whole-block codec and digest fold on the codec's 32-value block
+//    (decode_block, encode_block, digest_block; "bits" is the code length)
+//    and the fused block pass on 32-value blocks of three datasets
+//    (fz_quantize_predict) are measured once per supported dispatch level
+//    (tagged with a "level" field); --simd-floor R fails the run if the best
+//    level's decode_block at n = 32 over the measured code lengths together,
+//    or its fz_quantize_predict over the three datasets together, is below
+//    R× the scalar table's — the SIMD speedup gate on the codec the library
+//    runs.  Skipped on hosts whose best level is scalar.
 //    --verify-overhead P fails the run if per-round ABFT digest verification
 //    adds more than P% to the modeled end-to-end hZCCL allreduce at the
 //    paper's scalability point (512 ranks x 8 MiB per rank, RoundSim +
@@ -62,38 +61,6 @@
 namespace {
 
 using namespace hzccl;
-
-void BM_PackBits(benchmark::State& state) {
-  const int bits = static_cast<int>(state.range(0));
-  constexpr size_t n = 4096;
-  std::vector<uint32_t> values(n);
-  Rng rng(1);
-  for (auto& v : values) v = static_cast<uint32_t>(rng.below(1u << bits));
-  std::vector<uint8_t> out(packed_size(n, bits));
-  for (auto _ : state) {
-    pack_bits(values.data(), n, bits, out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * n * sizeof(uint32_t));
-}
-BENCHMARK(BM_PackBits)->DenseRange(1, 7);
-
-void BM_UnpackBits(benchmark::State& state) {
-  const int bits = static_cast<int>(state.range(0));
-  constexpr size_t n = 4096;
-  std::vector<uint32_t> values(n);
-  Rng rng(1);
-  for (auto& v : values) v = static_cast<uint32_t>(rng.below(1u << bits));
-  std::vector<uint8_t> packed(packed_size(n, bits));
-  pack_bits(values.data(), n, bits, packed.data());
-  std::vector<uint32_t> out(n);
-  for (auto _ : state) {
-    unpack_bits(packed.data(), n, bits, out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * n * sizeof(uint32_t));
-}
-BENCHMARK(BM_UnpackBits)->DenseRange(1, 7);
 
 void BM_EncodeBlock(benchmark::State& state) {
   const int code_len = static_cast<int>(state.range(0));
@@ -217,7 +184,7 @@ struct JsonOptions {
 
 struct JsonEntry {
   std::string kernel;
-  int bits = -1;        ///< bit-width dimension (-1 = not applicable)
+  int bits = -1;        ///< code-length dimension (-1 = not applicable)
   std::string dataset;  ///< dataset slug (empty = not applicable)
   std::string level;    ///< forced dispatch level (empty = session default)
   double gbps = 0.0;
@@ -502,12 +469,10 @@ int run_json_mode(const JsonOptions& opts) {
   const double min_seconds = opts.quick ? 0.05 : 0.3;
   std::vector<JsonEntry> entries;
 
-  // Bit-plane primitives: kernel × bit-width × dispatch level.  Every
-  // supported level is forced in turn so the JSON carries the scalar
+  // Dispatched kernels: kernel × code length or dataset × dispatch level.
+  // Every supported level is forced in turn so the JSON carries the scalar
   // baseline next to the SIMD tables — the --simd-floor gate reads the
   // spread, and the checked-in artifact documents the speedup.
-  const std::vector<int> bit_widths =
-      opts.quick ? std::vector<int>{1, 4, 7} : std::vector<int>{1, 2, 3, 4, 5, 6, 7};
   const std::vector<kernels::DispatchLevel> levels = kernels::supported_levels();
   const kernels::DispatchLevel prior_level = kernels::active_dispatch_level();
   // A 1 MiB wire payload: the size of one raw ring block of a 4 x 4 MiB
@@ -530,23 +495,6 @@ int run_json_mode(const JsonOptions& opts) {
     crc_entry.level = level_slug;
     crc_entry.gated = true;
     entries.push_back(crc_entry);
-    for (const int bits : bit_widths) {
-      constexpr size_t n = 4096;
-      std::vector<uint32_t> values(n);
-      Rng rng(1);
-      for (auto& v : values) v = static_cast<uint32_t>(rng.below(1u << bits));
-      std::vector<uint8_t> packed(packed_size(n, bits));
-      std::vector<uint32_t> unpacked(n);
-      JsonEntry pack = measure_json("pack_bits", bits, "", n * sizeof(uint32_t), min_seconds,
-                                    [&] { pack_bits(values.data(), n, bits, packed.data()); });
-      pack.level = level_slug;
-      entries.push_back(pack);
-      JsonEntry unpack =
-          measure_json("unpack_bits", bits, "", n * sizeof(uint32_t), min_seconds,
-                       [&] { unpack_bits(packed.data(), n, bits, unpacked.data()); });
-      unpack.level = level_slug;
-      entries.push_back(unpack);
-    }
     for (JsonEntry& e : measure_block_kernels(min_seconds)) {
       e.level = level_slug;
       entries.push_back(std::move(e));
@@ -705,11 +653,9 @@ int run_json_mode(const JsonOptions& opts) {
   }
 
   // SIMD speedup gate: the best level's whole-block decode and fused block
-  // pass at n = 32 (the loops the codec runs) and its unpack at
-  // byte-straddling widths (bits >= 3 — the shift-cascade cases the vector
-  // kernels exist for) must beat the scalar table by the requested factor.
-  // Scalar-only hosts have nothing to compare, so the gate reports itself
-  // skipped.
+  // pass at n = 32 (the loops the codec runs) must beat the scalar table by
+  // the requested factor.  Scalar-only hosts have nothing to compare, so the
+  // gate reports itself skipped.
   if (opts.simd_floor > 0) {
     const kernels::DispatchLevel best = kernels::best_supported_level();
     if (best == kernels::DispatchLevel::kScalar) {
@@ -757,22 +703,6 @@ int run_json_mode(const JsonOptions& opts) {
       std::vector<std::pair<int, std::string>> datasets;
       for (const DatasetId id : kBlockPassDatasets) datasets.emplace_back(-1, dataset_slug(id));
       gate_points("fz_quantize_predict", "all datasets", datasets);
-      for (const int bits : bit_widths) {
-        if (bits < 3) continue;
-        const double scalar_gbps = find_gbps("unpack_bits", bits, "", "scalar");
-        const double best_gbps = find_gbps("unpack_bits", bits, "", best_slug);
-        const double ratio = scalar_gbps > 0 ? best_gbps / scalar_gbps : 0.0;
-        std::printf("simd-floor unpack_bits bits=%d: %s %.3f GB/s vs scalar %.3f GB/s "
-                    "(%.2fx, floor %.2fx)\n",
-                    bits, best_slug, best_gbps, scalar_gbps, ratio, opts.simd_floor);
-        if (best_gbps < opts.simd_floor * scalar_gbps) {
-          std::fprintf(stderr,
-                       "bench_kernels: unpack_bits bits=%d at %s is %.2fx scalar, "
-                       "floor is %.2fx\n",
-                       bits, best_slug, ratio, opts.simd_floor);
-          ++failures;
-        }
-      }
     }
   }
   // Per-round verify overhead gate: at the paper's scalability point the

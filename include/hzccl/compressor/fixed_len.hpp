@@ -64,37 +64,6 @@ inline size_t max_encoded_block_size(size_t n) {
 inline size_t raw_block_size(size_t n) { return 1 + 4 * n; }
 
 // ---------------------------------------------------------------------------
-// ultra_fast_bit_shifting_x: pack n values of x significant bits each.
-// Eight x-bit values occupy exactly x bytes, so the main loop is a fixed
-// shift/or cascade per group; the tail (< 8 values) flushes partial bytes.
-// The unpack twins reverse the transform.  x = 1 also packs the sign plane.
-// ---------------------------------------------------------------------------
-void pack_bits_1(const uint32_t* v, size_t n, uint8_t* out);
-void pack_bits_2(const uint32_t* v, size_t n, uint8_t* out);
-void pack_bits_3(const uint32_t* v, size_t n, uint8_t* out);
-void pack_bits_4(const uint32_t* v, size_t n, uint8_t* out);
-void pack_bits_5(const uint32_t* v, size_t n, uint8_t* out);
-void pack_bits_6(const uint32_t* v, size_t n, uint8_t* out);
-void pack_bits_7(const uint32_t* v, size_t n, uint8_t* out);
-
-void unpack_bits_1(const uint8_t* src, size_t n, uint32_t* v);
-void unpack_bits_2(const uint8_t* src, size_t n, uint32_t* v);
-void unpack_bits_3(const uint8_t* src, size_t n, uint32_t* v);
-void unpack_bits_4(const uint8_t* src, size_t n, uint32_t* v);
-void unpack_bits_5(const uint8_t* src, size_t n, uint32_t* v);
-void unpack_bits_6(const uint8_t* src, size_t n, uint32_t* v);
-void unpack_bits_7(const uint8_t* src, size_t n, uint32_t* v);
-
-/// Dispatch table over x in 1..7 (used by the generic encode path).
-void pack_bits(const uint32_t* v, size_t n, int bits, uint8_t* out);
-void unpack_bits(const uint8_t* src, size_t n, int bits, uint32_t* v);
-
-/// Bytes occupied by n values packed at `bits` bits each.
-inline size_t packed_size(size_t n, int bits) {
-  return (n * static_cast<size_t>(bits) + 7) / 8;
-}
-
-// ---------------------------------------------------------------------------
 // Block codec.
 // ---------------------------------------------------------------------------
 

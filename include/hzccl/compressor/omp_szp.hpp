@@ -42,10 +42,6 @@ struct SzpParams {
   double abs_error_bound = 1e-4;
   uint32_t block_len = 32;  ///< elements per block (<= 512)
   int num_threads = 0;      ///< OpenMP threads; 0 = runtime default
-  /// Emit a per-stream ABFT digest trailer (kFlagHasDigests): the linear
-  /// sum/weighted-sum pair over the quantized block values, globally
-  /// positioned.  Zero and raw blocks contribute nothing.
-  bool emit_digests = false;
 };
 
 /// Validated view into a serialized ompSZp stream.
@@ -53,27 +49,16 @@ struct SzpView {
   FzHeader header;
   std::span<const uint8_t> block_meta;
   std::span<const uint8_t> payload;
-  /// Stored ABFT digest when the stream carries the trailer.
-  integrity::Digest stream_digest;
 
   size_t num_elements() const { return header.num_elements; }
   uint32_t block_len() const { return header.block_len; }
   uint32_t num_blocks() const { return header.num_chunks; }
   double error_bound() const { return header.error_bound; }
-  bool has_digest() const { return (header.flags & kFlagHasDigests) != 0; }
 };
 
+/// Throws FormatError on a header with kFlagHasDigests set: the ABFT digest
+/// table is fZ-light's (docs/FORMAT.md).
 [[nodiscard]] SzpView parse_szp(std::span<const uint8_t> bytes);
-
-/// Recompute the stream digest from the encoded blocks (integer domain, no
-/// float conversion) and compare with the stored trailer.  Streams without
-/// one return {checked = false, ok = true}.
-struct SzpDigestCheck {
-  bool checked = false;
-  bool ok = true;
-};
-[[nodiscard]] SzpDigestCheck szp_verify_digest(const CompressedBuffer& compressed,
-                                               int num_threads = 0);
 
 [[nodiscard]] CompressedBuffer szp_compress(std::span<const float> data, const SzpParams& params,
                                             BufferPool* pool = nullptr);

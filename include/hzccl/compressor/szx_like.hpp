@@ -33,37 +33,22 @@ struct SzxParams {
   double abs_error_bound = 1e-4;
   uint32_t block_len = 32;  ///< elements per block (<= 512)
   int num_threads = 0;
-  /// Emit an integrity digest trailer (kFlagHasDigests).  SZx's truncated
-  /// floats have no linear quantized domain, so this is a *content* digest
-  /// over the metadata + payload bytes — it detects corruption of a stored
-  /// or transported stream but is not homomorphic (SZx streams are never
-  /// combined in their compressed form).
-  bool emit_digests = false;
 };
 
 struct SzxView {
   FzHeader header;
   std::span<const uint8_t> block_meta;
   std::span<const uint8_t> payload;
-  /// Stored content digest when the stream carries the trailer.
-  integrity::Digest stream_digest;
 
   size_t num_elements() const { return header.num_elements; }
   uint32_t block_len() const { return header.block_len; }
   uint32_t num_blocks() const { return header.num_chunks; }
   double error_bound() const { return header.error_bound; }
-  bool has_digest() const { return (header.flags & kFlagHasDigests) != 0; }
 };
 
+/// Throws FormatError on a header with kFlagHasDigests set: the ABFT digest
+/// table is fZ-light's (docs/FORMAT.md).
 [[nodiscard]] SzxView parse_szx(std::span<const uint8_t> bytes);
-
-/// Recompute the content digest over the metadata + payload bytes and
-/// compare with the stored trailer (checked = false when absent).
-struct SzxDigestCheck {
-  bool checked = false;
-  bool ok = true;
-};
-[[nodiscard]] SzxDigestCheck szx_verify_digest(const CompressedBuffer& compressed);
 
 [[nodiscard]] CompressedBuffer szx_compress(std::span<const float> data, const SzxParams& params,
                                             BufferPool* pool = nullptr);

@@ -1,28 +1,27 @@
 // Runtime-dispatched kernel table for the bit-plane / homomorphic hot paths.
 //
 // The compressors and homomorphic operators do all of their per-element work
-// through a handful of primitives: the ultra-fast bit-shifting pack/unpack
-// (paper §III-B3) and the whole-block fixed-length codec built on it, the
-// quantized-delta merge at the heart of hz_add (§III-C), fZ-light's fused
-// block pass — raw-fallback classification, quantization and 1-D Lorenzo
-// prediction in one walk over the block (§III-B2; the fz_quantize_predict
-// slot, which replaced separate fz_quantize and fz_predict slots and the
-// per-block classify_raw_block call) — and the ABFT digest fold of the
-// verify walk.  The transport adds one more: the CRC-32C every wire
-// frame carries.  This header exposes those primitives as a table of function
+// through a handful of primitives: the whole-block fixed-length codec (paper
+// §III-B3: a sign plane, c/8 byte planes and one x-bit remainder plane per
+// block, decoded or encoded in one call), the quantized-delta merge at the
+// heart of hz_add (§III-C), fZ-light's fused block pass — raw-fallback
+// classification, quantization and 1-D Lorenzo prediction in one walk over
+// the block (§III-B2) — SZx's min/max scan, and the ABFT digest fold of the
+// verify walk.  The transport adds one more: the CRC-32C every wire frame
+// carries.  This header exposes those primitives as a table of function
 // pointers with one table per *dispatch level*:
 //
 //   kScalar — the portable C++ reference.  Always compiled, always
 //             supported; it is both the fallback and the oracle every
 //             vectorized variant is differentially tested against
 //             (tests/kernel_conformance_test.cpp).
-//   kAvx2   — AVX2 + BMI2 + SSE4.2: PDEP/PEXT bit-plane codecs, the block
-//             codec on 8-value PDEP/PEXT groups, and the hardware crc32
-//             instruction.
-//   kAvx512 — AVX-512 (F/BW/DQ/VL/VBMI): VPERMB + VPMULTISHIFTQB unpack,
-//             the block codec on 32-value groups, 8-lane int64 merge, and
-//             the fused block pass in one masked walk (VCVTPD2QQ, the exact
-//             llrint, with the predecessor lane from VALIGND).
+//   kAvx2   — AVX2 + BMI2 + SSE4.2: the block codec on 8-value PDEP/PEXT
+//             groups, the vector classify and predict of the fused block
+//             pass, and the hardware crc32 instruction.
+//   kAvx512 — AVX-512 (F/BW/DQ/VL/VBMI): the block codec on 32-value groups
+//             (VPERMB + VPMULTISHIFTQB remainder planes), 8-lane int64
+//             merge, and the fused block pass in one masked walk (VCVTPD2QQ,
+//             the exact llrint, with the predecessor lane from VALIGND).
 //
 // Contract: every variant produces byte-identical output to the scalar
 // reference on identical input — including sign conventions, guard
@@ -55,15 +54,6 @@ inline constexpr int kNumDispatchLevels = 3;
 /// consumes 8 bytes per step).
 inline constexpr size_t kCrc32cLaneBytes = 1024;
 
-/// Widest supported pack/unpack field.  Widths 1..7 are the paper's
-/// ultra_fast_bit_shifting_x family (remainder planes + sign plane); widths
-/// 8..32 extend the same LSB-first little-endian bitstream layout.
-inline constexpr int kMaxPackBits = 32;
-
-/// Pack n values of a fixed bit width into ceil(n*bits/8) bytes.
-using PackFn = void (*)(const uint32_t* values, size_t n, uint8_t* out);
-/// Inverse of PackFn; writes exactly n values.
-using UnpackFn = void (*)(const uint8_t* src, size_t n, uint32_t* values);
 /// Residual merge: s = ra[i] + sign_b * rb[i] in int64, emitting the
 /// magnitude/sign split the fixed-length encoder consumes.  Returns the OR
 /// of all |s| (64-bit): <= INT32_MAX means every element fit and the value
@@ -133,14 +123,11 @@ using EncodeBlockFn = void (*)(const uint32_t* mags, const uint32_t* signs, size
 using DigestBlockFn = int64_t (*)(const int32_t* residuals, size_t n, int64_t q, uint64_t pos,
                                   uint64_t* sum, uint64_t* wsum);
 
-/// One dispatch level's kernel set.  pack/unpack are indexed by bit width
-/// (entries 1..kMaxPackBits; entry 0 is null).  Entries a level does not
+/// One dispatch level's kernel set.  Entries a level does not
 /// hand-vectorize alias the next-lower level's function, so every slot of a
 /// supported table is callable.
 struct KernelTable {
   DispatchLevel level = DispatchLevel::kScalar;
-  PackFn pack[kMaxPackBits + 1] = {};
-  UnpackFn unpack[kMaxPackBits + 1] = {};
   CombineFn hz_combine_residuals = nullptr;
   QuantizePredictFn fz_quantize_predict = nullptr;
   SzxScanFn szx_scan = nullptr;
@@ -185,16 +172,5 @@ DispatchLevel reload_from_env();
 /// Number of table activations so far (stats surface; >=1 once any kernel
 /// has run).
 uint64_t dispatch_swaps();
-
-/// Checked conveniences over the active table for the full 1..32 range.
-/// (fixed_len.hpp's pack_bits keeps its historical 1..7 contract; these are
-/// the wide entry points used by the tests, fuzzers and benches.)
-void pack_bits(const uint32_t* values, size_t n, int bits, uint8_t* out);
-void unpack_bits(const uint8_t* src, size_t n, int bits, uint32_t* values);
-
-/// Bytes occupied by n values at `bits` bits each (any width 1..32).
-inline size_t packed_size_bits(size_t n, int bits) {
-  return (n * static_cast<size_t>(bits) + 7) / 8;
-}
 
 }  // namespace hzccl::kernels

@@ -1,51 +1,12 @@
 #include "hzccl/compressor/fixed_len.hpp"
 
 #include <cstring>
-#include <string>
 
 #include "hzccl/kernels/dispatch.hpp"
 #include "hzccl/util/contracts.hpp"
-#include "hzccl/util/error.hpp"
 #include "hzccl/util/raise.hpp"
 
 namespace hzccl {
-
-// The scalar ultra_fast_bit_shifting_x implementations live in
-// src/kernels/kernel_impls.hpp; everything here routes through the runtime
-// dispatch table (hzccl/kernels/dispatch.hpp), which picks the widest
-// byte-identical variant the host supports.
-
-void pack_bits_1(const uint32_t* v, size_t n, uint8_t* o) { kernels::active().pack[1](v, n, o); }
-void pack_bits_2(const uint32_t* v, size_t n, uint8_t* o) { kernels::active().pack[2](v, n, o); }
-void pack_bits_3(const uint32_t* v, size_t n, uint8_t* o) { kernels::active().pack[3](v, n, o); }
-void pack_bits_4(const uint32_t* v, size_t n, uint8_t* o) { kernels::active().pack[4](v, n, o); }
-void pack_bits_5(const uint32_t* v, size_t n, uint8_t* o) { kernels::active().pack[5](v, n, o); }
-void pack_bits_6(const uint32_t* v, size_t n, uint8_t* o) { kernels::active().pack[6](v, n, o); }
-void pack_bits_7(const uint32_t* v, size_t n, uint8_t* o) { kernels::active().pack[7](v, n, o); }
-
-void unpack_bits_1(const uint8_t* s, size_t n, uint32_t* v) { kernels::active().unpack[1](s, n, v); }
-void unpack_bits_2(const uint8_t* s, size_t n, uint32_t* v) { kernels::active().unpack[2](s, n, v); }
-void unpack_bits_3(const uint8_t* s, size_t n, uint32_t* v) { kernels::active().unpack[3](s, n, v); }
-void unpack_bits_4(const uint8_t* s, size_t n, uint32_t* v) { kernels::active().unpack[4](s, n, v); }
-void unpack_bits_5(const uint8_t* s, size_t n, uint32_t* v) { kernels::active().unpack[5](s, n, v); }
-void unpack_bits_6(const uint8_t* s, size_t n, uint32_t* v) { kernels::active().unpack[6](s, n, v); }
-void unpack_bits_7(const uint8_t* s, size_t n, uint32_t* v) { kernels::active().unpack[7](s, n, v); }
-
-void pack_bits(const uint32_t* v, size_t n, int bits, uint8_t* out) {
-  // This entry point keeps its historical remainder-plane contract (1..7);
-  // kernels::pack_bits covers the full 1..32 range.
-  if (bits < 1 || bits > 7) {
-    throw Error("pack_bits: bits must be in 1..7, got " + std::to_string(bits));
-  }
-  kernels::active().pack[bits](v, n, out);
-}
-
-void unpack_bits(const uint8_t* src, size_t n, int bits, uint32_t* v) {
-  if (bits < 1 || bits > 7) {
-    throw Error("unpack_bits: bits must be in 1..7, got " + std::to_string(bits));
-  }
-  kernels::active().unpack[bits](src, n, v);
-}
 
 HZCCL_HOT uint8_t* encode_block_prepared(const uint32_t* magnitudes, const uint32_t* sign_bits, size_t n,
                                int code_len, uint8_t* out, const uint8_t* out_end) {

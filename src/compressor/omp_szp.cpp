@@ -1,7 +1,6 @@
 #include "hzccl/compressor/omp_szp.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 
 #include <omp.h>
@@ -137,6 +136,7 @@ SzpView parse_szp(std::span<const uint8_t> bytes) {
   v.header = reader.read<FzHeader>("header");
   if (v.header.magic != kSzpMagic) throw FormatError("bad magic: not an ompSZp stream");
   if (v.header.version != kFormatVersion) throw FormatError("unsupported szp version");
+  if (v.header.flags & kFlagHasDigests) throw FormatError("szp streams carry no digest table");
   if (v.header.block_len == 0 || v.header.block_len > kMaxBlockLen) {
     throw FormatError("szp block length out of range");
   }
@@ -148,16 +148,6 @@ SzpView parse_szp(std::span<const uint8_t> bytes) {
   if (nblocks != expect_blocks) throw FormatError("szp block count inconsistent");
   v.block_meta = reader.read_bytes(nblocks, "block metadata");
   v.payload = reader.rest();
-  if (v.header.flags & kFlagHasDigests) {
-    if (v.payload.size() < 2 * sizeof(uint64_t)) {
-      throw FormatError("szp digest trailer missing");
-    }
-    ByteReader trailer(v.payload.subspan(v.payload.size() - 2 * sizeof(uint64_t)),
-                       "szp digest trailer");
-    v.stream_digest.sum = trailer.read<uint64_t>("digest sum");
-    v.stream_digest.wsum = trailer.read<uint64_t>("digest wsum");
-    v.payload = v.payload.subspan(0, v.payload.size() - 2 * sizeof(uint64_t));
-  }
   for (size_t b = 0; b < nblocks; ++b) {
     const uint8_t m = v.block_meta[b];
     if (m != kSzpZeroBlock && m != kSzpRawBlock && m > kMaxCodeLength) {
@@ -185,11 +175,7 @@ CompressedBuffer szp_compress(std::span<const float> data, const SzpParams& para
 
   // Phase 1: measure every block.  Round-robin assignment reproduces
   // cuSZp's thread-to-block mapping (thread t handles blocks t, t+T, ...),
-  // which hops across distant memory on a CPU.  The ABFT digest folds off
-  // the same quantization pass (zero and raw blocks contribute nothing, and
-  // modular addition commutes, so the thread merge order is irrelevant).
-  std::atomic<uint64_t> digest_sum{0};
-  std::atomic<uint64_t> digest_wsum{0};
+  // which hops across distant memory on a CPU.
   OmpExceptionCollector scan_errors;
 #pragma omp parallel
   {
@@ -198,7 +184,6 @@ CompressedBuffer szp_compress(std::span<const float> data, const SzpParams& para
     int64_t qbuf[kMaxBlockLen];
     uint32_t mags[kMaxBlockLen];
     uint32_t signs[kMaxBlockLen];
-    integrity::Digest local;
     for (size_t b = tid; b < nblocks; b += nthreads) {
       scan_errors.run([&, b] {
         const size_t begin = b * block_len;
@@ -210,17 +195,10 @@ CompressedBuffer szp_compress(std::span<const float> data, const SzpParams& para
           m = kSzpRawBlock;
         } else {
           m = s.all_zero ? kSzpZeroBlock : static_cast<uint8_t>(s.code_len);
-          if (params.emit_digests && !s.all_zero) {
-            for (size_t i = 0; i < n; ++i) local.accumulate(qbuf[i], begin + 1 + i);
-          }
         }
         meta[b] = m;
         sizes[b + 1] = block_payload_size(m, n);
       });
-    }
-    if (params.emit_digests) {
-      digest_sum.fetch_add(local.sum, std::memory_order_relaxed);
-      digest_wsum.fetch_add(local.wsum, std::memory_order_relaxed);
     }
   }
   scan_errors.rethrow();
@@ -230,10 +208,9 @@ CompressedBuffer szp_compress(std::span<const float> data, const SzpParams& para
   for (size_t b = 0; b < nblocks; ++b) sizes[b + 1] += sizes[b];
   const size_t payload_bytes = sizes[nblocks];
 
-  const size_t trailer_bytes = params.emit_digests ? 2 * sizeof(uint64_t) : 0;
   CompressedBuffer result;
-  if (pool) result.bytes = pool->acquire(sizeof(FzHeader) + nblocks + payload_bytes + trailer_bytes);
-  result.bytes.resize(sizeof(FzHeader) + nblocks + payload_bytes + trailer_bytes);
+  if (pool) result.bytes = pool->acquire(sizeof(FzHeader) + nblocks + payload_bytes);
+  result.bytes.resize(sizeof(FzHeader) + nblocks + payload_bytes);
   ByteWriter meta_writer({result.bytes.data() + sizeof(FzHeader), nblocks}, "szp metadata");
   meta_writer.write_array(meta.data(), nblocks, "block metadata");
   uint8_t* const payload = result.bytes.data() + sizeof(FzHeader) + nblocks;
@@ -270,83 +247,8 @@ CompressedBuffer szp_compress(std::span<const float> data, const SzpParams& para
   header.block_len = block_len;
   header.num_chunks = static_cast<uint32_t>(nblocks);
   header.error_bound = params.abs_error_bound;
-  if (params.emit_digests) {
-    header.flags |= kFlagHasDigests;
-    ByteWriter trailer({result.bytes.data() + sizeof(FzHeader) + nblocks + payload_bytes,
-                        trailer_bytes},
-                       "szp digest trailer");
-    trailer.write(digest_sum.load(std::memory_order_relaxed), "digest sum");
-    trailer.write(digest_wsum.load(std::memory_order_relaxed), "digest wsum");
-  }
   ByteWriter({result.bytes.data(), sizeof header}, "szp stream").write(header, "header");
   return result;
-}
-
-SzpDigestCheck szp_verify_digest(const CompressedBuffer& compressed, int num_threads) {
-  const SzpView v = parse_szp(compressed.bytes);
-  SzpDigestCheck check;
-  if (!v.has_digest()) return check;
-  check.checked = true;
-
-  const size_t d = v.num_elements();
-  const uint32_t block_len = v.block_len();
-  const size_t nblocks = v.num_blocks();
-  const Quantizer quant(v.error_bound());
-
-  std::vector<size_t> offsets(nblocks + 1, 0);
-  for (size_t b = 0; b < nblocks; ++b) {
-    const size_t begin = b * block_len;
-    const size_t n = std::min<size_t>(block_len, d - begin);
-    offsets[b + 1] = offsets[b] + block_payload_size(v.block_meta[b], n);
-  }
-  if (offsets[nblocks] != v.payload.size()) {
-    throw FormatError("szp payload size disagrees with metadata");
-  }
-
-  std::atomic<uint64_t> digest_sum{0};
-  std::atomic<uint64_t> digest_wsum{0};
-  ScopedNumThreads scoped(num_threads);
-  OmpExceptionCollector errors;
-#pragma omp parallel
-  {
-    const size_t tid = static_cast<size_t>(omp_get_thread_num());
-    const size_t nthreads = static_cast<size_t>(omp_get_num_threads());
-    int32_t rbuf[kMaxBlockLen];
-    integrity::Digest local;
-    for (size_t b = tid; b < nblocks; b += nthreads) {
-      errors.run([&, b] {
-        const uint8_t m = v.block_meta[b];
-        if (m == kSzpZeroBlock || m == kSzpRawBlock) return;
-        const size_t begin = b * block_len;
-        const size_t n = std::min<size_t>(block_len, d - begin);
-        ByteReader reader(v.payload.subspan(offsets[b], offsets[b + 1] - offsets[b]),
-                          "szp block");
-        const int32_t outlier = reader.read<int32_t>("block outlier");
-        if (m == 0) {
-          local.accumulate_run(outlier, begin + 1, n);
-          return;
-        }
-        const auto body = reader.rest();
-        if (body.empty() || body[0] != m) {
-          detail::raise_format("szp block code length disagrees with metadata");
-        }
-        decode_block(body.data(), body.data() + body.size(), n, rbuf);
-        int64_t q = outlier;
-        for (size_t i = 0; i < n; ++i) {
-          q += rbuf[i];
-          local.accumulate(q, begin + 1 + i);
-        }
-      });
-    }
-    digest_sum.fetch_add(local.sum, std::memory_order_relaxed);
-    digest_wsum.fetch_add(local.wsum, std::memory_order_relaxed);
-  }
-  errors.rethrow();
-
-  const integrity::Digest computed{digest_sum.load(std::memory_order_relaxed),
-                                   digest_wsum.load(std::memory_order_relaxed)};
-  check.ok = computed == v.stream_digest;
-  return check;
 }
 
 void szp_decompress(const CompressedBuffer& compressed, std::span<float> out, int num_threads) {

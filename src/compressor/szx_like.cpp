@@ -105,6 +105,7 @@ SzxView parse_szx(std::span<const uint8_t> bytes) {
   v.header = reader.read<FzHeader>("header");
   if (v.header.magic != kSzxMagic) throw FormatError("bad magic: not an SZx-like stream");
   if (v.header.version != kFormatVersion) throw FormatError("unsupported szx version");
+  if (v.header.flags & kFlagHasDigests) throw FormatError("szx streams carry no digest table");
   if (v.header.block_len == 0 || v.header.block_len > kMaxBlockLen) {
     throw FormatError("szx block length out of range");
   }
@@ -116,16 +117,6 @@ SzxView parse_szx(std::span<const uint8_t> bytes) {
   if (nblocks != expect_blocks) throw FormatError("szx block count inconsistent");
   v.block_meta = reader.read_bytes(nblocks, "block metadata");
   v.payload = reader.rest();
-  if (v.header.flags & kFlagHasDigests) {
-    if (v.payload.size() < 2 * sizeof(uint64_t)) {
-      throw FormatError("szx digest trailer missing");
-    }
-    ByteReader trailer(v.payload.subspan(v.payload.size() - 2 * sizeof(uint64_t)),
-                       "szx digest trailer");
-    v.stream_digest.sum = trailer.read<uint64_t>("digest sum");
-    v.stream_digest.wsum = trailer.read<uint64_t>("digest wsum");
-    v.payload = v.payload.subspan(0, v.payload.size() - 2 * sizeof(uint64_t));
-  }
   for (size_t b = 0; b < nblocks; ++b) {
     const uint8_t m = v.block_meta[b];
     if (m != kSzxConstant && (m < 2 || m > 4)) {
@@ -162,10 +153,9 @@ CompressedBuffer szx_compress(std::span<const float> data, const SzxParams& para
   }
   for (size_t b = 0; b < nblocks; ++b) sizes[b + 1] += sizes[b];
 
-  const size_t trailer_bytes = params.emit_digests ? 2 * sizeof(uint64_t) : 0;
   CompressedBuffer result;
-  if (pool) result.bytes = pool->acquire(sizeof(FzHeader) + nblocks + sizes[nblocks] + trailer_bytes);
-  result.bytes.resize(sizeof(FzHeader) + nblocks + sizes[nblocks] + trailer_bytes);
+  if (pool) result.bytes = pool->acquire(sizeof(FzHeader) + nblocks + sizes[nblocks]);
+  result.bytes.resize(sizeof(FzHeader) + nblocks + sizes[nblocks]);
   ByteWriter({result.bytes.data() + sizeof(FzHeader), nblocks}, "szx metadata")
       .write_array(meta.data(), nblocks, "block metadata");
   uint8_t* const payload = result.bytes.data() + sizeof(FzHeader) + nblocks;
@@ -185,30 +175,8 @@ CompressedBuffer szx_compress(std::span<const float> data, const SzxParams& para
   header.block_len = block_len;
   header.num_chunks = static_cast<uint32_t>(nblocks);
   header.error_bound = eb;
-  if (params.emit_digests) {
-    header.flags |= kFlagHasDigests;
-    const integrity::Digest digest = integrity::content_digest(
-        result.bytes.data() + sizeof(FzHeader), nblocks + sizes[nblocks]);
-    ByteWriter trailer({result.bytes.data() + sizeof(FzHeader) + nblocks + sizes[nblocks],
-                        trailer_bytes},
-                       "szx digest trailer");
-    trailer.write(digest.sum, "digest sum");
-    trailer.write(digest.wsum, "digest wsum");
-  }
   ByteWriter({result.bytes.data(), sizeof header}, "szx stream").write(header, "header");
   return result;
-}
-
-SzxDigestCheck szx_verify_digest(const CompressedBuffer& compressed) {
-  const SzxView v = parse_szx(compressed.bytes);
-  SzxDigestCheck check;
-  if (!v.has_digest()) return check;
-  check.checked = true;
-  // block_meta and payload are contiguous in the wire bytes, so one pass
-  // over the combined region reproduces the emission-side digest.
-  const size_t covered = v.block_meta.size() + v.payload.size();
-  check.ok = integrity::content_digest(v.block_meta.data(), covered) == v.stream_digest;
-  return check;
 }
 
 void szx_decompress(const CompressedBuffer& compressed, std::span<float> out, int num_threads) {

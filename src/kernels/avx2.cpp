@@ -2,17 +2,13 @@
 // CMakeLists.txt); when those flags are unavailable the populate hook
 // degrades to a stub and the level reports not-compiled.
 //
-// Hand-vectorized here: the PDEP/PEXT bit-plane codecs for widths 1..8, the
-// whole-block codec built on them (8-value groups, one instantiation per
-// code length), the fused block pass's classification and prediction
-// (around the scalar llrint: AVX2 has no exact packed double->int64
-// convert), and the three-lane SSE4.2 CRC-32C (-mavx2 implies -msse4.2; the
-// CPU probe checks sse4.2 explicitly).
-// The integer merge body and the closed-form digest fold are recompiled
-// under AVX2 so the auto-vectorizer retargets them; wider codec widths
-// alias the scalar bitstream codec via the overlay in dispatch.cpp.
-#include <utility>
-
+// Hand-vectorized here: the whole-block codec on 8-value PDEP/PEXT groups
+// (one instantiation per code length), the SZx scan, the fused block
+// pass's classification and prediction (around the scalar llrint: AVX2 has
+// no exact packed double->int64 convert), and the three-lane SSE4.2
+// CRC-32C (-mavx2 implies -msse4.2; the CPU probe checks sse4.2
+// explicitly).  The integer merge body and the closed-form digest fold are
+// recompiled under AVX2 so the auto-vectorizer retargets them.
 #include "hzccl/kernels/dispatch.hpp"
 #include "kernel_impls.hpp"
 
@@ -21,12 +17,6 @@ namespace hzccl::kernels::detail {
 #if defined(__AVX2__) && defined(__BMI2__)
 
 namespace {
-
-template <int... Xs>
-void fill_codecs(KernelTable& t, std::integer_sequence<int, Xs...>) {
-  ((t.pack[Xs + 1] = &pack_pext<Xs + 1>), ...);
-  ((t.unpack[Xs + 1] = &unpack_pdep<Xs + 1>), ...);
-}
 
 HZCCL_HOT uint64_t combine_avx2(const int32_t* ra, const int32_t* rb, size_t n, int sign_b,
                                 uint32_t* mags, uint32_t* signs) {
@@ -42,7 +32,6 @@ HZCCL_HOT int64_t digest_block_avx2(const int32_t* residuals, size_t n, int64_t 
 
 bool populate_avx2(KernelTable& t) {
   t.level = DispatchLevel::kAvx2;
-  fill_codecs(t, std::make_integer_sequence<int, 8>{});
   t.hz_combine_residuals = &combine_avx2;
   t.fz_quantize_predict = &quantize_predict_avx2_body;
   t.szx_scan = &szx_scan_avx2_body;

@@ -159,20 +159,6 @@ DispatchLevel reload_from_env() { return activate(resolve_env_level()); }
 
 uint64_t dispatch_swaps() { return g_swaps.load(std::memory_order_relaxed); }
 
-void pack_bits(const uint32_t* values, size_t n, int bits, uint8_t* out) {
-  if (bits < 1 || bits > kMaxPackBits) {
-    throw Error("kernels::pack_bits: bits must be in 1..32, got " + std::to_string(bits));
-  }
-  active().pack[bits](values, n, out);
-}
-
-void unpack_bits(const uint8_t* src, size_t n, int bits, uint32_t* values) {
-  if (bits < 1 || bits > kMaxPackBits) {
-    throw Error("kernels::unpack_bits: bits must be in 1..32, got " + std::to_string(bits));
-  }
-  active().unpack[bits](src, n, values);
-}
-
 }  // namespace hzccl::kernels
 
 namespace hzccl {

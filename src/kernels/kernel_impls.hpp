@@ -1,20 +1,27 @@
 // Shared kernel bodies, compiled once per variant translation unit.
 //
-// The scalar templates here are the single source of truth for the wire
-// layout: an LSB-first little-endian bitstream in which eight X-bit values
-// occupy exactly X bytes.  The SIMD sections are guarded on the including
-// TU's ISA macros, so scalar.cpp (built with the project's baseline flags)
-// sees only the references, avx2.cpp adds the PDEP/PEXT codecs and the
-// SSE4.2 CRC-32C, and avx512.cpp adds the VPERMB/VPMULTISHIFTQB and
-// VCVTPD2QQ paths.  The integer bodies (combine, and the scalar steps of
-// the fused block pass) are shared across all TUs on purpose: recompiling
-// them under wider -m flags lets the auto-vectorizer retarget them per
-// level while the arithmetic — and therefore the bytes — stays identical.
+// The scalar bodies here are the single source of truth for the wire
+// layout: the fixed-length block of hzccl/compressor/fixed_len.hpp, whose
+// sign and remainder planes are LSB-first little-endian bitstreams in which
+// eight X-bit values occupy exactly X bytes.  The SIMD sections are guarded
+// on the including TU's ISA macros, so scalar.cpp (built with the project's
+// baseline flags) sees only the references, avx2.cpp adds the PDEP/PEXT
+// block codec and the SSE4.2 CRC-32C, and avx512.cpp adds the
+// VPERMB/VPMULTISHIFTQB block codec and the VCVTPD2QQ paths.  The integer
+// bodies (combine, and the scalar steps of the fused block pass) are shared
+// across all TUs on purpose: recompiling them under wider -m flags lets the
+// auto-vectorizer retarget them per level while the arithmetic — and
+// therefore the bytes — stays identical.
 // Everything here has internal linkage (the unnamed namespace below), so
-// each variant TU keeps its own copy: the linker can never fold a body two TUs emit out of line into one
-// copy that both tables then call (an AVX-512 recompile behind the scalar
-// table, or the scalar one behind the AVX-512 table).  The ctest
-// KernelSymbols.NoDefinitionSharedAcrossIsaObjects checks this with nm.
+// each variant TU keeps its own copy: the linker can never fold a body two
+// TUs emit out of line into one copy that both tables then call (an AVX-512
+// recompile behind the scalar table, or the scalar one behind the AVX-512
+// table).  For the same reason the bodies two variant TUs compile call no
+// std:: function template or inline function: at -O0 each TU emits those
+// out of line as weak symbols and the linker keeps one ISA's copy for all.
+// Hence the local min/max, __builtin_fabsf and the plain-array CRC tables.
+// The ctest KernelSymbols.NoDefinitionSharedAcrossIsaObjects checks this
+// with nm.
 //
 // Every function here is allocation-free and bounds-exact: packers never
 // write past ceil(n*X/8) output bytes, unpackers never read past it.  The
@@ -23,7 +30,6 @@
 // (kernel-table entries additionally must reach no throw at all).
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstddef>
@@ -41,7 +47,8 @@ namespace hzccl::kernels::detail {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Scalar reference: pack/unpack (the conformance oracle).
+// Scalar reference: the sign and remainder plane pack/unpack (the
+// conformance oracle).
 // ---------------------------------------------------------------------------
 
 // Generic group-of-8 packer for X in 1..7: eight X-bit values -> X bytes via
@@ -108,86 +115,22 @@ inline void unpack_tail(const uint8_t* src, size_t n, uint32_t* v) {
   for (size_t i = 0; i < n; ++i) v[i] = static_cast<uint32_t>((acc >> (X * i)) & mask);
 }
 
-// Byte-multiple widths (8/16/24/32): straight little-endian byte splits.
-template <int B>
-inline void pack_bytes(const uint32_t* v, size_t n, uint8_t* out) {
-  for (size_t i = 0; i < n; ++i) {
-    for (int b = 0; b < B; ++b) out[i * B + b] = static_cast<uint8_t>(v[i] >> (8 * b));
-  }
-}
-
-template <int B>
-inline void unpack_bytes(const uint8_t* src, size_t n, uint32_t* v) {
-  for (size_t i = 0; i < n; ++i) {
-    uint32_t acc = 0;
-    for (int b = 0; b < B; ++b) acc |= static_cast<uint32_t>(src[i * B + b]) << (8 * b);
-    v[i] = acc;
-  }
-}
-
-// Generic LSB-first bitstream codec for the remaining widths (9..31 not a
-// byte multiple).  The accumulator holds at most 7 + 32 bits, so uint64
-// suffices; the layout is bit-compatible with the group-of-8 cascades.
-template <int X>
-inline void pack_stream(const uint32_t* v, size_t n, uint8_t* out) {
-  constexpr uint64_t mask = (X == 32) ? 0xFFFFFFFFull : ((1ull << X) - 1);
-  uint64_t acc = 0;
-  int acc_bits = 0;
-  size_t o = 0;
-  for (size_t i = 0; i < n; ++i) {
-    acc |= (static_cast<uint64_t>(v[i]) & mask) << acc_bits;
-    acc_bits += X;
-    while (acc_bits >= 8) {
-      out[o++] = static_cast<uint8_t>(acc);
-      acc >>= 8;
-      acc_bits -= 8;
-    }
-  }
-  if (acc_bits > 0) out[o++] = static_cast<uint8_t>(acc);
-}
-
-template <int X>
-inline void unpack_stream(const uint8_t* src, size_t n, uint32_t* v) {
-  constexpr uint64_t mask = (X == 32) ? 0xFFFFFFFFull : ((1ull << X) - 1);
-  uint64_t acc = 0;
-  int acc_bits = 0;
-  size_t s = 0;
-  for (size_t i = 0; i < n; ++i) {
-    while (acc_bits < X) {
-      acc |= static_cast<uint64_t>(src[s++]) << acc_bits;
-      acc_bits += 8;
-    }
-    v[i] = static_cast<uint32_t>(acc & mask);
-    acc >>= X;
-    acc_bits -= X;
-  }
-}
-
-/// Scalar pack entry for any width 1..32 (reference for every level's tail).
+/// Scalar pack at a remainder-plane width X in 1..7 (X = 1 is the sign
+/// plane): the scalar block codec's planes and the oracle.
 template <int X>
 inline HZCCL_HOT void scalar_pack(const uint32_t* v, size_t n, uint8_t* out) {
-  if constexpr (X <= 7) {
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8, out += X) pack8<X>(v + i, out);
-    if (i < n) pack_tail<X>(v + i, n - i, out);
-  } else if constexpr (X % 8 == 0) {
-    pack_bytes<X / 8>(v, n, out);
-  } else {
-    pack_stream<X>(v, n, out);
-  }
+  static_assert(X >= 1 && X <= 7, "the block codec packs the sign and remainder planes only");
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8, out += X) pack8<X>(v + i, out);
+  if (i < n) pack_tail<X>(v + i, n - i, out);
 }
 
 template <int X>
 inline HZCCL_HOT void scalar_unpack(const uint8_t* src, size_t n, uint32_t* v) {
-  if constexpr (X <= 7) {
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8, src += X) unpack8<X>(src, v + i);
-    if (i < n) unpack_tail<X>(src, n - i, v + i);
-  } else if constexpr (X % 8 == 0) {
-    unpack_bytes<X / 8>(src, n, v);
-  } else {
-    unpack_stream<X>(src, n, v);
-  }
+  static_assert(X >= 1 && X <= 7, "the block codec packs the sign and remainder planes only");
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8, src += X) unpack8<X>(src, v + i);
+  if (i < n) unpack_tail<X>(src, n - i, v + i);
 }
 
 // ---------------------------------------------------------------------------
@@ -314,6 +257,11 @@ inline HZCCL_HOT QuantizePredictResult quantize_predict_body(const float* data, 
   return res;
 }
 
+/// std::min and std::max on floats, tie rule included (the first argument
+/// wins), but with internal linkage (see the file comment).
+inline float min_f(float a, float b) { return b < a ? b : a; }
+inline float max_f(float a, float b) { return a < b ? b : a; }
+
 /// SZx classification scan (SzxScanFn contract: n >= 1, NaN-free input).
 /// The trailing `+ 0.0f` folds -0 into +0: min/max lane order decides which
 /// zero survives a tie, and the midrange a constant block writes to the wire
@@ -321,12 +269,12 @@ inline HZCCL_HOT QuantizePredictResult quantize_predict_body(const float* data, 
 inline HZCCL_HOT void szx_scan_body(const float* data, size_t n, float* out) {
   float mn = data[0];
   float mx = data[0];
-  float max_abs = std::fabs(data[0]);
+  float max_abs = __builtin_fabsf(data[0]);
   for (size_t i = 1; i < n; ++i) {
     const float v = data[i];
-    mn = std::min(mn, v);
-    mx = std::max(mx, v);
-    max_abs = std::max(max_abs, std::fabs(v));
+    mn = min_f(mn, v);
+    mx = max_f(mx, v);
+    max_abs = max_f(max_abs, __builtin_fabsf(v));
   }
   out[0] = mn + 0.0f;
   out[1] = mx + 0.0f;
@@ -341,23 +289,29 @@ inline HZCCL_HOT void szx_scan_body(const float* data, size_t n, float* out) {
 
 inline constexpr uint32_t kCrc32cPoly = 0x82F63B78;
 
-constexpr std::array<uint32_t, 256> make_crc32c_table() {
-  std::array<uint32_t, 256> table{};
+/// The byte-at-a-time table: a plain array (no std::array accessor to emit
+/// out of line, see the file comment).
+struct Crc32cTable {
+  uint32_t entry[256];
+};
+
+constexpr Crc32cTable make_crc32c_table() {
+  Crc32cTable table{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit) crc = (crc & 1) ? (crc >> 1) ^ kCrc32cPoly : crc >> 1;
-    table[i] = crc;
+    table.entry[i] = crc;
   }
   return table;
 }
 
 // constexpr (not a function-local static) so the checksum loop carries no
 // static-init guard; the table lives in .rodata.
-inline constexpr std::array<uint32_t, 256> kCrc32cTable = make_crc32c_table();
+inline constexpr Crc32cTable kCrc32cTable = make_crc32c_table();
 
 inline HZCCL_HOT uint32_t crc32c_scalar_body(const uint8_t* data, size_t n, uint32_t crc) {
   uint32_t c = ~crc;
-  for (size_t i = 0; i < n; ++i) c = (c >> 8) ^ kCrc32cTable[(c ^ data[i]) & 0xFF];
+  for (size_t i = 0; i < n; ++i) c = (c >> 8) ^ kCrc32cTable.entry[(c ^ data[i]) & 0xFF];
   return ~c;
 }
 
@@ -502,14 +456,15 @@ inline HZCCL_HOT int64_t digest_block_body(const int32_t* residuals, size_t n, i
 }
 
 // ---------------------------------------------------------------------------
-// AVX2 + BMI2: PDEP/PEXT bit-plane codecs (widths 1..8).
+// AVX2 + BMI2: the PDEP/PEXT block codec, the SZx scan and the fused block
+// pass.
 // ---------------------------------------------------------------------------
 #if defined(__AVX2__) && defined(__BMI2__)
 
 /// X low bits set in each of the 8 bytes: the PDEP/PEXT routing mask that
 /// maps a packed 8*X-bit group onto one byte per value.
 constexpr uint64_t spread_mask(int x) {
-  const uint64_t low = (x >= 8) ? 0xFFull : ((1ull << x) - 1);
+  const uint64_t low = (1ull << x) - 1;
   uint64_t m = 0;
   for (int b = 0; b < 8; ++b) m |= low << (8 * b);
   return m;
@@ -526,64 +481,6 @@ inline uint64_t lane_bytes8(__m256i x) {
   const uint64_t lo = static_cast<uint32_t>(_mm_cvtsi128_si32(_mm256_castsi256_si128(g)));
   const uint64_t hi = static_cast<uint32_t>(_mm_cvtsi128_si32(_mm256_extracti128_si256(g, 1)));
   return lo | (hi << 32);
-}
-
-/// Low byte of eight consecutive uint32 values as one 64-bit word (the
-/// PEXT source).
-inline uint64_t gather_low_bytes8(const uint32_t* v) {
-  return lane_bytes8<0>(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(v)));
-}
-
-template <int X>
-inline HZCCL_HOT void pack_pext(const uint32_t* v, size_t n, uint8_t* out) {
-  static_assert(X >= 1 && X <= 8);
-  constexpr uint64_t spread = spread_mask(X);
-  const size_t total = (n * static_cast<size_t>(X) + 7) / 8;
-  size_t i = 0;
-  size_t o = 0;
-  // The 8-byte stores write the group's payload plus zero filler; the filler
-  // is overwritten by the next group or the scalar tail, and the o + 8 bound
-  // keeps every store inside the ceil(n*X/8)-byte destination.
-  if constexpr (X <= 4) {
-    // Two groups (16 values, 2*X bytes <= 8) merge into a single store.
-    while (i + 16 <= n && o + 8 <= total) {
-      const uint64_t p0 = _pext_u64(gather_low_bytes8(v + i), spread);
-      const uint64_t p1 = _pext_u64(gather_low_bytes8(v + i + 8), spread);
-      const uint64_t packed = p0 | (p1 << (8 * X));
-      std::memcpy(out + o, &packed, 8);
-      i += 16;
-      o += 2 * X;
-    }
-  }
-  while (i + 8 <= n && o + 8 <= total) {
-    const uint64_t packed = _pext_u64(gather_low_bytes8(v + i), spread);
-    std::memcpy(out + o, &packed, 8);
-    i += 8;
-    o += X;
-  }
-  if (i < n) scalar_pack<X>(v + i, n - i, out + o);
-}
-
-template <int X>
-inline HZCCL_HOT void unpack_pdep(const uint8_t* src, size_t n, uint32_t* v) {
-  static_assert(X >= 1 && X <= 8);
-  constexpr uint64_t spread = spread_mask(X);
-  const size_t total = (n * static_cast<size_t>(X) + 7) / 8;
-  size_t i = 0;
-  size_t s = 0;
-  // Each iteration consumes X input bytes but loads 8; the s + 8 bound keeps
-  // the overread inside the packed buffer, and the scalar tail finishes from
-  // the exact byte position (groups are byte-aligned every 8 values).
-  while (i + 8 <= n && s + 8 <= total) {
-    uint64_t chunk;
-    std::memcpy(&chunk, src + s, 8);
-    const uint64_t b8 = _pdep_u64(chunk, spread);
-    const __m128i bytes = _mm_cvtsi64_si128(static_cast<long long>(b8));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(v + i), _mm256_cvtepu8_epi32(bytes));
-    i += 8;
-    s += X;
-  }
-  if (i < n) scalar_unpack<X>(src + s, n - i, v + i);
 }
 
 inline void store_u64(uint8_t* dst, uint64_t bytes) { std::memcpy(dst, &bytes, sizeof(bytes)); }
@@ -907,25 +804,29 @@ constexpr uint32_t crc32c_multmodp(uint32_t a, uint32_t b) {
   return p;
 }
 
-/// shift_L for L = kCrc32cLaneBytes: entry [k][b] is (b << 8k) * x^(8L).
-constexpr std::array<std::array<uint32_t, 256>, 4> make_crc32c_lane_shift() {
+/// shift_L for L = kCrc32cLaneBytes: entry[k][b] is (b << 8k) * x^(8L).
+struct Crc32cLaneShift {
+  uint32_t entry[4][256];
+};
+
+constexpr Crc32cLaneShift make_crc32c_lane_shift() {
   uint32_t x8l = uint32_t{1} << 31;  // x^0
   for (size_t i = 0; i < kCrc32cLaneBytes; ++i) {
     x8l = crc32c_multmodp(x8l, uint32_t{1} << 23);  // * x^8
   }
-  std::array<std::array<uint32_t, 256>, 4> table{};
+  Crc32cLaneShift table{};
   for (int k = 0; k < 4; ++k) {
-    for (uint32_t b = 0; b < 256; ++b) table[k][b] = crc32c_multmodp(x8l, b << (8 * k));
+    for (uint32_t b = 0; b < 256; ++b) table.entry[k][b] = crc32c_multmodp(x8l, b << (8 * k));
   }
   return table;
 }
 
-inline constexpr std::array<std::array<uint32_t, 256>, 4> kCrc32cLaneShift =
-    make_crc32c_lane_shift();
+inline constexpr Crc32cLaneShift kCrc32cLaneShift = make_crc32c_lane_shift();
 
 inline uint64_t crc32c_lane_shift(uint64_t c) {
-  return kCrc32cLaneShift[0][c & 0xFF] ^ kCrc32cLaneShift[1][(c >> 8) & 0xFF] ^
-         kCrc32cLaneShift[2][(c >> 16) & 0xFF] ^ kCrc32cLaneShift[3][(c >> 24) & 0xFF];
+  const auto& t = kCrc32cLaneShift.entry;
+  return t[0][c & 0xFF] ^ t[1][(c >> 8) & 0xFF] ^ t[2][(c >> 16) & 0xFF] ^
+         t[3][(c >> 24) & 0xFF];
 }
 
 inline uint64_t load_u64(const uint8_t* p) {
@@ -958,8 +859,8 @@ inline HZCCL_HOT uint32_t crc32c_sse42_body(const uint8_t* data, size_t n, uint3
 
 
 // ---------------------------------------------------------------------------
-// AVX-512 (F/BW/DQ/VL/VBMI): 64-value unpack, 8-lane int64 merge, and the
-// fused block pass.
+// AVX-512 (F/BW/DQ/VL/VBMI): 8-lane int64 merge, the fused block pass, the
+// SZx scan, the whole-block codec and the closed-form digest fold.
 // ---------------------------------------------------------------------------
 #if defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512DQ__) && \
     defined(__AVX512VL__) && defined(__AVX512VBMI__) && defined(__AVX2__) &&  \
@@ -971,42 +872,6 @@ constexpr uint64_t multishift_ctrl(int x) {
   uint64_t c = 0;
   for (int k = 0; k < 8; ++k) c |= static_cast<uint64_t>(k * x) << (8 * k);
   return c;
-}
-
-template <int X>
-inline HZCCL_HOT void unpack_multishift(const uint8_t* src, size_t n, uint32_t* v) {
-  static_assert(X >= 1 && X <= 8);
-  const size_t total = (n * static_cast<size_t>(X) + 7) / 8;
-  constexpr unsigned group_bytes = 8u * static_cast<unsigned>(X);  // bytes per 64 values
-  // VPERMB gather: qword lane g receives stream bytes [g*X, g*X + 8) so the
-  // multishift can slice all eight X-bit fields of group g at once.  Byte
-  // index g*X + k never carries between index bytes (max 63), so the index
-  // vector is base byte ramp + g*X per lane.
-  const __m512i gather = _mm512_add_epi64(
-      _mm512_set1_epi64(0x0706050403020100LL),
-      _mm512_mullo_epi64(_mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0),
-                         _mm512_set1_epi64(X * 0x0101010101010101LL)));
-  const __m512i shifts = _mm512_set1_epi64(static_cast<long long>(multishift_ctrl(X)));
-  const __m512i field = _mm512_set1_epi8(static_cast<char>((X >= 8) ? 0xFF : ((1 << X) - 1)));
-  const __mmask64 loadmask =
-      (group_bytes >= 64) ? ~static_cast<__mmask64>(0) : ((1ull << group_bytes) - 1ull);
-  size_t i = 0;
-  size_t s = 0;
-  // The masked load touches only the group's 8*X bytes (fault-suppressed
-  // beyond the mask), so the bound is exact, not padded.
-  while (i + 64 <= n && s + group_bytes <= total) {
-    const __m512i raw = _mm512_maskz_loadu_epi8(loadmask, src + s);
-    const __m512i gathered = _mm512_permutexvar_epi8(gather, raw);
-    const __m512i shifted = _mm512_multishift_epi64_epi8(shifts, gathered);
-    const __m512i lo = _mm512_and_si512(shifted, field);
-    _mm512_storeu_si512(v + i, _mm512_cvtepu8_epi32(_mm512_extracti32x4_epi32(lo, 0)));
-    _mm512_storeu_si512(v + i + 16, _mm512_cvtepu8_epi32(_mm512_extracti32x4_epi32(lo, 1)));
-    _mm512_storeu_si512(v + i + 32, _mm512_cvtepu8_epi32(_mm512_extracti32x4_epi32(lo, 2)));
-    _mm512_storeu_si512(v + i + 48, _mm512_cvtepu8_epi32(_mm512_extracti32x4_epi32(lo, 3)));
-    i += 64;
-    s += group_bytes;
-  }
-  if (i < n) unpack_pdep<X>(src + s, n - i, v + i);
 }
 
 template <int SIGN_B>

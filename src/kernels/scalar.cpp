@@ -1,26 +1,13 @@
 // Scalar reference table — always compiled with the project's baseline
 // flags, no per-file ISA options.  This is the fallback and the oracle the
 // conformance tier checks every other level against.
-#include <utility>
-
 #include "hzccl/kernels/dispatch.hpp"
 #include "kernel_impls.hpp"
 
 namespace hzccl::kernels::detail {
 
-namespace {
-
-template <int... Xs>
-void fill_codecs(KernelTable& t, std::integer_sequence<int, Xs...>) {
-  ((t.pack[Xs + 1] = &scalar_pack<Xs + 1>), ...);
-  ((t.unpack[Xs + 1] = &scalar_unpack<Xs + 1>), ...);
-}
-
-}  // namespace
-
 bool populate_scalar(KernelTable& t) {
   t.level = DispatchLevel::kScalar;
-  fill_codecs(t, std::make_integer_sequence<int, kMaxPackBits>{});
   t.hz_combine_residuals = &combine_body;
   t.fz_quantize_predict = &quantize_predict_body;
   t.szx_scan = &szx_scan_body;

@@ -397,6 +397,14 @@ TEST_F(SzpCorpusTest, UnsupportedVersion) {
   EXPECT_THROW((void)parse_szp(s.bytes), FormatError);
 }
 
+TEST_F(SzpCorpusTest, DigestFlagIsRejected) {
+  // Header bit 2 (the ABFT digest table) is fZ-light only: an ompSZp header
+  // that sets it is malformed, even with 16 trailing bytes to strip.
+  auto s = with_header(stream_, [](FzHeader& h) { h.flags |= kFlagHasDigests; });
+  s.bytes.resize(s.bytes.size() + 2 * sizeof(uint64_t), 0);
+  EXPECT_THROW((void)parse_szp(s.bytes), FormatError);
+}
+
 TEST_F(SzpCorpusTest, ZeroBlockLen) {
   auto s = with_header(stream_, [](FzHeader& h) { h.block_len = 0; });
   EXPECT_THROW((void)parse_szp(s.bytes), FormatError);
@@ -533,6 +541,14 @@ TEST_F(SzxCorpusTest, WrongFamilyMagic) {
 
 TEST_F(SzxCorpusTest, UnsupportedVersion) {
   auto s = with_header(stream_, [](FzHeader& h) { h.version = 0; });
+  EXPECT_THROW((void)parse_szx(s.bytes), FormatError);
+}
+
+TEST_F(SzxCorpusTest, DigestFlagIsRejected) {
+  // Header bit 2 (the ABFT digest table) is fZ-light only: an SZx header
+  // that sets it is malformed, even with 16 trailing bytes to strip.
+  auto s = with_header(stream_, [](FzHeader& h) { h.flags |= kFlagHasDigests; });
+  s.bytes.resize(s.bytes.size() + 2 * sizeof(uint64_t), 0);
   EXPECT_THROW((void)parse_szx(s.bytes), FormatError);
 }
 

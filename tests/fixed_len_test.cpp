@@ -1,10 +1,15 @@
-// Exhaustive tests of the fixed-length block codec: the bit-shifting
-// pack/unpack kernels, block encode/decode round trips across every code
-// length and block tail shape, and the malformed-input error paths.
+// Exhaustive tests of the fixed-length block codec: the sign and remainder
+// planes at every remainder width and tail, the block layout against an
+// independent bit-level model at every dispatch level, block encode/decode
+// round trips across every code length and block tail shape, and the
+// malformed-input error paths.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "hzccl/compressor/fixed_len.hpp"
@@ -36,26 +41,36 @@ TEST(EncodedBlockSize, MatchesLayoutArithmetic) {
   EXPECT_EQ(encoded_block_size(8, 10), 1u + 2u + 10u);
 }
 
-// --- pack/unpack sweep over every residual-bit width -------------------------
+// --- sign and remainder planes at every remainder width ----------------------
+//
+// A block at code length 1..7 is the sign plane plus one remainder plane of
+// that width, with no byte planes: the bit-shifting packers on their own.
 
 class PackBitsTest : public ::testing::TestWithParam<std::tuple<int, size_t>> {};
 
 TEST_P(PackBitsTest, RoundTrips) {
   const auto [bits, n] = GetParam();
   Rng rng(static_cast<uint64_t>(bits * 1000 + n));
-  std::vector<uint32_t> values(n);
-  for (auto& v : values) v = static_cast<uint32_t>(rng.below(1u << bits));
+  std::vector<int32_t> residuals(n);
+  for (auto& r : residuals) {
+    const auto mag = static_cast<int32_t>(rng.below(1u << bits));
+    r = rng.below(2) != 0u ? -mag : mag;
+  }
+  residuals[n / 2] = 1 << (bits - 1);  // code length is bits
 
-  std::vector<uint8_t> packed(packed_size(n, bits) + 8, 0xCD);
-  pack_bits(values.data(), n, bits, packed.data());
+  const size_t size = encoded_block_size(bits, n);
+  std::vector<uint8_t> buf(size + 8, 0xCD);
+  const uint8_t* end = encode_block(residuals.data(), n, buf.data(), buf.data() + buf.size());
+  ASSERT_EQ(end, buf.data() + size);
+  EXPECT_EQ(buf[0], bits);
 
-  std::vector<uint32_t> decoded(n, 0xFFFFFFFF);
-  unpack_bits(packed.data(), n, bits, decoded.data());
-  EXPECT_EQ(decoded, values);
+  std::vector<int32_t> decoded(n, 12345);
+  EXPECT_EQ(decode_block(buf.data(), end, n, decoded.data()), end);
+  EXPECT_EQ(decoded, residuals);
 
-  // The packer must not write past packed_size(n, bits).
-  for (size_t i = packed_size(n, bits); i < packed.size(); ++i) {
-    EXPECT_EQ(packed[i], 0xCD) << "overwrite at " << i;
+  // The encoder must not write past encoded_block_size(bits, n).
+  for (size_t i = size; i < buf.size(); ++i) {
+    EXPECT_EQ(buf[i], 0xCD) << "overwrite at " << i;
   }
 }
 
@@ -70,42 +85,61 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(PackBits, RejectsInvalidWidths) {
-  uint32_t v[8] = {};
-  uint8_t out[8] = {};
-  EXPECT_THROW(pack_bits(v, 8, 0, out), Error);
-  EXPECT_THROW(pack_bits(v, 8, 8, out), Error);
-  EXPECT_THROW(unpack_bits(out, 8, 0, v), Error);
-  EXPECT_THROW(unpack_bits(out, 8, 9, v), Error);
+  // The checked entry point in front of the encode slot takes code lengths
+  // 0..31 only; 32 fits the buffer, so only the width check can reject it.
+  uint32_t mags[8] = {};
+  uint32_t signs[8] = {};
+  uint8_t out[64] = {};
+  EXPECT_THROW(encode_block_prepared(mags, signs, 8, 32, out, out + sizeof out),
+               QuantizationRangeError);
+  EXPECT_NO_THROW(encode_block_prepared(mags, signs, 8, kMaxCodeLength, out, out + sizeof out));
 }
 
-TEST(PackBits, NamedVariantsAgreeWithDispatch) {
-  Rng rng(3);
-  uint32_t v[16];
-  for (auto& x : v) x = static_cast<uint32_t>(rng.below(1u << 5));
-  uint8_t a[16] = {}, b[16] = {};
-  pack_bits(v, 16, 5, a);
-  pack_bits_5(v, 16, b);
-  EXPECT_EQ(std::vector<uint8_t>(a, a + packed_size(16, 5)),
-            std::vector<uint8_t>(b, b + packed_size(16, 5)));
-}
-
-// --- vector-boundary and byte-straddle regressions ---------------------------
+// --- the block layout against a bit-level model, at every level ------------
 //
-// Vectorized variants process 8 (PDEP/PEXT) or 64 (multishift) values per
-// iteration; widths 3/5/6/7 straddle byte boundaries inside each group.
-// These cases pin the scalar-defined LSB-first layout at every length that
-// exercises a partial final vector, on every level the host supports.
+// The block codec slots work on 8-value (AVX2 PDEP/PEXT) or 32-value
+// (AVX-512) groups, and remainder widths 3/5/6/7 straddle byte boundaries
+// inside each group.  These cases pin the fixed_len.hpp layout at every
+// code length, at lengths that leave a partial final group, on every level
+// the host supports.
 
-/// Independent oracle: bit i*bits+k of the stream is bit k of value i.
-std::vector<uint8_t> bitstream_oracle(const std::vector<uint32_t>& values, int bits) {
-  std::vector<uint8_t> out(packed_size(values.size(), bits), 0);
-  for (size_t i = 0; i < values.size(); ++i) {
+/// Appends bits LSB-first: bit k of the stream is bit k % 8 of byte k / 8.
+class BitWriter {
+ public:
+  void put(uint32_t value, int bits) {
     for (int k = 0; k < bits; ++k) {
-      const size_t bit = i * static_cast<size_t>(bits) + static_cast<size_t>(k);
-      if ((values[i] >> k) & 1u) out[bit / 8] |= static_cast<uint8_t>(1u << (bit % 8));
+      if (used_ % 8 == 0) bytes_.push_back(0);
+      if ((value >> k) & 1u) bytes_.back() |= static_cast<uint8_t>(1u << (used_ % 8));
+      ++used_;
     }
   }
-  return out;
+  /// Pads the stream to a byte boundary with zero bits.
+  void align() { used_ = bytes_.size() * 8; }
+  std::vector<uint8_t> bytes() const { return bytes_; }
+
+ private:
+  std::vector<uint8_t> bytes_;
+  size_t used_ = 0;
+};
+
+/// Independent model of an encoded block at code length c > 0: the code
+/// byte, one sign bit per value (1 = negative), c/8 planes holding byte k of
+/// every magnitude, then the high c%8 bits of every magnitude; each
+/// section starts on a byte boundary.
+std::vector<uint8_t> block_oracle(const std::vector<int32_t>& residuals, int c) {
+  BitWriter w;
+  w.put(static_cast<uint32_t>(c), 8);
+  for (const int32_t r : residuals) w.put(r < 0 ? 1u : 0u, 1);
+  w.align();
+  const int planes = c / 8;
+  for (int k = 0; k < planes; ++k) {
+    for (const int32_t r : residuals) w.put(static_cast<uint32_t>(std::abs(r)) >> (8 * k), 8);
+  }
+  for (const int32_t r : residuals) {
+    w.put(static_cast<uint32_t>(std::abs(r)) >> (8 * planes), c % 8);
+  }
+  w.align();
+  return w.bytes();
 }
 
 class PackBitsLevelSweep : public ::testing::Test {
@@ -115,43 +149,55 @@ class PackBitsLevelSweep : public ::testing::Test {
 };
 
 TEST_F(PackBitsLevelSweep, StraddlingWidthsMatchBitstreamOracleAtEveryLevel) {
-  // Lengths around the 8- and 64-value vector steps (never a multiple of
-  // either) force the scalar tail to finish mid-stream.
-  const size_t lengths[] = {1, 3, 5, 9, 11, 13, 17, 23, 57, 63, 65, 66, 71, 123, 129, 509};
+  // Lengths around the 8- and 32-value groups (never a multiple of 32)
+  // leave a partial final group for the tail to finish.
+  const size_t lengths[] = {1,  3,  5,  9,  11, 13,  17,  23,  24,
+                            40, 57, 63, 65, 71, 100, 123, 129, 509};
+  constexpr uint8_t kGuard = 0xCD;
+  constexpr int32_t kCanary = 0x5A5A5A5A;
   for (const auto level : kernels::supported_levels()) {
     kernels::set_dispatch_level(level);
-    for (const int bits : {3, 5, 6, 7}) {
+    for (int c = 1; c <= kMaxCodeLength; ++c) {
       for (const size_t n : lengths) {
-        Rng rng(static_cast<uint64_t>(bits) * 10000 + n);
-        std::vector<uint32_t> values(n);
-        for (auto& v : values) v = static_cast<uint32_t>(rng.below(1u << bits));
-        const std::vector<uint8_t> want = bitstream_oracle(values, bits);
+        Rng rng(static_cast<uint64_t>(c) * 10000 + n);
+        std::vector<int32_t> residuals(n);
+        for (auto& r : residuals) {
+          const auto mag = static_cast<int32_t>(rng.below(uint64_t{1} << c));
+          r = rng.below(2) != 0u ? -mag : mag;
+        }
+        residuals[n / 2] = static_cast<int32_t>(uint32_t{1} << (c - 1));  // code length is c
+        const std::vector<uint8_t> want = block_oracle(residuals, c);
+        const std::string where = std::string("level=") + kernels::level_name(level) +
+                                  " c=" + std::to_string(c) + " n=" + std::to_string(n);
 
-        std::vector<uint8_t> packed(want.size() + 8, 0xCD);
-        pack_bits(values.data(), n, bits, packed.data());
-        ASSERT_EQ(std::vector<uint8_t>(packed.begin(),
-                                       packed.begin() + static_cast<ptrdiff_t>(want.size())),
-                  want)
-            << "level=" << kernels::level_name(level) << " bits=" << bits << " n=" << n;
-        for (size_t i = want.size(); i < packed.size(); ++i) {
-          ASSERT_EQ(packed[i], 0xCD) << "overwrite at " << i << " level="
-                                     << kernels::level_name(level) << " bits=" << bits
-                                     << " n=" << n;
+        std::vector<uint8_t> buf(want.size() + 8, kGuard);
+        const uint8_t* end =
+            encode_block(residuals.data(), n, buf.data(), buf.data() + buf.size());
+        ASSERT_EQ(end, buf.data() + want.size()) << where;
+        const auto written = static_cast<ptrdiff_t>(want.size());
+        ASSERT_EQ(std::vector<uint8_t>(buf.begin(), buf.begin() + written), want) << where;
+        for (size_t i = want.size(); i < buf.size(); ++i) {
+          ASSERT_EQ(buf[i], kGuard) << "overwrite at " << i << " " << where;
         }
 
-        std::vector<uint32_t> decoded(n, 0xFFFFFFFF);
-        unpack_bits(packed.data(), n, bits, decoded.data());
-        ASSERT_EQ(decoded, values)
-            << "level=" << kernels::level_name(level) << " bits=" << bits << " n=" << n;
+        std::vector<int32_t> decoded(n + 8, kCanary);
+        ASSERT_EQ(decode_block(want.data(), want.data() + want.size(), n, decoded.data()),
+                  want.data() + want.size())
+            << where;
+        for (size_t i = n; i < decoded.size(); ++i) {
+          ASSERT_EQ(decoded[i], kCanary) << "decode wrote past n at " << i << " " << where;
+        }
+        decoded.resize(n);
+        ASSERT_EQ(decoded, residuals) << where;
       }
     }
   }
 }
 
 TEST_F(PackBitsLevelSweep, BlockCodecStraddlingRemainderMatchesAcrossLevels) {
-  // Residuals whose code length is 8k + {3,5,6,7} route the remainder plane
-  // through the straddling pack widths inside the block codec; the encoded
-  // bytes must not depend on the active level.
+  // Residuals whose code length is 8k + {3,5,6,7} give the remainder plane
+  // a width that straddles byte boundaries; the encoded bytes must not
+  // depend on the active level.
   for (const int code_len : {3, 5, 11, 14, 21, 23}) {
     Rng rng(static_cast<uint64_t>(code_len));
     const size_t n = 100;  // not a multiple of 8: partial sign/remainder group

@@ -76,85 +76,11 @@ struct LevelGuard {
   ~LevelGuard() { kernels::set_dispatch_level(prev); }
 };
 
-// Lengths around every boundary the kernels care about: group-of-8 edges,
-// the AVX-512 64-value superblock edges, the 512-element block maximum, and
-// bulk sizes with every possible short tail.
+// Lengths around every boundary the kernels care about: group-of-8 and
+// 16-lane edges, 64-value edges, the 512-element block maximum, and bulk
+// sizes with every possible short tail.
 const size_t kLengths[] = {0,  1,  2,  7,  8,   9,   15,  16,  17,  31,   32,   33,  63,
                            64, 65, 66, 100, 127, 128, 129, 200, 511, 512, 1000, 4095, 4096, 4097};
-
-// ---------------------------------------------------------------------------
-// pack/unpack differential: all levels x widths 1..32 x lengths x alignment.
-// ---------------------------------------------------------------------------
-
-void check_pack_unpack(const KernelTable& vec, const KernelTable& ref, int bits, size_t n,
-                       size_t byte_offset, Prng& rng) {
-  const uint32_t mask =
-      bits == 32 ? 0xFFFFFFFFu : ((1u << bits) - 1u);
-  // +byte_offset misaligns the packed stream; the value array is misaligned
-  // by reading from index 1 of an over-allocated vector.
-  std::vector<uint32_t> values(n + 1);
-  for (size_t i = 0; i <= n; ++i) values[i] = rng.u32() & mask;
-  const uint32_t* v = values.data() + 1;
-
-  const size_t packed = kernels::packed_size_bits(n, bits);
-  std::vector<uint8_t> out_ref(byte_offset + packed + 16, kGuardByte);
-  std::vector<uint8_t> out_vec(byte_offset + packed + 16, kGuardByte);
-  ref.pack[bits](v, n, out_ref.data() + byte_offset);
-  vec.pack[bits](v, n, out_vec.data() + byte_offset);
-  ASSERT_EQ(std::memcmp(out_ref.data(), out_vec.data(), out_ref.size()), 0)
-      << "pack mismatch: level=" << kernels::level_name(vec.level) << " bits=" << bits
-      << " n=" << n << " offset=" << byte_offset;
-  // Guard bytes past packed_size must be untouched by both implementations.
-  for (size_t b = byte_offset + packed; b < out_vec.size(); ++b) {
-    ASSERT_EQ(out_vec[b], kGuardByte)
-        << "pack wrote past packed_size: level=" << kernels::level_name(vec.level)
-        << " bits=" << bits << " n=" << n << " at byte " << b;
-  }
-
-  std::vector<uint32_t> back_ref(n + 1, 0xA5A5A5A5u);
-  std::vector<uint32_t> back_vec(n + 1, 0xA5A5A5A5u);
-  ref.unpack[bits](out_ref.data() + byte_offset, n, back_ref.data() + 1);
-  vec.unpack[bits](out_vec.data() + byte_offset, n, back_vec.data() + 1);
-  ASSERT_EQ(back_ref, back_vec)
-      << "unpack mismatch: level=" << kernels::level_name(vec.level) << " bits=" << bits
-      << " n=" << n << " offset=" << byte_offset;
-  for (size_t i = 0; i < n; ++i) {
-    ASSERT_EQ(back_vec[i + 1], v[i])
-        << "round trip broke at i=" << i << " bits=" << bits << " n=" << n;
-  }
-}
-
-TEST(KernelConformance, PackUnpackMatchesScalarOracle) {
-  const KernelTable& ref = kernels::table(DispatchLevel::kScalar);
-  for (DispatchLevel lvl : vector_levels()) {
-    const KernelTable& vec = kernels::table(lvl);
-    for (int bits = 1; bits <= kernels::kMaxPackBits; ++bits) {
-      Prng rng(/*seed=*/0xC04F04Eu, /*stream=*/static_cast<uint64_t>(bits) * 8 +
-                                        static_cast<uint64_t>(lvl));
-      for (const size_t n : kLengths) {
-        for (const size_t offset : {size_t{0}, size_t{1}, size_t{3}}) {
-          check_pack_unpack(vec, ref, bits, n, offset, rng);
-          if (HasFatalFailure()) return;
-        }
-      }
-    }
-  }
-}
-
-TEST(KernelConformance, PackUnpackRandomizedProperty) {
-  const KernelTable& ref = kernels::table(DispatchLevel::kScalar);
-  for (DispatchLevel lvl : vector_levels()) {
-    const KernelTable& vec = kernels::table(lvl);
-    Prng rng(/*seed=*/0xBADC0DEu, /*stream=*/static_cast<uint64_t>(lvl));
-    for (int iter = 0; iter < 200; ++iter) {
-      const int bits = 1 + static_cast<int>(rng.u32() % 32u);
-      const size_t n = rng.u32() % 5000u;
-      const size_t offset = rng.u32() % 4u;
-      check_pack_unpack(vec, ref, bits, n, offset, rng);
-      if (HasFatalFailure()) return;
-    }
-  }
-}
 
 // ---------------------------------------------------------------------------
 // hz combine differential (add and subtract), including overflow lanes.

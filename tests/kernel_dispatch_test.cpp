@@ -92,13 +92,6 @@ TEST(KernelDispatch, SupportedTablesAreFullyPopulated) {
   for (DispatchLevel lvl : kernels::supported_levels()) {
     const kernels::KernelTable& t = kernels::table(lvl);
     EXPECT_EQ(t.level, lvl);
-    EXPECT_EQ(t.pack[0], nullptr);
-    EXPECT_EQ(t.unpack[0], nullptr);
-    for (int bits = 1; bits <= kernels::kMaxPackBits; ++bits) {
-      EXPECT_NE(t.pack[bits], nullptr) << "level " << kernels::level_name(lvl) << " bits " << bits;
-      EXPECT_NE(t.unpack[bits], nullptr)
-          << "level " << kernels::level_name(lvl) << " bits " << bits;
-    }
     EXPECT_NE(t.hz_combine_residuals, nullptr);
     EXPECT_NE(t.fz_quantize_predict, nullptr);
     EXPECT_NE(t.szx_scan, nullptr);
@@ -174,16 +167,23 @@ TEST(KernelDispatch, EnvForcingFallsBackGracefully) {
 }
 
 TEST(KernelDispatch, CheckedEntryPointsRejectBadWidths) {
-  uint32_t values[8] = {};
-  uint8_t bytes[64] = {};
-  EXPECT_THROW(kernels::pack_bits(values, 8, 0, bytes), Error);
-  EXPECT_THROW(kernels::pack_bits(values, 8, 33, bytes), Error);
-  EXPECT_THROW(kernels::unpack_bits(bytes, 8, 0, values), Error);
-  EXPECT_THROW(kernels::unpack_bits(bytes, 8, 33, values), Error);
-  // The fixed_len entry points keep their historical 1..7 contract.
-  EXPECT_THROW(pack_bits(values, 8, 0, bytes), Error);
-  EXPECT_THROW(pack_bits(values, 8, 8, bytes), Error);
-  EXPECT_THROW(unpack_bits(bytes, 8, 9, values), Error);
+  // The block slots trust their code length and block length; the
+  // fixed_len entry points in front of them reject a width past the layout
+  // or a block past kMaxBlockValues before any slot runs.
+  const size_t too_long = kernels::kMaxBlockValues + 1;
+  std::vector<uint32_t> mags(too_long, 0), signs(too_long, 0);
+  std::vector<int32_t> residuals(too_long, 0);
+  std::vector<uint8_t> bytes(max_encoded_block_size(too_long), 0);
+  const uint8_t* end = bytes.data() + bytes.size();
+  EXPECT_THROW(encode_block_prepared(mags.data(), signs.data(), 8, kMaxCodeLength + 1,
+                                     bytes.data(), end),
+               Error);
+  EXPECT_THROW(encode_block_prepared(mags.data(), signs.data(), too_long, 1, bytes.data(), end),
+               Error);
+  bytes[0] = kMaxCodeLength + 1;
+  EXPECT_THROW(decode_block(bytes.data(), end, 8, residuals.data()), FormatError);
+  bytes[0] = 1;
+  EXPECT_THROW(decode_block(bytes.data(), end, too_long, residuals.data()), FormatError);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 # is defined in more than one of the kernel variant objects (scalar, avx2,
 # avx512).  Such a symbol is a body both TUs emitted out of line; the linker
 # keeps one copy for both dispatch tables, so one level would silently run
-# the other level's code.
+# the other level's code.  DW.ref.* names are skipped: they are data words
+# the compiler emits for exception-handling personality references (e.g.
+# DW.ref.__gxx_personality_v0 under --coverage), not code.
 #
 #   cmake -DNM=<nm> -DOBJECTS=<obj>|<obj>|... -P kernel_symbols.cmake
 cmake_minimum_required(VERSION 3.20)
@@ -27,6 +29,9 @@ foreach(obj IN LISTS objects)
     # Upper-case types (and 'u', unique global) are external definitions.
     if(line MATCHES "^[0-9a-fA-F]* ([BDRTVWu]) (.+)$")
       set(symbol "${CMAKE_MATCH_2}")
+      if(symbol MATCHES "^DW\\.ref\\.")
+        continue()
+      endif()
       if(symbol IN_LIST defined)
         list(APPEND shared "${symbol} (again in ${name})")
       else()

@@ -13,7 +13,7 @@
 #                             # allreduce algorithm-selection gates,
 #                             # scheduler throughput gate, end-to-end
 #                             # smoke (bench/e2e/run.sh --smoke)
-#   tools/check.sh --cov      # tier 1 + line-coverage gate (unit/property/trace)
+#   tools/check.sh --cov      # tier 1 + line-coverage gate (every ctest tier)
 #   tools/check.sh --recovery # tier 1 + sanitized rank-failure tier + seed sweep
 #   tools/check.sh --sched    # tier 1 + sanitized nonblocking/scheduler tier
 #                             # + multi-seed scheduler determinism sweep
@@ -234,14 +234,14 @@ if [ "$run_perf" = "1" ]; then
 fi
 
 if [ "$run_cov" = "1" ]; then
-  echo "== coverage: Debug --coverage build + unit/property/trace tiers =="
+  echo "== coverage: Debug --coverage build + every ctest tier =="
   cmake -B "$repo/build-cov" -S "$repo" \
     -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS="--coverage -O0 -g" \
     -DCMAKE_EXE_LINKER_FLAGS="--coverage" \
     -DHZCCL_BUILD_BENCH=OFF -DHZCCL_BUILD_EXAMPLES=OFF
   cmake --build "$repo/build-cov" -j "$jobs"
-  (cd "$repo/build-cov" && ctest -L 'unit|property|trace' --output-on-failure)
+  (cd "$repo/build-cov" && ctest -j "$jobs" --output-on-failure)
   baseline=$(grep -v '^#' "$repo/tools/coverage_baseline.txt" | head -n 1)
   if command -v gcovr >/dev/null 2>&1; then
     # CI runners install gcovr for the nicer per-line HTML; the gate is the
