@@ -55,10 +55,11 @@ AlgoSelection choose_allreduce_algo(std::span<const float> sample, Kernel kernel
                                     size_t bytes_per_rank, const JobConfig& config);
 
 /// The schedule a job runs, resolved once per job so every rank, every
-/// retry and both executors agree: reduce-scatter and allgather always
-/// ring; an allreduce runs `config.algo`, and kAuto picks with
-/// choose_allreduce_algo from a probe of rank 0's input (the ring for an
-/// empty input or a single rank).
+/// retry and both executors agree: reduce-scatter, allgather and every
+/// C-Coll job ring (run_stack runs no other C-Coll schedule); any other
+/// allreduce runs `config.algo`, and kAuto picks with choose_allreduce_algo
+/// from a probe of rank 0's input (the ring for an empty input or a single
+/// rank).
 coll::AllreduceAlgo resolve_job_algo(Kernel kernel, bool allreduce, const JobConfig& config,
                                      const RankInputFn& rank_input);
 

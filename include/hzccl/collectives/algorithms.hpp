@@ -30,12 +30,7 @@ void raw_allreduce_recursive_doubling(simmpi::Comm& comm, std::span<const float>
 void raw_allreduce_rabenseifner(simmpi::Comm& comm, std::span<const float> input,
                                 std::vector<float>& out_full, const CollectiveConfig& config);
 
-/// Two-level hierarchical Allreduce for the raw baseline: members reduce
-/// onto their node leader over the fast intra-node channel, the leaders run
-/// a float ring among themselves, and the result is broadcast back.  Node
-/// membership derives from comm.net().topo over physical ranks; degenerates
-/// to the flat ring on a flat topology.
-void raw_allreduce_two_level(simmpi::Comm& comm, std::span<const float> input,
-                             std::vector<float>& out_full, const CollectiveConfig& config);
+// The two-level schedule runs through run_collective and the engine only
+// (core/dispatch.hpp's run_stack).
 
 }  // namespace hzccl::coll

@@ -6,7 +6,8 @@
 // reduce over floats (CPT).  The allgather compresses once and decompresses
 // the N-1 received chunks at the end.  Per-operation cost totals therefore
 // match the paper's T^RS_C-Coll = (N-1)(CPR + DPR + CPT) and
-// T^AG_C-Coll = CPR + (N-1)DPR.
+// T^AG_C-Coll = CPR + (N-1)DPR.  The DOC reduce-scatter on its own runs
+// through run_collective and the engine only (core/dispatch.hpp's run_stack).
 #pragma once
 
 #include <span>
@@ -15,10 +16,6 @@
 #include "hzccl/collectives/common.hpp"
 
 namespace hzccl::coll {
-
-/// DOC ring reduce-scatter; out_block holds the reduced owned block.
-void ccoll_reduce_scatter(simmpi::Comm& comm, std::span<const float> input,
-                          std::vector<float>& out_block, const CollectiveConfig& config);
 
 /// Compression-enabled ring allgather: compress own block once, move
 /// compressed bytes N-1 hops, decompress everything at the end.

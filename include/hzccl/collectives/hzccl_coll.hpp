@@ -68,23 +68,7 @@ void hzccl_allreduce_recursive_doubling(simmpi::Comm& comm, std::span<const floa
                                         const CollectiveConfig& config,
                                         HzPipelineStats* pipeline_stats = nullptr);
 
-/// Compressed Rabenseifner: recursive-halving reduce-scatter over the ring's
-/// block partition + recursive-doubling allgather.  log2(P) exchanges moving
-/// half the data each — the medium-message sweet spot.  Non-power-of-two
-/// rank counts fall back to the ring.
-void hzccl_allreduce_rabenseifner(simmpi::Comm& comm, std::span<const float> input,
-                                  std::vector<float>& out_full, const CollectiveConfig& config,
-                                  HzPipelineStats* pipeline_stats = nullptr);
-
-/// Two-level hierarchical allreduce (XHC-style): members ship raw floats to
-/// their node leader over the fast intra-node channel, the leaders run the
-/// compressed ring among themselves over the congested fabric, and the
-/// finished vector is broadcast back intra-node.  Node membership derives
-/// from comm.net().topo over *physical* ranks, so ranks-per-node remainders
-/// and shrunk post-failure groups regroup naturally.  Degenerates to the
-/// flat ring on a flat topology.
-void hzccl_allreduce_two_level(simmpi::Comm& comm, std::span<const float> input,
-                               std::vector<float>& out_full, const CollectiveConfig& config,
-                               HzPipelineStats* pipeline_stats = nullptr);
+// The Rabenseifner and two-level schedules run through run_collective and
+// the engine only (core/dispatch.hpp's run_stack).
 
 }  // namespace hzccl::coll

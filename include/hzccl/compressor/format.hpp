@@ -15,9 +15,11 @@
 // shares this header struct.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -27,6 +29,7 @@
 #include "hzccl/util/error.hpp"
 #include "hzccl/util/pool.hpp"
 #include "hzccl/util/raise.hpp"
+#include "hzccl/util/threading.hpp"
 
 namespace hzccl {
 
@@ -191,7 +194,7 @@ inline bool has_raw_blocks(const FzHeader& h) { return (h.flags & kFlagHasRawBlo
 /// scratch that threads write independently; only the bytes a chunk keeps
 /// are ever written.  finish() sizes the tight stream, copies each chunk's
 /// payload into it once, fills the offset/outlier tables and header, and
-/// returns it.  Shared by the compressor and every homomorphic operator.
+/// returns it.  Producers build one only through assemble_chunks below.
 class ChunkedStreamAssembler {
  public:
   /// `header` must carry the final element count, block length, chunk count
@@ -254,5 +257,55 @@ class ChunkedStreamAssembler {
   std::span<uint64_t> tight_offset_;  ///< finish()'s offset table
   std::span<uint8_t> regions_;        ///< the chunk regions, uninitialized
 };
+
+/// What a chunk function of assemble_chunks reports for its chunk.
+struct ChunkResult {
+  size_t size = 0;           ///< payload bytes written into the chunk's region
+  int32_t outlier = 0;       ///< the chunk's first quantized value
+  integrity::Digest digest;  ///< stored only when the header carries digests
+  bool raw = false;          ///< the chunk emitted a raw fallback block
+};
+
+/// A chunk outlier computed in 64 bits, narrowed back to the wire's int32;
+/// HomomorphicOverflowError when it does not fit.
+HZCCL_HOT inline int32_t checked_outlier(int64_t v) {
+  if (v > std::numeric_limits<int32_t>::max() || v < std::numeric_limits<int32_t>::min()) {
+    detail::raise_overflow("chunk outlier overflows int32");
+  }
+  return static_cast<int32_t>(v);
+}
+
+/// The one assembly loop of every fZ-light stream producer: runs
+/// `chunk_fn(c, range, region) -> ChunkResult` over the header's chunks in
+/// parallel on `num_threads` (0 = leave unchanged), where `region` is chunk
+/// c's uninitialized worst-case output, and seals the stream.  Digests are
+/// stored when the header carries kFlagHasDigests; kFlagHasRawBlocks is
+/// merged when any chunk reports a raw block.  A caller's own arena tables
+/// must be taken before this call, ahead of the chunk regions.
+template <class ChunkFn>
+[[nodiscard]] CompressedBuffer assemble_chunks(const FzHeader& header, int num_threads,
+                                               BufferPool* pool, const ChunkFn& chunk_fn) {
+  ChunkedStreamAssembler assembler(header, pool);
+  std::atomic<bool> any_raw{false};
+  {
+    ScopedNumThreads scoped(num_threads);
+    OmpExceptionCollector errors;
+#pragma omp parallel for schedule(static)
+    for (uint32_t c = 0; c < header.num_chunks; ++c) {
+      errors.run([&, c] {
+        const Range r = chunk_range(header.num_elements, static_cast<int>(header.num_chunks),
+                                    static_cast<int>(c));
+        const std::span<uint8_t> region{assembler.chunk_buffer(c), assembler.chunk_capacity(c)};
+        const ChunkResult res = chunk_fn(c, r, region);
+        if (res.raw) any_raw.store(true, std::memory_order_relaxed);
+        assembler.set_chunk(c, res.size, res.outlier);
+        if (assembler.emits_digests()) assembler.set_chunk_digest(c, res.digest);
+      });
+    }
+    errors.rethrow();
+  }
+  if (any_raw.load(std::memory_order_relaxed)) assembler.merge_flags(kFlagHasRawBlocks);
+  return assembler.finish();
+}
 
 }  // namespace hzccl

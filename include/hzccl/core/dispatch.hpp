@@ -36,9 +36,9 @@ Task<void> run_stack(T t, Kernel kernel, Op op, coll::AllreduceAlgo algo,
       break;
     case Kernel::kCCollMultiThread:
     case Kernel::kCCollSingleThread:
-      // C-Coll always rings: its per-round decompress/recompress scales with
-      // the data volume per step, which the latency-optimal schedules
-      // inflate.
+      // C-Coll always rings (resolve_job_algo reports kRing for it): its
+      // per-round decompress/recompress scales with the data volume per
+      // step, which the latency-optimal schedules inflate.
       if (op == Op::kReduceScatter) {
         co_await body::ccoll_reduce_scatter(t, input, output, config);
       } else {

@@ -15,6 +15,7 @@
 // by the triangle inequality, exactly as an exact float sum would be).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "hzccl/compressor/format.hpp"
@@ -51,15 +52,28 @@ struct HzPipelineStats {
 
 namespace detail {
 
-/// Raw-aware combine: result = a + sign_b * b (sign_b in {+1, -1}), taken by
-/// hz_add/hz_sub when either operand carries raw fallback blocks
-/// (kFlagHasRawBlocks).  Tracks the absolute quantized chains of both
-/// operands so raw blocks — which sit outside the chains — can be combined
-/// in the float domain while residual blocks keep the exact integer path;
-/// any chain drift a raw output block hides from the decoder is folded into
-/// the next residual block's first residual.
-[[nodiscard]] CompressedBuffer hz_combine_raw(const FzView& a, const FzView& b, int sign_b,
-                                HzPipelineStats* stats, int num_threads, BufferPool* pool);
+/// result = a + sign * b (sign in {+1, -1}): the one combine behind hz_add,
+/// hz_sub and hz_add_static's raw operands.  Operands without raw fallback
+/// blocks take the four-pipeline dispatch above, and their digests fold as
+/// digest(a) + sign * digest(b).  When either operand carries raw blocks
+/// (kFlagHasRawBlocks), the combine tracks the absolute quantized chains of
+/// both operands so raw blocks — which sit outside the chains — can be
+/// combined in the float domain while residual blocks keep the exact
+/// integer path; any chain drift a raw output block hides from the decoder
+/// is folded into the next residual block's first residual, and digests are
+/// recomputed from the tracked chain.
+[[nodiscard]] CompressedBuffer hz_combine(const FzView& a, const FzView& b, int sign,
+                                          HzPipelineStats* stats, int num_threads,
+                                          BufferPool* pool);
+
+/// Copy the encoded block of `n` values at [src, end) into [out, out_end)
+/// with its sign plane flipped, and return its size: the negate primitive
+/// of hz_negate and of hz_sub's pipeline 2.  Decoders read sign bits only
+/// where magnitudes are nonzero in value terms, so flipped signs of zero
+/// residuals are harmless but leave the stream non-canonical; value-level
+/// semantics are exact.
+size_t copy_block_negated(const uint8_t* src, const uint8_t* end, size_t n, uint8_t* out,
+                          const uint8_t* out_end);
 
 }  // namespace detail
 

@@ -103,7 +103,24 @@ struct RankFault {
   /// "straggler@rank=3,x=8", or a bare kind ("crash") for seed-derived
   /// placement.
   static RankFault parse(const std::string& entry);
+
+  /// True when this crash/hang fires at its rank's `ops`-th transport
+  /// operation with the rank's virtual clock at `now`.
+  bool due(uint64_t ops, double now) const {
+    return (after_ops > 0 && ops >= after_ops) || (at_vtime > 0.0 && now >= at_vtime);
+  }
 };
+
+/// What a resolved schedule holds for one rank: its first straggler entry
+/// sets the cost factor, its first crash or hang is the stop fault.
+struct RankFaultSlot {
+  double cost_factor = 1.0;
+  bool straggler = false;
+  const RankFault* stop = nullptr;  ///< points into the resolved schedule
+};
+
+/// The slot of `rank` in a schedule from FaultPlan::resolve_rank_faults.
+RankFaultSlot rank_fault_slot(std::span<const RankFault> resolved, int rank);
 
 /// Per-link fault probabilities plus the recovery-timing knobs.  All
 /// probabilities are per frame; 0 everywhere (the default) is a perfect
@@ -162,6 +179,12 @@ struct FaultPlan {
 
   /// Parse the hzcclc --rank-faults syntax: ';'-separated RankFault entries.
   static std::vector<RankFault> parse_rank_faults(const std::string& spec);
+
+  /// rank_faults placed on `nranks` ranks, identically by both executors:
+  /// rank -1 becomes a seed-derived rank, and a crash or hang with neither
+  /// trigger set gets a seed-derived after_ops in 1..24.  Throws Error when
+  /// a rank falls outside [0, nranks).
+  std::vector<RankFault> resolve_rank_faults(int nranks) const;
 
   /// Throw ParseError unless every probability is in [0,1], every timing is
   /// > 0 and every rank-fault entry is well formed.  parse() validates; a

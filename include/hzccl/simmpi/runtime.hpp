@@ -336,10 +336,6 @@ class Runtime {
 
   bool rank_faults_on() const { return faults_.rank_faults_enabled(); }
 
-  /// Fill seed-derived slots (rank = -1, missing crash points) of the
-  /// schedule via the counter-based PRNG and validate ranks.
-  void resolve_rank_faults();
-
   /// Fire this rank's scheduled crash/hang if a trigger is reached; called
   /// at every transport-operation entry (send/recv/barrier/shrink).
   void check_rank_fault(Comm& comm);

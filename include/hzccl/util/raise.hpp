@@ -33,9 +33,6 @@ namespace hzccl::detail {
 [[noreturn]] HZCCL_COLD void raise_layout(const char* what);
 /// hzccl::HomomorphicOverflowError(what).
 [[noreturn]] HZCCL_COLD void raise_overflow(const char* what);
-/// hzccl::HomomorphicOverflowError(what + detail) — e.g. checked_i32's
-/// "<site> overflows int32".
-[[noreturn]] HZCCL_COLD void raise_overflow(const char* what, const char* detail);
 /// hzccl::QuantizationRangeError(what).
 [[noreturn]] HZCCL_COLD void raise_quant_range(const char* what);
 

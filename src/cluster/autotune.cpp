@@ -125,7 +125,8 @@ AlgoSelection choose_allreduce_algo(std::span<const float> sample, Kernel kernel
 
 coll::AllreduceAlgo resolve_job_algo(Kernel kernel, bool allreduce, const JobConfig& config,
                                      const RankInputFn& rank_input) {
-  if (!allreduce) return coll::AllreduceAlgo::kRing;
+  const bool ccoll = kernel == Kernel::kCCollMultiThread || kernel == Kernel::kCCollSingleThread;
+  if (!allreduce || ccoll) return coll::AllreduceAlgo::kRing;
   if (config.algo != coll::AllreduceAlgo::kAuto) return config.algo;
   const std::vector<float> probe = rank_input(0);
   if (probe.empty() || config.nranks < 2) return coll::AllreduceAlgo::kRing;

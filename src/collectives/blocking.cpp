@@ -41,16 +41,6 @@ void raw_allreduce_rabenseifner(Comm& comm, std::span<const float> input,
       body::raw_allreduce_rabenseifner(CommTransport(comm), input, out_full, config));
 }
 
-void raw_allreduce_two_level(Comm& comm, std::span<const float> input,
-                             std::vector<float>& out_full, const CollectiveConfig& config) {
-  run_to_completion(body::raw_allreduce_two_level(CommTransport(comm), input, out_full, config));
-}
-
-void ccoll_reduce_scatter(Comm& comm, std::span<const float> input,
-                          std::vector<float>& out_block, const CollectiveConfig& config) {
-  run_to_completion(body::ccoll_reduce_scatter(CommTransport(comm), input, out_block, config));
-}
-
 void ccoll_allgather(Comm& comm, std::span<const float> my_block, size_t total_elements,
                      std::vector<float>& out_full, const CollectiveConfig& config) {
   run_to_completion(
@@ -95,20 +85,6 @@ void hzccl_allreduce_recursive_doubling(Comm& comm, std::span<const float> input
                                         HzPipelineStats* pipeline_stats) {
   run_to_completion(body::hzccl_allreduce_recursive_doubling(CommTransport(comm), input,
                                                              out_full, config, pipeline_stats));
-}
-
-void hzccl_allreduce_rabenseifner(Comm& comm, std::span<const float> input,
-                                  std::vector<float>& out_full, const CollectiveConfig& config,
-                                  HzPipelineStats* pipeline_stats) {
-  run_to_completion(body::hzccl_allreduce_rabenseifner(CommTransport(comm), input, out_full,
-                                                       config, pipeline_stats));
-}
-
-void hzccl_allreduce_two_level(Comm& comm, std::span<const float> input,
-                               std::vector<float>& out_full, const CollectiveConfig& config,
-                               HzPipelineStats* pipeline_stats) {
-  run_to_completion(body::hzccl_allreduce_two_level(CommTransport(comm), input, out_full, config,
-                                                    pipeline_stats));
 }
 
 }  // namespace hzccl::coll

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "hzccl/collectives/schedules.hpp"
 #include "hzccl/util/bytes.hpp"
 
 namespace hzccl::coll {
@@ -82,6 +83,11 @@ void ccoll_bcast(Comm& comm, std::vector<float>& data, int root,
 
   // Everyone (root included) materializes the decompressed field, so all
   // ranks end bit-identical — the property applications actually rely on.
+  // Per-round verification already rechecked the stream in heal_stream.
+  if (config.verify == VerifyPolicy::kFinal) {
+    CommTransport t(comm);
+    body::final_verify_stream(t, compressed, config);
+  }
   {
     const FzView view = parse_fz(compressed.bytes);
     data.resize(view.num_elements());

@@ -16,11 +16,9 @@
 namespace hzccl {
 namespace {
 
-constexpr uint32_t kMaxBlockLen = 512;
-
 void validate_params(const FzParams& p) {
   if (!(p.abs_error_bound > 0.0)) throw Error("fz_compress: error bound must be positive");
-  if (p.block_len == 0 || p.block_len > kMaxBlockLen) {
+  if (p.block_len == 0 || p.block_len > kMaxWireBlockLen) {
     throw Error("fz_compress: block_len must be in 1..512");
   }
 }
@@ -46,9 +44,9 @@ HZCCL_HOT size_t compress_chunk(std::span<const float> data, Range range, uint32
   const int32_t q0 = std::isfinite(f0) ? quant.quantize(f0) : 0;
   *outlier = q0;
 
-  uint32_t mags[kMaxBlockLen];
-  uint32_t signs[kMaxBlockLen];
-  int64_t qbuf[kMaxBlockLen];
+  uint32_t mags[kMaxWireBlockLen];
+  uint32_t signs[kMaxWireBlockLen];
+  int64_t qbuf[kMaxWireBlockLen];
   int32_t q_prev = q0;
   size_t pos = range.begin;
   const kernels::KernelTable& k = kernels::active();
@@ -96,27 +94,27 @@ HZCCL_HOT size_t compress_chunk(std::span<const float> data, Range range, uint32
   return static_cast<size_t>(out - out_begin);
 }
 
-/// Decode one chunk of a full decompression into out[range).  Standalone and
-/// HZCCL_HOT (rather than inline in the omp lambda below) so tools/analyze
+/// Decode chunk c, `count` values, into out[0, count).  Standalone and
+/// HZCCL_HOT (rather than inline in the omp lambdas below) so tools/analyze
 /// proves the steady-state decode loop allocation- and throw-free; all
 /// failure paths are cold raises.
 HZCCL_HOT void decompress_chunk(const FzView& view, const Quantizer& quant, uint32_t block_len,
-                                Range r, std::span<float> out, uint32_t c) {
+                                size_t count, uint32_t c, float* out) {
   const auto chunk = view.chunk_payload(c);
   const uint8_t* src = chunk.data();
   const uint8_t* const end = src + chunk.size();
 
-  int32_t rbuf[kMaxBlockLen];
+  int32_t rbuf[kMaxWireBlockLen];
   // 64-bit accumulator: homomorphically reduced streams may sum many
   // operands, and the running quantized value must not wrap.
   int64_t q = view.chunk_outliers[c];
-  size_t pos = r.begin;
-  while (pos < r.end) {
-    const size_t n = std::min<size_t>(block_len, r.end - pos);
+  size_t pos = 0;
+  while (pos < count) {
+    const size_t n = std::min<size_t>(block_len, count - pos);
     // Raw fallback block: the original floats verbatim, outside the
     // quantized chain — q carries over it untouched.
     if (src < end && *src == kRawBlockMarker) {
-      src = decode_raw_block(src, end, n, out.data() + pos);
+      src = decode_raw_block(src, end, n, out + pos);
       pos += n;
       continue;
     }
@@ -126,7 +124,7 @@ HZCCL_HOT void decompress_chunk(const FzView& view, const Quantizer& quant, uint
     // approach the STREAM peak (paper Table IV).
     if (src < end && *src == 0) {
       ++src;
-      std::fill_n(out.data() + pos, n, quant.dequantize(q));
+      std::fill_n(out + pos, n, quant.dequantize(q));
       pos += n;
       continue;
     }
@@ -145,47 +143,6 @@ HZCCL_HOT void decompress_chunk(const FzView& view, const Quantizer& quant, uint
   }
 }
 
-/// Range-decode twin of decompress_chunk: same walk, but only elements in
-/// [begin, end) land in out.  Also a standalone HZCCL_HOT root.
-HZCCL_HOT void decompress_range_chunk(const FzView& view, const Quantizer& quant,
-                                      uint32_t block_len, Range r, size_t begin, size_t end,
-                                      std::span<float> out, uint32_t c) {
-  const auto chunk = view.chunk_payload(c);
-  const uint8_t* src = chunk.data();
-  const uint8_t* const chunk_end = src + chunk.size();
-
-  int32_t rbuf[kMaxBlockLen];
-  int64_t q = view.chunk_outliers[c];
-  size_t pos = r.begin;
-  while (pos < r.end && pos < end) {
-    const size_t n = std::min<size_t>(block_len, r.end - pos);
-    if (src < chunk_end && *src == kRawBlockMarker) {
-      // Raw block: decode to scratch, copy the overlap; q is untouched.
-      float fbuf[kMaxBlockLen];
-      src = decode_raw_block(src, chunk_end, n, fbuf);
-      for (size_t i = 0; i < n; ++i) {
-        const size_t elem = pos + i;
-        if (elem >= begin && elem < end) out[elem - begin] = fbuf[i];
-      }
-      pos += n;
-      continue;
-    }
-    if (pos + n <= begin && src < chunk_end && *src == 0) {
-      // Constant block entirely before the range: skip without touching q.
-      ++src;
-      pos += n;
-      continue;
-    }
-    src = decode_block(src, chunk_end, n, rbuf);
-    for (size_t i = 0; i < n; ++i) {
-      q += rbuf[i];
-      const size_t elem = pos + i;
-      if (elem >= begin && elem < end) out[elem - begin] = quant.dequantize(q);
-    }
-    pos += n;
-  }
-}
-
 /// Recompute one chunk's digest from its encoded residual chain.  Integer
 /// domain only — the walk mirrors decompress_chunk but never converts to
 /// floats; constant blocks fold in O(1) and residual blocks through the
@@ -198,7 +155,7 @@ HZCCL_HOT integrity::Digest verify_chunk_digest(const FzView& view, uint32_t blo
   const uint8_t* src = chunk.data();
   const uint8_t* const end = src + chunk.size();
 
-  int32_t rbuf[kMaxBlockLen];
+  int32_t rbuf[kMaxWireBlockLen];
   const kernels::KernelTable& k = kernels::active();
   integrity::Digest digest;
   int64_t q = view.chunk_outliers[c];
@@ -287,32 +244,14 @@ CompressedBuffer fz_compress(std::span<const float> data, const FzParams& params
   header.num_chunks = nchunks;
   header.error_bound = params.abs_error_bound;
   if (params.emit_digests) header.flags |= kFlagHasDigests;
-  ChunkedStreamAssembler assembler(header, pool);
-
-  std::atomic<bool> any_raw{false};
-  {
-    ScopedNumThreads scoped(params.num_threads);
-    OmpExceptionCollector errors;
-#pragma omp parallel for schedule(static)
-    for (uint32_t c = 0; c < nchunks; ++c) {
-      errors.run([&, c] {
-        const Range r = chunk_range(d, static_cast<int>(nchunks), static_cast<int>(c));
-        int32_t outlier = 0;
-        bool raw = false;
-        integrity::Digest digest;
-        const size_t size = compress_chunk(data, r, params.block_len, quant, &outlier,
-                                           assembler.chunk_buffer(c),
-                                           assembler.chunk_capacity(c), &raw,
-                                           params.emit_digests ? &digest : nullptr);
-        if (raw) any_raw.store(true, std::memory_order_relaxed);
-        assembler.set_chunk(c, size, outlier);
-        if (params.emit_digests) assembler.set_chunk_digest(c, digest);
+  return assemble_chunks(
+      header, params.num_threads, pool, [&](uint32_t, Range r, std::span<uint8_t> out) {
+        ChunkResult res;
+        integrity::Digest* const digest = params.emit_digests ? &res.digest : nullptr;
+        res.size = compress_chunk(data, r, params.block_len, quant, &res.outlier, out.data(),
+                                  out.size(), &res.raw, digest);
+        return res;
       });
-    }
-    errors.rethrow();
-  }
-  if (any_raw.load(std::memory_order_relaxed)) assembler.merge_flags(kFlagHasRawBlocks);
-  return assembler.finish();
 }
 
 void fz_decompress(const FzView& view, std::span<float> out, int num_threads) {
@@ -331,7 +270,7 @@ void fz_decompress(const FzView& view, std::span<float> out, int num_threads) {
       const Range r =
           chunk_range(view.num_elements(), static_cast<int>(nchunks), static_cast<int>(c));
       if (r.size() == 0) return;
-      decompress_chunk(view, quant, block_len, r, out, c);
+      decompress_chunk(view, quant, block_len, r.size(), c, out.data() + r.begin);
     });
   }
   errors.rethrow();
@@ -369,7 +308,19 @@ void fz_decompress_range(const FzView& view, size_t begin, size_t end, std::span
       const Range r =
           chunk_range(view.num_elements(), static_cast<int>(nchunks), static_cast<int>(c));
       if (r.size() == 0 || r.end <= begin || r.begin >= end) return;
-      decompress_range_chunk(view, quant, block_len, r, begin, end, out, c);
+      if (r.begin >= begin && r.end <= end) {
+        decompress_chunk(view, quant, block_len, r.size(), c, out.data() + (r.begin - begin));
+        return;
+      }
+      // A chunk the range cuts (at most the first and the last) decodes
+      // whole into scratch; the overlap is copied out.
+      ArenaScope scratch;
+      const std::span<float> chunk = scratch.alloc_for_overwrite<float>(r.size());
+      decompress_chunk(view, quant, block_len, r.size(), c, chunk.data());
+      const size_t lo = std::max(r.begin, begin);
+      const size_t hi = std::min(r.end, end);
+      std::copy(chunk.data() + (lo - r.begin), chunk.data() + (hi - r.begin),
+                out.data() + (lo - begin));
     });
   }
   errors.rethrow();

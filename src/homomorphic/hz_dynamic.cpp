@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
-#include <vector>
 
 #include "hzccl/compressor/fixed_len.hpp"
 #include "hzccl/compressor/quantize.hpp"
@@ -16,24 +15,17 @@
 namespace hzccl {
 namespace {
 
-constexpr uint32_t kMaxBlockLen = 512;
-
-HZCCL_HOT int32_t checked_outlier_sum(int32_t a, int32_t b) {
-  const int64_t s = static_cast<int64_t>(a) + b;
-  if (s > std::numeric_limits<int32_t>::max() || s < std::numeric_limits<int32_t>::min()) {
-    detail::raise_overflow("chunk outlier sum overflows int32");
-  }
-  return static_cast<int32_t>(s);
-}
-
-/// Homomorphically reduce one chunk pair into [out, out + out_capacity);
-/// returns bytes written.  Operand payloads are untrusted: the copy fast
-/// paths (pipelines 2/3) move operand bytes verbatim, so every write —
-/// copied or re-encoded — is checked against the destination's worst-case
-/// capacity before it happens (CapacityError on violation).
-HZCCL_HOT size_t hz_add_chunk(std::span<const uint8_t> ca, std::span<const uint8_t> cb,
-                    size_t chunk_elems, uint32_t block_len, uint8_t* out,
-                    size_t out_capacity, HzPipelineStats& stats) {
+/// Homomorphically combine one chunk pair, a + Sign * b, into
+/// [out, out + out_capacity) with the four-pipeline dispatch; returns bytes
+/// written.  Operand payloads are untrusted: the copy fast paths (pipelines
+/// 2/3) move operand bytes verbatim, so every write — copied or re-encoded —
+/// is checked against the destination's worst-case capacity before it
+/// happens (CapacityError on violation).
+template <int Sign>
+HZCCL_HOT size_t combine_chunk(std::span<const uint8_t> ca, std::span<const uint8_t> cb,
+                               size_t chunk_elems, uint32_t block_len, uint8_t* out,
+                               size_t out_capacity, HzPipelineStats& stats) {
+  static_assert(Sign == 1 || Sign == -1, "combine_chunk: Sign must be +1 or -1");
   uint8_t* const out_begin = out;
   const uint8_t* const out_end = out + out_capacity;
   const uint8_t* pa = ca.data();
@@ -41,10 +33,10 @@ HZCCL_HOT size_t hz_add_chunk(std::span<const uint8_t> ca, std::span<const uint8
   const uint8_t* pb = cb.data();
   const uint8_t* const eb = pb + cb.size();
 
-  int32_t ra[kMaxBlockLen];
-  int32_t rb[kMaxBlockLen];
-  uint32_t mags[kMaxBlockLen];
-  uint32_t signs[kMaxBlockLen];
+  int32_t ra[kMaxWireBlockLen];
+  int32_t rb[kMaxWireBlockLen];
+  uint32_t mags[kMaxWireBlockLen];
+  uint32_t signs[kMaxWireBlockLen];
 
   size_t remaining = chunk_elems;
   while (remaining > 0) {
@@ -55,36 +47,41 @@ HZCCL_HOT size_t hz_add_chunk(std::span<const uint8_t> ca, std::span<const uint8
     const int y = *pb;
 
     if (x == 0 && y == 0) {
-      // Pipeline 1: both constant — the sum is constant too; one byte out.
-      if (out >= out_end) detail::raise_capacity("hz_add: chunk output capacity exceeded");
+      // Pipeline 1: both constant — the result is constant too; one byte out.
+      if (out >= out_end) detail::raise_capacity("hz combine: chunk output capacity exceeded");
       *out++ = 0;
       ++stats.p1;
     } else if (x == 0) {
-      // Pipeline 2: a is constant (all residuals zero), so a + b has exactly
-      // b's residual stream; copy b's block verbatim.
-      if (size_b > static_cast<size_t>(out_end - out)) {
-        detail::raise_capacity("hz_add: chunk output capacity exceeded");
+      // Pipeline 2: a is constant (all residuals zero), so a + Sign * b has
+      // exactly Sign * b's residual stream: b's block verbatim, or with its
+      // sign plane flipped for a difference.
+      if constexpr (Sign > 0) {
+        if (size_b > static_cast<size_t>(out_end - out)) {
+          detail::raise_capacity("hz combine: chunk output capacity exceeded");
+        }
+        std::memcpy(out, pb, size_b);
+        out += size_b;
+      } else {
+        out += detail::copy_block_negated(pb, eb, n, out, out_end);
       }
-      std::memcpy(out, pb, size_b);
-      out += size_b;
       ++stats.p2;
       stats.copied_bytes += size_b;
     } else if (y == 0) {
-      // Pipeline 3: mirror of 2.
+      // Pipeline 3: b is constant, so the result is a's block verbatim.
       if (size_a > static_cast<size_t>(out_end - out)) {
-        detail::raise_capacity("hz_add: chunk output capacity exceeded");
+        detail::raise_capacity("hz combine: chunk output capacity exceeded");
       }
       std::memcpy(out, pa, size_a);
       out += size_a;
       ++stats.p3;
       stats.copied_bytes += size_a;
     } else {
-      // Pipeline 4: partial decode (IFE), integer add, re-encode (FE).  The
-      // merge runs through the dispatched kernel; its guard (OR of all |s|)
-      // range-checks the whole block with one compare.
+      // Pipeline 4: partial decode (IFE), integer combine, re-encode (FE).
+      // The merge runs through the dispatched kernel; its guard (OR of all
+      // |s|) range-checks the whole block with one compare.
       decode_block(pa, ea, n, ra);
       decode_block(pb, eb, n, rb);
-      const uint64_t guard = kernels::active().hz_combine_residuals(ra, rb, n, +1, mags, signs);
+      const uint64_t guard = kernels::active().hz_combine_residuals(ra, rb, n, Sign, mags, signs);
       if (guard > static_cast<uint64_t>(std::numeric_limits<int32_t>::max())) {
         detail::raise_overflow("residual sum overflows the 31-bit magnitude domain");
       }
@@ -105,7 +102,7 @@ HZCCL_HOT size_t hz_add_chunk(std::span<const uint8_t> ca, std::span<const uint8
     remaining -= n;
   }
   if (pa != ea || pb != eb) {
-    detail::raise_format("hz_add: chunk payload longer than its block grid");
+    detail::raise_format("hz combine: chunk payload longer than its block grid");
   }
   return static_cast<size_t>(out - out_begin);
 }
@@ -129,13 +126,13 @@ HZCCL_HOT size_t combine_chunk_raw(std::span<const uint8_t> ca, std::span<const 
   const uint8_t* pb = cb.data();
   const uint8_t* const eb = pb + cb.size();
 
-  int32_t ra[kMaxBlockLen];
-  int32_t rb[kMaxBlockLen];
-  float fa[kMaxBlockLen];
-  float fb[kMaxBlockLen];
-  float fsum[kMaxBlockLen];
-  uint32_t mags[kMaxBlockLen];
-  uint32_t signs[kMaxBlockLen];
+  int32_t ra[kMaxWireBlockLen];
+  int32_t rb[kMaxWireBlockLen];
+  float fa[kMaxWireBlockLen];
+  float fb[kMaxWireBlockLen];
+  float fsum[kMaxWireBlockLen];
+  uint32_t mags[kMaxWireBlockLen];
+  uint32_t signs[kMaxWireBlockLen];
 
   int64_t qa = outlier_a;
   int64_t qb = outlier_b;
@@ -223,70 +220,91 @@ HZCCL_HOT size_t combine_chunk_raw(std::span<const uint8_t> ca, std::span<const 
   return static_cast<size_t>(out - out_begin);
 }
 
-HZCCL_HOT int32_t checked_outlier_combine(int32_t a, int32_t b, int sign_b) {
-  const int64_t s = static_cast<int64_t>(a) + static_cast<int64_t>(sign_b) * b;
-  if (s > std::numeric_limits<int32_t>::max() || s < std::numeric_limits<int32_t>::min()) {
-    detail::raise_overflow("chunk outlier combination overflows int32");
-  }
-  return static_cast<int32_t>(s);
-}
-
 }  // namespace
 
 namespace detail {
 
-CompressedBuffer hz_combine_raw(const FzView& a, const FzView& b, int sign_b,
-                                HzPipelineStats* stats, int num_threads, BufferPool* pool) {
+CompressedBuffer hz_combine(const FzView& a, const FzView& b, int sign, HzPipelineStats* stats,
+                            int num_threads, BufferPool* pool) {
   require_layout_compatible(a, b);
-  const size_t d = a.num_elements();
-  const uint32_t nchunks = a.num_chunks();
-  const uint32_t block_len = a.block_len();
+  const bool raw = has_raw_blocks(a.header) || has_raw_blocks(b.header);
   const Quantizer quant(a.error_bound());
-
-  // Raw operand blocks always produce raw output blocks, so the result
-  // carries the flag whenever either operand does.
+  // Pipeline 4 can grow a block's code length by one bit, but the
+  // assembler's global worst case (code length 31) still bounds every
+  // outcome.  Raw operand blocks always produce raw output blocks, so the
+  // result carries the flag whenever either operand does.
   FzHeader header = a.header;
   header.flags |= static_cast<uint16_t>(b.header.flags & kFlagHasRawBlocks);
-  // Digests survive only when both operands carry them (the chain-tracking
-  // combine recomputes the output table rather than folding).
-  const bool emit_digests = a.has_digests() && b.has_digests();
-  if (!emit_digests) header.flags &= static_cast<uint16_t>(~kFlagHasDigests);
-
+  // Digests survive only when both operands carry them.  With no raw blocks
+  // the output chain is the element-wise combination of the operand chains,
+  // so digest(a + sign * b) = digest(a) + sign * digest(b) per chunk — O(1),
+  // no decode; the chain-tracking raw combine recomputes them instead.
+  const bool digests = a.has_digests() && b.has_digests();
+  if (!digests) header.flags &= static_cast<uint16_t>(~kFlagHasDigests);
   // Tables before the assembler's chunk regions: taken after them, a table
   // could need an arena block of its own.
   ArenaScope scratch;
-  const std::span<HzPipelineStats> chunk_stats = scratch.alloc<HzPipelineStats>(nchunks);
-  ChunkedStreamAssembler assembler(header, pool);
-
-  {
-    ScopedNumThreads scoped(num_threads);
-    OmpExceptionCollector errors;
-#pragma omp parallel for schedule(static)
-    for (uint32_t c = 0; c < nchunks; ++c) {
-      errors.run([&, c] {
-        const Range r = chunk_range(d, static_cast<int>(nchunks), static_cast<int>(c));
-        const int32_t outlier =
-            checked_outlier_combine(a.chunk_outliers[c], b.chunk_outliers[c], sign_b);
-        size_t size = 0;
-        integrity::Digest digest;
-        if (r.size() > 0) {
-          size = combine_chunk_raw(a.chunk_payload(c), b.chunk_payload(c), r.size(),
-                                   block_len, a.chunk_outliers[c], b.chunk_outliers[c],
-                                   sign_b, quant, assembler.chunk_buffer(c),
-                                   assembler.chunk_capacity(c), chunk_stats[c],
-                                   emit_digests ? &digest : nullptr);
+  const std::span<HzPipelineStats> chunk_stats = scratch.alloc<HzPipelineStats>(a.num_chunks());
+  CompressedBuffer result = assemble_chunks(
+      header, num_threads, pool, [&](uint32_t c, Range r, std::span<uint8_t> out) {
+        ChunkResult res;
+        res.outlier = checked_outlier(static_cast<int64_t>(a.chunk_outliers[c]) +
+                                      static_cast<int64_t>(sign) * b.chunk_outliers[c]);
+        if (raw) {
+          if (r.size() > 0) {
+            res.size = combine_chunk_raw(a.chunk_payload(c), b.chunk_payload(c), r.size(),
+                                         a.block_len(), a.chunk_outliers[c], b.chunk_outliers[c],
+                                         sign, quant, out.data(), out.size(), chunk_stats[c],
+                                         digests ? &res.digest : nullptr);
+          }
+          return res;
         }
-        assembler.set_chunk(c, size, outlier);
-        if (emit_digests) assembler.set_chunk_digest(c, digest);
+        if (r.size() > 0) {
+          res.size = sign > 0 ? combine_chunk<+1>(a.chunk_payload(c), b.chunk_payload(c),
+                                                  r.size(), a.block_len(), out.data(),
+                                                  out.size(), chunk_stats[c])
+                              : combine_chunk<-1>(a.chunk_payload(c), b.chunk_payload(c),
+                                                  r.size(), a.block_len(), out.data(),
+                                                  out.size(), chunk_stats[c]);
+        }
+        if (digests) {
+          res.digest = a.chunk_digest(c) + static_cast<int64_t>(sign) * b.chunk_digest(c);
+        }
+        return res;
       });
-    }
-    errors.rethrow();
-  }
-
   if (stats) {
     for (const auto& s : chunk_stats) *stats += s;
   }
-  return assembler.finish();
+  return result;
+}
+
+/// Copy one encoded block while flipping its sign plane (see the header).
+HZCCL_HOT size_t copy_block_negated(const uint8_t* src, const uint8_t* end, size_t n, uint8_t* out,
+                                    const uint8_t* out_end) {
+  const size_t size = peek_block_size(src, end, n);
+  if (out > out_end || size > static_cast<size_t>(out_end - out)) {
+    detail::raise_capacity("hz negate: block copy exceeds output capacity");
+  }
+  std::memcpy(out, src, size);
+  const int c = out[0];
+  if (c == kRawBlockMarker) {
+    // Raw block: negation is a sign-bit flip on each stored float (exact for
+    // every value, infinities and NaN payloads included).
+    uint8_t* floats = out + 1;
+    for (size_t i = 0; i < n; ++i) floats[i * 4 + 3] ^= 0x80u;
+    return size;
+  }
+  if (c > 0) {
+    const size_t sign_bytes = (n + 7) / 8;
+    uint8_t* signs = out + 1;
+    for (size_t b = 0; b < sign_bytes; ++b) signs[b] = static_cast<uint8_t>(~signs[b]);
+    // Keep the padding bits of the tail byte zero (canonical padding).
+    const size_t tail_bits = n % 8;
+    if (tail_bits != 0) {
+      signs[sign_bytes - 1] &= static_cast<uint8_t>((1u << tail_bits) - 1);
+    }
+  }
+  return size;
 }
 
 }  // namespace detail
@@ -319,57 +337,7 @@ HzPipelineStats& HzPipelineStats::operator+=(const HzPipelineStats& o) {
 
 CompressedBuffer hz_add(const FzView& a, const FzView& b, HzPipelineStats* stats,
                         int num_threads, BufferPool* pool) {
-  if (has_raw_blocks(a.header) || has_raw_blocks(b.header)) {
-    return detail::hz_combine_raw(a, b, +1, stats, num_threads, pool);
-  }
-  require_layout_compatible(a, b);
-  const size_t d = a.num_elements();
-  const uint32_t nchunks = a.num_chunks();
-  const uint32_t block_len = a.block_len();
-
-  // Pipeline 4 can grow a block's code length by one bit, but the
-  // assembler's global worst case (code length 31) still bounds every
-  // outcome.
-  //
-  // ABFT digests fold algebraically on this path: with no raw blocks the
-  // output chain is the element-wise sum of the operand chains, so
-  // digest(a + b) = digest(a) + digest(b) per chunk — O(1), no decode.
-  FzHeader header = a.header;
-  const bool fold_digests = a.has_digests() && b.has_digests();
-  if (!fold_digests) header.flags &= static_cast<uint16_t>(~kFlagHasDigests);
-  // Tables before the assembler's chunk regions: taken after them, a table
-  // could need an arena block of its own.
-  ArenaScope scratch;
-  const std::span<HzPipelineStats> chunk_stats = scratch.alloc<HzPipelineStats>(nchunks);
-  ChunkedStreamAssembler assembler(header, pool);
-
-  {
-    ScopedNumThreads scoped(num_threads);
-    OmpExceptionCollector errors;
-#pragma omp parallel for schedule(static)
-    for (uint32_t c = 0; c < nchunks; ++c) {
-      errors.run([&, c] {
-        const Range r = chunk_range(d, static_cast<int>(nchunks), static_cast<int>(c));
-        const int32_t outlier = checked_outlier_sum(a.chunk_outliers[c], b.chunk_outliers[c]);
-        size_t size = 0;
-        if (r.size() > 0) {
-          size = hz_add_chunk(a.chunk_payload(c), b.chunk_payload(c), r.size(), block_len,
-                              assembler.chunk_buffer(c), assembler.chunk_capacity(c),
-                              chunk_stats[c]);
-        }
-        assembler.set_chunk(c, size, outlier);
-        if (fold_digests) {
-          assembler.set_chunk_digest(c, a.chunk_digest(c) + b.chunk_digest(c));
-        }
-      });
-    }
-    errors.rethrow();
-  }
-
-  if (stats) {
-    for (const auto& s : chunk_stats) *stats += s;
-  }
-  return assembler.finish();
+  return detail::hz_combine(a, b, +1, stats, num_threads, pool);
 }
 
 CompressedBuffer hz_add(const CompressedBuffer& a, const CompressedBuffer& b,

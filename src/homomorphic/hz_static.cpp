@@ -1,9 +1,7 @@
 #include "hzccl/homomorphic/hz_static.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
-#include <vector>
 
 #include "hzccl/compressor/fixed_len.hpp"
 #include "hzccl/homomorphic/hz_dynamic.hpp"
@@ -28,14 +26,14 @@ HZCCL_HOT void add_residuals_checked(int32_t* acc, const int32_t* other, size_t 
 }
 
 /// The static pipeline's per-chunk work: IFE of *every* block of both
-/// operands into full-size integer prediction arrays (the large allocation
-/// the dynamic pipeline avoids), element-wise add, then FE of every block.
+/// operands into full-size integer prediction arrays (the large scratch the
+/// dynamic pipeline avoids), element-wise add, then FE of every block.
 size_t static_add_chunk(std::span<const uint8_t> ca, std::span<const uint8_t> cb,
                         size_t chunk_elems, uint32_t block_len, uint8_t* out,
-                        size_t out_capacity, std::vector<int32_t>& scratch_a,
-                        std::vector<int32_t>& scratch_b) {
-  scratch_a.resize(chunk_elems);
-  scratch_b.resize(chunk_elems);
+                        size_t out_capacity) {
+  ArenaScope scratch;
+  const std::span<int32_t> scratch_a = scratch.alloc_for_overwrite<int32_t>(chunk_elems);
+  const std::span<int32_t> scratch_b = scratch.alloc_for_overwrite<int32_t>(chunk_elems);
 
   const uint8_t* pa = ca.data();
   const uint8_t* const ea = pa + ca.size();
@@ -61,62 +59,33 @@ size_t static_add_chunk(std::span<const uint8_t> ca, std::span<const uint8_t> cb
   return static_cast<size_t>(out - out_begin);
 }
 
-HZCCL_HOT int32_t checked_outlier_sum(int32_t a, int32_t b) {
-  const int64_t s = static_cast<int64_t>(a) + b;
-  if (s > std::numeric_limits<int32_t>::max() || s < std::numeric_limits<int32_t>::min()) {
-    detail::raise_overflow("chunk outlier sum overflows int32");
-  }
-  return static_cast<int32_t>(s);
-}
-
 }  // namespace
 
 CompressedBuffer hz_add_static(const FzView& a, const FzView& b, int num_threads) {
   require_layout_compatible(a, b);
   // Raw fallback blocks carry floats, not residuals, so the whole-chunk IFE
-  // below cannot represent them; such streams take the chain-tracking raw
-  // path shared with hZ-dynamic.
+  // below cannot represent them; such streams take hZ-dynamic's
+  // chain-tracking raw combine.
   if (has_raw_blocks(a.header) || has_raw_blocks(b.header)) {
-    return detail::hz_combine_raw(a, b, +1, nullptr, num_threads, nullptr);
+    return detail::hz_combine(a, b, +1, nullptr, num_threads, nullptr);
   }
-  const size_t d = a.num_elements();
-  const uint32_t nchunks = a.num_chunks();
-  const uint32_t block_len = a.block_len();
-
   // Same digest-folding rule as hz_add, keeping the byte-identical-output
   // contract when operands carry ABFT digest tables.
   FzHeader header = a.header;
   const bool fold_digests = a.has_digests() && b.has_digests();
   if (!fold_digests) header.flags &= static_cast<uint16_t>(~kFlagHasDigests);
-  ChunkedStreamAssembler assembler(header);
-  {
-    ScopedNumThreads scoped(num_threads);
-    OmpExceptionCollector errors;
-#pragma omp parallel
-    {
-      std::vector<int32_t> scratch_a, scratch_b;
-#pragma omp for schedule(static)
-      for (uint32_t c = 0; c < nchunks; ++c) {
-        errors.run([&, c] {
-          const Range r = chunk_range(d, static_cast<int>(nchunks), static_cast<int>(c));
-          const int32_t outlier =
-              checked_outlier_sum(a.chunk_outliers[c], b.chunk_outliers[c]);
-          size_t size = 0;
-          if (r.size() > 0) {
-            size = static_add_chunk(a.chunk_payload(c), b.chunk_payload(c), r.size(),
-                                    block_len, assembler.chunk_buffer(c),
-                                    assembler.chunk_capacity(c), scratch_a, scratch_b);
-          }
-          assembler.set_chunk(c, size, outlier);
-          if (fold_digests) {
-            assembler.set_chunk_digest(c, a.chunk_digest(c) + b.chunk_digest(c));
-          }
-        });
-      }
-    }
-    errors.rethrow();
-  }
-  return assembler.finish();
+  return assemble_chunks(
+      header, num_threads, nullptr, [&](uint32_t c, Range r, std::span<uint8_t> out) {
+        ChunkResult res;
+        res.outlier = checked_outlier(static_cast<int64_t>(a.chunk_outliers[c]) +
+                                      b.chunk_outliers[c]);
+        if (r.size() > 0) {
+          res.size = static_add_chunk(a.chunk_payload(c), b.chunk_payload(c), r.size(),
+                                      a.block_len(), out.data(), out.size());
+        }
+        if (fold_digests) res.digest = a.chunk_digest(c) + b.chunk_digest(c);
+        return res;
+      });
 }
 
 CompressedBuffer hz_add_static(const CompressedBuffer& a, const CompressedBuffer& b,

@@ -61,11 +61,6 @@ struct JobAttemptAbort {};
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Seed-derived fault placement streams — identical to the runtime's
-// (src/simmpi/runtime.cpp), so a FaultPlan resolves to the same schedule in
-// both executors.
-constexpr uint64_t kRankFaultRankStream = 0x52414E4BULL;  // "RANK"
-constexpr uint64_t kRankFaultOpStream = 0x4F505321ULL;    // "OPS!"
 /// Admission tie-break stream.
 constexpr uint64_t kGrantStream = 0x47524E54ULL;  // "GRNT"
 
@@ -205,23 +200,19 @@ struct EngineImpl {
           "(drop/corrupt/...) require the threaded Runtime");
     }
     if (cfg.faults.rank_faults_enabled()) cfg.faults.validate();
-    resolve_rank_faults();
+    // The same placement as the threaded runtime's, so a FaultPlan resolves
+    // to one schedule in both executors.
+    resolved_faults = cfg.faults.resolve_rank_faults(cfg.fleet_ranks);
     for (int i = 0; i < cfg.fleet_ranks; ++i) ranks.emplace_back();
     for (size_t i = 0; i < ranks.size(); ++i) {
       RankState& r = ranks[i];
       r.send_seq.assign(static_cast<size_t>(cfg.fleet_ranks), 0);
       if (cfg.trace.enabled) r.tracer.enable(cfg.trace.capacity, pool);
-      for (const simmpi::RankFault& f : resolved_faults) {
-        if (f.rank != static_cast<int>(i)) continue;
-        if (f.kind == simmpi::RankFaultKind::kStraggler) {
-          if (r.cost_factor == 1.0) {
-            r.cost_factor = f.factor;
-            r.health.straggles = 1;
-          }
-        } else if (r.stop_fault == nullptr) {
-          r.stop_fault = &f;
-        }
-      }
+      const simmpi::RankFaultSlot slot =
+          simmpi::rank_fault_slot(resolved_faults, static_cast<int>(i));
+      r.cost_factor = slot.cost_factor;
+      r.health.straggles = slot.straggler ? 1 : 0;
+      r.stop_fault = slot.stop;
     }
     if (cfg.trace.enabled) sched_tracer.enable(cfg.trace.capacity, pool);
   }
@@ -235,25 +226,6 @@ struct EngineImpl {
     }
     for (RankState& r : ranks) r.tracer.disable(pool);
     sched_tracer.disable(pool);
-  }
-
-  void resolve_rank_faults() {
-    resolved_faults = cfg.faults.rank_faults;
-    uint64_t idx = 0;
-    for (simmpi::RankFault& f : resolved_faults) {
-      if (f.rank < 0) {
-        f.rank = static_cast<int>(simmpi::fault_mix(cfg.faults.seed, kRankFaultRankStream, idx) %
-                                  static_cast<uint64_t>(cfg.fleet_ranks));
-      }
-      if (f.rank >= cfg.fleet_ranks) {
-        throw Error("sched::Engine: rank-fault rank " + std::to_string(f.rank) +
-                    " out of range for " + std::to_string(cfg.fleet_ranks) + " fleet ranks");
-      }
-      if (f.kind != simmpi::RankFaultKind::kStraggler && f.after_ops == 0 && f.at_vtime <= 0.0) {
-        f.after_ops = 1 + simmpi::fault_mix(cfg.faults.seed, kRankFaultOpStream, idx) % 24;
-      }
-      ++idx;
-    }
   }
 
   // -- Bookkeeping ----------------------------------------------------------
@@ -327,10 +299,7 @@ struct EngineImpl {
     RankState& r = ranks[static_cast<size_t>(rank)];
     ++r.ops;
     const simmpi::RankFault* f = r.stop_fault;
-    if (f == nullptr) return;
-    const bool fire = (f->after_ops > 0 && r.ops >= f->after_ops) ||
-                      (f->at_vtime > 0.0 && r.clock.now() >= f->at_vtime);
-    if (!fire) return;
+    if (f == nullptr || !f->due(r.ops, r.clock.now())) return;
     r.dead = true;
     r.death_vtime = r.clock.now();
     if (f->kind == simmpi::RankFaultKind::kHang) {

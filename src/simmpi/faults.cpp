@@ -170,6 +170,46 @@ std::vector<RankFault> FaultPlan::parse_rank_faults(const std::string& spec) {
   return faults;
 }
 
+std::vector<RankFault> FaultPlan::resolve_rank_faults(int nranks) const {
+  // PRNG stream tags of the seed-derived placement.
+  constexpr uint64_t kRankStream = 0x52414E4BULL;  // "RANK"
+  constexpr uint64_t kOpStream = 0x4F505321ULL;    // "OPS!"
+  std::vector<RankFault> resolved = rank_faults;
+  uint64_t idx = 0;
+  for (RankFault& f : resolved) {
+    if (f.rank < 0) {
+      f.rank = static_cast<int>(fault_mix(seed, kRankStream, idx) % static_cast<uint64_t>(nranks));
+    }
+    if (f.rank >= nranks) {
+      throw Error("FaultPlan: rank-fault rank " + std::to_string(f.rank) + " out of range for " +
+                  std::to_string(nranks) + " ranks");
+    }
+    if (f.kind != RankFaultKind::kStraggler && f.after_ops == 0 && f.at_vtime <= 0.0) {
+      // Seed-derived crash point: somewhere in the first rounds of a ring
+      // schedule, so small collectives still hit it.
+      f.after_ops = 1 + fault_mix(seed, kOpStream, idx) % 24;
+    }
+    ++idx;
+  }
+  return resolved;
+}
+
+RankFaultSlot rank_fault_slot(std::span<const RankFault> resolved, int rank) {
+  RankFaultSlot slot;
+  for (const RankFault& f : resolved) {
+    if (f.rank != rank) continue;
+    if (f.kind == RankFaultKind::kStraggler) {
+      if (!slot.straggler) {
+        slot.cost_factor = f.factor;
+        slot.straggler = true;
+      }
+    } else if (slot.stop == nullptr) {
+      slot.stop = &f;
+    }
+  }
+  return slot;
+}
+
 std::string FaultPlan::describe() const {
   char buf[256];
   std::snprintf(buf, sizeof(buf),

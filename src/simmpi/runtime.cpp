@@ -108,10 +108,6 @@ uint64_t apply_payload_faults(std::span<uint8_t> payload, const FaultPlan& plan,
 struct RankStopSignal {};     ///< this rank's scheduled crash/hang fired
 struct RankRevokedSignal {};  ///< a hopeless wait revoked the current attempt
 
-/// PRNG stream tags for seed-derived rank-fault placement.
-constexpr uint64_t kRankFaultRankStream = 0x52414E4BULL;  // "RANK"
-constexpr uint64_t kRankFaultOpStream = 0x4F505321ULL;    // "OPS!"
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -128,17 +124,10 @@ Comm::Comm(Runtime* rt, int rank, int size)
       accepted_(static_cast<size_t>(size)),
       limbo_(static_cast<size_t>(size)) {
   for (int i = 0; i < size; ++i) group_[static_cast<size_t>(i)] = i;
-  for (const RankFault& f : rt->resolved_faults_) {
-    if (f.rank != rank) continue;
-    if (f.kind == RankFaultKind::kStraggler) {
-      if (cost_factor_ == 1.0) {
-        cost_factor_ = f.factor;
-        ++health_.straggles;
-      }
-    } else if (stop_fault_ == nullptr) {
-      stop_fault_ = &f;
-    }
-  }
+  const RankFaultSlot slot = rank_fault_slot(rt->resolved_faults_, rank);
+  cost_factor_ = slot.cost_factor;
+  health_.straggles = slot.straggler ? 1 : 0;
+  stop_fault_ = slot.stop;
 }
 
 const NetModel& Comm::net() const { return runtime_->net(); }
@@ -306,7 +295,7 @@ Runtime::Runtime(int nranks, NetModel net, FaultPlan faults, trace::Options trac
   for (int i = 0; i < nranks; ++i) mailboxes_.push_back(std::make_unique<Mailbox>());
   if (rank_faults_on()) {
     faults_.validate();
-    resolve_rank_faults();
+    resolved_faults_ = faults_.resolve_rank_faults(nranks);
     rank_state_.assign(static_cast<size_t>(nranks), RankState{});
     shrink_arrived_.assign(static_cast<size_t>(nranks), 0);
     members_.resize(static_cast<size_t>(nranks));
@@ -316,35 +305,13 @@ Runtime::Runtime(int nranks, NetModel net, FaultPlan faults, trace::Options trac
 
 Runtime::~Runtime() = default;
 
-void Runtime::resolve_rank_faults() {
-  resolved_faults_ = faults_.rank_faults;
-  uint64_t idx = 0;
-  for (RankFault& f : resolved_faults_) {
-    if (f.rank < 0) {
-      f.rank = static_cast<int>(fault_mix(faults_.seed, kRankFaultRankStream, idx) %
-                                static_cast<uint64_t>(nranks_));
-    }
-    if (f.rank >= nranks_) {
-      throw hzccl::Error("FaultPlan: rank-fault rank " + std::to_string(f.rank) +
-                         " out of range for " + std::to_string(nranks_) + " ranks");
-    }
-    if (f.kind != RankFaultKind::kStraggler && f.after_ops == 0 && f.at_vtime <= 0.0) {
-      // Seed-derived crash point: somewhere in the first rounds of a ring
-      // schedule, so small collectives still hit it.
-      f.after_ops = 1 + fault_mix(faults_.seed, kRankFaultOpStream, idx) % 24;
-    }
-    ++idx;
-  }
-}
-
 void Runtime::check_rank_fault(Comm& comm) {
   if (!rank_faults_on()) return;
   ++comm.transport_ops_;
   const RankFault* f = comm.stop_fault_;
-  if (f == nullptr) return;
-  const bool fire = (f->after_ops > 0 && comm.transport_ops_ >= f->after_ops) ||
-                    (f->at_vtime > 0.0 && comm.clock_.now() >= f->at_vtime);
-  if (fire) kill_rank(comm, f->kind == RankFaultKind::kHang);
+  if (f != nullptr && f->due(comm.transport_ops_, comm.clock_.now())) {
+    kill_rank(comm, f->kind == RankFaultKind::kHang);
+  }
 }
 
 void Runtime::wake_all_mailboxes() {

@@ -22,10 +22,6 @@ void raise_layout(const char* what) { throw LayoutMismatchError(what); }
 
 void raise_overflow(const char* what) { throw HomomorphicOverflowError(what); }
 
-void raise_overflow(const char* what, const char* detail) {
-  throw HomomorphicOverflowError(std::string(what) + detail);
-}
-
 void raise_quant_range(const char* what) { throw QuantizationRangeError(what); }
 
 void raise_parse_value(const char* prefix, unsigned long long value, const char* suffix) {

@@ -253,6 +253,34 @@ TEST(Collectives, SingleRankDegenerate) {
   }
 }
 
+// The CLI spellings of the allreduce schedule and the verify policy.
+TEST(Collectives, AlgoAndVerifySpellingsParse) {
+  using coll::AllreduceAlgo;
+  using coll::VerifyPolicy;
+  for (int a = 0; a < coll::kNumAllreduceAlgos; ++a) {
+    const auto algo = static_cast<AllreduceAlgo>(a);
+    EXPECT_EQ(coll::parse_allreduce_algo(coll::allreduce_algo_name(algo)), algo);
+  }
+  for (const VerifyPolicy p :
+       {VerifyPolicy::kOff, VerifyPolicy::kFinal, VerifyPolicy::kPerRound}) {
+    EXPECT_EQ(coll::parse_verify_policy(coll::verify_policy_name(p)), p);
+  }
+  for (const char* rd : {"recursive-doubling", "recursive_doubling"}) {
+    EXPECT_EQ(coll::parse_allreduce_algo(rd), AllreduceAlgo::kRecursiveDoubling) << rd;
+  }
+  EXPECT_EQ(coll::parse_allreduce_algo("rabenseifner"), AllreduceAlgo::kRabenseifner);
+  for (const char* two : {"two-level", "two_level", "hier"}) {
+    EXPECT_EQ(coll::parse_allreduce_algo(two), AllreduceAlgo::kTwoLevel) << two;
+  }
+  EXPECT_EQ(coll::parse_verify_policy("none"), VerifyPolicy::kOff);
+  for (const char* round : {"per-round", "per_round"}) {
+    EXPECT_EQ(coll::parse_verify_policy(round), VerifyPolicy::kPerRound) << round;
+  }
+  EXPECT_THROW((void)coll::parse_allreduce_algo("Ring"), Error);
+  EXPECT_THROW((void)coll::parse_allreduce_algo(""), Error);
+  EXPECT_THROW((void)coll::parse_verify_policy("always"), Error);
+}
+
 // --- modeled-time orderings (the paper's headline comparisons) -----------------
 
 class TimingTest : public ::testing::Test {

@@ -135,6 +135,38 @@ TEST(RankFault, ParsesScheduleEntries) {
   EXPECT_THROW(p.validate(), Error);
 }
 
+TEST(RankFault, ResolvesSeedDerivedPlacementForBothExecutors) {
+  using simmpi::RankFault;
+  FaultPlan plan;
+  plan.seed = 42;
+  plan.rank_faults = FaultPlan::parse_rank_faults(
+      "crash;straggler@rank=1,x=3;straggler@rank=1,x=9;hang@rank=1,t=1e-3;crash@rank=1,op=2");
+  const std::vector<RankFault> resolved = plan.resolve_rank_faults(5);
+  ASSERT_EQ(resolved.size(), plan.rank_faults.size());
+  // The bare crash gets a seeded rank in range and a crash point in 1..24.
+  EXPECT_GE(resolved[0].rank, 0);
+  EXPECT_LT(resolved[0].rank, 5);
+  EXPECT_GE(resolved[0].after_ops, 1u);
+  EXPECT_LE(resolved[0].after_ops, 24u);
+  // Explicit triggers stay as written; the placement replays from the seed.
+  EXPECT_EQ(resolved[3].after_ops, 0u);
+  EXPECT_EQ(resolved[4].after_ops, 2u);
+  EXPECT_EQ(plan.resolve_rank_faults(5)[0].after_ops, resolved[0].after_ops);
+
+  // Rank 1's first straggler sets its factor; its first crash or hang stops it.
+  const simmpi::RankFaultSlot slot = simmpi::rank_fault_slot(resolved, 1);
+  EXPECT_TRUE(slot.straggler);
+  EXPECT_DOUBLE_EQ(slot.cost_factor, 3.0);
+  ASSERT_EQ(slot.stop, &resolved[3]);
+  EXPECT_FALSE(slot.stop->due(1000, 0.5e-3));
+  EXPECT_TRUE(slot.stop->due(0, 1e-3));
+  EXPECT_TRUE(resolved[4].due(2, 0.0));
+  EXPECT_FALSE(resolved[4].due(1, 0.0));
+
+  plan.rank_faults = FaultPlan::parse_rank_faults("crash@rank=5");
+  EXPECT_THROW((void)plan.resolve_rank_faults(5), Error);
+}
+
 TEST(RetryPolicy, ParsesAndComputesBackoff) {
   using simmpi::RetryPolicy;
   const RetryPolicy r = RetryPolicy::parse("3,50e-6,2");
@@ -445,37 +477,42 @@ TEST(Chaos, BroadcastHealsUnderMixedFaults) {
   cc.abs_error_bound = 1e-3;
 
   for (const bool compressed : {false, true}) {
-    Runtime clean_rt(n, NetModel::omnipath_100g());
-    std::vector<std::vector<float>> clean_out(n);
-    clean_rt.run([&](Comm& comm) {
-      std::vector<float> data = comm.rank() == 2 ? inputs(2) : std::vector<float>{};
-      if (compressed) {
-        coll::ccoll_bcast(comm, data, 2, cc);
-      } else {
-        coll::raw_bcast(comm, data, 2, cc);
-      }
-      clean_out[static_cast<size_t>(comm.rank())] = std::move(data);
-    });
+    TransportStats total;
+    auto bcast_under = [&](const FaultPlan& plan) {
+      Runtime rt(n, NetModel::omnipath_100g(), plan);
+      std::vector<std::vector<float>> out(n);
+      rt.run([&](Comm& comm) {
+        std::vector<float> data = comm.rank() == 2 ? inputs(2) : std::vector<float>{};
+        if (compressed) {
+          coll::ccoll_bcast(comm, data, 2, cc);
+        } else {
+          coll::raw_bcast(comm, data, 2, cc);
+        }
+        out[static_cast<size_t>(comm.rank())] = std::move(data);
+      });
+      total = total_transport(rt.transport_stats());
+      return out;
+    };
+    const std::vector<std::vector<float>> clean_out = bcast_under(FaultPlan::none());
 
     FaultPlan plan = mixed_plan(0xB0A7);
     if (compressed) plan.mangle = 0.1;  // the decode layer can catch this one
-    Runtime rt(n, NetModel::omnipath_100g(), plan);
-    std::vector<std::vector<float>> out(n);
-    rt.run([&](Comm& comm) {
-      std::vector<float> data = comm.rank() == 2 ? inputs(2) : std::vector<float>{};
-      if (compressed) {
-        coll::ccoll_bcast(comm, data, 2, cc);
-      } else {
-        coll::raw_bcast(comm, data, 2, cc);
-      }
-      out[static_cast<size_t>(comm.rank())] = std::move(data);
-    });
-
-    const TransportStats total = total_transport(rt.transport_stats());
+    const std::vector<std::vector<float>> out = bcast_under(plan);
     EXPECT_GT(total.faults_injected, 0u);
     for (int r = 0; r < n; ++r) {
       EXPECT_EQ(out[r], clean_out[r]) << (compressed ? "ccoll" : "raw") << " rank " << r;
     }
+    if (!compressed) continue;
+
+    // Every frame mangled: each non-root hop's retransmit fails again, so
+    // heal_stream takes the pristine stream on all seven of them.
+    FaultPlan always = FaultPlan::none();
+    always.seed = 0xB0A7;
+    always.mangle = 1.0;
+    const std::vector<std::vector<float>> healed = bcast_under(always);
+    EXPECT_EQ(total.retransmits, static_cast<uint64_t>(n - 1));
+    EXPECT_EQ(total.raw_fallbacks, static_cast<uint64_t>(n - 1));
+    for (int r = 0; r < n; ++r) EXPECT_EQ(healed[r], clean_out[r]) << "mangled rank " << r;
   }
 }
 

@@ -22,18 +22,21 @@
 //      per-round cost stays under the 5% bench-gate budget.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cctype>
 #include <cmath>
 #include <cstring>
 #include <vector>
 
 #include "hzccl/cluster/roundsim.hpp"
+#include "hzccl/collectives/movement.hpp"
 #include "hzccl/core/hzccl.hpp"
 #include "hzccl/datasets/registry.hpp"
 #include "hzccl/integrity/digest.hpp"
 #include "hzccl/integrity/sdc.hpp"
 #include "hzccl/sched/scheduler.hpp"
 #include "hzccl/simmpi/faults.hpp"
+#include "hzccl/simmpi/runtime.hpp"
 
 namespace hzccl {
 namespace {
@@ -494,6 +497,53 @@ TEST(VerifyPolicy, FinalIsDetectionWithoutRecovery) {
   EXPECT_GT(healed.integrity.mismatches, 0u);
   EXPECT_LE(max_abs_err(healed.rank0_output, exact_reduction(config.nranks, inputs)),
             3.0 * config.nranks * config.abs_error_bound + 1e-6);
+}
+
+TEST(VerifyPolicy, CompressedBcastChecksDigestsAtTheFinalDecode) {
+  // Every frame carries one silent bit flip.  Under verify=final the
+  // broadcast must refuse to decode a stream that fails its digests; under
+  // verify=round each hop heals to the pristine stream instead.
+  const int n = 8;
+  const int root = 2;
+  const std::vector<float> field = test_field(DatasetId::kCesmAtm, 5000);
+  coll::CollectiveConfig cc;
+  cc.abs_error_bound = 1e-3;
+  // Ranks that return hold their result in `out`; a rank that catches the
+  // corruption throws IntegrityError, counted before it propagates (a peer
+  // still receiving may observe that failure as a peer-rank error first).
+  std::vector<std::vector<float>> out;
+  std::atomic<int> integrity_errors{0};
+  auto bcast_under = [&](const FaultPlan& plan) {
+    simmpi::Runtime rt(n, NetModel::omnipath_100g(), plan);
+    out.assign(n, {});
+    integrity_errors = 0;
+    rt.run([&](simmpi::Comm& comm) {
+      std::vector<float> data = comm.rank() == root ? field : std::vector<float>{};
+      try {
+        coll::ccoll_bcast(comm, data, root, cc);
+      } catch (const IntegrityError&) {
+        ++integrity_errors;
+        throw;
+      }
+      out[static_cast<size_t>(comm.rank())] = std::move(data);
+    });
+  };
+  cc.verify = VerifyPolicy::kFinal;
+  bcast_under(FaultPlan::none());
+  const std::vector<std::vector<float>> clean = out;
+
+  FaultPlan plan = FaultPlan::none();
+  plan.seed = 7;
+  plan.sdc = 1.0;
+  EXPECT_THROW(bcast_under(plan), Error);
+  EXPECT_GT(integrity_errors.load(), 0);
+  for (int r = 0; r < n; ++r) {
+    if (!out[r].empty()) EXPECT_EQ(out[r], clean[r]) << "rank " << r << " returned corrupt data";
+  }
+
+  cc.verify = VerifyPolicy::kPerRound;
+  bcast_under(plan);
+  for (int r = 0; r < n; ++r) EXPECT_EQ(out[r], clean[r]) << "rank " << r;
 }
 
 TEST(PoisonedCombine, ComputeSideCorruptionRecoversWithoutTheWire) {

@@ -30,6 +30,7 @@
 #include "hzccl/sched/engine.hpp"
 #include "hzccl/simmpi/netmodel.hpp"
 #include "hzccl/simmpi/runtime.hpp"
+#include "hzccl/trace/trace.hpp"
 #include "hzccl/util/error.hpp"
 
 namespace hzccl {
@@ -309,6 +310,53 @@ TEST(SchedDifferentialModes, AutoAlgoResolvesLikeBlocking) {
       run_collective(Kernel::kHzcclSingleThread, Op::kAllreduce, config, input);
   EXPECT_EQ(out.algo, blocking.algo);
   EXPECT_EQ(out.rank0_output, blocking.rank0_output);
+}
+
+// C-Coll runs only the ring (run_stack), so whatever schedule a job asks
+// for, both executors must report the ring, stamp no algorithm marker and
+// return the ring's bytes.
+TEST(SchedDifferentialModes, CCollReportsTheRingItRuns) {
+  const NetModel net = NetModel::omnipath_100g_nodes(4);
+  const RankInputFn input = dataset_input(DatasetId::kCesmAtm, kElements);
+  const std::vector<float> ring =
+      run_collective(Kernel::kCCollMultiThread, Op::kAllreduce,
+                     job_config(8, net, AllreduceAlgo::kRing), input)
+          .rank0_output;
+  auto algo_markers = [](const trace::Trace& t) {
+    size_t count = 0;
+    for (const auto& events : t.ranks) {
+      for (const trace::Event& e : events) {
+        if (e.kind == trace::EventKind::kPack && e.aux >= trace::kAuxAlgoBase) ++count;
+      }
+    }
+    return count;
+  };
+  for (const AllreduceAlgo algo :
+       {AllreduceAlgo::kAuto, AllreduceAlgo::kRecursiveDoubling, AllreduceAlgo::kRabenseifner,
+        AllreduceAlgo::kTwoLevel}) {
+    const std::string what = coll::allreduce_algo_name(algo);
+    JobConfig config = job_config(8, net, algo);
+    config.trace.enabled = true;
+    const JobResult blocking =
+        run_collective(Kernel::kCCollMultiThread, Op::kAllreduce, config, input);
+    EXPECT_EQ(blocking.algo, AllreduceAlgo::kRing) << what;
+    EXPECT_EQ(algo_markers(blocking.trace), 0u) << what;
+    EXPECT_EQ(blocking.rank0_output, ring) << what;
+
+    EngineConfig ec;
+    ec.fleet_ranks = 8;
+    ec.net = net;
+    ec.trace.enabled = true;
+    Engine engine(ec);
+    const Request req =
+        engine.submit(Kernel::kCCollMultiThread, ICollOp::kAllreduce, config, input);
+    engine.run();
+    const JobOutcome& out = engine.outcome(req);
+    ASSERT_TRUE(out.completed) << what << ": " << out.error;
+    EXPECT_EQ(out.algo, AllreduceAlgo::kRing) << what;
+    EXPECT_EQ(algo_markers(engine.trace()), 0u) << what;
+    EXPECT_EQ(out.rank0_output, ring) << what;
+  }
 }
 
 // ---------------------------------------------------------------------------

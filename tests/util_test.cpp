@@ -1,69 +1,15 @@
-// Unit tests for the util foundation: byte streams, chunk partitioning,
-// deterministic PRNG, scoped threading.
+// Unit tests for the util foundation: chunk partitioning, deterministic
+// PRNG, scoped threading.
 #include <gtest/gtest.h>
 
 #include <omp.h>
 
-#include "hzccl/util/bitio.hpp"
-#include "hzccl/util/error.hpp"
 #include "hzccl/util/random.hpp"
 #include "hzccl/util/threading.hpp"
 #include "hzccl/util/timer.hpp"
 
 namespace hzccl {
 namespace {
-
-TEST(ByteWriter, RoundTripsPrimitives) {
-  ByteWriter w;
-  w.put_u8(0xAB);
-  w.put_u16(0x1234);
-  w.put_u32(0xDEADBEEF);
-  w.put_u64(0x0123456789ABCDEFULL);
-  w.put_i32(-42);
-  w.put_f64(3.5);
-  const std::vector<uint8_t> bytes = w.take();
-
-  ByteReader r(bytes);
-  EXPECT_EQ(r.get_u8(), 0xAB);
-  EXPECT_EQ(r.get_u16(), 0x1234);
-  EXPECT_EQ(r.get_u32(), 0xDEADBEEFu);
-  EXPECT_EQ(r.get_u64(), 0x0123456789ABCDEFULL);
-  EXPECT_EQ(r.get_i32(), -42);
-  EXPECT_DOUBLE_EQ(r.get_f64(), 3.5);
-  EXPECT_TRUE(r.exhausted());
-}
-
-TEST(ByteWriter, PlaceholderPatching) {
-  ByteWriter w;
-  const size_t at = w.put_placeholder(sizeof(uint64_t));
-  w.put_u8(7);
-  w.patch_u64(at, 999);
-  ByteReader r(w.bytes());
-  EXPECT_EQ(r.get_u64(), 999u);
-  EXPECT_EQ(r.get_u8(), 7);
-}
-
-TEST(ByteReader, ThrowsOnTruncatedRead) {
-  const std::vector<uint8_t> bytes = {1, 2, 3};
-  ByteReader r(bytes);
-  r.get_u16();
-  EXPECT_THROW(r.get_u32(), FormatError);
-}
-
-TEST(ByteReader, ThrowsOnOversizedByteBorrow) {
-  const std::vector<uint8_t> bytes = {1, 2, 3};
-  ByteReader r(bytes);
-  EXPECT_THROW(r.get_bytes(4), FormatError);
-  EXPECT_EQ(r.get_bytes(3).size(), 3u);
-}
-
-TEST(ByteReader, SkipAdvancesAndBoundsChecks) {
-  const std::vector<uint8_t> bytes(10, 0);
-  ByteReader r(bytes);
-  r.skip(9);
-  EXPECT_EQ(r.remaining(), 1u);
-  EXPECT_THROW(r.skip(2), FormatError);
-}
 
 // --- chunk partition arithmetic -------------------------------------------
 
