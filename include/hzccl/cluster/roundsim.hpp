@@ -76,8 +76,9 @@ ModelResult model_collective(Kernel kernel, Op op, int nranks, size_t total_byte
 /// fallback), or the two-level hierarchy (serial intra-node raw gather to
 /// the node leader, compressed ring over one leader per node at node-count
 /// congestion, intra-node broadcast).  `nranks` is the total rank count;
-/// the node grouping comes from `net.topo`.  This closed form is what
-/// autotune's size/topology algorithm selector ranks.
+/// the node grouping comes from `net.topo`.  The C-Coll kernels always run
+/// the ring, so every schedule prices as the ring for them.  This closed
+/// form is what autotune's size/topology algorithm selector ranks.
 ModelResult model_allreduce_algo(Kernel kernel, coll::AllreduceAlgo algo, int nranks,
                                  size_t total_bytes, const CompressionProfile& profile,
                                  const simmpi::NetModel& net, const simmpi::CostModel& cost,

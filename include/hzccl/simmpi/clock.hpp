@@ -38,7 +38,8 @@ struct ClockReport {
   /// Percentage of total, 0 if the clock never advanced.
   double percent(CostBucket b) const;
 
-  /// Element-wise max of two rank reports (collective completion time).
+  /// The slower of two rank reports, whole: its total is the collective's
+  /// completion time and its buckets the breakdown (not an element-wise max).
   static ClockReport max_of(const ClockReport& a, const ClockReport& b);
 };
 

@@ -12,7 +12,8 @@
 //  * recv(src, ...)  — completes at max(local now, sender stamp) + α + n/β:
 //    the receiver cannot finish before the sender produced the data, nor
 //    before the wire moved it.  Waiting lands in the kMpi bucket.
-//  * barrier()       — all ranks leave at max(arrival times) + α·ceil(log2 P).
+//  * barrier()       — the current group's P members leave at
+//    max(arrival times) + α·ceil(log2 P).
 //
 // Transport hardening (see faults.hpp): every payload travels framed with a
 // length + CRC-32C header, and a seeded FaultPlan can drop, duplicate,
@@ -26,26 +27,29 @@
 // Determinism: every fault decision is a counter-based hash of the link and
 // sequence number (faults.hpp), and every recovery decision depends only on
 // a frame's *final* wire outcome — a dropped frame is recoverable from the
-// window, a held frame is always eventually delivered (released at the
-// sender's next transport operation or rank-function return), never raced
-// for.  Virtual times and transport counters therefore replay exactly from
-// a seed no matter how the host schedules the rank threads.
+// window, a held frame is released at the sender's next transport operation
+// or rank-function return (or, if the sender crashes first, becomes a
+// drop), never raced for.  Virtual times and transport counters therefore
+// replay exactly from a seed no matter how the host schedules the rank
+// threads.
 //
 // Rank failures (see faults.hpp): a FaultPlan can additionally schedule
 // crash/hang/straggler faults per rank.  The runtime then arms an endpoint
 // health machine (Alive → Suspect → Dead on virtual-clock deadlines), an
 // agreement round guaranteeing every survivor of a failure throws the same
 // RankFailedError, and Comm::shrink() + retry to complete the collective
-// over the survivors under a new epoch.  Detection acts only on *final*
-// control-plane facts (a peer is dead, parked in the agreement, or
-// finished) — never on wall-clock races — so failed runs replay exactly
-// from their seed too.
+// over the survivors under a new epoch.  The barrier, the agreement and the
+// shrink are one kind of round: released at the latest arrival plus a
+// latency-priced hop count.  Detection acts only on *final* control-plane
+// facts (a peer is dead, parked in the agreement, or finished) — never on
+// wall-clock races — so failed runs replay exactly from their seed too.
 //
 // Because rank threads block on condition variables while waiting for
 // matching messages, hundreds of mostly-idle ranks simulate fine on a small
 // host; the paper's 512-node runs map to 512 threads.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -136,7 +140,10 @@ class Comm {
   /// the recovery round-trip is charged to the virtual clock.
   std::vector<uint8_t> refetch(int src, int tag, Refetch mode, size_t raw_bytes_hint = 0);
 
-  /// Synchronize all ranks (both thread-level and virtual-clock-level).
+  /// Synchronize the current group's ranks (both thread-level and
+  /// virtual-clock-level).  A member that can never arrive (dead, parked in
+  /// an agreement, or finished) makes the wait hopeless: the waiters declare
+  /// the failure and unwind to the agreement of their guarded() attempt.
   void barrier();
 
   /// Run one collective attempt under the rank-failure contract: with rank
@@ -199,6 +206,11 @@ class Comm {
   /// stall, then the runtime's blocking take.
   Delivery receive(int src, int tag);
 
+  /// Record `e` as a trace span ending at `t1`, or now; no-op while tracing
+  /// is off.
+  void span(trace::Event e, double t1);
+  void span(const trace::Event& e) { span(e, clock_.now()); }
+
   /// Translate a virtual rank of the current group to its physical rank.
   int to_phys(int vrank) const { return group_[static_cast<size_t>(vrank)]; }
 
@@ -239,8 +251,9 @@ class Runtime {
   using RankFn = std::function<void(Comm&)>;
 
   /// Execute `fn` on every rank; returns the per-rank clock reports.
-  /// The first exception thrown by any rank is rethrown here after all
-  /// threads have been joined.
+  /// After all threads have been joined, the lowest-ranked rank's error is
+  /// rethrown, skipping ranks that failed only because another rank's error
+  /// aborted the run — so the root cause surfaces.
   std::vector<ClockReport> run(const RankFn& fn);
 
   const NetModel& net() const { return net_; }
@@ -269,7 +282,7 @@ class Runtime {
   /// Final wire fate of a transmission.  Delivered frames (corrupt or not)
   /// sit in the destination mailbox; dropped ones exist only in the window
   /// until the receiver times out and NACKs; held ones are in the sender's
-  /// limbo and flip to delivered when released.
+  /// limbo until released (delivered) or abandoned by a crash (dropped).
   enum class WireOutcome { kDelivered, kDropped, kHeld };
 
   /// Sender-side in-flight window entry: the pristine payload is retained
@@ -293,46 +306,100 @@ class Runtime {
     std::condition_variable cv;
     std::deque<WireMessage> messages;
     std::deque<WindowEntry> window;
+
+    /// The receiver accepted `seq` on the (src, tag) flow: mark its entry
+    /// consumed and prune the flow's older consumed entries, so only the
+    /// newest stays for refetch.  Caller holds `mutex`.
+    void consume(int src, int tag, uint64_t seq);
   };
 
   /// Frame, fault and deliver one payload from `sender` to `dst`.
   void transmit(Comm& sender, int dst, int tag, std::span<const uint8_t> payload);
 
-  /// Release every frame `sender` is holding in limbo (reorder fault).
-  void flush_limbo(Comm& sender);
+  /// Settle the frame `sender` holds back for `dst` (reorder fault), if
+  /// any: its window entry flips from held to `outcome`, and a delivered
+  /// frame is posted.
+  void release_held(Comm& sender, int dst, WireOutcome outcome);
+
+  /// Settle every frame `sender` is holding in limbo (reorder fault).
+  void flush_limbo(Comm& sender, WireOutcome outcome = WireOutcome::kDelivered);
 
   /// One blocking receive with the full recovery state machine; returns
   /// the accepted bytes as they are (see Delivery), without copying the
   /// payload out.
   Delivery take(Comm& receiver, int src, int tag);
 
+  /// Re-send window entry `e` to `receiver` after a NACK: one more attempt,
+  /// counted and traced as a retransmit (from `t0` to now, so the caller
+  /// charges the clock first), carrying the pristine payload with the
+  /// sender-side faults re-rolled for that attempt.
+  std::vector<uint8_t> retransmit(Comm& receiver, WindowEntry& e, double t0);
+
+  /// Clock cost of re-sending `bytes` from `src` to `receiver`.
+  double resend_seconds(const Comm& receiver, int src, size_t bytes) const;
+
   std::vector<uint8_t> refetch(Comm& receiver, int src, int tag, Comm::Refetch mode,
                                size_t raw_bytes_hint);
 
   void post(int dst, WireMessage msg);
 
-  // Barrier bookkeeping (virtual-time max across arrivals).
-  void barrier_wait(Comm& comm);
-
   // -------------------------------------------------------------------------
-  // Rank-failure control plane.  Armed only when the FaultPlan schedules
-  // rank faults; every member below is untouched otherwise, so clean runs
-  // (and link-fault-only runs) are byte-identical to the pre-failure-model
-  // runtime.  Lock ordering: control_mutex_ is a leaf — it is never held
-  // while acquiring a mailbox mutex.
+  // Control plane: the barrier, and under rank faults the health machine,
+  // the agreement and the shrink.  Every run starts from
+  // reset_control_plane(); without rank faults only the barrier touches
+  // this state, over the unchanging full group.  Lock ordering:
+  // control_mutex_ is a leaf — it is never held while acquiring a mailbox
+  // mutex.
   // -------------------------------------------------------------------------
 
   /// Ground truth about one physical rank, guarded by control_mutex_.
-  /// Detection decisions derive *only* from this final state (a rank is
-  /// hopeless to wait for iff it is dead, parked in the current agreement
-  /// round, or finished), never from wall-clock timers — which is what keeps
-  /// failure detection deterministic under any host scheduling.
+  /// Detection decisions derive *only* from this final state, never from
+  /// wall-clock timers — which is what keeps failure detection
+  /// deterministic under any host scheduling.
   struct RankState {
     bool dead = false;      ///< crashed or hung: will never execute again
     bool stopped = false;   ///< parked in the current agreement round
     bool finished = false;  ///< rank function returned; agrees with anything
     double stop_vtime = 0.0;  ///< virtual time of death / park / finish
+
+    /// Hopeless to wait for: this rank sends nothing more this attempt.
+    bool silent() const { return dead || stopped || finished; }
   };
+
+  /// One rendezvous of the control plane (the barrier, the agreement or the
+  /// shrink), guarded by control_mutex_.  Arrivals fold in their virtual
+  /// times; completing the round releases its waiters at the latest
+  /// arrival plus `hops` latency-priced messages and moves the generation
+  /// they wait on.
+  struct Round {
+    uint64_t generation = 0;
+    int arrived = 0;       ///< waiters of the round in progress
+    double latest = 0.0;   ///< latest arrival of the round in progress
+    double release = 0.0;  ///< release time of the last completed round
+
+    void arrive(double vtime) {
+      ++arrived;
+      latest = std::max(latest, vtime);
+    }
+    void complete(double hops, double latency_s) {
+      release = latest + hops * latency_s;
+      arrived = 0;
+      latest = 0.0;
+      ++generation;
+    }
+  };
+
+  /// Back to the initial group (every rank, epoch 0, all alive) with no
+  /// round in progress.  Caller holds control_mutex_ or owns every thread.
+  void reset_control_plane();
+
+  /// The one control-plane wait (control_mutex_ held through `lock`): block
+  /// until `round` completes past `generation`.  A waiter leaves the round
+  /// unreleased, returning false, as soon as `hopeless()` holds; it throws
+  /// the abort error naming `where` when the run aborts first.
+  template <class Hopeless>
+  bool await_round(std::unique_lock<std::mutex>& lock, Round& round, uint64_t generation,
+                   const char* where, Hopeless hopeless);
 
   bool rank_faults_on() const { return faults_.rank_faults_enabled(); }
 
@@ -344,6 +411,11 @@ class Runtime {
   /// abandons held frames to timeout/NACK recovery), record the death and
   /// unwind the thread via an internal signal (not an error).
   [[noreturn]] void kill_rank(Comm& comm, bool hang);
+
+  /// Record that `comm`'s rank stops for good — dead, or finished when its
+  /// rank function returned — complete any round that verdict settles, and
+  /// wake every waiter.
+  void retire(Comm& comm, bool dead);
 
   /// Charge the Alive → Suspect → Dead deadlines against `peer` (whose
   /// final stop time is `stop_vtime`; < 0 when unknown, e.g. a barrier
@@ -357,10 +429,9 @@ class Runtime {
   /// Survivor-side group rebuild (Comm::shrink body).
   void shrink_group(Comm& comm);
 
-  /// Group-aware barrier used when rank faults are armed.
-  void rf_barrier_wait(Comm& comm);
+  /// Group-aware barrier over the current members.
+  void barrier_wait(Comm& comm);
 
-  void mark_finished(Comm& comm);
   void try_complete_agreement_locked();
   void try_complete_shrink_locked();
   void wake_all_mailboxes();
@@ -375,39 +446,22 @@ class Runtime {
   std::vector<hzccl::IntegrityStats> integrity_stats_;
   trace::Trace trace_;
   /// Set when any rank throws, so peers blocked on that rank's messages or
-  /// on the barrier fail fast instead of deadlocking the join.
+  /// in a control-plane round fail fast instead of deadlocking the join.
   std::atomic<bool> aborted_{false};
 
-  std::mutex barrier_mutex_;
-  std::condition_variable barrier_cv_;
-  int barrier_arrived_ = 0;
-  uint64_t barrier_generation_ = 0;
-  double barrier_max_time_ = 0.0;
-  double barrier_release_time_ = 0.0;
-
-  // Rank-failure control plane state (see RankState above).
+  // Control-plane state (see RankState and Round above).
   std::mutex control_mutex_;
   std::condition_variable control_cv_;
   std::vector<RankFault> resolved_faults_;
   std::vector<RankState> rank_state_;
   uint32_t epoch_ = 0;
   std::vector<int> members_;  ///< physical ranks of the current group
-  // Agreement-round bookkeeping.
-  uint64_t agree_generation_ = 0;
-  double agree_max_vtime_ = 0.0;
-  std::vector<int> agree_failed_;  ///< result of the last completed round
-  double agree_release_vtime_ = 0.0;
-  uint32_t agree_epoch_ = 0;  ///< epoch the last completed round ran under
-  // Shrink-round bookkeeping.
-  uint64_t shrink_generation_ = 0;
+  Round barrier_;
+  Round agreement_;
+  std::vector<int> agree_failed_;  ///< result of the last completed agreement
+  uint32_t agree_epoch_ = 0;       ///< epoch the last completed agreement ran under
+  Round shrink_;
   std::vector<char> shrink_arrived_;
-  double shrink_max_vtime_ = 0.0;
-  double shrink_release_vtime_ = 0.0;
-  // Group-aware barrier bookkeeping (rank-fault mode shares control_mutex_).
-  int rf_barrier_arrived_ = 0;
-  uint64_t rf_barrier_generation_ = 0;
-  double rf_barrier_max_ = 0.0;
-  double rf_barrier_release_ = 0.0;
 };
 
 }  // namespace hzccl::simmpi

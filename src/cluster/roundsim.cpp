@@ -199,64 +199,49 @@ ModelResult combine(const ModelResult& a, const ModelResult& b) {
   return r;
 }
 
-/// Recursive doubling: ceil(log2 p2) whole-vector exchanges (plus a fold
-/// exchange when the rank count is not a power of two).  The stream sent at
-/// step s carries 2^s accumulated operands.
+/// Recursive doubling for the raw and hZ stacks (C-Coll always rings):
+/// ceil(log2 p2) whole-vector exchanges, plus a fold exchange and an unfold
+/// when the rank count is not a power of two.  The stream sent at step s
+/// carries 2^s accumulated operands.
 ModelResult model_recursive_doubling(Kernel kernel, int nranks, int flows, size_t total_bytes,
                                      const CompressionProfile& profile, const NetModel& net,
                                      const CostModel& cost, VerifyPolicy verify) {
   const Mode mode = kernel_mode(kernel);
   const size_t total_elems = total_bytes / sizeof(float);
+  const double total = static_cast<double>(total_bytes);
+  const bool hz = kernel == Kernel::kHzcclMultiThread || kernel == Kernel::kHzcclSingleThread;
   int p2 = 1;
   while (p2 * 2 <= nranks) p2 *= 2;
   const bool fold = p2 != nranks;
   ModelResult r;
 
   const auto exchange = [&](int depth) {
-    switch (kernel) {
-      case Kernel::kMpi:
-        r.mpi_seconds += transfer_at(net, static_cast<double>(total_bytes), flows);
-        r.cpt_seconds += cost.seconds_raw_sum(total_bytes, Mode::kSingleThread);
-        r.vrf_seconds += round_verify(cost, Mode::kSingleThread, verify,
-                                      static_cast<double>(total_bytes));
-        break;
-      case Kernel::kCCollMultiThread:
-      case Kernel::kCCollSingleThread:
-        r.cpr_seconds += cost.seconds_fz_compress(total_bytes, mode);
-        r.mpi_seconds += transfer_at(
-            net, static_cast<double>(total_bytes) / profile.ratio_at_depth(depth), flows);
-        r.dpr_seconds += cost.seconds_fz_decompress(total_bytes, mode);
-        r.cpt_seconds += cost.seconds_raw_sum(total_bytes, mode);
-        r.vrf_seconds += round_verify(
-            cost, mode, verify, static_cast<double>(total_bytes) / profile.ratio_at_depth(depth));
-        break;
-      case Kernel::kHzcclMultiThread:
-      case Kernel::kHzcclSingleThread:
-        r.mpi_seconds += transfer_at(
-            net, static_cast<double>(total_bytes) / profile.ratio_at_depth(depth), flows);
-        r.hpr_seconds += cost.seconds_hz_add(
-            profile.stats_at_depth(std::min(2 * depth, nranks), total_elems),
-            profile.block_len, mode);
-        r.vrf_seconds += round_verify(
-            cost, mode, verify, static_cast<double>(total_bytes) / profile.ratio_at_depth(depth));
-        r.vrf_seconds += round_verify(
-            cost, mode, verify,
-            static_cast<double>(total_bytes) /
-                profile.ratio_at_depth(std::min(2 * depth, nranks)));
-        break;
+    if (hz) {
+      r.mpi_seconds += transfer_at(net, total / profile.ratio_at_depth(depth), flows);
+      r.hpr_seconds += cost.seconds_hz_add(
+          profile.stats_at_depth(std::min(2 * depth, nranks), total_elems),
+          profile.block_len, mode);
+      r.vrf_seconds +=
+          round_verify(cost, mode, verify, total / profile.ratio_at_depth(depth));
+      r.vrf_seconds += round_verify(
+          cost, mode, verify, total / profile.ratio_at_depth(std::min(2 * depth, nranks)));
+    } else {
+      r.mpi_seconds += transfer_at(net, total, flows);
+      r.cpt_seconds += cost.seconds_raw_sum(total_bytes, Mode::kSingleThread);
+      r.vrf_seconds += round_verify(cost, Mode::kSingleThread, verify, total);
     }
   };
 
-  const bool hz = kernel == Kernel::kHzcclMultiThread || kernel == Kernel::kHzcclSingleThread;
   if (hz) r.cpr_seconds += cost.seconds_fz_compress(total_bytes, mode);
   if (fold) exchange(1);
   for (int mask = 1, depth = fold ? 2 : 1; mask < p2; mask <<= 1, depth *= 2) exchange(depth);
   if (fold) {
-    r.mpi_seconds += transfer_at(net, static_cast<double>(total_bytes), flows);
-    r.vrf_seconds +=
-        round_verify(cost, mode, verify,
-                     hz ? static_cast<double>(total_bytes) / profile.ratio_at_depth(nranks)
-                        : static_cast<double>(total_bytes));
+    // Unfold: each folded rank receives the finished vector — the reduced
+    // stream on the hZ stack, raw floats with a single-threaded digest walk
+    // on the raw one.
+    const double unfold = hz ? total / profile.ratio_at_depth(nranks) : total;
+    r.mpi_seconds += transfer_at(net, unfold, flows);
+    r.vrf_seconds += round_verify(cost, hz ? mode : Mode::kSingleThread, verify, unfold);
   }
   if (hz) r.dpr_seconds += cost.seconds_fz_decompress(total_bytes, mode);
 
@@ -265,10 +250,11 @@ ModelResult model_recursive_doubling(Kernel kernel, int nranks, int flows, size_
   return r;
 }
 
-/// Rabenseifner: recursive-halving reduce-scatter (step s moves total/2^s+1
-/// bytes) followed by a recursive-doubling allgather.  Power-of-two rank
-/// counts only; the functional path falls back to the ring otherwise, and so
-/// does the model.
+/// Rabenseifner for the raw and hZ stacks (C-Coll always rings):
+/// recursive-halving reduce-scatter (step s moves total/2^s+1 bytes)
+/// followed by a recursive-doubling allgather.  Power-of-two rank counts
+/// only; the functional path falls back to the ring otherwise, and so does
+/// the model.
 ModelResult model_rabenseifner(Kernel kernel, int nranks, int flows, size_t total_bytes,
                                const CompressionProfile& profile, const NetModel& net,
                                const CostModel& cost, VerifyPolicy verify) {
@@ -283,33 +269,20 @@ ModelResult model_rabenseifner(Kernel kernel, int nranks, int flows, size_t tota
   for (int mask = nranks / 2; mask >= 1; mask >>= 1) {
     seg_bytes /= 2.0;
     const size_t seg = static_cast<size_t>(seg_bytes);
-    switch (kernel) {
-      case Kernel::kMpi:
-        r.mpi_seconds += transfer_at(net, seg_bytes, flows);
-        r.cpt_seconds += cost.seconds_raw_sum(seg, Mode::kSingleThread);
-        r.vrf_seconds += round_verify(cost, Mode::kSingleThread, verify, seg_bytes);
-        break;
-      case Kernel::kCCollMultiThread:
-      case Kernel::kCCollSingleThread:
-        r.cpr_seconds += cost.seconds_fz_compress(seg, mode);
-        r.mpi_seconds += transfer_at(net, seg_bytes / profile.ratio_at_depth(depth), flows);
-        r.dpr_seconds += cost.seconds_fz_decompress(seg, mode);
-        r.cpt_seconds += cost.seconds_raw_sum(seg, mode);
-        r.vrf_seconds +=
-            round_verify(cost, mode, verify, seg_bytes / profile.ratio_at_depth(depth));
-        break;
-      case Kernel::kHzcclMultiThread:
-      case Kernel::kHzcclSingleThread:
-        r.mpi_seconds += transfer_at(net, seg_bytes / profile.ratio_at_depth(depth), flows);
-        r.hpr_seconds += cost.seconds_hz_add(
-            profile.stats_at_depth(std::min(2 * depth, nranks), seg / sizeof(float)),
-            profile.block_len, mode);
-        r.vrf_seconds +=
-            round_verify(cost, mode, verify, seg_bytes / profile.ratio_at_depth(depth));
-        r.vrf_seconds += round_verify(
-            cost, mode, verify,
-            seg_bytes / profile.ratio_at_depth(std::min(2 * depth, nranks)));
-        break;
+    if (hz) {
+      r.mpi_seconds += transfer_at(net, seg_bytes / profile.ratio_at_depth(depth), flows);
+      r.hpr_seconds += cost.seconds_hz_add(
+          profile.stats_at_depth(std::min(2 * depth, nranks), seg / sizeof(float)),
+          profile.block_len, mode);
+      r.vrf_seconds +=
+          round_verify(cost, mode, verify, seg_bytes / profile.ratio_at_depth(depth));
+      r.vrf_seconds += round_verify(
+          cost, mode, verify,
+          seg_bytes / profile.ratio_at_depth(std::min(2 * depth, nranks)));
+    } else {
+      r.mpi_seconds += transfer_at(net, seg_bytes, flows);
+      r.cpt_seconds += cost.seconds_raw_sum(seg, Mode::kSingleThread);
+      r.vrf_seconds += round_verify(cost, Mode::kSingleThread, verify, seg_bytes);
     }
     depth = std::min(2 * depth, nranks);
   }
@@ -317,25 +290,9 @@ ModelResult model_rabenseifner(Kernel kernel, int nranks, int flows, size_t tota
   // Doubling allgather: segments are fully reduced (depth = nranks).
   const double full_ratio = profile.ratio_at_depth(nranks);
   for (int mask = 1; mask < nranks; mask <<= 1) {
-    const size_t seg = static_cast<size_t>(seg_bytes);
-    switch (kernel) {
-      case Kernel::kMpi:
-        r.mpi_seconds += transfer_at(net, seg_bytes, flows);
-        r.vrf_seconds += round_verify(cost, Mode::kSingleThread, verify, seg_bytes);
-        break;
-      case Kernel::kCCollMultiThread:
-      case Kernel::kCCollSingleThread:
-        r.cpr_seconds += cost.seconds_fz_compress(seg, mode);
-        r.mpi_seconds += transfer_at(net, seg_bytes / full_ratio, flows);
-        r.dpr_seconds += cost.seconds_fz_decompress(seg, mode);
-        r.vrf_seconds += round_verify(cost, mode, verify, seg_bytes / full_ratio);
-        break;
-      case Kernel::kHzcclMultiThread:
-      case Kernel::kHzcclSingleThread:
-        r.mpi_seconds += transfer_at(net, seg_bytes / full_ratio, flows);
-        r.vrf_seconds += round_verify(cost, mode, verify, seg_bytes / full_ratio);
-        break;
-    }
+    const double wire = hz ? seg_bytes / full_ratio : seg_bytes;
+    r.mpi_seconds += transfer_at(net, wire, flows);
+    r.vrf_seconds += round_verify(cost, hz ? mode : Mode::kSingleThread, verify, wire);
     seg_bytes *= 2.0;
   }
   if (hz) r.dpr_seconds += cost.seconds_fz_decompress(total_bytes, mode);
@@ -400,6 +357,10 @@ ModelResult model_allreduce_algo(Kernel kernel, coll::AllreduceAlgo algo, int nr
   const auto finish = [&](ModelResult r) {
     return charge_final_verify(r, kernel, nranks, total_bytes, profile, cost, verify);
   };
+  // C-Coll runs every allreduce as the ring (resolve_job_algo), so that is
+  // what it costs under any requested schedule.
+  const bool ccoll = kernel == Kernel::kCCollMultiThread || kernel == Kernel::kCCollSingleThread;
+  if (ccoll && algo != coll::AllreduceAlgo::kAuto) algo = coll::AllreduceAlgo::kRing;
   switch (algo) {
     case coll::AllreduceAlgo::kAuto:
       throw Error("model_allreduce_algo: kAuto must be resolved by the caller");

@@ -108,6 +108,23 @@ uint64_t apply_payload_faults(std::span<uint8_t> payload, const FaultPlan& plan,
 struct RankStopSignal {};     ///< this rank's scheduled crash/hang fired
 struct RankRevokedSignal {};  ///< a hopeless wait revoked the current attempt
 
+/// What a rank throws when another rank's error aborted the run while it
+/// waited: a bystander's report, which Runtime::run ranks below the error
+/// that caused the abort.
+class PeerAbortError : public hzccl::Error {
+ public:
+  explicit PeerAbortError(const char* where)
+      : Error(std::string("simmpi: a peer rank failed while this rank was ") + where) {}
+};
+
+/// Dissemination barrier over `n` ranks: ceil(log2 n) latency exchanges.
+double dissemination_hops(size_t n) {
+  return n > 1 ? std::ceil(std::log2(static_cast<double>(n))) : 0.0;
+}
+
+/// Ring collect + broadcast over `n` ranks: 2(n-1) latency-priced hops.
+double ring_hops(size_t n) { return n > 1 ? 2.0 * static_cast<double>(n - 1) : 0.0; }
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -140,14 +157,14 @@ void Comm::maybe_stall(FaultKind kind) {
     const double t0 = clock_.now();
     clock_.advance(plan.stall_seconds * cost_factor_, CostBucket::kMpi);
     ++transport_.stalls;
-    if (trace_.enabled()) {
-      trace::Event e;
-      e.t0 = t0;
-      e.t1 = clock_.now();
-      e.kind = trace::EventKind::kStall;
-      trace_.record(e);
-    }
+    span({.t0 = t0, .kind = trace::EventKind::kStall});
   }
+}
+
+void Comm::span(trace::Event e, double t1) {
+  if (!trace_.enabled()) return;
+  e.t1 = t1;
+  trace_.record(e);
 }
 
 void Comm::send(int dst, int tag, std::span<const uint8_t> payload) {
@@ -163,17 +180,12 @@ void Comm::send(int dst, int tag, std::span<const uint8_t> payload) {
                  CostBucket::kMpi);
   bytes_sent_ += payload.size();
   runtime_->transmit(*this, pdst, tag, payload);
-  if (trace_.enabled()) {
-    trace::Event e;
-    e.t0 = t0;
-    e.t1 = clock_.now();
-    e.seq = seq;
-    e.bytes = payload.size();
-    e.peer = pdst;
-    e.tag = tag;
-    e.kind = trace::EventKind::kSend;
-    trace_.record(e);
-  }
+  span({.t0 = t0,
+        .seq = seq,
+        .bytes = payload.size(),
+        .peer = pdst,
+        .tag = tag,
+        .kind = trace::EventKind::kSend});
 }
 
 Delivery Comm::receive(int src, int tag) {
@@ -216,11 +228,7 @@ std::vector<uint8_t> Comm::refetch(int src, int tag, Refetch mode, size_t raw_by
 void Comm::barrier() {
   runtime_->check_rank_fault(*this);
   runtime_->flush_limbo(*this);
-  if (runtime_->rank_faults_on()) {
-    runtime_->rf_barrier_wait(*this);
-  } else {
-    runtime_->barrier_wait(*this);
-  }
+  runtime_->barrier_wait(*this);
 }
 
 void Comm::guarded(const std::function<void()>& body) {
@@ -246,14 +254,7 @@ void Comm::retry_backoff(const RetryPolicy& policy, int failures) {
   // backoff included — from one number.
   clock_.advance(policy.backoff_for(failures, runtime_->faults().seed), CostBucket::kMpi);
   ++health_.retries;
-  if (trace_.enabled()) {
-    trace::Event e;
-    e.t0 = t0;
-    e.t1 = clock_.now();
-    e.seq = failures;
-    e.kind = trace::EventKind::kBackoff;
-    trace_.record(e);
-  }
+  span({.t0 = t0, .seq = static_cast<uint64_t>(failures), .kind = trace::EventKind::kBackoff});
 }
 
 void Comm::charge(CostBucket bucket, double seconds, trace::EventKind kind, uint64_t bytes,
@@ -261,18 +262,12 @@ void Comm::charge(CostBucket bucket, double seconds, trace::EventKind kind, uint
   const double t0 = clock_.now();
   clock_.advance(seconds * cost_factor_, bucket);
   if (trace_.enabled() && seconds > 0.0) {
-    trace::Event e;
-    e.t0 = t0;
-    e.t1 = clock_.now();
-    e.bytes = bytes;
-    e.bytes_out = bytes_out;
-    e.kind = kind;
     // Compute spans record which kernel dispatch level ran them (aux 0 =
     // scalar), so perf traces attribute throughput to the path taken.
-    if (!trace::kind_is_transport(kind)) {
-      e.aux = static_cast<uint8_t>(kernels::active_dispatch_level());
-    }
-    trace_.record(e);
+    const uint8_t level = trace::kind_is_transport(kind)
+                              ? uint8_t{0}
+                              : static_cast<uint8_t>(kernels::active_dispatch_level());
+    span({.t0 = t0, .bytes = bytes, .bytes_out = bytes_out, .kind = kind, .aux = level});
   }
 }
 
@@ -296,14 +291,41 @@ Runtime::Runtime(int nranks, NetModel net, FaultPlan faults, trace::Options trac
   if (rank_faults_on()) {
     faults_.validate();
     resolved_faults_ = faults_.resolve_rank_faults(nranks);
-    rank_state_.assign(static_cast<size_t>(nranks), RankState{});
-    shrink_arrived_.assign(static_cast<size_t>(nranks), 0);
-    members_.resize(static_cast<size_t>(nranks));
-    for (int i = 0; i < nranks; ++i) members_[static_cast<size_t>(i)] = i;
   }
+  reset_control_plane();
 }
 
 Runtime::~Runtime() = default;
+
+void Runtime::reset_control_plane() {
+  rank_state_.assign(static_cast<size_t>(nranks_), RankState{});
+  members_.resize(static_cast<size_t>(nranks_));
+  for (int i = 0; i < nranks_; ++i) members_[static_cast<size_t>(i)] = i;
+  epoch_ = 0;
+  barrier_ = Round{};
+  agreement_ = Round{};
+  agree_failed_.clear();
+  agree_epoch_ = 0;
+  shrink_ = Round{};
+  shrink_arrived_.assign(static_cast<size_t>(nranks_), 0);
+}
+
+template <class Hopeless>
+bool Runtime::await_round(std::unique_lock<std::mutex>& lock, Round& round, uint64_t generation,
+                          const char* where, Hopeless hopeless) {
+  for (;;) {
+    if (round.generation != generation) return true;
+    if (hopeless()) {
+      --round.arrived;
+      return false;
+    }
+    if (aborted_.load(std::memory_order_acquire)) {
+      --round.arrived;
+      throw PeerAbortError(where);
+    }
+    control_cv_.wait(lock);
+  }
+}
 
 void Runtime::check_rank_fault(Comm& comm) {
   if (!rank_faults_on()) return;
@@ -322,56 +344,23 @@ void Runtime::wake_all_mailboxes() {
 }
 
 void Runtime::kill_rank(Comm& comm, bool hang) {
-  const int me = comm.phys_rank_;
-  if (hang) {
-    // A hung rank stays attached: its NIC drains the reorder-held frames
-    // before the death becomes visible, so peers consume them normally.
-    flush_limbo(comm);
-  } else if (faults_.enabled()) {
-    // Crash: the NIC dies with held frames still parked.  Their window
-    // entries flip to "dropped" so receivers recover them with the standard
-    // timeout/NACK machinery instead of blocking forever — the fabric, not
-    // the dead process, retains the pristine copy.
-    for (int dst = 0; dst < nranks_; ++dst) {
-      std::unique_ptr<WireMessage>& heldmsg = comm.limbo_[static_cast<size_t>(dst)];
-      if (!heldmsg) continue;
-      Mailbox& box = *mailboxes_[static_cast<size_t>(dst)];
-      {
-        std::lock_guard<std::mutex> lock(box.mutex);
-        for (WindowEntry& e : box.window) {
-          if (e.src == me && e.seq == heldmsg->seq && e.outcome == WireOutcome::kHeld) {
-            e.outcome = WireOutcome::kDropped;
-            break;
-          }
-        }
-      }
-      box.cv.notify_all();
-      heldmsg.reset();
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(control_mutex_);
-    RankState& st = rank_state_[static_cast<size_t>(me)];
-    st.dead = true;
-    st.stop_vtime = comm.clock_.now();
-    if (hang) {
-      ++comm.health_.hangs;
-    } else {
-      ++comm.health_.crashes;
-    }
-    try_complete_agreement_locked();
-    try_complete_shrink_locked();
-  }
-  control_cv_.notify_all();
-  wake_all_mailboxes();
+  // A hung rank stays attached: its NIC drains the reorder-held frames
+  // before the death becomes visible, so peers consume them normally.  A
+  // crashed NIC dies with them still parked: their window entries flip to
+  // "dropped", so receivers recover them with the standard timeout/NACK
+  // machinery instead of blocking forever — the fabric, not the dead
+  // process, retains the pristine copy.
+  flush_limbo(comm, hang ? WireOutcome::kDelivered : WireOutcome::kDropped);
+  ++(hang ? comm.health_.hangs : comm.health_.crashes);
+  retire(comm, /*dead=*/true);
   throw RankStopSignal{};
 }
 
-void Runtime::mark_finished(Comm& comm) {
+void Runtime::retire(Comm& comm, bool dead) {
   {
     std::lock_guard<std::mutex> lock(control_mutex_);
     RankState& st = rank_state_[static_cast<size_t>(comm.phys_rank_)];
-    st.finished = true;
+    (dead ? st.dead : st.finished) = true;
     st.stop_vtime = comm.clock_.now();
     try_complete_agreement_locked();
     try_complete_shrink_locked();
@@ -390,57 +379,31 @@ void Runtime::declare_peer_failed(Comm& receiver, int peer, double stop_vtime) {
   const double suspect_at = base + faults_.recv_timeout_s;
   clock.advance_to(suspect_at, CostBucket::kMpi);
   ++receiver.health_.suspects;
-  if (receiver.trace_.enabled()) {
-    trace::Event e;
-    e.t0 = t0;
-    e.t1 = clock.now();
-    e.peer = peer;
-    e.kind = trace::EventKind::kSuspect;
-    receiver.trace_.record(e);
-  }
+  receiver.span({.t0 = t0, .peer = peer, .kind = trace::EventKind::kSuspect});
   const double mid = clock.now();
   clock.advance_to(suspect_at + faults_.fail_timeout_s, CostBucket::kMpi);
   ++receiver.health_.dead_declared;
-  if (receiver.trace_.enabled()) {
-    trace::Event e;
-    e.t0 = mid;
-    e.t1 = clock.now();
-    e.peer = peer;
-    e.kind = trace::EventKind::kDetect;
-    receiver.trace_.record(e);
-  }
+  receiver.span({.t0 = mid, .peer = peer, .kind = trace::EventKind::kDetect});
   throw RankRevokedSignal{};
 }
 
 void Runtime::try_complete_agreement_locked() {
-  if (members_.empty()) return;
-  // The round completes when every member has a final verdict: parked in
-  // the round, dead, or finished.  At least one parked rank must exist —
-  // otherwise no round is in progress.
-  bool any_stopped = false;
+  // A round is in progress once a member parked in it, and completes when
+  // every member has a final verdict: parked, dead, or finished.  Counting
+  // arrivals rather than parked flags matters after a failed round, whose
+  // flags stay set: a rank retiring then must not complete a phantom round
+  // over the release time its peers have yet to read.
+  if (agreement_.arrived == 0) return;
   for (int m : members_) {
-    const RankState& st = rank_state_[static_cast<size_t>(m)];
-    if (st.stopped) {
-      any_stopped = true;
-    } else if (!st.dead && !st.finished) {
-      return;
-    }
+    if (!rank_state_[static_cast<size_t>(m)].silent()) return;
   }
-  if (!any_stopped) return;
   agree_failed_.clear();
-  int survivors = 0;
   for (int m : members_) {
-    const RankState& st = rank_state_[static_cast<size_t>(m)];
-    if (st.dead) {
-      agree_failed_.push_back(m);
-    } else {
-      ++survivors;
-    }
+    if (rank_state_[static_cast<size_t>(m)].dead) agree_failed_.push_back(m);
   }
   // Ring collect + broadcast of the failed-rank set over the survivors,
   // skipping dead hops: 2(S-1) latency-priced hops after the last arrival.
-  const double hops = survivors > 1 ? 2.0 * static_cast<double>(survivors - 1) : 0.0;
-  agree_release_vtime_ = agree_max_vtime_ + hops * net_.latency_s;
+  agreement_.complete(ring_hops(members_.size() - agree_failed_.size()), net_.latency_s);
   agree_epoch_ = epoch_;
   if (agree_failed_.empty()) {
     // Unanimous success: the group continues unchanged into the next round.
@@ -448,54 +411,32 @@ void Runtime::try_complete_agreement_locked() {
   }
   // On failure the parked flags stay set until shrink() installs the new
   // epoch: a failed-epoch rank must remain hopeless to wait for.
-  agree_max_vtime_ = 0.0;
-  ++agree_generation_;
 }
 
 void Runtime::agreement(Comm& comm) {
-  const int me = comm.phys_rank_;
-  const double arrival = comm.clock_.now();
-  uint64_t my_generation;
-  {
-    std::lock_guard<std::mutex> lock(control_mutex_);
-    RankState& st = rank_state_[static_cast<size_t>(me)];
-    st.stopped = true;
-    st.stop_vtime = arrival;
-    agree_max_vtime_ = std::max(agree_max_vtime_, arrival);
-    my_generation = agree_generation_;
-    try_complete_agreement_locked();
-  }
+  std::unique_lock<std::mutex> lock(control_mutex_);
+  RankState& st = rank_state_[static_cast<size_t>(comm.phys_rank_)];
+  st.stopped = true;
+  st.stop_vtime = comm.clock_.now();
+  const uint64_t generation = agreement_.generation;
+  agreement_.arrive(st.stop_vtime);
+  try_complete_agreement_locked();
+  lock.unlock();
   control_cv_.notify_all();
   // Peers blocked in take() re-evaluate hopelessness against this arrival.
   wake_all_mailboxes();
 
-  std::vector<int> failed;
-  double release = 0.0;
-  uint32_t epoch = 0;
-  {
-    std::unique_lock<std::mutex> lock(control_mutex_);
-    control_cv_.wait(lock, [&] {
-      return agree_generation_ != my_generation || aborted_.load(std::memory_order_acquire);
-    });
-    if (agree_generation_ == my_generation) {
-      throw hzccl::Error("simmpi: a peer rank failed while this rank was in an agreement");
-    }
-    failed = agree_failed_;
-    release = agree_release_vtime_;
-    epoch = agree_epoch_;
-  }
+  lock.lock();
+  await_round(lock, agreement_, generation, "in an agreement", [] { return false; });
+  std::vector<int> failed = agree_failed_;
+  const double release = agreement_.release;
+  const uint32_t epoch = agree_epoch_;
+  lock.unlock();
+
   const double t0 = comm.clock_.now();
   comm.clock_.advance_to(release, CostBucket::kMpi);
   ++comm.health_.agreements;
-  if (comm.trace_.enabled()) {
-    trace::Event e;
-    e.t0 = t0;
-    e.t1 = comm.clock_.now();
-    e.seq = epoch;
-    e.bytes = failed.size();
-    e.kind = trace::EventKind::kAgree;
-    comm.trace_.record(e);
-  }
+  comm.span({.t0 = t0, .seq = epoch, .bytes = failed.size(), .kind = trace::EventKind::kAgree});
   if (!failed.empty()) {
     ++comm.health_.failed_agreements;
     throw RankFailedError(std::move(failed), epoch);
@@ -503,40 +444,25 @@ void Runtime::agreement(Comm& comm) {
 }
 
 void Runtime::try_complete_shrink_locked() {
-  if (agree_failed_.empty()) return;  // no failed agreement pending recovery
-  bool any_arrived = false;
+  if (agree_failed_.empty() || shrink_.arrived == 0) return;  // no shrink in progress
+  const auto agreed_dead = [&](int m) {
+    return std::find(agree_failed_.begin(), agree_failed_.end(), m) != agree_failed_.end();
+  };
   for (int m : members_) {
-    if (std::find(agree_failed_.begin(), agree_failed_.end(), m) != agree_failed_.end()) {
-      continue;  // agreed-dead: excluded from the rebuild
-    }
     const RankState& st = rank_state_[static_cast<size_t>(m)];
-    if (shrink_arrived_[static_cast<size_t>(m)]) {
-      any_arrived = true;
-    } else if (!st.dead && !st.finished) {
+    if (!agreed_dead(m) && !shrink_arrived_[static_cast<size_t>(m)] && !st.dead && !st.finished) {
       return;  // a survivor is still on its way
     }
   }
-  if (!any_arrived) return;
   // Install the new epoch over the agreed survivors.  A rank that died
   // *during* the shrink stays in the new group as a dead member; the next
   // attempt detects it and shrinks again.
-  std::vector<int> next;
-  next.reserve(members_.size());
-  for (int m : members_) {
-    if (std::find(agree_failed_.begin(), agree_failed_.end(), m) == agree_failed_.end()) {
-      next.push_back(m);
-    }
-  }
-  members_ = std::move(next);
+  std::erase_if(members_, agreed_dead);
   ++epoch_;
   for (int m : members_) rank_state_[static_cast<size_t>(m)].stopped = false;
   agree_failed_.clear();
-  const size_t survivors = members_.size();
-  const double hops = survivors > 1 ? 2.0 * static_cast<double>(survivors - 1) : 0.0;
-  shrink_release_vtime_ = shrink_max_vtime_ + hops * net_.latency_s;
-  shrink_max_vtime_ = 0.0;
+  shrink_.complete(ring_hops(members_.size()), net_.latency_s);
   std::fill(shrink_arrived_.begin(), shrink_arrived_.end(), 0);
-  ++shrink_generation_;
 }
 
 void Runtime::shrink_group(Comm& comm) {
@@ -546,34 +472,24 @@ void Runtime::shrink_group(Comm& comm) {
   check_rank_fault(comm);
   flush_limbo(comm);
   const int me = comm.phys_rank_;
-  const double arrival = comm.clock_.now();
-  uint64_t my_generation;
-  {
-    std::lock_guard<std::mutex> lock(control_mutex_);
-    if (agree_failed_.empty() && shrink_generation_ == 0) {
-      throw hzccl::Error("shrink: no failed agreement to recover from");
-    }
-    shrink_arrived_[static_cast<size_t>(me)] = 1;
-    shrink_max_vtime_ = std::max(shrink_max_vtime_, arrival);
-    my_generation = shrink_generation_;
-    try_complete_shrink_locked();
+  std::unique_lock<std::mutex> lock(control_mutex_);
+  if (agree_failed_.empty() && shrink_.generation == 0) {
+    throw hzccl::Error("shrink: no failed agreement to recover from");
   }
+  shrink_arrived_[static_cast<size_t>(me)] = 1;
+  const uint64_t generation = shrink_.generation;
+  shrink_.arrive(comm.clock_.now());
+  try_complete_shrink_locked();
+  lock.unlock();
   control_cv_.notify_all();
 
-  double release = 0.0;
-  uint32_t new_epoch = 0;
-  {
-    std::unique_lock<std::mutex> lock(control_mutex_);
-    control_cv_.wait(lock, [&] {
-      return shrink_generation_ != my_generation || aborted_.load(std::memory_order_acquire);
-    });
-    if (shrink_generation_ == my_generation) {
-      throw hzccl::Error("simmpi: a peer rank failed while this rank was in a shrink");
-    }
-    release = shrink_release_vtime_;
-    new_epoch = epoch_;
-    comm.group_ = members_;
-  }
+  lock.lock();
+  await_round(lock, shrink_, generation, "in a shrink", [] { return false; });
+  const double release = shrink_.release;
+  const uint32_t new_epoch = epoch_;
+  comm.group_ = members_;
+  lock.unlock();
+
   comm.epoch_view_ = new_epoch;
   comm.size_ = static_cast<int>(comm.group_.size());
   comm.rank_ = static_cast<int>(
@@ -584,7 +500,7 @@ void Runtime::shrink_group(Comm& comm) {
   // Purge this rank's mailbox of old-epoch traffic from the failed attempt.
   {
     Mailbox& box = *mailboxes_[static_cast<size_t>(me)];
-    std::lock_guard<std::mutex> lock(box.mutex);
+    std::lock_guard<std::mutex> box_lock(box.mutex);
     const size_t before = box.messages.size();
     std::erase_if(box.messages,
                   [&](const WireMessage& m) { return m.epoch < new_epoch; });
@@ -594,68 +510,37 @@ void Runtime::shrink_group(Comm& comm) {
   const double t0 = comm.clock_.now();
   comm.clock_.advance_to(release, CostBucket::kMpi);
   ++comm.health_.shrinks;
-  if (comm.trace_.enabled()) {
-    trace::Event e;
-    e.t0 = t0;
-    e.t1 = comm.clock_.now();
-    e.seq = new_epoch;
-    e.kind = trace::EventKind::kShrink;
-    comm.trace_.record(e);
-  }
+  comm.span({.t0 = t0, .seq = new_epoch, .kind = trace::EventKind::kShrink});
 }
 
-void Runtime::rf_barrier_wait(Comm& comm) {
-  VirtualClock& clock = comm.clock_;
-  const double t0 = clock.now();
+void Runtime::barrier_wait(Comm& comm) {
+  const double t0 = comm.clock_.now();
   const int me = comm.phys_rank_;
   std::unique_lock<std::mutex> lock(control_mutex_);
-  const uint64_t my_generation = rf_barrier_generation_;
-  rf_barrier_max_ = std::max(rf_barrier_max_, clock.now());
-  ++rf_barrier_arrived_;
-  for (;;) {
-    if (rf_barrier_generation_ != my_generation) break;  // released
-    if (rf_barrier_arrived_ == static_cast<int>(members_.size())) {
-      const size_t n = members_.size();
-      const double hops = n > 1 ? std::ceil(std::log2(static_cast<double>(n))) : 0.0;
-      rf_barrier_release_ = rf_barrier_max_ + hops * net_.latency_s;
-      rf_barrier_arrived_ = 0;
-      rf_barrier_max_ = 0.0;
-      ++rf_barrier_generation_;
-      control_cv_.notify_all();
-      break;
-    }
+  const uint64_t generation = barrier_.generation;
+  barrier_.arrive(t0);
+  if (barrier_.arrived == static_cast<int>(members_.size())) {
+    barrier_.complete(dissemination_hops(members_.size()), net_.latency_s);
+    control_cv_.notify_all();
+  } else {
     // A dead, parked or finished member can never arrive: the barrier is
     // hopeless.  The failure charge uses only this rank's own arrival time
     // (never the racy set of currently-visible causes), so it replays
     // exactly; peer=-1 marks "a member", not a specific culprit.
-    bool hopeless = false;
-    for (int m : members_) {
-      if (m == me) continue;
-      const RankState& st = rank_state_[static_cast<size_t>(m)];
-      if (st.dead || st.stopped || st.finished) {
-        hopeless = true;
-        break;
-      }
-    }
-    if (hopeless) {
-      --rf_barrier_arrived_;
+    const auto hopeless = [&] {
+      return std::any_of(members_.begin(), members_.end(), [&](int m) {
+        return m != me && rank_state_[static_cast<size_t>(m)].silent();
+      });
+    };
+    if (!await_round(lock, barrier_, generation, "in a barrier", hopeless)) {
       lock.unlock();
       declare_peer_failed(comm, -1, -1.0);
     }
-    if (aborted_.load(std::memory_order_acquire)) {
-      --rf_barrier_arrived_;
-      throw hzccl::Error("simmpi: a peer rank failed while this rank was in a barrier");
-    }
-    control_cv_.wait(lock);
   }
-  clock.advance_to(rf_barrier_release_, CostBucket::kMpi);
-  if (comm.trace_.enabled() && clock.now() > t0) {
-    trace::Event e;
-    e.t0 = t0;
-    e.t1 = clock.now();
-    e.kind = trace::EventKind::kWait;
-    comm.trace_.record(e);
-  }
+  const double release = barrier_.release;
+  lock.unlock();
+  comm.clock_.advance_to(release, CostBucket::kMpi);
+  if (comm.clock_.now() > t0) comm.span({.t0 = t0, .kind = trace::EventKind::kWait});
 }
 
 void Runtime::post(int dst, WireMessage msg) {
@@ -761,39 +646,64 @@ void Runtime::transmit(Comm& sender, int dst, int tag, std::span<const uint8_t> 
 
   // Release a previously held frame *behind* the one just posted — the
   // observable reordering on this link.
-  if (std::unique_ptr<WireMessage>& heldmsg = sender.limbo_[static_cast<size_t>(dst)]; heldmsg) {
-    {
-      std::lock_guard<std::mutex> lock(box.mutex);
-      for (WindowEntry& e : box.window) {
-        if (e.src == src && e.seq == heldmsg->seq && e.outcome == WireOutcome::kHeld) {
-          e.outcome = WireOutcome::kDelivered;
-          break;
-        }
+  release_held(sender, dst, WireOutcome::kDelivered);
+}
+
+void Runtime::release_held(Comm& sender, int dst, WireOutcome outcome) {
+  std::unique_ptr<WireMessage>& held = sender.limbo_[static_cast<size_t>(dst)];
+  if (!held) return;
+  Mailbox& box = *mailboxes_[static_cast<size_t>(dst)];
+  {
+    std::lock_guard<std::mutex> lock(box.mutex);
+    for (WindowEntry& e : box.window) {
+      if (e.src == sender.phys_rank_ && e.seq == held->seq && e.outcome == WireOutcome::kHeld) {
+        e.outcome = outcome;
+        break;
       }
     }
-    post(dst, std::move(*heldmsg));
-    heldmsg.reset();
+  }
+  if (outcome == WireOutcome::kDelivered) {
+    post(dst, std::move(*held));
+  } else {
+    // Nothing reaches the mailbox; wake the receiver so it can observe the
+    // dropped entry and start its timeout/NACK recovery.
+    box.cv.notify_all();
+  }
+  held.reset();
+}
+
+void Runtime::flush_limbo(Comm& sender, WireOutcome outcome) {
+  for (int dst = 0; dst < nranks_; ++dst) release_held(sender, dst, outcome);
+}
+
+void Runtime::Mailbox::consume(int src, int tag, uint64_t seq) {
+  std::erase_if(window, [&](const WindowEntry& w) {
+    return w.src == src && w.tag == tag && w.consumed && w.seq != seq;
+  });
+  for (WindowEntry& w : window) {
+    if (w.src == src && w.seq == seq) w.consumed = true;
   }
 }
 
-void Runtime::flush_limbo(Comm& sender) {
-  for (int dst = 0; dst < nranks_; ++dst) {
-    std::unique_ptr<WireMessage>& heldmsg = sender.limbo_[static_cast<size_t>(dst)];
-    if (!heldmsg) continue;
-    Mailbox& box = *mailboxes_[static_cast<size_t>(dst)];
-    {
-      std::lock_guard<std::mutex> lock(box.mutex);
-      for (WindowEntry& e : box.window) {
-        if (e.src == sender.phys_rank_ && e.seq == heldmsg->seq &&
-            e.outcome == WireOutcome::kHeld) {
-          e.outcome = WireOutcome::kDelivered;
-          break;
-        }
-      }
-    }
-    post(dst, std::move(*heldmsg));
-    heldmsg.reset();
-  }
+double Runtime::resend_seconds(const Comm& receiver, int src, size_t bytes) const {
+  return net_.link_retransmit_seconds(bytes, src, receiver.phys_rank_, nranks_) *
+         receiver.cost_factor_;
+}
+
+std::vector<uint8_t> Runtime::retransmit(Comm& receiver, WindowEntry& e, double t0) {
+  ++e.attempts;
+  ++receiver.transport_.retransmits;
+  std::vector<uint8_t> payload = e.pristine;
+  apply_payload_faults(payload, faults_, e.src, receiver.phys_rank_,
+                       attempt_counter(e.seq, e.attempts - 1));
+  receiver.span({.t0 = t0,
+                 .seq = e.seq,
+                 .bytes = payload.size(),
+                 .peer = e.src,
+                 .tag = e.tag,
+                 .kind = trace::EventKind::kRetransmit,
+                 .aux = trace::kAuxRetransmit});
+  return payload;
 }
 
 Delivery Runtime::take(Comm& receiver, int src, int tag) {
@@ -802,42 +712,17 @@ Delivery Runtime::take(Comm& receiver, int src, int tag) {
   std::unordered_set<uint64_t>& accepted = receiver.accepted_[static_cast<size_t>(src)];
   std::unique_lock<std::mutex> lock(box.mutex);
 
-  // Recover the pristine payload of window entry `e` after a NACK:
-  // re-transmission re-rolls the mangle die (a persistently corrupting
-  // sender stays corrupt), marks the entry consumed and prunes stale
-  // consumed entries on the same (src, tag) flow.
+  // Recover the pristine payload of window entry `e` after a NACK; the
+  // retransmission starts at `start_time`.
   const auto recover = [&](WindowEntry& e, double start_time) {
-    ++e.attempts;
-    ++receiver.transport_.retransmits;
-    std::vector<uint8_t> payload = e.pristine;
-    apply_payload_faults(payload, faults_, src, me, attempt_counter(e.seq, e.attempts - 1));
-    const size_t frame_bytes = sizeof(FrameHeader) + payload.size();
     const double t0 = receiver.clock_.now();
     receiver.clock_.advance_to(
-        start_time +
-            net_.link_retransmit_seconds(frame_bytes, src, me, nranks_) * receiver.cost_factor_,
+        start_time + resend_seconds(receiver, src, frame_size(e.pristine.size())),
         CostBucket::kMpi);
-    if (receiver.trace_.enabled()) {
-      trace::Event ev;
-      ev.t0 = t0;
-      ev.t1 = receiver.clock_.now();
-      ev.seq = e.seq;
-      ev.bytes = payload.size();
-      ev.peer = src;
-      ev.tag = tag;
-      ev.kind = trace::EventKind::kRetransmit;
-      ev.aux = trace::kAuxRetransmit;
-      receiver.trace_.record(ev);
-    }
+    std::vector<uint8_t> payload = retransmit(receiver, e, t0);
     accepted.insert(e.seq);
     ++receiver.transport_.frames_accepted;
-    const uint64_t keep_seq = e.seq;
-    std::erase_if(box.window, [&](const WindowEntry& w) {
-      return w.src == src && w.tag == tag && w.consumed && w.seq != keep_seq;
-    });
-    for (WindowEntry& w : box.window) {
-      if (w.src == src && w.seq == keep_seq) w.consumed = true;
-    }
+    box.consume(src, tag, e.seq);
     return Delivery{std::move(payload), 0};
   };
 
@@ -859,18 +744,13 @@ Delivery Runtime::take(Comm& receiver, int src, int tag) {
         }
         const double t0 = receiver.clock_.now();
         receiver.clock_.advance(net_.link_latency_s(src, me), CostBucket::kMpi);
-        if (receiver.trace_.enabled()) {
-          trace::Event ev;
-          ev.t0 = t0;
-          ev.t1 = receiver.clock_.now();
-          ev.seq = dup->seq;
-          ev.bytes = dup->frame.size();
-          ev.peer = src;
-          ev.tag = dup->tag;
-          ev.kind = trace::EventKind::kDiscard;
-          if (stale) ev.aux = trace::kAuxStaleEpoch;
-          receiver.trace_.record(ev);
-        }
+        receiver.span({.t0 = t0,
+                       .seq = dup->seq,
+                       .bytes = dup->frame.size(),
+                       .peer = src,
+                       .tag = dup->tag,
+                       .kind = trace::EventKind::kDiscard,
+                       .aux = stale ? trace::kAuxStaleEpoch : uint8_t{0}});
         dup = box.messages.erase(dup);
       } else {
         ++dup;
@@ -885,26 +765,6 @@ Delivery Runtime::take(Comm& receiver, int src, int tag) {
       box.messages.erase(it);
       const FrameView frame = decode_frame(msg.frame);
 
-      if (accepted.count(msg.seq)) {
-        // A duplicate (possibly also corrupted) of something already
-        // consumed: discard after the header sniff.
-        ++receiver.transport_.duplicate_discards;
-        const double t0 = receiver.clock_.now();
-        receiver.clock_.advance(net_.link_latency_s(src, me), CostBucket::kMpi);
-        if (receiver.trace_.enabled()) {
-          trace::Event ev;
-          ev.t0 = t0;
-          ev.t1 = receiver.clock_.now();
-          ev.seq = msg.seq;
-          ev.bytes = msg.frame.size();
-          ev.peer = src;
-          ev.tag = msg.tag;
-          ev.kind = trace::EventKind::kDiscard;
-          receiver.trace_.record(ev);
-        }
-        continue;
-      }
-
       if (frame.valid) {
         accepted.insert(frame.seq);
         ++receiver.transport_.frames_accepted;
@@ -916,36 +776,21 @@ Delivery Runtime::take(Comm& receiver, int src, int tag) {
             data_ready +
             net_.link_seconds(msg.frame.size(), src, me, nranks_) * receiver.cost_factor_;
         receiver.clock_.advance_to(ready, CostBucket::kMpi);
-        if (receiver.trace_.enabled()) {
-          if (data_ready > t_enter) {
-            trace::Event w;
-            w.t0 = t_enter;
-            w.t1 = data_ready;
-            w.seq = msg.seq;
-            w.peer = src;
-            w.tag = msg.tag;
-            w.kind = trace::EventKind::kWait;
-            receiver.trace_.record(w);
-          }
-          trace::Event ev;
-          ev.t0 = data_ready;
-          ev.t1 = receiver.clock_.now();
-          ev.seq = msg.seq;
-          ev.bytes = frame.payload.size();
-          ev.peer = src;
-          ev.tag = msg.tag;
-          ev.kind = trace::EventKind::kRecv;
-          receiver.trace_.record(ev);
+        if (data_ready > t_enter) {
+          receiver.span({.t0 = t_enter,
+                         .seq = msg.seq,
+                         .peer = src,
+                         .tag = msg.tag,
+                         .kind = trace::EventKind::kWait},
+                        data_ready);
         }
-        if (faults_.enabled()) {
-          const uint64_t keep_seq = msg.seq;
-          std::erase_if(box.window, [&](const WindowEntry& w) {
-            return w.src == src && w.tag == tag && w.consumed && w.seq != keep_seq;
-          });
-          for (WindowEntry& w : box.window) {
-            if (w.src == src && w.seq == keep_seq) w.consumed = true;
-          }
-        }
+        receiver.span({.t0 = data_ready,
+                       .seq = msg.seq,
+                       .bytes = frame.payload.size(),
+                       .peer = src,
+                       .tag = msg.tag,
+                       .kind = trace::EventKind::kRecv});
+        if (faults_.enabled()) box.consume(src, tag, msg.seq);
         return Delivery{std::move(msg.frame), sizeof(FrameHeader)};
       }
 
@@ -991,25 +836,16 @@ Delivery Runtime::take(Comm& receiver, int src, int tag) {
     // the health machine takes over.  Frame availability is always checked
     // first, which keeps this decision identical under any host scheduling.
     if (rank_faults_on()) {
-      bool hopeless = false;
-      double stop_vtime = 0.0;
-      {
-        std::lock_guard<std::mutex> control(control_mutex_);
-        const RankState& st = rank_state_[static_cast<size_t>(src)];
-        if (st.dead || st.stopped || st.finished) {
-          hopeless = true;
-          stop_vtime = st.stop_vtime;
-        }
-      }
-      if (hopeless) {
+      std::unique_lock<std::mutex> control(control_mutex_);
+      const RankState st = rank_state_[static_cast<size_t>(src)];
+      control.unlock();
+      if (st.silent()) {
         lock.unlock();
-        declare_peer_failed(receiver, src, stop_vtime);
+        declare_peer_failed(receiver, src, st.stop_vtime);
       }
     }
 
-    if (aborted_.load(std::memory_order_acquire)) {
-      throw hzccl::Error("simmpi: a peer rank failed while this rank was receiving");
-    }
+    if (aborted_.load(std::memory_order_acquire)) throw PeerAbortError("receiving");
     box.cv.wait(lock);
   }
 }
@@ -1037,33 +873,11 @@ std::vector<uint8_t> Runtime::refetch(Comm& receiver, int src, int tag, Comm::Re
                        " tag " + std::to_string(tag) + " in the in-flight window");
   }
 
-  const auto record_refetch = [&](double t0, uint64_t bytes, uint8_t aux) {
-    if (!receiver.trace_.enabled()) return;
-    trace::Event ev;
-    ev.t0 = t0;
-    ev.t1 = receiver.clock_.now();
-    ev.seq = entry->seq;
-    ev.bytes = bytes;
-    ev.peer = src;
-    ev.tag = tag;
-    ev.kind = trace::EventKind::kRetransmit;
-    ev.aux = aux;
-    receiver.trace_.record(ev);
-  };
-
+  const double t0 = receiver.clock_.now();
   if (mode == Comm::Refetch::kRetransmit) {
-    ++entry->attempts;
-    ++receiver.transport_.retransmits;
-    std::vector<uint8_t> payload = entry->pristine;
-    apply_payload_faults(payload, faults_, src, me,
-                         attempt_counter(entry->seq, entry->attempts - 1));
-    const size_t frame_bytes = sizeof(FrameHeader) + payload.size();
-    const double t0 = receiver.clock_.now();
-    receiver.clock_.advance(
-        net_.link_retransmit_seconds(frame_bytes, src, me, nranks_) * receiver.cost_factor_,
-        CostBucket::kMpi);
-    record_refetch(t0, payload.size(), trace::kAuxRetransmit);
-    return payload;
+    receiver.clock_.advance(resend_seconds(receiver, src, frame_size(entry->pristine.size())),
+                            CostBucket::kMpi);
+    return retransmit(receiver, *entry, t0);
   }
 
   // Raw fallback: the sender re-reads its intact source copy and ships the
@@ -1071,47 +885,15 @@ std::vector<uint8_t> Runtime::refetch(Comm& receiver, int src, int tag, Comm::Re
   // pristine payload; the caller models the sender-side decode.
   ++receiver.transport_.raw_fallbacks;
   const size_t raw_bytes = raw_bytes_hint != 0 ? raw_bytes_hint : entry->pristine.size();
-  const double t0 = receiver.clock_.now();
-  receiver.clock_.advance(
-      net_.link_retransmit_seconds(raw_bytes, src, me, nranks_) * receiver.cost_factor_,
-      CostBucket::kMpi);
-  record_refetch(t0, entry->pristine.size(), trace::kAuxRawFallback);
+  receiver.clock_.advance(resend_seconds(receiver, src, raw_bytes), CostBucket::kMpi);
+  receiver.span({.t0 = t0,
+                 .seq = entry->seq,
+                 .bytes = entry->pristine.size(),
+                 .peer = src,
+                 .tag = tag,
+                 .kind = trace::EventKind::kRetransmit,
+                 .aux = trace::kAuxRawFallback});
   return entry->pristine;
-}
-
-void Runtime::barrier_wait(Comm& comm) {
-  VirtualClock& clock = comm.clock_;
-  const double t0 = clock.now();
-  std::unique_lock<std::mutex> lock(barrier_mutex_);
-  const uint64_t my_generation = barrier_generation_;
-  barrier_max_time_ = std::max(barrier_max_time_, clock.now());
-  if (++barrier_arrived_ == nranks_) {
-    // Dissemination barrier cost: ceil(log2 P) latency exchanges.
-    const double hops = nranks_ > 1 ? std::ceil(std::log2(static_cast<double>(nranks_))) : 0.0;
-    barrier_release_time_ = barrier_max_time_ + hops * net_.latency_s;
-    barrier_arrived_ = 0;
-    barrier_max_time_ = 0.0;
-    ++barrier_generation_;
-    barrier_cv_.notify_all();
-  } else {
-    barrier_cv_.wait(lock, [&] {
-      return barrier_generation_ != my_generation ||
-             aborted_.load(std::memory_order_acquire);
-    });
-    if (barrier_generation_ == my_generation) {
-      // Woken by an abort, not a release; the barrier can never complete.
-      --barrier_arrived_;
-      throw hzccl::Error("simmpi: a peer rank failed while this rank was in a barrier");
-    }
-  }
-  clock.advance_to(barrier_release_time_, CostBucket::kMpi);
-  if (comm.trace_.enabled() && clock.now() > t0) {
-    trace::Event e;
-    e.t0 = t0;
-    e.t1 = clock.now();
-    e.kind = trace::EventKind::kWait;
-    comm.trace_.record(e);
-  }
 }
 
 std::vector<ClockReport> Runtime::run(const RankFn& fn) {
@@ -1122,6 +904,7 @@ std::vector<ClockReport> Runtime::run(const RankFn& fn) {
   std::vector<std::vector<trace::Event>> streams(static_cast<size_t>(nranks_));
   std::vector<uint64_t> dropped(static_cast<size_t>(nranks_), 0);
   std::vector<std::exception_ptr> errors(static_cast<size_t>(nranks_));
+  std::vector<std::exception_ptr> bystander_errors(static_cast<size_t>(nranks_));
   std::vector<std::thread> threads;
   threads.reserve(static_cast<size_t>(nranks_));
 
@@ -1150,23 +933,20 @@ std::vector<ClockReport> Runtime::run(const RankFn& fn) {
         flush_limbo(comm);
         // ... and tells the control plane it agrees with anything from now
         // on, so agreement rounds never wait on a rank that already left.
-        if (rank_faults_on()) mark_finished(comm);
+        if (rank_faults_on()) retire(comm, /*dead=*/false);
       } catch (const RankStopSignal&) {
         // An injected crash/hang, not an error: the control plane already
         // recorded the death and peers recover through detection/agreement.
+      } catch (const PeerAbortError&) {
+        // A bystander of an abort that already woke every waiter.
+        bystander_errors[static_cast<size_t>(r)] = std::current_exception();
       } catch (...) {
         errors[static_cast<size_t>(r)] = std::current_exception();
-        // Unblock peers waiting on this rank's messages or on the barrier;
-        // they observe aborted_ and fail fast instead of deadlocking.
+        // Unblock peers waiting on this rank's messages or in a
+        // control-plane round; they observe aborted_ and fail fast instead
+        // of deadlocking.
         aborted_.store(true, std::memory_order_release);
-        for (auto& box : mailboxes_) {
-          std::lock_guard<std::mutex> lock(box->mutex);
-          box->cv.notify_all();
-        }
-        {
-          std::lock_guard<std::mutex> lock(barrier_mutex_);
-          barrier_cv_.notify_all();
-        }
+        wake_all_mailboxes();
         {
           std::lock_guard<std::mutex> lock(control_mutex_);
           control_cv_.notify_all();
@@ -1193,26 +973,7 @@ std::vector<ClockReport> Runtime::run(const RankFn& fn) {
     box->window.clear();
   }
   aborted_.store(false, std::memory_order_release);
-  if (rank_faults_on()) {
-    std::lock_guard<std::mutex> lock(control_mutex_);
-    rank_state_.assign(static_cast<size_t>(nranks_), RankState{});
-    std::fill(shrink_arrived_.begin(), shrink_arrived_.end(), 0);
-    members_.resize(static_cast<size_t>(nranks_));
-    for (int i = 0; i < nranks_; ++i) members_[static_cast<size_t>(i)] = i;
-    epoch_ = 0;
-    agree_generation_ = 0;
-    agree_max_vtime_ = 0.0;
-    agree_failed_.clear();
-    agree_release_vtime_ = 0.0;
-    agree_epoch_ = 0;
-    shrink_generation_ = 0;
-    shrink_max_vtime_ = 0.0;
-    shrink_release_vtime_ = 0.0;
-    rf_barrier_arrived_ = 0;
-    rf_barrier_generation_ = 0;
-    rf_barrier_max_ = 0.0;
-    rf_barrier_release_ = 0.0;
-  }
+  reset_control_plane();
   transport_stats_ = std::move(transport);
   health_stats_ = std::move(health);
   integrity_stats_ = std::move(integrity);
@@ -1222,8 +983,12 @@ std::vector<ClockReport> Runtime::run(const RankFn& fn) {
     for (const uint64_t d : dropped) trace_.dropped_events += d;
   }
 
-  for (auto& e : errors) {
-    if (e) std::rethrow_exception(e);
+  // The lowest-ranked root cause outranks every bystander's report of the
+  // abort it caused.
+  for (const auto* ranked : {&errors, &bystander_errors}) {
+    for (const std::exception_ptr& e : *ranked) {
+      if (e) std::rethrow_exception(e);
+    }
   }
   return reports;
 }

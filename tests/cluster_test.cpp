@@ -3,8 +3,10 @@
 // the evidence that the 512-node figures extrapolate something real.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "hzccl/cluster/autotune.hpp"
 #include "hzccl/cluster/roundsim.hpp"
 #include "hzccl/datasets/registry.hpp"
 #include "hzccl/stats/metrics.hpp"
@@ -147,6 +149,102 @@ TEST_F(ModelTest, CrossValidatesAgainstFunctionalSimulation) {
                                .seconds;
     EXPECT_NEAR(modeled, functional, 0.40 * functional)
         << kernel_name(k) << ": modeled=" << modeled << " functional=" << functional;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Allreduce schedules: the model prices what the functional path runs.
+// ---------------------------------------------------------------------------
+
+void expect_same_model(const ModelResult& a, const ModelResult& b, const std::string& where) {
+  EXPECT_EQ(a.seconds, b.seconds) << where;
+  EXPECT_EQ(a.mpi_seconds, b.mpi_seconds) << where;
+  EXPECT_EQ(a.cpr_seconds, b.cpr_seconds) << where;
+  EXPECT_EQ(a.dpr_seconds, b.dpr_seconds) << where;
+  EXPECT_EQ(a.cpt_seconds, b.cpt_seconds) << where;
+  EXPECT_EQ(a.hpr_seconds, b.hpr_seconds) << where;
+  EXPECT_EQ(a.vrf_seconds, b.vrf_seconds) << where;
+}
+
+TEST(RoundSimAlgos, CCollPricesEveryScheduleAsTheRingItRuns) {
+  // C-Coll jobs always run the ring (resolve_job_algo), so every requested
+  // schedule is priced as the ring, and the selector never picks one that
+  // C-Coll does not run.
+  const CompressionProfile profile = make_profile(DatasetId::kHurricane, 8);
+  const simmpi::CostModel cost = simmpi::CostModel::paper_broadwell();
+  struct Point {
+    int nranks;
+    size_t bytes;
+    simmpi::NetModel net;
+  };
+  const std::vector<Point> points = {{16, size_t{16} << 10, simmpi::NetModel::omnipath_100g_nodes(8)},
+                                     {64, size_t{8} << 20, simmpi::NetModel::omnipath_100g()}};
+  for (const Point& p : points) {
+    for (const Kernel k : {Kernel::kCCollMultiThread, Kernel::kCCollSingleThread}) {
+      for (const coll::VerifyPolicy v : {coll::VerifyPolicy::kOff, coll::VerifyPolicy::kPerRound}) {
+        const auto model = [&](coll::AllreduceAlgo algo) {
+          return model_allreduce_algo(k, algo, p.nranks, p.bytes, profile, p.net, cost, v);
+        };
+        const ModelResult ring = model(coll::AllreduceAlgo::kRing);
+        for (const auto algo : {coll::AllreduceAlgo::kRecursiveDoubling,
+                                coll::AllreduceAlgo::kRabenseifner, coll::AllreduceAlgo::kTwoLevel}) {
+          expect_same_model(model(algo), ring,
+                            kernel_name(k) + " " + coll::allreduce_algo_name(algo) + " N=" +
+                                std::to_string(p.nranks));
+        }
+      }
+    }
+  }
+
+  const std::vector<float> sample = generate_field(DatasetId::kHurricane, Scale::kTiny, 0);
+  JobConfig config;
+  config.nranks = 16;
+  config.net = simmpi::NetModel::omnipath_100g_nodes(8);
+  config.abs_error_bound = abs_bound_from_rel(sample, 1e-3);
+  for (const Kernel k : {Kernel::kCCollMultiThread, Kernel::kCCollSingleThread}) {
+    const AlgoSelection sel = choose_allreduce_algo(sample, k, size_t{16} << 10, config);
+    EXPECT_EQ(sel.algo, coll::AllreduceAlgo::kRing) << kernel_name(k) << ": " << sel.summary();
+  }
+}
+
+TEST(RoundSimAlgos, RecursiveDoublingUnfoldsWhatTheScheduleSends) {
+  // A non-power-of-two rank count folds into p2 ranks and unfolds at the
+  // end.  The hZ unfold sends the fully reduced stream (depth N); the raw
+  // unfold sends floats, and its digest walk is single-threaded like every
+  // other raw walk.  Power-of-two counts have no fold and no unfold.
+  const CompressionProfile profile = make_profile(DatasetId::kHurricane, 16);
+  const simmpi::NetModel net = simmpi::NetModel::omnipath_100g();
+  const simmpi::CostModel cost = simmpi::CostModel::paper_broadwell();
+  const size_t bytes = size_t{8} << 20;
+  const double total = static_cast<double>(bytes);
+  for (const int n : {6, 8, 12, 16}) {
+    int p2 = 1;
+    while (p2 * 2 <= n) p2 *= 2;
+    const bool fold = p2 != n;
+    const auto transfer = [&](double b) {
+      return net.transfer_seconds(static_cast<size_t>(b), net.congestion_flows(n));
+    };
+    // The fold exchange at depth 1, then one exchange per doubling step.
+    double mpi = fold ? transfer(total / profile.ratio_at_depth(1)) : 0.0;
+    int exchanges = fold ? 1 : 0;
+    for (int mask = 1, depth = fold ? 2 : 1; mask < p2; mask <<= 1, depth *= 2) {
+      mpi += transfer(total / profile.ratio_at_depth(depth));
+      ++exchanges;
+    }
+    if (fold) mpi += transfer(total / profile.ratio_at_depth(n));
+
+    const ModelResult hz = model_allreduce_algo(Kernel::kHzcclMultiThread,
+                                                coll::AllreduceAlgo::kRecursiveDoubling, n, bytes,
+                                                profile, net, cost);
+    EXPECT_DOUBLE_EQ(hz.mpi_seconds, mpi) << "N=" << n;
+
+    const ModelResult raw =
+        model_allreduce_algo(Kernel::kMpi, coll::AllreduceAlgo::kRecursiveDoubling, n, bytes,
+                             profile, net, cost, coll::VerifyPolicy::kPerRound);
+    const int walks = exchanges + (fold ? 1 : 0);
+    EXPECT_DOUBLE_EQ(raw.vrf_seconds,
+                     walks * cost.seconds_digest_verify(bytes, simmpi::Mode::kSingleThread))
+        << "N=" << n;
   }
 }
 

@@ -75,6 +75,23 @@ TEST(RunCollective, OutputSizesMatchOperation) {
   EXPECT_EQ(ar.rank0_output.size(), elements);
 }
 
+TEST(RunCollective, AFailingRankReportsItsOwnError) {
+  // One value of rank 2 leaves the 30-bit quantization domain, so rank 2's
+  // compression throws; its peers then fail only because the run aborted.
+  // The job reports rank 2's error, not a bystander's.
+  JobConfig config;
+  config.nranks = 4;
+  config.abs_error_bound = 1e-3;
+  const auto inputs = [](int rank) {
+    std::vector<float> v(4000);
+    for (size_t i = 0; i < v.size(); ++i) v[i] = static_cast<float>(i % 97) * 0.01f;
+    if (rank == 2) v[1234] = 1e30f;
+    return v;
+  };
+  EXPECT_THROW((void)run_collective(Kernel::kHzcclMultiThread, Op::kAllreduce, config, inputs),
+               QuantizationRangeError);
+}
+
 TEST(RunCollective, ConstantInputsReduceExactly) {
   // Constant fields quantize exactly, so every stack is bit-accurate here.
   JobConfig config;

@@ -147,6 +147,51 @@ TEST(Recovery, HangsAreDetectedLikeCrashes) {
   EXPECT_EQ(total_health(rt.health_stats()).hangs, 1u);
 }
 
+TEST(Recovery, ABarrierCrashFailsEverySurvivorAtOneReleaseTime) {
+  // crash@rank=1,op=1 fires at rank 1's barrier.  The other four wait on a
+  // member that can never arrive, declare the failure on their own clocks
+  // and agree: each leaves at the agreement's release (the latest
+  // declaration plus 2(S-1) hops) with the same RankFailedError.  The rank
+  // functions return after catching it, and a rank that retires early must
+  // not disturb the release its slower peers have yet to read — so every
+  // repeat gives every survivor the same clock.
+  const int n = 5;
+  const NetModel net = NetModel::omnipath_100g();
+  const FaultPlan plan = rank_fault_plan(3, "crash@rank=1,op=1");
+  const double latest_arrival = 1e-5 * n;  // rank r arrives at 1e-5 * (r + 1)
+  const double release = latest_arrival + plan.recv_timeout_s + plan.fail_timeout_s +
+                         2.0 * (n - 2) * net.latency_s;
+
+  for (int repeat = 0; repeat < 20; ++repeat) {
+    Runtime rt(n, net, plan);
+    std::mutex mu;
+    std::vector<double> left(static_cast<size_t>(n), -1.0);
+    std::vector<std::vector<int>> failed(static_cast<size_t>(n));
+    rt.run([&](Comm& comm) {
+      comm.clock().advance(1e-5 * (comm.rank() + 1), simmpi::CostBucket::kCpt);
+      try {
+        comm.guarded([&] { comm.barrier(); });
+        ADD_FAILURE() << "rank " << comm.phys_rank() << " passed the barrier";
+      } catch (const RankFailedError& e) {
+        std::lock_guard<std::mutex> lock(mu);
+        left[static_cast<size_t>(comm.phys_rank())] = comm.clock().now();
+        failed[static_cast<size_t>(comm.phys_rank())] = e.failed_ranks();
+      }
+    });
+    for (int r = 0; r < n; ++r) {
+      if (r == 1) continue;
+      EXPECT_EQ(failed[static_cast<size_t>(r)], std::vector<int>{1}) << "survivor " << r;
+      EXPECT_EQ(left[static_cast<size_t>(r)], left[0]) << "survivor " << r << " repeat " << repeat;
+      const HealthStats& h = rt.health_stats()[static_cast<size_t>(r)];
+      EXPECT_EQ(h.suspects, 1u);
+      EXPECT_EQ(h.dead_declared, 1u);
+      EXPECT_EQ(h.failed_agreements, 1u);
+    }
+    EXPECT_NEAR(left[0], release, 1e-12);
+    EXPECT_EQ(rt.health_stats()[1].crashes, 1u);
+  }
+}
+
 TEST(Recovery, WithoutRetryTheJobPropagatesTheTypedError) {
   JobConfig config;
   config.nranks = 8;
@@ -216,6 +261,39 @@ TEST(Recovery, ExhaustedRetriesRethrow) {
   config.retry = RetryPolicy::parse("2");  // two crashes, one retry: not enough
   EXPECT_THROW(run_collective(Kernel::kMpi, Op::kAllreduce, config, field_inputs(4000)),
                RankFailedError);
+}
+
+TEST(Recovery, ACrashAbandoningAHeldFrameHealsByTimeout) {
+  // Under reorder 1.0 every send is held back until the sender's next
+  // transport operation.  crash@rank=2,op=2 fires at the receive right after
+  // rank 2's first send, so that frame dies in the crashed NIC: its window
+  // entry flips to dropped, and the receiver heals it with one timeout and
+  // one retransmit before the failure is detected.  At the odd crash points
+  // no frame is held, and neither counter moves.
+  const RankInputFn inputs = field_inputs(4000);
+  for (const Kernel kernel : {Kernel::kMpi, Kernel::kHzcclMultiThread}) {
+    for (const int crash_op : {1, 2, 3}) {
+      JobConfig config;
+      config.nranks = 6;
+      config.abs_error_bound = 1e-3;
+      config.faults = rank_fault_plan(5, "crash@rank=2,op=" + std::to_string(crash_op));
+      config.faults.reorder = 1.0;
+      config.retry = RetryPolicy::parse("3");
+
+      const JobResult r = run_collective(kernel, Op::kAllreduce, config, inputs);
+      const std::string where = kernel_name(kernel) + " op=" + std::to_string(crash_op);
+      EXPECT_EQ(r.failed_ranks, std::vector<int>{2}) << where;
+      EXPECT_EQ(r.attempts, 2) << where;
+      const uint64_t healed = crash_op == 2 ? 1 : 0;
+      EXPECT_EQ(r.transport.timeout_waits, healed) << where;
+      EXPECT_EQ(r.transport.retransmits, healed) << where;
+
+      const JobResult ref =
+          survivor_reference(kernel, Op::kAllreduce, config, r.final_group, inputs);
+      ASSERT_FALSE(r.rank0_output.empty()) << where;
+      EXPECT_EQ(r.rank0_output, ref.rank0_output) << where;
+    }
+  }
 }
 
 TEST(Recovery, StragglersSlowTheJobWithoutFailingIt) {

@@ -553,6 +553,42 @@ TEST(SchedRequest, SubmitValidation) {
   EXPECT_THROW((void)engine.outcome(Request{}), Error);
 }
 
+TEST(SchedRequest, AFailedJobReportsItsRootCauseAlone) {
+  // One of rank 2's values leaves the 30-bit quantization domain, so its
+  // compression throws.  The engine job fails without a retry and reports
+  // the message run_collective throws for the same input; a good job on the
+  // same ranks still completes.
+  const NetModel net = NetModel::omnipath_100g();
+  const JobConfig config = job_config(4, net, AllreduceAlgo::kRing);
+  const RankInputFn good = dataset_input(DatasetId::kHurricane, 4000);
+  const RankInputFn bad = [good](int rank) {
+    std::vector<float> v = good(rank);
+    if (rank == 2) v[1234] = 1e30f;
+    return v;
+  };
+  std::string expected;
+  try {
+    (void)run_collective(Kernel::kHzcclMultiThread, Op::kAllreduce, config, bad);
+  } catch (const QuantizationRangeError& e) {
+    expected = e.what();
+  }
+  ASSERT_FALSE(expected.empty());
+
+  EngineConfig ec;
+  ec.fleet_ranks = 4;
+  ec.net = net;
+  Engine engine(ec);
+  const Request failing = engine.iallreduce(Kernel::kHzcclMultiThread, config, bad);
+  const Request fine = engine.iallreduce(Kernel::kHzcclMultiThread, config, good);
+  engine.run();
+
+  const JobOutcome& failed = engine.outcome(failing);
+  EXPECT_FALSE(failed.completed);
+  EXPECT_EQ(failed.attempts, 1);
+  EXPECT_EQ(failed.error, expected);
+  EXPECT_TRUE(engine.outcome(fine).completed);
+}
+
 TEST(SchedRequest, EngineRejectsLinkFaultPlans) {
   EngineConfig ec;
   ec.fleet_ranks = 4;

@@ -131,6 +131,24 @@ TEST(Runtime, ExceptionInRankPropagates) {
                hzccl::Error);
 }
 
+TEST(Runtime, RunRethrowsTheRootCauseNotABystander) {
+  // Rank 2 fails with its own error; ranks 0, 1 and 3 fail only because the
+  // abort woke them from a receive nothing will satisfy.  The lower-ranked
+  // bystanders' reports must not hide the error that caused the abort.
+  Runtime rt(4, NetModel::omnipath_100g());
+  try {
+    rt.run([](Comm& comm) {
+      if (comm.rank() == 2) throw hzccl::FormatError("rank 2: the root cause");
+      comm.recv(2, 99);
+    });
+    FAIL() << "the run completed";
+  } catch (const hzccl::FormatError& e) {
+    EXPECT_STREQ(e.what(), "rank 2: the root cause");
+  } catch (const std::exception& e) {
+    FAIL() << "a bystander's error surfaced: " << e.what();
+  }
+}
+
 TEST(Runtime, ExceptionDuringBarrierDoesNotHang) {
   Runtime rt(3, NetModel::omnipath_100g());
   EXPECT_THROW(rt.run([](Comm& comm) {
@@ -152,6 +170,21 @@ TEST(Runtime, ReusableAfterRun) {
       }
     });
   }
+}
+
+TEST(Runtime, ReusableAfterAnAbortedBarrier) {
+  // The first run aborts with two ranks waiting in a barrier at t = 1 s.  The
+  // second run's barrier releases from its own arrivals (t = 0), not from
+  // the aborted round's.
+  Runtime rt(3, NetModel::omnipath_100g());
+  EXPECT_THROW(rt.run([](Comm& comm) {
+                 if (comm.rank() == 1) throw hzccl::Error("rank 1 fails before the barrier");
+                 comm.clock().advance(1.0, CostBucket::kCpt);
+                 comm.barrier();
+               }),
+               hzccl::Error);
+  const auto reports = rt.run([](Comm& comm) { comm.barrier(); });
+  EXPECT_LT(Runtime::slowest(reports).total_seconds, 1e-3);
 }
 
 TEST(Runtime, BadRankArgumentsThrow) {

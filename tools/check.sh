@@ -15,6 +15,7 @@
 #                             # smoke (bench/e2e/run.sh --smoke)
 #   tools/check.sh --cov      # tier 1 + line-coverage gate (every ctest tier)
 #   tools/check.sh --recovery # tier 1 + sanitized rank-failure tier + seed sweep
+#                             # + the rank-failure tier under ThreadSanitizer
 #   tools/check.sh --sched    # tier 1 + sanitized nonblocking/scheduler tier
 #                             # + multi-seed scheduler determinism sweep
 #   tools/check.sh --integrity # tier 1 + sanitized ABFT/SDC tier + 8-seed
@@ -51,6 +52,19 @@ for arg in "$@"; do
     *) echo "usage: tools/check.sh [--fast] [--lint] [--tsan] [--fuzz] [--perf] [--cov] [--recovery] [--sched] [--kernels] [--analyze] [--integrity] [--all]" >&2; exit 2 ;;
   esac
 done
+
+# The ThreadSanitizer build shared by --tsan and --recovery.  GCC's libgomp
+# is not TSan-instrumented, so its internal synchronization is invisible to
+# the runtime; tools/tsan.supp whitelists those barriers (see
+# docs/ANALYSIS.md).  Everything else must be race-free.
+configure_tsan() {
+  cmake -B "$repo/build-tsan" -S "$repo" \
+    -DCMAKE_BUILD_TYPE=Debug \
+    -DCMAKE_CXX_FLAGS="-fsanitize=thread -g -O1" \
+    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" \
+    -DHZCCL_BUILD_BENCH=OFF -DHZCCL_BUILD_EXAMPLES=OFF
+}
+tsan_env="suppressions=$repo/tools/tsan.supp halt_on_error=1 second_deadlock_stack=1"
 
 echo "== tier 1: configure + build + ctest (unit/property/chaos/lint/fuzz) =="
 cmake -B "$repo/build" -S "$repo"
@@ -111,6 +125,12 @@ if [ "$run_recovery" = "1" ]; then
       --dataset hurricane --scale tiny \
       --faults "$seed,0.02,0.01" --rank-faults crash --retry 3 >/dev/null
   done
+  echo "== recovery: rank-failure tier under ThreadSanitizer (recovery_test) =="
+  # The control plane (barrier, agreement, shrink, held-frame release) is
+  # shared state every rank thread touches; this run proves it race-free.
+  configure_tsan
+  cmake --build "$repo/build-tsan" -j "$jobs" --target recovery_test
+  TSAN_OPTIONS="$tsan_env" "$repo/build-tsan/tests/recovery_test"
 fi
 
 if [ "$run_sched" = "1" ]; then
@@ -260,22 +280,14 @@ fi
 
 if [ "$run_tsan" = "1" ]; then
   echo "== tier 3: ThreadSanitizer concurrency tier =="
-  # GCC's libgomp is not TSan-instrumented, so its internal synchronization
-  # is invisible to the runtime; tools/tsan.supp whitelists those barriers
-  # (see docs/ANALYSIS.md).  Everything else must be race-free.
-  cmake -B "$repo/build-tsan" -S "$repo" \
-    -DCMAKE_BUILD_TYPE=Debug \
-    -DCMAKE_CXX_FLAGS="-fsanitize=thread -g -O1" \
-    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" \
-    -DHZCCL_BUILD_BENCH=OFF -DHZCCL_BUILD_EXAMPLES=OFF
+  configure_tsan
   cmake --build "$repo/build-tsan" -j "$jobs" \
     --target simmpi_test collectives_test allgather_test movement_test \
              faults_test homomorphic_test
   for t in simmpi_test collectives_test allgather_test movement_test \
            faults_test homomorphic_test; do
     echo "-- tsan: $t"
-    TSAN_OPTIONS="suppressions=$repo/tools/tsan.supp halt_on_error=1 second_deadlock_stack=1" \
-      "$repo/build-tsan/tests/$t"
+    TSAN_OPTIONS="$tsan_env" "$repo/build-tsan/tests/$t"
   done
 fi
 
