@@ -14,15 +14,18 @@
 //    --alloc-budget N the run fails if any gated hot path (hz_add, the
 //    ring collective, crc32c, the frame round trip) exceeds N allocations
 //    per op in steady state — the CI regression gate.  crc32c, the
-//    whole-block codec and digest fold on the codec's 32-value block
-//    (decode_block, encode_block, digest_block; "bits" is the code length)
-//    and the fused block pass on 32-value blocks of three datasets
-//    (fz_quantize_predict) are measured once per supported dispatch level
-//    (tagged with a "level" field); --simd-floor R fails the run if the best
-//    level's decode_block at n = 32 over the measured code lengths together,
-//    or its fz_quantize_predict over the three datasets together, is below
-//    R× the scalar table's — the SIMD speedup gate on the codec the library
-//    runs.  Skipped on hosts whose best level is scalar.
+//    whole-block codec and its three fused decodes on the codec's 32-value
+//    block (decode_block, encode_block, decode_dequantize, decode_fold,
+//    decode_combine; "bits" is the code length) and the fused block pass on
+//    32-value blocks of three datasets (fz_quantize_predict) are measured
+//    once per supported dispatch level (tagged with a "level" field);
+//    --simd-floor R fails the run if the best level's decode_block,
+//    decode_dequantize or decode_fold at n = 32 over the measured code
+//    lengths together, or its fz_quantize_predict over the three datasets
+//    together, is below R× the scalar table's — the SIMD speedup gate on
+//    the codec the library runs.  Skipped on hosts whose best level is
+//    scalar.  Each per-op entry's "gbps" is the median of kRepeats timed
+//    runs, with their quartiles beside it ("gbps_q1", "gbps_q3").
 //    --verify-overhead P fails the run if per-round ABFT digest verification
 //    adds more than P% to the modeled end-to-end hZCCL allreduce at the
 //    paper's scalability point (512 ranks x 8 MiB per rank, RoundSim +
@@ -33,6 +36,7 @@
 //    overstates what verification costs on a real node (see DESIGN.md).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -182,39 +186,57 @@ struct JsonOptions {
   double verify_overhead = -1.0;  ///< <= 0 = no gate (max % per-round verify may add)
 };
 
+/// Timed runs per entry: the entry reports their median and quartiles, so
+/// a move can be told apart from the run-to-run spread.
+constexpr int kRepeats = 5;
+
 struct JsonEntry {
   std::string kernel;
   int bits = -1;        ///< code-length dimension (-1 = not applicable)
   std::string dataset;  ///< dataset slug (empty = not applicable)
   std::string level;    ///< forced dispatch level (empty = session default)
-  double gbps = 0.0;
+  double gbps = 0.0;     ///< median over the timed runs
+  double gbps_q1 = 0.0;  ///< lower quartile (Tukey hinge), when repeats > 1
+  double gbps_q3 = 0.0;  ///< upper quartile (Tukey hinge), when repeats > 1
+  int repeats = 1;       ///< 1: a composite measurement (ring, verify overhead)
   double allocs_per_op = 0.0;
   bool gated = false;  ///< subject to the --alloc-budget check
 };
 
-/// Time `fn` in a repeat-until-deadline loop after warmup, reading the
-/// pool-stats hook across the timed region.  Warmup runs the op enough times
-/// for pools and arenas to reach steady state, so allocs_per_op reports the
-/// *recycled* regime, not first-touch growth.
+/// Time `fn` in kRepeats repeat-until-deadline runs after warmup, reading
+/// the pool-stats hook across the timed region.  Warmup runs the op enough
+/// times for pools and arenas to reach steady state, so allocs_per_op
+/// reports the *recycled* regime, not first-touch growth.
 template <class Fn>
 JsonEntry measure_json(const std::string& kernel, int bits, const std::string& dataset,
                        size_t bytes_per_op, double min_seconds, const Fn& fn) {
   for (int i = 0; i < 3; ++i) fn();
   const uint64_t alloc_before = pool_heap_allocations();
-  Timer timer;
-  size_t iters = 0;
-  do {
-    fn();
-    ++iters;
-  } while (timer.seconds() < min_seconds);
-  const double seconds = timer.seconds();
+  size_t total_iters = 0;
+  std::vector<double> gbps;
+  for (int r = 0; r < kRepeats; ++r) {
+    Timer timer;
+    size_t iters = 0;
+    do {
+      fn();
+      ++iters;
+    } while (timer.seconds() < min_seconds);
+    const double seconds = timer.seconds();
+    gbps.push_back(gb_per_s(static_cast<double>(bytes_per_op) * static_cast<double>(iters),
+                            seconds));
+    total_iters += iters;
+  }
+  std::sort(gbps.begin(), gbps.end());
   JsonEntry e;
   e.kernel = kernel;
   e.bits = bits;
   e.dataset = dataset;
-  e.gbps = gb_per_s(static_cast<double>(bytes_per_op) * static_cast<double>(iters), seconds);
-  e.allocs_per_op =
-      static_cast<double>(pool_heap_allocations() - alloc_before) / static_cast<double>(iters);
+  e.gbps = gbps[kRepeats / 2];
+  e.gbps_q1 = gbps[(kRepeats - 1) / 4];
+  e.gbps_q3 = gbps[kRepeats - 1 - (kRepeats - 1) / 4];
+  e.repeats = kRepeats;
+  e.allocs_per_op = static_cast<double>(pool_heap_allocations() - alloc_before) /
+                    static_cast<double>(total_iters);
   return e;
 }
 
@@ -371,12 +393,14 @@ double modeled_verify_overhead_pct(const JsonOptions& opts) {
 /// remainder-only 5 and 7, byte-plane-only 8 and 16, and the widest, 31.
 const std::vector<int> kBlockCodeLengths = {1, 5, 7, 8, 16, 31};
 
-/// The whole-block codec and digest fold at the active level, on the
-/// fixed-length codec's production block (n = 32), per code length: the
-/// public decode_block and encode_block_prepared (checks included) and the
-/// digest_block slot the verify walk calls.  One op walks a ring of 64
-/// blocks, so the timer read stays off the per-block cost.  GB/s counts the
-/// 4-byte residuals (n * 4 bytes per block).
+/// The whole-block codec and its fused decodes at the active level, on the
+/// fixed-length codec's production block (n = 32), per code length, through
+/// the public entry points (checks included): decode_block and
+/// encode_block_prepared, and the decode-dequantize, decode-fold and
+/// decode-combine walks of decompression, digest verification and hZ
+/// pipeline 4.  One op walks a ring of 64 blocks, so the timer read stays
+/// off the per-block cost.  GB/s counts the 4-byte residuals decoded or
+/// encoded (n * 4 bytes per block; decode_combine decodes two).
 std::vector<JsonEntry> measure_block_kernels(double min_seconds) {
   constexpr size_t n = 32;
   constexpr size_t kBlocks = 64;
@@ -396,11 +420,11 @@ std::vector<JsonEntry> measure_block_kernels(double min_seconds) {
       encode_block_prepared(mags.data() + b * n, signs.data() + b * n, n, c,
                             blocks.data() + b * stride, blocks.data() + (b + 1) * stride);
     }
+    const auto block = [&](size_t b) { return blocks.data() + b * stride; };
     std::vector<int32_t> residuals(n * kBlocks);
     out.push_back(measure_json("decode_block", c, "", bytes, min_seconds, [&] {
       for (size_t b = 0; b < kBlocks; ++b) {
-        const uint8_t* src = blocks.data() + b * stride;
-        decode_block(src, src + stride, n, residuals.data() + b * n);
+        decode_block(block(b), block(b) + stride, n, residuals.data() + b * n);
       }
       benchmark::DoNotOptimize(residuals.data());
       benchmark::ClobberMemory();
@@ -414,15 +438,36 @@ std::vector<JsonEntry> measure_block_kernels(double min_seconds) {
       benchmark::DoNotOptimize(encoded.data());
       benchmark::ClobberMemory();
     }));
-    const kernels::KernelTable& table = kernels::active();
-    uint64_t sum = 0;
-    uint64_t wsum = 0;
-    out.push_back(measure_json("digest_block", c, "", bytes, min_seconds, [&] {
+    std::vector<float> floats(n * kBlocks);
+    out.push_back(measure_json("decode_dequantize", c, "", bytes, min_seconds, [&] {
       int64_t q = 0;
       for (size_t b = 0; b < kBlocks; ++b) {
-        q = table.digest_block(residuals.data() + b * n, n, q, 1 + b * n, &sum, &wsum);
+        decode_block_dequantize(block(b), block(b) + stride, n, 2e-3, &q, floats.data() + b * n);
+      }
+      benchmark::DoNotOptimize(floats.data());
+      benchmark::ClobberMemory();
+    }));
+    uint64_t sum = 0;
+    uint64_t wsum = 0;
+    out.push_back(measure_json("decode_fold", c, "", bytes, min_seconds, [&] {
+      int64_t q = 0;
+      for (size_t b = 0; b < kBlocks; ++b) {
+        decode_block_fold(block(b), block(b) + stride, n, 1 + b * n, &q, &sum, &wsum);
       }
       benchmark::DoNotOptimize(q);
+    }));
+    std::vector<uint32_t> merged_mags(n * kBlocks);
+    std::vector<uint32_t> merged_signs(n * kBlocks);
+    out.push_back(measure_json("decode_combine", c, "", 2 * bytes, min_seconds, [&] {
+      uint64_t guard = 0;
+      for (size_t b = 0; b < kBlocks; ++b) {
+        const size_t other = (b + 1) % kBlocks;
+        guard |= decode_blocks_combine(block(b), block(b) + stride, block(other),
+                                       block(other) + stride, n, +1, merged_mags.data() + b * n,
+                                       merged_signs.data() + b * n);
+      }
+      benchmark::DoNotOptimize(guard);
+      benchmark::ClobberMemory();
     }));
   }
   return out;
@@ -466,7 +511,8 @@ std::vector<JsonEntry> measure_block_pass(const std::vector<std::vector<float>>&
 }
 
 int run_json_mode(const JsonOptions& opts) {
-  const double min_seconds = opts.quick ? 0.05 : 0.3;
+  // Per timed run; each entry takes kRepeats of them.
+  const double min_seconds = opts.quick ? 0.01 : 0.1;
   std::vector<JsonEntry> entries;
 
   // Dispatched kernels: kernel × code length or dataset × dispatch level.
@@ -613,7 +659,7 @@ int run_json_mode(const JsonOptions& opts) {
     std::fprintf(stderr, "bench_kernels: cannot open %s for writing\n", opts.out.c_str());
     return 1;
   }
-  std::fprintf(f, "{\n  \"schema\": \"hzccl-bench-kernels-v2\",\n  \"quick\": %s,\n",
+  std::fprintf(f, "{\n  \"schema\": \"hzccl-bench-kernels-v3\",\n  \"quick\": %s,\n",
                opts.quick ? "true" : "false");
   std::fprintf(f, "  \"dispatch_level\": \"%s\",\n", kernels::level_name(prior_level));
   std::fprintf(f, "  \"alloc_budget\": %s,\n",
@@ -629,20 +675,23 @@ int run_json_mode(const JsonOptions& opts) {
     if (e.bits >= 0) std::fprintf(f, "\"bits\": %d, ", e.bits);
     if (!e.dataset.empty()) std::fprintf(f, "\"dataset\": \"%s\", ", e.dataset.c_str());
     if (!e.level.empty()) std::fprintf(f, "\"level\": \"%s\", ", e.level.c_str());
-    std::fprintf(f, "\"gbps\": %.4f, \"allocs_per_op\": %.4f, \"gated\": %s}%s\n", e.gbps,
-                 e.allocs_per_op, e.gated ? "true" : "false",
-                 i + 1 < entries.size() ? "," : "");
+    std::fprintf(f, "\"gbps\": %.4f, ", e.gbps);
+    if (e.repeats > 1) {
+      std::fprintf(f, "\"gbps_q1\": %.4f, \"gbps_q3\": %.4f, ", e.gbps_q1, e.gbps_q3);
+    }
+    std::fprintf(f, "\"repeats\": %d, \"allocs_per_op\": %.4f, \"gated\": %s}%s\n", e.repeats,
+                 e.allocs_per_op, e.gated ? "true" : "false", i + 1 < entries.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
 
   int failures = 0;
   for (const JsonEntry& e : entries) {
-    std::printf("%-22s %4s %-12s %-7s %10.3f GB/s %8.2f allocs/op%s\n", e.kernel.c_str(),
-                e.bits >= 0 ? std::to_string(e.bits).c_str() : "-",
+    std::printf("%-22s %4s %-12s %-7s %10.3f GB/s [%.3f, %.3f] %8.2f allocs/op%s\n",
+                e.kernel.c_str(), e.bits >= 0 ? std::to_string(e.bits).c_str() : "-",
                 e.dataset.empty() ? "-" : e.dataset.c_str(),
-                e.level.empty() ? "-" : e.level.c_str(), e.gbps, e.allocs_per_op,
-                e.gated ? "  [gated]" : "");
+                e.level.empty() ? "-" : e.level.c_str(), e.gbps, e.gbps_q1, e.gbps_q3,
+                e.allocs_per_op, e.gated ? "  [gated]" : "");
     if (e.gated && opts.alloc_budget >= 0 && e.allocs_per_op > opts.alloc_budget) {
       std::fprintf(stderr,
                    "bench_kernels: %s (%s) spent %.2f allocations/op in steady state, "
@@ -652,9 +701,10 @@ int run_json_mode(const JsonOptions& opts) {
     }
   }
 
-  // SIMD speedup gate: the best level's whole-block decode and fused block
-  // pass at n = 32 (the loops the codec runs) must beat the scalar table by
-  // the requested factor.  Scalar-only hosts have nothing to compare, so the
+  // SIMD speedup gate: the best level's whole-block decode, its
+  // decode-dequantize and decode-fold walks, and the fused block pass at
+  // n = 32 (the loops the codec runs) must beat the scalar table by the
+  // requested factor.  Scalar-only hosts have nothing to compare, so the
   // gate reports itself skipped.
   if (opts.simd_floor > 0) {
     const kernels::DispatchLevel best = kernels::best_supported_level();
@@ -699,10 +749,14 @@ int run_json_mode(const JsonOptions& opts) {
       };
       std::vector<std::pair<int, std::string>> code_lengths;
       for (const int c : kBlockCodeLengths) code_lengths.emplace_back(c, "");
-      gate_points("decode_block", "all code lengths", code_lengths);
-      std::vector<std::pair<int, std::string>> datasets;
-      for (const DatasetId id : kBlockPassDatasets) datasets.emplace_back(-1, dataset_slug(id));
-      gate_points("fz_quantize_predict", "all datasets", datasets);
+      for (const char* kernel : {"decode_block", "decode_dequantize", "decode_fold"}) {
+        gate_points(kernel, "all code lengths", code_lengths);
+      }
+      std::vector<std::pair<int, std::string>> dataset_points;
+      for (const DatasetId id : kBlockPassDatasets) {
+        dataset_points.emplace_back(-1, dataset_slug(id));
+      }
+      gate_points("fz_quantize_predict", "all datasets", dataset_points);
     }
   }
   // Per-round verify overhead gate: at the paper's scalability point the

@@ -262,35 +262,38 @@ template <Transport T>
 // ---------------------------------------------------------------------------
 
 /// One pass over a float payload for its content digest, charged like a
-/// compressed-stream verify.
+/// compressed-stream verify at `mode`: the mode the exchange's stack reduces
+/// at — single-threaded for the raw stack, whose walks run where MPI
+/// reduces, in its progress engine; the leader's reduce mode for the
+/// two-level intra-node phase.  RoundSim prices the walks the same way.
 template <Transport T>
 integrity::Digest charged_content_digest(T& t, std::span<const float> data,
-                                         const CollectiveConfig& config) {
+                                         const CollectiveConfig& config, Mode mode) {
   const integrity::Digest d = integrity::content_digest(std::as_bytes(data));
-  t.charge(CostBucket::kCpt, config.cost.seconds_digest_verify(data.size_bytes(), config.mode),
+  t.charge(CostBucket::kCpt, config.cost.seconds_digest_verify(data.size_bytes(), mode),
            EventKind::kVerify, data.size_bytes());
   return d;
 }
 
 template <Transport T>
 void send_floats_checked(T& t, int dst, int tag, std::span<const float> data,
-                         const CollectiveConfig& config) {
+                         const CollectiveConfig& config, Mode mode) {
   t.send_floats(dst, tag, data);
   if (config.verify == VerifyPolicy::kOff) return;
   const std::array<uint8_t, 16> wire =
-      digest_trailer_bytes(charged_content_digest(t, data, config));
+      digest_trailer_bytes(charged_content_digest(t, data, config, mode));
   t.send(dst, tag + kTagDigest, wire);
 }
 
 template <Transport T>
 Task<void> recv_floats_checked(T t, int src, int tag, std::span<float> out,
-                               const CollectiveConfig& config) {
+                               const CollectiveConfig& config, Mode mode) {
   co_await t.recv_into(src, tag, writable_bytes_of(out));
   if (config.verify == VerifyPolicy::kOff) co_return;
   integrity::Digest expected = parse_digest_trailer(co_await t.recv(src, tag + kTagDigest));
   const auto matches = [&] {
     ++t.integrity().digests_checked;
-    return charged_content_digest(t, out, config) == expected;
+    return charged_content_digest(t, out, config, mode) == expected;
   };
   if (matches()) co_return;
   ++t.integrity().mismatches;
@@ -451,9 +454,10 @@ Task<void> raw_ring_reduce_scatter_steps(T t, std::span<float> acc,
     const Range send_r = ring_block_range(acc.size(), n, rs_send_block(idx, step, n));
     const Range recv_r = ring_block_range(acc.size(), n, rs_recv_block(idx, step, n));
     send_floats_checked(t, next, kTagReduceScatter + step,
-                        acc.subspan(send_r.begin, send_r.size()), config);
+                        acc.subspan(send_r.begin, send_r.size()), config, Mode::kSingleThread);
     recv_buf.resize(recv_r.size());
-    co_await recv_floats_checked(t, prev, kTagReduceScatter + step, recv_buf, config);
+    co_await recv_floats_checked(t, prev, kTagReduceScatter + step, recv_buf, config,
+                                 Mode::kSingleThread);
     reduce_into(t, acc, recv_buf, recv_r.begin, config, Mode::kSingleThread);
   }
 }
@@ -470,9 +474,10 @@ Task<void> raw_ring_allgather_steps(T t, std::span<float> buf, const std::vector
     const Range send_r = ring_block_range(buf.size(), n, ag_send_block(idx, step, n));
     const Range recv_r = ring_block_range(buf.size(), n, ag_recv_block(idx, step, n));
     send_floats_checked(t, next, kTagAllgather + step, buf.subspan(send_r.begin, send_r.size()),
-                        config);
+                        config, Mode::kSingleThread);
     co_await recv_floats_checked(t, prev, kTagAllgather + step,
-                                 buf.subspan(recv_r.begin, recv_r.size()), config);
+                                 buf.subspan(recv_r.begin, recv_r.size()), config,
+                                 Mode::kSingleThread);
   }
 }
 
@@ -521,10 +526,11 @@ Task<void> raw_allreduce_recursive_doubling(T t, std::span<const float> input,
   // Fold phase: even ranks of each folded pair hand their data to the odd one.
   if (d.folded_pair) {
     if (rank % 2 == 0) {
-      send_floats_checked(t, rank + 1, kTagFold, acc, config);
+      send_floats_checked(t, rank + 1, kTagFold, acc, config, Mode::kSingleThread);
     } else {
       std::vector<float> incoming(acc.size());
-      co_await recv_floats_checked(t, rank - 1, kTagFold, incoming, config);
+      co_await recv_floats_checked(t, rank - 1, kTagFold, incoming, config,
+                                   Mode::kSingleThread);
       reduce_into(t, acc, incoming, 0, config, Mode::kSingleThread);
     }
   }
@@ -534,8 +540,9 @@ Task<void> raw_allreduce_recursive_doubling(T t, std::span<const float> input,
     int step = 0;
     for (int mask = 1; mask < d.p2; mask <<= 1, ++step) {
       const int partner = d.real_rank(d.active ^ mask);
-      send_floats_checked(t, partner, kTagStep + step, acc, config);
-      co_await recv_floats_checked(t, partner, kTagStep + step, incoming, config);
+      send_floats_checked(t, partner, kTagStep + step, acc, config, Mode::kSingleThread);
+      co_await recv_floats_checked(t, partner, kTagStep + step, incoming, config,
+                                   Mode::kSingleThread);
       reduce_into(t, acc, incoming, 0, config, Mode::kSingleThread);
     }
   }
@@ -543,9 +550,10 @@ Task<void> raw_allreduce_recursive_doubling(T t, std::span<const float> input,
   // Unfold phase: the folded even ranks receive the finished result.
   if (d.folded_pair) {
     if (rank % 2 == 0) {
-      co_await recv_floats_checked(t, rank + 1, kTagUnfold, acc, config);
+      co_await recv_floats_checked(t, rank + 1, kTagUnfold, acc, config,
+                                   Mode::kSingleThread);
     } else {
-      send_floats_checked(t, rank - 1, kTagUnfold, acc, config);
+      send_floats_checked(t, rank - 1, kTagUnfold, acc, config, Mode::kSingleThread);
     }
   }
   out_full = std::move(acc);
@@ -579,11 +587,13 @@ Task<void> raw_allreduce_rabenseifner(T t, std::span<const float> input,
     const size_t send_lo = keep_low ? mid : lo;
     const size_t send_hi = keep_low ? hi : mid;
     send_floats_checked(t, partner, kTagStep + step,
-                        std::span<const float>(acc).subspan(send_lo, send_hi - send_lo), config);
+                        std::span<const float>(acc).subspan(send_lo, send_hi - send_lo), config,
+                        Mode::kSingleThread);
     lo = keep_low ? lo : mid;
     hi = keep_low ? mid : hi;
     incoming.resize(hi - lo);
-    co_await recv_floats_checked(t, partner, kTagStep + step, incoming, config);
+    co_await recv_floats_checked(t, partner, kTagStep + step, incoming, config,
+                                 Mode::kSingleThread);
     reduce_into(t, acc, incoming, lo, config, Mode::kSingleThread);
   }
 
@@ -594,13 +604,14 @@ Task<void> raw_allreduce_rabenseifner(T t, std::span<const float> input,
     const auto [parent_lo, parent_hi] = splits.back();
     splits.pop_back();
     send_floats_checked(t, partner, kTagStep + step,
-                        std::span<const float>(acc).subspan(lo, hi - lo), config);
+                        std::span<const float>(acc).subspan(lo, hi - lo), config,
+                        Mode::kSingleThread);
     // Holding the lower half, the partner supplies [hi, parent_hi).
     const size_t recv_lo = lo == parent_lo ? hi : parent_lo;
     const size_t recv_hi = lo == parent_lo ? parent_hi : lo;
     co_await recv_floats_checked(t, partner, kTagStep + step,
                                  std::span<float>(acc).subspan(recv_lo, recv_hi - recv_lo),
-                                 config);
+                                 config, Mode::kSingleThread);
     lo = parent_lo;
     hi = parent_hi;
   }
@@ -625,9 +636,10 @@ Task<bool> intra_node_reduce(T t, std::span<const float> input, const NodeGroups
   const int rank = t.rank();
   const int leader = g.node_members.front();
   if (rank != leader) {
-    send_floats_checked(t, leader, kTagIntraReduce + rank, input, config);
+    send_floats_checked(t, leader, kTagIntraReduce + rank, input, config, reduce_mode);
     out_full.resize(input.size());
-    co_await recv_floats_checked(t, leader, kTagIntraBcast + rank, out_full, config);
+    co_await recv_floats_checked(t, leader, kTagIntraBcast + rank, out_full, config,
+                                 reduce_mode);
     co_return false;
   }
 
@@ -636,7 +648,8 @@ Task<bool> intra_node_reduce(T t, std::span<const float> input, const NodeGroups
   for (size_t m = 1; m < g.node_members.size(); ++m) {
     const int member = g.node_members[m];
     incoming.resize(input.size());
-    co_await recv_floats_checked(t, member, kTagIntraReduce + member, incoming, config);
+    co_await recv_floats_checked(t, member, kTagIntraReduce + member, incoming, config,
+                                 reduce_mode);
     reduce_into(t, acc, incoming, 0, config, reduce_mode);
   }
   co_return true;
@@ -645,10 +658,10 @@ Task<bool> intra_node_reduce(T t, std::span<const float> input, const NodeGroups
 /// The leader's last step: the finished vector to every node member.
 template <Transport T>
 void intra_node_bcast(T& t, const NodeGroups& g, std::span<const float> out_full,
-                      const CollectiveConfig& config) {
+                      const CollectiveConfig& config, Mode reduce_mode) {
   for (size_t m = 1; m < g.node_members.size(); ++m) {
     send_floats_checked(t, g.node_members[m], kTagIntraBcast + g.node_members[m], out_full,
-                        config);
+                        config, reduce_mode);
   }
 }
 
@@ -667,7 +680,7 @@ Task<void> raw_allreduce_two_level(T t, std::span<const float> input,
     co_await raw_ring_allgather_steps(t, acc, g.leaders, g.my_leader_idx, config);
   }
   out_full = std::move(acc);
-  intra_node_bcast(t, g, out_full, config);
+  intra_node_bcast(t, g, out_full, config, Mode::kSingleThread);
 }
 
 // ---------------------------------------------------------------------------
@@ -789,12 +802,15 @@ Task<void> ccoll_allreduce(T t, std::span<const float> input, std::vector<float>
 // ---------------------------------------------------------------------------
 
 /// Homomorphic ring reduce-scatter over an explicit member list (virtual
-/// ranks, members[idx] is this rank); returns the reduced owned block still
+/// ranks, members[idx] is this rank), starting from this rank's input
+/// already compressed into one block per member (compress_all_blocks over
+/// `total_elements` values); returns the reduced owned block still
 /// compressed.  The flat collective passes the identity list; the two-level
 /// allreduce passes the node leaders, so the inter-node ring runs unchanged
 /// over a subset.
 template <Transport T>
-Task<CompressedBuffer> reduce_scatter_compressed_members(T t, std::span<const float> input,
+Task<CompressedBuffer> reduce_scatter_compressed_members(T t, std::vector<CompressedBuffer> blocks,
+                                                         size_t total_elements,
                                                          const std::vector<int>& members,
                                                          int idx, const CollectiveConfig& config,
                                                          HzPipelineStats* pipeline_stats) {
@@ -804,7 +820,6 @@ Task<CompressedBuffer> reduce_scatter_compressed_members(T t, std::span<const fl
   // Every per-round buffer — compressed partials, hz_add outputs, degraded
   // re-encodes — cycles through the transport's pool, so warm rounds
   // perform no heap allocation.
-  std::vector<CompressedBuffer> blocks = compress_all_blocks(t, input, n, config);
   std::vector<float> scratch;  // degraded-round scratch, reused across rounds
 
   for (int step = 0; step < n - 1; ++step) {
@@ -816,7 +831,7 @@ Task<CompressedBuffer> reduce_scatter_compressed_members(T t, std::span<const fl
     // recycled immediately.
     t.pool().release(std::move(sent.bytes));
 
-    const Range recv_r = ring_block_range(input.size(), n, recv_idx);
+    const Range recv_r = ring_block_range(total_elements, n, recv_idx);
     co_await combine_from(t, blocks[static_cast<size_t>(recv_idx)], recv_r.size(), prev,
                           kTagReduceScatter + step, config, pipeline_stats, scratch);
   }
@@ -861,8 +876,9 @@ Task<CompressedBuffer> hzccl_reduce_scatter_compressed(T t, std::span<const floa
                                                        HzPipelineStats* pipeline_stats) {
   require_sum(config);
   const std::vector<int> members = identity_members(t.size());
-  co_return co_await reduce_scatter_compressed_members(t, input, members, t.rank(), config,
-                                                       pipeline_stats);
+  co_return co_await reduce_scatter_compressed_members(
+      t, compress_all_blocks(t, input, t.size(), config), input.size(), members, t.rank(), config,
+      pipeline_stats);
 }
 
 template <Transport T>
@@ -1038,6 +1054,40 @@ Task<void> hzccl_allreduce_rabenseifner(T t, std::span<const float> input,
   decode_all_blocks(t, blocks, input.size(), out_full, config);
 }
 
+/// The two-level hZ leader's inter-node ring blocks: the node-local sum
+/// `acc` compressed once.  Members ship raw floats, which carry no decode
+/// layer (and, with verify off, no digest trailer), so under a link-fault
+/// plan a payload scribbled on the wire can reach the sum and push it out of
+/// the quantization domain.  Healed the way a stream that does not decode
+/// is: before any inter-node send, the leader refetches each member's
+/// pristine intra-node payload (Refetch::kRawFallback), rebuilds the sum and
+/// compresses once more; a second failure — the data itself is out of
+/// domain — propagates.  Without a fault plan this is compress_all_blocks.
+template <Transport T>
+std::vector<CompressedBuffer> compress_leader_blocks(T& t, std::span<const float> input,
+                                                     const NodeGroups& g, std::vector<float>& acc,
+                                                     const CollectiveConfig& config) {
+  const int nblocks = static_cast<int>(g.leaders.size());
+  try {
+    return compress_all_blocks(t, acc, nblocks, config);
+  } catch (const Error&) {
+    if (!t.faults().enabled()) throw;
+  }
+  acc = working_copy(t, input, config);
+  std::vector<float> pristine(input.size());
+  for (size_t m = 1; m < g.node_members.size(); ++m) {
+    const int member = g.node_members[m];
+    const std::vector<uint8_t> bytes =
+        t.refetch(member, kTagIntraReduce + member, simmpi::Comm::Refetch::kRawFallback);
+    if (bytes.size() != input.size_bytes()) {
+      throw FormatError("pristine raw payload size does not match the receive buffer");
+    }
+    std::memcpy(pristine.data(), bytes.data(), bytes.size());
+    reduce_into(t, acc, pristine, 0, config, config.mode);
+  }
+  return compress_all_blocks(t, acc, nblocks, config);
+}
+
 /// hZCCL two-level: the compressed ring among the node leaders — the flat
 /// algorithm verbatim over the leader subset.  The two-level variant
 /// re-quantizes the node-local float sums (reduced at config.mode), so it is
@@ -1054,12 +1104,13 @@ Task<void> hzccl_allreduce_two_level(T t, std::span<const float> input,
     out_full = std::move(acc);
   } else {
     CompressedBuffer owned = co_await reduce_scatter_compressed_members(
-        t, acc, g.leaders, g.my_leader_idx, config, pipeline_stats);
+        t, compress_leader_blocks(t, input, g, acc, config), input.size(), g.leaders,
+        g.my_leader_idx, config, pipeline_stats);
     co_await allgather_compressed_members(t, owned, acc.size(), out_full, g.leaders,
                                           g.my_leader_idx, config);
     t.pool().release(std::move(owned.bytes));
   }
-  intra_node_bcast(t, g, out_full, config);
+  intra_node_bcast(t, g, out_full, config, config.mode);
 }
 
 }  // namespace hzccl::coll::body

@@ -19,7 +19,11 @@
 // encode_block_prepared and decode_block check their arguments, then run
 // the whole block — sign plane, byte planes and remainder — through one
 // kernel-table call (kernels::KernelTable::encode_block / decode_block),
-// which picks the widest byte-identical variant the host supports.
+// which picks the widest byte-identical variant the host supports.  The
+// fused decodes (decode_block_dequantize, decode_block_fold,
+// decode_blocks_combine) make decode_block's checks and then one call to
+// the matching fused slot, which consumes the residuals without storing
+// them.
 //
 // c == 0xFF marks a *raw* block: the n original floats stored verbatim
 // (little-endian), the fallback encoders use for values the quantized
@@ -89,6 +93,31 @@ uint8_t* encode_block_prepared(const uint32_t* magnitudes, const uint32_t* sign_
 /// the kRawBlockMarker byte before decoding).
 const uint8_t* decode_block(const uint8_t* src, const uint8_t* end, size_t n,
                             int32_t* residuals);
+
+/// Decode one residual block of `n` values from [src, end) and dequantize
+/// its prefix-sum chain (fZ-light decompression): *q is the chain value
+/// before the block and leaves as the value after it, and out[j] =
+/// float(double(q_j) * twice_eb).  Returns the first byte past the block.
+/// Makes decode_block's checks with its errors; a constant block (code
+/// length 0) is the caller's fast path and throws ParseError here, as a raw
+/// block does.
+const uint8_t* decode_block_dequantize(const uint8_t* src, const uint8_t* end, size_t n,
+                                       double twice_eb, int64_t* q, float* out);
+
+/// Decode one residual block and fold its chain into an ABFT digest pair
+/// (hzccl/integrity/digest.hpp) at 1-based position `pos`: *q in and out
+/// as for decode_block_dequantize.  Same checks and errors.
+const uint8_t* decode_block_fold(const uint8_t* src, const uint8_t* end, size_t n, uint64_t pos,
+                                 int64_t* q, uint64_t* sum, uint64_t* wsum);
+
+/// Decode one residual block from each operand and merge them, s = a +
+/// sign_b * b in int64, as the magnitude/sign split; returns the OR of all
+/// |s| (see kernels::DecodeCombineFn: above INT32_MAX the caller must throw
+/// before using mags/signs).  Both blocks get decode_block_dequantize's
+/// checks, a's first.
+uint64_t decode_blocks_combine(const uint8_t* pa, const uint8_t* ea, const uint8_t* pb,
+                               const uint8_t* eb, size_t n, int sign_b, uint32_t* mags,
+                               uint32_t* signs);
 
 /// Store `n` floats verbatim as a raw block; same [out, out_end) capacity
 /// contract as encode_block.

@@ -41,12 +41,15 @@
 // where SA = Σ_j (n − j)·r_j and SB = Σ_j (T − j(j−1)/2)·r_j (0-based j),
 // and the chain leaves the block at q + Σ r_j.  The sums are exact in
 // int64 for |r| < 2^31 and n ≤ 512, and the combination wraps mod 2^64,
-// so the words equal the per-value loop's.  The kernel table's
-// digest_block slot computes it (kernels/dispatch.hpp).
+// so the words equal the per-value loop's.  The kernel table's decode_fold
+// slot computes it inside the block decode, from the residuals while they
+// are still in registers (kernels/dispatch.hpp), so the verify walk never
+// stores a decoded block.
 //
 // Everything here is trivially copyable, allocation-free and HZCCL_HOT —
-// digest emission rides the compressors' existing per-block loops and
-// folding is O(1) per chunk.
+// digest emission rides the compressors' existing per-block loops, summing
+// each block in locals and adding to the digest once per block
+// (accumulate_block), and folding is O(1) per chunk.
 #pragma once
 
 #include <cstddef>
@@ -69,6 +72,23 @@ struct Digest {
     const uint64_t u = static_cast<uint64_t>(q);
     sum += u;
     wsum += pos * u;
+  }
+
+  /// Fold the chain values q[0, n) at positions [pos, pos + n) (1-based),
+  /// summed in locals and added once: the compressor's per-block emission.
+  /// Through the member words a per-value loop could neither vectorize nor
+  /// keep its sums in registers, since q may alias them as far as the
+  /// compiler knows (int64_t and uint64_t may alias).
+  HZCCL_HOT void accumulate_block(const int64_t* q, size_t n, uint64_t pos) {
+    uint64_t s = 0;
+    uint64_t w = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t u = static_cast<uint64_t>(q[i]);
+      s += u;
+      w += (pos + i) * u;
+    }
+    sum += s;
+    wsum += w;
   }
 
   /// Fold a run of `n` identical values at positions [pos, pos + n)

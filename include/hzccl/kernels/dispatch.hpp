@@ -3,25 +3,33 @@
 // The compressors and homomorphic operators do all of their per-element work
 // through a handful of primitives: the whole-block fixed-length codec (paper
 // §III-B3: a sign plane, c/8 byte planes and one x-bit remainder plane per
-// block, decoded or encoded in one call), the quantized-delta merge at the
-// heart of hz_add (§III-C), fZ-light's fused block pass — raw-fallback
-// classification, quantization and 1-D Lorenzo prediction in one walk over
-// the block (§III-B2) — SZx's min/max scan, and the ABFT digest fold of the
-// verify walk.  The transport adds one more: the CRC-32C every wire frame
-// carries.  This header exposes those primitives as a table of function
-// pointers with one table per *dispatch level*:
+// block, decoded or encoded in one call), fZ-light's fused block pass —
+// raw-fallback classification, quantization and 1-D Lorenzo prediction in
+// one walk over the block (§III-B2) — and its three fused decodes, each of
+// which decodes a block and consumes its residuals while they are still in
+// registers: prefix sum and dequantize (decompression, the block pass run
+// backwards), the ABFT digest fold (the verify walk), and the two-operand
+// quantized-delta merge at the heart of hz_add's pipeline 4 (§III-C).  SZx's
+// min/max scan and the CRC-32C every wire frame carries complete the set.
+// This header exposes those primitives as a table of function pointers with
+// one table per *dispatch level*:
 //
 //   kScalar — the portable C++ reference.  Always compiled, always
 //             supported; it is both the fallback and the oracle every
 //             vectorized variant is differentially tested against
-//             (tests/kernel_conformance_test.cpp).
+//             (tests/kernel_conformance_test.cpp).  Its fused decodes are
+//             the scalar block decode followed by the scalar consumer.
 //   kAvx2   — AVX2 + BMI2 + SSE4.2: the block codec on 8-value PDEP/PEXT
-//             groups, the vector classify and predict of the fused block
+//             groups (the fused decodes run it into a stack block, then the
+//             consumer), the vector classify and predict of the fused block
 //             pass, and the hardware crc32 instruction.
 //   kAvx512 — AVX-512 (F/BW/DQ/VL/VBMI): the block codec on 32-value groups
-//             (VPERMB + VPMULTISHIFTQB remainder planes), 8-lane int64
-//             merge, and the fused block pass in one masked walk (VCVTPD2QQ,
-//             the exact llrint, with the predecessor lane from VALIGND).
+//             (VPERMB + VPMULTISHIFTQB remainder planes), with one group
+//             decoder shared by decode_block and the three fused decodes
+//             (in-register int64 scan + VCVTQQ2PD dequantize, closed-form
+//             digest sums, int64 merge), and the fused block pass in one
+//             masked walk (VCVTPD2QQ, the exact llrint, with the
+//             predecessor lane from VALIGND).
 //
 // Contract: every variant produces byte-identical output to the scalar
 // reference on identical input — including sign conventions, guard
@@ -54,13 +62,6 @@ inline constexpr int kNumDispatchLevels = 3;
 /// consumes 8 bytes per step).
 inline constexpr size_t kCrc32cLaneBytes = 1024;
 
-/// Residual merge: s = ra[i] + sign_b * rb[i] in int64, emitting the
-/// magnitude/sign split the fixed-length encoder consumes.  Returns the OR
-/// of all |s| (64-bit): <= INT32_MAX means every element fit and the value
-/// doubles as the code-length source; above that the caller must throw
-/// before using mags/signs.
-using CombineFn = uint64_t (*)(const int32_t* ra, const int32_t* rb, size_t n, int sign_b,
-                               uint32_t* mags, uint32_t* signs);
 /// Raw-fallback verdict of the fused block pass, decided exactly as
 /// classify_raw_block (hzccl/stats/metrics.hpp) decides it: any NaN or
 /// infinity makes the block non-finite; otherwise more than n/2 subnormal
@@ -115,26 +116,47 @@ using DecodeBlockFn = void (*)(const uint8_t* payload, size_t n, int code_len,
 /// the payload bytes DecodeBlockFn reads, nothing past them.
 using EncodeBlockFn = void (*)(const uint32_t* mags, const uint32_t* signs, size_t n,
                                int code_len, uint8_t* payload);
-/// ABFT digest fold of one residual block (hzccl/integrity/digest.hpp): the
-/// chain runs q_j = q + r_0 + ... + r_j at 1-based position pos + j, and
-/// each q_j is added to *sum and (pos + j) * q_j to *wsum, mod 2^64.
-/// Returns the chain value after the block.  Contract: n <= kMaxBlockValues
-/// and every |r| < 2^31.
-using DigestBlockFn = int64_t (*)(const int32_t* residuals, size_t n, int64_t q, uint64_t pos,
-                                  uint64_t* sum, uint64_t* wsum);
+/// The fused decodes below take one residual block's payload exactly as
+/// DecodeBlockFn does (code length c in 1..31, n <= kMaxBlockValues, the
+/// caller has checked c, n and the length), read exactly its bytes, and use
+/// the signed residuals r_0..r_{n-1} without storing them.
+///
+/// Decode, prefix sum and dequantize (fZ-light decompression): with the
+/// chain q_j = q + r_0 + ... + r_j in int64, writes exactly n floats
+/// out[j] = (float)((double)q_j * twice_eb) — the bits
+/// Quantizer::dequantize produces, both conversions rounding under MXCSR.
+/// Returns the chain value after the block, q_{n-1}.
+using DecodeDequantizeFn = int64_t (*)(const uint8_t* payload, size_t n, int code_len, int64_t q,
+                                       double twice_eb, float* out);
+/// Decode and ABFT digest fold (hzccl/integrity/digest.hpp, the verify
+/// walk): each chain value q_j at 1-based position pos + j is added to *sum
+/// and (pos + j) * q_j to *wsum, mod 2^64 (the closed form; the words equal
+/// the per-value loop's).  Returns the chain value after the block.
+using DecodeFoldFn = int64_t (*)(const uint8_t* payload, size_t n, int code_len, int64_t q,
+                                 uint64_t pos, uint64_t* sum, uint64_t* wsum);
+/// Decode two blocks and merge them (hZ-dynamic pipeline 4): s_j = a_j +
+/// sign_b * b_j in int64, written as the magnitude/sign split the encoder
+/// consumes (mags = low 32 bits of |s_j|, signs = 1 for negative).  Returns
+/// the OR of all |s_j| (64-bit): <= INT32_MAX means every lane fit and the
+/// value doubles as the code-length source; above that the caller must
+/// throw before using mags/signs.
+using DecodeCombineFn = uint64_t (*)(const uint8_t* payload_a, int code_len_a,
+                                     const uint8_t* payload_b, int code_len_b, size_t n,
+                                     int sign_b, uint32_t* mags, uint32_t* signs);
 
 /// One dispatch level's kernel set.  Entries a level does not
 /// hand-vectorize alias the next-lower level's function, so every slot of a
 /// supported table is callable.
 struct KernelTable {
   DispatchLevel level = DispatchLevel::kScalar;
-  CombineFn hz_combine_residuals = nullptr;
   QuantizePredictFn fz_quantize_predict = nullptr;
   SzxScanFn szx_scan = nullptr;
   Crc32cFn crc32c = nullptr;
   DecodeBlockFn decode_block = nullptr;
   EncodeBlockFn encode_block = nullptr;
-  DigestBlockFn digest_block = nullptr;
+  DecodeDequantizeFn decode_dequantize = nullptr;
+  DecodeFoldFn decode_fold = nullptr;
+  DecodeCombineFn decode_combine = nullptr;
 };
 
 /// "scalar" / "avx2" / "avx512".

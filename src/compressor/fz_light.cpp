@@ -75,12 +75,10 @@ HZCCL_HOT size_t compress_chunk(std::span<const float> data, Range range, uint32
     }
     q_prev = static_cast<int32_t>(qbuf[n - 1]);
     // ABFT digest: the decoder's chain value at element i is exactly
-    // qbuf[i], so the digest folds straight off the quantization buffer.
-    // Raw blocks (above) sit outside the chain and contribute nothing.
-    if (digest) {
-      const uint64_t base = static_cast<uint64_t>(pos - range.begin) + 1;
-      for (size_t i = 0; i < n; ++i) digest->accumulate(qbuf[i], base + i);
-    }
+    // qbuf[i], so the digest folds straight off the quantization buffer,
+    // once per block.  Raw blocks (above) sit outside the chain and
+    // contribute nothing.
+    if (digest) digest->accumulate_block(qbuf, n, static_cast<uint64_t>(pos - range.begin) + 1);
     if (s.max_mag == 0) {
       // Constant block: one code-length byte, no sign/magnitude work at all
       // (the quiet-data fast path that dominates scientific fields).
@@ -104,7 +102,6 @@ HZCCL_HOT void decompress_chunk(const FzView& view, const Quantizer& quant, uint
   const uint8_t* src = chunk.data();
   const uint8_t* const end = src + chunk.size();
 
-  int32_t rbuf[kMaxWireBlockLen];
   // 64-bit accumulator: homomorphically reduced streams may sum many
   // operands, and the running quantized value must not wrap.
   int64_t q = view.chunk_outliers[c];
@@ -128,14 +125,12 @@ HZCCL_HOT void decompress_chunk(const FzView& view, const Quantizer& quant, uint
       pos += n;
       continue;
     }
-    src = decode_block(src, end, n, rbuf);
-    // The chunk's first residual is zero by construction (q0 - q0), and
-    // a sum of homomorphic streams keeps it zero, so the generic
-    // prefix-sum loop is exact for every element including the first.
-    for (size_t i = 0; i < n; ++i) {
-      q += rbuf[i];
-      out[pos + i] = quant.dequantize(q);
-    }
+    // Decode, prefix sum and dequantize in one slot call, the residuals
+    // never leaving registers.  The chunk's first residual is zero by
+    // construction (q0 - q0), and a sum of homomorphic streams keeps it
+    // zero, so the generic prefix sum is exact for every element including
+    // the first.
+    src = decode_block_dequantize(src, end, n, quant.twice_eb, &q, out + pos);
     pos += n;
   }
   if (src != end) {
@@ -146,17 +141,15 @@ HZCCL_HOT void decompress_chunk(const FzView& view, const Quantizer& quant, uint
 /// Recompute one chunk's digest from its encoded residual chain.  Integer
 /// domain only — the walk mirrors decompress_chunk but never converts to
 /// floats; constant blocks fold in O(1) and residual blocks through the
-/// digest_block kernel (closed form, no per-value prefix sum).  A
-/// standalone HZCCL_HOT root so tools/analyze proves the verify pass
-/// allocation- and throw-free.
+/// decode-fold slot (decoded and folded in registers, closed form, no
+/// per-value prefix sum).  A standalone HZCCL_HOT root so tools/analyze
+/// proves the verify pass allocation- and throw-free.
 HZCCL_HOT integrity::Digest verify_chunk_digest(const FzView& view, uint32_t block_len, Range r,
                                                 uint32_t c) {
   const auto chunk = view.chunk_payload(c);
   const uint8_t* src = chunk.data();
   const uint8_t* const end = src + chunk.size();
 
-  int32_t rbuf[kMaxWireBlockLen];
-  const kernels::KernelTable& k = kernels::active();
   integrity::Digest digest;
   int64_t q = view.chunk_outliers[c];
   uint64_t pos = 1;  // 1-based chunk-local position
@@ -170,8 +163,7 @@ HZCCL_HOT integrity::Digest verify_chunk_digest(const FzView& view, uint32_t blo
       ++src;
       digest.accumulate_run(q, pos, n);
     } else {
-      src = decode_block(src, end, n, rbuf);
-      q = k.digest_block(rbuf, n, q, pos, &digest.sum, &digest.wsum);
+      src = decode_block_fold(src, end, n, pos, &q, &digest.sum, &digest.wsum);
     }
     pos += n;
     remaining -= n;

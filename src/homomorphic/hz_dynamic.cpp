@@ -7,7 +7,6 @@
 #include "hzccl/compressor/fixed_len.hpp"
 #include "hzccl/compressor/quantize.hpp"
 #include "hzccl/integrity/sdc.hpp"
-#include "hzccl/kernels/dispatch.hpp"
 #include "hzccl/util/contracts.hpp"
 #include "hzccl/util/raise.hpp"
 #include "hzccl/util/threading.hpp"
@@ -33,8 +32,6 @@ HZCCL_HOT size_t combine_chunk(std::span<const uint8_t> ca, std::span<const uint
   const uint8_t* pb = cb.data();
   const uint8_t* const eb = pb + cb.size();
 
-  int32_t ra[kMaxWireBlockLen];
-  int32_t rb[kMaxWireBlockLen];
   uint32_t mags[kMaxWireBlockLen];
   uint32_t signs[kMaxWireBlockLen];
 
@@ -77,11 +74,10 @@ HZCCL_HOT size_t combine_chunk(std::span<const uint8_t> ca, std::span<const uint
       stats.copied_bytes += size_a;
     } else {
       // Pipeline 4: partial decode (IFE), integer combine, re-encode (FE).
-      // The merge runs through the dispatched kernel; its guard (OR of all
-      // |s|) range-checks the whole block with one compare.
-      decode_block(pa, ea, n, ra);
-      decode_block(pb, eb, n, rb);
-      const uint64_t guard = kernels::active().hz_combine_residuals(ra, rb, n, Sign, mags, signs);
+      // Both decodes and the merge are one dispatched slot call, the
+      // residuals never leaving registers; its guard (OR of all |s|)
+      // range-checks the whole block with one compare.
+      const uint64_t guard = decode_blocks_combine(pa, ea, pb, eb, n, Sign, mags, signs);
       if (guard > static_cast<uint64_t>(std::numeric_limits<int32_t>::max())) {
         detail::raise_overflow("residual sum overflows the 31-bit magnitude domain");
       }
@@ -154,8 +150,11 @@ HZCCL_HOT size_t combine_chunk_raw(std::span<const uint8_t> ca, std::span<const 
       // tracked chain here.  Folding operand digests algebraically would be
       // wrong when the operands' raw-block patterns differ — a residual
       // operand's contribution at positions that become raw output blocks
-      // must not appear in the result's digest.
+      // must not appear in the result's digest.  The chain values are
+      // summed in locals and added to the digest once per block.
       const uint64_t base = static_cast<uint64_t>(chunk_elems - remaining) + 1;
+      uint64_t dsum = 0;
+      uint64_t dwsum = 0;
       uint32_t max_mag = 0;
       for (size_t i = 0; i < n; ++i) {
         qa += ra[i];
@@ -167,13 +166,15 @@ HZCCL_HOT size_t combine_chunk_raw(std::span<const uint8_t> ca, std::span<const 
           detail::raise_overflow("residual sum overflows the 31-bit magnitude domain");
         }
         q_out = target;
-        if (digest) digest->accumulate(q_out, base + i);
+        dsum += static_cast<uint64_t>(q_out);
+        dwsum += (base + i) * static_cast<uint64_t>(q_out);
         const uint32_t neg = static_cast<uint32_t>(s < 0);
         const uint32_t mag = neg ? static_cast<uint32_t>(-s) : static_cast<uint32_t>(s);
         mags[i] = mag;
         signs[i] = neg;
         max_mag |= mag;
       }
+      if (digest) *digest += integrity::Digest{dsum, dwsum};
       if (max_mag == 0) {
         if (out >= out_end) detail::raise_capacity("hz combine: chunk output capacity exceeded");
         *out++ = 0;

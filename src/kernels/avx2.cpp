@@ -7,8 +7,10 @@
 // pass's classification and prediction (around the scalar llrint: AVX2 has
 // no exact packed double->int64 convert), and the three-lane SSE4.2
 // CRC-32C (-mavx2 implies -msse4.2; the CPU probe checks sse4.2
-// explicitly).  The integer merge body and the closed-form digest fold are
-// recompiled under AVX2 so the auto-vectorizer retargets them.
+// explicitly).  The fused decodes run the PDEP/PEXT block decode into a
+// stack block, then the dequantize loop, the closed-form digest fold or the
+// integer merge, recompiled under AVX2 so the auto-vectorizer retargets
+// them.
 #include "hzccl/kernels/dispatch.hpp"
 #include "kernel_impls.hpp"
 
@@ -16,29 +18,16 @@ namespace hzccl::kernels::detail {
 
 #if defined(__AVX2__) && defined(__BMI2__)
 
-namespace {
-
-HZCCL_HOT uint64_t combine_avx2(const int32_t* ra, const int32_t* rb, size_t n, int sign_b,
-                                uint32_t* mags, uint32_t* signs) {
-  return combine_body(ra, rb, n, sign_b, mags, signs);
-}
-
-HZCCL_HOT int64_t digest_block_avx2(const int32_t* residuals, size_t n, int64_t q, uint64_t pos,
-                                    uint64_t* sum, uint64_t* wsum) {
-  return digest_block_body(residuals, n, q, pos, sum, wsum);
-}
-
-}  // namespace
-
 bool populate_avx2(KernelTable& t) {
   t.level = DispatchLevel::kAvx2;
-  t.hz_combine_residuals = &combine_avx2;
   t.fz_quantize_predict = &quantize_predict_avx2_body;
   t.szx_scan = &szx_scan_avx2_body;
   t.crc32c = &crc32c_sse42_body;
   t.decode_block = &decode_block_avx2_body;
   t.encode_block = &encode_block_avx2_body;
-  t.digest_block = &digest_block_avx2;
+  t.decode_dequantize = &decode_dequantize_avx2_body;
+  t.decode_fold = &decode_fold_avx2_body;
+  t.decode_combine = &decode_combine_avx2_body;
   return true;
 }
 

@@ -2,10 +2,11 @@
 // flag set (see CMakeLists.txt); stubs out when the compiler lacks them.
 //
 // Hand-vectorized here: the whole-block codec on 32-value groups (the
-// fixed-length block's size; VPERMB + VPMULTISHIFTQB remainder unpack), the
-// closed-form digest fold, the 8-lane int64 residual merge, the 16-lane
-// SZx scan, and the fused block pass in one masked walk (VCVTPD2QQ, the
-// exact llrint equivalent).  The SSE4.2 CRC-32C comes from the AVX2 table
+// fixed-length block's size; VPERMB + VPMULTISHIFTQB remainder unpack),
+// whose one group decoder also feeds the three fused decodes (in-register
+// int64 scan and dequantize, the closed-form digest sums, the 8-lane int64
+// residual merge), the 16-lane SZx scan, and the fused block pass in one
+// masked walk (VCVTPD2QQ, the exact llrint equivalent).  The SSE4.2 CRC-32C comes from the AVX2 table
 // through the overlay.
 #include "hzccl/kernels/dispatch.hpp"
 #include "kernel_impls.hpp"
@@ -18,12 +19,13 @@ namespace hzccl::kernels::detail {
 
 bool populate_avx512(KernelTable& t) {
   t.level = DispatchLevel::kAvx512;
-  t.hz_combine_residuals = &combine_avx512_body;
   t.fz_quantize_predict = &quantize_predict_avx512_body;
   t.szx_scan = &szx_scan_avx512_body;
   t.decode_block = &decode_block_avx512_body;
   t.encode_block = &encode_block_avx512_body;
-  t.digest_block = &digest_block_avx512_body;
+  t.decode_dequantize = &decode_dequantize_avx512_body;
+  t.decode_fold = &decode_fold_avx512_body;
+  t.decode_combine = &decode_combine_avx512_body;
   return true;
 }
 

@@ -7,11 +7,12 @@
 // on the including TU's ISA macros, so scalar.cpp (built with the project's
 // baseline flags) sees only the references, avx2.cpp adds the PDEP/PEXT
 // block codec and the SSE4.2 CRC-32C, and avx512.cpp adds the
-// VPERMB/VPMULTISHIFTQB block codec and the VCVTPD2QQ paths.  The integer
-// bodies (combine, and the scalar steps of the fused block pass) are shared
-// across all TUs on purpose: recompiling them under wider -m flags lets the
-// auto-vectorizer retarget them per level while the arithmetic — and
-// therefore the bytes — stays identical.
+// VPERMB/VPMULTISHIFTQB block codec, its fused decodes and the VCVTPD2QQ
+// paths.  The integer bodies (the residual merge, the digest fold, and the
+// scalar steps of the fused block pass) are shared across all TUs on
+// purpose: recompiling them under wider -m flags lets the auto-vectorizer
+// retarget them per level while the arithmetic — and therefore the bytes —
+// stays identical.
 // Everything here has internal linkage (the unnamed namespace below), so
 // each variant TU keeps its own copy: the linker can never fold a body two
 // TUs emit out of line into one copy that both tables then call (an AVX-512
@@ -455,6 +456,45 @@ inline HZCCL_HOT int64_t digest_block_body(const int32_t* residuals, size_t n, i
   return q + s0;
 }
 
+/// Prefix sum and dequantize of a decoded residual block: the chain
+/// q_j = q + r_0 + ... + r_j in int64, out[j] = Quantizer::dequantize(q_j).
+inline int64_t dequantize_body(const int32_t* residuals, size_t n, int64_t q, double twice_eb,
+                               float* out) {
+  for (size_t i = 0; i < n; ++i) {
+    q += residuals[i];
+    out[i] = static_cast<float>(static_cast<double>(q) * twice_eb);
+  }
+  return q;
+}
+
+// The fused decodes at the scalar level: the scalar block decode into a
+// stack block, then the scalar consumer.  These are the oracle.
+
+inline HZCCL_HOT int64_t decode_dequantize_scalar_body(const uint8_t* payload, size_t n, int c,
+                                                       int64_t q, double twice_eb, float* out) {
+  int32_t r[kMaxBlockValues];
+  decode_block_scalar_body(payload, n, c, r);
+  return dequantize_body(r, n, q, twice_eb, out);
+}
+
+inline HZCCL_HOT int64_t decode_fold_scalar_body(const uint8_t* payload, size_t n, int c,
+                                                 int64_t q, uint64_t pos, uint64_t* sum,
+                                                 uint64_t* wsum) {
+  int32_t r[kMaxBlockValues];
+  decode_block_scalar_body(payload, n, c, r);
+  return digest_block_scalar_body(r, n, q, pos, sum, wsum);
+}
+
+inline HZCCL_HOT uint64_t decode_combine_scalar_body(const uint8_t* pa, int ca, const uint8_t* pb,
+                                                     int cb, size_t n, int sign_b, uint32_t* mags,
+                                                     uint32_t* signs) {
+  int32_t ra[kMaxBlockValues];
+  int32_t rb[kMaxBlockValues];
+  decode_block_scalar_body(pa, n, ca, ra);
+  decode_block_scalar_body(pb, n, cb, rb);
+  return combine_body(ra, rb, n, sign_b, mags, signs);
+}
+
 // ---------------------------------------------------------------------------
 // AVX2 + BMI2: the PDEP/PEXT block codec, the SZx scan and the fused block
 // pass.
@@ -663,6 +703,34 @@ inline HZCCL_HOT void encode_block_avx2_body(const uint32_t* mags, const uint32_
   with_code_len<EncodeAvx2>(c, mags, signs, n, out);
 }
 
+// The fused decodes at AVX2: the PDEP/PEXT block decode into a stack block,
+// then the consumer recompiled under AVX2 (the dequantize loop, the
+// closed-form digest fold, the int64 merge).
+
+inline HZCCL_HOT int64_t decode_dequantize_avx2_body(const uint8_t* payload, size_t n, int c,
+                                                     int64_t q, double twice_eb, float* out) {
+  int32_t r[kMaxBlockValues];
+  decode_block_avx2_body(payload, n, c, r);
+  return dequantize_body(r, n, q, twice_eb, out);
+}
+
+inline HZCCL_HOT int64_t decode_fold_avx2_body(const uint8_t* payload, size_t n, int c, int64_t q,
+                                               uint64_t pos, uint64_t* sum, uint64_t* wsum) {
+  int32_t r[kMaxBlockValues];
+  decode_block_avx2_body(payload, n, c, r);
+  return digest_block_body(r, n, q, pos, sum, wsum);
+}
+
+inline HZCCL_HOT uint64_t decode_combine_avx2_body(const uint8_t* pa, int ca, const uint8_t* pb,
+                                                   int cb, size_t n, int sign_b, uint32_t* mags,
+                                                   uint32_t* signs) {
+  int32_t ra[kMaxBlockValues];
+  int32_t rb[kMaxBlockValues];
+  decode_block_avx2_body(pa, n, ca, ra);
+  decode_block_avx2_body(pb, n, cb, rb);
+  return combine_body(ra, rb, n, sign_b, mags, signs);
+}
+
 /// 8-lane SZx scan.  min/max are idempotent, so the tail is an *overlapping*
 /// full-width load ending at data[n) — no masked ops, no scalar epilogue.
 /// |v| is a sign-bit andnot; the final `+ 0.0f` canonicalization makes the
@@ -859,8 +927,8 @@ inline HZCCL_HOT uint32_t crc32c_sse42_body(const uint8_t* data, size_t n, uint3
 
 
 // ---------------------------------------------------------------------------
-// AVX-512 (F/BW/DQ/VL/VBMI): 8-lane int64 merge, the fused block pass, the
-// SZx scan, the whole-block codec and the closed-form digest fold.
+// AVX-512 (F/BW/DQ/VL/VBMI): the fused block pass, the SZx scan, the
+// whole-block codec and its three fused decodes.
 // ---------------------------------------------------------------------------
 #if defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512DQ__) && \
     defined(__AVX512VL__) && defined(__AVX512VBMI__) && defined(__AVX2__) &&  \
@@ -872,36 +940,6 @@ constexpr uint64_t multishift_ctrl(int x) {
   uint64_t c = 0;
   for (int k = 0; k < 8; ++k) c |= static_cast<uint64_t>(k * x) << (8 * k);
   return c;
-}
-
-template <int SIGN_B>
-inline uint64_t combine_avx512_loop(const int32_t* ra, const int32_t* rb, size_t n,
-                                    uint32_t* mags, uint32_t* signs) {
-  __m512i guard_acc = _mm512_setzero_si512();
-  const __m256i one32 = _mm256_set1_epi32(1);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i a = _mm512_cvtepi32_epi64(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ra + i)));
-    const __m512i b = _mm512_cvtepi32_epi64(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rb + i)));
-    const __m512i s = SIGN_B >= 0 ? _mm512_add_epi64(a, b) : _mm512_sub_epi64(a, b);
-    const __m512i mag = _mm512_abs_epi64(s);
-    guard_acc = _mm512_or_si512(guard_acc, mag);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(mags + i), _mm512_cvtepi64_epi32(mag));
-    const __mmask8 neg = _mm512_cmplt_epi64_mask(s, _mm512_setzero_si512());
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(signs + i),
-                        _mm256_maskz_mov_epi32(neg, one32));
-  }
-  uint64_t guard = static_cast<uint64_t>(_mm512_reduce_or_epi64(guard_acc));
-  if (i < n) guard |= combine_loop<SIGN_B>(ra + i, rb + i, n - i, mags + i, signs + i);
-  return guard;
-}
-
-inline HZCCL_HOT uint64_t combine_avx512_body(const int32_t* ra, const int32_t* rb, size_t n, int sign_b,
-                                    uint32_t* mags, uint32_t* signs) {
-  return sign_b >= 0 ? combine_avx512_loop<+1>(ra, rb, n, mags, signs)
-                     : combine_avx512_loop<-1>(ra, rb, n, mags, signs);
 }
 
 /// Lanes [0, k) of a 16-lane mask (k clamped to 16).
@@ -1065,6 +1103,9 @@ struct PlaneAssembly {
   std::array<uint8_t, 64> lo{};  ///< values 0..15 of a group
   std::array<uint8_t, 64> hi{};  ///< values 16..31
   uint64_t keep = 0;
+  /// All ones where byte plane k exists (k < planes), else zero: the
+  /// decoder's plane load masks and offset selects.
+  uint64_t present[3] = {};
 };
 
 constexpr std::array<PlaneAssembly, 4> make_plane_assembly() {
@@ -1078,6 +1119,7 @@ constexpr std::array<PlaneAssembly, 4> make_plane_assembly() {
       t[planes].hi[b] = static_cast<uint8_t>(column + value + 16);
       if (k <= planes) t[planes].keep |= uint64_t{1} << b;
     }
+    for (int k = 0; k < 3; ++k) t[planes].present[k] = k < planes ? ~uint64_t{0} : 0;
   }
   return t;
 }
@@ -1107,65 +1149,122 @@ inline __m512i load_bytes64(const std::array<uint8_t, 64>& a) {
 }
 
 /// Load/store masks of one 32-value group with t values: the values, the
-/// sign bytes and the x-bit remainder bytes.
+/// sign bytes and the x-bit remainder bytes; and, for the decoder's byte
+/// permutes, the bytes of values 0..15 and 16..31 that lie inside the
+/// group, intersected with the plane-presence mask (PlaneAssembly::keep).
 struct GroupMasks {
   __mmask32 values;
   __mmask16 sign_bytes;
   __mmask32 rem_bytes;
+  __mmask64 keep_lo = 0;
+  __mmask64 keep_hi = 0;
 };
 
-inline GroupMasks group_masks(size_t t, int x) {
-  return {low_mask32(t), static_cast<__mmask16>(low_mask32((t + 7) / 8)),
-          low_mask32((t * static_cast<size_t>(x) + 7) / 8)};
+/// Four mask bytes per value: a 16-lane dword mask as the matching byte mask.
+inline __mmask64 dword_bytes(uint32_t lanes16) {
+  return _pdep_u64(lanes16, 0x1111111111111111ull) * 0xF;
 }
+
+inline GroupMasks group_masks(size_t t, int x, __mmask64 keep = 0) {
+  const __mmask32 values = low_mask32(t);
+  return {values, static_cast<__mmask16>(low_mask32((t + 7) / 8)),
+          low_mask32((t * static_cast<size_t>(x) + 7) / 8), keep & dword_bytes(values & 0xFFFF),
+          keep & dword_bytes(values >> 16)};
+}
+
+/// group_masks(32, x, keep), with nothing to expand.
+inline GroupMasks full_group_masks(int x, __mmask64 keep = 0) {
+  return {0xFFFFFFFFu, 0xF, low_mask32(4 * static_cast<size_t>(x)), keep, keep};
+}
+
+/// A 32-value group's signed residuals: values 0..15 in `lo`, 16..31 in
+/// `hi`, one per dword lane.
+struct Group32 {
+  __m512i lo;
+  __m512i hi;
+};
+
+/// The whole-block decoder of one payload at code length c, written once
+/// for decode_block and the three fused decodes: the per-block constants,
+/// and group(i, masks(i)), the signed residuals of values [i, i + 32) in two
+/// registers, every lane past the block zero (the sign and remainder
+/// planes' padding bits past value n never reach a lane).  c is taken at
+/// run time with no branch on it: absent planes are loads under an all-zero
+/// mask, and the x-dependent permutes come from a table.  Every load is
+/// masked to the group's bytes, so a whole walk reads exactly the payload.
+class GroupDecoder {
+ public:
+  GroupDecoder(const uint8_t* src, size_t n, int c)
+      : src_(src),
+        n_(n),
+        x_(static_cast<int>(static_cast<unsigned>(c) % 8)),
+        base_((n + 7) / 8),
+        rem_(src + base_ + static_cast<size_t>(c / 8) * n),
+        assembly_(kPlaneAssembly[static_cast<unsigned>(c) / 8]),
+        idx_lo_(load_bytes64(assembly_.lo)),
+        idx_hi_(load_bytes64(assembly_.hi)),
+        gather_(load_bytes32(kRemPlane[x_].gather)),
+        shifts_(_mm256_set1_epi64x(static_cast<long long>(kRemPlane[x_].shifts))),
+        field_(_mm256_set1_epi8(static_cast<char>(kRemPlane[x_].field))),
+        full_(full_group_masks(x_, assembly_.keep)) {}
+
+  /// The masks of the group starting at value i.
+  GroupMasks masks(size_t i) const {
+    return i + 32 <= n_ ? full_ : group_masks(n_ - i, x_, assembly_.keep);
+  }
+
+  Group32 group(size_t i, const GroupMasks& m) const {
+    const uint32_t neg =
+        static_cast<uint32_t>(_mm_cvtsi128_si32(_mm_maskz_loadu_epi8(m.sign_bytes, src_ + i / 8))) &
+        m.values;
+    // Plane k present: an all-ones load mask and offset select; absent:
+    // both zero, so the load touches nothing and its address stays at src
+    // (no pointer past the payload is formed).  Table lookups, not
+    // branches: c varies block to block.
+    const auto plane = [&](int k) {
+      const uint64_t present = assembly_.present[k];
+      return _mm256_maskz_loadu_epi8(m.values & static_cast<uint32_t>(present),
+                                     src_ + (present & (base_ + static_cast<size_t>(k) * n_ + i)));
+    };
+    const __m256i b0 = plane(0);
+    const __m256i b1 = plane(1);
+    const __m256i b2 = plane(2);
+    const __m256i raw = _mm256_maskz_loadu_epi8(m.rem_bytes, rem_ + (i / 8) * x_);
+    const __m256i hi = _mm256_and_si256(
+        _mm256_multishift_epi64_epi8(shifts_, _mm256_permutexvar_epi8(gather_, raw)), field_);
+    const __m512i ta = _mm512_inserti64x4(_mm512_castsi256_si512(b0), b1, 1);
+    const __m512i tb = _mm512_inserti64x4(_mm512_castsi256_si512(b2), hi, 1);
+    const __m512i mag_lo = _mm512_maskz_permutex2var_epi8(m.keep_lo, ta, idx_lo_, tb);
+    const __m512i mag_hi = _mm512_maskz_permutex2var_epi8(m.keep_hi, ta, idx_hi_, tb);
+    const __m512i zero = _mm512_setzero_si512();
+    return {_mm512_mask_sub_epi32(mag_lo, static_cast<__mmask16>(neg), zero, mag_lo),
+            _mm512_mask_sub_epi32(mag_hi, static_cast<__mmask16>(neg >> 16), zero, mag_hi)};
+  }
+
+ private:
+  const uint8_t* src_;
+  size_t n_;
+  int x_;
+  size_t base_;  // byte plane 0, relative to src
+  const uint8_t* rem_;
+  const PlaneAssembly& assembly_;
+  __m512i idx_lo_;
+  __m512i idx_hi_;
+  __m256i gather_;
+  __m256i shifts_;
+  __m256i field_;
+  GroupMasks full_;
+};
 
 inline HZCCL_HOT void decode_block_avx512_body(const uint8_t* src, size_t n, int c,
                                                int32_t* r) {
-  const int planes = static_cast<int>(static_cast<unsigned>(c) / 8);
-  const int x = static_cast<int>(static_cast<unsigned>(c) % 8);
-  const size_t base = (n + 7) / 8;  // byte plane 0, relative to src
-  const uint8_t* const rem = src + base + static_cast<size_t>(planes) * n;
-  // Plane k present: an all-ones load mask and offset select; absent: both
-  // zero, so the load touches nothing and its address stays at src (no
-  // pointer past the payload is formed).  Arithmetic, not branches: c
-  // varies block to block.
-  const uint32_t has[3] = {0u - (planes > 0), 0u - (planes > 1), 0u - (planes > 2)};
-  const size_t off[3] = {0 - size_t{planes > 0}, 0 - size_t{planes > 1}, 0 - size_t{planes > 2}};
-  const PlaneAssembly& assembly = kPlaneAssembly[planes];
-  const __m512i idx_lo = load_bytes64(assembly.lo);
-  const __m512i idx_hi = load_bytes64(assembly.hi);
-  const __mmask64 keep = assembly.keep;
-  const RemPlaneConsts& rc = kRemPlane[x];
-  const __m256i gather = load_bytes32(rc.gather);
-  const __m256i shifts = _mm256_set1_epi64x(static_cast<long long>(rc.shifts));
-  const __m256i field = _mm256_set1_epi8(static_cast<char>(rc.field));
-  const __m512i zero = _mm512_setzero_si512();
-  const auto group = [&](size_t i, GroupMasks m) {
-    const uint32_t neg = static_cast<uint32_t>(
-        _mm_cvtsi128_si32(_mm_maskz_loadu_epi8(m.sign_bytes, src + i / 8)));
-    const __m256i b0 = _mm256_maskz_loadu_epi8(m.values & has[0], src + (off[0] & (base + i)));
-    const __m256i b1 =
-        _mm256_maskz_loadu_epi8(m.values & has[1], src + (off[1] & (base + n + i)));
-    const __m256i b2 =
-        _mm256_maskz_loadu_epi8(m.values & has[2], src + (off[2] & (base + 2 * n + i)));
-    const __m256i raw = _mm256_maskz_loadu_epi8(m.rem_bytes, rem + (i / 8) * x);
-    const __m256i hi = _mm256_and_si256(
-        _mm256_multishift_epi64_epi8(shifts, _mm256_permutexvar_epi8(gather, raw)), field);
-    const __m512i ta = _mm512_inserti64x4(_mm512_castsi256_si512(b0), b1, 1);
-    const __m512i tb = _mm512_inserti64x4(_mm512_castsi256_si512(b2), hi, 1);
-    const __m512i mag_lo = _mm512_maskz_permutex2var_epi8(keep, ta, idx_lo, tb);
-    const __m512i mag_hi = _mm512_maskz_permutex2var_epi8(keep, ta, idx_hi, tb);
-    _mm512_mask_storeu_epi32(
-        r + i, static_cast<__mmask16>(m.values),
-        _mm512_mask_sub_epi32(mag_lo, static_cast<__mmask16>(neg), zero, mag_lo));
-    _mm512_mask_storeu_epi32(
-        r + i + 16, static_cast<__mmask16>(m.values >> 16),
-        _mm512_mask_sub_epi32(mag_hi, static_cast<__mmask16>(neg >> 16), zero, mag_hi));
-  };
-  const GroupMasks full = group_masks(32, x);
-  size_t i = 0;
-  for (; i + 32 <= n; i += 32) group(i, full);
-  if (i < n) group(i, group_masks(n - i, x));
+  const GroupDecoder dec(src, n, c);
+  for (size_t i = 0; i < n; i += 32) {
+    const GroupMasks m = dec.masks(i);
+    const Group32 g = dec.group(i, m);
+    _mm512_mask_storeu_epi32(r + i, static_cast<__mmask16>(m.values), g.lo);
+    _mm512_mask_storeu_epi32(r + i + 16, static_cast<__mmask16>(m.values >> 16), g.hi);
+  }
 }
 
 inline HZCCL_HOT void encode_block_avx512_body(const uint32_t* mags, const uint32_t* signs,
@@ -1174,9 +1273,8 @@ inline HZCCL_HOT void encode_block_avx512_body(const uint32_t* mags, const uint3
   const int x = static_cast<int>(static_cast<unsigned>(c) % 8);
   const size_t base = (n + 7) / 8;
   uint8_t* const rem = out + base + static_cast<size_t>(planes) * n;
-  // Absent planes store nothing, at out (see decode_block_avx512_body).
-  const uint32_t has[3] = {0u - (planes > 0), 0u - (planes > 1), 0u - (planes > 2)};
-  const size_t off[3] = {0 - size_t{planes > 0}, 0 - size_t{planes > 1}, 0 - size_t{planes > 2}};
+  // Absent planes store nothing, at out (see GroupDecoder::group).
+  const uint64_t* const present = kPlaneAssembly[static_cast<size_t>(planes)].present;
   // Byte columns of a group: [byte 0 | byte 1] and [byte 2 | byte 3] for
   // the planes, and byte `planes` of each magnitude (the bits above the
   // full planes) for the remainder, each one VPERMT2B.
@@ -1209,12 +1307,13 @@ inline HZCCL_HOT void encode_block_avx512_body(const uint32_t* mags, const uint3
     _mm_mask_storeu_epi8(out + i / 8, m.sign_bytes, _mm_cvtsi32_si128(static_cast<int>(neg)));
     const __m512i c01 = _mm512_permutex2var_epi8(mag_lo, idx_01, mag_hi);
     const __m512i c23 = _mm512_permutex2var_epi8(mag_lo, idx_23, mag_hi);
-    _mm256_mask_storeu_epi8(out + (off[0] & (base + i)), m.values & has[0],
-                            _mm512_castsi512_si256(c01));
-    _mm256_mask_storeu_epi8(out + (off[1] & (base + n + i)), m.values & has[1],
-                            _mm512_extracti64x4_epi64(c01, 1));
-    _mm256_mask_storeu_epi8(out + (off[2] & (base + 2 * n + i)), m.values & has[2],
-                            _mm512_castsi512_si256(c23));
+    const auto store_plane = [&](int k, __m256i bytes) {
+      _mm256_mask_storeu_epi8(out + (present[k] & (base + static_cast<size_t>(k) * n + i)),
+                              m.values & static_cast<uint32_t>(present[k]), bytes);
+    };
+    store_plane(0, _mm512_castsi512_si256(c01));
+    store_plane(1, _mm512_extracti64x4_epi64(c01, 1));
+    store_plane(2, _mm512_castsi512_si256(c23));
     const __m256i top = _mm512_castsi512_si256(_mm512_permutex2var_epi8(
         mag_lo, _mm512_castsi256_si512(rem_index), mag_hi));
     const __m256i v = _mm256_and_si256(top, field);
@@ -1224,41 +1323,154 @@ inline HZCCL_HOT void encode_block_avx512_body(const uint32_t* mags, const uint3
     _mm256_mask_storeu_epi8(rem + (i / 8) * x, m.rem_bytes,
                             _mm256_permutexvar_epi8(compact, v64));
   };
-  const GroupMasks full = group_masks(32, x);
+  const GroupMasks full = full_group_masks(x);
   size_t i = 0;
   for (; i + 32 <= n; i += 32) group(i, full);
   if (i < n) group(i, group_masks(n - i, x));
 }
 
-/// Closed-form digest fold (see digest_fold_sums), 8 int64 lanes at a time.
-/// VPMULDQ multiplies the low signed dwords: r, j and j(j-1)/2 all fit.
-inline HZCCL_HOT int64_t digest_block_avx512_body(const int32_t* residuals, size_t n, int64_t q,
-                                                  uint64_t pos, uint64_t* sum, uint64_t* wsum) {
+/// Decode, prefix sum and dequantize, one group in registers.  Each
+/// quarter of a group (8 residuals, sign-extended to int64) becomes its
+/// block-local inclusive prefix sum in three VALIGNQ + VPADDQ steps, plus
+/// the chain value before it, broadcast from the previous quarter's last
+/// lane; then VCVTQQ2PD, VMULPD and VCVTPD2PS, both conversions rounding
+/// under MXCSR as the scalar casts do, and one store of 8 floats masked to
+/// the block.
+inline HZCCL_HOT int64_t decode_dequantize_avx512_body(const uint8_t* payload, size_t n, int c,
+                                                       int64_t q, double twice_eb, float* out) {
+  const GroupDecoder dec(payload, n, c);
+  const __m512i zero = _mm512_setzero_si512();
+  const __m512i last = _mm512_set1_epi64(7);
+  const __m512d scale = _mm512_set1_pd(twice_eb);
+  __m512i carry = _mm512_set1_epi64(q);
+  const auto quarter = [&](__m256i r, float* dst, uint32_t lanes) {
+    __m512i v = _mm512_cvtepi32_epi64(r);
+    v = _mm512_add_epi64(v, _mm512_alignr_epi64(v, zero, 7));
+    v = _mm512_add_epi64(v, _mm512_alignr_epi64(v, zero, 6));
+    v = _mm512_add_epi64(v, _mm512_alignr_epi64(v, zero, 4));
+    v = _mm512_add_epi64(v, carry);
+    carry = _mm512_permutexvar_epi64(last, v);
+    _mm256_mask_storeu_ps(dst, static_cast<__mmask8>(lanes),
+                          _mm512_cvtpd_ps(_mm512_mul_pd(_mm512_cvtepi64_pd(v), scale)));
+  };
+  for (size_t i = 0; i < n; i += 32) {
+    const GroupMasks m = dec.masks(i);
+    const Group32 g = dec.group(i, m);
+    quarter(_mm512_castsi512_si256(g.lo), out + i, m.values);
+    quarter(_mm512_extracti64x4_epi64(g.lo, 1), out + i + 8, m.values >> 8);
+    quarter(_mm512_castsi512_si256(g.hi), out + i + 16, m.values >> 16);
+    quarter(_mm512_extracti64x4_epi64(g.hi, 1), out + i + 24, m.values >> 24);
+  }
+  return _mm_cvtsi128_si64(_mm512_castsi512_si128(carry));
+}
+
+/// The first group's weights j and j(j-1)/2 of decode_fold's closed form,
+/// in the order VPMULDQ reads them: row k holds the even (k = 0, 2) or odd
+/// (k = 1, 3) dwords of the lo (k < 2) or hi register, one per qword lane.
+struct FoldWeights {
+  int64_t j[4][8];
+  int64_t tri[4][8];
+};
+
+constexpr FoldWeights make_fold_weights() {
+  FoldWeights w{};
+  for (int k = 0; k < 4; ++k) {
+    for (int lane = 0; lane < 8; ++lane) {
+      const int64_t j = 16 * (k / 2) + 2 * lane + k % 2;
+      w.j[k][lane] = j;
+      w.tri[k][lane] = j * (j - 1) / 2;
+    }
+  }
+  return w;
+}
+
+inline constexpr FoldWeights kFoldWeights = make_fold_weights();
+
+/// Decode and fold the closed form's three weighted sums (see
+/// digest_fold_sums) from registers.  VPMULDQ multiplies the low signed
+/// dword of each qword lane: the even residuals of a group register as they
+/// stand, the odd ones after a 64-bit arithmetic shift by 32.  Their
+/// weights j and j(j-1)/2 (block-local j) sit in matching even/odd vectors,
+/// loaded once per block and advanced by one group (j + 32, and
+/// j(j-1)/2 + 32j + 496) only when another group follows.
+inline HZCCL_HOT int64_t decode_fold_avx512_body(const uint8_t* payload, size_t n, int c,
+                                                 int64_t q, uint64_t pos, uint64_t* sum,
+                                                 uint64_t* wsum) {
+  const GroupDecoder dec(payload, n, c);
+  __m512i j[4];
+  __m512i tri[4];
+  for (int k = 0; k < 4; ++k) {
+    j[k] = _mm512_loadu_si512(kFoldWeights.j[k]);
+    tri[k] = _mm512_loadu_si512(kFoldWeights.tri[k]);
+  }
   __m512i a0 = _mm512_setzero_si512();
   __m512i a1 = _mm512_setzero_si512();
   __m512i a2 = _mm512_setzero_si512();
-  __m512i j = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
-  const __m512i one = _mm512_set1_epi64(1);
-  const __m512i eight = _mm512_set1_epi64(8);
-  const auto group = [&](__m256i r32) {
-    const __m512i r = _mm512_cvtepi32_epi64(r32);
-    const __m512i tri = _mm512_srli_epi64(_mm512_mul_epu32(j, _mm512_sub_epi64(j, one)), 1);
+  const auto parity = [&](__m512i r, int k) {
     a0 = _mm512_add_epi64(a0, r);
-    a1 = _mm512_add_epi64(a1, _mm512_mul_epi32(r, j));
-    a2 = _mm512_add_epi64(a2, _mm512_mul_epi32(r, tri));
-    j = _mm512_add_epi64(j, eight);
+    a1 = _mm512_add_epi64(a1, _mm512_mul_epi32(r, j[k]));
+    a2 = _mm512_add_epi64(a2, _mm512_mul_epi32(r, tri[k]));
   };
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    group(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(residuals + i)));
-  }
-  if (i < n) {
-    group(_mm256_maskz_loadu_epi32(static_cast<__mmask8>(low_mask32(n - i)), residuals + i));
+  for (size_t i = 0;;) {
+    const Group32 g = dec.group(i, dec.masks(i));
+    parity(_mm512_srai_epi64(_mm512_slli_epi64(g.lo, 32), 32), 0);
+    parity(_mm512_srai_epi64(g.lo, 32), 1);
+    parity(_mm512_srai_epi64(_mm512_slli_epi64(g.hi, 32), 32), 2);
+    parity(_mm512_srai_epi64(g.hi, 32), 3);
+    i += 32;
+    if (i >= n) break;
+    for (int k = 0; k < 4; ++k) {
+      tri[k] = _mm512_add_epi64(_mm512_add_epi64(tri[k], _mm512_slli_epi64(j[k], 5)),
+                                _mm512_set1_epi64(496));
+      j[k] = _mm512_add_epi64(j[k], _mm512_set1_epi64(32));
+    }
   }
   const int64_t s0 = _mm512_reduce_add_epi64(a0);
   digest_fold_sums(n, q, pos, s0, _mm512_reduce_add_epi64(a1), _mm512_reduce_add_epi64(a2), sum,
                    wsum);
   return q + s0;
+}
+
+/// Decode both blocks and merge them, one group of each in registers: the
+/// int64 merge of combine_body on 8 lanes at a time, its magnitudes
+/// narrowed by VPMOVQD and its signs from VPMOVQ2M, every store masked to
+/// the block.
+template <int SIGN_B>
+inline uint64_t decode_combine_avx512_loop(const uint8_t* pa, int ca, const uint8_t* pb, int cb,
+                                           size_t n, uint32_t* mags, uint32_t* signs) {
+  const GroupDecoder da(pa, n, ca);
+  const GroupDecoder db(pb, n, cb);
+  const __m256i one = _mm256_set1_epi32(1);
+  __m512i guard = _mm512_setzero_si512();
+  const auto quarter = [&](__m256i ra, __m256i rb, size_t at, uint32_t lanes) {
+    const __m512i a = _mm512_cvtepi32_epi64(ra);
+    const __m512i b = _mm512_cvtepi32_epi64(rb);
+    const __m512i s = SIGN_B >= 0 ? _mm512_add_epi64(a, b) : _mm512_sub_epi64(a, b);
+    const __m512i mag = _mm512_abs_epi64(s);
+    guard = _mm512_or_si512(guard, mag);
+    const auto m = static_cast<__mmask8>(lanes);
+    _mm256_mask_storeu_epi32(mags + at, m, _mm512_cvtepi64_epi32(mag));
+    _mm256_mask_storeu_epi32(signs + at, m, _mm256_maskz_mov_epi32(_mm512_movepi64_mask(s), one));
+  };
+  for (size_t i = 0; i < n; i += 32) {
+    const GroupMasks m = da.masks(i);
+    const Group32 a = da.group(i, m);
+    const Group32 b = db.group(i, db.masks(i));
+    quarter(_mm512_castsi512_si256(a.lo), _mm512_castsi512_si256(b.lo), i, m.values);
+    quarter(_mm512_extracti64x4_epi64(a.lo, 1), _mm512_extracti64x4_epi64(b.lo, 1), i + 8,
+            m.values >> 8);
+    quarter(_mm512_castsi512_si256(a.hi), _mm512_castsi512_si256(b.hi), i + 16, m.values >> 16);
+    quarter(_mm512_extracti64x4_epi64(a.hi, 1), _mm512_extracti64x4_epi64(b.hi, 1), i + 24,
+            m.values >> 24);
+  }
+  return static_cast<uint64_t>(_mm512_reduce_or_epi64(guard));
+}
+
+inline HZCCL_HOT uint64_t decode_combine_avx512_body(const uint8_t* pa, int ca, const uint8_t* pb,
+                                                     int cb, size_t n, int sign_b, uint32_t* mags,
+                                                     uint32_t* signs) {
+  return sign_b >= 0 ? decode_combine_avx512_loop<+1>(pa, ca, pb, cb, n, mags, signs)
+                     : decode_combine_avx512_loop<-1>(pa, ca, pb, cb, n, mags, signs);
 }
 
 #endif  // AVX-512 family

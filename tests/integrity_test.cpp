@@ -26,6 +26,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "hzccl/cluster/roundsim.hpp"
@@ -37,6 +38,7 @@
 #include "hzccl/sched/scheduler.hpp"
 #include "hzccl/simmpi/faults.hpp"
 #include "hzccl/simmpi/runtime.hpp"
+#include "hzccl/trace/trace.hpp"
 
 namespace hzccl {
 namespace {
@@ -497,6 +499,77 @@ TEST(VerifyPolicy, FinalIsDetectionWithoutRecovery) {
   EXPECT_GT(healed.integrity.mismatches, 0u);
   EXPECT_LE(max_abs_err(healed.rank0_output, exact_reduction(config.nranks, inputs)),
             3.0 * config.nranks * config.abs_error_bound + 1e-6);
+}
+
+TEST(VerifyPolicy, RawDigestWalksAreChargedAtTheRawStacksReduceMode) {
+  // The raw stack reduces in MPI's single-threaded progress engine, and its
+  // content-digest walks (the sender's trailer, the receiver's recheck) run
+  // there too: RoundSim prices them single-threaded, and execution must
+  // agree although Kernel::kMpi's job mode is multi-threaded.
+  const RankInputFn inputs = sweep_inputs(4000);
+  for (const int nranks : {4, 8}) {
+    for (const coll::AllreduceAlgo algo :
+         {coll::AllreduceAlgo::kRing, coll::AllreduceAlgo::kRecursiveDoubling,
+          coll::AllreduceAlgo::kRabenseifner}) {
+      SCOPED_TRACE(std::string(coll::allreduce_algo_name(algo)) + " at " +
+                   std::to_string(nranks) + " ranks");
+      JobConfig config;
+      config.nranks = nranks;
+      config.abs_error_bound = 1e-3;
+      config.algo = algo;
+      config.verify = VerifyPolicy::kPerRound;
+      config.trace.enabled = true;
+      const JobResult r = run_collective(Kernel::kMpi, Op::kAllreduce, config, inputs);
+      size_t walks = 0;
+      for (const std::vector<trace::Event>& rank : r.trace.ranks) {
+        for (const trace::Event& e : rank) {
+          if (e.kind != trace::EventKind::kVerify) continue;
+          ++walks;
+          const double want =
+              config.cost.seconds_digest_verify(e.bytes, simmpi::Mode::kSingleThread);
+          ASSERT_NEAR(e.duration(), want, 1e-9 * want) << "a walk of " << e.bytes << " bytes";
+        }
+      }
+      EXPECT_GT(walks, 0u);
+    }
+  }
+}
+
+TEST(VerifyPolicy, TwoLevelLeaderHealsAMangledIntraNodePayload) {
+  // With verify off the two-level intra-node phase ships raw floats with no
+  // trailer, so a member payload the mangle fault scribbles on reaches the
+  // node leader's sum and pushes it out of the quantization domain.  The
+  // leader heals before any inter-node send: it refetches every member's
+  // pristine payload, rebuilds the sum and compresses once more.
+  JobConfig config;
+  config.nranks = 6;
+  config.net = NetModel::omnipath_100g_nodes(3);
+  config.abs_error_bound = 1e-3;
+  config.algo = coll::AllreduceAlgo::kTwoLevel;
+  config.faults.seed = 8;
+  config.faults.drop = 0.05;
+  config.faults.corrupt = 0.03;
+  config.faults.reorder = 0.1;
+  config.faults.duplicate = 0.05;
+  config.faults.stall = 0.05;
+  config.faults.mangle = 0.05;
+  const RankInputFn inputs = sweep_inputs(4000);
+  const JobResult healed =
+      run_collective(Kernel::kHzcclMultiThread, Op::kAllreduce, config, inputs);
+  EXPECT_EQ(healed.attempts, 1);
+  EXPECT_GT(healed.transport.raw_fallbacks, 0u);
+  EXPECT_EQ(healed.rank0_output.size(), 4000u);
+
+  // A member value the quantization domain cannot carry is no wire fault:
+  // its pristine payload fails the same way, and the error propagates.
+  const RankInputFn out_of_domain = [&](int rank) {
+    std::vector<float> v = inputs(rank);
+    if (rank == 1) v[17] = 1e30f;
+    return v;
+  };
+  EXPECT_THROW(
+      (void)run_collective(Kernel::kHzcclMultiThread, Op::kAllreduce, config, out_of_domain),
+      QuantizationRangeError);
 }
 
 TEST(VerifyPolicy, CompressedBcastChecksDigestsAtTheFinalDecode) {

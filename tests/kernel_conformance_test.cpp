@@ -21,11 +21,13 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "hzccl/compressor/fixed_len.hpp"
@@ -35,6 +37,7 @@
 #include "hzccl/datasets/registry.hpp"
 #include "hzccl/homomorphic/hz_dynamic.hpp"
 #include "hzccl/homomorphic/hz_ops.hpp"
+#include "hzccl/integrity/digest.hpp"
 #include "hzccl/kernels/dispatch.hpp"
 #include "hzccl/simmpi/faults.hpp"
 #include "hzccl/stats/metrics.hpp"
@@ -81,51 +84,6 @@ struct LevelGuard {
 // sizes with every possible short tail.
 const size_t kLengths[] = {0,  1,  2,  7,  8,   9,   15,  16,  17,  31,   32,   33,  63,
                            64, 65, 66, 100, 127, 128, 129, 200, 511, 512, 1000, 4095, 4096, 4097};
-
-// ---------------------------------------------------------------------------
-// hz combine differential (add and subtract), including overflow lanes.
-// ---------------------------------------------------------------------------
-
-void check_combine(const KernelTable& vec, const KernelTable& ref, const std::vector<int32_t>& ra,
-                   const std::vector<int32_t>& rb, int sign_b) {
-  const size_t n = ra.size();
-  std::vector<uint32_t> mags_ref(n + 1, 0xEE), signs_ref(n + 1, 0xEE);
-  std::vector<uint32_t> mags_vec(n + 1, 0xEE), signs_vec(n + 1, 0xEE);
-  const uint64_t g_ref =
-      ref.hz_combine_residuals(ra.data(), rb.data(), n, sign_b, mags_ref.data(), signs_ref.data());
-  const uint64_t g_vec =
-      vec.hz_combine_residuals(ra.data(), rb.data(), n, sign_b, mags_vec.data(), signs_vec.data());
-  ASSERT_EQ(g_ref, g_vec) << "combine guard mismatch: level=" << kernels::level_name(vec.level)
-                          << " n=" << n << " sign_b=" << sign_b;
-  ASSERT_EQ(mags_ref, mags_vec) << "combine magnitudes mismatch: n=" << n;
-  ASSERT_EQ(signs_ref, signs_vec) << "combine signs mismatch: n=" << n;
-}
-
-TEST(KernelConformance, CombineResidualsMatchesScalarOracle) {
-  const KernelTable& ref = kernels::table(DispatchLevel::kScalar);
-  constexpr int32_t kEdges[] = {0,  1,  -1, 2, -2, std::numeric_limits<int32_t>::max(),
-                                std::numeric_limits<int32_t>::min(), 0x40000000, -0x40000000};
-  for (DispatchLevel lvl : vector_levels()) {
-    const KernelTable& vec = kernels::table(lvl);
-    Prng rng(/*seed=*/0x5E5E5Eu, /*stream=*/static_cast<uint64_t>(lvl));
-    for (const size_t n : kLengths) {
-      if (n > 512) continue;  // callers combine at block granularity
-      std::vector<int32_t> ra(n), rb(n);
-      for (size_t i = 0; i < n; ++i) {
-        // Mix edge values (overflow lanes included) into random residuals:
-        // the guard must match bit-for-bit even on inputs the caller will
-        // reject.
-        ra[i] = (rng.u32() % 8u == 0) ? kEdges[rng.u32() % std::size(kEdges)]
-                                      : static_cast<int32_t>(rng.u32());
-        rb[i] = (rng.u32() % 8u == 0) ? kEdges[rng.u32() % std::size(kEdges)]
-                                      : static_cast<int32_t>(rng.u32());
-      }
-      check_combine(vec, ref, ra, rb, +1);
-      check_combine(vec, ref, ra, rb, -1);
-      if (HasFatalFailure()) return;
-    }
-  }
-}
 
 // ---------------------------------------------------------------------------
 // fZ fused block pass (fz_quantize_predict) differentials.  Every call's
@@ -541,64 +499,301 @@ TEST(KernelConformance, EncodeBlockMatchesScalarOracle) {
   }
 }
 
-TEST(KernelConformance, DigestBlockMatchesScalarOracle) {
+// ---------------------------------------------------------------------------
+// The fused decodes (decode_dequantize, decode_fold, decode_combine): each
+// level against the scalar oracle, on payloads the scalar encoder wrote, and
+// the oracle itself against the residuals those payloads carry.  Payloads
+// sit flush against the end of their allocation 0-3 bytes into it, or end
+// at an inaccessible page; outputs are framed by canaries.
+// ---------------------------------------------------------------------------
+
+/// A random residual block at code length c, encoded by the scalar slot:
+/// magnitudes below 2^c with the extreme 2^c - 1 mixed in (at c = 31,
+/// +-(2^31 - 1), the largest the codec carries), random signs.
+struct EncodedBlock {
+  int c = 0;
+  std::vector<int32_t> residuals;
+  std::vector<uint8_t> payload;  ///< the bytes after the code-length byte
+};
+
+EncodedBlock encode_random_block(Prng& rng, size_t n, int c) {
+  const uint32_t low = (1u << c) - 1u;
+  EncodedBlock b;
+  b.c = c;
+  b.residuals.resize(n);
+  std::vector<uint32_t> mags(n);
+  std::vector<uint32_t> signs(n);
+  for (size_t i = 0; i < n; ++i) {
+    mags[i] = rng.u32() % 4u == 0 ? low : rng.u32() & low;
+    signs[i] = rng.u32() & 1u;
+    const auto mag = static_cast<int32_t>(mags[i]);
+    b.residuals[i] = signs[i] != 0 ? -mag : mag;
+  }
+  b.payload.resize(block_payload_size(c, n));
+  kernels::table(DispatchLevel::kScalar)
+      .encode_block(mags.data(), signs.data(), n, c, b.payload.data());
+  return b;
+}
+
+/// Placements 0-3: flush against the end of a heap allocation, that many
+/// bytes into it; kGuardedPlacement: ending at an inaccessible page.
+constexpr size_t kGuardedPlacement = 4;
+
+class PlacedPayload {
+ public:
+  PlacedPayload(std::span<const uint8_t> bytes, size_t placement) {
+    if (placement == kGuardedPlacement) {
+      guarded_ = std::make_unique<GuardedBytes>(bytes);
+      data_ = guarded_->data();
+      return;
+    }
+    heap_.resize(placement + bytes.size());
+    std::copy(bytes.begin(), bytes.end(), heap_.begin() + static_cast<ptrdiff_t>(placement));
+    data_ = heap_.data() + placement;
+  }
+
+  const uint8_t* data() const { return data_; }
+
+ private:
+  std::vector<uint8_t> heap_;
+  std::unique_ptr<GuardedBytes> guarded_;
+  const uint8_t* data_ = nullptr;
+};
+
+std::string placement_name(size_t placement) {
+  return placement == kGuardedPlacement ? "guarded" : "misalign=" + std::to_string(placement);
+}
+
+constexpr uint32_t kCanaryFloatBits = 0x7FA5A5A5u;  // a NaN no dequantize produces
+
+/// One decode_dequantize call into a canary-framed buffer, `dst_off` floats
+/// in: the chain value it returned and the bits of the whole frame.
+struct DequantizeRun {
+  int64_t q = 0;
+  std::vector<uint32_t> frame;
+};
+
+DequantizeRun run_dequantize(const KernelTable& t, const uint8_t* payload, size_t n, int c,
+                             int64_t q, double twice_eb, size_t dst_off) {
+  std::vector<float> out(dst_off + n + 8);
+  for (float& v : out) std::memcpy(&v, &kCanaryFloatBits, sizeof v);
+  DequantizeRun run;
+  run.q = t.decode_dequantize(payload, n, c, q, twice_eb, out.data() + dst_off);
+  run.frame.resize(out.size());
+  std::memcpy(run.frame.data(), out.data(), out.size() * sizeof(float));
+  return run;
+}
+
+TEST(KernelConformance, DecodeDequantizeMatchesScalarOracle) {
   const KernelTable& ref = kernels::table(DispatchLevel::kScalar);
-  constexpr int32_t kMaxResidual = std::numeric_limits<int32_t>::max();
-  std::vector<size_t> lengths = block_lengths();
-  lengths.insert(lengths.begin(), 0);
-  for (DispatchLevel lvl : vector_levels()) {
-    const KernelTable& vec = kernels::table(lvl);
-    Prng rng(/*seed=*/0xD16E57u, /*stream=*/static_cast<uint64_t>(lvl));
-    for (const size_t n : lengths) {
-      for (int trial = 0; trial < 4; ++trial) {
-        // Residuals up to |r| = 2^31 - 1 (extremes mixed in), chain values
-        // up to +-2^62, positions up to 2^40, and a non-zero digest to
-        // fold into.
-        std::vector<int32_t> r(n);
-        for (size_t i = 0; i < n; ++i) {
-          switch (rng.u32() % 4u) {
-            case 0: r[i] = kMaxResidual; break;
-            case 1: r[i] = -kMaxResidual; break;
-            default: r[i] = static_cast<int32_t>(rng.u32() % (1u << 31)) *
-                            ((rng.u32() & 1u) != 0 ? 1 : -1);
-          }
+  // Chain starts inside and far beyond +-2^53, where int64 -> double rounds.
+  const int64_t kStarts[] = {0,
+                             -123456789,
+                             (int64_t{1} << 53) + 1,
+                             -(int64_t{1} << 53) - 3,
+                             (int64_t{1} << 62) - 12345,
+                             -(int64_t{1} << 62) + 777};
+  const double kScales[] = {2e-3, 1.0, 0.1, 6.103515625e-05, 3.3e-7};
+  Prng rng(/*seed=*/0xDE0A47u, /*stream=*/0);
+  size_t round = 0;
+  for (int c = 1; c <= kMaxCodeLength; ++c) {
+    for (const size_t n : block_lengths()) {
+      const EncodedBlock b = encode_random_block(rng, n, c);
+      const int64_t q0 = kStarts[round % std::size(kStarts)] +
+                         static_cast<int64_t>(rng.u32() % 1024u);
+      const double twice_eb = kScales[round % std::size(kScales)];
+      ++round;
+      const std::string what = "c=" + std::to_string(c) + " n=" + std::to_string(n) +
+                               " q0=" + std::to_string(q0);
+      // The oracle against the residuals it was encoded from.
+      const DequantizeRun want = run_dequantize(ref, b.payload.data(), n, c, q0, twice_eb, 0);
+      int64_t q = q0;
+      for (size_t i = 0; i < n; ++i) {
+        q += b.residuals[i];
+        const float f = static_cast<float>(static_cast<double>(q) * twice_eb);
+        uint32_t bits;
+        std::memcpy(&bits, &f, sizeof bits);
+        ASSERT_EQ(want.frame[i], bits) << "scalar oracle: " << what << " i=" << i;
+      }
+      ASSERT_EQ(want.q, q) << "scalar oracle chain: " << what;
+      for (size_t i = n; i < want.frame.size(); ++i) {
+        ASSERT_EQ(want.frame[i], kCanaryFloatBits) << "scalar oracle canary: " << what;
+      }
+      for (DispatchLevel lvl : vector_levels()) {
+        const KernelTable& vec = kernels::table(lvl);
+        for (size_t placement = 0; placement <= kGuardedPlacement; ++placement) {
+          const PlacedPayload src(b.payload, placement);
+          const size_t dst_off = placement % 4;
+          const DequantizeRun got = run_dequantize(vec, src.data(), n, c, q0, twice_eb, dst_off);
+          const DequantizeRun framed =
+              dst_off == 0 ? want
+                           : run_dequantize(ref, b.payload.data(), n, c, q0, twice_eb, dst_off);
+          ASSERT_EQ(got.q, framed.q) << "level=" << kernels::level_name(lvl) << " " << what
+                                     << " " << placement_name(placement);
+          ASSERT_EQ(got.frame, framed.frame)
+              << "floats (or the canaries around them) differ: level="
+              << kernels::level_name(lvl) << " " << what << " " << placement_name(placement);
         }
-        const auto q = static_cast<int64_t>(rng.next() % (uint64_t{1} << 63)) -
-                       (int64_t{1} << 62);
-        const uint64_t pos = 1 + rng.next() % (uint64_t{1} << 40);
-        uint64_t sum_ref = rng.next();
-        uint64_t wsum_ref = rng.next();
-        uint64_t sum_vec = sum_ref;
-        uint64_t wsum_vec = wsum_ref;
-        const int64_t q_ref = ref.digest_block(r.data(), n, q, pos, &sum_ref, &wsum_ref);
-        const int64_t q_vec = vec.digest_block(r.data(), n, q, pos, &sum_vec, &wsum_vec);
-        ASSERT_EQ(q_vec, q_ref) << "level=" << kernels::level_name(lvl) << " n=" << n;
-        ASSERT_EQ(sum_vec, sum_ref) << "level=" << kernels::level_name(lvl) << " n=" << n;
-        ASSERT_EQ(wsum_vec, wsum_ref) << "level=" << kernels::level_name(lvl) << " n=" << n;
       }
     }
-    // Chained blocks: folding a run block by block, each continuing from the
-    // previous chain value and position, equals one serial fold of the run.
-    Prng fill(/*seed=*/0xC4A1Du, /*stream=*/static_cast<uint64_t>(lvl));
-    std::vector<int32_t> run(kernels::kMaxBlockValues);
-    for (int32_t& v : run) v = static_cast<int32_t>(fill.u32() >> 1) - (1 << 30);
-    uint64_t sum_ref = 0;
-    uint64_t wsum_ref = 0;
-    const int64_t q0 = int64_t{1} << 61;
-    const int64_t q_ref = ref.digest_block(run.data(), run.size(), q0, 1, &sum_ref, &wsum_ref);
+  }
+}
+
+/// The digest fold of decoded residuals one value at a time: the definition
+/// the oracle must meet.
+int64_t serial_fold(const std::vector<int32_t>& r, int64_t q, uint64_t pos, uint64_t* sum,
+                    uint64_t* wsum) {
+  integrity::Digest d{*sum, *wsum};
+  for (size_t i = 0; i < r.size(); ++i) {
+    q += r[i];
+    d.accumulate(q, pos + i);
+  }
+  *sum = d.sum;
+  *wsum = d.wsum;
+  return q;
+}
+
+TEST(KernelConformance, DigestBlockMatchesScalarOracle) {
+  const KernelTable& ref = kernels::table(DispatchLevel::kScalar);
+  Prng rng(/*seed=*/0xD16E57u, /*stream=*/0);
+  for (int c = 1; c <= kMaxCodeLength; ++c) {
+    for (const size_t n : block_lengths()) {
+      // Chain values up to +-2^62, positions up to 2^40, and a non-zero
+      // digest to fold into.
+      const EncodedBlock b = encode_random_block(rng, n, c);
+      const auto q = static_cast<int64_t>(rng.next() % (uint64_t{1} << 63)) - (int64_t{1} << 62);
+      const uint64_t pos = 1 + rng.next() % (uint64_t{1} << 40);
+      const uint64_t sum0 = rng.next();
+      const uint64_t wsum0 = rng.next();
+      const std::string what = "c=" + std::to_string(c) + " n=" + std::to_string(n);
+      uint64_t sum_ref = sum0;
+      uint64_t wsum_ref = wsum0;
+      const int64_t q_ref = ref.decode_fold(b.payload.data(), n, c, q, pos, &sum_ref, &wsum_ref);
+      uint64_t sum_def = sum0;
+      uint64_t wsum_def = wsum0;
+      ASSERT_EQ(q_ref, serial_fold(b.residuals, q, pos, &sum_def, &wsum_def)) << what;
+      ASSERT_EQ(sum_ref, sum_def) << "scalar oracle: " << what;
+      ASSERT_EQ(wsum_ref, wsum_def) << "scalar oracle: " << what;
+      for (DispatchLevel lvl : vector_levels()) {
+        const KernelTable& vec = kernels::table(lvl);
+        for (size_t placement = 0; placement <= kGuardedPlacement; ++placement) {
+          const PlacedPayload src(b.payload, placement);
+          uint64_t sum_vec = sum0;
+          uint64_t wsum_vec = wsum0;
+          const int64_t q_vec = vec.decode_fold(src.data(), n, c, q, pos, &sum_vec, &wsum_vec);
+          const std::string where = std::string("level=") + kernels::level_name(lvl) + " " +
+                                    what + " " + placement_name(placement);
+          ASSERT_EQ(q_vec, q_ref) << where;
+          ASSERT_EQ(sum_vec, sum_ref) << where;
+          ASSERT_EQ(wsum_vec, wsum_ref) << where;
+        }
+      }
+    }
+  }
+  // Chained blocks: folding a run block by block, each continuing from the
+  // previous chain value and position, equals one serial fold of the run.
+  Prng fill(/*seed=*/0xC4A1Du, /*stream=*/0);
+  std::vector<int32_t> run(kernels::kMaxBlockValues);
+  for (int32_t& v : run) v = static_cast<int32_t>(fill.u32() >> 1) - (1 << 30);
+  uint64_t sum_def = 0;
+  uint64_t wsum_def = 0;
+  const int64_t q0 = int64_t{1} << 61;
+  const int64_t q_def = serial_fold(run, q0, 1, &sum_def, &wsum_def);
+  for (DispatchLevel lvl : kernels::supported_levels()) {
+    const KernelTable& t = kernels::table(lvl);
     for (const size_t block : {size_t{1}, size_t{7}, size_t{32}, size_t{100}, size_t{512}}) {
       uint64_t sum = 0;
       uint64_t wsum = 0;
       int64_t q = q0;
       for (size_t at = 0; at < run.size(); at += block) {
         const size_t n = std::min(block, run.size() - at);
-        q = vec.digest_block(run.data() + at, n, q, 1 + at, &sum, &wsum);
+        std::vector<uint32_t> mags(n);
+        std::vector<uint32_t> signs(n);
+        uint32_t max_mag = 0;
+        for (size_t i = 0; i < n; ++i) {
+          const int32_t r = run[at + i];
+          mags[i] = static_cast<uint32_t>(r < 0 ? -r : r);
+          signs[i] = r < 0 ? 1u : 0u;
+          max_mag |= mags[i];
+        }
+        const int c = std::max(code_length_for(max_mag), 1);
+        std::vector<uint8_t> payload(block_payload_size(c, n));
+        ref.encode_block(mags.data(), signs.data(), n, c, payload.data());
+        q = t.decode_fold(payload.data(), n, c, q, 1 + at, &sum, &wsum);
       }
-      EXPECT_EQ(q, q_ref) << "level=" << kernels::level_name(lvl) << " block=" << block;
-      EXPECT_EQ(sum, sum_ref) << "level=" << kernels::level_name(lvl) << " block=" << block;
-      EXPECT_EQ(wsum, wsum_ref) << "level=" << kernels::level_name(lvl) << " block=" << block;
+      EXPECT_EQ(q, q_def) << "level=" << kernels::level_name(lvl) << " block=" << block;
+      EXPECT_EQ(sum, sum_def) << "level=" << kernels::level_name(lvl) << " block=" << block;
+      EXPECT_EQ(wsum, wsum_def) << "level=" << kernels::level_name(lvl) << " block=" << block;
     }
   }
+}
+
+/// One decode_combine call with canary-framed outputs.
+struct CombineRun {
+  uint64_t guard = 0;
+  std::vector<uint32_t> mags;
+  std::vector<uint32_t> signs;
+};
+
+CombineRun run_combine(const KernelTable& t, const uint8_t* pa, int ca, const uint8_t* pb, int cb,
+                       size_t n, int sign_b) {
+  CombineRun run;
+  run.mags.assign(n + 2 * kSlotPad, kCanaryU32);
+  run.signs.assign(n + 2 * kSlotPad, kCanaryU32);
+  run.guard = t.decode_combine(pa, ca, pb, cb, n, sign_b, run.mags.data() + kSlotPad,
+                               run.signs.data() + kSlotPad);
+  return run;
+}
+
+TEST(KernelConformance, CombineResidualsMatchesScalarOracle) {
+  const KernelTable& ref = kernels::table(DispatchLevel::kScalar);
+  // Equal and unequal code lengths; (31, 31) carries the guard-overflow
+  // lanes, where two extremes of one sign sum past INT32_MAX.
+  const std::pair<int, int> kPairs[] = {{31, 31}, {1, 1}, {5, 6}, {6, 5}, {1, 31},
+                                        {31, 1},  {8, 16}, {17, 9}, {0, 0}, {0, 0}};
+  Prng rng(/*seed=*/0x5E5E5Eu, /*stream=*/0);
+  bool saw_overflow = false;
+  for (const size_t n : block_lengths()) {
+    for (auto [ca, cb] : kPairs) {
+      if (ca == 0) {  // random pair
+        ca = 1 + static_cast<int>(rng.u32() % 31u);
+        cb = 1 + static_cast<int>(rng.u32() % 31u);
+      }
+      const EncodedBlock a = encode_random_block(rng, n, ca);
+      const EncodedBlock b = encode_random_block(rng, n, cb);
+      for (const int sign_b : {+1, -1}) {
+        const std::string what = "ca=" + std::to_string(ca) + " cb=" + std::to_string(cb) +
+                                 " n=" + std::to_string(n) + " sign_b=" + std::to_string(sign_b);
+        const CombineRun want =
+            run_combine(ref, a.payload.data(), ca, b.payload.data(), cb, n, sign_b);
+        // The oracle against the int64 merge of the encoded residuals.
+        uint64_t guard = 0;
+        for (size_t i = 0; i < n; ++i) {
+          const int64_t s = int64_t{a.residuals[i]} + int64_t{sign_b} * b.residuals[i];
+          const uint64_t mag = static_cast<uint64_t>(s < 0 ? -s : s);
+          guard |= mag;
+          ASSERT_EQ(want.mags[kSlotPad + i], static_cast<uint32_t>(mag)) << what << " i=" << i;
+          ASSERT_EQ(want.signs[kSlotPad + i], s < 0 ? 1u : 0u) << what << " i=" << i;
+        }
+        ASSERT_EQ(want.guard, guard) << "scalar oracle: " << what;
+        saw_overflow |= guard > static_cast<uint64_t>(std::numeric_limits<int32_t>::max());
+        for (DispatchLevel lvl : vector_levels()) {
+          const KernelTable& vec = kernels::table(lvl);
+          for (size_t placement = 0; placement <= kGuardedPlacement; ++placement) {
+            const PlacedPayload pa(a.payload, placement);
+            const PlacedPayload pb(b.payload, (placement + 1) % (kGuardedPlacement + 1));
+            const CombineRun got = run_combine(vec, pa.data(), ca, pb.data(), cb, n, sign_b);
+            const std::string where = std::string("level=") + kernels::level_name(lvl) + " " +
+                                      what + " " + placement_name(placement);
+            ASSERT_EQ(got.guard, want.guard) << "combine guard mismatch: " << where;
+            ASSERT_EQ(got.mags, want.mags) << "magnitudes (or their canaries) differ: " << where;
+            ASSERT_EQ(got.signs, want.signs) << "signs (or their canaries) differ: " << where;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(saw_overflow) << "no guard-overflow lane was exercised";
 }
 
 // ---------------------------------------------------------------------------

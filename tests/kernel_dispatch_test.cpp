@@ -3,6 +3,7 @@
 // steady state (pool_test.cpp's pattern, swept across dispatch levels).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <optional>
 #include <string>
@@ -92,13 +93,14 @@ TEST(KernelDispatch, SupportedTablesAreFullyPopulated) {
   for (DispatchLevel lvl : kernels::supported_levels()) {
     const kernels::KernelTable& t = kernels::table(lvl);
     EXPECT_EQ(t.level, lvl);
-    EXPECT_NE(t.hz_combine_residuals, nullptr);
     EXPECT_NE(t.fz_quantize_predict, nullptr);
     EXPECT_NE(t.szx_scan, nullptr);
     EXPECT_NE(t.crc32c, nullptr);
     EXPECT_NE(t.decode_block, nullptr);
     EXPECT_NE(t.encode_block, nullptr);
-    EXPECT_NE(t.digest_block, nullptr);
+    EXPECT_NE(t.decode_dequantize, nullptr);
+    EXPECT_NE(t.decode_fold, nullptr);
+    EXPECT_NE(t.decode_combine, nullptr);
   }
 }
 
@@ -184,6 +186,53 @@ TEST(KernelDispatch, CheckedEntryPointsRejectBadWidths) {
   EXPECT_THROW(decode_block(bytes.data(), end, 8, residuals.data()), FormatError);
   bytes[0] = 1;
   EXPECT_THROW(decode_block(bytes.data(), end, too_long, residuals.data()), FormatError);
+
+  // The fused decodes make the same checks: a raw marker, code length 32, a
+  // truncated payload and n = 513 are rejected before any slot runs, so no
+  // output is written.
+  const size_t n = 8;
+  std::vector<uint8_t> good(max_encoded_block_size(too_long), 0);
+  good[0] = kMaxCodeLength;
+  const uint8_t* good_end = good.data() + good.size();
+  struct BadBlock {
+    const char* what;
+    uint8_t code;
+    size_t n;
+    size_t size;
+  };
+  const BadBlock bad_blocks[] = {
+      {"raw marker", static_cast<uint8_t>(kRawBlockMarker), n, max_encoded_block_size(n)},
+      {"code length 32", kMaxCodeLength + 1, n, max_encoded_block_size(n)},
+      {"truncated payload", kMaxCodeLength, n, max_encoded_block_size(n) - 1},
+      {"n = 513", 1, too_long, encoded_block_size(1, too_long)},
+  };
+  constexpr float kUntouched = -1.5f;
+  for (const BadBlock& bad : bad_blocks) {
+    SCOPED_TRACE(bad.what);
+    std::vector<uint8_t> block(bad.size, 0);
+    block[0] = bad.code;
+    const uint8_t* block_end = block.data() + block.size();
+    std::vector<float> out(too_long, kUntouched);
+    int64_t q = 7;
+    uint64_t sum = 3;
+    uint64_t wsum = 5;
+    EXPECT_THROW(decode_block_dequantize(block.data(), block_end, bad.n, 2e-3, &q, out.data()),
+                 FormatError);
+    EXPECT_THROW(decode_block_fold(block.data(), block_end, bad.n, 1, &q, &sum, &wsum),
+                 FormatError);
+    EXPECT_THROW(decode_blocks_combine(block.data(), block_end, good.data(), good_end, bad.n, +1,
+                                       mags.data(), signs.data()),
+                 FormatError);
+    EXPECT_THROW(decode_blocks_combine(good.data(), good_end, block.data(), block_end, bad.n, -1,
+                                       mags.data(), signs.data()),
+                 FormatError);
+    EXPECT_EQ(q, 7);
+    EXPECT_EQ(sum, 3u);
+    EXPECT_EQ(wsum, 5u);
+    EXPECT_TRUE(std::all_of(out.begin(), out.end(), [](float v) { return v == kUntouched; }));
+    EXPECT_TRUE(std::all_of(mags.begin(), mags.end(), [](uint32_t v) { return v == 0; }));
+    EXPECT_TRUE(std::all_of(signs.begin(), signs.end(), [](uint32_t v) { return v == 0; }));
+  }
 }
 
 // ---------------------------------------------------------------------------
