@@ -28,16 +28,6 @@ namespace hzccl::coll {
 /// notes the co-design principles for other operations as future work.
 enum class ReduceOp { kSum, kMin, kMax };
 
-/// Apply the operator to an accumulator element.
-inline float reduce_combine(ReduceOp op, float acc, float incoming) {
-  switch (op) {
-    case ReduceOp::kSum: return acc + incoming;
-    case ReduceOp::kMin: return incoming < acc ? incoming : acc;
-    case ReduceOp::kMax: return incoming > acc ? incoming : acc;
-  }
-  return acc;
-}
-
 /// Element-wise `acc[i] = op(acc[i], incoming[i])` — the steady-state reduce
 /// loop of every ring step across the raw, DOC and recursive-doubling
 /// stacks.  One shared HZCCL_HOT body so tools/analyze proves the loop

@@ -14,7 +14,10 @@
 namespace hzccl::coll {
 
 /// Binomial-tree broadcast of `data` from `root` (any rank count).  On
-/// non-root ranks, `data` is resized and overwritten.
+/// non-root ranks, `data` is resized and overwritten.  Under a verify policy
+/// every hop ships the raw stack's content-digest trailer and the receiver
+/// rechecks it before forwarding: verify=final throws IntegrityError on a
+/// mismatch, verify=round heals it (as does raw_gather).
 void raw_bcast(simmpi::Comm& comm, std::vector<float>& data, int root,
                const CollectiveConfig& config);
 

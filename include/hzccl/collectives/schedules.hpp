@@ -285,11 +285,12 @@ void send_floats_checked(T& t, int dst, int tag, std::span<const float> data,
   t.send(dst, tag + kTagDigest, wire);
 }
 
+/// The receiver's half under a verify policy, for a payload from `src` on
+/// `tag` already in `out`: recheck it against its trailer and heal it, so
+/// a receive that learns its length from the payload can use it too.
 template <Transport T>
-Task<void> recv_floats_checked(T t, int src, int tag, std::span<float> out,
-                               const CollectiveConfig& config, Mode mode) {
-  co_await t.recv_into(src, tag, writable_bytes_of(out));
-  if (config.verify == VerifyPolicy::kOff) co_return;
+Task<void> verify_floats(T t, int src, int tag, std::span<float> out,
+                         const CollectiveConfig& config, Mode mode) {
   integrity::Digest expected = parse_digest_trailer(co_await t.recv(src, tag + kTagDigest));
   const auto matches = [&] {
     ++t.integrity().digests_checked;
@@ -338,6 +339,13 @@ Task<void> recv_floats_checked(T t, int src, int tag, std::span<float> out,
   }
   std::memcpy(out.data(), pristine.data(), pristine.size());
   ++t.integrity().raw_fallbacks;
+}
+
+template <Transport T>
+Task<void> recv_floats_checked(T t, int src, int tag, std::span<float> out,
+                               const CollectiveConfig& config, Mode mode) {
+  co_await t.recv_into(src, tag, writable_bytes_of(out));
+  if (config.verify != VerifyPolicy::kOff) co_await verify_floats(t, src, tag, out, config, mode);
 }
 
 // ---------------------------------------------------------------------------

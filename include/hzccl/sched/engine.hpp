@@ -7,7 +7,7 @@
 // overlapping allreduces over one shared fleet, and the fabric's contended
 // links are shared *between* jobs.  The Engine models exactly that:
 //
-//   * iallreduce / ireduce_scatter / iallgather return a Request immediately;
+//   * iallreduce / ireduce_scatter / submit return a Request immediately;
 //     per-rank progress is the collective's one coroutine body (see
 //     collectives/schedules.hpp), the same body the blocking entry points
 //     run, resumed through this engine's Port; it suspends at every receive,
@@ -22,15 +22,15 @@
 //   * contended inter-node links are shared per-flow: a frame's transfer
 //     time uses the *fleet-wide* active-flow bandwidth split by job weight,
 //     degenerating exactly to the blocking per-job price when one job runs;
-//   * rank faults (crash/hang/straggler — the PR 5 schedules) kill a rank
-//     mid-coroutine; every overlapping job that lost a member aborts its
-//     survivors at the detection deadline, charges the PR 5 recovery
-//     sequence (suspect/detect/agree + backoff/shrink), and retries over the
-//     survivors under its RetryPolicy.  Link-level fault injection
-//     (drop/corrupt/sdc/...) stays exclusive to the threaded runtime: the
-//     engine rejects such plans at construction.  Poisoned combines
-//     (FaultPlan::poison) are compute-side and honoured: each rank of each
-//     job runs under its own SdcInjector, seeded like the runtime's.
+//   * rank faults (crash/hang/straggler) run the threaded runtime's control
+//     plane (simmpi/control_plane.hpp), one instance per job, so one job
+//     alone on an engine replays run_collective's recovery exactly: a death
+//     retires the rank in every job it belongs to, and each job detects,
+//     agrees, shrinks and retries under its RetryPolicy.  Link-level fault
+//     injection (drop/corrupt/sdc/...) stays exclusive to the threaded
+//     runtime: the engine rejects such plans at construction.  Poisoned
+//     combines (FaultPlan::poison) are compute-side and honoured: each rank
+//     of each job runs under its own SdcInjector, seeded like the runtime's.
 //
 // The scheduler lifecycle of every job is traced as zero-duration markers
 // (kEnqueue/kFuse/kGrant/kComplete) on a dedicated pseudo-rank stream — the
@@ -151,7 +151,7 @@ class Port;
 
 /// Awaitable returned by Port::recv: always suspends; the engine resumes
 /// the coroutine once the matching frame's transfer completes on the
-/// receiver's clock (or with the abort error after a failure detection).
+/// receiver's clock (or with a revoke once its silent source is declared dead).
 class RecvAwaitable {
  public:
   bool await_ready() const noexcept { return false; }
@@ -258,8 +258,6 @@ class Engine {
                      const SubmitOptions& options = {});
   Request ireduce_scatter(Kernel kernel, const JobConfig& config, const RankInputFn& input,
                           const SubmitOptions& options = {});
-  Request iallgather(Kernel kernel, const JobConfig& config, const RankInputFn& input,
-                     const SubmitOptions& options = {});
 
   /// Reserve a job id without submitting anything — the Scheduler labels
   /// fused constituents with these so their lifecycle markers share the

@@ -34,22 +34,19 @@
 // threads.
 //
 // Rank failures (see faults.hpp): a FaultPlan can additionally schedule
-// crash/hang/straggler faults per rank.  The runtime then arms an endpoint
-// health machine (Alive → Suspect → Dead on virtual-clock deadlines), an
-// agreement round guaranteeing every survivor of a failure throws the same
-// RankFailedError, and Comm::shrink() + retry to complete the collective
-// over the survivors under a new epoch.  The barrier, the agreement and the
-// shrink are one kind of round: released at the latest arrival plus a
-// latency-priced hop count.  Detection acts only on *final* control-plane
-// facts (a peer is dead, parked in the agreement, or finished) — never on
-// wall-clock races — so failed runs replay exactly from their seed too.
+// crash/hang/straggler faults per rank.  The runtime then drives the shared
+// control plane (control_plane.hpp, which sched::Engine drives too): a
+// receiver blocked on a dead, agreement-parked or finished peer runs the
+// Alive → Suspect → Dead health machine, every survivor throws the same
+// RankFailedError out of the agreement, and Comm::shrink() + retry completes
+// the collective over the survivors under a new epoch.  Decisions rest on
+// final facts only, so failed runs replay exactly from their seed too.
 //
 // Because rank threads block on condition variables while waiting for
 // matching messages, hundreds of mostly-idle ranks simulate fine on a small
 // host; the paper's 512-node runs map to 512 threads.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -62,6 +59,7 @@
 #include <vector>
 
 #include "hzccl/simmpi/clock.hpp"
+#include "hzccl/simmpi/control_plane.hpp"
 #include "hzccl/simmpi/faults.hpp"
 #include "hzccl/simmpi/netmodel.hpp"
 #include "hzccl/stats/metrics.hpp"
@@ -345,61 +343,18 @@ class Runtime {
 
   // -------------------------------------------------------------------------
   // Control plane: the barrier, and under rank faults the health machine,
-  // the agreement and the shrink.  Every run starts from
-  // reset_control_plane(); without rank faults only the barrier touches
-  // this state, over the unchanging full group.  Lock ordering:
-  // control_mutex_ is a leaf — it is never held while acquiring a mailbox
-  // mutex.
+  // the agreement and the shrink, decided by `control_` (control_plane.hpp)
+  // under control_mutex_; the runtime owns the waits.  Lock ordering:
+  // control_mutex_ is a leaf, never held while acquiring a mailbox mutex.
   // -------------------------------------------------------------------------
 
-  /// Ground truth about one physical rank, guarded by control_mutex_.
-  /// Detection decisions derive *only* from this final state, never from
-  /// wall-clock timers — which is what keeps failure detection
-  /// deterministic under any host scheduling.
-  struct RankState {
-    bool dead = false;      ///< crashed or hung: will never execute again
-    bool stopped = false;   ///< parked in the current agreement round
-    bool finished = false;  ///< rank function returned; agrees with anything
-    double stop_vtime = 0.0;  ///< virtual time of death / park / finish
-
-    /// Hopeless to wait for: this rank sends nothing more this attempt.
-    bool silent() const { return dead || stopped || finished; }
-  };
-
-  /// One rendezvous of the control plane (the barrier, the agreement or the
-  /// shrink), guarded by control_mutex_.  Arrivals fold in their virtual
-  /// times; completing the round releases its waiters at the latest
-  /// arrival plus `hops` latency-priced messages and moves the generation
-  /// they wait on.
-  struct Round {
-    uint64_t generation = 0;
-    int arrived = 0;       ///< waiters of the round in progress
-    double latest = 0.0;   ///< latest arrival of the round in progress
-    double release = 0.0;  ///< release time of the last completed round
-
-    void arrive(double vtime) {
-      ++arrived;
-      latest = std::max(latest, vtime);
-    }
-    void complete(double hops, double latency_s) {
-      release = latest + hops * latency_s;
-      arrived = 0;
-      latest = 0.0;
-      ++generation;
-    }
-  };
-
-  /// Back to the initial group (every rank, epoch 0, all alive) with no
-  /// round in progress.  Caller holds control_mutex_ or owns every thread.
-  void reset_control_plane();
-
   /// The one control-plane wait (control_mutex_ held through `lock`): block
-  /// until `round` completes past `generation`.  A waiter leaves the round
-  /// unreleased, returning false, as soon as `hopeless()` holds; it throws
-  /// the abort error naming `where` when the run aborts first.
+  /// until round `kind` completes past `generation`.  A waiter leaves the
+  /// round unreleased, returning false, as soon as `hopeless()` holds; it
+  /// throws the abort error naming `where` when the run aborts first.
   template <class Hopeless>
-  bool await_round(std::unique_lock<std::mutex>& lock, Round& round, uint64_t generation,
-                   const char* where, Hopeless hopeless);
+  bool await_round(std::unique_lock<std::mutex>& lock, ControlPlane::RoundKind kind,
+                   uint64_t generation, const char* where, Hopeless hopeless);
 
   bool rank_faults_on() const { return faults_.rank_faults_enabled(); }
 
@@ -432,8 +387,6 @@ class Runtime {
   /// Group-aware barrier over the current members.
   void barrier_wait(Comm& comm);
 
-  void try_complete_agreement_locked();
-  void try_complete_shrink_locked();
   void wake_all_mailboxes();
 
   int nranks_;
@@ -449,19 +402,11 @@ class Runtime {
   /// in a control-plane round fail fast instead of deadlocking the join.
   std::atomic<bool> aborted_{false};
 
-  // Control-plane state (see RankState and Round above).
+  // Control-plane state, rebuilt by every run; guarded by control_mutex_.
   std::mutex control_mutex_;
   std::condition_variable control_cv_;
   std::vector<RankFault> resolved_faults_;
-  std::vector<RankState> rank_state_;
-  uint32_t epoch_ = 0;
-  std::vector<int> members_;  ///< physical ranks of the current group
-  Round barrier_;
-  Round agreement_;
-  std::vector<int> agree_failed_;  ///< result of the last completed agreement
-  uint32_t agree_epoch_ = 0;       ///< epoch the last completed agreement ran under
-  Round shrink_;
-  std::vector<char> shrink_arrived_;
+  ControlPlane control_;
 };
 
 }  // namespace hzccl::simmpi

@@ -22,7 +22,4 @@ struct StreamResult {
 /// Run STREAM with `elements` doubles per array and `trials` repetitions.
 StreamResult run_stream(size_t elements = size_t{1} << 23, int trials = 5);
 
-/// Cached peak bandwidth of this host (runs STREAM once on first use).
-double host_peak_bandwidth_gbps();
-
 }  // namespace hzccl

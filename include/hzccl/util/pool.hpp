@@ -88,7 +88,6 @@ class BufferPool {
   bool poison() const { return poison_; }
 
   const PoolStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = PoolStats{}; }
 
   /// Drop every parked buffer (frees the memory, keeps the stats).
   void trim();

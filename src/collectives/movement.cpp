@@ -29,23 +29,34 @@ int binomial_parent(int relative, int size, int& mask) {
   return -1;
 }
 
+/// The raw stack's single-threaded digest check of a received payload.
+void verify_raw(CommTransport& t, int src, int tag, std::span<float> data,
+                const CollectiveConfig& config) {
+  if (config.verify == VerifyPolicy::kOff) return;
+  run_to_completion(body::verify_floats(t, src, tag, data, config, simmpi::Mode::kSingleThread));
+}
+
 }  // namespace
 
 void raw_bcast(Comm& comm, std::vector<float>& data, int root, const CollectiveConfig& config) {
-  (void)config;
   const int size = comm.size();
   const int relative = relative_rank(comm.rank(), root, size);
+  CommTransport t(comm);
 
   int mask = 0;
   const int parent = binomial_parent(relative, size, mask);
   if (parent >= 0) {
-    const auto payload = comm.recv(absolute_rank(parent, root, size), kTagBcast);
-    data = floats_from_bytes(payload, "raw_bcast payload");
+    const int parent_rank = absolute_rank(parent, root, size);
+    data = floats_from_bytes(comm.recv(parent_rank, kTagBcast), "raw_bcast payload");
+    // Recheck before forwarding, so a corrupt payload never propagates down
+    // the broadcast tree.
+    verify_raw(t, parent_rank, kTagBcast, data, config);
   }
   for (mask >>= 1; mask > 0; mask >>= 1) {
     const int child = relative + mask;
     if (child < size) {
-      comm.send_floats(absolute_rank(child, root, size), kTagBcast, data);
+      body::send_floats_checked(t, absolute_rank(child, root, size), kTagBcast, data, config,
+                                simmpi::Mode::kSingleThread);
     }
   }
 }
@@ -102,29 +113,32 @@ void ccoll_bcast(Comm& comm, std::vector<float>& data, int root,
 
 void raw_gather(Comm& comm, std::span<const float> mine, int root, std::vector<float>& out,
                 const CollectiveConfig& config) {
-  (void)config;
   const int size = comm.size();
   const int relative = relative_rank(comm.rank(), root, size);
   const size_t chunk = mine.size();
+  CommTransport t(comm);
 
   // Subtree buffer in relative-rank order, starting with this rank's data.
   std::vector<float> buffer(mine.begin(), mine.end());
   int mask = 1;
   while (mask < size) {
     if (relative & mask) {
-      comm.send_floats(absolute_rank(relative - mask, root, size), kTagGather + mask, buffer);
+      body::send_floats_checked(t, absolute_rank(relative - mask, root, size), kTagGather + mask,
+                                buffer, config, simmpi::Mode::kSingleThread);
       break;
     }
     const int child = relative + mask;
     if (child < size) {
-      const auto payload = comm.recv(absolute_rank(child, root, size), kTagGather + mask);
+      const int child_rank = absolute_rank(child, root, size);
+      const auto payload = comm.recv(child_rank, kTagGather + mask);
       const size_t stride = chunk * sizeof(float);
       // Guard the stride before the modulo: with empty contributions any
       // nonempty payload is malformed, and chunk == 0 must not divide by 0.
       if (stride == 0 ? !payload.empty() : payload.size() % stride != 0) {
         throw Error("raw_gather: ranks contributed unequal chunk sizes");
       }
-      const auto received = floats_from_bytes(payload, "raw_gather payload");
+      std::vector<float> received = floats_from_bytes(payload, "raw_gather payload");
+      verify_raw(t, child_rank, kTagGather + mask, received, config);
       buffer.insert(buffer.end(), received.begin(), received.end());
     }
     mask <<= 1;

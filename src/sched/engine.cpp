@@ -7,10 +7,11 @@
 //
 //   start:  a granted job's rank begins its collective at
 //           max(rank clock, grant time);
-//   recv:   a parked receive whose matching frame has been posted; ready at
-//           max(rank clock, sender stamp) + fair-share transfer time;
-//   abort:  a parked survivor of a failed attempt; ready at the failure
-//           detection deadline.
+//   wake:   a parked receive whose matching frame has been posted, ready at
+//           max(rank clock, sender stamp) + fair-share transfer time; or one
+//           whose source is silent, with nothing posted, ready at the health
+//           machine's deadline in the job's control plane — which also
+//           releases the agreement, backoff, shrink and retry that follow.
 //
 // Determinism: ready times are pure functions of the virtual clocks and the
 // posted frames, and ties break on (rank, job id), so the same configuration
@@ -21,7 +22,6 @@
 #include "hzccl/sched/engine.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <deque>
 #include <limits>
@@ -30,9 +30,11 @@
 #include <utility>
 
 #include "hzccl/cluster/autotune.hpp"
+#include "hzccl/core/dispatch.hpp"
 #include "hzccl/integrity/sdc.hpp"
-#include "hzccl/sched/icoll.hpp"
 #include "hzccl/simmpi/clock.hpp"
+#include "hzccl/simmpi/control_plane.hpp"
+#include "hzccl/util/bytes.hpp"
 #include "hzccl/util/error.hpp"
 
 namespace hzccl::sched {
@@ -52,22 +54,57 @@ namespace {
 
 /// Thrown out of a Port call when the calling rank's own scheduled fault
 /// fires; unwinds the rank's coroutine (running its destructors) so the
-/// engine can classify the death in settle_root.
+/// engine can retire the rank when the root concludes.
 struct RankDeadError {};
 
-/// Deposited into every parked survivor of a failed attempt after the
-/// detection charges; unwinds the survivor cleanly.
-struct JobAttemptAbort {};
+/// Deposited into a parked receive whose silent source the health machine
+/// declared dead: unwinds the survivor's attempt to the job's agreement.
+struct AttemptRevoked {};
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Admission tie-break stream.
 constexpr uint64_t kGrantStream = 0x47524E54ULL;  // "GRNT"
 
-int ceil_log2(int n) {
-  int bits = 0;
-  for (int v = 1; v < n; v <<= 1) ++bits;
-  return bits;
+using RoundKind = simmpi::ControlPlane::RoundKind;
+
+/// What one rank's collective produced.
+struct RootOutcome {
+  std::vector<float> output;  ///< full vector (allreduce/allgather) or owned block
+  HzPipelineStats stats;      ///< hz_add totals of this rank
+};
+
+/// One rank's whole collective as a lazy coroutine: run_stack, the dispatch
+/// run_collective drives, over the same bodies (collectives/schedules.hpp)
+/// with the engine's Port as the transport.  Allgather (engine only)
+/// contributes the rank's owned ring block of `input`, mirroring the
+/// blocking reduce-scatter + allgather decomposition.
+Task<RootOutcome> run_rank_collective(Port port, Kernel kernel, ICollOp op,
+                                      coll::AllreduceAlgo algo, coll::CollectiveConfig config,
+                                      std::vector<float> input) {
+  RootOutcome out;
+  if (op != ICollOp::kAllgather) {
+    const Op stack_op = op == ICollOp::kAllreduce ? Op::kAllreduce : Op::kReduceScatter;
+    co_await run_stack(port, kernel, stack_op, algo, input, out.output, config, &out.stats);
+    co_return out;
+  }
+  const Range own = coll::ring_block_range(input.size(), port.size(),
+                                           coll::rs_owned_block(port.rank(), port.size()));
+  const std::span<const float> mine(input.data() + own.begin, own.size());
+  switch (kernel) {
+    case Kernel::kMpi:
+      co_await coll::body::raw_allgather(port, mine, input.size(), out.output, config);
+      break;
+    case Kernel::kCCollMultiThread:
+    case Kernel::kCCollSingleThread:
+      co_await coll::body::ccoll_allgather(port, mine, input.size(), out.output, config);
+      break;
+    case Kernel::kHzcclMultiThread:
+    case Kernel::kHzcclSingleThread:
+      co_await coll::body::hzccl_allgather(port, mine, input.size(), out.output, config);
+      break;
+  }
+  co_return out;
 }
 
 }  // namespace
@@ -82,8 +119,7 @@ struct EngineImpl {
   struct RankState {
     simmpi::VirtualClock clock;
     trace::Recorder tracer;
-    bool dead = false;
-    double death_vtime = 0.0;
+    bool dead = false;  ///< its clock stopped at the death
     double cost_factor = 1.0;
     uint64_t ops = 0;
     const simmpi::RankFault* stop_fault = nullptr;
@@ -104,11 +140,8 @@ struct EngineImpl {
   };
 
   struct Root {
-    Task<RootOutcome> task;
-    bool started = false;
+    Task<RootOutcome> task;  ///< invalid until the root starts
     bool settled = false;
-    bool errored = false;
-    double finish = 0.0;
     RootOutcome result;
   };
 
@@ -129,15 +162,15 @@ struct EngineImpl {
     std::vector<int> group;     ///< fleet ranks of the current attempt
     std::vector<int> vrank_of;  ///< fleet-sized; -1 = not a member
     int attempt = 0;
-    int unsettled = 0;
+    double last_settled = 0.0;    ///< latest clock a root settled at
     std::vector<Root> roots;      ///< by virtual rank
     std::vector<Waiter> waiters;  ///< by virtual rank
 
-    bool failed_attempt = false;
-    bool abort_no_retry = false;
-    std::string abort_error;
-    double detect_vtime = 0.0;
-    std::vector<int> newly_failed;
+    /// The job's rank-failure control plane over job-relative ranks (fleet
+    /// rank - opt.first_rank), and the round generations already acted on.
+    simmpi::ControlPlane plane;
+    uint64_t agreements_seen = 0;
+    uint64_t shrinks_seen = 0;
 
     std::unordered_map<uint64_t, std::deque<Msg>> chans;
 
@@ -150,14 +183,16 @@ struct EngineImpl {
     std::vector<integrity::SdcInjector> injectors;
 
     JobOutcome out;
+
+    int rel(int rank) const { return rank - opt.first_rank; }
+    bool dead(int rank) const { return plane.state(rel(rank)).dead; }
   };
 
-  enum class StepKind { kStart, kRecv, kAbort };
-
+  /// The job whose step is runnable earliest on a rank: a start when its
+  /// root has not started, a wake otherwise.
   struct Candidate {
     double ready = kInf;
     int job = -1;
-    StepKind kind = StepKind::kStart;
     bool valid() const { return job >= 0; }
   };
 
@@ -184,7 +219,6 @@ struct EngineImpl {
   std::vector<int> pending;  ///< enqueued, awaiting grant
   int active = 0;
   uint32_t epoch = 0;
-  uint64_t grant_counter = 0;
   trace::Recorder sched_tracer;
   double sched_hwm = 0.0;
   std::priority_queue<Hint, std::vector<Hint>, HintLater> heap;
@@ -244,6 +278,18 @@ struct EngineImpl {
     }
   }
 
+  /// One value per fleet rank, read off its state.
+  template <class Read>
+  auto per_rank(Read read) const {
+    std::vector<decltype(read(ranks.front()))> out;
+    for (const RankState& r : ranks) out.push_back(read(r));
+    return out;
+  }
+
+  void mark_members_dirty(const JobState& j) {
+    for (const int member : j.group) mark_dirty(member);
+  }
+
   void add_item(int rank, int job) {
     RankState& r = ranks[static_cast<size_t>(rank)];
     if (std::find(r.items.begin(), r.items.end(), job) == r.items.end()) {
@@ -263,15 +309,16 @@ struct EngineImpl {
     dirty_ranks.clear();
   }
 
-  void record(RankState& r, const trace::Event& e) { r.tracer.record(e); }
-
-  trace::Event make_event(trace::EventKind kind, double t0, double t1, int job) const {
-    trace::Event e;
-    e.kind = kind;
-    e.t0 = t0;
+  /// Record `e` on `r`'s stream as a span of job `job` (-1: no job) ending
+  /// at `t1`, or now — the engine's Comm::span.
+  static void span(RankState& r, int job, trace::Event e, double t1) {
+    if (!r.tracer.enabled()) return;
     e.t1 = t1;
     e.job = job >= 0 ? static_cast<uint8_t>(job) : trace::kNoJob;
-    return e;
+    r.tracer.record(e);
+  }
+  static void span(RankState& r, int job, const trace::Event& e) {
+    span(r, job, e, r.clock.now());
   }
 
   /// Scheduler lifecycle marker on the pseudo-rank stream.  Times are
@@ -282,66 +329,40 @@ struct EngineImpl {
     if (!sched_tracer.enabled()) return;
     const double tt = std::max(t, sched_hwm);
     sched_hwm = tt;
-    trace::Event e = make_event(kind, tt, tt, job);
-    e.aux = aux;
-    e.bytes = bytes;
-    sched_tracer.record(e);
+    sched_tracer.record({.t0 = tt, .t1 = tt, .bytes = bytes, .kind = kind, .aux = aux,
+                         .job = static_cast<uint8_t>(job)});
   }
 
   // -- Fault machinery ------------------------------------------------------
 
-  /// Count one transport operation on `rank` and fire its scheduled fault if
-  /// due.  Faults are checked at operation entry (send, recv registration);
-  /// a hang is equivalent to a crash here — the rank simply stops, and its
-  /// already-posted eager frames stay consumable, exactly as the threaded
-  /// runtime's mailboxes keep a hung rank's sent frames alive.
-  void note_op_or_die(int rank) {
+  /// Count one transport operation (send, receive or shrink) on `rank` and
+  /// fire its crash or hang if due.  A hung rank stops like a crashed one:
+  /// its already-posted eager frames stay consumable.
+  bool fault_fires(int rank) {
     RankState& r = ranks[static_cast<size_t>(rank)];
     ++r.ops;
     const simmpi::RankFault* f = r.stop_fault;
-    if (f == nullptr || !f->due(r.ops, r.clock.now())) return;
+    if (f == nullptr || !f->due(r.ops, r.clock.now())) return false;
     r.dead = true;
-    r.death_vtime = r.clock.now();
-    if (f->kind == simmpi::RankFaultKind::kHang) {
-      ++r.health.hangs;
-    } else {
-      ++r.health.crashes;
-    }
-    throw RankDeadError{};
+    ++(f->kind == simmpi::RankFaultKind::kHang ? r.health.hangs : r.health.crashes);
+    return true;
   }
 
-  /// A rank died: tear down its parked work everywhere, mark every job it
-  /// belonged to as failed, and bump the fleet epoch.
+  /// A rank died: retire it in the control plane of every active job it
+  /// belongs to, tearing down its unsettled roots, and bump the fleet epoch.
   void handle_death(int rank) {
     RankState& r = ranks[static_cast<size_t>(rank)];
     ++epoch;
     r.items.clear();
     mark_dirty(rank);
-    const double detect = r.death_vtime + cfg.faults.recv_timeout_s;
     for (JobState& j : jobs) {
       if (j.phase != Phase::kActive) continue;
       const int v = j.vrank_of[static_cast<size_t>(rank)];
       if (v < 0) continue;
-      Root& root = j.roots[static_cast<size_t>(v)];
-      if (!root.settled) {
-        // The dead rank's own collective: forget the parked receive and
-        // destroy the suspended frame chain without resuming it.
-        j.waiters[static_cast<size_t>(v)] = Waiter{};
-        root.task.reset();
-        root.settled = true;
-        root.errored = true;
-        root.finish = r.clock.now();
-        --j.unsettled;
-      }
-      if (!j.failed_attempt) {
-        j.failed_attempt = true;
-        j.detect_vtime = detect;
-      } else {
-        j.detect_vtime = std::max(j.detect_vtime, detect);
-      }
-      j.newly_failed.push_back(rank);
-      for (const int member : j.group) mark_dirty(member);
-      if (j.unsettled == 0) finish_attempt(j);
+      if (!j.roots[static_cast<size_t>(v)].settled) teardown(j, v);
+      j.plane.retire(j.rel(rank), /*dead=*/true, r.clock.now());
+      mark_members_dirty(j);
+      progress(j);
     }
   }
 
@@ -350,30 +371,34 @@ struct EngineImpl {
   /// Seconds one frame spends on the (src, dst) link.  Intra-node channels
   /// are uncontended.  Inter-node transfers share the fabric with every
   /// other active job: the rate is this job's weighted share of the
-  /// fleet-wide congested bandwidth, capped at the job's solo (blocking
-  /// runtime) rate — with a single active job the price degenerates exactly
-  /// to NetModel::link_seconds.
+  /// fleet-wide congested bandwidth, capped at the job's solo rate.  A job's
+  /// flows are those of its whole placement, shrunk or not, as the threaded
+  /// runtime prices them — with a single active job the price degenerates
+  /// exactly to NetModel::link_seconds.
   double transfer_seconds(const JobState& j, int src, int dst, size_t frame_bytes) const {
     const simmpi::NetModel& net = cfg.net;
     if (net.topo.same_node(src, dst)) {
       return net.intra_latency_s + static_cast<double>(frame_bytes) / net.intra_bytes_per_s();
     }
-    const double solo =
-        net.effective_bytes_per_s(net.congestion_flows(static_cast<int>(j.group.size())));
+    const double solo = net.effective_bytes_per_s(net.congestion_flows(j.config.nranks));
     int total_flows = 0;
     double total_weight = 0.0;
     for (const JobState& a : jobs) {
       if (a.phase != Phase::kActive) continue;
-      total_flows += net.congestion_flows(static_cast<int>(a.group.size()));
+      total_flows += net.congestion_flows(a.config.nranks);
       total_weight += a.opt.weight;
     }
-    double rate = solo;
-    if (total_weight > 0.0) {
-      const double share =
-          net.effective_bytes_per_s(total_flows) * (j.opt.weight / total_weight);
-      rate = std::min(solo, share);
-    }
-    return net.latency_s + static_cast<double>(frame_bytes) / rate;
+    // `j` itself is active, so total_weight > 0.
+    const double share = net.effective_bytes_per_s(total_flows) * (j.opt.weight / total_weight);
+    return net.latency_s + static_cast<double>(frame_bytes) / std::min(solo, share);
+  }
+
+  /// When `rank`'s receive of `m` from `src` completes: no earlier than the
+  /// sender's stamp, plus the straggler-scaled transfer.
+  double recv_ready(const JobState& j, int src, int rank, const Msg& m) const {
+    const RankState& r = ranks[static_cast<size_t>(rank)];
+    return std::max(r.clock.now(), m.stamp) +
+           transfer_seconds(j, src, rank, simmpi::frame_size(m.payload.size())) * r.cost_factor;
   }
 
   void port_send(int job, int vrank, int dst, int tag, std::span<const uint8_t> payload) {
@@ -381,27 +406,20 @@ struct EngineImpl {
     const int src_phys = j.group[static_cast<size_t>(vrank)];
     const int dst_phys = j.group[static_cast<size_t>(dst)];
     RankState& r = ranks[static_cast<size_t>(src_phys)];
-    note_op_or_die(src_phys);
+    if (fault_fires(src_phys)) throw RankDeadError{};
 
     const double t0 = r.clock.now();
     r.clock.advance(cfg.net.link_latency_s(src_phys, dst_phys) * r.cost_factor, CostBucket::kMpi);
     const uint64_t seq = r.send_seq[static_cast<size_t>(dst_phys)]++;
-    trace::Event e = make_event(trace::EventKind::kSend, t0, r.clock.now(), job);
-    e.seq = seq;
-    e.bytes = payload.size();
-    e.peer = dst_phys;
-    e.tag = tag;
-    record(r, e);
+    span(r, job, {.t0 = t0, .seq = seq, .bytes = payload.size(), .peer = dst_phys, .tag = tag,
+                  .kind = trace::EventKind::kSend});
 
     ++r.transport.frames_sent;
     ++j.out.transport.frames_sent;
     j.out.payload_bytes_sent += payload.size();
 
-    Msg msg;
-    msg.payload.assign(payload.begin(), payload.end());
-    msg.stamp = r.clock.now();
-    msg.seq = seq;
-    j.chans[chan_key(dst_phys, src_phys, tag)].push_back(std::move(msg));
+    j.chans[chan_key(dst_phys, src_phys, tag)].push_back(
+        Msg{{payload.begin(), payload.end()}, r.clock.now(), seq});
     mark_dirty(dst_phys);
     mark_dirty(src_phys);
   }
@@ -409,26 +427,19 @@ struct EngineImpl {
   void register_waiter(RecvAwaitable* aw, std::coroutine_handle<> h) {
     JobState& j = jobs[static_cast<size_t>(aw->job_)];
     const int me_phys = j.group[static_cast<size_t>(aw->vrank_)];
-    note_op_or_die(me_phys);  // recv counts as a transport op at entry
-    Waiter& w = j.waiters[static_cast<size_t>(aw->vrank_)];
-    w.handle = h;
-    w.awaitable = aw;
-    w.src_phys = j.group[static_cast<size_t>(aw->src_)];
-    w.tag = aw->tag_;
+    if (fault_fires(me_phys)) throw RankDeadError{};  // recv counts as a transport op at entry
+    j.waiters[static_cast<size_t>(aw->vrank_)] =
+        Waiter{h, aw, j.group[static_cast<size_t>(aw->src_)], aw->tag_};
     mark_dirty(me_phys);
   }
 
   void port_charge(int job, int vrank, CostBucket bucket, double seconds, trace::EventKind kind,
                    uint64_t bytes, uint64_t bytes_out) {
     JobState& j = jobs[static_cast<size_t>(job)];
-    const int me = j.group[static_cast<size_t>(vrank)];
-    RankState& r = ranks[static_cast<size_t>(me)];
+    RankState& r = ranks[static_cast<size_t>(j.group[static_cast<size_t>(vrank)])];
     const double t0 = r.clock.now();
     r.clock.advance(seconds * r.cost_factor, bucket);
-    trace::Event e = make_event(kind, t0, r.clock.now(), job);
-    e.bytes = bytes;
-    e.bytes_out = bytes_out;
-    record(r, e);
+    span(r, job, {.t0 = t0, .bytes = bytes, .bytes_out = bytes_out, .kind = kind});
   }
 
   // -- Runnable-set scan ----------------------------------------------------
@@ -446,26 +457,18 @@ struct EngineImpl {
         continue;
       }
       Candidate c;
-      const Root& root = j.roots[static_cast<size_t>(v)];
       const Waiter& w = j.waiters[static_cast<size_t>(v)];
-      if (j.failed_attempt) {
-        // Parked survivors unwind at the detection deadline; roots that had
-        // not even started are torn down the same way (they were granted, so
-        // they sit out the recovery sequence like everyone else).
-        if (w.parked() || !root.started) {
-          c = Candidate{std::max(r.clock.now(), j.detect_vtime), id, StepKind::kAbort};
-        }
-      } else if (!root.started) {
-        c = Candidate{std::max(r.clock.now(), j.out.grant_vtime), id, StepKind::kStart};
+      if (!j.roots[static_cast<size_t>(v)].task.valid()) {
+        c = Candidate{std::max(r.clock.now(), j.out.grant_vtime), id};
       } else if (w.parked()) {
         const auto it = j.chans.find(chan_key(rank, w.src_phys, w.tag));
+        const simmpi::ControlPlane::RankState& src = j.plane.state(j.rel(w.src_phys));
         if (it != j.chans.end() && !it->second.empty()) {
-          const Msg& m = it->second.front();
-          const double data_ready = std::max(r.clock.now(), m.stamp);
-          const double transfer =
-              transfer_seconds(j, w.src_phys, rank, simmpi::frame_size(m.payload.size())) *
-              r.cost_factor;
-          c = Candidate{data_ready + transfer, id, StepKind::kRecv};
+          c = Candidate{recv_ready(j, w.src_phys, rank, it->second.front()), id};
+        } else if (src.silent()) {
+          // Nothing posted, and a silent peer never posts again: the health
+          // machine gives up on it at its deadline.
+          c = Candidate{j.plane.dead_at(r.clock.now(), src.stop_vtime), id};
         }
       }
       if (c.valid() && (!best.valid() || c.ready < best.ready ||
@@ -483,7 +486,7 @@ struct EngineImpl {
     if (cfg.faults.poison > 0.0) {
       // Compute-side SDC: the rank's own injector for the duration of the
       // resume, as the threaded runtime arms one around each rank body.
-      const int rel = j.group[static_cast<size_t>(vrank)] - j.opt.first_rank;
+      const int rel = j.rel(j.group[static_cast<size_t>(vrank)]);
       const integrity::ScopedSdcInjector scoped(&j.injectors[static_cast<size_t>(rel)]);
       h.resume();
     } else {
@@ -491,7 +494,7 @@ struct EngineImpl {
       h.resume();
     }
     Root& root = j.roots[static_cast<size_t>(vrank)];
-    if (root.task.valid() && root.task.done() && !root.settled) settle_root(j, vrank);
+    if (root.task.valid() && root.task.done() && !root.settled) conclude(j, vrank);
   }
 
   void exec_start(JobState& j, int rank) {
@@ -504,165 +507,236 @@ struct EngineImpl {
     if (j.out.grant_vtime > r.clock.now()) {
       const double t0 = r.clock.now();
       r.clock.advance_to(j.out.grant_vtime, CostBucket::kMpi);
-      record(r, make_event(trace::EventKind::kWait, t0, r.clock.now(), -1));
-    }
-
-    if (j.attempt > 0) {
-      // Retry preamble, mirroring Comm::retry_backoff + shrink: the backoff
-      // of this attempt, then one agreement-shaped rebuild charge.
-      double t0 = r.clock.now();
-      r.clock.advance(j.config.retry.backoff_for(j.attempt, j.config.faults.seed) * r.cost_factor,
-                      CostBucket::kMpi);
-      trace::Event backoff = make_event(trace::EventKind::kBackoff, t0, r.clock.now(), j.id);
-      backoff.seq = static_cast<uint64_t>(j.attempt);
-      record(r, backoff);
-      t0 = r.clock.now();
-      r.clock.advance(cfg.net.latency_s * ceil_log2(static_cast<int>(j.group.size())) +
-                          cfg.net.latency_s,
-                      CostBucket::kMpi);
-      record(r, make_event(trace::EventKind::kShrink, t0, r.clock.now(), j.id));
-      ++r.health.shrinks;
-      ++r.health.retries;
+      span(r, -1, {.t0 = t0, .kind = trace::EventKind::kWait});
     }
 
     // Inputs are keyed by the job-local rank (fleet rank - first_rank), so a
     // survivor contributes the same vector on every attempt.
-    std::vector<float> input = j.input(rank - j.opt.first_rank);
+    std::vector<float> input = j.input(j.rel(rank));
     if (v == 0) j.out.input_bytes_per_rank = input.size() * sizeof(float);
 
     // Algorithm marker, exactly as run_collective stamps it: non-ring
     // schedules only, first attempt only, at the origin of the job's spans.
-    if (j.attempt == 0 && j.algo != coll::AllreduceAlgo::kRing && r.tracer.enabled()) {
-      trace::Event m =
-          make_event(trace::EventKind::kPack, r.clock.now(), r.clock.now(), j.id);
-      m.aux = static_cast<uint8_t>(trace::kAuxAlgoBase + static_cast<int>(j.algo));
-      m.bytes = input.size() * sizeof(float);
-      record(r, m);
+    if (j.attempt == 0 && j.algo != coll::AllreduceAlgo::kRing) {
+      span(r, j.id, {.t0 = r.clock.now(), .bytes = input.size() * sizeof(float),
+                     .kind = trace::EventKind::kPack,
+                     .aux = static_cast<uint8_t>(trace::kAuxAlgoBase + static_cast<int>(j.algo))});
     }
 
     root.task =
         run_rank_collective(Port(this, j.id, v), j.kernel, j.op, j.algo, j.cc, std::move(input));
-    root.started = true;
     mark_dirty(rank);
     resume_and_settle(j, v, root.task.handle());
   }
 
-  void exec_recv(JobState& j, int rank) {
+  /// Resume a parked receive with its posted frame, or, its source being
+  /// silent, with a revoke after the health machine's deadlines.
+  void exec_wake(JobState& j, int rank) {
     const int v = j.vrank_of[static_cast<size_t>(rank)];
     RankState& r = ranks[static_cast<size_t>(rank)];
-    Waiter w = j.waiters[static_cast<size_t>(v)];
-    j.waiters[static_cast<size_t>(v)] = Waiter{};
-
+    const Waiter w = std::exchange(j.waiters[static_cast<size_t>(v)], Waiter{});
+    const double t0 = r.clock.now();
     auto& chan = j.chans[chan_key(rank, w.src_phys, w.tag)];
-    Msg msg = std::move(chan.front());
-    chan.pop_front();
-
-    const double t_enter = r.clock.now();
-    const double data_ready = std::max(t_enter, msg.stamp);
-    if (data_ready > t_enter) {
-      r.clock.advance_to(data_ready, CostBucket::kMpi);
-      trace::Event wait = make_event(trace::EventKind::kWait, t_enter, data_ready, j.id);
-      wait.peer = w.src_phys;
-      wait.tag = w.tag;
-      record(r, wait);
+    if (chan.empty()) {
+      const double stop = j.plane.state(j.rel(w.src_phys)).stop_vtime;
+      r.clock.advance_to(j.plane.suspect_at(t0, stop), CostBucket::kMpi);
+      ++r.health.suspects;
+      span(r, j.id, {.t0 = t0, .peer = w.src_phys, .kind = trace::EventKind::kSuspect});
+      const double mid = r.clock.now();
+      r.clock.advance_to(j.plane.dead_at(t0, stop), CostBucket::kMpi);
+      ++r.health.dead_declared;
+      span(r, j.id, {.t0 = mid, .peer = w.src_phys, .kind = trace::EventKind::kDetect});
+      w.awaitable->error_ = std::make_exception_ptr(AttemptRevoked{});
+    } else {
+      // One advance, split in the trace into waiting for the sender (idle)
+      // and the wire transfer, as the threaded runtime's receive does.
+      const double ready = recv_ready(j, w.src_phys, rank, chan.front());
+      Msg msg = std::move(chan.front());
+      chan.pop_front();
+      const double data_ready = std::max(t0, msg.stamp);
+      r.clock.advance_to(ready, CostBucket::kMpi);
+      if (data_ready > t0) {
+        span(r, j.id, {.t0 = t0, .peer = w.src_phys, .tag = w.tag, .kind = trace::EventKind::kWait},
+             data_ready);
+      }
+      span(r, j.id, {.t0 = data_ready, .seq = msg.seq, .bytes = msg.payload.size(),
+                     .peer = w.src_phys, .tag = w.tag, .kind = trace::EventKind::kRecv});
+      ++r.transport.frames_accepted;
+      ++j.out.transport.frames_accepted;
+      w.awaitable->payload_ = std::move(msg.payload);
     }
-    const double transfer =
-        transfer_seconds(j, w.src_phys, rank, simmpi::frame_size(msg.payload.size())) *
-        r.cost_factor;
-    r.clock.advance(transfer, CostBucket::kMpi);
-    trace::Event recv = make_event(trace::EventKind::kRecv, data_ready, r.clock.now(), j.id);
-    recv.seq = msg.seq;
-    recv.bytes = msg.payload.size();
-    recv.peer = w.src_phys;
-    recv.tag = w.tag;
-    record(r, recv);
-
-    ++r.transport.frames_accepted;
-    ++j.out.transport.frames_accepted;
-
-    w.awaitable->payload_ = std::move(msg.payload);
     mark_dirty(rank);
     resume_and_settle(j, v, w.handle);
   }
 
-  void exec_abort(JobState& j, int rank) {
-    const int v = j.vrank_of[static_cast<size_t>(rank)];
-    RankState& r = ranks[static_cast<size_t>(rank)];
-    Waiter w = j.waiters[static_cast<size_t>(v)];
-    j.waiters[static_cast<size_t>(v)] = Waiter{};
-
-    if (!j.abort_no_retry) {
-      // The PR 5 recovery sequence, per surviving rank: wait out the receive
-      // deadline (Suspect), the failure deadline (Dead), then one agreement
-      // round over the group.
-      const double t0 = r.clock.now();
-      r.clock.advance_to(std::max(t0, j.detect_vtime), CostBucket::kMpi);
-      record(r, make_event(trace::EventKind::kSuspect, t0, r.clock.now(), j.id));
-      double t1 = r.clock.now();
-      r.clock.advance(cfg.faults.fail_timeout_s, CostBucket::kMpi);
-      record(r, make_event(trace::EventKind::kDetect, t1, r.clock.now(), j.id));
-      t1 = r.clock.now();
-      r.clock.advance(
-          cfg.net.latency_s * (1 + ceil_log2(static_cast<int>(j.group.size()))),
-          CostBucket::kMpi);
-      record(r, make_event(trace::EventKind::kAgree, t1, r.clock.now(), j.id));
-      ++r.health.suspects;
-      r.health.dead_declared += j.newly_failed.size();
-      ++r.health.agreements;
-      ++r.health.failed_agreements;
-    }
-
-    mark_dirty(rank);
-    if (w.parked()) {
-      w.awaitable->error_ = std::make_exception_ptr(JobAttemptAbort{});
-      resume_and_settle(j, v, w.handle);
-    } else {
-      // The root never started: nothing to unwind, just settle it.
-      Root& root = j.roots[static_cast<size_t>(v)];
-      root.task.reset();
-      root.settled = true;
-      root.errored = true;
-      root.finish = r.clock.now();
-      --j.unsettled;
-      if (j.unsettled == 0) finish_attempt(j);
-    }
-  }
-
   // -- Settlement -----------------------------------------------------------
 
-  void settle_root(JobState& j, int vrank) {
-    Root& root = j.roots[static_cast<size_t>(vrank)];
-    const int rank = j.group[static_cast<size_t>(vrank)];
-    root.settled = true;
-    root.finish = ranks[static_cast<size_t>(rank)].clock.now();
-    --j.unsettled;
+  /// Root `v` is done with the current attempt, at its rank's clock.
+  void settle(JobState& j, int v) {
+    const int rank = j.group[static_cast<size_t>(v)];
+    j.roots[static_cast<size_t>(v)].settled = true;
+    j.last_settled = std::max(j.last_settled, ranks[static_cast<size_t>(rank)].clock.now());
+    mark_dirty(rank);
+  }
+
+  /// Settle root `v` without resuming it: forget its parked receive and
+  /// destroy its suspended frame chain.
+  void teardown(JobState& j, int v) {
+    j.waiters[static_cast<size_t>(v)] = Waiter{};
+    j.roots[static_cast<size_t>(v)].task.reset();
+    settle(j, v);
+  }
+
+  /// Root `v`'s coroutine returned or threw.  A finished or revoked attempt
+  /// arrives at the agreement (without rank faults the last root completes
+  /// the job); the rank's own fault retires it fleet-wide; any other error
+  /// fails the job at once, without a retry.
+  void conclude(JobState& j, int v) {
+    settle(j, v);
+    Root& root = j.roots[static_cast<size_t>(v)];
+    const int rank = j.group[static_cast<size_t>(v)];
     try {
       root.result = root.task.take();
     } catch (const RankDeadError&) {
-      root.errored = true;
-      handle_death(rank);  // settles this root's siblings, marks jobs failed
-      if (j.unsettled == 0 && j.phase == Phase::kActive) finish_attempt(j);
+      handle_death(rank);
       return;
-    } catch (const JobAttemptAbort&) {
-      root.errored = true;
+    } catch (const AttemptRevoked&) {
+      // Detection revoked this attempt; the agreement settles who failed.
     } catch (const std::exception& e) {
-      // A genuine collective failure (decode error, hz_add failure): the
-      // whole job aborts without retry; parked siblings unwind uncharged.
-      root.errored = true;
-      if (!j.failed_attempt) {
-        j.failed_attempt = true;
-        j.abort_no_retry = true;
-        j.abort_error = e.what();
-        j.detect_vtime = root.finish;
-        for (const int member : j.group) mark_dirty(member);
+      for (size_t u = 0; u < j.roots.size(); ++u) {
+        if (!j.roots[u].settled) teardown(j, static_cast<int>(u));
       }
+      finish_job(j, j.last_settled, e.what());
+      return;
     }
-    mark_dirty(rank);
-    if (j.unsettled == 0) finish_attempt(j);
+    if (!cfg.faults.rank_faults_enabled()) {
+      if (std::all_of(j.roots.begin(), j.roots.end(), [](const Root& u) { return u.settled; })) {
+        finish_job(j, j.last_settled, {});
+      }
+      return;
+    }
+    j.plane.arrive_agreement(j.rel(rank), ranks[static_cast<size_t>(rank)].clock.now());
+    mark_members_dirty(j);
+    progress(j);
   }
 
-  void cleanup_job(JobState& j, double t_end, uint8_t complete_aux) {
+  /// Act on a round the job's control plane released since the last call,
+  /// or on a group with no live member left to arrive at one.
+  void progress(JobState& j) {
+    if (j.phase != Phase::kActive) return;
+    if (j.plane.round(RoundKind::kAgreement).generation != j.agreements_seen) {
+      ++j.agreements_seen;
+      release_agreement(j);
+    } else if (j.plane.round(RoundKind::kShrink).generation != j.shrinks_seen) {
+      ++j.shrinks_seen;
+      release_shrink(j);
+    } else if (std::all_of(j.group.begin(), j.group.end(), [&](int m) { return j.dead(m); })) {
+      double t_end = 0.0;  // the last death: dead clocks stopped there
+      for (const int m : j.group) {
+        t_end = std::max(t_end, ranks[static_cast<size_t>(m)].clock.now());
+        if (std::count(j.out.failed_ranks.begin(), j.out.failed_ranks.end(), m) == 0) {
+          j.out.failed_ranks.push_back(m);
+        }
+      }
+      finish_job(j, t_end, "all ranks of the job failed");
+    }
+  }
+
+  /// The agreement released its survivors: each charges the round, then the
+  /// job completes, fails for good, or every survivor backs off into the
+  /// shrink — a transport operation, where a scheduled fault can fire.
+  void release_agreement(JobState& j) {
+    const std::vector<int> failed = j.plane.agreed_failed();
+    std::vector<int> survivors;
+    double t_end = 0.0;
+    for (const int rank : j.group) {
+      if (j.dead(rank)) continue;
+      survivors.push_back(rank);
+      RankState& r = ranks[static_cast<size_t>(rank)];
+      const double t0 = r.clock.now();
+      r.clock.advance_to(j.plane.round(RoundKind::kAgreement).release, CostBucket::kMpi);
+      ++r.health.agreements;
+      r.health.failed_agreements += failed.empty() ? 0 : 1;
+      span(r, j.id, {.t0 = t0, .seq = j.plane.epoch(), .bytes = failed.size(),
+                     .kind = trace::EventKind::kAgree});
+      t_end = std::max(t_end, r.clock.now());
+    }
+    for (const int m : failed) j.out.failed_ranks.push_back(m + j.opt.first_rank);
+    const int failures = j.attempt + 1;
+    if (failed.empty() || failures >= j.config.retry.max_attempts) {
+      finish_job(j, t_end, failed.empty() ? "" : "ranks failed and the retry budget is exhausted");
+      return;
+    }
+    std::vector<int> died;
+    for (const int rank : survivors) {
+      RankState& r = ranks[static_cast<size_t>(rank)];
+      const double t0 = r.clock.now();
+      r.clock.advance(j.plane.backoff(j.config.retry, failures), CostBucket::kMpi);
+      ++r.health.retries;
+      span(r, j.id,
+           {.t0 = t0, .seq = static_cast<uint64_t>(failures), .kind = trace::EventKind::kBackoff});
+      if (fault_fires(rank)) {
+        died.push_back(rank);
+      } else {
+        j.plane.arrive_shrink(j.rel(rank), r.clock.now());
+      }
+    }
+    for (const int rank : died) handle_death(rank);
+    progress(j);
+  }
+
+  /// The shrink released its survivors: each drops the failed attempt's
+  /// undelivered frames as stale and charges the round; the next attempt
+  /// starts over the new group.
+  void release_shrink(JobState& j) {
+    j.group.clear();
+    for (const int m : j.plane.members()) j.group.push_back(m + j.opt.first_rank);
+    for (const int rank : j.group) {
+      if (j.dead(rank)) continue;  // died on its way through the shrink
+      RankState& r = ranks[static_cast<size_t>(rank)];
+      for (const auto& [key, chan] : j.chans) {
+        if (static_cast<int>(key >> 48) == rank) r.health.stale_discards += chan.size();
+      }
+      const double t0 = r.clock.now();
+      r.clock.advance_to(j.plane.round(RoundKind::kShrink).release, CostBucket::kMpi);
+      ++r.health.shrinks;
+      span(r, j.id, {.t0 = t0, .seq = j.plane.epoch(), .kind = trace::EventKind::kShrink});
+    }
+    j.chans.clear();
+    ++j.attempt;
+    start_attempt(j);
+  }
+
+  /// One root and one receive slot per member of `j.group`.  A member that
+  /// died on its way through the shrink never starts: survivors detect it.
+  void start_attempt(JobState& j) {
+    j.vrank_of.assign(static_cast<size_t>(cfg.fleet_ranks), -1);
+    j.roots.clear();
+    j.roots.resize(j.group.size());
+    j.waiters.assign(j.group.size(), Waiter{});
+    for (size_t v = 0; v < j.group.size(); ++v) {
+      j.vrank_of[static_cast<size_t>(j.group[v])] = static_cast<int>(v);
+      if (ranks[static_cast<size_t>(j.group[v])].dead) {
+        settle(j, static_cast<int>(v));
+      } else {
+        add_item(j.group[v], j.id);
+      }
+    }
+  }
+
+  /// The job is over at `t_end`: completed when `error` is empty, failed
+  /// with it otherwise.
+  void finish_job(JobState& j, double t_end, std::string error) {
     j.phase = Phase::kDone;
+    j.out.completed = error.empty();
+    j.out.error = std::move(error);
+    if (j.out.completed) {
+      j.out.rank0_output = std::move(j.roots[0].result.output);
+      for (const Root& root : j.roots) j.out.pipeline_stats += root.result.stats;
+    }
+    for (const int rank : j.group) {
+      if (!j.dead(rank)) j.out.final_group.push_back(rank);
+    }
     j.out.complete_vtime = t_end;
     j.out.final_epoch = epoch;
     j.out.attempts = j.attempt + 1;
@@ -673,68 +747,14 @@ struct EngineImpl {
     j.chans.clear();
     j.waiters.clear();
     j.roots.clear();
-    for (const int member : j.group) mark_dirty(member);
+    mark_members_dirty(j);
+    const uint8_t complete_aux = j.out.completed ? 0 : 1;
     marker(trace::EventKind::kComplete, j.id, t_end, complete_aux, j.out.payload_bytes_sent);
     for (const SubmitOptions::FusedMember& m : j.opt.fused_members) {
       marker(trace::EventKind::kComplete, m.id, t_end, complete_aux);
     }
     --active;
     try_grant(t_end);
-  }
-
-  void finish_attempt(JobState& j) {
-    double t_end = 0.0;
-    for (const Root& root : j.roots) t_end = std::max(t_end, root.finish);
-
-    if (!j.failed_attempt) {
-      j.out.completed = true;
-      j.out.rank0_output = std::move(j.roots[0].result.output);
-      for (const Root& root : j.roots) j.out.pipeline_stats += root.result.stats;
-      j.out.final_group = j.group;
-      cleanup_job(j, t_end, 0);
-      return;
-    }
-
-    std::sort(j.newly_failed.begin(), j.newly_failed.end());
-    j.out.failed_ranks.insert(j.out.failed_ranks.end(), j.newly_failed.begin(),
-                              j.newly_failed.end());
-    std::vector<int> survivors;
-    for (const int member : j.group) {
-      if (!ranks[static_cast<size_t>(member)].dead) survivors.push_back(member);
-    }
-
-    const bool exhausted = j.abort_no_retry || survivors.empty() ||
-                           j.attempt + 1 >= j.config.retry.max_attempts;
-    if (exhausted) {
-      if (j.abort_no_retry) {
-        j.out.error = j.abort_error;
-      } else if (survivors.empty()) {
-        j.out.error = "all ranks of the job failed";
-      } else {
-        j.out.error = "ranks failed and the retry budget is exhausted";
-      }
-      j.out.final_group = std::move(survivors);
-      cleanup_job(j, t_end, 1);
-      return;
-    }
-
-    // Shrink-and-retry: a fresh attempt over the survivors.  The retry
-    // preamble (backoff + rebuild) is charged per rank when it starts.
-    ++j.attempt;
-    j.failed_attempt = false;
-    j.detect_vtime = 0.0;
-    j.newly_failed.clear();
-    j.chans.clear();
-    j.group = std::move(survivors);
-    std::fill(j.vrank_of.begin(), j.vrank_of.end(), -1);
-    for (size_t v = 0; v < j.group.size(); ++v) {
-      j.vrank_of[static_cast<size_t>(j.group[v])] = static_cast<int>(v);
-    }
-    j.roots.clear();
-    j.roots.resize(j.group.size());
-    j.waiters.assign(j.group.size(), Waiter{});
-    j.unsettled = static_cast<int>(j.group.size());
-    for (const int member : j.group) add_item(member, j.id);
   }
 
   // -- Admission ------------------------------------------------------------
@@ -753,22 +773,17 @@ struct EngineImpl {
       if (!ranks[static_cast<size_t>(p)].dead) j.group.push_back(p);
     }
     if (j.group.empty()) {
-      j.out.error = "every rank of the job's placement is already dead";
-      j.out.final_epoch = epoch;
-      cleanup_job(j, j.out.grant_vtime, 1);
+      finish_job(j, j.out.grant_vtime, "every rank of the job's placement is already dead");
       return;
     }
     j.algo = resolve_job_algo(j.kernel, j.op == ICollOp::kAllreduce, j.config, j.input);
     j.out.algo = j.algo;
 
-    j.vrank_of.assign(static_cast<size_t>(cfg.fleet_ranks), -1);
-    for (size_t v = 0; v < j.group.size(); ++v) {
-      j.vrank_of[static_cast<size_t>(j.group[v])] = static_cast<int>(v);
-    }
-    j.roots.resize(j.group.size());
-    j.waiters.assign(j.group.size(), Waiter{});
-    j.unsettled = static_cast<int>(j.group.size());
-    for (const int member : j.group) add_item(member, j.id);
+    j.plane = simmpi::ControlPlane(j.config.nranks, cfg.net.latency_s, cfg.faults);
+    std::vector<int> members;
+    for (const int rank : j.group) members.push_back(j.rel(rank));
+    j.plane.reset(std::move(members));
+    start_attempt(j);
   }
 
   void try_grant(double t) {
@@ -851,10 +866,11 @@ struct EngineImpl {
     }
 
     JobState& j = jobs[static_cast<size_t>(c.job)];
-    switch (c.kind) {
-      case StepKind::kStart: exec_start(j, top.rank); break;
-      case StepKind::kRecv: exec_recv(j, top.rank); break;
-      case StepKind::kAbort: exec_abort(j, top.rank); break;
+    const int v = j.vrank_of[static_cast<size_t>(top.rank)];
+    if (j.roots[static_cast<size_t>(v)].task.valid()) {
+      exec_wake(j, top.rank);
+    } else {
+      exec_start(j, top.rank);
     }
     flush_dirty();
     return true;
@@ -960,11 +976,7 @@ void Port::send(int dst, int tag, std::span<const uint8_t> payload) {
 }
 
 void Port::send_floats(int dst, int tag, std::span<const float> values) {
-  std::vector<uint8_t> bytes = eng_->pool.acquire(values.size_bytes());
-  bytes.resize(values.size_bytes());
-  std::memcpy(bytes.data(), values.data(), values.size_bytes());
-  eng_->port_send(job_, vrank_, dst, tag, bytes);
-  eng_->pool.release(std::move(bytes));
+  eng_->port_send(job_, vrank_, dst, tag, bytes_of(values));
 }
 
 RecvAwaitable Port::recv(int src, int tag) {
@@ -1029,11 +1041,6 @@ Request Engine::iallreduce(Kernel kernel, const JobConfig& config, const RankInp
 Request Engine::ireduce_scatter(Kernel kernel, const JobConfig& config, const RankInputFn& input,
                                 const SubmitOptions& options) {
   return impl_->submit(kernel, ICollOp::kReduceScatter, config, input, options);
-}
-
-Request Engine::iallgather(Kernel kernel, const JobConfig& config, const RankInputFn& input,
-                           const SubmitOptions& options) {
-  return impl_->submit(kernel, ICollOp::kAllgather, config, input, options);
 }
 
 int Engine::reserve_job_id() {
@@ -1105,24 +1112,15 @@ trace::Trace Engine::trace() const {
 }
 
 std::vector<simmpi::ClockReport> Engine::clock_reports() const {
-  std::vector<simmpi::ClockReport> out;
-  out.reserve(impl_->ranks.size());
-  for (const EngineImpl::RankState& r : impl_->ranks) out.push_back(r.clock.report());
-  return out;
+  return impl_->per_rank([](const EngineImpl::RankState& r) { return r.clock.report(); });
 }
 
 std::vector<TransportStats> Engine::transport_stats() const {
-  std::vector<TransportStats> out;
-  out.reserve(impl_->ranks.size());
-  for (const EngineImpl::RankState& r : impl_->ranks) out.push_back(r.transport);
-  return out;
+  return impl_->per_rank([](const EngineImpl::RankState& r) { return r.transport; });
 }
 
 std::vector<HealthStats> Engine::health_stats() const {
-  std::vector<HealthStats> out;
-  out.reserve(impl_->ranks.size());
-  for (const EngineImpl::RankState& r : impl_->ranks) out.push_back(r.health);
-  return out;
+  return impl_->per_rank([](const EngineImpl::RankState& r) { return r.health; });
 }
 
 }  // namespace hzccl::sched

@@ -1,7 +1,6 @@
 #include "hzccl/simmpi/runtime.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <exception>
 #include <thread>
@@ -12,6 +11,8 @@
 #include "hzccl/util/error.hpp"
 
 namespace hzccl::simmpi {
+
+using RoundKind = ControlPlane::RoundKind;
 
 std::string bucket_name(CostBucket b) {
   switch (b) {
@@ -116,14 +117,6 @@ class PeerAbortError : public hzccl::Error {
   explicit PeerAbortError(const char* where)
       : Error(std::string("simmpi: a peer rank failed while this rank was ") + where) {}
 };
-
-/// Dissemination barrier over `n` ranks: ceil(log2 n) latency exchanges.
-double dissemination_hops(size_t n) {
-  return n > 1 ? std::ceil(std::log2(static_cast<double>(n))) : 0.0;
-}
-
-/// Ring collect + broadcast over `n` ranks: 2(n-1) latency-priced hops.
-double ring_hops(size_t n) { return n > 1 ? 2.0 * static_cast<double>(n - 1) : 0.0; }
 
 }  // namespace
 
@@ -252,7 +245,7 @@ void Comm::retry_backoff(const RetryPolicy& policy, int failures) {
   const double t0 = clock_.now();
   // The fault-plan seed feeds the jitter draw so a faulted run replays —
   // backoff included — from one number.
-  clock_.advance(policy.backoff_for(failures, runtime_->faults().seed), CostBucket::kMpi);
+  clock_.advance(runtime_->control_.backoff(policy, failures), CostBucket::kMpi);
   ++health_.retries;
   span({.t0 = t0, .seq = static_cast<uint64_t>(failures), .kind = trace::EventKind::kBackoff});
 }
@@ -292,35 +285,21 @@ Runtime::Runtime(int nranks, NetModel net, FaultPlan faults, trace::Options trac
     faults_.validate();
     resolved_faults_ = faults_.resolve_rank_faults(nranks);
   }
-  reset_control_plane();
 }
 
 Runtime::~Runtime() = default;
 
-void Runtime::reset_control_plane() {
-  rank_state_.assign(static_cast<size_t>(nranks_), RankState{});
-  members_.resize(static_cast<size_t>(nranks_));
-  for (int i = 0; i < nranks_; ++i) members_[static_cast<size_t>(i)] = i;
-  epoch_ = 0;
-  barrier_ = Round{};
-  agreement_ = Round{};
-  agree_failed_.clear();
-  agree_epoch_ = 0;
-  shrink_ = Round{};
-  shrink_arrived_.assign(static_cast<size_t>(nranks_), 0);
-}
-
 template <class Hopeless>
-bool Runtime::await_round(std::unique_lock<std::mutex>& lock, Round& round, uint64_t generation,
+bool Runtime::await_round(std::unique_lock<std::mutex>& lock, RoundKind kind, uint64_t generation,
                           const char* where, Hopeless hopeless) {
   for (;;) {
-    if (round.generation != generation) return true;
+    if (control_.round(kind).generation != generation) return true;
     if (hopeless()) {
-      --round.arrived;
+      control_.leave(kind);
       return false;
     }
     if (aborted_.load(std::memory_order_acquire)) {
-      --round.arrived;
+      control_.leave(kind);
       throw PeerAbortError(where);
     }
     control_cv_.wait(lock);
@@ -359,11 +338,7 @@ void Runtime::kill_rank(Comm& comm, bool hang) {
 void Runtime::retire(Comm& comm, bool dead) {
   {
     std::lock_guard<std::mutex> lock(control_mutex_);
-    RankState& st = rank_state_[static_cast<size_t>(comm.phys_rank_)];
-    (dead ? st.dead : st.finished) = true;
-    st.stop_vtime = comm.clock_.now();
-    try_complete_agreement_locked();
-    try_complete_shrink_locked();
+    control_.retire(comm.phys_rank_, dead, comm.clock_.now());
   }
   control_cv_.notify_all();
   wake_all_mailboxes();
@@ -371,66 +346,30 @@ void Runtime::retire(Comm& comm, bool dead) {
 
 void Runtime::declare_peer_failed(Comm& receiver, int peer, double stop_vtime) {
   VirtualClock& clock = receiver.clock_;
-  // Charge the health-machine deadlines: the receiver's patience runs from
-  // the later of its own clock and the peer's final stop time — both pure
-  // virtual quantities, so the charge replays exactly.
-  const double base = std::max(clock.now(), stop_vtime);
   const double t0 = clock.now();
-  const double suspect_at = base + faults_.recv_timeout_s;
-  clock.advance_to(suspect_at, CostBucket::kMpi);
+  clock.advance_to(control_.suspect_at(t0, stop_vtime), CostBucket::kMpi);
   ++receiver.health_.suspects;
   receiver.span({.t0 = t0, .peer = peer, .kind = trace::EventKind::kSuspect});
   const double mid = clock.now();
-  clock.advance_to(suspect_at + faults_.fail_timeout_s, CostBucket::kMpi);
+  clock.advance_to(control_.dead_at(t0, stop_vtime), CostBucket::kMpi);
   ++receiver.health_.dead_declared;
   receiver.span({.t0 = mid, .peer = peer, .kind = trace::EventKind::kDetect});
   throw RankRevokedSignal{};
 }
 
-void Runtime::try_complete_agreement_locked() {
-  // A round is in progress once a member parked in it, and completes when
-  // every member has a final verdict: parked, dead, or finished.  Counting
-  // arrivals rather than parked flags matters after a failed round, whose
-  // flags stay set: a rank retiring then must not complete a phantom round
-  // over the release time its peers have yet to read.
-  if (agreement_.arrived == 0) return;
-  for (int m : members_) {
-    if (!rank_state_[static_cast<size_t>(m)].silent()) return;
-  }
-  agree_failed_.clear();
-  for (int m : members_) {
-    if (rank_state_[static_cast<size_t>(m)].dead) agree_failed_.push_back(m);
-  }
-  // Ring collect + broadcast of the failed-rank set over the survivors,
-  // skipping dead hops: 2(S-1) latency-priced hops after the last arrival.
-  agreement_.complete(ring_hops(members_.size() - agree_failed_.size()), net_.latency_s);
-  agree_epoch_ = epoch_;
-  if (agree_failed_.empty()) {
-    // Unanimous success: the group continues unchanged into the next round.
-    for (int m : members_) rank_state_[static_cast<size_t>(m)].stopped = false;
-  }
-  // On failure the parked flags stay set until shrink() installs the new
-  // epoch: a failed-epoch rank must remain hopeless to wait for.
-}
-
 void Runtime::agreement(Comm& comm) {
   std::unique_lock<std::mutex> lock(control_mutex_);
-  RankState& st = rank_state_[static_cast<size_t>(comm.phys_rank_)];
-  st.stopped = true;
-  st.stop_vtime = comm.clock_.now();
-  const uint64_t generation = agreement_.generation;
-  agreement_.arrive(st.stop_vtime);
-  try_complete_agreement_locked();
+  const uint64_t generation = control_.arrive_agreement(comm.phys_rank_, comm.clock_.now());
   lock.unlock();
   control_cv_.notify_all();
   // Peers blocked in take() re-evaluate hopelessness against this arrival.
   wake_all_mailboxes();
 
   lock.lock();
-  await_round(lock, agreement_, generation, "in an agreement", [] { return false; });
-  std::vector<int> failed = agree_failed_;
-  const double release = agreement_.release;
-  const uint32_t epoch = agree_epoch_;
+  await_round(lock, RoundKind::kAgreement, generation, "in an agreement", [] { return false; });
+  std::vector<int> failed = control_.agreed_failed();
+  const double release = control_.round(RoundKind::kAgreement).release;
+  const uint32_t epoch = control_.epoch();
   lock.unlock();
 
   const double t0 = comm.clock_.now();
@@ -443,28 +382,6 @@ void Runtime::agreement(Comm& comm) {
   }
 }
 
-void Runtime::try_complete_shrink_locked() {
-  if (agree_failed_.empty() || shrink_.arrived == 0) return;  // no shrink in progress
-  const auto agreed_dead = [&](int m) {
-    return std::find(agree_failed_.begin(), agree_failed_.end(), m) != agree_failed_.end();
-  };
-  for (int m : members_) {
-    const RankState& st = rank_state_[static_cast<size_t>(m)];
-    if (!agreed_dead(m) && !shrink_arrived_[static_cast<size_t>(m)] && !st.dead && !st.finished) {
-      return;  // a survivor is still on its way
-    }
-  }
-  // Install the new epoch over the agreed survivors.  A rank that died
-  // *during* the shrink stays in the new group as a dead member; the next
-  // attempt detects it and shrinks again.
-  std::erase_if(members_, agreed_dead);
-  ++epoch_;
-  for (int m : members_) rank_state_[static_cast<size_t>(m)].stopped = false;
-  agree_failed_.clear();
-  shrink_.complete(ring_hops(members_.size()), net_.latency_s);
-  std::fill(shrink_arrived_.begin(), shrink_arrived_.end(), 0);
-}
-
 void Runtime::shrink_group(Comm& comm) {
   if (!rank_faults_on()) {
     throw hzccl::Error("shrink: only meaningful with scheduled rank faults");
@@ -473,21 +390,15 @@ void Runtime::shrink_group(Comm& comm) {
   flush_limbo(comm);
   const int me = comm.phys_rank_;
   std::unique_lock<std::mutex> lock(control_mutex_);
-  if (agree_failed_.empty() && shrink_.generation == 0) {
-    throw hzccl::Error("shrink: no failed agreement to recover from");
-  }
-  shrink_arrived_[static_cast<size_t>(me)] = 1;
-  const uint64_t generation = shrink_.generation;
-  shrink_.arrive(comm.clock_.now());
-  try_complete_shrink_locked();
+  const uint64_t generation = control_.arrive_shrink(me, comm.clock_.now());
   lock.unlock();
   control_cv_.notify_all();
 
   lock.lock();
-  await_round(lock, shrink_, generation, "in a shrink", [] { return false; });
-  const double release = shrink_.release;
-  const uint32_t new_epoch = epoch_;
-  comm.group_ = members_;
+  await_round(lock, RoundKind::kShrink, generation, "in a shrink", [] { return false; });
+  const double release = control_.round(RoundKind::kShrink).release;
+  const uint32_t new_epoch = control_.epoch();
+  comm.group_ = control_.members();
   lock.unlock();
 
   comm.epoch_view_ = new_epoch;
@@ -517,27 +428,19 @@ void Runtime::barrier_wait(Comm& comm) {
   const double t0 = comm.clock_.now();
   const int me = comm.phys_rank_;
   std::unique_lock<std::mutex> lock(control_mutex_);
-  const uint64_t generation = barrier_.generation;
-  barrier_.arrive(t0);
-  if (barrier_.arrived == static_cast<int>(members_.size())) {
-    barrier_.complete(dissemination_hops(members_.size()), net_.latency_s);
+  const uint64_t generation = control_.arrive_barrier(t0);
+  // A dead, parked or finished member can never arrive: the barrier is
+  // hopeless.  The failure charge uses only this rank's own arrival time
+  // (never the racy set of currently-visible causes), so it replays exactly;
+  // peer=-1 marks "a member", not a specific culprit.
+  if (control_.round(RoundKind::kBarrier).generation != generation) {
     control_cv_.notify_all();
-  } else {
-    // A dead, parked or finished member can never arrive: the barrier is
-    // hopeless.  The failure charge uses only this rank's own arrival time
-    // (never the racy set of currently-visible causes), so it replays
-    // exactly; peer=-1 marks "a member", not a specific culprit.
-    const auto hopeless = [&] {
-      return std::any_of(members_.begin(), members_.end(), [&](int m) {
-        return m != me && rank_state_[static_cast<size_t>(m)].silent();
-      });
-    };
-    if (!await_round(lock, barrier_, generation, "in a barrier", hopeless)) {
-      lock.unlock();
-      declare_peer_failed(comm, -1, -1.0);
-    }
+  } else if (!await_round(lock, RoundKind::kBarrier, generation, "in a barrier",
+                          [&] { return control_.barrier_hopeless(me); })) {
+    lock.unlock();
+    declare_peer_failed(comm, -1, -1.0);
   }
-  const double release = barrier_.release;
+  const double release = control_.round(RoundKind::kBarrier).release;
   lock.unlock();
   comm.clock_.advance_to(release, CostBucket::kMpi);
   if (comm.clock_.now() > t0) comm.span({.t0 = t0, .kind = trace::EventKind::kWait});
@@ -837,7 +740,7 @@ Delivery Runtime::take(Comm& receiver, int src, int tag) {
     // first, which keeps this decision identical under any host scheduling.
     if (rank_faults_on()) {
       std::unique_lock<std::mutex> control(control_mutex_);
-      const RankState st = rank_state_[static_cast<size_t>(src)];
+      const ControlPlane::RankState st = control_.state(src);
       control.unlock();
       if (st.silent()) {
         lock.unlock();
@@ -897,6 +800,7 @@ std::vector<uint8_t> Runtime::refetch(Comm& receiver, int src, int tag, Comm::Re
 }
 
 std::vector<ClockReport> Runtime::run(const RankFn& fn) {
+  control_ = ControlPlane(nranks_, net_.latency_s, faults_);
   std::vector<ClockReport> reports(static_cast<size_t>(nranks_));
   std::vector<hzccl::TransportStats> transport(static_cast<size_t>(nranks_));
   std::vector<hzccl::HealthStats> health(static_cast<size_t>(nranks_));
@@ -973,7 +877,6 @@ std::vector<ClockReport> Runtime::run(const RankFn& fn) {
     box->window.clear();
   }
   aborted_.store(false, std::memory_order_release);
-  reset_control_plane();
   transport_stats_ = std::move(transport);
   health_stats_ = std::move(health);
   integrity_stats_ = std::move(integrity);

@@ -1,7 +1,6 @@
 #include "hzccl/stats/stream.hpp"
 
 #include <algorithm>
-#include <mutex>
 
 #include "hzccl/util/aligned.hpp"
 #include "hzccl/util/timer.hpp"
@@ -56,13 +55,6 @@ StreamResult run_stream(size_t elements, int trials) {
     best.triad_gbps = std::max(best.triad_gbps, gb_per_s(three, timer.seconds()));
   }
   return best;
-}
-
-double host_peak_bandwidth_gbps() {
-  static std::once_flag once;
-  static double peak = 0.0;
-  std::call_once(once, [] { peak = run_stream().peak(); });
-  return peak;
 }
 
 }  // namespace hzccl

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "hzccl/collectives/ccoll.hpp"
@@ -250,6 +251,42 @@ TEST(Collectives, SingleRankDegenerate) {
   ASSERT_EQ(r.rank0_output.size(), exact.size());
   for (size_t i = 0; i < exact.size(); ++i) {
     ASSERT_NEAR(r.rank0_output[i], exact[i], 2e-3);
+  }
+}
+
+// coll::hzccl_reduce_scatter and coll::hzccl_allreduce_recursive_doubling
+// are the blocking stacks bench/e2e times directly: each reproduces
+// run_collective's bytes and slowest clock for the same op and schedule.
+TEST(Collectives, BlockingHzEntryPointsMatchRunCollective) {
+  const int n = 6;
+  const RankInputFn inputs = make_inputs(3001);
+  using coll::VerifyPolicy;
+  for (const VerifyPolicy verify : {VerifyPolicy::kOff, VerifyPolicy::kPerRound}) {
+    for (const bool rd : {false, true}) {
+      SCOPED_TRACE(std::string(rd ? "hzccl_allreduce_recursive_doubling" : "hzccl_reduce_scatter") +
+                   " verify " + coll::verify_policy_name(verify));
+      JobConfig config;
+      config.nranks = n;
+      config.abs_error_bound = 1e-3;
+      config.verify = verify;
+      config.algo = rd ? coll::AllreduceAlgo::kRecursiveDoubling : coll::AllreduceAlgo::kRing;
+      const Op op = rd ? Op::kAllreduce : Op::kReduceScatter;
+      const JobResult want = run_collective(Kernel::kHzcclMultiThread, op, config, inputs);
+      const CollectiveConfig cc = config.collective_config(kernel_mode(Kernel::kHzcclMultiThread));
+      Runtime rt(n, config.net);
+      std::vector<float> rank0;
+      const std::vector<simmpi::ClockReport> reports = rt.run([&](simmpi::Comm& comm) {
+        std::vector<float> out;
+        if (rd) {
+          coll::hzccl_allreduce_recursive_doubling(comm, inputs(comm.rank()), out, cc);
+        } else {
+          coll::hzccl_reduce_scatter(comm, inputs(comm.rank()), out, cc);
+        }
+        if (comm.rank() == 0) rank0 = std::move(out);
+      });
+      EXPECT_EQ(rank0, want.rank0_output);
+      EXPECT_EQ(Runtime::slowest(reports).total_seconds, want.slowest.total_seconds);
+    }
   }
 }
 

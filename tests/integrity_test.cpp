@@ -619,6 +619,85 @@ TEST(VerifyPolicy, CompressedBcastChecksDigestsAtTheFinalDecode) {
   for (int r = 0; r < n; ++r) EXPECT_EQ(out[r], clean[r]) << "rank " << r;
 }
 
+TEST(VerifyPolicy, RawBcastAndGatherCheckDigestsOnEveryHop) {
+  // Every frame carries one silent bit flip.  Under verify=final a raw
+  // broadcast or gather hop refuses a payload that fails its content digest;
+  // under verify=round each hop heals to the pristine payload.  With
+  // verification off nothing extra travels or is charged: one frame per
+  // tree edge and no digest walk.
+  const int n = 8;
+  const int root = 2;
+  const size_t slice = 600;
+  const std::vector<float> field = test_field(DatasetId::kCesmAtm, slice * n);
+  struct Run {
+    std::vector<std::vector<float>> out;
+    bool threw = false;
+    int integrity_errors = 0;
+    uint64_t frames = 0;
+    uint64_t verify_spans = 0;
+  };
+  auto run_under = [&](bool gather, VerifyPolicy verify, const FaultPlan& plan) {
+    coll::CollectiveConfig cc;
+    cc.verify = verify;
+    simmpi::Runtime rt(n, NetModel::omnipath_100g(), plan, trace::Options{.enabled = true});
+    Run r;
+    r.out.assign(n, {});
+    std::atomic<int> integrity_errors{0};
+    try {
+      rt.run([&](simmpi::Comm& comm) {
+        std::vector<float> data;
+        try {
+          if (gather) {
+            const std::span<const float> mine(field.data() + slice * comm.rank(), slice);
+            coll::raw_gather(comm, mine, root, data, cc);
+          } else {
+            if (comm.rank() == root) data = field;
+            coll::raw_bcast(comm, data, root, cc);
+          }
+        } catch (const IntegrityError&) {
+          ++integrity_errors;
+          throw;
+        }
+        r.out[static_cast<size_t>(comm.rank())] = std::move(data);
+      });
+    } catch (const Error&) {
+      r.threw = true;
+    }
+    r.integrity_errors = integrity_errors.load();
+    for (const TransportStats& t : rt.transport_stats()) r.frames += t.frames_sent;
+    for (const auto& events : rt.trace().ranks) {
+      for (const trace::Event& e : events) r.verify_spans += e.kind == trace::EventKind::kVerify;
+    }
+    return r;
+  };
+
+  FaultPlan plan = FaultPlan::none();
+  plan.seed = 7;
+  plan.sdc = 1.0;
+  for (const bool gather : {false, true}) {
+    SCOPED_TRACE(gather ? "raw_gather" : "raw_bcast");
+    const Run clean = run_under(gather, VerifyPolicy::kOff, FaultPlan::none());
+    ASSERT_FALSE(clean.threw);
+    EXPECT_EQ(clean.frames, static_cast<uint64_t>(n - 1));
+    EXPECT_EQ(clean.verify_spans, 0u);
+    EXPECT_EQ(run_under(gather, VerifyPolicy::kFinal, FaultPlan::none()).out, clean.out);
+
+    const Run detected = run_under(gather, VerifyPolicy::kFinal, plan);
+    EXPECT_TRUE(detected.threw);
+    EXPECT_GT(detected.integrity_errors, 0);
+    for (int r = 0; r < n; ++r) {
+      const auto ur = static_cast<size_t>(r);
+      if (!detected.out[ur].empty()) {
+        EXPECT_EQ(detected.out[ur], clean.out[ur]) << "rank " << r << " returned corrupt data";
+      }
+    }
+
+    const Run healed = run_under(gather, VerifyPolicy::kPerRound, plan);
+    EXPECT_FALSE(healed.threw);
+    EXPECT_EQ(healed.out, clean.out);
+  }
+}
+
 TEST(PoisonedCombine, ComputeSideCorruptionRecoversWithoutTheWire) {
   // poison leaves FaultPlan::enabled() false: the transport runs its clean
   // fast path (no in-flight window) and recovery must come from recompute

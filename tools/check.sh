@@ -97,7 +97,7 @@ if [ "$run_asan" = "1" ] || [ "$run_fuzz" = "1" ] || [ "$run_recovery" = "1" ] |
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
   cmake --build "$repo/build-asan" -j "$jobs" \
     --target faults_test property_test trace_test bytes_test pool_test format_test \
-             fuzz_decoders recovery_test hzcclc
+             fuzz_decoders recovery_test parity_test hzcclc
   if [ "$run_asan" = "1" ]; then
     echo "== tier 2: sanitized chaos + property + trace + corpus =="
     (cd "$repo/build-asan" && ctest -L 'chaos|property|trace' --output-on-failure)
@@ -115,6 +115,8 @@ fi
 
 if [ "$run_recovery" = "1" ]; then
   echo "== recovery: sanitized rank-failure tier (detection/agreement/shrink+retry) =="
+  # recovery_test, plus the parity suite: one sched::Engine job against
+  # run_collective under every rank-fault plan (also in the sched tier).
   (cd "$repo/build-asan" && ctest -L recovery --output-on-failure)
   echo "== recovery: multi-seed shrink-and-retry sweep (hzcclc, 8 seeds) =="
   # Seed-derived crash schedule: each seed fails a different rank at a
