@@ -58,12 +58,13 @@ struct ModelResult {
 /// congestion for `net.congestion_flows(nranks)` flows, so a hierarchical
 /// `net.topo` automatically relieves congestion (flat topologies are
 /// unchanged: flows == ranks).
-/// `verify` prices the ABFT digest ladder of the functional collectives:
-/// kPerRound charges a digest walk for every received stream and every
-/// homomorphic combine output (at the profile's compressed size for that
-/// round's depth); kFinal charges one walk over the final stream.  The
-/// charge lands in `vrf_seconds` and in the `seconds` total, so the
-/// verify-overhead bench gate is `seconds(round) / seconds(off) - 1`.
+/// `verify` prices the digest walks the functional collectives charge (at
+/// the profile's compressed size for each round's depth): a raw exchange's
+/// two and every received C-Coll stream under either policy; under
+/// kPerRound each received hZ stream and combine output; under either, each
+/// hZ block at its final decode.  The charge lands in `vrf_seconds` and in
+/// the `seconds` total, so the verify-overhead bench gate is
+/// `seconds(round) / seconds(off) - 1`.
 ModelResult model_collective(Kernel kernel, Op op, int nranks, size_t total_bytes,
                              const CompressionProfile& profile, const simmpi::NetModel& net,
                              const simmpi::CostModel& cost,

@@ -114,7 +114,7 @@ class CommTransport {
   }
   /// Zero-duration integrity marker (kSdcDetected / kRecompute) at virtual
   /// now; no clock advance, no bytes, no peer.
-  void mark(trace::EventKind kind);
+  void mark(trace::EventKind kind) { comm_->endpoint().mark(kind, trace::kNoJob); }
   IntegrityStats& integrity() { return comm_->integrity(); }
 
  private:

@@ -5,8 +5,6 @@
 // exactly the accuracy deficit Tables VI/VII attribute to the baseline.
 #pragma once
 
-#include <span>
-
 #include "hzccl/compressor/format.hpp"
 #include "hzccl/compressor/fz_light.hpp"
 
@@ -24,11 +22,5 @@ struct DocBreakdown {
 /// homomorphic path requires, so comparisons are apples-to-apples).
 [[nodiscard]] CompressedBuffer doc_add(const CompressedBuffer& a, const CompressedBuffer& b,
                          DocBreakdown* breakdown = nullptr, int num_threads = 0);
-
-/// DOC against an uncompressed accumulator: decompress `incoming`, add into
-/// `accumulator` floats.  This is the per-round kernel of C-Coll's
-/// Reduce_scatter (decompress + compute; the compress happens on send).
-void doc_accumulate(const CompressedBuffer& incoming, std::span<float> accumulator,
-                    int num_threads = 0);
 
 }  // namespace hzccl

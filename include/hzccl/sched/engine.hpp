@@ -19,9 +19,14 @@
 //   * admission control: jobs wait in a priority queue until granted
 //     (max_concurrent slots; 0 = unlimited).  Priorities age so adversarial
 //     mixes cannot starve a tenant;
+//   * every fleet rank's clock, spans and counters live in a
+//     simmpi::Endpoint (simmpi/endpoint.hpp), the type the threaded runtime
+//     keeps each rank's timeline in, so each charge is made, traced and
+//     counted alike in both executors;
 //   * contended inter-node links are shared per-flow: a frame's transfer
-//     time uses the *fleet-wide* active-flow bandwidth split by job weight,
-//     degenerating exactly to the blocking per-job price when one job runs;
+//     time is NetModel::link_seconds capped at the job's weighted share of
+//     the *fleet-wide* active-flow bandwidth, which is exactly the blocking
+//     per-job price when one job runs;
 //   * rank faults (crash/hang/straggler) run the threaded runtime's control
 //     plane (simmpi/control_plane.hpp), one instance per job, so one job
 //     alone on an engine replays run_collective's recovery exactly: a death
@@ -221,7 +226,7 @@ class Port {
               uint64_t bytes = 0, uint64_t bytes_out = 0);
 
   /// Zero-duration, job-attributed integrity marker at the rank's now.
-  void mark(trace::EventKind kind) { charge(simmpi::CostBucket::kCpt, 0.0, kind); }
+  void mark(trace::EventKind kind);
 
   /// The job's ABFT verify/recover counters — the engine's Comm::integrity
   /// (job-wide rather than per-rank: the engine interleaves all ranks on one

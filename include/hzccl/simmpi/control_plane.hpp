@@ -138,12 +138,13 @@ class ControlPlane {
   const std::vector<int>& agreed_failed() const { return agreed_failed_; }
 
   /// Arrive at the shrink after a failed agreement; returns the generation
-  /// to wait past.
+  /// to wait past.  Each failed verdict licenses one shrink: the one that
+  /// completes clears it, so a second call has nothing to recover from.
   uint64_t arrive_shrink(int rank, double vtime) {
-    Round& shrink = at(RoundKind::kShrink);
-    if (agreed_failed_.empty() && shrink.generation == 0) {
+    if (agreed_failed_.empty()) {
       throw hzccl::Error("shrink: no failed agreement to recover from");
     }
+    Round& shrink = at(RoundKind::kShrink);
     ranks_[static_cast<size_t>(rank)].shrinking = true;
     const uint64_t generation = shrink.generation;
     shrink.arrive(vtime);

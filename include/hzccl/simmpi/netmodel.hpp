@@ -19,8 +19,10 @@
 // byte-identical to the pre-topology model.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <limits>
 
 namespace hzccl::simmpi {
 
@@ -112,13 +114,15 @@ struct NetModel {
 
   /// Seconds to move `bytes` from physical rank `src` to `dst` within an
   /// `nranks`-rank job: fast congestion-free channel intra-node, congested
-  /// fabric (by inter-node flow count) otherwise.
-  double link_seconds(size_t bytes, int src, int dst, int nranks) const {
+  /// fabric (by inter-node flow count) otherwise, at no more than `rate_cap`
+  /// bytes/second — a job's fair share of a fabric other jobs load too.
+  double link_seconds(size_t bytes, int src, int dst, int nranks,
+                      double rate_cap = std::numeric_limits<double>::infinity()) const {
     if (topo.same_node(src, dst)) {
       return intra_latency_s + static_cast<double>(bytes) / intra_bytes_per_s();
     }
-    return latency_s +
-           static_cast<double>(bytes) / effective_bytes_per_s(congestion_flows(nranks));
+    return latency_s + static_cast<double>(bytes) /
+                           std::min(effective_bytes_per_s(congestion_flows(nranks)), rate_cap);
   }
 
   /// NACK + retransmission round-trip over the (src, dst) link.

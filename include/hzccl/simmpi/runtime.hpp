@@ -4,7 +4,11 @@
 // handle.  Point-to-point messages move *real bytes* through per-rank
 // mailboxes (so collectives are functionally exact and their compressed-size
 // progressions are measured, not modeled), while elapsed time advances each
-// rank's VirtualClock through the NetModel — see clock.hpp for why.
+// rank's VirtualClock through the NetModel — see clock.hpp for why.  Each
+// rank's clock, spans and counters live in its Comm's Endpoint
+// (endpoint.hpp), the type sched::Engine keeps its ranks in too: this file
+// owns the data plane (framing, the in-flight window, link faults) and the
+// waits, the Endpoint how every charge is made, traced and counted.
 //
 // Timing semantics:
 //  * send(dst, ...)  — the message is stamped with the sender's virtual send
@@ -60,6 +64,7 @@
 
 #include "hzccl/simmpi/clock.hpp"
 #include "hzccl/simmpi/control_plane.hpp"
+#include "hzccl/simmpi/endpoint.hpp"
 #include "hzccl/simmpi/faults.hpp"
 #include "hzccl/simmpi/netmodel.hpp"
 #include "hzccl/stats/metrics.hpp"
@@ -102,13 +107,14 @@ class Comm {
  public:
   int rank() const { return rank_; }
   int size() const { return size_; }
-  int phys_rank() const { return phys_rank_; }
+  int phys_rank() const { return endpoint_.phys_rank(); }
   /// Current group epoch; bumped by every shrink().  Frames from older
   /// epochs are discarded on receive.
   uint32_t epoch() const { return epoch_view_; }
   /// Physical ranks of the current group, indexed by virtual rank.
   const std::vector<int>& group() const { return group_; }
-  VirtualClock& clock() { return clock_; }
+  VirtualClock& clock() { return endpoint_.clock(); }
+  Endpoint& endpoint() { return endpoint_; }
   const NetModel& net() const;
   const FaultPlan& faults() const;
 
@@ -171,7 +177,7 @@ class Comm {
 
   /// This rank's event recorder (disabled unless the Runtime was built with
   /// trace::Options::enabled).
-  trace::Recorder& tracer() { return trace_; }
+  trace::Recorder& tracer() { return endpoint_.tracer(); }
 
   // Typed conveniences for float payloads.
   void send_floats(int dst, int tag, std::span<const float> data);
@@ -182,10 +188,10 @@ class Comm {
   uint64_t bytes_received() const { return bytes_received_; }
 
   /// Transport health counters accumulated by this rank so far.
-  const hzccl::TransportStats& transport() const { return transport_; }
+  const hzccl::TransportStats& transport() const { return endpoint_.transport(); }
 
   /// Endpoint-health counters accumulated by this rank so far.
-  const hzccl::HealthStats& health() const { return health_; }
+  const hzccl::HealthStats& health() const { return endpoint_.health(); }
 
   /// Digest verify-and-recover counters accumulated by this rank so far.
   /// Collective bodies bump these through the mutable accessor; the runtime
@@ -204,31 +210,18 @@ class Comm {
   /// stall, then the runtime's blocking take.
   Delivery receive(int src, int tag);
 
-  /// Record `e` as a trace span ending at `t1`, or now; no-op while tracing
-  /// is off.
-  void span(trace::Event e, double t1);
-  void span(const trace::Event& e) { span(e, clock_.now()); }
-
   /// Translate a virtual rank of the current group to its physical rank.
   int to_phys(int vrank) const { return group_[static_cast<size_t>(vrank)]; }
 
   Runtime* runtime_;
-  int rank_;       ///< virtual rank within group_
-  int size_;       ///< group_.size()
-  int phys_rank_;  ///< immutable physical identity
-  std::vector<int> group_;    ///< virtual rank -> physical rank
-  uint32_t epoch_view_ = 0;   ///< this rank's installed group epoch
-  double cost_factor_ = 1.0;  ///< straggler multiplier on local virtual costs
-  uint64_t transport_ops_ = 0;             ///< send/recv/barrier ops performed
-  const RankFault* stop_fault_ = nullptr;  ///< pending crash/hang, if scheduled
-  VirtualClock clock_;
-  trace::Recorder trace_;
+  Endpoint endpoint_;  ///< physical identity and timeline
+  int rank_;           ///< virtual rank within group_
+  int size_;           ///< group_.size()
+  std::vector<int> group_;   ///< virtual rank -> physical rank
+  uint32_t epoch_view_ = 0;  ///< this rank's installed group epoch
   uint64_t bytes_sent_ = 0;
   uint64_t bytes_received_ = 0;
-  hzccl::TransportStats transport_;
-  hzccl::HealthStats health_;
   hzccl::IntegrityStats integrity_;
-  std::vector<uint64_t> send_seq_;                      ///< next seq per physical destination
   std::vector<std::unordered_set<uint64_t>> accepted_;  ///< accepted seqs per physical source
   /// Frames held back by the reorder fault, one slot per destination; a held
   /// frame is released behind the next frame to that destination, or at this
@@ -311,8 +304,9 @@ class Runtime {
     void consume(int src, int tag, uint64_t seq);
   };
 
-  /// Frame, fault and deliver one payload from `sender` to `dst`.
-  void transmit(Comm& sender, int dst, int tag, std::span<const uint8_t> payload);
+  /// Frame, fault and deliver one payload `sender` injected for `dst` as
+  /// the link's frame `seq`.
+  void transmit(Comm& sender, int dst, int tag, uint64_t seq, std::span<const uint8_t> payload);
 
   /// Settle the frame `sender` holds back for `dst` (reorder fault), if
   /// any: its window entry flips from held to `outcome`, and a delivered
@@ -328,10 +322,9 @@ class Runtime {
   Delivery take(Comm& receiver, int src, int tag);
 
   /// Re-send window entry `e` to `receiver` after a NACK: one more attempt,
-  /// counted and traced as a retransmit (from `t0` to now, so the caller
-  /// charges the clock first), carrying the pristine payload with the
-  /// sender-side faults re-rolled for that attempt.
-  std::vector<uint8_t> retransmit(Comm& receiver, WindowEntry& e, double t0);
+  /// charged as `seconds` of retransmit, carrying the pristine payload with
+  /// the sender-side faults re-rolled for that attempt.
+  std::vector<uint8_t> retransmit(Comm& receiver, WindowEntry& e, double seconds);
 
   /// Clock cost of re-sending `bytes` from `src` to `receiver`.
   double resend_seconds(const Comm& receiver, int src, size_t bytes) const;

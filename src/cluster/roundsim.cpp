@@ -74,12 +74,26 @@ double intra_transfer(const NetModel& net, double bytes) {
 
 using coll::VerifyPolicy;
 
-/// One per-round digest walk over a stream of `bytes` compressed (or, on
-/// the raw stack, payload) bytes — zero unless per-round verification is
-/// on.  Mirrors the functional `verify_stream_digests` charge.
-double round_verify(const CostModel& cost, Mode mode, VerifyPolicy verify, double bytes) {
-  if (verify != VerifyPolicy::kPerRound) return 0.0;
+/// One digest walk over `bytes` compressed (or, on the raw stack, payload)
+/// bytes under either verify policy — the charge of the functional verify_stream_digests and
+/// charged_content_digest.  Which walks a schedule makes, from
+/// collectives/schedules.hpp:
+///   * raw: two per exchange, the sender's trailer and the receiver's
+///     recheck, under either policy, single-threaded; no end-of-collective
+///     walk;
+///   * C-Coll: one per received stream under either policy (on receive
+///     under round, at doc_decompress under final);
+///   * hZ: per round, the received stream and the combine output; under
+///     either policy, every block at its final decode (decode_all_blocks),
+///     which for reduce-scatter is the owned block only.
+double walk(const CostModel& cost, Mode mode, VerifyPolicy verify, double bytes) {
+  if (verify == VerifyPolicy::kOff) return 0.0;
   return cost.seconds_digest_verify(static_cast<size_t>(bytes), mode);
+}
+
+/// A walk only per-round verification makes.
+double round_walk(const CostModel& cost, Mode mode, VerifyPolicy verify, double bytes) {
+  return verify == VerifyPolicy::kPerRound ? walk(cost, mode, verify, bytes) : 0.0;
 }
 
 ModelResult model_reduce_scatter_flows(Kernel kernel, int nranks, int flows, size_t total_bytes,
@@ -97,8 +111,7 @@ ModelResult model_reduce_scatter_flows(Kernel kernel, int nranks, int flows, siz
         r.mpi_seconds += transfer_at(net, block_bytes, flows);
         r.cpt_seconds += cost.seconds_raw_sum(static_cast<size_t>(block_bytes),
                                               Mode::kSingleThread);
-        // Raw stack: content-digest trailer over the received payload.
-        r.vrf_seconds += round_verify(cost, Mode::kSingleThread, verify, block_bytes);
+        r.vrf_seconds += 2 * walk(cost, Mode::kSingleThread, verify, block_bytes);
       }
       break;
     case Kernel::kCCollMultiThread:
@@ -109,10 +122,8 @@ ModelResult model_reduce_scatter_flows(Kernel kernel, int nranks, int flows, siz
         r.mpi_seconds += transfer_at(net, block_bytes / profile.ratio_at_depth(depth), flows);
         r.dpr_seconds += cost.seconds_fz_decompress(static_cast<size_t>(block_bytes), mode);
         r.cpt_seconds += cost.seconds_raw_sum(static_cast<size_t>(block_bytes), mode);
-        // Received stream walk; the re-encode derives fresh digests, so the
-        // DOC round has no combine-output check.
-        r.vrf_seconds +=
-            round_verify(cost, mode, verify, block_bytes / profile.ratio_at_depth(depth));
+        // The re-encode derives fresh digests: no combine-output walk.
+        r.vrf_seconds += walk(cost, mode, verify, block_bytes / profile.ratio_at_depth(depth));
       }
       break;
     case Kernel::kHzcclMultiThread:
@@ -124,16 +135,14 @@ ModelResult model_reduce_scatter_flows(Kernel kernel, int nranks, int flows, siz
         r.mpi_seconds += transfer_at(net, block_bytes / profile.ratio_at_depth(depth), flows);
         r.hpr_seconds += cost.seconds_hz_add(profile.stats_at_depth(depth + 1, block_elems),
                                              profile.block_len, mode);
-        // Received stream walk + combine-output walk (the folded digest
-        // table is cross-checked against the freshly written payload).
-        r.vrf_seconds +=
-            round_verify(cost, mode, verify, block_bytes / profile.ratio_at_depth(depth));
-        r.vrf_seconds += round_verify(
-            cost, mode, verify,
-            block_bytes / profile.ratio_at_depth(std::min(depth + 1, nranks)));
+        const double received = block_bytes / profile.ratio_at_depth(depth);
+        const double summed = block_bytes / profile.ratio_at_depth(std::min(depth + 1, nranks));
+        r.vrf_seconds += round_walk(cost, mode, verify, received);
+        r.vrf_seconds += round_walk(cost, mode, verify, summed);
       }
       if (!fused_tail) {
         r.dpr_seconds += cost.seconds_fz_decompress(static_cast<size_t>(block_bytes), mode);
+        r.vrf_seconds += walk(cost, mode, verify, block_bytes / profile.ratio_at_depth(nranks));
       }
       break;
   }
@@ -153,7 +162,7 @@ ModelResult model_allgather_flows(Kernel kernel, int nranks, int flows, size_t t
     case Kernel::kMpi:
       for (int s = 0; s < nranks - 1; ++s) {
         r.mpi_seconds += transfer_at(net, block_bytes, flows);
-        r.vrf_seconds += round_verify(cost, Mode::kSingleThread, verify, block_bytes);
+        r.vrf_seconds += 2 * walk(cost, Mode::kSingleThread, verify, block_bytes);
       }
       break;
     case Kernel::kCCollMultiThread:
@@ -163,7 +172,7 @@ ModelResult model_allgather_flows(Kernel kernel, int nranks, int flows, size_t t
       r.cpr_seconds += cost.seconds_fz_compress(static_cast<size_t>(block_bytes), mode);
       for (int s = 0; s < nranks - 1; ++s) {
         r.mpi_seconds += transfer_at(net, block_bytes / ratio, flows);
-        r.vrf_seconds += round_verify(cost, mode, verify, block_bytes / ratio);
+        r.vrf_seconds += walk(cost, mode, verify, block_bytes / ratio);
       }
       r.dpr_seconds +=
           cost.seconds_fz_decompress(static_cast<size_t>(block_bytes) * (nranks - 1), mode);
@@ -176,9 +185,10 @@ ModelResult model_allgather_flows(Kernel kernel, int nranks, int flows, size_t t
       const double ratio = profile.ratio_at_depth(nranks);
       for (int s = 0; s < nranks - 1; ++s) {
         r.mpi_seconds += transfer_at(net, block_bytes / ratio, flows);
-        r.vrf_seconds += round_verify(cost, mode, verify, block_bytes / ratio);
+        r.vrf_seconds += round_walk(cost, mode, verify, block_bytes / ratio);
       }
       r.dpr_seconds += cost.seconds_fz_decompress(total_bytes, mode);
+      r.vrf_seconds += nranks * walk(cost, mode, verify, block_bytes / ratio);
       break;
     }
   }
@@ -221,29 +231,31 @@ ModelResult model_recursive_doubling(Kernel kernel, int nranks, int flows, size_
       r.hpr_seconds += cost.seconds_hz_add(
           profile.stats_at_depth(std::min(2 * depth, nranks), total_elems),
           profile.block_len, mode);
-      r.vrf_seconds +=
-          round_verify(cost, mode, verify, total / profile.ratio_at_depth(depth));
-      r.vrf_seconds += round_verify(
-          cost, mode, verify, total / profile.ratio_at_depth(std::min(2 * depth, nranks)));
+      r.vrf_seconds += round_walk(cost, mode, verify, total / profile.ratio_at_depth(depth));
+      r.vrf_seconds += round_walk(cost, mode, verify,
+                                  total / profile.ratio_at_depth(std::min(2 * depth, nranks)));
     } else {
       r.mpi_seconds += transfer_at(net, total, flows);
       r.cpt_seconds += cost.seconds_raw_sum(total_bytes, Mode::kSingleThread);
-      r.vrf_seconds += round_verify(cost, Mode::kSingleThread, verify, total);
+      r.vrf_seconds += 2 * walk(cost, Mode::kSingleThread, verify, total);
     }
   };
 
   if (hz) r.cpr_seconds += cost.seconds_fz_compress(total_bytes, mode);
   if (fold) exchange(1);
   for (int mask = 1, depth = fold ? 2 : 1; mask < p2; mask <<= 1, depth *= 2) exchange(depth);
+  const double reduced = total / profile.ratio_at_depth(nranks);
   if (fold) {
     // Unfold: each folded rank receives the finished vector — the reduced
-    // stream on the hZ stack, raw floats with a single-threaded digest walk
-    // on the raw one.
-    const double unfold = hz ? total / profile.ratio_at_depth(nranks) : total;
-    r.mpi_seconds += transfer_at(net, unfold, flows);
-    r.vrf_seconds += round_verify(cost, hz ? mode : Mode::kSingleThread, verify, unfold);
+    // stream on the hZ stack, raw floats on the raw one.
+    r.mpi_seconds += transfer_at(net, hz ? reduced : total, flows);
+    r.vrf_seconds += hz ? round_walk(cost, mode, verify, reduced)
+                        : 2 * walk(cost, Mode::kSingleThread, verify, total);
   }
-  if (hz) r.dpr_seconds += cost.seconds_fz_decompress(total_bytes, mode);
+  if (hz) {
+    r.dpr_seconds += cost.seconds_fz_decompress(total_bytes, mode);
+    r.vrf_seconds += walk(cost, mode, verify, reduced);
+  }
 
   r.seconds = r.mpi_seconds + r.cpr_seconds + r.dpr_seconds + r.cpt_seconds + r.hpr_seconds +
               r.vrf_seconds;
@@ -275,14 +287,13 @@ ModelResult model_rabenseifner(Kernel kernel, int nranks, int flows, size_t tota
           profile.stats_at_depth(std::min(2 * depth, nranks), seg / sizeof(float)),
           profile.block_len, mode);
       r.vrf_seconds +=
-          round_verify(cost, mode, verify, seg_bytes / profile.ratio_at_depth(depth));
-      r.vrf_seconds += round_verify(
-          cost, mode, verify,
-          seg_bytes / profile.ratio_at_depth(std::min(2 * depth, nranks)));
+          round_walk(cost, mode, verify, seg_bytes / profile.ratio_at_depth(depth));
+      r.vrf_seconds += round_walk(cost, mode, verify,
+                                  seg_bytes / profile.ratio_at_depth(std::min(2 * depth, nranks)));
     } else {
       r.mpi_seconds += transfer_at(net, seg_bytes, flows);
       r.cpt_seconds += cost.seconds_raw_sum(seg, Mode::kSingleThread);
-      r.vrf_seconds += round_verify(cost, Mode::kSingleThread, verify, seg_bytes);
+      r.vrf_seconds += 2 * walk(cost, Mode::kSingleThread, verify, seg_bytes);
     }
     depth = std::min(2 * depth, nranks);
   }
@@ -292,10 +303,16 @@ ModelResult model_rabenseifner(Kernel kernel, int nranks, int flows, size_t tota
   for (int mask = 1; mask < nranks; mask <<= 1) {
     const double wire = hz ? seg_bytes / full_ratio : seg_bytes;
     r.mpi_seconds += transfer_at(net, wire, flows);
-    r.vrf_seconds += round_verify(cost, hz ? mode : Mode::kSingleThread, verify, wire);
+    r.vrf_seconds += hz ? round_walk(cost, mode, verify, wire)
+                        : 2 * walk(cost, Mode::kSingleThread, verify, wire);
     seg_bytes *= 2.0;
   }
-  if (hz) r.dpr_seconds += cost.seconds_fz_decompress(total_bytes, mode);
+  if (hz) {
+    // The final decode walks every ring block.
+    r.dpr_seconds += cost.seconds_fz_decompress(total_bytes, mode);
+    r.vrf_seconds +=
+        nranks * walk(cost, mode, verify, static_cast<double>(total_bytes) / nranks / full_ratio);
+  }
 
   r.seconds = r.mpi_seconds + r.cpr_seconds + r.dpr_seconds + r.cpt_seconds + r.hpr_seconds +
               r.vrf_seconds;
@@ -313,24 +330,6 @@ ModelResult model_ring_allreduce(Kernel kernel, int nranks, int flows, size_t to
   return combine(rs, ag);
 }
 
-/// kFinal's single end-of-collective walk over the fully reduced stream
-/// (kPerRound already charged every round; kOff charges nothing).
-ModelResult charge_final_verify(ModelResult r, Kernel kernel, int nranks, size_t total_bytes,
-                                const CompressionProfile& profile, const CostModel& cost,
-                                VerifyPolicy verify) {
-  if (verify != VerifyPolicy::kFinal) return r;
-  const Mode mode = kernel_mode(kernel);
-  const double bytes =
-      kernel == Kernel::kMpi
-          ? static_cast<double>(total_bytes)
-          : static_cast<double>(total_bytes) / profile.ratio_at_depth(nranks);
-  const double charge = cost.seconds_digest_verify(
-      static_cast<size_t>(bytes), kernel == Kernel::kMpi ? Mode::kSingleThread : mode);
-  r.vrf_seconds += charge;
-  r.seconds += charge;
-  return r;
-}
-
 }  // namespace
 
 ModelResult model_collective(Kernel kernel, Op op, int nranks, size_t total_bytes,
@@ -338,14 +337,11 @@ ModelResult model_collective(Kernel kernel, Op op, int nranks, size_t total_byte
                              const CostModel& cost, coll::VerifyPolicy verify) {
   if (nranks < 2) throw Error("model_collective: need at least 2 ranks");
   const int flows = net.congestion_flows(nranks);
-  ModelResult r;
   if (op == Op::kReduceScatter) {
-    r = model_reduce_scatter_flows(kernel, nranks, flows, total_bytes, profile, net, cost,
-                                   verify, /*fused_tail=*/false);
-  } else {
-    r = model_ring_allreduce(kernel, nranks, flows, total_bytes, profile, net, cost, verify);
+    return model_reduce_scatter_flows(kernel, nranks, flows, total_bytes, profile, net, cost,
+                                      verify, /*fused_tail=*/false);
   }
-  return charge_final_verify(r, kernel, nranks, total_bytes, profile, cost, verify);
+  return model_ring_allreduce(kernel, nranks, flows, total_bytes, profile, net, cost, verify);
 }
 
 ModelResult model_allreduce_algo(Kernel kernel, coll::AllreduceAlgo algo, int nranks,
@@ -354,9 +350,6 @@ ModelResult model_allreduce_algo(Kernel kernel, coll::AllreduceAlgo algo, int nr
                                  coll::VerifyPolicy verify) {
   if (nranks < 2) throw Error("model_allreduce_algo: need at least 2 ranks");
   const int flows = net.congestion_flows(nranks);
-  const auto finish = [&](ModelResult r) {
-    return charge_final_verify(r, kernel, nranks, total_bytes, profile, cost, verify);
-  };
   // C-Coll runs every allreduce as the ring (resolve_job_algo), so that is
   // what it costs under any requested schedule.
   const bool ccoll = kernel == Kernel::kCCollMultiThread || kernel == Kernel::kCCollSingleThread;
@@ -365,25 +358,23 @@ ModelResult model_allreduce_algo(Kernel kernel, coll::AllreduceAlgo algo, int nr
     case coll::AllreduceAlgo::kAuto:
       throw Error("model_allreduce_algo: kAuto must be resolved by the caller");
     case coll::AllreduceAlgo::kRing:
-      return finish(
-          model_ring_allreduce(kernel, nranks, flows, total_bytes, profile, net, cost, verify));
+      return model_ring_allreduce(kernel, nranks, flows, total_bytes, profile, net, cost, verify);
     case coll::AllreduceAlgo::kRecursiveDoubling:
-      return finish(model_recursive_doubling(kernel, nranks, flows, total_bytes, profile, net,
-                                             cost, verify));
+      return model_recursive_doubling(kernel, nranks, flows, total_bytes, profile, net, cost,
+                                      verify);
     case coll::AllreduceAlgo::kRabenseifner:
       if ((nranks & (nranks - 1)) != 0) {
         // Functional fallback: non-power-of-two runs the ring.
-        return finish(model_ring_allreduce(kernel, nranks, flows, total_bytes, profile, net,
-                                           cost, verify));
+        return model_ring_allreduce(kernel, nranks, flows, total_bytes, profile, net, cost,
+                                    verify);
       }
-      return finish(
-          model_rabenseifner(kernel, nranks, flows, total_bytes, profile, net, cost, verify));
+      return model_rabenseifner(kernel, nranks, flows, total_bytes, profile, net, cost, verify);
     case coll::AllreduceAlgo::kTwoLevel: {
       const int nnodes = net.topo.num_nodes(nranks);
       if (nnodes >= nranks) {
         // Flat topology: every rank is its own leader — exactly the ring.
-        return finish(model_ring_allreduce(kernel, nranks, flows, total_bytes, profile, net,
-                                           cost, verify));
+        return model_ring_allreduce(kernel, nranks, flows, total_bytes, profile, net, cost,
+                                    verify);
       }
       // Intra-node phase: the leader drains ranks_per_node - 1 member
       // vectors serially over the fast channel and reduces each, then (after
@@ -391,25 +382,25 @@ ModelResult model_allreduce_algo(Kernel kernel, coll::AllreduceAlgo algo, int nr
       const int rpn = (nranks + nnodes - 1) / nnodes;
       const Mode mode = kernel_mode(kernel);
       const Mode intra_mode = kernel == Kernel::kMpi ? Mode::kSingleThread : mode;
+      // Member vectors cross the intra-node channel raw: each exchange, the
+      // gather and the re-broadcast alike, is a raw one of two walks.
+      const double exchange_walks =
+          2 * walk(cost, intra_mode, verify, static_cast<double>(total_bytes));
       ModelResult intra;
       for (int m = 1; m < rpn; ++m) {
         intra.mpi_seconds += intra_transfer(net, static_cast<double>(total_bytes));
         intra.cpt_seconds += cost.seconds_raw_sum(total_bytes, intra_mode);
-        // Member vectors cross the intra-node channel raw, guarded by the
-        // content-digest trailer under per-round verification.
-        intra.vrf_seconds +=
-            round_verify(cost, intra_mode, verify, static_cast<double>(total_bytes));
+        intra.vrf_seconds += exchange_walks;
       }
       intra.mpi_seconds += (rpn - 1) * net.intra_latency_s +
                            intra_transfer(net, static_cast<double>(total_bytes));
-      intra.vrf_seconds +=
-          round_verify(cost, intra_mode, verify, static_cast<double>(total_bytes));
+      intra.vrf_seconds += exchange_walks;
       intra.seconds = intra.mpi_seconds + intra.cpt_seconds + intra.vrf_seconds;
-      if (nnodes < 2) return finish(intra);
+      if (nnodes < 2) return intra;
       // One leader per node: the inter-node ring sees nnodes flows.
       const ModelResult ring =
           model_ring_allreduce(kernel, nnodes, nnodes, total_bytes, profile, net, cost, verify);
-      return finish(combine(intra, ring));
+      return combine(intra, ring);
     }
   }
   throw Error("model_allreduce_algo: unknown algorithm");

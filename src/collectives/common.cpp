@@ -12,14 +12,6 @@ namespace hzccl::coll {
 
 using simmpi::Comm;
 
-void CommTransport::mark(trace::EventKind kind) {
-  if (!comm_->tracer().enabled()) return;
-  trace::Event e;
-  e.t0 = e.t1 = comm_->clock().now();
-  e.kind = kind;
-  comm_->tracer().record(e);
-}
-
 const char* allreduce_algo_name(AllreduceAlgo algo) {
   switch (algo) {
     case AllreduceAlgo::kAuto: return "auto";

@@ -59,12 +59,10 @@ JobResult run_collective(Kernel kernel, Op op, const JobConfig& config,
     // Algorithm marker: non-ring schedules stamp one zero-length span at the
     // origin of each rank's timeline (kAuxAlgoBase + algo).  Ring jobs stay
     // marker-free so pre-algorithm traces replay byte-identically.
-    if (algo != coll::AllreduceAlgo::kRing && comm.tracer().enabled()) {
-      trace::Event marker;
-      marker.kind = trace::EventKind::kPack;
-      marker.aux = static_cast<uint8_t>(trace::kAuxAlgoBase + static_cast<int>(algo));
-      marker.bytes = input.size() * sizeof(float);
-      comm.tracer().record(marker);
+    if (algo != coll::AllreduceAlgo::kRing) {
+      comm.endpoint().mark(trace::EventKind::kPack, trace::kNoJob,
+                           static_cast<uint8_t>(trace::kAuxAlgoBase + static_cast<int>(algo)),
+                           input.size() * sizeof(float));
     }
 
     auto attempt = [&] {

@@ -45,17 +45,4 @@ CompressedBuffer doc_add(const CompressedBuffer& a, const CompressedBuffer& b,
   return out;
 }
 
-void doc_accumulate(const CompressedBuffer& incoming, std::span<float> accumulator,
-                    int num_threads) {
-  const FzView v = parse_fz(incoming.bytes);
-  if (v.num_elements() != accumulator.size()) {
-    throw Error("doc_accumulate: accumulator size mismatch");
-  }
-  std::vector<float> decoded(v.num_elements());
-  fz_decompress(v, decoded, num_threads);
-  ScopedNumThreads scoped(num_threads);
-#pragma omp parallel for schedule(static)
-  for (size_t i = 0; i < decoded.size(); ++i) accumulator[i] += decoded[i];
-}
-
 }  // namespace hzccl

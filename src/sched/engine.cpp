@@ -32,14 +32,11 @@
 #include "hzccl/cluster/autotune.hpp"
 #include "hzccl/core/dispatch.hpp"
 #include "hzccl/integrity/sdc.hpp"
-#include "hzccl/simmpi/clock.hpp"
 #include "hzccl/simmpi/control_plane.hpp"
 #include "hzccl/util/bytes.hpp"
 #include "hzccl/util/error.hpp"
 
 namespace hzccl::sched {
-
-using simmpi::CostBucket;
 
 const char* icoll_op_name(ICollOp op) {
   switch (op) {
@@ -116,16 +113,10 @@ struct EngineImpl {
     uint64_t seq = 0;
   };
 
-  struct RankState {
-    simmpi::VirtualClock clock;
-    trace::Recorder tracer;
-    bool dead = false;  ///< its clock stopped at the death
-    double cost_factor = 1.0;
-    uint64_t ops = 0;
-    const simmpi::RankFault* stop_fault = nullptr;
-    std::vector<uint64_t> send_seq;  ///< next seq per destination rank
-    TransportStats transport;
-    HealthStats health;
+  /// A fleet rank: its timeline (the Endpoint; stopped() once its crash or
+  /// hang fired, its clock stopped there) plus the scheduling index.
+  struct RankState : simmpi::Endpoint {
+    using Endpoint::Endpoint;
     std::vector<int> items;  ///< job ids that may have a runnable step here
     uint64_t version = 0;    ///< bumped on any mutation; stales heap hints
     bool dirty = false;
@@ -186,6 +177,8 @@ struct EngineImpl {
 
     int rel(int rank) const { return rank - opt.first_rank; }
     bool dead(int rank) const { return plane.state(rel(rank)).dead; }
+    /// Event::job of the job's spans.
+    uint8_t span_job() const { return static_cast<uint8_t>(id); }
   };
 
   /// The job whose step is runnable earliest on a rank: a start when its
@@ -237,16 +230,9 @@ struct EngineImpl {
     // The same placement as the threaded runtime's, so a FaultPlan resolves
     // to one schedule in both executors.
     resolved_faults = cfg.faults.resolve_rank_faults(cfg.fleet_ranks);
-    for (int i = 0; i < cfg.fleet_ranks; ++i) ranks.emplace_back();
-    for (size_t i = 0; i < ranks.size(); ++i) {
-      RankState& r = ranks[i];
-      r.send_seq.assign(static_cast<size_t>(cfg.fleet_ranks), 0);
-      if (cfg.trace.enabled) r.tracer.enable(cfg.trace.capacity, pool);
-      const simmpi::RankFaultSlot slot =
-          simmpi::rank_fault_slot(resolved_faults, static_cast<int>(i));
-      r.cost_factor = slot.cost_factor;
-      r.health.straggles = slot.straggler ? 1 : 0;
-      r.stop_fault = slot.stop;
+    for (int i = 0; i < cfg.fleet_ranks; ++i) {
+      ranks.emplace_back(i, cfg.fleet_ranks, cfg.net, resolved_faults);
+      ranks.back().enable_trace(cfg.trace, pool);
     }
     if (cfg.trace.enabled) sched_tracer.enable(cfg.trace.capacity, pool);
   }
@@ -258,7 +244,7 @@ struct EngineImpl {
       j.waiters.clear();
       j.roots.clear();
     }
-    for (RankState& r : ranks) r.tracer.disable(pool);
+    for (RankState& r : ranks) r.release_trace(pool);
     sched_tracer.disable(pool);
   }
 
@@ -309,16 +295,10 @@ struct EngineImpl {
     dirty_ranks.clear();
   }
 
-  /// Record `e` on `r`'s stream as a span of job `job` (-1: no job) ending
-  /// at `t1`, or now — the engine's Comm::span.
-  static void span(RankState& r, int job, trace::Event e, double t1) {
-    if (!r.tracer.enabled()) return;
-    e.t1 = t1;
-    e.job = job >= 0 ? static_cast<uint8_t>(job) : trace::kNoJob;
-    r.tracer.record(e);
-  }
-  static void span(RankState& r, int job, const trace::Event& e) {
-    span(r, job, e, r.clock.now());
+  /// Virtual rank `vrank` of job `job`'s current attempt.
+  RankState& member(int job, int vrank) {
+    const JobState& j = jobs[static_cast<size_t>(job)];
+    return ranks[static_cast<size_t>(j.group[static_cast<size_t>(vrank)])];
   }
 
   /// Scheduler lifecycle marker on the pseudo-rank stream.  Times are
@@ -335,21 +315,10 @@ struct EngineImpl {
 
   // -- Fault machinery ------------------------------------------------------
 
-  /// Count one transport operation (send, receive or shrink) on `rank` and
-  /// fire its crash or hang if due.  A hung rank stops like a crashed one:
-  /// its already-posted eager frames stay consumable.
-  bool fault_fires(int rank) {
-    RankState& r = ranks[static_cast<size_t>(rank)];
-    ++r.ops;
-    const simmpi::RankFault* f = r.stop_fault;
-    if (f == nullptr || !f->due(r.ops, r.clock.now())) return false;
-    r.dead = true;
-    ++(f->kind == simmpi::RankFaultKind::kHang ? r.health.hangs : r.health.crashes);
-    return true;
-  }
-
-  /// A rank died: retire it in the control plane of every active job it
-  /// belongs to, tearing down its unsettled roots, and bump the fleet epoch.
+  /// A rank died (its Endpoint fired a crash or hang; a hung rank stops like
+  /// a crashed one, its posted eager frames still consumable): retire it in
+  /// the control plane of every active job it belongs to, tearing down its
+  /// unsettled roots, and bump the fleet epoch.
   void handle_death(int rank) {
     RankState& r = ranks[static_cast<size_t>(rank)];
     ++epoch;
@@ -360,7 +329,7 @@ struct EngineImpl {
       const int v = j.vrank_of[static_cast<size_t>(rank)];
       if (v < 0) continue;
       if (!j.roots[static_cast<size_t>(v)].settled) teardown(j, v);
-      j.plane.retire(j.rel(rank), /*dead=*/true, r.clock.now());
+      j.plane.retire(j.rel(rank), /*dead=*/true, r.now());
       mark_members_dirty(j);
       progress(j);
     }
@@ -368,37 +337,21 @@ struct EngineImpl {
 
   // -- Transport ------------------------------------------------------------
 
-  /// Seconds one frame spends on the (src, dst) link.  Intra-node channels
-  /// are uncontended.  Inter-node transfers share the fabric with every
-  /// other active job: the rate is this job's weighted share of the
-  /// fleet-wide congested bandwidth, capped at the job's solo rate.  A job's
-  /// flows are those of its whole placement, shrunk or not, as the threaded
-  /// runtime prices them — with a single active job the price degenerates
-  /// exactly to NetModel::link_seconds.
-  double transfer_seconds(const JobState& j, int src, int dst, size_t frame_bytes) const {
-    const simmpi::NetModel& net = cfg.net;
-    if (net.topo.same_node(src, dst)) {
-      return net.intra_latency_s + static_cast<double>(frame_bytes) / net.intra_bytes_per_s();
-    }
-    const double solo = net.effective_bytes_per_s(net.congestion_flows(j.config.nranks));
+  /// Inter-node transfers share the fabric with every other active job: a
+  /// job's rate is capped at its weighted share of the fleet-wide congested
+  /// bandwidth.  A job's flows are those of its whole placement, shrunk or
+  /// not, as the threaded runtime prices them — with a single active job the
+  /// cap is the job's solo rate and the price NetModel::link_seconds alone.
+  double rate_cap(const JobState& j) const {
     int total_flows = 0;
     double total_weight = 0.0;
     for (const JobState& a : jobs) {
       if (a.phase != Phase::kActive) continue;
-      total_flows += net.congestion_flows(a.config.nranks);
+      total_flows += cfg.net.congestion_flows(a.config.nranks);
       total_weight += a.opt.weight;
     }
     // `j` itself is active, so total_weight > 0.
-    const double share = net.effective_bytes_per_s(total_flows) * (j.opt.weight / total_weight);
-    return net.latency_s + static_cast<double>(frame_bytes) / std::min(solo, share);
-  }
-
-  /// When `rank`'s receive of `m` from `src` completes: no earlier than the
-  /// sender's stamp, plus the straggler-scaled transfer.
-  double recv_ready(const JobState& j, int src, int rank, const Msg& m) const {
-    const RankState& r = ranks[static_cast<size_t>(rank)];
-    return std::max(r.clock.now(), m.stamp) +
-           transfer_seconds(j, src, rank, simmpi::frame_size(m.payload.size())) * r.cost_factor;
+    return cfg.net.effective_bytes_per_s(total_flows) * (j.opt.weight / total_weight);
   }
 
   void port_send(int job, int vrank, int dst, int tag, std::span<const uint8_t> payload) {
@@ -406,20 +359,12 @@ struct EngineImpl {
     const int src_phys = j.group[static_cast<size_t>(vrank)];
     const int dst_phys = j.group[static_cast<size_t>(dst)];
     RankState& r = ranks[static_cast<size_t>(src_phys)];
-    if (fault_fires(src_phys)) throw RankDeadError{};
-
-    const double t0 = r.clock.now();
-    r.clock.advance(cfg.net.link_latency_s(src_phys, dst_phys) * r.cost_factor, CostBucket::kMpi);
-    const uint64_t seq = r.send_seq[static_cast<size_t>(dst_phys)]++;
-    span(r, job, {.t0 = t0, .seq = seq, .bytes = payload.size(), .peer = dst_phys, .tag = tag,
-                  .kind = trace::EventKind::kSend});
-
-    ++r.transport.frames_sent;
+    if (r.count_op() != nullptr) throw RankDeadError{};
+    const uint64_t seq = r.inject(dst_phys, tag, payload.size(), j.span_job());
     ++j.out.transport.frames_sent;
     j.out.payload_bytes_sent += payload.size();
-
     j.chans[chan_key(dst_phys, src_phys, tag)].push_back(
-        Msg{{payload.begin(), payload.end()}, r.clock.now(), seq});
+        Msg{{payload.begin(), payload.end()}, r.now(), seq});
     mark_dirty(dst_phys);
     mark_dirty(src_phys);
   }
@@ -427,19 +372,11 @@ struct EngineImpl {
   void register_waiter(RecvAwaitable* aw, std::coroutine_handle<> h) {
     JobState& j = jobs[static_cast<size_t>(aw->job_)];
     const int me_phys = j.group[static_cast<size_t>(aw->vrank_)];
-    if (fault_fires(me_phys)) throw RankDeadError{};  // recv counts as a transport op at entry
+    // A receive counts as a transport operation at its entry.
+    if (ranks[static_cast<size_t>(me_phys)].count_op() != nullptr) throw RankDeadError{};
     j.waiters[static_cast<size_t>(aw->vrank_)] =
         Waiter{h, aw, j.group[static_cast<size_t>(aw->src_)], aw->tag_};
     mark_dirty(me_phys);
-  }
-
-  void port_charge(int job, int vrank, CostBucket bucket, double seconds, trace::EventKind kind,
-                   uint64_t bytes, uint64_t bytes_out) {
-    JobState& j = jobs[static_cast<size_t>(job)];
-    RankState& r = ranks[static_cast<size_t>(j.group[static_cast<size_t>(vrank)])];
-    const double t0 = r.clock.now();
-    r.clock.advance(seconds * r.cost_factor, bucket);
-    span(r, job, {.t0 = t0, .bytes = bytes, .bytes_out = bytes_out, .kind = kind});
   }
 
   // -- Runnable-set scan ----------------------------------------------------
@@ -459,16 +396,19 @@ struct EngineImpl {
       Candidate c;
       const Waiter& w = j.waiters[static_cast<size_t>(v)];
       if (!j.roots[static_cast<size_t>(v)].task.valid()) {
-        c = Candidate{std::max(r.clock.now(), j.out.grant_vtime), id};
+        c = Candidate{std::max(r.now(), j.out.grant_vtime), id};
       } else if (w.parked()) {
         const auto it = j.chans.find(chan_key(rank, w.src_phys, w.tag));
         const simmpi::ControlPlane::RankState& src = j.plane.state(j.rel(w.src_phys));
         if (it != j.chans.end() && !it->second.empty()) {
-          c = Candidate{recv_ready(j, w.src_phys, rank, it->second.front()), id};
+          const Msg& m = it->second.front();
+          c = Candidate{r.ready_at(w.src_phys, simmpi::frame_size(m.payload.size()), m.stamp,
+                                   j.config.nranks, rate_cap(j)),
+                        id};
         } else if (src.silent()) {
           // Nothing posted, and a silent peer never posts again: the health
           // machine gives up on it at its deadline.
-          c = Candidate{j.plane.dead_at(r.clock.now(), src.stop_vtime), id};
+          c = Candidate{j.plane.dead_at(r.now(), src.stop_vtime), id};
         }
       }
       if (c.valid() && (!best.valid() || c.ready < best.ready ||
@@ -504,11 +444,7 @@ struct EngineImpl {
 
     // Idle gap between the rank's own timeline and the grant: unattributed
     // wait (it belongs to no job's grant..complete window).
-    if (j.out.grant_vtime > r.clock.now()) {
-      const double t0 = r.clock.now();
-      r.clock.advance_to(j.out.grant_vtime, CostBucket::kMpi);
-      span(r, -1, {.t0 = t0, .kind = trace::EventKind::kWait});
-    }
+    r.wait_until(j.out.grant_vtime, trace::kNoJob);
 
     // Inputs are keyed by the job-local rank (fleet rank - first_rank), so a
     // survivor contributes the same vector on every attempt.
@@ -518,9 +454,9 @@ struct EngineImpl {
     // Algorithm marker, exactly as run_collective stamps it: non-ring
     // schedules only, first attempt only, at the origin of the job's spans.
     if (j.attempt == 0 && j.algo != coll::AllreduceAlgo::kRing) {
-      span(r, j.id, {.t0 = r.clock.now(), .bytes = input.size() * sizeof(float),
-                     .kind = trace::EventKind::kPack,
-                     .aux = static_cast<uint8_t>(trace::kAuxAlgoBase + static_cast<int>(j.algo))});
+      r.mark(trace::EventKind::kPack, j.span_job(),
+             static_cast<uint8_t>(trace::kAuxAlgoBase + static_cast<int>(j.algo)),
+             input.size() * sizeof(float));
     }
 
     root.task =
@@ -529,39 +465,23 @@ struct EngineImpl {
     resume_and_settle(j, v, root.task.handle());
   }
 
-  /// Resume a parked receive with its posted frame, or, its source being
-  /// silent, with a revoke after the health machine's deadlines.
-  void exec_wake(JobState& j, int rank) {
+  /// Resume a parked receive, at `ready` (its candidate time), with its
+  /// posted frame, or, its source being silent, with a revoke after the
+  /// health machine's deadlines.
+  void exec_wake(JobState& j, int rank, double ready) {
     const int v = j.vrank_of[static_cast<size_t>(rank)];
     RankState& r = ranks[static_cast<size_t>(rank)];
     const Waiter w = std::exchange(j.waiters[static_cast<size_t>(v)], Waiter{});
-    const double t0 = r.clock.now();
     auto& chan = j.chans[chan_key(rank, w.src_phys, w.tag)];
     if (chan.empty()) {
+      const double t0 = r.now();
       const double stop = j.plane.state(j.rel(w.src_phys)).stop_vtime;
-      r.clock.advance_to(j.plane.suspect_at(t0, stop), CostBucket::kMpi);
-      ++r.health.suspects;
-      span(r, j.id, {.t0 = t0, .peer = w.src_phys, .kind = trace::EventKind::kSuspect});
-      const double mid = r.clock.now();
-      r.clock.advance_to(j.plane.dead_at(t0, stop), CostBucket::kMpi);
-      ++r.health.dead_declared;
-      span(r, j.id, {.t0 = mid, .peer = w.src_phys, .kind = trace::EventKind::kDetect});
+      r.detect(w.src_phys, j.plane.suspect_at(t0, stop), j.plane.dead_at(t0, stop), j.span_job());
       w.awaitable->error_ = std::make_exception_ptr(AttemptRevoked{});
     } else {
-      // One advance, split in the trace into waiting for the sender (idle)
-      // and the wire transfer, as the threaded runtime's receive does.
-      const double ready = recv_ready(j, w.src_phys, rank, chan.front());
       Msg msg = std::move(chan.front());
       chan.pop_front();
-      const double data_ready = std::max(t0, msg.stamp);
-      r.clock.advance_to(ready, CostBucket::kMpi);
-      if (data_ready > t0) {
-        span(r, j.id, {.t0 = t0, .peer = w.src_phys, .tag = w.tag, .kind = trace::EventKind::kWait},
-             data_ready);
-      }
-      span(r, j.id, {.t0 = data_ready, .seq = msg.seq, .bytes = msg.payload.size(),
-                     .peer = w.src_phys, .tag = w.tag, .kind = trace::EventKind::kRecv});
-      ++r.transport.frames_accepted;
+      r.accept({w.src_phys, w.tag, msg.seq, msg.payload.size(), msg.stamp}, ready, j.span_job());
       ++j.out.transport.frames_accepted;
       w.awaitable->payload_ = std::move(msg.payload);
     }
@@ -575,7 +495,7 @@ struct EngineImpl {
   void settle(JobState& j, int v) {
     const int rank = j.group[static_cast<size_t>(v)];
     j.roots[static_cast<size_t>(v)].settled = true;
-    j.last_settled = std::max(j.last_settled, ranks[static_cast<size_t>(rank)].clock.now());
+    j.last_settled = std::max(j.last_settled, ranks[static_cast<size_t>(rank)].now());
     mark_dirty(rank);
   }
 
@@ -615,7 +535,7 @@ struct EngineImpl {
       }
       return;
     }
-    j.plane.arrive_agreement(j.rel(rank), ranks[static_cast<size_t>(rank)].clock.now());
+    j.plane.arrive_agreement(j.rel(rank), ranks[static_cast<size_t>(rank)].now());
     mark_members_dirty(j);
     progress(j);
   }
@@ -633,7 +553,7 @@ struct EngineImpl {
     } else if (std::all_of(j.group.begin(), j.group.end(), [&](int m) { return j.dead(m); })) {
       double t_end = 0.0;  // the last death: dead clocks stopped there
       for (const int m : j.group) {
-        t_end = std::max(t_end, ranks[static_cast<size_t>(m)].clock.now());
+        t_end = std::max(t_end, ranks[static_cast<size_t>(m)].now());
         if (std::count(j.out.failed_ranks.begin(), j.out.failed_ranks.end(), m) == 0) {
           j.out.failed_ranks.push_back(m);
         }
@@ -653,13 +573,9 @@ struct EngineImpl {
       if (j.dead(rank)) continue;
       survivors.push_back(rank);
       RankState& r = ranks[static_cast<size_t>(rank)];
-      const double t0 = r.clock.now();
-      r.clock.advance_to(j.plane.round(RoundKind::kAgreement).release, CostBucket::kMpi);
-      ++r.health.agreements;
-      r.health.failed_agreements += failed.empty() ? 0 : 1;
-      span(r, j.id, {.t0 = t0, .seq = j.plane.epoch(), .bytes = failed.size(),
-                     .kind = trace::EventKind::kAgree});
-      t_end = std::max(t_end, r.clock.now());
+      r.agree(j.plane.round(RoundKind::kAgreement).release, j.plane.epoch(), failed.size(),
+              j.span_job());
+      t_end = std::max(t_end, r.now());
     }
     for (const int m : failed) j.out.failed_ranks.push_back(m + j.opt.first_rank);
     const int failures = j.attempt + 1;
@@ -670,15 +586,11 @@ struct EngineImpl {
     std::vector<int> died;
     for (const int rank : survivors) {
       RankState& r = ranks[static_cast<size_t>(rank)];
-      const double t0 = r.clock.now();
-      r.clock.advance(j.plane.backoff(j.config.retry, failures), CostBucket::kMpi);
-      ++r.health.retries;
-      span(r, j.id,
-           {.t0 = t0, .seq = static_cast<uint64_t>(failures), .kind = trace::EventKind::kBackoff});
-      if (fault_fires(rank)) {
+      r.backoff(j.plane.backoff(j.config.retry, failures), failures, j.span_job());
+      if (r.count_op() != nullptr) {
         died.push_back(rank);
       } else {
-        j.plane.arrive_shrink(j.rel(rank), r.clock.now());
+        j.plane.arrive_shrink(j.rel(rank), r.now());
       }
     }
     for (const int rank : died) handle_death(rank);
@@ -693,14 +605,12 @@ struct EngineImpl {
     for (const int m : j.plane.members()) j.group.push_back(m + j.opt.first_rank);
     for (const int rank : j.group) {
       if (j.dead(rank)) continue;  // died on its way through the shrink
-      RankState& r = ranks[static_cast<size_t>(rank)];
+      uint64_t stale = 0;
       for (const auto& [key, chan] : j.chans) {
-        if (static_cast<int>(key >> 48) == rank) r.health.stale_discards += chan.size();
+        if (static_cast<int>(key >> 48) == rank) stale += chan.size();
       }
-      const double t0 = r.clock.now();
-      r.clock.advance_to(j.plane.round(RoundKind::kShrink).release, CostBucket::kMpi);
-      ++r.health.shrinks;
-      span(r, j.id, {.t0 = t0, .seq = j.plane.epoch(), .kind = trace::EventKind::kShrink});
+      ranks[static_cast<size_t>(rank)].shrink(j.plane.round(RoundKind::kShrink).release,
+                                              j.plane.epoch(), stale, j.span_job());
     }
     j.chans.clear();
     ++j.attempt;
@@ -716,7 +626,7 @@ struct EngineImpl {
     j.waiters.assign(j.group.size(), Waiter{});
     for (size_t v = 0; v < j.group.size(); ++v) {
       j.vrank_of[static_cast<size_t>(j.group[v])] = static_cast<int>(v);
-      if (ranks[static_cast<size_t>(j.group[v])].dead) {
+      if (ranks[static_cast<size_t>(j.group[v])].stopped()) {
         settle(j, static_cast<int>(v));
       } else {
         add_item(j.group[v], j.id);
@@ -770,7 +680,7 @@ struct EngineImpl {
 
     j.group.clear();
     for (int p = j.opt.first_rank; p < j.opt.first_rank + j.config.nranks; ++p) {
-      if (!ranks[static_cast<size_t>(p)].dead) j.group.push_back(p);
+      if (!ranks[static_cast<size_t>(p)].stopped()) j.group.push_back(p);
     }
     if (j.group.empty()) {
       finish_job(j, j.out.grant_vtime, "every rank of the job's placement is already dead");
@@ -868,7 +778,7 @@ struct EngineImpl {
     JobState& j = jobs[static_cast<size_t>(c.job)];
     const int v = j.vrank_of[static_cast<size_t>(top.rank)];
     if (j.roots[static_cast<size_t>(v)].task.valid()) {
-      exec_wake(j, top.rank);
+      exec_wake(j, top.rank, c.ready);
     } else {
       exec_start(j, top.rank);
     }
@@ -995,7 +905,12 @@ std::vector<uint8_t> Port::refetch(int /*src*/, int /*tag*/, simmpi::Comm::Refet
 
 void Port::charge(simmpi::CostBucket bucket, double seconds, trace::EventKind kind,
                   uint64_t bytes, uint64_t bytes_out) {
-  eng_->port_charge(job_, vrank_, bucket, seconds, kind, bytes, bytes_out);
+  eng_->member(job_, vrank_).charge(bucket, seconds, kind, bytes, bytes_out,
+                                    static_cast<uint8_t>(job_));
+}
+
+void Port::mark(trace::EventKind kind) {
+  eng_->member(job_, vrank_).mark(kind, static_cast<uint8_t>(job_));
 }
 
 IntegrityStats& Port::integrity() {
@@ -1103,8 +1018,7 @@ trace::Trace Engine::trace() const {
   if (!impl_->cfg.trace.enabled) return t;
   t.ranks.reserve(impl_->ranks.size() + 1);
   for (const EngineImpl::RankState& r : impl_->ranks) {
-    t.ranks.push_back(r.tracer.snapshot());
-    t.dropped_events += r.tracer.dropped();
+    t.dropped_events += r.collect_trace(t.ranks.emplace_back());
   }
   t.ranks.push_back(impl_->sched_tracer.snapshot());
   t.dropped_events += impl_->sched_tracer.dropped();
@@ -1112,15 +1026,15 @@ trace::Trace Engine::trace() const {
 }
 
 std::vector<simmpi::ClockReport> Engine::clock_reports() const {
-  return impl_->per_rank([](const EngineImpl::RankState& r) { return r.clock.report(); });
+  return impl_->per_rank([](const EngineImpl::RankState& r) { return r.clock().report(); });
 }
 
 std::vector<TransportStats> Engine::transport_stats() const {
-  return impl_->per_rank([](const EngineImpl::RankState& r) { return r.transport; });
+  return impl_->per_rank([](const EngineImpl::RankState& r) { return r.transport(); });
 }
 
 std::vector<HealthStats> Engine::health_stats() const {
-  return impl_->per_rank([](const EngineImpl::RankState& r) { return r.health; });
+  return impl_->per_rank([](const EngineImpl::RankState& r) { return r.health(); });
 }
 
 }  // namespace hzccl::sched

@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "hzccl/integrity/sdc.hpp"
-#include "hzccl/kernels/dispatch.hpp"
 #include "hzccl/util/bytes.hpp"
 #include "hzccl/util/error.hpp"
 
@@ -126,18 +125,13 @@ class PeerAbortError : public hzccl::Error {
 
 Comm::Comm(Runtime* rt, int rank, int size)
     : runtime_(rt),
+      endpoint_(rank, size, rt->net_, rt->resolved_faults_),
       rank_(rank),
       size_(size),
-      phys_rank_(rank),
       group_(static_cast<size_t>(size)),
-      send_seq_(static_cast<size_t>(size), 0),
       accepted_(static_cast<size_t>(size)),
       limbo_(static_cast<size_t>(size)) {
   for (int i = 0; i < size; ++i) group_[static_cast<size_t>(i)] = i;
-  const RankFaultSlot slot = rank_fault_slot(rt->resolved_faults_, rank);
-  cost_factor_ = slot.cost_factor;
-  health_.straggles = slot.straggler ? 1 : 0;
-  stop_fault_ = slot.stop;
 }
 
 const NetModel& Comm::net() const { return runtime_->net(); }
@@ -146,18 +140,11 @@ const FaultPlan& Comm::faults() const { return runtime_->faults(); }
 void Comm::maybe_stall(FaultKind kind) {
   const FaultPlan& plan = runtime_->faults();
   if (plan.stall <= 0.0) return;
-  if (fault_roll(plan.seed, kind, phys_rank_, phys_rank_, stall_counter_++) < plan.stall) {
-    const double t0 = clock_.now();
-    clock_.advance(plan.stall_seconds * cost_factor_, CostBucket::kMpi);
-    ++transport_.stalls;
-    span({.t0 = t0, .kind = trace::EventKind::kStall});
+  if (fault_roll(plan.seed, kind, phys_rank(), phys_rank(), stall_counter_++) < plan.stall) {
+    ++endpoint_.transport().stalls;
+    endpoint_.spend(plan.stall_seconds * endpoint_.cost_factor(),
+                    {.kind = trace::EventKind::kStall}, trace::kNoJob);
   }
-}
-
-void Comm::span(trace::Event e, double t1) {
-  if (!trace_.enabled()) return;
-  e.t1 = t1;
-  trace_.record(e);
 }
 
 void Comm::send(int dst, int tag, std::span<const uint8_t> payload) {
@@ -167,18 +154,9 @@ void Comm::send(int dst, int tag, std::span<const uint8_t> payload) {
   // Eager protocol: the sender only pays injection latency; the transfer
   // itself is accounted at the receiver against the send timestamp.
   const int pdst = to_phys(dst);
-  const uint64_t seq = send_seq_[static_cast<size_t>(pdst)];
-  const double t0 = clock_.now();
-  clock_.advance(runtime_->net().link_latency_s(phys_rank_, pdst) * cost_factor_,
-                 CostBucket::kMpi);
+  const uint64_t seq = endpoint_.inject(pdst, tag, payload.size(), trace::kNoJob);
   bytes_sent_ += payload.size();
-  runtime_->transmit(*this, pdst, tag, payload);
-  span({.t0 = t0,
-        .seq = seq,
-        .bytes = payload.size(),
-        .peer = pdst,
-        .tag = tag,
-        .kind = trace::EventKind::kSend});
+  runtime_->transmit(*this, pdst, tag, seq, payload);
 }
 
 Delivery Comm::receive(int src, int tag) {
@@ -242,26 +220,14 @@ void Comm::guarded(const std::function<void()>& body) {
 void Comm::shrink() { runtime_->shrink_group(*this); }
 
 void Comm::retry_backoff(const RetryPolicy& policy, int failures) {
-  const double t0 = clock_.now();
   // The fault-plan seed feeds the jitter draw so a faulted run replays —
   // backoff included — from one number.
-  clock_.advance(runtime_->control_.backoff(policy, failures), CostBucket::kMpi);
-  ++health_.retries;
-  span({.t0 = t0, .seq = static_cast<uint64_t>(failures), .kind = trace::EventKind::kBackoff});
+  endpoint_.backoff(runtime_->control_.backoff(policy, failures), failures, trace::kNoJob);
 }
 
 void Comm::charge(CostBucket bucket, double seconds, trace::EventKind kind, uint64_t bytes,
                   uint64_t bytes_out) {
-  const double t0 = clock_.now();
-  clock_.advance(seconds * cost_factor_, bucket);
-  if (trace_.enabled() && seconds > 0.0) {
-    // Compute spans record which kernel dispatch level ran them (aux 0 =
-    // scalar), so perf traces attribute throughput to the path taken.
-    const uint8_t level = trace::kind_is_transport(kind)
-                              ? uint8_t{0}
-                              : static_cast<uint8_t>(kernels::active_dispatch_level());
-    span({.t0 = t0, .bytes = bytes, .bytes_out = bytes_out, .kind = kind, .aux = level});
-  }
+  endpoint_.charge(bucket, seconds, kind, bytes, bytes_out, trace::kNoJob);
 }
 
 void Comm::send_floats(int dst, int tag, std::span<const float> data) {
@@ -307,10 +273,7 @@ bool Runtime::await_round(std::unique_lock<std::mutex>& lock, RoundKind kind, ui
 }
 
 void Runtime::check_rank_fault(Comm& comm) {
-  if (!rank_faults_on()) return;
-  ++comm.transport_ops_;
-  const RankFault* f = comm.stop_fault_;
-  if (f != nullptr && f->due(comm.transport_ops_, comm.clock_.now())) {
+  if (const RankFault* f = comm.endpoint_.count_op()) {
     kill_rank(comm, f->kind == RankFaultKind::kHang);
   }
 }
@@ -330,7 +293,6 @@ void Runtime::kill_rank(Comm& comm, bool hang) {
   // machinery instead of blocking forever — the fabric, not the dead
   // process, retains the pristine copy.
   flush_limbo(comm, hang ? WireOutcome::kDelivered : WireOutcome::kDropped);
-  ++(hang ? comm.health_.hangs : comm.health_.crashes);
   retire(comm, /*dead=*/true);
   throw RankStopSignal{};
 }
@@ -338,28 +300,22 @@ void Runtime::kill_rank(Comm& comm, bool hang) {
 void Runtime::retire(Comm& comm, bool dead) {
   {
     std::lock_guard<std::mutex> lock(control_mutex_);
-    control_.retire(comm.phys_rank_, dead, comm.clock_.now());
+    control_.retire(comm.phys_rank(), dead, comm.endpoint_.now());
   }
   control_cv_.notify_all();
   wake_all_mailboxes();
 }
 
 void Runtime::declare_peer_failed(Comm& receiver, int peer, double stop_vtime) {
-  VirtualClock& clock = receiver.clock_;
-  const double t0 = clock.now();
-  clock.advance_to(control_.suspect_at(t0, stop_vtime), CostBucket::kMpi);
-  ++receiver.health_.suspects;
-  receiver.span({.t0 = t0, .peer = peer, .kind = trace::EventKind::kSuspect});
-  const double mid = clock.now();
-  clock.advance_to(control_.dead_at(t0, stop_vtime), CostBucket::kMpi);
-  ++receiver.health_.dead_declared;
-  receiver.span({.t0 = mid, .peer = peer, .kind = trace::EventKind::kDetect});
+  const double t0 = receiver.endpoint_.now();
+  receiver.endpoint_.detect(peer, control_.suspect_at(t0, stop_vtime),
+                            control_.dead_at(t0, stop_vtime), trace::kNoJob);
   throw RankRevokedSignal{};
 }
 
 void Runtime::agreement(Comm& comm) {
   std::unique_lock<std::mutex> lock(control_mutex_);
-  const uint64_t generation = control_.arrive_agreement(comm.phys_rank_, comm.clock_.now());
+  const uint64_t generation = control_.arrive_agreement(comm.phys_rank(), comm.endpoint_.now());
   lock.unlock();
   control_cv_.notify_all();
   // Peers blocked in take() re-evaluate hopelessness against this arrival.
@@ -372,14 +328,8 @@ void Runtime::agreement(Comm& comm) {
   const uint32_t epoch = control_.epoch();
   lock.unlock();
 
-  const double t0 = comm.clock_.now();
-  comm.clock_.advance_to(release, CostBucket::kMpi);
-  ++comm.health_.agreements;
-  comm.span({.t0 = t0, .seq = epoch, .bytes = failed.size(), .kind = trace::EventKind::kAgree});
-  if (!failed.empty()) {
-    ++comm.health_.failed_agreements;
-    throw RankFailedError(std::move(failed), epoch);
-  }
+  comm.endpoint_.agree(release, epoch, failed.size(), trace::kNoJob);
+  if (!failed.empty()) throw RankFailedError(std::move(failed), epoch);
 }
 
 void Runtime::shrink_group(Comm& comm) {
@@ -388,9 +338,9 @@ void Runtime::shrink_group(Comm& comm) {
   }
   check_rank_fault(comm);
   flush_limbo(comm);
-  const int me = comm.phys_rank_;
+  const int me = comm.phys_rank();
   std::unique_lock<std::mutex> lock(control_mutex_);
-  const uint64_t generation = control_.arrive_shrink(me, comm.clock_.now());
+  const uint64_t generation = control_.arrive_shrink(me, comm.endpoint_.now());
   lock.unlock();
   control_cv_.notify_all();
 
@@ -409,24 +359,19 @@ void Runtime::shrink_group(Comm& comm) {
     throw hzccl::Error("shrink: this rank is not part of the surviving group");
   }
   // Purge this rank's mailbox of old-epoch traffic from the failed attempt.
+  size_t stale = 0;
   {
     Mailbox& box = *mailboxes_[static_cast<size_t>(me)];
     std::lock_guard<std::mutex> box_lock(box.mutex);
-    const size_t before = box.messages.size();
-    std::erase_if(box.messages,
-                  [&](const WireMessage& m) { return m.epoch < new_epoch; });
-    comm.health_.stale_discards += before - box.messages.size();
+    stale = std::erase_if(box.messages, [&](const WireMessage& m) { return m.epoch < new_epoch; });
     std::erase_if(box.window, [&](const WindowEntry& w) { return w.epoch < new_epoch; });
   }
-  const double t0 = comm.clock_.now();
-  comm.clock_.advance_to(release, CostBucket::kMpi);
-  ++comm.health_.shrinks;
-  comm.span({.t0 = t0, .seq = new_epoch, .kind = trace::EventKind::kShrink});
+  comm.endpoint_.shrink(release, new_epoch, stale, trace::kNoJob);
 }
 
 void Runtime::barrier_wait(Comm& comm) {
-  const double t0 = comm.clock_.now();
-  const int me = comm.phys_rank_;
+  const double t0 = comm.endpoint_.now();
+  const int me = comm.phys_rank();
   std::unique_lock<std::mutex> lock(control_mutex_);
   const uint64_t generation = control_.arrive_barrier(t0);
   // A dead, parked or finished member can never arrive: the barrier is
@@ -442,8 +387,7 @@ void Runtime::barrier_wait(Comm& comm) {
   }
   const double release = control_.round(RoundKind::kBarrier).release;
   lock.unlock();
-  comm.clock_.advance_to(release, CostBucket::kMpi);
-  if (comm.clock_.now() > t0) comm.span({.t0 = t0, .kind = trace::EventKind::kWait});
+  comm.endpoint_.wait_until(release, trace::kNoJob);
 }
 
 void Runtime::post(int dst, WireMessage msg) {
@@ -455,18 +399,18 @@ void Runtime::post(int dst, WireMessage msg) {
   box.cv.notify_all();
 }
 
-void Runtime::transmit(Comm& sender, int dst, int tag, std::span<const uint8_t> payload) {
-  const int src = sender.phys_rank_;
-  const uint64_t seq = sender.send_seq_[static_cast<size_t>(dst)]++;
+void Runtime::transmit(Comm& sender, int dst, int tag, uint64_t seq,
+                       std::span<const uint8_t> payload) {
+  const int src = sender.phys_rank();
   const bool on = faults_.enabled();
-  ++sender.transport_.frames_sent;
+  hzccl::TransportStats& stats = sender.endpoint_.transport();
 
   WireMessage msg;
   msg.src = src;
   msg.tag = tag;
   msg.seq = seq;
   msg.epoch = sender.epoch_view_;
-  msg.send_vtime = sender.clock_.now();
+  msg.send_vtime = sender.endpoint_.now();
   // Frame in place: one allocation and one copy of the caller's bytes.  The
   // sender-side faults scribble on the frame body before the seal, so the
   // CRCs cover the corrupted bytes and the wire checks cannot see them.
@@ -474,7 +418,7 @@ void Runtime::transmit(Comm& sender, int dst, int tag, std::span<const uint8_t> 
   msg.frame.resize(sizeof(FrameHeader));
   msg.frame.insert(msg.frame.end(), payload.begin(), payload.end());
   if (on) {
-    sender.transport_.faults_injected +=
+    stats.faults_injected +=
         apply_payload_faults(std::span<uint8_t>(msg.frame).subspan(sizeof(FrameHeader)), faults_,
                              src, dst, attempt_counter(seq, 0));
   }
@@ -494,7 +438,7 @@ void Runtime::transmit(Comm& sender, int dst, int tag, std::span<const uint8_t> 
       !dropped && on && faults_.reorder > 0.0 &&
       sender.limbo_[static_cast<size_t>(dst)] == nullptr &&
       fault_roll(faults_.seed, FaultKind::kReorder, src, dst, seq) < faults_.reorder;
-  sender.transport_.faults_injected +=
+  stats.faults_injected +=
       static_cast<uint64_t>(dropped) + static_cast<uint64_t>(corrupted) +
       static_cast<uint64_t>(duplicated) + static_cast<uint64_t>(held);
 
@@ -559,7 +503,7 @@ void Runtime::release_held(Comm& sender, int dst, WireOutcome outcome) {
   {
     std::lock_guard<std::mutex> lock(box.mutex);
     for (WindowEntry& e : box.window) {
-      if (e.src == sender.phys_rank_ && e.seq == held->seq && e.outcome == WireOutcome::kHeld) {
+      if (e.src == sender.phys_rank() && e.seq == held->seq && e.outcome == WireOutcome::kHeld) {
         e.outcome = outcome;
         break;
       }
@@ -589,28 +533,26 @@ void Runtime::Mailbox::consume(int src, int tag, uint64_t seq) {
 }
 
 double Runtime::resend_seconds(const Comm& receiver, int src, size_t bytes) const {
-  return net_.link_retransmit_seconds(bytes, src, receiver.phys_rank_, nranks_) *
-         receiver.cost_factor_;
+  return net_.link_retransmit_seconds(bytes, src, receiver.phys_rank(), nranks_) *
+         receiver.endpoint_.cost_factor();
 }
 
-std::vector<uint8_t> Runtime::retransmit(Comm& receiver, WindowEntry& e, double t0) {
+std::vector<uint8_t> Runtime::retransmit(Comm& receiver, WindowEntry& e, double seconds) {
   ++e.attempts;
-  ++receiver.transport_.retransmits;
+  ++receiver.endpoint_.transport().retransmits;
   std::vector<uint8_t> payload = e.pristine;
-  apply_payload_faults(payload, faults_, e.src, receiver.phys_rank_,
+  apply_payload_faults(payload, faults_, e.src, receiver.phys_rank(),
                        attempt_counter(e.seq, e.attempts - 1));
-  receiver.span({.t0 = t0,
-                 .seq = e.seq,
-                 .bytes = payload.size(),
-                 .peer = e.src,
-                 .tag = e.tag,
-                 .kind = trace::EventKind::kRetransmit,
-                 .aux = trace::kAuxRetransmit});
+  receiver.endpoint_.spend(seconds,
+                           {.seq = e.seq, .bytes = payload.size(), .peer = e.src, .tag = e.tag,
+                            .kind = trace::EventKind::kRetransmit, .aux = trace::kAuxRetransmit},
+                           trace::kNoJob);
   return payload;
 }
 
 Delivery Runtime::take(Comm& receiver, int src, int tag) {
-  const int me = receiver.phys_rank_;
+  Endpoint& ep = receiver.endpoint_;
+  const int me = receiver.phys_rank();
   Mailbox& box = *mailboxes_[static_cast<size_t>(me)];
   std::unordered_set<uint64_t>& accepted = receiver.accepted_[static_cast<size_t>(src)];
   std::unique_lock<std::mutex> lock(box.mutex);
@@ -618,13 +560,11 @@ Delivery Runtime::take(Comm& receiver, int src, int tag) {
   // Recover the pristine payload of window entry `e` after a NACK; the
   // retransmission starts at `start_time`.
   const auto recover = [&](WindowEntry& e, double start_time) {
-    const double t0 = receiver.clock_.now();
-    receiver.clock_.advance_to(
-        start_time + resend_seconds(receiver, src, frame_size(e.pristine.size())),
-        CostBucket::kMpi);
-    std::vector<uint8_t> payload = retransmit(receiver, e, t0);
+    std::vector<uint8_t> payload = retransmit(
+        receiver, e,
+        start_time + resend_seconds(receiver, src, frame_size(e.pristine.size())) - ep.now());
     accepted.insert(e.seq);
-    ++receiver.transport_.frames_accepted;
+    ++ep.transport().frames_accepted;
     box.consume(src, tag, e.seq);
     return Delivery{std::move(payload), 0};
   };
@@ -641,19 +581,15 @@ Delivery Runtime::take(Comm& receiver, int src, int tag) {
           rank_faults_on() && dup->src == src && dup->epoch < receiver.epoch_view_;
       if (stale || (dup->src == src && accepted.count(dup->seq))) {
         if (stale) {
-          ++receiver.health_.stale_discards;
+          ++ep.health().stale_discards;
         } else {
-          ++receiver.transport_.duplicate_discards;
+          ++ep.transport().duplicate_discards;
         }
-        const double t0 = receiver.clock_.now();
-        receiver.clock_.advance(net_.link_latency_s(src, me), CostBucket::kMpi);
-        receiver.span({.t0 = t0,
-                       .seq = dup->seq,
-                       .bytes = dup->frame.size(),
-                       .peer = src,
-                       .tag = dup->tag,
-                       .kind = trace::EventKind::kDiscard,
-                       .aux = stale ? trace::kAuxStaleEpoch : uint8_t{0}});
+        ep.spend(net_.link_latency_s(src, me),
+                 {.seq = dup->seq, .bytes = dup->frame.size(), .peer = src, .tag = dup->tag,
+                  .kind = trace::EventKind::kDiscard,
+                  .aux = stale ? trace::kAuxStaleEpoch : uint8_t{0}},
+                 trace::kNoJob);
         dup = box.messages.erase(dup);
       } else {
         ++dup;
@@ -668,48 +604,25 @@ Delivery Runtime::take(Comm& receiver, int src, int tag) {
       box.messages.erase(it);
       const FrameView frame = decode_frame(msg.frame);
 
+      const double ready = ep.ready_at(src, msg.frame.size(), msg.send_vtime, nranks_);
       if (frame.valid) {
         accepted.insert(frame.seq);
-        ++receiver.transport_.frames_accepted;
-        // Partition the advance into a wait-for-the-sender span (idle) and a
-        // wire-transfer span (comm) so the trace attributes slack correctly.
-        const double t_enter = receiver.clock_.now();
-        const double data_ready = std::max(t_enter, msg.send_vtime);
-        const double ready =
-            data_ready +
-            net_.link_seconds(msg.frame.size(), src, me, nranks_) * receiver.cost_factor_;
-        receiver.clock_.advance_to(ready, CostBucket::kMpi);
-        if (data_ready > t_enter) {
-          receiver.span({.t0 = t_enter,
-                         .seq = msg.seq,
-                         .peer = src,
-                         .tag = msg.tag,
-                         .kind = trace::EventKind::kWait},
-                        data_ready);
-        }
-        receiver.span({.t0 = data_ready,
-                       .seq = msg.seq,
-                       .bytes = frame.payload.size(),
-                       .peer = src,
-                       .tag = msg.tag,
-                       .kind = trace::EventKind::kRecv});
+        ep.accept({src, msg.tag, msg.seq, frame.payload.size(), msg.send_vtime}, ready,
+                  trace::kNoJob);
         if (faults_.enabled()) box.consume(src, tag, msg.seq);
         return Delivery{std::move(msg.frame), sizeof(FrameHeader)};
       }
 
       // The CRC/length validation rejected the frame: pay for having
       // received the damaged bytes, then NACK for a retransmission.
-      ++receiver.transport_.corrupt_frames;
-      const double got_bad =
-          std::max(receiver.clock_.now(), msg.send_vtime) +
-          net_.link_seconds(msg.frame.size(), src, me, nranks_) * receiver.cost_factor_;
+      ++ep.transport().corrupt_frames;
       const auto wit = std::find_if(box.window.begin(), box.window.end(), [&](const WindowEntry& w) {
         return w.src == src && w.seq == msg.seq && !w.consumed;
       });
       if (wit == box.window.end()) {
         throw hzccl::Error("simmpi: corrupt frame with no in-flight window entry");
       }
-      return recover(*wit, got_bad);
+      return recover(*wit, ready);
     }
 
     // No matching frame on the wire.  A window entry whose final outcome is
@@ -725,9 +638,8 @@ Delivery Runtime::take(Comm& receiver, int src, int tag) {
         }
       }
       if (lost) {
-        ++receiver.transport_.timeout_waits;
-        const double timed_out =
-            std::max(receiver.clock_.now(), lost->send_vtime) + faults_.recv_timeout_s;
+        ++ep.transport().timeout_waits;
+        const double timed_out = std::max(ep.now(), lost->send_vtime) + faults_.recv_timeout_s;
         return recover(*lost, timed_out);
       }
     }
@@ -758,8 +670,7 @@ std::vector<uint8_t> Runtime::refetch(Comm& receiver, int src, int tag, Comm::Re
   if (!faults_.enabled()) {
     throw hzccl::Error("refetch: the in-flight window is only kept under a FaultPlan");
   }
-  const int me = receiver.phys_rank_;
-  Mailbox& box = *mailboxes_[static_cast<size_t>(me)];
+  Mailbox& box = *mailboxes_[static_cast<size_t>(receiver.phys_rank())];
   std::lock_guard<std::mutex> lock(box.mutex);
 
   // The most recently consumed message on this (src, tag) flow is the one
@@ -776,26 +687,21 @@ std::vector<uint8_t> Runtime::refetch(Comm& receiver, int src, int tag, Comm::Re
                        " tag " + std::to_string(tag) + " in the in-flight window");
   }
 
-  const double t0 = receiver.clock_.now();
   if (mode == Comm::Refetch::kRetransmit) {
-    receiver.clock_.advance(resend_seconds(receiver, src, frame_size(entry->pristine.size())),
-                            CostBucket::kMpi);
-    return retransmit(receiver, *entry, t0);
+    return retransmit(receiver, *entry,
+                      resend_seconds(receiver, src, frame_size(entry->pristine.size())));
   }
 
   // Raw fallback: the sender re-reads its intact source copy and ships the
   // uncompressed block, priced at the raw size.  The data path returns the
   // pristine payload; the caller models the sender-side decode.
-  ++receiver.transport_.raw_fallbacks;
+  ++receiver.endpoint_.transport().raw_fallbacks;
   const size_t raw_bytes = raw_bytes_hint != 0 ? raw_bytes_hint : entry->pristine.size();
-  receiver.clock_.advance(resend_seconds(receiver, src, raw_bytes), CostBucket::kMpi);
-  receiver.span({.t0 = t0,
-                 .seq = entry->seq,
-                 .bytes = entry->pristine.size(),
-                 .peer = src,
-                 .tag = tag,
-                 .kind = trace::EventKind::kRetransmit,
-                 .aux = trace::kAuxRawFallback});
+  receiver.endpoint_.spend(resend_seconds(receiver, src, raw_bytes),
+                           {.seq = entry->seq, .bytes = entry->pristine.size(), .peer = src,
+                            .tag = tag, .kind = trace::EventKind::kRetransmit,
+                            .aux = trace::kAuxRawFallback},
+                           trace::kNoJob);
   return entry->pristine;
 }
 
@@ -815,11 +721,9 @@ std::vector<ClockReport> Runtime::run(const RankFn& fn) {
   for (int r = 0; r < nranks_; ++r) {
     threads.emplace_back([&, r] {
       Comm comm(this, r, nranks_);
-      if (trace_opts_.enabled) {
-        // Ring storage comes from this rank's thread-local pool: the one
-        // allocation tracing ever makes, recycled across runs.
-        comm.trace_.enable(trace_opts_.capacity, BufferPool::local());
-      }
+      // Ring storage comes from this rank's thread-local pool: the one
+      // allocation tracing ever makes, recycled across runs.
+      comm.endpoint_.enable_trace(trace_opts_, BufferPool::local());
       // Compute-side SDC: arm this rank thread's poisoned-combine injector
       // for the duration of the rank body.  The homomorphic combine loop
       // consults it through a thread-local pointer, so an unarmed run pays
@@ -862,10 +766,10 @@ std::vector<ClockReport> Runtime::run(const RankFn& fn) {
       comm.integrity_.poisoned_combines += injector.injected;
       integrity[static_cast<size_t>(r)] = comm.integrity();
       if (trace_opts_.enabled) {
-        streams[static_cast<size_t>(r)] = comm.trace_.snapshot();
-        dropped[static_cast<size_t>(r)] = comm.trace_.dropped();
-        comm.trace_.disable(BufferPool::local());
+        dropped[static_cast<size_t>(r)] =
+            comm.endpoint_.collect_trace(streams[static_cast<size_t>(r)]);
       }
+      comm.endpoint_.release_trace(BufferPool::local());
     });
   }
   for (auto& t : threads) t.join();

@@ -10,6 +10,7 @@
 #include "hzccl/cluster/roundsim.hpp"
 #include "hzccl/datasets/registry.hpp"
 #include "hzccl/stats/metrics.hpp"
+#include "hzccl/trace/trace.hpp"
 #include "hzccl/util/error.hpp"
 
 namespace hzccl::cluster {
@@ -210,8 +211,9 @@ TEST(RoundSimAlgos, CCollPricesEveryScheduleAsTheRingItRuns) {
 TEST(RoundSimAlgos, RecursiveDoublingUnfoldsWhatTheScheduleSends) {
   // A non-power-of-two rank count folds into p2 ranks and unfolds at the
   // end.  The hZ unfold sends the fully reduced stream (depth N); the raw
-  // unfold sends floats, and its digest walk is single-threaded like every
-  // other raw walk.  Power-of-two counts have no fold and no unfold.
+  // unfold sends floats, and like every raw exchange costs two
+  // single-threaded digest walks, the sender's trailer and the receiver's
+  // recheck.  Power-of-two counts have no fold and no unfold.
   const CompressionProfile profile = make_profile(DatasetId::kHurricane, 16);
   const simmpi::NetModel net = simmpi::NetModel::omnipath_100g();
   const simmpi::CostModel cost = simmpi::CostModel::paper_broadwell();
@@ -241,10 +243,73 @@ TEST(RoundSimAlgos, RecursiveDoublingUnfoldsWhatTheScheduleSends) {
     const ModelResult raw =
         model_allreduce_algo(Kernel::kMpi, coll::AllreduceAlgo::kRecursiveDoubling, n, bytes,
                              profile, net, cost, coll::VerifyPolicy::kPerRound);
-    const int walks = exchanges + (fold ? 1 : 0);
+    const int walks = 2 * (exchanges + (fold ? 1 : 0));
     EXPECT_DOUBLE_EQ(raw.vrf_seconds,
                      walks * cost.seconds_digest_verify(bytes, simmpi::Mode::kSingleThread))
         << "N=" << n;
+  }
+}
+
+// RoundSim prices every digest walk execution charges: for every stack,
+// schedule and verify policy, the modeled vrf_seconds is the slowest rank's
+// summed kVerify time.  Raw walks run over payload bytes, so the match is
+// exact up to rounding.  Compressed walks are priced at the profile's
+// stream sizes; to pin the walks rather than the size model, every rank
+// contributes the same vector of n equal ring blocks, so a stream's size
+// depends only on its depth and length, and the profile is measured with
+// the collective's codec parameters at the length of the schedule's streams
+// (a ring block; the whole vector for hZ recursive doubling), within 2%.
+TEST(RoundSimAlgos, PricesTheDigestWalksExecutionCharges) {
+  const simmpi::NetModel net = simmpi::NetModel::omnipath_100g();
+  const simmpi::CostModel cost = simmpi::CostModel::paper_broadwell();
+  const std::vector<float> field = generate_field(DatasetId::kHurricane, Scale::kTiny, 0);
+  const double eb = abs_bound_from_rel(field, 1e-3);
+  for (const int n : {4, 8}) {
+    const std::vector<float> block(field.begin(),
+                                   field.begin() + static_cast<ptrdiff_t>(field.size()) / n);
+    std::vector<float> vec;
+    for (int b = 0; b < n; ++b) vec.insert(vec.end(), block.begin(), block.end());
+    const RankInputFn inputs = [&](int) { return vec; };
+    for (const Kernel k : {Kernel::kMpi, Kernel::kCCollMultiThread, Kernel::kHzcclMultiThread}) {
+      for (const auto v : {coll::VerifyPolicy::kFinal, coll::VerifyPolicy::kPerRound}) {
+        for (const coll::AllreduceAlgo a :
+             {coll::AllreduceAlgo::kAuto, coll::AllreduceAlgo::kRing,
+              coll::AllreduceAlgo::kRecursiveDoubling, coll::AllreduceAlgo::kRabenseifner}) {
+          const bool rs = a == coll::AllreduceAlgo::kAuto;  // stands for the reduce-scatter
+          JobConfig config;
+          config.nranks = n;
+          config.net = net;
+          config.cost = cost;
+          config.abs_error_bound = eb;
+          config.verify = v;
+          config.algo = rs ? coll::AllreduceAlgo::kRing : a;
+          config.trace.enabled = true;
+          const JobResult run =
+              run_collective(k, rs ? Op::kReduceScatter : Op::kAllreduce, config, inputs);
+          size_t slowest = 0;
+          for (size_t r = 0; r < run.per_rank.size(); ++r) {
+            if (run.per_rank[r].total_seconds > run.per_rank[slowest].total_seconds) slowest = r;
+          }
+          double executed = 0.0;
+          for (const trace::Event& e : run.trace.ranks[slowest]) {
+            if (e.kind == trace::EventKind::kVerify) executed += e.duration();
+          }
+
+          const bool whole =
+              k == Kernel::kHzcclMultiThread && a == coll::AllreduceAlgo::kRecursiveDoubling;
+          const CompressionProfile profile = CompressionProfile::measure(
+              std::vector<std::vector<float>>(static_cast<size_t>(n), whole ? vec : block),
+              config.collective_config(kernel_mode(k)).fz_params(0), n);
+          const size_t bytes = vec.size() * sizeof(float);
+          const ModelResult model =
+              rs ? model_collective(k, Op::kReduceScatter, n, bytes, profile, net, cost, v)
+                 : model_allreduce_algo(k, a, n, bytes, profile, net, cost, v);
+          EXPECT_NEAR(model.vrf_seconds, executed, (k == Kernel::kMpi ? 1e-9 : 0.02) * executed)
+              << kernel_name(k) << " " << (rs ? "reduce-scatter" : coll::allreduce_algo_name(a))
+              << " verify=" << coll::verify_policy_name(v) << " N=" << n;
+        }
+      }
+    }
   }
 }
 

@@ -83,23 +83,5 @@ TEST(DocAdd, OutputLayoutMatchesOperands) {
   EXPECT_TRUE(layout_compatible(parse_fz(a.bytes), parse_fz(sum.bytes)));
 }
 
-TEST(DocAccumulate, AddsDecodedStream) {
-  const std::vector<float> f0 = generate_field(DatasetId::kRtmSim1, Scale::kTiny, 0);
-  const double eb = abs_bound_from_rel(f0, 1e-3);
-  const CompressedBuffer a = compress(f0, eb);
-  std::vector<float> acc(f0.size(), 1.0f);
-  doc_accumulate(a, acc);
-  for (size_t i = 0; i < acc.size(); ++i) {
-    ASSERT_NEAR(acc[i], 1.0f + f0[i], eb * (1.0 + 1e-6));
-  }
-}
-
-TEST(DocAccumulate, SizeMismatchThrows) {
-  const std::vector<float> f(100, 1.0f);
-  const CompressedBuffer a = compress(f, 1e-3);
-  std::vector<float> acc(99);
-  EXPECT_THROW(doc_accumulate(a, acc), Error);
-}
-
 }  // namespace
 }  // namespace hzccl

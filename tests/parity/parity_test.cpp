@@ -2,13 +2,14 @@
 // every rank-fault plan.
 //
 // Both executors drive one rank-failure control plane
-// (simmpi/control_plane.hpp): the threaded runtime from its rank threads, the
-// engine one instance per job from its event loop.  A one-job engine whose
-// fleet is the job's ranks must therefore reproduce the blocking job
-// exactly — the output bytes or the same failure, the attempts, failed ranks
-// and final group, every rank's clock (total and each bucket), its health
-// and transport counters, the job's integrity counters, and the [t0, t1] of
-// every suspect, detect, agree, backoff and shrink span.
+// (simmpi/control_plane.hpp) and keep every rank's timeline in one
+// simmpi::Endpoint (simmpi/endpoint.hpp), which performs, traces and counts
+// each charge a rank makes.  A one-job engine whose fleet is the job's ranks
+// must therefore reproduce the blocking job exactly — the output bytes or
+// the same failure, the attempts, failed ranks and final group, every rank's
+// clock (total and each bucket), its health and transport counters, the
+// job's integrity counters, and every rank's whole event stream, span by
+// span, apart from the job attribution only the engine records.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -62,15 +63,17 @@ std::string case_name(const ParityCase& c) {
 
 void PrintTo(const ParityCase& c, std::ostream* os) { *os << case_name(c); }
 
-/// A rank-fault plan of the sweep: its --rank-faults schedule ("" = clean)
-/// and the retry budget.
+/// A plan of the sweep: its --rank-faults schedule ("" = clean), the retry
+/// budget and the digest verify policy.
 struct Plan {
   const char* schedule;
   int max_attempts;
+  coll::VerifyPolicy verify = coll::VerifyPolicy::kOff;
 };
 
 const Plan kPlans[] = {
     {"", 3},
+    {"", 3, coll::VerifyPolicy::kPerRound},
     {"straggler@rank=3,x=4", 3},
     {"crash@rank=2,op=1", 3},
     {"crash@rank=2,op=5", 3},
@@ -104,28 +107,26 @@ RankInputFn hurricane_inputs() {
   };
 }
 
-/// A rank's recovery spans, as (kind, t0, t1, peer, seq, bytes).
-struct RecoverySpan {
+/// Every field of an event but its job attribution.
+struct Span {
   trace::EventKind kind;
   double t0, t1;
-  int32_t peer;
-  uint64_t seq, bytes;
-  bool operator==(const RecoverySpan&) const = default;
+  uint64_t seq, bytes, bytes_out;
+  int32_t peer, tag;
+  uint8_t aux;
+  bool operator==(const Span&) const = default;
 };
 
-std::vector<RecoverySpan> recovery_spans(const std::vector<trace::Event>& events) {
-  std::vector<RecoverySpan> out;
+void PrintTo(const Span& s, std::ostream* os) {
+  *os << trace::kind_name(s.kind) << " [" << s.t0 << ", " << s.t1 << "] seq " << s.seq
+      << " bytes " << s.bytes << "/" << s.bytes_out << " peer " << s.peer << " tag " << s.tag
+      << " aux " << static_cast<int>(s.aux);
+}
+
+std::vector<Span> spans(const std::vector<trace::Event>& events) {
+  std::vector<Span> out;
   for (const trace::Event& e : events) {
-    switch (e.kind) {
-      case trace::EventKind::kSuspect:
-      case trace::EventKind::kDetect:
-      case trace::EventKind::kAgree:
-      case trace::EventKind::kBackoff:
-      case trace::EventKind::kShrink:
-        out.push_back({e.kind, e.t0, e.t1, e.peer, e.seq, e.bytes});
-        break;
-      default: break;
-    }
+    out.push_back({e.kind, e.t0, e.t1, e.seq, e.bytes, e.bytes_out, e.peer, e.tag, e.aux});
   }
   return out;
 }
@@ -174,13 +175,15 @@ TEST_P(EngineParity, OneJobEngineEqualsRunCollective) {
   const RankInputFn input = hurricane_inputs();
   for (const Plan& plan : kPlans) {
     SCOPED_TRACE(std::string("plan '") + plan.schedule + "' max_attempts " +
-                 std::to_string(plan.max_attempts));
+                 std::to_string(plan.max_attempts) + " verify " +
+                 coll::verify_policy_name(plan.verify));
     JobConfig config;
     config.nranks = p.nranks;
     config.net = net;
     config.abs_error_bound = 1e-3;
     config.algo = p.algo;
     config.retry.max_attempts = plan.max_attempts;
+    config.verify = plan.verify;
     config.trace.enabled = true;
     if (*plan.schedule != '\0') {
       config.faults.rank_faults = FaultPlan::parse_rank_faults(plan.schedule);
@@ -226,7 +229,7 @@ TEST_P(EngineParity, OneJobEngineEqualsRunCollective) {
       EXPECT_EQ(clocks[ur].bucket_seconds, want.per_rank[ur].bucket_seconds) << at;
       expect_same_health(health[ur], want.health_per_rank[ur], at);
       expect_same_transport(transport[ur], want.transport_per_rank[ur], at);
-      EXPECT_EQ(recovery_spans(trace.ranks[ur]), recovery_spans(want.trace.ranks[ur])) << at;
+      EXPECT_EQ(spans(trace.ranks[ur]), spans(want.trace.ranks[ur])) << at;
     }
     expect_same_integrity(got.integrity, want.integrity);
     if (HasFailure()) return;

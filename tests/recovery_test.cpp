@@ -235,6 +235,40 @@ TEST(Recovery, RetryCompletesOverTheSurvivors) {
   EXPECT_EQ(r.rank0_output, ref.rank0_output);
 }
 
+TEST(Recovery, ASecondShrinkWithNoFailurePendingThrows) {
+  // One failed agreement licenses one shrink.  A second call has no failed
+  // verdict to recover from: every survivor gets an error instead of parking
+  // in a round that can never complete, and the run returns.
+  const int n = 4;
+  Runtime rt(n, NetModel::omnipath_100g(), rank_fault_plan(5, "crash@rank=1,op=2"));
+  const RankInputFn inputs = field_inputs(2000);
+  CollectiveConfig cc;
+  cc.abs_error_bound = 1e-3;
+
+  std::mutex mu;
+  std::vector<std::string> errors(static_cast<size_t>(n));
+  rt.run([&](Comm& comm) {
+    std::vector<float> out;
+    try {
+      comm.guarded([&] { coll::raw_allreduce(comm, inputs(comm.phys_rank()), out, cc); });
+      ADD_FAILURE() << "rank " << comm.phys_rank() << " missed the failure";
+    } catch (const RankFailedError&) {
+      comm.shrink();
+      try {
+        comm.shrink();
+      } catch (const Error& e) {
+        std::lock_guard<std::mutex> lock(mu);
+        errors[static_cast<size_t>(comm.phys_rank())] = e.what();
+      }
+    }
+  });
+  for (const int r : {0, 2, 3}) {
+    EXPECT_NE(errors[static_cast<size_t>(r)].find("no failed agreement"), std::string::npos)
+        << "survivor " << r << ": '" << errors[static_cast<size_t>(r)] << "'";
+    EXPECT_EQ(rt.health_stats()[static_cast<size_t>(r)].shrinks, 1u) << "survivor " << r;
+  }
+}
+
 TEST(Recovery, TwoFailuresConsumeTwoRetries) {
   const RankInputFn inputs = field_inputs(4000);
   JobConfig config;
