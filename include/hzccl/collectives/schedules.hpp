@@ -6,8 +6,8 @@
 // Block arithmetic, tags, compression calls, clock charges and the healing
 // ladders therefore exist once, and the two executors agree byte for byte by
 // construction.  The healing branches (NACK/retransmit, raw fallback) run
-// only under an enabled link-fault plan, which only the threaded runtime
-// accepts; on the engine they reduce to their clean paths.
+// only under an enabled link-fault plan, on either executor: both serve the
+// refetch from the one link layer's in-flight window (simmpi/link.hpp).
 //
 // Conventions: a body takes its transport by value (a copyable handle) and
 // references to the caller's data, and is awaited by its caller at once

@@ -11,9 +11,10 @@
 //   * sched::Port, the engine's per-rank handle, whose awaitables suspend
 //     until the discrete-event loop delivers the matching frame.
 //
-// Everything else is synchronous: eager sends, the fault-plan refetch
-// (only ever called when FaultPlan::enabled(), which the engine rejects),
-// clock charges, zero-length integrity markers and the integrity counters.
+// Everything else is synchronous: eager sends, the fault-plan refetch (only
+// ever called when FaultPlan::enabled(); both executors serve it from the
+// in-flight window of the one link layer, simmpi/link.hpp), clock charges,
+// zero-length integrity markers and the integrity counters.
 #pragma once
 
 #include <concepts>

@@ -27,15 +27,18 @@
 //     time is NetModel::link_seconds capped at the job's weighted share of
 //     the *fleet-wide* active-flow bandwidth, which is exactly the blocking
 //     per-job price when one job runs;
+//   * the wire is the threaded runtime's link layer (simmpi/link.hpp): one
+//     inbox per (job, receiving rank), every frame framed and CRC-checked,
+//     and every link fault of the FaultPlan (drop, corrupt, reorder,
+//     duplicate, stall, mangle, wire SDC) injected and healed through the
+//     in-flight window with timeout/NACK/retransmit and raw fallback;
 //   * rank faults (crash/hang/straggler) run the threaded runtime's control
-//     plane (simmpi/control_plane.hpp), one instance per job, so one job
-//     alone on an engine replays run_collective's recovery exactly: a death
+//     plane (simmpi/control_plane.hpp), one instance per job: a death
 //     retires the rank in every job it belongs to, and each job detects,
-//     agrees, shrinks and retries under its RetryPolicy.  Link-level fault
-//     injection (drop/corrupt/sdc/...) stays exclusive to the threaded
-//     runtime: the engine rejects such plans at construction.  Poisoned
-//     combines (FaultPlan::poison) are compute-side and honoured: each rank
-//     of each job runs under its own SdcInjector, seeded like the runtime's.
+//     agrees, shrinks and retries under its RetryPolicy.  Poisoned combines
+//     (FaultPlan::poison) are compute-side: each rank of each job runs under
+//     its own SdcInjector, seeded like the runtime's.  So one job alone on an
+//     engine replays run_collective exactly under every FaultPlan.
 //
 // The scheduler lifecycle of every job is traced as zero-duration markers
 // (kEnqueue/kFuse/kGrant/kComplete) on a dedicated pseudo-rank stream — the
@@ -75,9 +78,8 @@ const char* icoll_op_name(ICollOp op);
 struct EngineConfig {
   int fleet_ranks = 8;
   simmpi::NetModel net;
-  /// Rank-fault schedules (crash/hang/straggler) and poisoned combines.
-  /// Link-fault probabilities (drop/corrupt/sdc/...) are a threaded-runtime
-  /// feature; the engine throws at construction when any is set.
+  /// The fleet's whole fault plan: link faults, wire and compute-side SDC,
+  /// and rank-fault schedules.  Validated at construction.
   simmpi::FaultPlan faults;
   trace::Options trace;
   /// Jobs admitted concurrently; 0 = unlimited, 1 = serialized execution
@@ -132,13 +134,16 @@ struct JobOutcome {
   double complete_vtime = 0.0;
 
   uint64_t payload_bytes_sent = 0;  ///< payload bytes this job injected
-  TransportStats transport;         ///< summed over the job's ranks
+  /// Every transport counter the job's frames bumped on its ranks'
+  /// Endpoints; over all jobs these sum to Engine::transport_stats().
+  TransportStats transport;
   /// ABFT digest verify/recover counters summed over the job's ranks
-  /// (poisoned_combines included).  The engine's transport is clean, so
-  /// mismatches here mean compute-side corruption (FaultPlan::poison, or an
-  /// externally armed SdcInjector) — a job with
-  /// !integrity.clean() is *tainted* and the Scheduler re-verifies fused
-  /// members individually before splitting its result.
+  /// (poisoned_combines included): mismatches caught from wire SDC
+  /// (FaultPlan::sdc), poisoned combines (FaultPlan::poison, or an
+  /// externally armed SdcInjector) or a mangled payload.  A job with
+  /// !integrity.clean() is *tainted* even when every mismatch healed, and
+  /// the Scheduler re-verifies fused members individually before splitting
+  /// its result.
   IntegrityStats integrity;
   coll::AllreduceAlgo algo = coll::AllreduceAlgo::kRing;  ///< resolved schedule
 
@@ -175,7 +180,7 @@ class RecvAwaitable {
   int vrank_;
   int src_;
   int tag_;
-  std::vector<uint8_t> payload_;
+  simmpi::Delivery delivery_;
   std::exception_ptr error_;
 };
 
@@ -201,8 +206,8 @@ class Port {
   /// Fleet ranks of the job's current attempt, indexed by virtual rank.
   [[nodiscard]] const std::vector<int>& group() const;
   [[nodiscard]] const simmpi::NetModel& net() const;
-  /// The fleet's plan: never FaultPlan::enabled(), so the bodies' healing
-  /// branches (and refetch) stay unreached.
+  /// The fleet's plan: under link faults the bodies' healing branches run
+  /// and refetch from the job's in-flight window.
   [[nodiscard]] const simmpi::FaultPlan& faults() const;
   [[nodiscard]] BufferPool& pool() const;
 
@@ -215,10 +220,11 @@ class Port {
   /// Awaitable receive into `out`; the message size must match exactly.
   [[nodiscard]] RecvIntoAwaitable recv_into(int src, int tag, std::span<uint8_t> out);
 
-  /// The engine's transport is clean, with no in-flight window to refetch
-  /// from: throws (the bodies only refetch under an enabled link-fault plan).
-  [[noreturn]] std::vector<uint8_t> refetch(int src, int tag, simmpi::Comm::Refetch mode,
-                                            size_t raw_bytes_hint = 0);
+  /// NACK the last message consumed from `src` on `tag` and fetch it again
+  /// from the job's in-flight window (Comm::refetch); the round trip is
+  /// charged to this rank's clock.
+  [[nodiscard]] std::vector<uint8_t> refetch(int src, int tag, simmpi::Refetch mode,
+                                             size_t raw_bytes_hint = 0);
 
   /// Spend straggler-scaled local time in `bucket` and record the typed,
   /// job-attributed span — the engine's Comm::charge.

@@ -29,10 +29,11 @@
 // a run replays *exactly* from its seed no matter how the rank threads are
 // scheduled.  The transport hardens itself against the plan: payloads are
 // framed with a length + CRC-32C header, receivers time out on the virtual
-// clock and NACK for a retransmit (the runtime keeps the sender's pristine
-// copy in an in-flight window until it is acked), and all recovery traffic
-// is charged to the cost model so degraded runs still produce meaningful
-// virtual times.  Per-rank counters land in hzccl::TransportStats.
+// clock and NACK for a retransmit (the link layer, link.hpp, keeps the
+// sender's pristine copy in an in-flight window until it is acked), and all
+// recovery traffic is charged to the cost model so degraded runs still
+// produce meaningful virtual times.  Both executors run that one link
+// layer.  Per-rank counters land in hzccl::TransportStats.
 #pragma once
 
 #include <cstddef>

@@ -125,9 +125,11 @@ struct NetModel {
                            std::min(effective_bytes_per_s(congestion_flows(nranks)), rate_cap);
   }
 
-  /// NACK + retransmission round-trip over the (src, dst) link.
-  double link_retransmit_seconds(size_t bytes, int src, int dst, int nranks) const {
-    return link_latency_s(src, dst) + link_seconds(bytes, src, dst, nranks);
+  /// NACK + retransmission round-trip over the (src, dst) link, the resent
+  /// bytes moving at no more than `rate_cap` bytes/second like any frame.
+  double link_retransmit_seconds(size_t bytes, int src, int dst, int nranks,
+                                 double rate_cap = std::numeric_limits<double>::infinity()) const {
+    return link_latency_s(src, dst) + link_seconds(bytes, src, dst, nranks, rate_cap);
   }
 
   /// The paper's testbed fabric.

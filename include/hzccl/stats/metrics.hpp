@@ -82,6 +82,8 @@ struct TransportStats {
   /// True when no fault fired and no recovery was needed.
   bool clean() const;
   TransportStats& operator+=(const TransportStats& other);
+  /// What these counters added since the `earlier` snapshot of them.
+  TransportStats operator-(const TransportStats& earlier) const;
 };
 
 /// Element-wise sum over all ranks of a job.

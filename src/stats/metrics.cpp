@@ -126,6 +126,20 @@ TransportStats& TransportStats::operator+=(const TransportStats& other) {
   return *this;
 }
 
+TransportStats TransportStats::operator-(const TransportStats& earlier) const {
+  TransportStats d;
+  d.frames_sent = frames_sent - earlier.frames_sent;
+  d.frames_accepted = frames_accepted - earlier.frames_accepted;
+  d.faults_injected = faults_injected - earlier.faults_injected;
+  d.retransmits = retransmits - earlier.retransmits;
+  d.corrupt_frames = corrupt_frames - earlier.corrupt_frames;
+  d.duplicate_discards = duplicate_discards - earlier.duplicate_discards;
+  d.timeout_waits = timeout_waits - earlier.timeout_waits;
+  d.raw_fallbacks = raw_fallbacks - earlier.raw_fallbacks;
+  d.stalls = stalls - earlier.stalls;
+  return d;
+}
+
 TransportStats total_transport(std::span<const TransportStats> per_rank) {
   TransportStats sum;
   for (const TransportStats& s : per_rank) sum += s;

@@ -97,6 +97,30 @@ TEST(FaultPlan, ValidateCatchesFieldsSetProgrammatically) {
   EXPECT_THROW(p.validate(), Error);
 }
 
+TEST(FaultPlan, TheRuntimeValidatesEveryPlanItIsGiven) {
+  // A plan assembled field by field never went through parse().  With a
+  // negative timeout every timeout wait would be free (a clock never runs
+  // backwards), and a drop probability above 1 is no probability: the
+  // threaded runtime rejects both at construction, rank faults or not.
+  FaultPlan negative_timeout;
+  negative_timeout.drop = 0.5;
+  negative_timeout.recv_timeout_s = -1.0;
+  FaultPlan over_one;
+  over_one.drop = 1.5;
+  for (const FaultPlan& plan : {negative_timeout, over_one}) {
+    EXPECT_THROW((Runtime{4, NetModel::omnipath_100g(), plan}), Error) << plan.describe();
+    JobConfig config;
+    config.nranks = 4;
+    config.faults = plan;
+    const RankInputFn input = [](int rank) {
+      return std::vector<float>(256, static_cast<float>(rank + 1));
+    };
+    EXPECT_THROW((void)run_collective(Kernel::kHzcclMultiThread, Op::kAllreduce, config, input),
+                 Error)
+        << plan.describe();
+  }
+}
+
 TEST(RankFault, ParsesScheduleEntries) {
   using simmpi::RankFault;
   using simmpi::RankFaultKind;

@@ -14,9 +14,11 @@
 //      combines are detected under verify=round and recovered to the clean
 //      run's result — bitwise when recovery stayed on the retransmit /
 //      recompute path; zero mismatches ever on a fault-free run.
-//   5. Sched: the clean-transport engine rejects wire-sdc plans; an armed
-//      SdcInjector on the engine thread taints jobs, and a tainted fused
-//      super-job is re-verified per member before the split.
+//   5. Sched: the engine runs wire-sdc plans on the shared link layer and
+//      rejects only invalid ones; wire SDC healed under verify=round, a
+//      plan's poisoned combines and an armed SdcInjector all taint jobs,
+//      and a tainted fused super-job is re-verified per member before the
+//      split.
 //   6. Model: RoundSim prices the digest ladder (off < final < per-round)
 //      for every kernel x algorithm, and at the paper's 512-rank point the
 //      per-round cost stays under the 5% bench-gate budget.
@@ -747,7 +749,8 @@ TEST(IntegrityStats, CountersStayInternallyConsistent) {
 }
 
 // ---------------------------------------------------------------------------
-// 6. Sched: the clean-transport engine and tainted fused super-jobs
+// 6. Sched: wire and compute-side SDC on the engine, and tainted fused
+//    super-jobs
 // ---------------------------------------------------------------------------
 
 using sched::Engine;
@@ -759,10 +762,15 @@ using sched::TenantJobResult;
 using sched::TenantJobSpec;
 
 TEST(SchedIntegrity, TheEngineRejectsWireSdcPlans) {
-  EngineConfig config;
-  config.fleet_ranks = 4;
-  config.faults.sdc = 0.1;  // a wire fault: needs the threaded Runtime
-  EXPECT_THROW(Engine{config}, Error);
+  // Wire SDC runs on the engine's link layer like any link fault; only an
+  // invalid plan is rejected.
+  EngineConfig invalid;
+  invalid.fleet_ranks = 4;
+  invalid.faults.sdc = 1.5;
+  EXPECT_THROW(Engine{invalid}, Error);
+  EngineConfig valid = invalid;
+  valid.faults.sdc = 0.1;
+  EXPECT_NO_THROW(Engine{valid});
 }
 
 TEST(SchedIntegrity, AnArmedInjectorTaintsAnEngineJob) {
@@ -890,6 +898,58 @@ TEST(SchedIntegrity, ATaintedFusedSuperJobIsReverifiedPerMember) {
     EXPECT_FALSE(r.reverified);
     EXPECT_TRUE(r.integrity.clean());
   }
+}
+
+TEST(SchedIntegrity, WireSdcHealedInAFusedSuperJobStillTaintsIt) {
+  // Two small same-shape allreduces fuse into one super-job, and the
+  // fleet's plan flips payload bits on the wire.  Per-round verification
+  // catches and heals every flip, so the job completes within its envelope,
+  // but its counters show the detections: it is tainted, and the Scheduler
+  // re-verifies each member's slice before the split.
+  SchedulerConfig sc;
+  sc.engine.fleet_ranks = 4;
+  sc.engine.faults.seed = 5;
+  sc.engine.faults.sdc = 0.2;
+  Scheduler scheduler(sc);
+
+  JobConfig config;
+  config.nranks = 4;
+  config.abs_error_bound = 1e-3;
+  config.verify = VerifyPolicy::kPerRound;
+  const auto member_inputs = [](uint32_t salt) {
+    return RankInputFn([salt](int rank) {
+      return test_field(DatasetId::kHurricane, 4000, salt * 16 + static_cast<uint32_t>(rank));
+    });
+  };
+  for (uint32_t m = 0; m < 2; ++m) {
+    TenantJobSpec spec;
+    spec.tenant = "t0";
+    spec.kernel = Kernel::kHzcclMultiThread;
+    spec.config = config;
+    spec.input = member_inputs(m);
+    scheduler.submit(spec);
+  }
+  scheduler.run();
+
+  const std::vector<TenantJobResult>& results = scheduler.results();
+  ASSERT_EQ(results.size(), 2u);
+  const double envelope = 3.0 * config.nranks * config.abs_error_bound + 1e-6;
+  for (uint32_t m = 0; m < 2; ++m) {
+    const TenantJobResult& r = results[m];
+    ASSERT_TRUE(r.fused) << "the jobs were expected to fuse";
+    ASSERT_TRUE(r.completed) << r.error;
+    EXPECT_TRUE(r.reverified) << "member " << m << " skipped re-verification";
+    EXPECT_FALSE(r.integrity.clean());
+    EXPECT_GT(r.integrity.mismatches, 0u);
+    EXPECT_EQ(r.integrity.poisoned_combines, 0u) << "no compute-side fault was armed";
+    EXPECT_LE(max_abs_err(r.rank0_output, exact_reduction(config.nranks, member_inputs(m))),
+              envelope)
+        << "member " << m;
+  }
+  const sched::JobOutcome& super_job =
+      scheduler.engine().outcome(sched::Request{results[0].engine_job});
+  EXPECT_GT(super_job.transport.faults_injected, 0u);
+  EXPECT_GT(super_job.transport.retransmits, 0u);
 }
 
 // ---------------------------------------------------------------------------

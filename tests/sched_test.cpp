@@ -590,10 +590,21 @@ TEST(SchedRequest, AFailedJobReportsItsRootCauseAlone) {
 }
 
 TEST(SchedRequest, EngineRejectsLinkFaultPlans) {
-  EngineConfig ec;
-  ec.fleet_ranks = 4;
-  ec.faults.drop = 0.01;  // link-level probability arms the threaded-only path
-  EXPECT_THROW(Engine{ec}, Error);
+  // The engine runs every valid link-fault plan on the runtime's link layer
+  // and validates each plan it is given: a plan assembled field by field
+  // with a negative timeout or a probability above 1 is rejected.
+  EngineConfig valid;
+  valid.fleet_ranks = 4;
+  valid.faults.drop = 0.5;
+  EXPECT_NO_THROW(Engine{valid});
+
+  EngineConfig negative_timeout = valid;
+  negative_timeout.faults.recv_timeout_s = -1.0;
+  EXPECT_THROW(Engine{negative_timeout}, Error);
+
+  EngineConfig over_one = valid;
+  over_one.faults.drop = 1.5;
+  EXPECT_THROW(Engine{over_one}, Error);
 
   EngineConfig bad_fleet;
   bad_fleet.fleet_ranks = 0;

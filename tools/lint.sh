@@ -23,6 +23,11 @@
 #      recorder (record).  Every per-rank charge, span and counter goes
 #      through simmpi::Endpoint, which both executors share; the
 #      scheduler's own marker stream (sched_tracer) is exempt.
+#   7. One data plane: nothing under src/sched/ or include/hzccl/sched/,
+#      and nothing in src/simmpi/runtime.cpp or
+#      include/hzccl/simmpi/runtime.hpp, frames, checks or rolls a fault die
+#      itself (seal_frame, encode_frame_into, decode_frame, fault_roll).
+#      Both executors drive the one link layer in src/simmpi/link.cpp.
 #
 # Exits nonzero listing every violation.  Runs clang-tidy (.clang-tidy) on
 # top when the binary exists; the baseline image is GCC-only, so the text
@@ -80,6 +85,13 @@ report "no-schedule-copy-in-sched" "$matches"
 matches=$(grep -rnE "(\.|->)(advance|advance_to|record)\s*\(" src/sched include/hzccl/sched \
   2>/dev/null | grep -vE "sched_tracer\.record\s*\(" || true)
 report "one-rank-endpoint" "$matches"
+
+# Rule 7: both executors run one link layer (simmpi/link.hpp) and keep no
+# framing, fault dice, window or recovery logic of their own.
+matches=$(grep -rnE "\b(seal_frame|encode_frame_into|decode_frame|fault_roll)\s*\(" \
+  src/sched include/hzccl/sched src/simmpi/runtime.cpp include/hzccl/simmpi/runtime.hpp \
+  2>/dev/null || true)
+report "one-data-plane" "$matches"
 
 # Optional deep pass: clang-tidy with the checked-in .clang-tidy, if a
 # compilation database and the tool are both available.
