@@ -1,12 +1,13 @@
 // One rank's timeline, shared by both executors: simmpi::Runtime keeps one
 // in each rank's Comm, sched::Engine one per fleet rank.  An Endpoint owns
 // the rank's virtual clock and span recorder, straggler factor, pending
-// crash or hang with its operation count, per-destination send seqs, and
-// transport and health counters, and makes every charge the rank makes:
-// each method advances the clock, records the span (with a job id; the
-// runtime passes trace::kNoJob) and bumps the counter.  The ControlPlane
-// (control_plane.hpp) decides *when* a recovery step happens; the Endpoint
-// how it is charged.  One writer: the rank's thread, or the engine's loop.
+// crash or hang with its operation count, per-destination send seqs, the
+// counter of its stall die, and transport and health counters, and makes
+// every charge the rank makes: each method advances the clock, records the
+// span (with a job id; the runtime passes trace::kNoJob) and bumps the
+// counter.  The ControlPlane (control_plane.hpp) decides *when* a recovery
+// step happens; the Endpoint how it is charged.  One writer: the rank's
+// thread, or the engine's loop.
 #pragma once
 
 #include <algorithm>
@@ -119,6 +120,10 @@ class Endpoint {
     return stop_fault_;
   }
 
+  /// The counter of this rank's next stall-die roll (one per transport
+  /// operation while the plan stalls; Link::stall).
+  uint64_t next_stall_roll() { return stall_rolls_++; }
+
   /// Inject `bytes` of payload for physical rank `dst`: the eager sender
   /// pays the link's injection latency.  Returns the frame's seq on the
   /// link; the frame leaves at now().
@@ -203,6 +208,7 @@ class Endpoint {
   uint64_t ops_ = 0;
   bool stopped_ = false;
   std::vector<uint64_t> send_seq_;  ///< next seq per physical destination
+  uint64_t stall_rolls_ = 0;
   VirtualClock clock_;
   trace::Recorder tracer_;
   TransportStats transport_;
