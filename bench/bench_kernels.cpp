@@ -13,7 +13,8 @@
 //    blocks taken by the buffer pools and scratch arenas).  With
 //    --alloc-budget N the run fails if any gated hot path (hz_add, the
 //    ring collective, crc32c, the frame round trip) exceeds N allocations
-//    per op in steady state — the CI regression gate.  crc32c, the
+//    per op in steady state — the CI regression gate.  crc32c (on a 1 MiB
+//    payload and on 2 KiB ones; "payload_bytes" tells them apart), the
 //    whole-block codec and its three fused decodes on the codec's 32-value
 //    block (decode_block, encode_block, decode_dequantize, decode_fold,
 //    decode_combine; "bits" is the code length) and the fused block pass on
@@ -23,7 +24,9 @@
 //    decode_dequantize or decode_fold at n = 32 over the measured code
 //    lengths together, or its fz_quantize_predict over the three datasets
 //    together, is below R× the scalar table's — the SIMD speedup gate on
-//    the codec the library runs.  Skipped on hosts whose best level is
+//    the codec the library runs — or, when the best level is avx512, if its
+//    1 MiB crc32c is below R× the avx2 level's (the carry-less fold against
+//    the crc32 instruction).  Skipped on hosts whose best level is
 //    scalar.  Each per-op entry's "gbps" is the median of kRepeats timed
 //    runs, with their quartiles beside it ("gbps_q1", "gbps_q3").
 //    --verify-overhead P fails the run if per-round ABFT digest verification
@@ -40,6 +43,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -193,6 +197,7 @@ constexpr int kRepeats = 5;
 struct JsonEntry {
   std::string kernel;
   int bits = -1;        ///< code-length dimension (-1 = not applicable)
+  long payload = -1;    ///< bytes per call, for crc32c (-1 = not applicable)
   std::string dataset;  ///< dataset slug (empty = not applicable)
   std::string level;    ///< forced dispatch level (empty = session default)
   double gbps = 0.0;     ///< median over the timed runs
@@ -522,8 +527,11 @@ int run_json_mode(const JsonOptions& opts) {
   const std::vector<kernels::DispatchLevel> levels = kernels::supported_levels();
   const kernels::DispatchLevel prior_level = kernels::active_dispatch_level();
   // A 1 MiB wire payload: the size of one raw ring block of a 4 x 4 MiB
-  // allreduce, checksummed twice per frame.
+  // allreduce, checksummed twice per frame.  The 2 KiB entry checksums it
+  // as 512 separate payloads, the frames of a raw recursive-doubling
+  // allreduce over 512 floats (bench/e2e sched-mix's latency tenant).
   std::vector<uint8_t> wire(size_t{1} << 20);
+  constexpr size_t kSmallPayload = 2048;
   {
     Rng rng(7);
     for (uint8_t& b : wire) b = static_cast<uint8_t>(rng.below(256));
@@ -538,9 +546,19 @@ int run_json_mode(const JsonOptions& opts) {
     uint32_t crc = 0;
     JsonEntry crc_entry = measure_json("crc32c", -1, "", wire.size(), min_seconds,
                                        [&] { benchmark::DoNotOptimize(crc = crc32c(wire, crc)); });
-    crc_entry.level = level_slug;
-    crc_entry.gated = true;
-    entries.push_back(crc_entry);
+    JsonEntry small_crc_entry = measure_json("crc32c", -1, "", wire.size(), min_seconds, [&] {
+      for (size_t at = 0; at < wire.size(); at += kSmallPayload) {
+        benchmark::DoNotOptimize(
+            crc = crc32c(std::span<const uint8_t>(wire).subspan(at, kSmallPayload), crc));
+      }
+    });
+    crc_entry.payload = static_cast<long>(wire.size());
+    small_crc_entry.payload = static_cast<long>(kSmallPayload);
+    for (JsonEntry* e : {&crc_entry, &small_crc_entry}) {
+      e->level = level_slug;
+      e->gated = true;
+      entries.push_back(*e);
+    }
     for (JsonEntry& e : measure_block_kernels(min_seconds)) {
       e.level = level_slug;
       entries.push_back(std::move(e));
@@ -673,6 +691,7 @@ int run_json_mode(const JsonOptions& opts) {
     const JsonEntry& e = entries[i];
     std::fprintf(f, "    {\"kernel\": \"%s\", ", e.kernel.c_str());
     if (e.bits >= 0) std::fprintf(f, "\"bits\": %d, ", e.bits);
+    if (e.payload >= 0) std::fprintf(f, "\"payload_bytes\": %ld, ", e.payload);
     if (!e.dataset.empty()) std::fprintf(f, "\"dataset\": \"%s\", ", e.dataset.c_str());
     if (!e.level.empty()) std::fprintf(f, "\"level\": \"%s\", ", e.level.c_str());
     std::fprintf(f, "\"gbps\": %.4f, ", e.gbps);
@@ -687,8 +706,10 @@ int run_json_mode(const JsonOptions& opts) {
 
   int failures = 0;
   for (const JsonEntry& e : entries) {
+    const std::string label =
+        e.payload >= 0 ? e.kernel + "/" + std::to_string(e.payload) + "B" : e.kernel;
     std::printf("%-22s %4s %-12s %-7s %10.3f GB/s [%.3f, %.3f] %8.2f allocs/op%s\n",
-                e.kernel.c_str(), e.bits >= 0 ? std::to_string(e.bits).c_str() : "-",
+                label.c_str(), e.bits >= 0 ? std::to_string(e.bits).c_str() : "-",
                 e.dataset.empty() ? "-" : e.dataset.c_str(),
                 e.level.empty() ? "-" : e.level.c_str(), e.gbps, e.gbps_q1, e.gbps_q3,
                 e.allocs_per_op, e.gated ? "  [gated]" : "");
@@ -757,6 +778,29 @@ int run_json_mode(const JsonOptions& opts) {
         dataset_points.emplace_back(-1, dataset_slug(id));
       }
       gate_points("fz_quantize_predict", "all datasets", dataset_points);
+      // The AVX-512 table's CRC must be its own carry-less fold, not the
+      // crc32-instruction body it would inherit from the avx2 table.
+      if (best == kernels::DispatchLevel::kAvx512) {
+        const auto crc_gbps = [&](const char* level) {
+          for (const JsonEntry& e : entries) {
+            if (e.kernel == "crc32c" && e.payload == static_cast<long>(wire.size()) &&
+                e.level == level) {
+              return e.gbps;
+            }
+          }
+          return 0.0;
+        };
+        const double avx512_gbps = crc_gbps("avx512");
+        const double avx2_gbps = crc_gbps("avx2");
+        const double ratio = avx2_gbps > 0 ? avx512_gbps / avx2_gbps : 0.0;
+        std::printf("simd-floor crc32c 1 MiB: avx512 %.3f GB/s vs avx2 %.3f GB/s (%.2fx, floor %.2fx)\n",
+                    avx512_gbps, avx2_gbps, ratio, opts.simd_floor);
+        if (ratio < opts.simd_floor) {
+          std::fprintf(stderr, "bench_kernels: crc32c 1 MiB at avx512 is %.2fx avx2, floor is %.2fx\n",
+                       ratio, opts.simd_floor);
+          ++failures;
+        }
+      }
     }
   }
   // Per-round verify overhead gate: at the paper's scalability point the

@@ -17,6 +17,8 @@
 
 #include <array>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -149,13 +151,29 @@ void decode_all_blocks(T& t, std::vector<CompressedBuffer>& blocks, size_t total
            EventKind::kDecompress, total_elements * sizeof(float), compressed_bytes);
 }
 
+/// Make `acc` a copy of `input` to accumulate in place, charged as a pack.
+/// `input` may lie in `acc`'s own storage (an in-place call).
+template <Transport T>
+void working_copy_into(T& t, std::span<const float> input, std::vector<float>& acc,
+                       const CollectiveConfig& config) {
+  const float* const base = acc.data();
+  if (std::less_equal<const float*>{}(base, input.data()) &&
+      std::less<const float*>{}(input.data(), base + acc.size())) {
+    std::memmove(acc.data(), input.data(), input.size_bytes());
+    acc.resize(input.size());
+  } else {
+    acc.assign(input.begin(), input.end());
+  }
+  t.charge(CostBucket::kOther, config.cost.seconds_memcpy(input.size_bytes()), EventKind::kPack,
+           input.size_bytes());
+}
+
 /// The working copy a schedule accumulates in place, charged as a pack.
 template <Transport T>
 std::vector<float> working_copy(T& t, std::span<const float> input,
                                 const CollectiveConfig& config) {
-  std::vector<float> acc(input.begin(), input.end());
-  t.charge(CostBucket::kOther, config.cost.seconds_memcpy(input.size_bytes()), EventKind::kPack,
-           input.size_bytes());
+  std::vector<float> acc;
+  working_copy_into(t, input, acc, config);
   return acc;
 }
 
@@ -455,18 +473,22 @@ Task<void> raw_ring_reduce_scatter_steps(T t, std::span<float> acc,
                                          const std::vector<int>& members, int idx,
                                          const CollectiveConfig& config) {
   const int n = static_cast<int>(members.size());
+  if (n < 2) co_return;
   const int next = members[static_cast<size_t>(ring_next(idx, n))];
   const int prev = members[static_cast<size_t>(ring_prev(idx, n))];
-  std::vector<float> recv_buf;
+  // The receive overwrites every float, so the buffer is never zero-filled;
+  // the last ring block is the largest.
+  const std::unique_ptr<float[]> recv_buf =
+      std::make_unique_for_overwrite<float[]>(ring_block_range(acc.size(), n, n - 1).size());
   for (int step = 0; step < n - 1; ++step) {
     const Range send_r = ring_block_range(acc.size(), n, rs_send_block(idx, step, n));
     const Range recv_r = ring_block_range(acc.size(), n, rs_recv_block(idx, step, n));
     send_floats_checked(t, next, kTagReduceScatter + step,
                         acc.subspan(send_r.begin, send_r.size()), config, Mode::kSingleThread);
-    recv_buf.resize(recv_r.size());
-    co_await recv_floats_checked(t, prev, kTagReduceScatter + step, recv_buf, config,
+    const std::span<float> incoming(recv_buf.get(), recv_r.size());
+    co_await recv_floats_checked(t, prev, kTagReduceScatter + step, incoming, config,
                                  Mode::kSingleThread);
-    reduce_into(t, acc, recv_buf, recv_r.begin, config, Mode::kSingleThread);
+    reduce_into(t, acc, incoming, recv_r.begin, config, Mode::kSingleThread);
   }
 }
 
@@ -515,12 +537,21 @@ Task<void> raw_allgather(T t, std::span<const float> my_block, size_t total_elem
   co_await raw_ring_allgather_steps(t, out_full, members, t.rank(), config);
 }
 
+/// raw_reduce_scatter then raw_allgather, run in `out_full` itself: the
+/// input is copied once and each float of the result is written once.  The
+/// clock charges are the composition's, the owned block's hand-off to the
+/// allgather included.
 template <Transport T>
 Task<void> raw_allreduce(T t, std::span<const float> input, std::vector<float>& out_full,
                          const CollectiveConfig& config) {
-  std::vector<float> block;
-  co_await raw_reduce_scatter(t, input, block, config);
-  co_await raw_allgather(t, block, input.size(), out_full, config);
+  working_copy_into(t, input, out_full, config);
+  const std::vector<int> members = identity_members(t.size());
+  co_await raw_ring_reduce_scatter_steps(t, out_full, members, t.rank(), config);
+  const size_t own_bytes =
+      ring_block_range(out_full.size(), t.size(), rs_owned_block(t.rank(), t.size())).size() *
+      sizeof(float);
+  t.charge(CostBucket::kOther, config.cost.seconds_memcpy(own_bytes), EventKind::kPack, own_bytes);
+  co_await raw_ring_allgather_steps(t, out_full, members, t.rank(), config);
 }
 
 template <Transport T>

@@ -23,13 +23,17 @@
 //             groups (the fused decodes run it into a stack block, then the
 //             consumer), the vector classify and predict of the fused block
 //             pass, and the hardware crc32 instruction.
-//   kAvx512 — AVX-512 (F/BW/DQ/VL/VBMI): the block codec on 32-value groups
-//             (VPERMB + VPMULTISHIFTQB remainder planes), with one group
-//             decoder shared by decode_block and the three fused decodes
-//             (in-register int64 scan + VCVTQQ2PD dequantize, closed-form
-//             digest sums, int64 merge), and the fused block pass in one
-//             masked walk (VCVTPD2QQ, the exact llrint, with the
-//             predecessor lane from VALIGND).
+//   kAvx512 — AVX-512 (F/BW/DQ/VL/VBMI) with PCLMUL and VPCLMULQDQ, on
+//             top of the AVX2 level's set: the block codec on 32-value
+//             groups (VPERMB + VPMULTISHIFTQB remainder planes), with one
+//             group decoder shared by decode_block and the three fused
+//             decodes (in-register int64 scan + VCVTQQ2PD dequantize,
+//             closed-form digest sums, int64 merge), the fused block pass
+//             in one masked walk (VCVTPD2QQ, the exact llrint, with the
+//             predecessor lane from VALIGND), and a carry-less CRC-32C:
+//             four 512-bit VPCLMULQDQ accumulators fold 256 bytes per step
+//             down to a 128-bit remainder that two crc32 instructions
+//             reduce.
 //
 // Contract: every variant produces byte-identical output to the scalar
 // reference on identical input — including sign conventions, guard
@@ -56,10 +60,10 @@ namespace hzccl::kernels {
 enum class DispatchLevel : uint8_t { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 inline constexpr int kNumDispatchLevels = 3;
 
-/// Lane length of the hardware CRC-32C kernel: it runs three crc32 chains
-/// over adjacent lanes of this many bytes and joins them with a zero-shift
-/// table built for exactly this length.  A multiple of 8 (the instruction
-/// consumes 8 bytes per step).
+/// Lane length of the AVX2 level's CRC-32C kernel: it runs three crc32
+/// chains over adjacent lanes of this many bytes and joins them with a
+/// zero-shift table built for exactly this length.  A multiple of 8 (the
+/// instruction consumes 8 bytes per step).
 inline constexpr size_t kCrc32cLaneBytes = 1024;
 
 /// Raw-fallback verdict of the fused block pass, decided exactly as

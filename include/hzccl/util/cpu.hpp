@@ -14,7 +14,9 @@ namespace hzccl {
 bool cpu_supports_avx2();
 
 /// AVX-512 kernel family: F + BW + DQ + VL + VBMI (VPERMB/VPMULTISHIFTQB
-/// drive the wide unpack; VCVTPD2QQ drives the exact-llrint quantizer).
+/// drive the wide unpack; VCVTPD2QQ drives the exact-llrint quantizer) +
+/// PCLMUL + VPCLMULQDQ (the carry-less CRC-32C fold).  Of the CPUs with
+/// VBMI, only Cannon Lake lacks VPCLMULQDQ.
 bool cpu_supports_avx512();
 
 }  // namespace hzccl

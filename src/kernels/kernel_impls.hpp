@@ -7,12 +7,12 @@
 // on the including TU's ISA macros, so scalar.cpp (built with the project's
 // baseline flags) sees only the references, avx2.cpp adds the PDEP/PEXT
 // block codec and the SSE4.2 CRC-32C, and avx512.cpp adds the
-// VPERMB/VPMULTISHIFTQB block codec, its fused decodes and the VCVTPD2QQ
-// paths.  The integer bodies (the residual merge, the digest fold, and the
-// scalar steps of the fused block pass) are shared across all TUs on
-// purpose: recompiling them under wider -m flags lets the auto-vectorizer
-// retarget them per level while the arithmetic — and therefore the bytes —
-// stays identical.
+// VPERMB/VPMULTISHIFTQB block codec, its fused decodes, the VCVTPD2QQ
+// paths and the VPCLMULQDQ CRC-32C.  The integer bodies (the residual
+// merge, the digest fold, and the scalar steps of the fused block pass) are
+// shared across all TUs on purpose: recompiling them under wider -m flags
+// lets the auto-vectorizer retarget them per level while the arithmetic —
+// and therefore the bytes — stays identical.
 // Everything here has internal linkage (the unnamed namespace below), so
 // each variant TU keeps its own copy: the linker can never fold a body two
 // TUs emit out of line into one copy that both tables then call (an AVX-512
@@ -927,12 +927,13 @@ inline HZCCL_HOT uint32_t crc32c_sse42_body(const uint8_t* data, size_t n, uint3
 
 
 // ---------------------------------------------------------------------------
-// AVX-512 (F/BW/DQ/VL/VBMI): the fused block pass, the SZx scan, the
-// whole-block codec and its three fused decodes.
+// AVX-512 (F/BW/DQ/VL/VBMI) with VPCLMULQDQ: the fused block pass, the SZx
+// scan, the whole-block codec and its three fused decodes, and the
+// carry-less CRC-32C.
 // ---------------------------------------------------------------------------
-#if defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512DQ__) && \
-    defined(__AVX512VL__) && defined(__AVX512VBMI__) && defined(__AVX2__) &&  \
-    defined(__BMI2__)
+#if defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512DQ__) &&   \
+    defined(__AVX512VL__) && defined(__AVX512VBMI__) && defined(__AVX2__) &&    \
+    defined(__BMI2__) && defined(__PCLMUL__) && defined(__VPCLMULQDQ__)
 
 /// VPMULTISHIFTQB control word: byte k of every qword selects the 8 bits
 /// starting at bit offset k*X — value k's field within its group's lane.
@@ -1471,6 +1472,118 @@ inline HZCCL_HOT uint64_t decode_combine_avx512_body(const uint8_t* pa, int ca, 
                                                      uint32_t* signs) {
   return sign_b >= 0 ? decode_combine_avx512_loop<+1>(pa, ca, pb, cb, n, mags, signs)
                      : decode_combine_avx512_loop<-1>(pa, ca, pb, cb, n, mags, signs);
+}
+
+// ---------------------------------------------------------------------------
+// Carry-less CRC-32C (VPCLMULQDQ).  The kernel folds the message into a
+// 128-bit remainder congruent to it modulo P, then lets the crc32
+// instruction reduce those 16 bytes.  A 128-bit lane X holds its earlier
+// qword L in the low half, so in the reflected order X = L*x^64 + H, and
+// advancing it past D further message bits is
+//   X * x^D = L*x^(D+64) + H*x^D = clmul(L, k(D+32)) ^ clmul(H, k(D-32)),
+// where k(e) is x^e mod P, reflected and shifted left once.  Read in the
+// 128-bit reflected order, the carry-less product of a reflected qword and
+// a reflected 32-bit constant is their product times x^33; the shift makes
+// that x^32, which the 32 taken off each exponent cancels.  The CRC state
+// enters as an xor into the first four message bytes, so the fold starts
+// from a zero register; at the end the CRC is the crc32 instruction's
+// register after the remainder's 16 bytes from zero.
+// ---------------------------------------------------------------------------
+
+/// x^e modulo the CRC-32C polynomial, reflected.
+constexpr uint32_t crc32c_xpow(size_t e) {
+  uint32_t p = uint32_t{1} << 31;  // x^0
+  for (size_t i = 0; i < e; ++i) p = crc32c_multmodp(uint32_t{1} << 30, p);  // * x
+  return p;
+}
+
+/// The multipliers that advance a 128-bit lane past `bits` message bits:
+/// `lo` for its low (earlier) qword, `hi` for its high one.  For 2048 bits,
+/// the 256-byte loop's distance, they are 0xdcb17aa4 and 0xb9e02b86.
+struct Crc32cFold {
+  uint64_t lo;
+  uint64_t hi;
+};
+
+consteval Crc32cFold crc32c_fold(size_t bits) {
+  return {uint64_t{crc32c_xpow(bits + 32)} << 1, uint64_t{crc32c_xpow(bits - 32)} << 1};
+}
+
+inline __m128i crc32c_fold_lane(Crc32cFold k) {
+  return _mm_set_epi64x(static_cast<long long>(k.hi), static_cast<long long>(k.lo));
+}
+
+/// x advanced past the fold distance of k, xored with `next`.
+inline __m512i crc32c_fold512(__m512i x, __m512i k, __m512i next) {
+  return _mm512_ternarylogic_epi64(_mm512_clmulepi64_epi128(x, k, 0x00),
+                                   _mm512_clmulepi64_epi128(x, k, 0x11), next, 0x96);
+}
+
+inline __m128i crc32c_fold128(__m128i x, __m128i k, __m128i next) {
+  return _mm_ternarylogic_epi64(_mm_clmulepi64_si128(x, k, 0x00),
+                                _mm_clmulepi64_si128(x, k, 0x11), next, 0x96);
+}
+
+/// Four 512-bit accumulators fold 256 bytes per step and join into one;
+/// it folds 64 bytes per step and its four lanes join into the 128-bit
+/// remainder, which folds 16 bytes per step.  Shorter messages enter at
+/// the first stage they fill.  Loads read exactly n bytes.
+inline HZCCL_HOT uint32_t crc32c_vpclmul_body(const uint8_t* data, size_t n, uint32_t crc) {
+  uint64_t c = static_cast<uint32_t>(~crc);
+  if (n >= 16) {
+    const __m128i state = _mm_cvtsi32_si128(static_cast<int>(c));
+    __m128i y;
+    if (n >= 64) {
+      const __m512i k512 = _mm512_broadcast_i32x4(crc32c_fold_lane(crc32c_fold(512)));
+      __m512i x;
+      if (n >= 256) {
+        const __m512i k2048 = _mm512_broadcast_i32x4(crc32c_fold_lane(crc32c_fold(2048)));
+        __m512i x0 = _mm512_xor_si512(_mm512_loadu_si512(data), _mm512_zextsi128_si512(state));
+        __m512i x1 = _mm512_loadu_si512(data + 64);
+        __m512i x2 = _mm512_loadu_si512(data + 128);
+        __m512i x3 = _mm512_loadu_si512(data + 192);
+        for (data += 256, n -= 256; n >= 256; data += 256, n -= 256) {
+          x0 = crc32c_fold512(x0, k2048, _mm512_loadu_si512(data));
+          x1 = crc32c_fold512(x1, k2048, _mm512_loadu_si512(data + 64));
+          x2 = crc32c_fold512(x2, k2048, _mm512_loadu_si512(data + 128));
+          x3 = crc32c_fold512(x3, k2048, _mm512_loadu_si512(data + 192));
+        }
+        const __m512i k1536 = _mm512_broadcast_i32x4(crc32c_fold_lane(crc32c_fold(1536)));
+        const __m512i k1024 = _mm512_broadcast_i32x4(crc32c_fold_lane(crc32c_fold(1024)));
+        x = crc32c_fold512(x0, k1536, crc32c_fold512(x1, k1024, crc32c_fold512(x2, k512, x3)));
+      } else {
+        x = _mm512_xor_si512(_mm512_loadu_si512(data), _mm512_zextsi128_si512(state));
+        data += 64;
+        n -= 64;
+      }
+      for (; n >= 64; data += 64, n -= 64) x = crc32c_fold512(x, k512, _mm512_loadu_si512(data));
+      // Lanes 0..2 advance to lane 3's end (384, 256 and 128 bits); lane 3's
+      // multipliers are zero, so its product drops out of the xor below.
+      __m512i k = _mm512_zextsi128_si512(crc32c_fold_lane(crc32c_fold(384)));
+      k = _mm512_inserti32x4(k, crc32c_fold_lane(crc32c_fold(256)), 1);
+      k = _mm512_inserti32x4(k, crc32c_fold_lane(crc32c_fold(128)), 2);
+      const __m512i t = _mm512_xor_si512(_mm512_clmulepi64_epi128(x, k, 0x00),
+                                         _mm512_clmulepi64_epi128(x, k, 0x11));
+      const __m256i t2 =
+          _mm256_xor_si256(_mm512_castsi512_si256(t), _mm512_extracti64x4_epi64(t, 1));
+      y = _mm_ternarylogic_epi64(_mm256_castsi256_si128(t2), _mm256_extracti128_si256(t2, 1),
+                                 _mm512_extracti32x4_epi32(x, 3), 0x96);
+    } else {
+      y = _mm_xor_si128(_mm_loadu_si128(reinterpret_cast<const __m128i*>(data)), state);
+      data += 16;
+      n -= 16;
+    }
+    const __m128i k128 = crc32c_fold_lane(crc32c_fold(128));
+    for (; n >= 16; data += 16, n -= 16) {
+      y = crc32c_fold128(y, k128, _mm_loadu_si128(reinterpret_cast<const __m128i*>(data)));
+    }
+    c = _mm_crc32_u64(0, static_cast<uint64_t>(_mm_cvtsi128_si64(y)));
+    c = _mm_crc32_u64(c, static_cast<uint64_t>(_mm_extract_epi64(y, 1)));
+  }
+  for (; n >= 8; n -= 8, data += 8) c = _mm_crc32_u64(c, load_u64(data));
+  uint32_t c32 = static_cast<uint32_t>(c);
+  for (; n > 0; --n, ++data) c32 = _mm_crc32_u8(c32, *data);
+  return ~c32;
 }
 
 #endif  // AVX-512 family

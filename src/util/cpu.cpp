@@ -12,7 +12,8 @@ bool cpu_supports_avx2() {
 bool cpu_supports_avx512() {
   return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
          __builtin_cpu_supports("avx512dq") && __builtin_cpu_supports("avx512vl") &&
-         __builtin_cpu_supports("avx512vbmi");
+         __builtin_cpu_supports("avx512vbmi") && __builtin_cpu_supports("pclmul") &&
+         __builtin_cpu_supports("vpclmulqdq");
 }
 
 #else

@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "hzccl/collectives/ccoll.hpp"
@@ -236,6 +238,93 @@ TEST(Collectives, AllreduceIsReduceScatterComposedWithAllgather) {
         ASSERT_EQ(composed[static_cast<size_t>(r)], fused[static_cast<size_t>(r)])
             << dataset_slug(id) << " rel=" << v.rel << " bl=" << v.block_len << " N="
             << v.nranks << " rank " << r << " (elements=" << elements << ")";
+      }
+    }
+  }
+}
+
+/// Every field of a trace event, comparable and printable.
+auto event_fields(const trace::Event& e) {
+  return std::tuple(trace::kind_name(e.kind), e.t0, e.t1, e.seq, e.bytes, e.bytes_out, e.peer,
+                    e.tag, e.aux, e.job);
+}
+
+/// raw_allreduce runs its ring steps in its output vector instead of
+/// composing raw_reduce_scatter with raw_allgather; nothing observable may
+/// change.  Outputs byte for byte, per-rank clocks (total and every
+/// bucket) and every trace event equal the composition's, clean and under
+/// link chaos, with verification off and per round, also when the input
+/// and the output are the same vector.
+TEST(Collectives, RawAllreduceIsReduceScatterComposedWithAllgather) {
+  simmpi::FaultPlan chaos;
+  chaos.seed = 0xA11;
+  chaos.drop = 0.05;
+  chaos.corrupt = 0.03;
+  chaos.reorder = 0.08;
+  chaos.duplicate = 0.05;
+  chaos.stall = 0.05;
+  const RankInputFn inputs = make_inputs(6001);  // ragged ring blocks
+  struct Run {
+    std::vector<std::vector<float>> outputs;
+    std::vector<simmpi::ClockReport> reports;
+    trace::Trace trace;
+  };
+  for (const int n : {4, 5}) {
+    for (const coll::VerifyPolicy verify :
+         {coll::VerifyPolicy::kOff, coll::VerifyPolicy::kPerRound}) {
+      for (const bool faulty : {false, true}) {
+        SCOPED_TRACE("N=" + std::to_string(n) + " verify " + coll::verify_policy_name(verify) +
+                     (faulty ? " chaos" : " clean"));
+        CollectiveConfig cc;
+        cc.verify = verify;
+        const auto run = [&](const auto& body) {
+          Runtime rt(n, NetModel::omnipath_100g(), faulty ? chaos : simmpi::FaultPlan::none(),
+                     trace::Options{.enabled = true});
+          Run r;
+          r.outputs.resize(static_cast<size_t>(n));
+          r.reports = rt.run([&](simmpi::Comm& comm) {
+            body(comm, inputs(comm.rank()), r.outputs[static_cast<size_t>(comm.rank())]);
+          });
+          r.trace = rt.trace();
+          return r;
+        };
+        const Run composed = run([&](simmpi::Comm& comm, const std::vector<float>& input,
+                                     std::vector<float>& out) {
+          std::vector<float> block;
+          coll::raw_reduce_scatter(comm, input, block, cc);
+          coll::raw_allgather(comm, block, input.size(), out, cc);
+        });
+        const Run fused = run([&](simmpi::Comm& comm, const std::vector<float>& input,
+                                  std::vector<float>& out) {
+          coll::raw_allreduce(comm, input, out, cc);
+        });
+        const Run in_place = run([&](simmpi::Comm& comm, const std::vector<float>& input,
+                                     std::vector<float>& out) {
+          out = input;
+          coll::raw_allreduce(comm, out, out, cc);
+        });
+        for (const Run* got : {&fused, &in_place}) {
+          const std::string which = got == &fused ? "raw_allreduce" : "raw_allreduce in place";
+          ASSERT_EQ(got->trace.ranks.size(), static_cast<size_t>(n)) << which;
+          for (size_t r = 0; r < static_cast<size_t>(n); ++r) {
+            const std::vector<float>& want = composed.outputs[r];
+            const std::vector<float>& out = got->outputs[r];
+            ASSERT_EQ(out.size(), want.size()) << which << " rank " << r;
+            EXPECT_EQ(std::memcmp(out.data(), want.data(), want.size() * sizeof(float)), 0)
+                << which << " rank " << r;
+            EXPECT_EQ(got->reports[r].total_seconds, composed.reports[r].total_seconds)
+                << which << " rank " << r;
+            EXPECT_EQ(got->reports[r].bucket_seconds, composed.reports[r].bucket_seconds)
+                << which << " rank " << r;
+            const std::vector<trace::Event>& events = got->trace.ranks[r];
+            const std::vector<trace::Event>& want_events = composed.trace.ranks[r];
+            ASSERT_EQ(events.size(), want_events.size()) << which << " rank " << r;
+            for (size_t i = 0; i < events.size(); ++i) {
+              ASSERT_EQ(event_fields(events[i]), event_fields(want_events[i]))
+                  << which << " rank " << r << " event " << i;
+            }
+          }
+        }
       }
     }
   }

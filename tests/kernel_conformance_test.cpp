@@ -268,22 +268,55 @@ TEST(KernelConformance, SzxScanCanonicalizesNegativeZero) {
   }
 }
 
+/// A read-only byte copy that ends where an inaccessible page begins.
+class GuardedBytes {
+ public:
+  explicit GuardedBytes(std::span<const uint8_t> bytes) {
+    const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+    map_len_ = (bytes.size() + page - 1) / page * page + page;
+    void* map = mmap(nullptr, map_len_, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (map == MAP_FAILED) throw std::runtime_error("GuardedBytes: mmap failed");
+    base_ = static_cast<uint8_t*>(map);
+    uint8_t* const guard = base_ + map_len_ - page;
+    if (mprotect(guard, page, PROT_NONE) != 0) {
+      munmap(map, map_len_);
+      throw std::runtime_error("GuardedBytes: mprotect failed");
+    }
+    data_ = guard - bytes.size();
+    std::copy(bytes.begin(), bytes.end(), data_);
+  }
+  GuardedBytes(const GuardedBytes&) = delete;
+  GuardedBytes& operator=(const GuardedBytes&) = delete;
+  ~GuardedBytes() { munmap(base_, map_len_); }
+
+  const uint8_t* data() const { return data_; }
+
+ private:
+  uint8_t* base_ = nullptr;
+  uint8_t* data_ = nullptr;
+  size_t map_len_ = 0;
+};
+
 // ---------------------------------------------------------------------------
-// CRC-32C: known answers at every level, then each hardware table against
-// the scalar oracle across the three-lane block geometry.
+// CRC-32C: known answers at every level, then each table against the
+// scalar oracle across the three-lane block geometry of the SSE4.2 body
+// and the 256-, 64- and 16-byte fold stages of the VPCLMULQDQ body.
 // ---------------------------------------------------------------------------
 
 TEST(KernelConformance, Crc32cKnownAnswersAtEveryLevel) {
   // RFC 3720 (iSCSI) appendix B.4 vectors plus the customary "123456789"
   // check value.  Frame tests only round-trip, so a wrong polynomial or bit
   // order shared by sender and receiver would pass them; it cannot pass
-  // these.
+  // these.  The 32-byte vectors never reach a 256-byte fold, so the last
+  // answer (from an independent bitwise loop) runs 4 KiB through it.
   std::vector<uint8_t> ascending(32);
   std::vector<uint8_t> descending(32);
   for (size_t i = 0; i < 32; ++i) {
     ascending[i] = static_cast<uint8_t>(i);
     descending[i] = static_cast<uint8_t>(31 - i);
   }
+  std::vector<uint8_t> ramp(4096);
+  for (size_t i = 0; i < ramp.size(); ++i) ramp[i] = static_cast<uint8_t>(i & 0xFF);
   const std::vector<uint8_t> zeros(32, 0x00);
   const std::vector<uint8_t> ones(32, 0xFF);
   const std::string_view check = "123456789";
@@ -298,6 +331,7 @@ TEST(KernelConformance, Crc32cKnownAnswersAtEveryLevel) {
       {"00..1F", ascending, 0x46DD794Eu},
       {"1F..00", descending, 0x113FDB5Cu},
       {"123456789", {reinterpret_cast<const uint8_t*>(check.data()), check.size()}, 0xE3069283u},
+      {"4096 x (i & FF)", ramp, 0x9C71FE32u},
   };
   LevelGuard guard;
   for (DispatchLevel lvl : kernels::supported_levels()) {
@@ -347,6 +381,51 @@ TEST(KernelConformance, Crc32cMatchesScalarOracle) {
       }
     }
   }
+
+  // Flush against an inaccessible page, so a read past n faults: every
+  // length through 1100 bytes, then each 256-, 64- and 16-byte fold
+  // boundary +-1 up to 8 KiB (the 16-byte multiples cover all three).
+  std::vector<size_t> guarded_lengths;
+  for (size_t n = 0; n <= 1100; ++n) guarded_lengths.push_back(n);
+  for (size_t edge = 1104; edge <= 8192; edge += 16) {
+    for (const size_t n : {edge - 1, edge, edge + 1}) guarded_lengths.push_back(n);
+  }
+  const size_t guarded_max = guarded_lengths.back();
+  ASSERT_LE(guarded_max, bytes.size());
+  const GuardedBytes guarded(std::span<const uint8_t>(bytes).first(guarded_max));
+  const uint8_t* const guarded_end = guarded.data() + guarded_max;
+  // One buffer long enough for every stage's steady state, its CRC taken
+  // whole and chained across three cut points.
+  std::vector<uint8_t> long_bytes((size_t{1} << 20) + 13);
+  for (uint8_t& b : long_bytes) b = static_cast<uint8_t>(fill.u32());
+  const GuardedBytes long_guarded(long_bytes);
+
+  for (DispatchLevel lvl : kernels::supported_levels()) {
+    const KernelTable& t = kernels::table(lvl);
+    Prng rng(/*seed=*/0xC5C32Cu, /*stream=*/16 + static_cast<uint64_t>(lvl));
+    for (const size_t n : guarded_lengths) {
+      const uint8_t* p = guarded_end - n;
+      const uint32_t seed = rng.u32();
+      ASSERT_EQ(t.crc32c(p, n, seed), ref.crc32c(p, n, seed))
+          << "guarded: level=" << kernels::level_name(lvl) << " n=" << n;
+    }
+    const size_t n = long_bytes.size();
+    const uint8_t* p = long_guarded.data();
+    const uint32_t seed = rng.u32();
+    const uint32_t want = ref.crc32c(p, n, seed);
+    ASSERT_EQ(t.crc32c(p, n, seed), want) << "1 MiB + 13: level=" << kernels::level_name(lvl);
+    size_t cuts[] = {static_cast<size_t>(rng.next() % n), static_cast<size_t>(rng.next() % n),
+                     static_cast<size_t>(rng.next() % n)};
+    std::sort(std::begin(cuts), std::end(cuts));
+    uint32_t chained = seed;
+    size_t from = 0;
+    for (const size_t to : {cuts[0], cuts[1], cuts[2], n}) {
+      chained = t.crc32c(p + from, to - from, chained);
+      from = to;
+    }
+    ASSERT_EQ(chained, want) << "1 MiB + 13 chained: level=" << kernels::level_name(lvl)
+                             << " cuts=" << cuts[0] << "," << cuts[1] << "," << cuts[2];
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -359,35 +438,6 @@ TEST(KernelConformance, Crc32cMatchesScalarOracle) {
 // ---------------------------------------------------------------------------
 
 constexpr int32_t kCanary32 = static_cast<int32_t>(0x5A5A5A5A);
-
-/// A read-only byte copy that ends where an inaccessible page begins.
-class GuardedBytes {
- public:
-  explicit GuardedBytes(std::span<const uint8_t> bytes) {
-    const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
-    map_len_ = (bytes.size() + page - 1) / page * page + page;
-    void* map = mmap(nullptr, map_len_, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (map == MAP_FAILED) throw std::runtime_error("GuardedBytes: mmap failed");
-    base_ = static_cast<uint8_t*>(map);
-    uint8_t* const guard = base_ + map_len_ - page;
-    if (mprotect(guard, page, PROT_NONE) != 0) {
-      munmap(map, map_len_);
-      throw std::runtime_error("GuardedBytes: mprotect failed");
-    }
-    data_ = guard - bytes.size();
-    std::copy(bytes.begin(), bytes.end(), data_);
-  }
-  GuardedBytes(const GuardedBytes&) = delete;
-  GuardedBytes& operator=(const GuardedBytes&) = delete;
-  ~GuardedBytes() { munmap(base_, map_len_); }
-
-  const uint8_t* data() const { return data_; }
-
- private:
-  uint8_t* base_ = nullptr;
-  uint8_t* data_ = nullptr;
-  size_t map_len_ = 0;
-};
 
 std::vector<size_t> block_lengths() {
   std::vector<size_t> out;
