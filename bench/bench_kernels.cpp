@@ -15,15 +15,16 @@
 //    ring collective, crc32c, the frame round trip) exceeds N allocations
 //    per op in steady state — the CI regression gate.  crc32c (on a 1 MiB
 //    payload and on 2 KiB ones; "payload_bytes" tells them apart), the
-//    whole-block codec and its three fused decodes on the codec's 32-value
-//    block (decode_block, encode_block, decode_dequantize, decode_fold,
-//    decode_combine; "bits" is the code length) and the fused block pass on
-//    32-value blocks of three datasets (fz_quantize_predict) are measured
-//    once per supported dispatch level (tagged with a "level" field);
-//    --simd-floor R fails the run if the best level's decode_block,
-//    decode_dequantize or decode_fold at n = 32 over the measured code
-//    lengths together, or its fz_quantize_predict over the three datasets
-//    together, is below R× the scalar table's — the SIMD speedup gate on
+//    whole-block codec on the codec's 32-value block (decode_block,
+//    encode_block; "bits" is the code length), the fused block pass on
+//    32-value blocks of three datasets (fz_quantize_predict) and the three
+//    chunk walks on one 16384-value chunk of 32-value blocks of each of
+//    those datasets (decompress_chunk, fold_chunk, combine_chunk) are
+//    measured once per supported dispatch level (tagged with a "level"
+//    field); --simd-floor R fails the run if the best level's decode_block
+//    at n = 32 over the measured code lengths together, or its
+//    fz_quantize_predict, decompress_chunk or fold_chunk over the three
+//    datasets together, is below R× the scalar table's — the SIMD speedup gate on
 //    the codec the library runs — or, when the best level is avx512, if its
 //    1 MiB crc32c is below R× the avx2 level's (the carry-less fold against
 //    the crc32 instruction).  Skipped on hosts whose best level is
@@ -50,7 +51,9 @@
 
 #include "hzccl/cluster/roundsim.hpp"
 #include "hzccl/compressor/fixed_len.hpp"
+#include "hzccl/compressor/format.hpp"
 #include "hzccl/compressor/fz_light.hpp"
+#include "hzccl/compressor/quantize.hpp"
 #include "hzccl/compressor/omp_szp.hpp"
 #include "hzccl/compressor/szx_like.hpp"
 #include "hzccl/core/hzccl.hpp"
@@ -398,14 +401,12 @@ double modeled_verify_overhead_pct(const JsonOptions& opts) {
 /// remainder-only 5 and 7, byte-plane-only 8 and 16, and the widest, 31.
 const std::vector<int> kBlockCodeLengths = {1, 5, 7, 8, 16, 31};
 
-/// The whole-block codec and its fused decodes at the active level, on the
-/// fixed-length codec's production block (n = 32), per code length, through
-/// the public entry points (checks included): decode_block and
-/// encode_block_prepared, and the decode-dequantize, decode-fold and
-/// decode-combine walks of decompression, digest verification and hZ
-/// pipeline 4.  One op walks a ring of 64 blocks, so the timer read stays
-/// off the per-block cost.  GB/s counts the 4-byte residuals decoded or
-/// encoded (n * 4 bytes per block; decode_combine decodes two).
+/// The whole-block codec at the active level, on the fixed-length codec's
+/// production block (n = 32), per code length, through the public entry
+/// points (checks included): decode_block and encode_block_prepared.  One
+/// op walks a ring of 64 blocks, so the timer read stays off the per-block
+/// cost.  GB/s counts the 4-byte residuals decoded or encoded (n * 4 bytes
+/// per block).
 std::vector<JsonEntry> measure_block_kernels(double min_seconds) {
   constexpr size_t n = 32;
   constexpr size_t kBlocks = 64;
@@ -441,37 +442,6 @@ std::vector<JsonEntry> measure_block_kernels(double min_seconds) {
                               encoded.data() + b * stride, encoded.data() + (b + 1) * stride);
       }
       benchmark::DoNotOptimize(encoded.data());
-      benchmark::ClobberMemory();
-    }));
-    std::vector<float> floats(n * kBlocks);
-    out.push_back(measure_json("decode_dequantize", c, "", bytes, min_seconds, [&] {
-      int64_t q = 0;
-      for (size_t b = 0; b < kBlocks; ++b) {
-        decode_block_dequantize(block(b), block(b) + stride, n, 2e-3, &q, floats.data() + b * n);
-      }
-      benchmark::DoNotOptimize(floats.data());
-      benchmark::ClobberMemory();
-    }));
-    uint64_t sum = 0;
-    uint64_t wsum = 0;
-    out.push_back(measure_json("decode_fold", c, "", bytes, min_seconds, [&] {
-      int64_t q = 0;
-      for (size_t b = 0; b < kBlocks; ++b) {
-        decode_block_fold(block(b), block(b) + stride, n, 1 + b * n, &q, &sum, &wsum);
-      }
-      benchmark::DoNotOptimize(q);
-    }));
-    std::vector<uint32_t> merged_mags(n * kBlocks);
-    std::vector<uint32_t> merged_signs(n * kBlocks);
-    out.push_back(measure_json("decode_combine", c, "", 2 * bytes, min_seconds, [&] {
-      uint64_t guard = 0;
-      for (size_t b = 0; b < kBlocks; ++b) {
-        const size_t other = (b + 1) % kBlocks;
-        guard |= decode_blocks_combine(block(b), block(b) + stride, block(other),
-                                       block(other) + stride, n, +1, merged_mags.data() + b * n,
-                                       merged_signs.data() + b * n);
-      }
-      benchmark::DoNotOptimize(guard);
       benchmark::ClobberMemory();
     }));
   }
@@ -515,6 +485,59 @@ std::vector<JsonEntry> measure_block_pass(const std::vector<std::vector<float>>&
   return out;
 }
 
+/// The three chunk slots at the active level, each on one 16384-value
+/// chunk of 32-value blocks per dataset (fz_compress output, digests on,
+/// one chunk): decompress_chunk and fold_chunk walk field 0's chunk, and
+/// combine_chunk adds field 1's chunk to it (hZ pipelines 1-4 as they
+/// fall).  GB/s counts the 4-byte values walked (both operands' for
+/// combine_chunk).
+std::vector<JsonEntry> measure_chunk_kernels(const std::vector<std::vector<float>>& fields,
+                                             const std::vector<std::vector<float>>& others,
+                                             double min_seconds) {
+  constexpr size_t kChunkValues = 16384;
+  const kernels::KernelTable& table = kernels::active();
+  std::vector<JsonEntry> out;
+  for (size_t d = 0; d < kBlockPassDatasets.size(); ++d) {
+    const size_t count = std::min({kChunkValues, fields[d].size(), others[d].size()});
+    FzParams p;
+    p.abs_error_bound = abs_bound_from_rel(fields[d], 1e-3);
+    p.block_len = 32;
+    p.num_chunks = 1;
+    p.emit_digests = true;
+    const CompressedBuffer a = fz_compress(std::span(fields[d]).first(count), p);
+    const CompressedBuffer b = fz_compress(std::span(others[d]).first(count), p);
+    const FzView va = parse_fz(a.bytes);
+    const FzView vb = parse_fz(b.bytes);
+    const auto ca = va.chunk_payload(0);
+    const auto cb = vb.chunk_payload(0);
+    const Quantizer quant(p.abs_error_bound);
+    const std::string slug = dataset_slug(kBlockPassDatasets[d]);
+    const size_t bytes = count * sizeof(float);
+    std::vector<float> floats(count);
+    out.push_back(measure_json("decompress_chunk", -1, slug, bytes, min_seconds, [&] {
+      benchmark::DoNotOptimize(table.decompress_chunk(ca.data(), ca.size(), count, 32,
+                                                      va.chunk_outliers[0], quant.twice_eb,
+                                                      floats.data()));
+      benchmark::ClobberMemory();
+    }));
+    uint64_t sum = 0;
+    uint64_t wsum = 0;
+    out.push_back(measure_json("fold_chunk", -1, slug, bytes, min_seconds, [&] {
+      benchmark::DoNotOptimize(
+          table.fold_chunk(ca.data(), ca.size(), count, 32, va.chunk_outliers[0], &sum, &wsum));
+      benchmark::DoNotOptimize(sum);
+      benchmark::DoNotOptimize(wsum);
+    }));
+    std::vector<uint8_t> merged(((count + 31) / 32) * max_encoded_block_size(32));
+    out.push_back(measure_json("combine_chunk", -1, slug, 2 * bytes, min_seconds, [&] {
+      benchmark::DoNotOptimize(table.combine_chunk(ca.data(), ca.size(), cb.data(), cb.size(),
+                                                   count, 32, +1, merged.data(), merged.size()));
+      benchmark::ClobberMemory();
+    }));
+  }
+  return out;
+}
+
 int run_json_mode(const JsonOptions& opts) {
   // Per timed run; each entry takes kRepeats of them.
   const double min_seconds = opts.quick ? 0.01 : 0.1;
@@ -537,8 +560,10 @@ int run_json_mode(const JsonOptions& opts) {
     for (uint8_t& b : wire) b = static_cast<uint8_t>(rng.below(256));
   }
   std::vector<std::vector<float>> block_pass_fields;
+  std::vector<std::vector<float>> second_fields;
   for (const DatasetId id : kBlockPassDatasets) {
     block_pass_fields.push_back(generate_field(id, Scale::kTiny, 0));
+    second_fields.push_back(generate_field(id, Scale::kTiny, 1));
   }
   for (const kernels::DispatchLevel level : levels) {
     kernels::set_dispatch_level(level);
@@ -564,6 +589,10 @@ int run_json_mode(const JsonOptions& opts) {
       entries.push_back(std::move(e));
     }
     for (JsonEntry& e : measure_block_pass(block_pass_fields, min_seconds)) {
+      e.level = level_slug;
+      entries.push_back(std::move(e));
+    }
+    for (JsonEntry& e : measure_chunk_kernels(block_pass_fields, second_fields, min_seconds)) {
       e.level = level_slug;
       entries.push_back(std::move(e));
     }
@@ -770,14 +799,14 @@ int run_json_mode(const JsonOptions& opts) {
       };
       std::vector<std::pair<int, std::string>> code_lengths;
       for (const int c : kBlockCodeLengths) code_lengths.emplace_back(c, "");
-      for (const char* kernel : {"decode_block", "decode_dequantize", "decode_fold"}) {
-        gate_points(kernel, "all code lengths", code_lengths);
-      }
+      gate_points("decode_block", "all code lengths", code_lengths);
       std::vector<std::pair<int, std::string>> dataset_points;
       for (const DatasetId id : kBlockPassDatasets) {
         dataset_points.emplace_back(-1, dataset_slug(id));
       }
-      gate_points("fz_quantize_predict", "all datasets", dataset_points);
+      for (const char* kernel : {"fz_quantize_predict", "decompress_chunk", "fold_chunk"}) {
+        gate_points(kernel, "all datasets", dataset_points);
+      }
       // The AVX-512 table's CRC must be its own carry-less fold, not the
       // crc32-instruction body it would inherit from the avx2 table.
       if (best == kernels::DispatchLevel::kAvx512) {

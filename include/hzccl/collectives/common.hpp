@@ -208,8 +208,11 @@ NodeGroups node_groups(const simmpi::Topology& topo, const std::vector<int>& gro
 // ---------------------------------------------------------------------------
 
 /// True when `bytes` parse as an fZ-light stream carrying `expect_elements`
-/// elements (0 accepts any element count).  Never throws.
-bool fz_stream_decodes(std::span<const uint8_t> bytes, size_t expect_elements);
+/// elements (0 accepts any element count) and, with `walk_blocks`, every
+/// chunk's block chain holds together: known code lengths, every block
+/// inside its chunk, no bytes after the last one.  Never throws.
+bool fz_stream_decodes(std::span<const uint8_t> bytes, size_t expect_elements,
+                       bool walk_blocks);
 
 /// A compressed block received through the fault-hardened transport.  When
 /// receive-side healing had to fall back to the raw block, the block arrives

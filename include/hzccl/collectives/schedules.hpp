@@ -215,8 +215,14 @@ Task<CheckedBlock> recv_checked_block(T t, int src, int tag, size_t expect_eleme
   // structural decode check: a CRC-valid, well-formed stream whose payload
   // was silently flipped decodes fine but fails its digests.
   const bool check_digests = config.verify == VerifyPolicy::kPerRound;
+  // Wire SDC flips a payload bit before the CRC seal, so a flipped
+  // code-length byte passes the parse and would throw in the later decode.
+  // Under a link-fault plan the check therefore walks every block chain,
+  // and such a stream heals like a mangled one; the per-round digest walk
+  // checks every block itself (and counts a broken chain as a detection).
+  const bool walk_blocks = t.faults().enabled() && !check_digests;
   const auto stream_ok = [&](const std::vector<uint8_t>& bytes, bool* digest_failure) {
-    if (!fz_stream_decodes(bytes, expect_elements)) return false;
+    if (!fz_stream_decodes(bytes, expect_elements, walk_blocks)) return false;
     if (check_digests && !verify_stream_digests(t, bytes, config)) {
       if (digest_failure != nullptr) *digest_failure = true;
       return false;
@@ -561,13 +567,18 @@ Task<void> raw_allreduce_recursive_doubling(T t, std::span<const float> input,
   const int rank = t.rank();
   std::vector<float> acc = working_copy(t, input, config);
   const DoublingLayout d = doubling_layout(rank, t.size());
+  // One receive buffer for the fold and every exchange, each of which
+  // overwrites it whole, so it is never zero-filled; only active ranks (the
+  // odd rank of a folded pair among them) receive into it.
+  const size_t recv_len = d.active >= 0 ? acc.size() : 0;
+  const std::unique_ptr<float[]> recv_buf = std::make_unique_for_overwrite<float[]>(recv_len);
+  const std::span<float> incoming(recv_buf.get(), recv_len);
 
   // Fold phase: even ranks of each folded pair hand their data to the odd one.
   if (d.folded_pair) {
     if (rank % 2 == 0) {
       send_floats_checked(t, rank + 1, kTagFold, acc, config, Mode::kSingleThread);
     } else {
-      std::vector<float> incoming(acc.size());
       co_await recv_floats_checked(t, rank - 1, kTagFold, incoming, config,
                                    Mode::kSingleThread);
       reduce_into(t, acc, incoming, 0, config, Mode::kSingleThread);
@@ -575,7 +586,6 @@ Task<void> raw_allreduce_recursive_doubling(T t, std::span<const float> input,
   }
 
   if (d.active >= 0) {
-    std::vector<float> incoming(acc.size());
     int step = 0;
     for (int mask = 1; mask < d.p2; mask <<= 1, ++step) {
       const int partner = d.real_rank(d.active ^ mask);
@@ -616,7 +626,10 @@ Task<void> raw_allreduce_rabenseifner(T t, std::span<const float> input,
   // [lo, hi); the lower-ranked partner keeps the lower half.
   size_t lo = 0, hi = acc.size();
   std::vector<std::pair<size_t, size_t>> splits;  // segment before each split
-  std::vector<float> incoming;
+  // Each receive overwrites its segment of this buffer, never zero-filled;
+  // the first segment, the larger half, is the longest.
+  const std::unique_ptr<float[]> recv_buf =
+      std::make_unique_for_overwrite<float[]>(acc.size() - acc.size() / 2);
   int step = 0;
   for (int mask = size / 2; mask >= 1; mask >>= 1, ++step) {
     const int partner = rank ^ mask;
@@ -630,7 +643,7 @@ Task<void> raw_allreduce_rabenseifner(T t, std::span<const float> input,
                         Mode::kSingleThread);
     lo = keep_low ? lo : mid;
     hi = keep_low ? mid : hi;
-    incoming.resize(hi - lo);
+    const std::span<float> incoming(recv_buf.get(), hi - lo);
     co_await recv_floats_checked(t, partner, kTagStep + step, incoming, config,
                                  Mode::kSingleThread);
     reduce_into(t, acc, incoming, lo, config, Mode::kSingleThread);
@@ -683,10 +696,11 @@ Task<bool> intra_node_reduce(T t, std::span<const float> input, const NodeGroups
   }
 
   acc = working_copy(t, input, config);
-  std::vector<float> incoming;
+  // Every member's payload overwrites this buffer whole: never zero-filled.
+  const std::unique_ptr<float[]> recv_buf = std::make_unique_for_overwrite<float[]>(input.size());
+  const std::span<float> incoming(recv_buf.get(), input.size());
   for (size_t m = 1; m < g.node_members.size(); ++m) {
     const int member = g.node_members[m];
-    incoming.resize(input.size());
     co_await recv_floats_checked(t, member, kTagIntraReduce + member, incoming, config,
                                  reduce_mode);
     reduce_into(t, acc, incoming, 0, config, reduce_mode);

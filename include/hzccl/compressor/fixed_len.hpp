@@ -20,10 +20,13 @@
 // the whole block — sign plane, byte planes and remainder — through one
 // kernel-table call (kernels::KernelTable::encode_block / decode_block),
 // which picks the widest byte-identical variant the host supports.  The
-// fused decodes (decode_block_dequantize, decode_block_fold,
-// decode_blocks_combine) make decode_block's checks and then one call to
-// the matching fused slot, which consumes the residuals without storing
-// them.
+// chunk walkers do not go through these per-block entry points: fZ-light
+// decompression, the digest verify walk and hZ-dynamic's combine each hand
+// a whole chunk to one chunk slot (kernels::KernelTable::decompress_chunk,
+// fold_chunk, combine_chunk), which validates every block the way
+// decode_block and peek_block_size do and decodes, folds or merges it
+// without storing its residuals; the walker turns the slot's status into
+// the exception these entry points would have raised.
 //
 // c == 0xFF marks a *raw* block: the n original floats stored verbatim
 // (little-endian), the fallback encoders use for values the quantized
@@ -93,31 +96,6 @@ uint8_t* encode_block_prepared(const uint32_t* magnitudes, const uint32_t* sign_
 /// the kRawBlockMarker byte before decoding).
 const uint8_t* decode_block(const uint8_t* src, const uint8_t* end, size_t n,
                             int32_t* residuals);
-
-/// Decode one residual block of `n` values from [src, end) and dequantize
-/// its prefix-sum chain (fZ-light decompression): *q is the chain value
-/// before the block and leaves as the value after it, and out[j] =
-/// float(double(q_j) * twice_eb).  Returns the first byte past the block.
-/// Makes decode_block's checks with its errors; a constant block (code
-/// length 0) is the caller's fast path and throws ParseError here, as a raw
-/// block does.
-const uint8_t* decode_block_dequantize(const uint8_t* src, const uint8_t* end, size_t n,
-                                       double twice_eb, int64_t* q, float* out);
-
-/// Decode one residual block and fold its chain into an ABFT digest pair
-/// (hzccl/integrity/digest.hpp) at 1-based position `pos`: *q in and out
-/// as for decode_block_dequantize.  Same checks and errors.
-const uint8_t* decode_block_fold(const uint8_t* src, const uint8_t* end, size_t n, uint64_t pos,
-                                 int64_t* q, uint64_t* sum, uint64_t* wsum);
-
-/// Decode one residual block from each operand and merge them, s = a +
-/// sign_b * b in int64, as the magnitude/sign split; returns the OR of all
-/// |s| (see kernels::DecodeCombineFn: above INT32_MAX the caller must throw
-/// before using mags/signs).  Both blocks get decode_block_dequantize's
-/// checks, a's first.
-uint64_t decode_blocks_combine(const uint8_t* pa, const uint8_t* ea, const uint8_t* pb,
-                               const uint8_t* eb, size_t n, int sign_b, uint32_t* mags,
-                               uint32_t* signs);
 
 /// Store `n` floats verbatim as a raw block; same [out, out_end) capacity
 /// contract as encode_block.

@@ -31,20 +31,24 @@
 // into the folded value.
 //
 // Verify walk: fz_verify_digests re-derives each chunk's digest from its
-// encoded residual chain without the per-value prefix sum.  A residual
-// block of n values that starts at chain value q and 1-based position p
-// adds, with T = n(n-1)/2,
+// encoded residual chain without the per-value prefix sum, in one call of
+// the kernel table's fold_chunk slot per chunk (kernels/dispatch.hpp).  With
+// g the 0-based chunk index of residual r_g, N values and chain start q0,
+// summing the chain over every position gives
 //
-//   sum  += n·q + SA
-//   wsum += q·(n·p + T) + p·SA + SB
+//   sum  = N·q0 + N·S0 − S1                   S1 = Σ g·r_g
+//   wsum = T(N)·q0 + T(N)·S0 − S2             S2 = Σ T(g)·r_g
 //
-// where SA = Σ_j (n − j)·r_j and SB = Σ_j (T − j(j−1)/2)·r_j (0-based j),
-// and the chain leaves the block at q + Σ r_j.  The sums are exact in
-// int64 for |r| < 2^31 and n ≤ 512, and the combination wraps mod 2^64,
-// so the words equal the per-value loop's.  The kernel table's decode_fold
-// slot computes it inside the block decode, from the residuals while they
-// are still in registers (kernels/dispatch.hpp), so the verify walk never
-// stores a decoded block.
+// with T(x) = x(x+1)/2 and S0 = Σ r_g; a raw block at [b, b + n) then takes
+// back n·q_B and (n·b + T(n))·q_B, q_B being the chain it carries over.
+// Block k of length L starts at b = k·L, and g = b + j splits each weight
+// into block-local parts (T(b + j) = T(b) + b·j + T(j)), so the sums of r,
+// j·r and T(j)·r run over the chunk with weights that never change, and
+// the block offsets come from running sums of those lane sums, added once
+// per block.  Every term is an exact integer mod 2^64, so the words equal
+// the per-value loop's; the AVX-512 slot keeps the sums in registers and
+// reduces them once per chunk, the scalar slot (the oracle) folds block by
+// block.
 //
 // Everything here is trivially copyable, allocation-free and HZCCL_HOT —
 // digest emission rides the compressors' existing per-block loops, summing

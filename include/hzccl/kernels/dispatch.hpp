@@ -5,40 +5,53 @@
 // §III-B3: a sign plane, c/8 byte planes and one x-bit remainder plane per
 // block, decoded or encoded in one call), fZ-light's fused block pass —
 // raw-fallback classification, quantization and 1-D Lorenzo prediction in
-// one walk over the block (§III-B2) — and its three fused decodes, each of
-// which decodes a block and consumes its residuals while they are still in
-// registers: prefix sum and dequantize (decompression, the block pass run
-// backwards), the ABFT digest fold (the verify walk), and the two-operand
-// quantized-delta merge at the heart of hz_add's pipeline 4 (§III-C).  SZx's
-// min/max scan and the CRC-32C every wire frame carries complete the set.
-// This header exposes those primitives as a table of function pointers with
-// one table per *dispatch level*:
+// one walk over the block (§III-B2) — and three chunk walks, each of which
+// takes a whole chunk's block chain in one call, validates every block and
+// consumes each residual block while its values are still in registers:
+// decode, prefix sum and dequantize (decompression, the block pass run
+// backwards), the ABFT digest fold (the verify walk), and the hZ-dynamic
+// combine of two chunks, pipelines 1-3 as copies and pipeline 4's decode,
+// integer merge and re-encode (§III-C).  SZx's min/max scan and the
+// CRC-32C every wire frame carries complete the set: eight slots.  This
+// header exposes those primitives as a table of function pointers with one
+// table per *dispatch level*:
 //
 //   kScalar — the portable C++ reference.  Always compiled, always
 //             supported; it is both the fallback and the oracle every
 //             vectorized variant is differentially tested against
-//             (tests/kernel_conformance_test.cpp).  Its fused decodes are
-//             the scalar block decode followed by the scalar consumer.
+//             (tests/kernel_conformance_test.cpp).  Its chunk walks visit
+//             one block at a time: the scalar block decode, then the
+//             scalar consumer (serial prefix sum, serial digest fold,
+//             int64 merge and the scalar encode).
 //   kAvx2   — AVX2 + BMI2 + SSE4.2: the block codec on 8-value PDEP/PEXT
-//             groups (the fused decodes run it into a stack block, then the
-//             consumer), the vector classify and predict of the fused block
-//             pass, and the hardware crc32 instruction.
+//             groups (the chunk walks run it block by block into a stack
+//             block, then the consumer), the vector classify and predict of
+//             the fused block pass, and the hardware crc32 instruction.
 //   kAvx512 — AVX-512 (F/BW/DQ/VL/VBMI) with PCLMUL and VPCLMULQDQ, on
 //             top of the AVX2 level's set: the block codec on 32-value
 //             groups (VPERMB + VPMULTISHIFTQB remainder planes), with one
-//             group decoder shared by decode_block and the three fused
-//             decodes (in-register int64 scan + VCVTQQ2PD dequantize,
-//             closed-form digest sums, int64 merge), the fused block pass
-//             in one masked walk (VCVTPD2QQ, the exact llrint, with the
-//             predecessor lane from VALIGND), and a carry-less CRC-32C:
+//             group decoder shared by decode_block and the three chunk
+//             walks, whose state stays in registers from block to block
+//             (the dequantize chain carry; the digest fold's weights and
+//             lane sums, reduced once per chunk), and one group encoder
+//             shared by encode_block and pipeline 4, which encodes the
+//             merged block from registers; the fused block pass in one
+//             masked walk (VCVTPD2QQ, the exact llrint, with the
+//             predecessor lane from VALIGND); and a carry-less CRC-32C:
 //             four 512-bit VPCLMULQDQ accumulators fold 256 bytes per step
 //             down to a 128-bit remainder that two crc32 instructions
 //             reduce.
 //
+// All three levels run one chunk walk (walk_blocks in
+// src/kernels/kernel_impls.hpp), which owns block validation, raw and
+// constant blocks and the short last block; a level only supplies the
+// visitor of a residual block (and of a pipeline-4 pair).
+//
 // Contract: every variant produces byte-identical output to the scalar
 // reference on identical input — including sign conventions, guard
 // accumulators and out-of-range lanes — so the active level can never leak
-// into the wire format.  Kernels never allocate; callers own all buffers
+// into the wire format.  Kernels never allocate and never throw (a chunk
+// slot returns a ChunkStatus its caller raises on); callers own all buffers
 // (stack blocks or BufferPool/ScratchArena storage).
 //
 // The active table is chosen once, lazily: the highest level both compiled
@@ -120,33 +133,75 @@ using DecodeBlockFn = void (*)(const uint8_t* payload, size_t n, int code_len,
 /// the payload bytes DecodeBlockFn reads, nothing past them.
 using EncodeBlockFn = void (*)(const uint32_t* mags, const uint32_t* signs, size_t n,
                                int code_len, uint8_t* payload);
-/// The fused decodes below take one residual block's payload exactly as
-/// DecodeBlockFn does (code length c in 1..31, n <= kMaxBlockValues, the
-/// caller has checked c, n and the length), read exactly its bytes, and use
-/// the signed residuals r_0..r_{n-1} without storing them.
+/// How a chunk slot ended: kOk, or the first fault in the chunk's block
+/// chain, in the order the walk meets them (block by block; within a block,
+/// operand a's chain before b's, then the block's own work).  The slots
+/// never raise; each caller turns a status into its exception.
+enum class ChunkStatus : uint8_t {
+  kOk = 0,
+  kEmptyBlock,       ///< a block starts at the end of its payload
+  kBadCodeLength,    ///< a code-length byte in 32..254
+  kTruncatedBlock,   ///< a residual block's bytes run past the payload
+  kTruncatedRaw,     ///< a raw block's 1 + 4n bytes run past the payload
+  kTrailingBytes,    ///< bytes after the chunk's last block
+  kRawInMerge,       ///< combine: a raw block in a pipeline-4 pair
+  kOverflow,         ///< combine: a merged residual past +-(2^31 - 1)
+  kCopyCapacity,     ///< combine: pipeline 1, 2 (sign +1) or 3 output past capacity
+  kNegateCapacity,   ///< combine: pipeline 2's negated copy (sign -1) past capacity
+  kEncodeCapacity,   ///< combine: pipeline 4's encoded block past capacity
+};
+
+/// The chunk slots below walk one fZ-light chunk's block chain
+/// (hzccl/compressor/fixed_len.hpp layout): `count` values in blocks of
+/// block_len (1..kMaxBlockValues, the last block short), each block a
+/// constant (code length 0), residual (1..31) or raw (0xFF) block, the
+/// payload [payload, payload + size) ending exactly after the last one.
+/// They read only the payload, write only their outputs, and validate
+/// every block before its work runs.  Residual chains are int64 and start
+/// at the chunk's outlier q; raw blocks sit outside the chain.
 ///
-/// Decode, prefix sum and dequantize (fZ-light decompression): with the
-/// chain q_j = q + r_0 + ... + r_j in int64, writes exactly n floats
-/// out[j] = (float)((double)q_j * twice_eb) — the bits
-/// Quantizer::dequantize produces, both conversions rounding under MXCSR.
-/// Returns the chain value after the block, q_{n-1}.
-using DecodeDequantizeFn = int64_t (*)(const uint8_t* payload, size_t n, int code_len, int64_t q,
-                                       double twice_eb, float* out);
-/// Decode and ABFT digest fold (hzccl/integrity/digest.hpp, the verify
-/// walk): each chain value q_j at 1-based position pos + j is added to *sum
-/// and (pos + j) * q_j to *wsum, mod 2^64 (the closed form; the words equal
-/// the per-value loop's).  Returns the chain value after the block.
-using DecodeFoldFn = int64_t (*)(const uint8_t* payload, size_t n, int code_len, int64_t q,
-                                 uint64_t pos, uint64_t* sum, uint64_t* wsum);
-/// Decode two blocks and merge them (hZ-dynamic pipeline 4): s_j = a_j +
-/// sign_b * b_j in int64, written as the magnitude/sign split the encoder
-/// consumes (mags = low 32 bits of |s_j|, signs = 1 for negative).  Returns
-/// the OR of all |s_j| (64-bit): <= INT32_MAX means every lane fit and the
-/// value doubles as the code-length source; above that the caller must
-/// throw before using mags/signs.
-using DecodeCombineFn = uint64_t (*)(const uint8_t* payload_a, int code_len_a,
-                                     const uint8_t* payload_b, int code_len_b, size_t n,
-                                     int sign_b, uint32_t* mags, uint32_t* signs);
+/// Decompress (fZ-light): out[j] = (float)((double)q_j * twice_eb) for
+/// each chain value q_j (Quantizer::dequantize's bits, both conversions
+/// rounding under MXCSR), a raw block's floats verbatim.  Writes exactly
+/// `count` floats on kOk.
+using DecompressChunkFn = ChunkStatus (*)(const uint8_t* payload, size_t size, size_t count,
+                                          uint32_t block_len, int64_t q, double twice_eb,
+                                          float* out);
+/// ABFT digest fold (hzccl/integrity/digest.hpp, the verify walk): on kOk
+/// *sum and *wsum hold the sum of each chain value q_j and of (j + 1) *
+/// q_j over the chunk's non-raw positions j, mod 2^64.
+using FoldChunkFn = ChunkStatus (*)(const uint8_t* payload, size_t size, size_t count,
+                                    uint32_t block_len, int64_t q, uint64_t* sum,
+                                    uint64_t* wsum);
+
+/// What a combine_chunk call did: its status, the output bytes of the
+/// blocks it finished, and the hZ-dynamic pipeline counts of those blocks
+/// (HzPipelineStats' fields; raw pairs are not this slot's).
+struct CombineChunkResult {
+  ChunkStatus status = ChunkStatus::kOk;
+  size_t bytes = 0;
+  uint64_t p1 = 0;
+  uint64_t p2 = 0;
+  uint64_t p3 = 0;
+  uint64_t p4 = 0;
+  uint64_t copied_bytes = 0;  ///< bytes pipelines 2 and 3 copied
+  uint64_t p4_elements = 0;   ///< values pipeline 4 merged
+
+  uint64_t blocks() const { return p1 + p2 + p3 + p4; }
+};
+
+/// hZ-dynamic combine of one chunk pair, a + sign_b * b (sign_b +1 or -1),
+/// into [out, out + capacity), both chains walked in lockstep (paper
+/// §III-C): pipeline 1 (both blocks constant) writes a constant block, 2 (a
+/// constant) copies b's block, negated for sign_b -1 (sign plane inverted
+/// with its padding kept zero, or a raw block's float sign bits flipped), 3
+/// (b constant) copies a's block, and 4 decodes both, merges s_j = a_j +
+/// sign_b * b_j in int64 and encodes s at the code length of the OR of all
+/// |s_j|; an OR past INT32_MAX is kOverflow.  Every output block is checked
+/// against the capacity before it is written.
+using CombineChunkFn = CombineChunkResult (*)(const uint8_t* a, size_t size_a, const uint8_t* b,
+                                              size_t size_b, size_t count, uint32_t block_len,
+                                              int sign_b, uint8_t* out, size_t capacity);
 
 /// One dispatch level's kernel set.  Entries a level does not
 /// hand-vectorize alias the next-lower level's function, so every slot of a
@@ -158,9 +213,9 @@ struct KernelTable {
   Crc32cFn crc32c = nullptr;
   DecodeBlockFn decode_block = nullptr;
   EncodeBlockFn encode_block = nullptr;
-  DecodeDequantizeFn decode_dequantize = nullptr;
-  DecodeFoldFn decode_fold = nullptr;
-  DecodeCombineFn decode_combine = nullptr;
+  DecompressChunkFn decompress_chunk = nullptr;
+  FoldChunkFn fold_chunk = nullptr;
+  CombineChunkFn combine_chunk = nullptr;
 };
 
 /// "scalar" / "avx2" / "avx512".

@@ -1,12 +1,15 @@
 #include "hzccl/collectives/common.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <numeric>
 #include <span>
 
 #include "hzccl/collectives/schedules.hpp"
+#include "hzccl/compressor/fixed_len.hpp"
 #include "hzccl/util/bytes.hpp"
+#include "hzccl/util/threading.hpp"
 
 namespace hzccl::coll {
 
@@ -55,10 +58,26 @@ VerifyPolicy parse_verify_policy(const std::string& text) {
   throw Error("unknown verify policy '" + text + "' (expected off|final|round)");
 }
 
-bool fz_stream_decodes(std::span<const uint8_t> bytes, size_t expect_elements) {
+bool fz_stream_decodes(std::span<const uint8_t> bytes, size_t expect_elements,
+                       bool walk_blocks) {
   try {
     const FzView view = parse_fz(bytes);
-    return expect_elements == 0 || view.num_elements() == expect_elements;
+    if (expect_elements != 0 && view.num_elements() != expect_elements) return false;
+    if (!walk_blocks) return true;
+    const uint32_t nchunks = view.num_chunks();
+    const size_t block_len = view.block_len();
+    for (uint32_t c = 0; c < nchunks; ++c) {
+      const Range r =
+          chunk_range(view.num_elements(), static_cast<int>(nchunks), static_cast<int>(c));
+      const std::span<const uint8_t> chunk = view.chunk_payload(c);
+      const uint8_t* p = chunk.data();
+      const uint8_t* const end = p + chunk.size();
+      for (size_t pos = 0; pos < r.size(); pos += block_len) {
+        p += peek_block_size(p, end, std::min(block_len, r.size() - pos));
+      }
+      if (p != end) return false;
+    }
+    return true;
   } catch (const Error&) {
     return false;
   }
@@ -111,8 +130,10 @@ CompressedBuffer heal_stream(Comm& comm, int src, int tag, CompressedBuffer rece
                              const CollectiveConfig& config) {
   CommTransport t(comm);
   const bool check_digests = config.verify == VerifyPolicy::kPerRound;
+  // See recv_checked_block: the digest walk checks every block itself.
+  const bool walk_blocks = comm.faults().enabled() && !check_digests;
   auto stream_ok = [&](const std::vector<uint8_t>& bytes, bool* digest_failure) {
-    if (!fz_stream_decodes(bytes, 0)) return false;
+    if (!fz_stream_decodes(bytes, 0, walk_blocks)) return false;
     if (check_digests && !body::verify_stream_digests(t, bytes, config)) {
       if (digest_failure != nullptr) *digest_failure = true;
       return false;

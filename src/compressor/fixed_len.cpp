@@ -50,69 +50,26 @@ HZCCL_HOT uint8_t* encode_block(const int32_t* residuals, size_t n, uint8_t* out
   return encode_block_prepared(mags, signs, n, c, out, out_end);
 }
 
-namespace {
-
-/// decode_block's checks on the block at src; returns its code length, 0
-/// for a constant block (no payload to check).
-HZCCL_HOT int checked_code_length(const uint8_t* src, const uint8_t* end, size_t n) {
+HZCCL_HOT const uint8_t* decode_block(const uint8_t* src, const uint8_t* end, size_t n,
+                            int32_t* residuals) {
   if (src >= end) detail::raise_parse("decode_block: empty input");
-  const int c = *src++;
-  if (c == 0) return 0;
+  const int c = *src;
+  if (c == 0) {
+    std::memset(residuals, 0, n * sizeof(int32_t));
+    return src + 1;
+  }
   if (c == kRawBlockMarker) {
     detail::raise_parse("decode_block: raw block in a residual-only context");
   }
   if (c > kMaxCodeLength) detail::raise_parse("decode_block: bad code length");
-  if (static_cast<size_t>(end - src) < encoded_block_size(c, n) - 1) {
+  if (static_cast<size_t>(end - src) < encoded_block_size(c, n)) {
     detail::raise_parse("decode_block: truncated block payload");
   }
   if (n > kernels::kMaxBlockValues) {
     detail::raise_parse("decode_block: block length > 512 unsupported");
   }
-  return c;
-}
-
-/// checked_code_length for the fused decodes, which take residual payloads
-/// only.
-HZCCL_HOT int checked_payload_code_length(const uint8_t* src, const uint8_t* end, size_t n) {
-  const int c = checked_code_length(src, end, n);
-  if (c == 0) detail::raise_parse("decode_block: constant block in a fused decode");
-  return c;
-}
-
-}  // namespace
-
-HZCCL_HOT const uint8_t* decode_block(const uint8_t* src, const uint8_t* end, size_t n,
-                            int32_t* residuals) {
-  const int c = checked_code_length(src, end, n);
-  if (c == 0) {
-    std::memset(residuals, 0, n * sizeof(int32_t));
-    return src + 1;
-  }
   kernels::active().decode_block(src + 1, n, c, residuals);
   return src + encoded_block_size(c, n);
-}
-
-HZCCL_HOT const uint8_t* decode_block_dequantize(const uint8_t* src, const uint8_t* end, size_t n,
-                                                 double twice_eb, int64_t* q, float* out) {
-  const int c = checked_payload_code_length(src, end, n);
-  *q = kernels::active().decode_dequantize(src + 1, n, c, *q, twice_eb, out);
-  return src + encoded_block_size(c, n);
-}
-
-HZCCL_HOT const uint8_t* decode_block_fold(const uint8_t* src, const uint8_t* end, size_t n,
-                                           uint64_t pos, int64_t* q, uint64_t* sum,
-                                           uint64_t* wsum) {
-  const int c = checked_payload_code_length(src, end, n);
-  *q = kernels::active().decode_fold(src + 1, n, c, *q, pos, sum, wsum);
-  return src + encoded_block_size(c, n);
-}
-
-HZCCL_HOT uint64_t decode_blocks_combine(const uint8_t* pa, const uint8_t* ea, const uint8_t* pb,
-                                         const uint8_t* eb, size_t n, int sign_b, uint32_t* mags,
-                                         uint32_t* signs) {
-  const int ca = checked_payload_code_length(pa, ea, n);
-  const int cb = checked_payload_code_length(pb, eb, n);
-  return kernels::active().decode_combine(pa + 1, ca, pb + 1, cb, n, sign_b, mags, signs);
 }
 
 HZCCL_HOT uint8_t* encode_raw_block(const float* values, size_t n, uint8_t* out,

@@ -92,84 +92,65 @@ HZCCL_HOT size_t compress_chunk(std::span<const float> data, Range range, uint32
   return static_cast<size_t>(out - out_begin);
 }
 
-/// Decode chunk c, `count` values, into out[0, count).  Standalone and
-/// HZCCL_HOT (rather than inline in the omp lambdas below) so tools/analyze
-/// proves the steady-state decode loop allocation- and throw-free; all
-/// failure paths are cold raises.
-HZCCL_HOT void decompress_chunk(const FzView& view, const Quantizer& quant, uint32_t block_len,
-                                size_t count, uint32_t c, float* out) {
-  const auto chunk = view.chunk_payload(c);
-  const uint8_t* src = chunk.data();
-  const uint8_t* const end = src + chunk.size();
-
-  // 64-bit accumulator: homomorphically reduced streams may sum many
-  // operands, and the running quantized value must not wrap.
-  int64_t q = view.chunk_outliers[c];
-  size_t pos = 0;
-  while (pos < count) {
-    const size_t n = std::min<size_t>(block_len, count - pos);
-    // Raw fallback block: the original floats verbatim, outside the
-    // quantized chain — q carries over it untouched.
-    if (src < end && *src == kRawBlockMarker) {
-      src = decode_raw_block(src, end, n, out + pos);
-      pos += n;
-      continue;
-    }
-    // Constant-block fast path: a zero code length means every residual
-    // is zero, so the whole block is one fill — the dominant case on
-    // quiet scientific data and the reason fZ-light's decompression can
-    // approach the STREAM peak (paper Table IV).
-    if (src < end && *src == 0) {
-      ++src;
-      std::fill_n(out + pos, n, quant.dequantize(q));
-      pos += n;
-      continue;
-    }
-    // Decode, prefix sum and dequantize in one slot call, the residuals
-    // never leaving registers.  The chunk's first residual is zero by
-    // construction (q0 - q0), and a sum of homomorphic streams keeps it
-    // zero, so the generic prefix sum is exact for every element including
-    // the first.
-    src = decode_block_dequantize(src, end, n, quant.twice_eb, &q, out + pos);
-    pos += n;
-  }
-  if (src != end) {
-    detail::raise_format("fz_decompress: trailing bytes in chunk payload");
+/// The exception of a chunk slot's fault in a residual-chain walk
+/// (decompress or verify): decode_block's for a residual block,
+/// `raw_truncated` for a raw block cut short, `trailing` for bytes after
+/// the last block.
+[[noreturn]] HZCCL_COLD void raise_chain_fault(kernels::ChunkStatus st, const char* raw_truncated,
+                                               const char* trailing) {
+  switch (st) {
+    case kernels::ChunkStatus::kEmptyBlock:
+      detail::raise_parse("decode_block: empty input");
+    case kernels::ChunkStatus::kBadCodeLength:
+      detail::raise_parse("decode_block: bad code length");
+    case kernels::ChunkStatus::kTruncatedBlock:
+      detail::raise_parse("decode_block: truncated block payload");
+    case kernels::ChunkStatus::kTruncatedRaw:
+      detail::raise_parse(raw_truncated);
+    case kernels::ChunkStatus::kTrailingBytes:
+      detail::raise_format(trailing);
+    default:
+      detail::raise_error("fz chunk walk: unexpected slot status");
   }
 }
 
-/// Recompute one chunk's digest from its encoded residual chain.  Integer
-/// domain only — the walk mirrors decompress_chunk but never converts to
-/// floats; constant blocks fold in O(1) and residual blocks through the
-/// decode-fold slot (decoded and folded in registers, closed form, no
-/// per-value prefix sum).  A standalone HZCCL_HOT root so tools/analyze
-/// proves the verify pass allocation- and throw-free.
+/// Decode chunk c, `count` values, into out[0, count): one decompress_chunk
+/// slot call, which decodes, prefix-sums and dequantizes every residual
+/// block in registers, fills constant blocks (the dominant case on quiet
+/// scientific data and the reason fZ-light's decompression can approach
+/// the STREAM peak, paper Table IV) and copies raw blocks, which sit
+/// outside the chain.  The int64 chain cannot wrap on homomorphically
+/// reduced streams of many operands, and the chunk's first residual is
+/// zero by construction (q0 - q0, and sums of streams keep it so).
+/// Standalone and HZCCL_HOT so tools/analyze proves it allocation- and
+/// throw-free; every failure path is a cold raise.
+HZCCL_HOT void decompress_chunk(const FzView& view, const Quantizer& quant, uint32_t block_len,
+                                size_t count, uint32_t c, float* out) {
+  const auto chunk = view.chunk_payload(c);
+  const kernels::ChunkStatus st =
+      kernels::active().decompress_chunk(chunk.data(), chunk.size(), count, block_len,
+                                         view.chunk_outliers[c], quant.twice_eb, out);
+  if (st != kernels::ChunkStatus::kOk) {
+    raise_chain_fault(st, "decode_raw_block: truncated raw payload",
+                      "fz_decompress: trailing bytes in chunk payload");
+  }
+}
+
+/// Recompute one chunk's digest from its encoded residual chain: one
+/// fold_chunk slot call, integer domain only (constant blocks fold in
+/// O(1), residual blocks in registers with no per-value prefix sum, raw
+/// blocks contribute nothing).  A standalone HZCCL_HOT root so
+/// tools/analyze proves the verify pass allocation- and throw-free.
 HZCCL_HOT integrity::Digest verify_chunk_digest(const FzView& view, uint32_t block_len, Range r,
                                                 uint32_t c) {
   const auto chunk = view.chunk_payload(c);
-  const uint8_t* src = chunk.data();
-  const uint8_t* const end = src + chunk.size();
-
   integrity::Digest digest;
-  int64_t q = view.chunk_outliers[c];
-  uint64_t pos = 1;  // 1-based chunk-local position
-  size_t remaining = r.size();
-  while (remaining > 0) {
-    const size_t n = std::min<size_t>(block_len, remaining);
-    if (src < end && *src == kRawBlockMarker) {
-      // Raw block: outside the chain, contributes nothing; skip its bytes.
-      src += peek_block_size(src, end, n);
-    } else if (src < end && *src == 0) {
-      ++src;
-      digest.accumulate_run(q, pos, n);
-    } else {
-      src = decode_block_fold(src, end, n, pos, &q, &digest.sum, &digest.wsum);
-    }
-    pos += n;
-    remaining -= n;
-  }
-  if (src != end) {
-    detail::raise_format("fz_verify_digests: trailing bytes in chunk payload");
+  const kernels::ChunkStatus st =
+      kernels::active().fold_chunk(chunk.data(), chunk.size(), r.size(), block_len,
+                                   view.chunk_outliers[c], &digest.sum, &digest.wsum);
+  if (st != kernels::ChunkStatus::kOk) {
+    raise_chain_fault(st, "peek_block_size: truncated block",
+                      "fz_verify_digests: trailing bytes in chunk payload");
   }
   return digest;
 }

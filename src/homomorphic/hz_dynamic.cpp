@@ -7,6 +7,7 @@
 #include "hzccl/compressor/fixed_len.hpp"
 #include "hzccl/compressor/quantize.hpp"
 #include "hzccl/integrity/sdc.hpp"
+#include "hzccl/kernels/dispatch.hpp"
 #include "hzccl/util/contracts.hpp"
 #include "hzccl/util/raise.hpp"
 #include "hzccl/util/threading.hpp"
@@ -14,93 +15,108 @@
 namespace hzccl {
 namespace {
 
+/// Replay the compute-side SDC injection point over the first `blocks`
+/// block triples of a combine (operands a and b, output out): each
+/// pipeline-4 block (both operand blocks non-constant) goes to the armed
+/// injector as its merged magnitude/sign split, decoded back from out, and
+/// a lane the injector sign-flips is flipped in out's sign plane.  A flip
+/// keeps the block's code length and size, so this equals poisoning the
+/// split between the overflow guard and the encode, block by block, with
+/// the same counter sequence.
+HZCCL_COLD void replay_sdc_poison(integrity::SdcInjector& inj, std::span<const uint8_t> ca,
+                                  std::span<const uint8_t> cb, uint8_t* out,
+                                  const uint8_t* out_end, size_t chunk_elems, uint32_t block_len,
+                                  uint64_t blocks) {
+  const uint8_t* pa = ca.data();
+  const uint8_t* pb = cb.data();
+  int32_t r[kMaxWireBlockLen];
+  uint32_t mags[kMaxWireBlockLen];
+  uint32_t signs[kMaxWireBlockLen];
+  uint32_t before[kMaxWireBlockLen];
+  size_t remaining = chunk_elems;
+  for (uint64_t k = 0; k < blocks; ++k) {
+    const size_t n = std::min<size_t>(block_len, remaining);
+    const size_t size_a = peek_block_size(pa, ca.data() + ca.size(), n);
+    const size_t size_b = peek_block_size(pb, cb.data() + cb.size(), n);
+    const size_t size_o = peek_block_size(out, out_end, n);
+    if (*pa != 0 && *pb != 0) {
+      decode_block(out, out_end, n, r);
+      for (size_t i = 0; i < n; ++i) {
+        mags[i] = static_cast<uint32_t>(r[i] < 0 ? -int64_t{r[i]} : r[i]);
+        signs[i] = r[i] < 0 ? 1u : 0u;
+      }
+      std::copy(signs, signs + n, before);
+      if (inj.maybe_poison_combine(mags, signs, n)) {
+        for (size_t i = 0; i < n; ++i) {
+          if (signs[i] != before[i]) out[1 + i / 8] ^= static_cast<uint8_t>(1u << (i % 8));
+        }
+      }
+    }
+    pa += size_a;
+    pb += size_b;
+    out += size_o;
+    remaining -= n;
+  }
+}
+
+/// The exception of a combine_chunk slot fault: the one peek_block_size,
+/// decode_block or encode_block_prepared raises for the same block.
+[[noreturn]] HZCCL_COLD void raise_combine_fault(kernels::ChunkStatus st) {
+  switch (st) {
+    case kernels::ChunkStatus::kEmptyBlock:
+      detail::raise_parse("peek_block_size: empty input");
+    case kernels::ChunkStatus::kBadCodeLength:
+      detail::raise_parse("peek_block_size: bad code length");
+    case kernels::ChunkStatus::kTruncatedBlock:
+    case kernels::ChunkStatus::kTruncatedRaw:
+      detail::raise_parse("peek_block_size: truncated block");
+    case kernels::ChunkStatus::kRawInMerge:
+      detail::raise_parse("decode_block: raw block in a residual-only context");
+    case kernels::ChunkStatus::kOverflow:
+      detail::raise_overflow("residual sum overflows the 31-bit magnitude domain");
+    case kernels::ChunkStatus::kCopyCapacity:
+      detail::raise_capacity("hz combine: chunk output capacity exceeded");
+    case kernels::ChunkStatus::kNegateCapacity:
+      detail::raise_capacity("hz negate: block copy exceeds output capacity");
+    case kernels::ChunkStatus::kEncodeCapacity:
+      detail::raise_capacity("encode_block: encoded block exceeds output capacity");
+    case kernels::ChunkStatus::kTrailingBytes:
+      detail::raise_format("hz combine: chunk payload longer than its block grid");
+    default:
+      detail::raise_error("hz combine: unexpected slot status");
+  }
+}
+
 /// Homomorphically combine one chunk pair, a + Sign * b, into
-/// [out, out + out_capacity) with the four-pipeline dispatch; returns bytes
-/// written.  Operand payloads are untrusted: the copy fast paths (pipelines
-/// 2/3) move operand bytes verbatim, so every write — copied or re-encoded —
-/// is checked against the destination's worst-case capacity before it
-/// happens (CapacityError on violation).
+/// [out, out + out_capacity) with the four-pipeline dispatch (paper
+/// §III-C); returns bytes written.  One combine_chunk slot call walks both
+/// chains: pipelines 1-3 write a constant block or copy an operand's block
+/// (negated for a difference), pipeline 4 decodes both blocks, merges them
+/// in int64 and re-encodes the sum without storing residuals.  Operand
+/// payloads are untrusted: the slot validates every block and checks every
+/// write — copied or re-encoded — against the destination's worst-case
+/// capacity before it happens; a fault becomes the exception the per-block
+/// walk raised.  An armed SdcInjector poisons the finished pipeline-4
+/// blocks afterwards (replay_sdc_poison); a disarmed one costs one test.
 template <int Sign>
 HZCCL_HOT size_t combine_chunk(std::span<const uint8_t> ca, std::span<const uint8_t> cb,
                                size_t chunk_elems, uint32_t block_len, uint8_t* out,
                                size_t out_capacity, HzPipelineStats& stats) {
   static_assert(Sign == 1 || Sign == -1, "combine_chunk: Sign must be +1 or -1");
-  uint8_t* const out_begin = out;
-  const uint8_t* const out_end = out + out_capacity;
-  const uint8_t* pa = ca.data();
-  const uint8_t* const ea = pa + ca.size();
-  const uint8_t* pb = cb.data();
-  const uint8_t* const eb = pb + cb.size();
-
-  uint32_t mags[kMaxWireBlockLen];
-  uint32_t signs[kMaxWireBlockLen];
-
-  size_t remaining = chunk_elems;
-  while (remaining > 0) {
-    const size_t n = std::min<size_t>(block_len, remaining);
-    const size_t size_a = peek_block_size(pa, ea, n);
-    const size_t size_b = peek_block_size(pb, eb, n);
-    const int x = *pa;
-    const int y = *pb;
-
-    if (x == 0 && y == 0) {
-      // Pipeline 1: both constant — the result is constant too; one byte out.
-      if (out >= out_end) detail::raise_capacity("hz combine: chunk output capacity exceeded");
-      *out++ = 0;
-      ++stats.p1;
-    } else if (x == 0) {
-      // Pipeline 2: a is constant (all residuals zero), so a + Sign * b has
-      // exactly Sign * b's residual stream: b's block verbatim, or with its
-      // sign plane flipped for a difference.
-      if constexpr (Sign > 0) {
-        if (size_b > static_cast<size_t>(out_end - out)) {
-          detail::raise_capacity("hz combine: chunk output capacity exceeded");
-        }
-        std::memcpy(out, pb, size_b);
-        out += size_b;
-      } else {
-        out += detail::copy_block_negated(pb, eb, n, out, out_end);
-      }
-      ++stats.p2;
-      stats.copied_bytes += size_b;
-    } else if (y == 0) {
-      // Pipeline 3: b is constant, so the result is a's block verbatim.
-      if (size_a > static_cast<size_t>(out_end - out)) {
-        detail::raise_capacity("hz combine: chunk output capacity exceeded");
-      }
-      std::memcpy(out, pa, size_a);
-      out += size_a;
-      ++stats.p3;
-      stats.copied_bytes += size_a;
-    } else {
-      // Pipeline 4: partial decode (IFE), integer combine, re-encode (FE).
-      // Both decodes and the merge are one dispatched slot call, the
-      // residuals never leaving registers; its guard (OR of all |s|)
-      // range-checks the whole block with one compare.
-      const uint64_t guard = decode_blocks_combine(pa, ea, pb, eb, n, Sign, mags, signs);
-      if (guard > static_cast<uint64_t>(std::numeric_limits<int32_t>::max())) {
-        detail::raise_overflow("residual sum overflows the 31-bit magnitude domain");
-      }
-      // Compute-side SDC injection point: an armed injector sign-flips one
-      // combined lane *after* the guard and *before* encoding, so the
-      // poisoned block encodes cleanly and only a digest verify can see it.
-      if (integrity::SdcInjector* inj = integrity::sdc_injector(); inj) {
-        inj->maybe_poison_combine(mags, signs, n);
-      }
-      out = encode_block_prepared(mags, signs, n, code_length_for(static_cast<uint32_t>(guard)),
-                                  out, out_end);
-      ++stats.p4;
-      stats.p4_elements += n;
-    }
-
-    pa += size_a;
-    pb += size_b;
-    remaining -= n;
+  const kernels::CombineChunkResult res = kernels::active().combine_chunk(
+      ca.data(), ca.size(), cb.data(), cb.size(), chunk_elems, block_len, Sign, out, out_capacity);
+  if (integrity::SdcInjector* inj = integrity::sdc_injector(); inj) {
+    replay_sdc_poison(*inj, ca, cb, out, out + out_capacity, chunk_elems, block_len,
+                      res.blocks());
   }
-  if (pa != ea || pb != eb) {
-    detail::raise_format("hz combine: chunk payload longer than its block grid");
-  }
-  return static_cast<size_t>(out - out_begin);
+  if (res.status != kernels::ChunkStatus::kOk) raise_combine_fault(res.status);
+  stats.p1 += res.p1;
+  stats.p2 += res.p2;
+  stats.p3 += res.p3;
+  stats.p4 += res.p4;
+  stats.copied_bytes += res.copied_bytes;
+  stats.p4_elements += res.p4_elements;
+  return res.bytes;
 }
 
 /// Chain-tracking per-chunk combine (a + sign_b * b) for operand pairs with

@@ -7,8 +7,8 @@
 // pass's classification and prediction (around the scalar llrint: AVX2 has
 // no exact packed double->int64 convert), and the three-lane SSE4.2
 // CRC-32C (-mavx2 implies -msse4.2; the CPU probe checks sse4.2
-// explicitly).  The fused decodes run the PDEP/PEXT block decode into a
-// stack block, then the dequantize loop, the closed-form digest fold or the
+// explicitly).  The chunk walks run the PDEP/PEXT block codec block by
+// block around the dequantize loop, the closed-form digest fold and the
 // integer merge, recompiled under AVX2 so the auto-vectorizer retargets
 // them.
 #include "hzccl/kernels/dispatch.hpp"
@@ -25,9 +25,9 @@ bool populate_avx2(KernelTable& t) {
   t.crc32c = &crc32c_sse42_body;
   t.decode_block = &decode_block_avx2_body;
   t.encode_block = &encode_block_avx2_body;
-  t.decode_dequantize = &decode_dequantize_avx2_body;
-  t.decode_fold = &decode_fold_avx2_body;
-  t.decode_combine = &decode_combine_avx2_body;
+  t.decompress_chunk = &decompress_chunk_avx2_body;
+  t.fold_chunk = &fold_chunk_avx2_body;
+  t.combine_chunk = &combine_chunk_avx2_body;
   return true;
 }
 

@@ -4,9 +4,10 @@
 //
 // Hand-vectorized here: the whole-block codec on 32-value groups (the
 // fixed-length block's size; VPERMB + VPMULTISHIFTQB remainder unpack),
-// whose one group decoder also feeds the three fused decodes (in-register
-// int64 scan and dequantize, the closed-form digest sums, the 8-lane int64
-// residual merge), the 16-lane SZx scan, the fused block pass in one
+// whose group decoder and encoder also serve the three chunk walks
+// (in-register int64 scan and dequantize with the chain carry kept across
+// blocks, the digest sums reduced once per chunk, the int32 residual merge
+// encoded from registers), the 16-lane SZx scan, the fused block pass in one
 // masked walk (VCVTPD2QQ, the exact llrint equivalent), and the CRC-32C,
 // which folds 256 bytes per step with VPCLMULQDQ and finishes with the
 // crc32 instruction.
@@ -26,9 +27,9 @@ bool populate_avx512(KernelTable& t) {
   t.crc32c = &crc32c_vpclmul_body;
   t.decode_block = &decode_block_avx512_body;
   t.encode_block = &encode_block_avx512_body;
-  t.decode_dequantize = &decode_dequantize_avx512_body;
-  t.decode_fold = &decode_fold_avx512_body;
-  t.decode_combine = &decode_combine_avx512_body;
+  t.decompress_chunk = &decompress_chunk_avx512_body;
+  t.fold_chunk = &fold_chunk_avx512_body;
+  t.combine_chunk = &combine_chunk_avx512_body;
   return true;
 }
 

@@ -7,9 +7,10 @@
 // on the including TU's ISA macros, so scalar.cpp (built with the project's
 // baseline flags) sees only the references, avx2.cpp adds the PDEP/PEXT
 // block codec and the SSE4.2 CRC-32C, and avx512.cpp adds the
-// VPERMB/VPMULTISHIFTQB block codec, its fused decodes, the VCVTPD2QQ
-// paths and the VPCLMULQDQ CRC-32C.  The integer bodies (the residual
-// merge, the digest fold, and the scalar steps of the fused block pass) are
+// VPERMB/VPMULTISHIFTQB block codec, its chunk walks, the VCVTPD2QQ
+// paths and the VPCLMULQDQ CRC-32C.  The one chunk walk (walk_blocks) and
+// the integer bodies (the residual merge, the digest fold, and the scalar
+// steps of the fused block pass) are
 // shared across all TUs on purpose: recompiling them under wider -m flags
 // lets the auto-vectorizer retarget them per level while the arithmetic —
 // and therefore the bytes — stays identical.
@@ -467,32 +468,299 @@ inline int64_t dequantize_body(const int32_t* residuals, size_t n, int64_t q, do
   return q;
 }
 
-// The fused decodes at the scalar level: the scalar block decode into a
-// stack block, then the scalar consumer.  These are the oracle.
+// ---------------------------------------------------------------------------
+// Chunk walks (the decompress_chunk, fold_chunk and combine_chunk slots).
+// walk_blocks is the one walk: it validates every block of one or two
+// chains, cuts the short last block and rejects trailing bytes; the slots
+// at each level hand it their block visitors.  The scalar slots visit one
+// block at a time with the scalar block codec and the per-block consumers
+// (serial prefix sum, serial digest fold, int64 merge): they are the
+// oracle.
+// ---------------------------------------------------------------------------
 
-inline HZCCL_HOT int64_t decode_dequantize_scalar_body(const uint8_t* payload, size_t n, int c,
-                                                       int64_t q, double twice_eb, float* out) {
-  int32_t r[kMaxBlockValues];
-  decode_block_scalar_body(payload, n, c, r);
-  return dequantize_body(r, n, q, twice_eb, out);
+/// The raw-block marker and the largest code length of fixed_len.hpp
+/// (repeated here: that header's inline functions must not be shared
+/// across the variant TUs, see the file comment).
+inline constexpr int kRawCode = 0xFF;
+inline constexpr int kMaxCode = 31;
+
+inline size_t min_size(size_t a, size_t b) { return b < a ? b : a; }
+
+/// Encoded bytes of a block of n values at code length c in 0..31,
+/// the code-length byte included (fixed_len.hpp's encoded_block_size).
+inline size_t block_bytes(int c, size_t n) {
+  if (c == 0) return 1;
+  const auto uc = static_cast<size_t>(c);
+  return 1 + (n + 7) / 8 + (uc / 8) * n + (n * (uc % 8) + 7) / 8;
 }
 
-inline HZCCL_HOT int64_t decode_fold_scalar_body(const uint8_t* payload, size_t n, int c,
-                                                 int64_t q, uint64_t pos, uint64_t* sum,
-                                                 uint64_t* wsum) {
-  int32_t r[kMaxBlockValues];
-  decode_block_scalar_body(payload, n, c, r);
-  return digest_block_scalar_body(r, n, q, pos, sum, wsum);
+/// One validated block of a chunk's chain.
+struct ChunkBlock {
+  const uint8_t* at = nullptr;  ///< its code-length byte
+  int code = 0;                 ///< 0 (constant), 1..31 (residual) or kRawCode
+  size_t size = 0;              ///< its bytes, the code-length byte included
+};
+
+/// The block of n values at src, checked against end the way decode_block
+/// and peek_block_size check it: present, a known code length, all bytes
+/// in [src, end).
+inline ChunkStatus parse_block(const uint8_t* src, const uint8_t* end, size_t n, ChunkBlock& b) {
+  if (src >= end) return ChunkStatus::kEmptyBlock;
+  const size_t avail = static_cast<size_t>(end - src);
+  b.at = src;
+  b.code = *src;
+  if (b.code == kRawCode) {
+    b.size = 1 + 4 * n;
+    return b.size > avail ? ChunkStatus::kTruncatedRaw : ChunkStatus::kOk;
+  }
+  if (b.code > kMaxCode) return ChunkStatus::kBadCodeLength;
+  b.size = block_bytes(b.code, n);
+  return b.size > avail ? ChunkStatus::kTruncatedBlock : ChunkStatus::kOk;
 }
 
-inline HZCCL_HOT uint64_t decode_combine_scalar_body(const uint8_t* pa, int ca, const uint8_t* pb,
-                                                     int cb, size_t n, int sign_b, uint32_t* mags,
-                                                     uint32_t* signs) {
-  int32_t ra[kMaxBlockValues];
-  int32_t rb[kMaxBlockValues];
-  decode_block_scalar_body(pa, n, ca, ra);
-  decode_block_scalar_body(pb, n, cb, rb);
-  return combine_body(ra, rb, n, sign_b, mags, signs);
+/// The one chunk walk: K block chains (one for decompress and fold, two
+/// for combine) of `count` values in lockstep, blocks of block_len with a
+/// short last one.  Each step validates block k of every chain, in chain
+/// order, then calls visit(blocks, pos, n) with the block's first value
+/// pos; a non-kOk status from either ends the walk.  After the last block
+/// every chain must end exactly (kTrailingBytes otherwise).
+template <int K, class Visit>
+inline ChunkStatus walk_blocks(const uint8_t* const (&payload)[K], const size_t (&size)[K],
+                               size_t count, size_t block_len, Visit&& visit) {
+  const uint8_t* src[K];
+  const uint8_t* end[K];
+  for (int s = 0; s < K; ++s) {
+    src[s] = payload[s];
+    end[s] = payload[s] + size[s];
+  }
+  for (size_t pos = 0; pos < count;) {
+    const size_t n = min_size(block_len, count - pos);
+    ChunkBlock blocks[K];
+    for (int s = 0; s < K; ++s) {
+      const ChunkStatus st = parse_block(src[s], end[s], n, blocks[s]);
+      if (st != ChunkStatus::kOk) return st;
+    }
+    const ChunkStatus st = visit(blocks, pos, n);
+    if (st != ChunkStatus::kOk) return st;
+    for (int s = 0; s < K; ++s) src[s] += blocks[s].size;
+    pos += n;
+  }
+  for (int s = 0; s < K; ++s) {
+    if (src[s] != end[s]) return ChunkStatus::kTrailingBytes;
+  }
+  return ChunkStatus::kOk;
+}
+
+/// walk_blocks over one chain, each block handed to the visitor by kind:
+/// v.raw(floats, pos, n), v.constant(pos, n) or v.residual(payload, c, pos,
+/// n), payload being the bytes after the code-length byte.
+template <class Visitor>
+inline ChunkStatus walk_chain(const uint8_t* payload, size_t size, size_t count,
+                              size_t block_len, Visitor& v) {
+  const uint8_t* const chains[1] = {payload};
+  const size_t sizes[1] = {size};
+  return walk_blocks<1>(chains, sizes, count, block_len,
+                        [&](const ChunkBlock (&b)[1], size_t pos, size_t n) {
+                          if (b[0].code == kRawCode) {
+                            v.raw(b[0].at + 1, pos, n);
+                          } else if (b[0].code == 0) {
+                            v.constant(pos, n);
+                          } else {
+                            v.residual(b[0].at + 1, b[0].code, pos, n);
+                          }
+                          return ChunkStatus::kOk;
+                        });
+}
+
+/// Quantizer::dequantize.
+inline float dequantize_value(int64_t q, double twice_eb) {
+  return static_cast<float>(static_cast<double>(q) * twice_eb);
+}
+
+inline void fill_floats(float* out, size_t n, float v) {
+  for (size_t i = 0; i < n; ++i) out[i] = v;
+}
+
+/// Digest::accumulate_run: a run of n chain values q at 1-based positions
+/// [pos, pos + n), in O(1).
+inline void fold_run(int64_t q, uint64_t pos, uint64_t n, uint64_t* sum, uint64_t* wsum) {
+  const auto u = static_cast<uint64_t>(q);
+  *sum += u * n;
+  const uint64_t tri = (n % 2 == 0) ? (n / 2) * (n - 1) : n * ((n - 1) / 2);
+  *wsum += u * (n * pos + tri);
+}
+
+/// Decompress a chunk block by block: DecodeBlock into a stack block, then
+/// the serial prefix sum and dequantize.
+template <auto DecodeBlock>
+inline ChunkStatus decompress_blockwise(const uint8_t* payload, size_t size, size_t count,
+                                        uint32_t block_len, int64_t q, double twice_eb,
+                                        float* out) {
+  struct Visitor {
+    int64_t q;
+    double twice_eb;
+    float* out;
+    void raw(const uint8_t* floats, size_t pos, size_t n) {
+      std::memcpy(out + pos, floats, n * sizeof(float));
+    }
+    void constant(size_t pos, size_t n) { fill_floats(out + pos, n, dequantize_value(q, twice_eb)); }
+    void residual(const uint8_t* p, int c, size_t pos, size_t n) {
+      int32_t r[kMaxBlockValues];
+      DecodeBlock(p, n, c, r);
+      q = dequantize_body(r, n, q, twice_eb, out + pos);
+    }
+  } v{q, twice_eb, out};
+  return walk_chain(payload, size, count, block_len, v);
+}
+
+/// Fold a chunk's digest block by block: DecodeBlock into a stack block,
+/// then FoldBlock (the serial or the closed-form fold); constant blocks
+/// fold as a run.
+template <auto DecodeBlock, auto FoldBlock>
+inline ChunkStatus fold_blockwise(const uint8_t* payload, size_t size, size_t count,
+                                  uint32_t block_len, int64_t q, uint64_t* sum, uint64_t* wsum) {
+  struct Visitor {
+    int64_t q;
+    uint64_t sum = 0;
+    uint64_t wsum = 0;
+    void raw(const uint8_t*, size_t, size_t) {}
+    void constant(size_t pos, size_t n) { fold_run(q, pos + 1, n, &sum, &wsum); }
+    void residual(const uint8_t* p, int c, size_t pos, size_t n) {
+      int32_t r[kMaxBlockValues];
+      DecodeBlock(p, n, c, r);
+      q = FoldBlock(r, n, q, pos + 1, &sum, &wsum);
+    }
+  } v{q};
+  const ChunkStatus st = walk_chain(payload, size, count, block_len, v);
+  *sum = v.sum;
+  *wsum = v.wsum;
+  return st;
+}
+
+/// Pipeline 2's copy for sign -1 (hz_dynamic's copy_block_negated): a
+/// residual block with its sign plane inverted and the padding bits past
+/// value n kept zero, or a raw block with each float's sign bit flipped.
+inline void copy_negated(const ChunkBlock& b, size_t n, uint8_t* out) {
+  std::memcpy(out, b.at, b.size);
+  if (b.code == kRawCode) {
+    for (size_t i = 0; i < n; ++i) out[1 + 4 * i + 3] ^= 0x80u;
+    return;
+  }
+  const size_t sign_bytes = (n + 7) / 8;
+  for (size_t i = 0; i < sign_bytes; ++i) out[1 + i] = static_cast<uint8_t>(~out[1 + i]);
+  if (n % 8 != 0) out[sign_bytes] &= static_cast<uint8_t>((1u << (n % 8)) - 1);
+}
+
+/// The combine walk: both chains through walk_blocks, pipelines 1-3 here
+/// and pipeline 4 through merge(pa, ca, pb, cb, n, out, avail, &bytes) —
+/// the level's decode-merge-encode of one residual pair, returning kOk with
+/// the bytes it wrote, kOverflow or kEncodeCapacity.
+template <int Sign, class Merge>
+inline CombineChunkResult combine_walk(const uint8_t* a, size_t size_a, const uint8_t* b,
+                                       size_t size_b, size_t count, uint32_t block_len,
+                                       uint8_t* out, size_t capacity, Merge&& merge) {
+  CombineChunkResult res;
+  const uint8_t* const chains[2] = {a, b};
+  const size_t sizes[2] = {size_a, size_b};
+  res.status = walk_blocks<2>(
+      chains, sizes, count, block_len, [&](const ChunkBlock (&blk)[2], size_t, size_t n) {
+        const ChunkBlock& x = blk[0];
+        const ChunkBlock& y = blk[1];
+        const size_t avail = capacity - res.bytes;
+        uint8_t* const dst = out + res.bytes;
+        if (x.code == 0 && y.code == 0) {
+          if (avail < 1) return ChunkStatus::kCopyCapacity;
+          *dst = 0;
+          res.bytes += 1;
+          ++res.p1;
+        } else if (x.code == 0) {
+          if (y.size > avail) {
+            return Sign > 0 ? ChunkStatus::kCopyCapacity : ChunkStatus::kNegateCapacity;
+          }
+          if constexpr (Sign > 0) {
+            std::memcpy(dst, y.at, y.size);
+          } else {
+            copy_negated(y, n, dst);
+          }
+          res.bytes += y.size;
+          res.copied_bytes += y.size;
+          ++res.p2;
+        } else if (y.code == 0) {
+          if (x.size > avail) return ChunkStatus::kCopyCapacity;
+          std::memcpy(dst, x.at, x.size);
+          res.bytes += x.size;
+          res.copied_bytes += x.size;
+          ++res.p3;
+        } else {
+          if (x.code == kRawCode || y.code == kRawCode) return ChunkStatus::kRawInMerge;
+          size_t written = 0;
+          const ChunkStatus st = merge(x.at + 1, x.code, y.at + 1, y.code, n, dst, avail, &written);
+          if (st != ChunkStatus::kOk) return st;
+          res.bytes += written;
+          res.p4_elements += n;
+          ++res.p4;
+        }
+        return ChunkStatus::kOk;
+      });
+  return res;
+}
+
+/// Bits needed for a merge guard that fits in 31 bits (0 for 0).
+inline int guard_code_length(uint64_t guard) {
+  return guard == 0 ? 0 : 64 - __builtin_clzll(guard);
+}
+
+/// Pipeline 4 block by block: DecodeBlock both payloads into stack blocks,
+/// the int64 merge (combine_body), then EncodeBlock from the merged
+/// magnitude/sign split.
+template <auto DecodeBlock, auto EncodeBlock>
+inline CombineChunkResult combine_blockwise(const uint8_t* a, size_t size_a, const uint8_t* b,
+                                            size_t size_b, size_t count, uint32_t block_len,
+                                            int sign_b, uint8_t* out, size_t capacity) {
+  const auto merge = [&](const uint8_t* pa, int ca, const uint8_t* pb, int cb, size_t n,
+                         uint8_t* dst, size_t avail, size_t* written) {
+    int32_t ra[kMaxBlockValues];
+    int32_t rb[kMaxBlockValues];
+    uint32_t mags[kMaxBlockValues];
+    uint32_t signs[kMaxBlockValues];
+    DecodeBlock(pa, n, ca, ra);
+    DecodeBlock(pb, n, cb, rb);
+    const uint64_t guard = combine_body(ra, rb, n, sign_b, mags, signs);
+    if (guard > static_cast<uint64_t>(INT32_MAX)) return ChunkStatus::kOverflow;
+    const int c = guard_code_length(guard);
+    *written = block_bytes(c, n);
+    if (*written > avail) return ChunkStatus::kEncodeCapacity;
+    dst[0] = static_cast<uint8_t>(c);
+    if (c > 0) EncodeBlock(mags, signs, n, c, dst + 1);
+    return ChunkStatus::kOk;
+  };
+  return sign_b >= 0
+             ? combine_walk<+1>(a, size_a, b, size_b, count, block_len, out, capacity, merge)
+             : combine_walk<-1>(a, size_a, b, size_b, count, block_len, out, capacity, merge);
+}
+
+inline HZCCL_HOT ChunkStatus decompress_chunk_scalar_body(const uint8_t* payload, size_t size,
+                                                          size_t count, uint32_t block_len,
+                                                          int64_t q, double twice_eb,
+                                                          float* out) {
+  return decompress_blockwise<decode_block_scalar_body>(payload, size, count, block_len, q,
+                                                        twice_eb, out);
+}
+
+inline HZCCL_HOT ChunkStatus fold_chunk_scalar_body(const uint8_t* payload, size_t size,
+                                                    size_t count, uint32_t block_len, int64_t q,
+                                                    uint64_t* sum, uint64_t* wsum) {
+  return fold_blockwise<decode_block_scalar_body, digest_block_scalar_body>(
+      payload, size, count, block_len, q, sum, wsum);
+}
+
+inline HZCCL_HOT CombineChunkResult combine_chunk_scalar_body(const uint8_t* a, size_t size_a,
+                                                              const uint8_t* b, size_t size_b,
+                                                              size_t count, uint32_t block_len,
+                                                              int sign_b, uint8_t* out,
+                                                              size_t capacity) {
+  return combine_blockwise<decode_block_scalar_body, encode_block_scalar_body>(
+      a, size_a, b, size_b, count, block_len, sign_b, out, capacity);
 }
 
 // ---------------------------------------------------------------------------
@@ -703,32 +971,31 @@ inline HZCCL_HOT void encode_block_avx2_body(const uint32_t* mags, const uint32_
   with_code_len<EncodeAvx2>(c, mags, signs, n, out);
 }
 
-// The fused decodes at AVX2: the PDEP/PEXT block decode into a stack block,
-// then the consumer recompiled under AVX2 (the dequantize loop, the
-// closed-form digest fold, the int64 merge).
+// The chunk slots at AVX2: the walk with the PDEP/PEXT block codec, each
+// block's consumer (the dequantize loop, the closed-form digest fold, the
+// int64 merge) recompiled under AVX2.
 
-inline HZCCL_HOT int64_t decode_dequantize_avx2_body(const uint8_t* payload, size_t n, int c,
-                                                     int64_t q, double twice_eb, float* out) {
-  int32_t r[kMaxBlockValues];
-  decode_block_avx2_body(payload, n, c, r);
-  return dequantize_body(r, n, q, twice_eb, out);
+inline HZCCL_HOT ChunkStatus decompress_chunk_avx2_body(const uint8_t* payload, size_t size,
+                                                        size_t count, uint32_t block_len,
+                                                        int64_t q, double twice_eb, float* out) {
+  return decompress_blockwise<decode_block_avx2_body>(payload, size, count, block_len, q,
+                                                      twice_eb, out);
 }
 
-inline HZCCL_HOT int64_t decode_fold_avx2_body(const uint8_t* payload, size_t n, int c, int64_t q,
-                                               uint64_t pos, uint64_t* sum, uint64_t* wsum) {
-  int32_t r[kMaxBlockValues];
-  decode_block_avx2_body(payload, n, c, r);
-  return digest_block_body(r, n, q, pos, sum, wsum);
+inline HZCCL_HOT ChunkStatus fold_chunk_avx2_body(const uint8_t* payload, size_t size,
+                                                  size_t count, uint32_t block_len, int64_t q,
+                                                  uint64_t* sum, uint64_t* wsum) {
+  return fold_blockwise<decode_block_avx2_body, digest_block_body>(payload, size, count,
+                                                                   block_len, q, sum, wsum);
 }
 
-inline HZCCL_HOT uint64_t decode_combine_avx2_body(const uint8_t* pa, int ca, const uint8_t* pb,
-                                                   int cb, size_t n, int sign_b, uint32_t* mags,
-                                                   uint32_t* signs) {
-  int32_t ra[kMaxBlockValues];
-  int32_t rb[kMaxBlockValues];
-  decode_block_avx2_body(pa, n, ca, ra);
-  decode_block_avx2_body(pb, n, cb, rb);
-  return combine_body(ra, rb, n, sign_b, mags, signs);
+inline HZCCL_HOT CombineChunkResult combine_chunk_avx2_body(const uint8_t* a, size_t size_a,
+                                                            const uint8_t* b, size_t size_b,
+                                                            size_t count, uint32_t block_len,
+                                                            int sign_b, uint8_t* out,
+                                                            size_t capacity) {
+  return combine_blockwise<decode_block_avx2_body, encode_block_avx2_body>(
+      a, size_a, b, size_b, count, block_len, sign_b, out, capacity);
 }
 
 /// 8-lane SZx scan.  min/max are idempotent, so the tail is an *overlapping*
@@ -928,7 +1195,7 @@ inline HZCCL_HOT uint32_t crc32c_sse42_body(const uint8_t* data, size_t n, uint3
 
 // ---------------------------------------------------------------------------
 // AVX-512 (F/BW/DQ/VL/VBMI) with VPCLMULQDQ: the fused block pass, the SZx
-// scan, the whole-block codec and its three fused decodes, and the
+// scan, the whole-block codec and the three chunk walks over it, and the
 // carry-less CRC-32C.
 // ---------------------------------------------------------------------------
 #if defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512DQ__) &&   \
@@ -1186,7 +1453,7 @@ struct Group32 {
 };
 
 /// The whole-block decoder of one payload at code length c, written once
-/// for decode_block and the three fused decodes: the per-block constants,
+/// for decode_block and the three chunk walks: the per-block constants,
 /// and group(i, masks(i)), the signed residuals of values [i, i + 32) in two
 /// registers, every lane past the block zero (the sign and remainder
 /// planes' padding bits past value n never reach a lane).  c is taken at
@@ -1268,106 +1535,180 @@ inline HZCCL_HOT void decode_block_avx512_body(const uint8_t* src, size_t n, int
   }
 }
 
+/// The whole-block encoder of one block of n values at code length c,
+/// written once for encode_block and pipeline 4: the per-block constants,
+/// and group(i, masks(i), mag_lo, mag_hi, neg), which writes the sign bits,
+/// byte-plane bytes and remainder bits of values [i, i + 32) from
+/// registers: magnitudes one per dword lane (values 0..15 in mag_lo, 16..31
+/// in mag_hi, every lane past the block zero), bit j of neg set for a
+/// negative value j.  Every store is masked to the group's bytes.
+class GroupEncoder {
+ public:
+  GroupEncoder(uint8_t* out, size_t n, int c)
+      : out_(out),
+        n_(n),
+        planes_(static_cast<int>(static_cast<unsigned>(c) / 8)),
+        x_(static_cast<int>(static_cast<unsigned>(c) % 8)),
+        base_((n + 7) / 8),
+        rem_(out + base_ + static_cast<size_t>(planes_) * n),
+        // Absent planes store nothing, at out (see GroupDecoder::group).
+        present_(kPlaneAssembly[static_cast<size_t>(planes_)].present),
+        // Byte columns of a group: [byte 0 | byte 1] and [byte 2 | byte 3]
+        // for the planes, and byte `planes` of each magnitude (the bits
+        // above the full planes) for the remainder, each one VPERMT2B.
+        idx_01_(load_bytes64(kTransposeIndex)),
+        idx_23_(_mm512_add_epi8(idx_01_, _mm512_set1_epi8(2))),
+        rem_index_(_mm256_add_epi8(_mm512_castsi512_si256(idx_01_),
+                                   _mm256_set1_epi8(static_cast<char>(planes_)))),
+        field_(_mm256_set1_epi8(static_cast<char>(kRemPlane[x_].field))),
+        // Remainder packing: pairs of x-bit fields -> 2x bits (VPMADDUBSW),
+        // pairs of those -> 4x bits (VPMADDWD), pairs of dwords -> 8x bits
+        // per qword; then the low x bytes of each qword are gathered into
+        // 4x bytes.
+        w1_(_mm256_set1_epi16(static_cast<short>(kRemPlane[x_].pair_weight))),
+        w2_(_mm256_set1_epi32(static_cast<int>(kRemPlane[x_].quad_weight))),
+        shift4x_(_mm_cvtsi32_si128(4 * x_)),
+        compact_(load_bytes32(kRemPlane[x_].compact)),
+        full_(full_group_masks(x_)) {}
+
+  /// The masks of the group starting at value i.
+  GroupMasks masks(size_t i) const { return i + 32 <= n_ ? full_ : group_masks(n_ - i, x_); }
+
+  void group(size_t i, const GroupMasks& m, __m512i mag_lo, __m512i mag_hi, uint32_t neg) const {
+    _mm_mask_storeu_epi8(out_ + i / 8, m.sign_bytes, _mm_cvtsi32_si128(static_cast<int>(neg)));
+    const __m512i c01 = _mm512_permutex2var_epi8(mag_lo, idx_01_, mag_hi);
+    const __m512i c23 = _mm512_permutex2var_epi8(mag_lo, idx_23_, mag_hi);
+    const auto store_plane = [&](int k, __m256i bytes) {
+      _mm256_mask_storeu_epi8(out_ + (present_[k] & (base_ + static_cast<size_t>(k) * n_ + i)),
+                              m.values & static_cast<uint32_t>(present_[k]), bytes);
+    };
+    store_plane(0, _mm512_castsi512_si256(c01));
+    store_plane(1, _mm512_extracti64x4_epi64(c01, 1));
+    store_plane(2, _mm512_castsi512_si256(c23));
+    const __m256i top = _mm512_castsi512_si256(
+        _mm512_permutex2var_epi8(mag_lo, _mm512_castsi256_si512(rem_index_), mag_hi));
+    const __m256i v = _mm256_and_si256(top, field_);
+    const __m256i v32 = _mm256_madd_epi16(_mm256_maddubs_epi16(w1_, v), w2_);
+    const __m256i v64 = _mm256_or_si256(_mm256_and_si256(v32, _mm256_set1_epi64x(0xFFFFFFFFll)),
+                                        _mm256_sll_epi64(_mm256_srli_epi64(v32, 32), shift4x_));
+    _mm256_mask_storeu_epi8(rem_ + (i / 8) * static_cast<size_t>(x_), m.rem_bytes,
+                            _mm256_permutexvar_epi8(compact_, v64));
+  }
+
+ private:
+  uint8_t* out_;
+  size_t n_;
+  int planes_;
+  int x_;
+  size_t base_;  // byte plane 0, relative to out
+  uint8_t* rem_;
+  const uint64_t* present_;
+  __m512i idx_01_;
+  __m512i idx_23_;
+  __m256i rem_index_;
+  __m256i field_;
+  __m256i w1_;
+  __m256i w2_;
+  __m128i shift4x_;
+  __m256i compact_;
+  GroupMasks full_;
+};
+
 inline HZCCL_HOT void encode_block_avx512_body(const uint32_t* mags, const uint32_t* signs,
                                                size_t n, int c, uint8_t* out) {
-  const int planes = static_cast<int>(static_cast<unsigned>(c) / 8);
-  const int x = static_cast<int>(static_cast<unsigned>(c) % 8);
-  const size_t base = (n + 7) / 8;
-  uint8_t* const rem = out + base + static_cast<size_t>(planes) * n;
-  // Absent planes store nothing, at out (see GroupDecoder::group).
-  const uint64_t* const present = kPlaneAssembly[static_cast<size_t>(planes)].present;
-  // Byte columns of a group: [byte 0 | byte 1] and [byte 2 | byte 3] for
-  // the planes, and byte `planes` of each magnitude (the bits above the
-  // full planes) for the remainder, each one VPERMT2B.
-  const __m512i idx_01 = load_bytes64(kTransposeIndex);
-  const __m512i idx_23 = _mm512_add_epi8(idx_01, _mm512_set1_epi8(2));
-  const __m256i rem_index = _mm256_add_epi8(_mm512_castsi512_si256(idx_01),
-                                            _mm256_set1_epi8(static_cast<char>(planes)));
-  const RemPlaneConsts& rc = kRemPlane[x];
-  const __m256i field = _mm256_set1_epi8(static_cast<char>(rc.field));
-  // Remainder packing: pairs of x-bit fields -> 2x bits (VPMADDUBSW), pairs
-  // of those -> 4x bits (VPMADDWD), pairs of dwords -> 8x bits per qword;
-  // then the low x bytes of each qword are gathered into 4x bytes.
-  const __m256i w1 = _mm256_set1_epi16(static_cast<short>(rc.pair_weight));
-  const __m256i w2 = _mm256_set1_epi32(static_cast<int>(rc.quad_weight));
-  const __m128i shift4x = _mm_cvtsi32_si128(4 * x);
-  const __m256i low32 = _mm256_set1_epi64x(0xFFFFFFFFll);
-  const __m256i compact = load_bytes32(rc.compact);
+  const GroupEncoder enc(out, n, c);
   const __m512i one = _mm512_set1_epi32(1);
-  const auto group = [&](size_t i, GroupMasks m) {
+  for (size_t i = 0; i < n; i += 32) {
+    const GroupMasks m = enc.masks(i);
     const auto lo16 = static_cast<__mmask16>(m.values);
     const auto hi16 = static_cast<__mmask16>(m.values >> 16);
-    const __m512i mag_lo = _mm512_maskz_loadu_epi32(lo16, mags + i);
-    const __m512i mag_hi = _mm512_maskz_loadu_epi32(hi16, mags + i + 16);
     const uint32_t neg =
         static_cast<uint32_t>(
             _mm512_test_epi32_mask(_mm512_maskz_loadu_epi32(lo16, signs + i), one)) |
         (static_cast<uint32_t>(
              _mm512_test_epi32_mask(_mm512_maskz_loadu_epi32(hi16, signs + i + 16), one))
          << 16);
-    _mm_mask_storeu_epi8(out + i / 8, m.sign_bytes, _mm_cvtsi32_si128(static_cast<int>(neg)));
-    const __m512i c01 = _mm512_permutex2var_epi8(mag_lo, idx_01, mag_hi);
-    const __m512i c23 = _mm512_permutex2var_epi8(mag_lo, idx_23, mag_hi);
-    const auto store_plane = [&](int k, __m256i bytes) {
-      _mm256_mask_storeu_epi8(out + (present[k] & (base + static_cast<size_t>(k) * n + i)),
-                              m.values & static_cast<uint32_t>(present[k]), bytes);
-    };
-    store_plane(0, _mm512_castsi512_si256(c01));
-    store_plane(1, _mm512_extracti64x4_epi64(c01, 1));
-    store_plane(2, _mm512_castsi512_si256(c23));
-    const __m256i top = _mm512_castsi512_si256(_mm512_permutex2var_epi8(
-        mag_lo, _mm512_castsi256_si512(rem_index), mag_hi));
-    const __m256i v = _mm256_and_si256(top, field);
-    const __m256i v32 = _mm256_madd_epi16(_mm256_maddubs_epi16(w1, v), w2);
-    const __m256i v64 = _mm256_or_si256(_mm256_and_si256(v32, low32),
-                                        _mm256_sll_epi64(_mm256_srli_epi64(v32, 32), shift4x));
-    _mm256_mask_storeu_epi8(rem + (i / 8) * x, m.rem_bytes,
-                            _mm256_permutexvar_epi8(compact, v64));
-  };
-  const GroupMasks full = full_group_masks(x);
-  size_t i = 0;
-  for (; i + 32 <= n; i += 32) group(i, full);
-  if (i < n) group(i, group_masks(n - i, x));
-}
-
-/// Decode, prefix sum and dequantize, one group in registers.  Each
-/// quarter of a group (8 residuals, sign-extended to int64) becomes its
-/// block-local inclusive prefix sum in three VALIGNQ + VPADDQ steps, plus
-/// the chain value before it, broadcast from the previous quarter's last
-/// lane; then VCVTQQ2PD, VMULPD and VCVTPD2PS, both conversions rounding
-/// under MXCSR as the scalar casts do, and one store of 8 floats masked to
-/// the block.
-inline HZCCL_HOT int64_t decode_dequantize_avx512_body(const uint8_t* payload, size_t n, int c,
-                                                       int64_t q, double twice_eb, float* out) {
-  const GroupDecoder dec(payload, n, c);
-  const __m512i zero = _mm512_setzero_si512();
-  const __m512i last = _mm512_set1_epi64(7);
-  const __m512d scale = _mm512_set1_pd(twice_eb);
-  __m512i carry = _mm512_set1_epi64(q);
-  const auto quarter = [&](__m256i r, float* dst, uint32_t lanes) {
-    __m512i v = _mm512_cvtepi32_epi64(r);
-    v = _mm512_add_epi64(v, _mm512_alignr_epi64(v, zero, 7));
-    v = _mm512_add_epi64(v, _mm512_alignr_epi64(v, zero, 6));
-    v = _mm512_add_epi64(v, _mm512_alignr_epi64(v, zero, 4));
-    v = _mm512_add_epi64(v, carry);
-    carry = _mm512_permutexvar_epi64(last, v);
-    _mm256_mask_storeu_ps(dst, static_cast<__mmask8>(lanes),
-                          _mm512_cvtpd_ps(_mm512_mul_pd(_mm512_cvtepi64_pd(v), scale)));
-  };
-  for (size_t i = 0; i < n; i += 32) {
-    const GroupMasks m = dec.masks(i);
-    const Group32 g = dec.group(i, m);
-    quarter(_mm512_castsi512_si256(g.lo), out + i, m.values);
-    quarter(_mm512_extracti64x4_epi64(g.lo, 1), out + i + 8, m.values >> 8);
-    quarter(_mm512_castsi512_si256(g.hi), out + i + 16, m.values >> 16);
-    quarter(_mm512_extracti64x4_epi64(g.hi, 1), out + i + 24, m.values >> 24);
+    enc.group(i, m, _mm512_maskz_loadu_epi32(lo16, mags + i),
+              _mm512_maskz_loadu_epi32(hi16, mags + i + 16), neg);
   }
-  return _mm_cvtsi128_si64(_mm512_castsi512_si128(carry));
 }
 
-/// The first group's weights j and j(j-1)/2 of decode_fold's closed form,
-/// in the order VPMULDQ reads them: row k holds the even (k = 0, 2) or odd
-/// (k = 1, 3) dwords of the lo (k < 2) or hi register, one per qword lane.
+// The chunk slots at AVX-512: walk_chain and combine_walk with block
+// visitors that decode each group through GroupDecoder and consume it in
+// registers, their state (the chain carry, the fold's sums and weights)
+// held in registers across the chunk's blocks.
+
+/// f(n) for a block of n values, inlined twice: once with n the constant
+/// 32 (fZ-light's default block length, one group per block), where the
+/// block's geometry — plane offsets, masks, the group loop — folds away,
+/// and once for any other length.
+template <class F>
+__attribute__((always_inline)) inline void with_block_len(size_t n, F&& f) {
+  if (n == 32) {
+    f(size_t{32});
+  } else {
+    f(n);
+  }
+}
+
+/// Decompress: each quarter of a group (8 residuals, sign-extended to
+/// int64) becomes its block-local inclusive prefix sum in three VALIGNQ +
+/// VPADDQ steps, plus the chain value before it, broadcast from the
+/// previous quarter's last lane; then VCVTQQ2PD, VMULPD and VCVTPD2PS, both
+/// conversions rounding under MXCSR as the scalar casts do, and one store
+/// of 8 floats masked to the block.  The chain carry stays in a register
+/// from block to block; a constant block fills with its lane 0.
+inline HZCCL_HOT ChunkStatus decompress_chunk_avx512_body(const uint8_t* payload, size_t size,
+                                                          size_t count, uint32_t block_len,
+                                                          int64_t q, double twice_eb,
+                                                          float* out) {
+  struct Visitor {
+    __m512i carry;
+    __m512d scale;
+    double twice_eb;
+    float* out;
+    void raw(const uint8_t* floats, size_t pos, size_t n) {
+      std::memcpy(out + pos, floats, n * sizeof(float));
+    }
+    void constant(size_t pos, size_t n) {
+      const int64_t qc = _mm_cvtsi128_si64(_mm512_castsi512_si128(carry));
+      fill_floats(out + pos, n, dequantize_value(qc, twice_eb));
+    }
+    void residual(const uint8_t* p, int c, size_t pos, size_t len) {
+      with_block_len(len, [&](size_t n) __attribute__((always_inline)) { block(p, c, pos, n); });
+    }
+    __attribute__((always_inline)) void block(const uint8_t* p, int c, size_t pos, size_t n) {
+      const GroupDecoder dec(p, n, c);
+      const __m512i zero = _mm512_setzero_si512();
+      const __m512i last = _mm512_set1_epi64(7);
+      const auto quarter = [&](__m256i r, float* dst, uint32_t lanes) {
+        __m512i v = _mm512_cvtepi32_epi64(r);
+        v = _mm512_add_epi64(v, _mm512_alignr_epi64(v, zero, 7));
+        v = _mm512_add_epi64(v, _mm512_alignr_epi64(v, zero, 6));
+        v = _mm512_add_epi64(v, _mm512_alignr_epi64(v, zero, 4));
+        v = _mm512_add_epi64(v, carry);
+        carry = _mm512_permutexvar_epi64(last, v);
+        _mm256_mask_storeu_ps(dst, static_cast<__mmask8>(lanes),
+                              _mm512_cvtpd_ps(_mm512_mul_pd(_mm512_cvtepi64_pd(v), scale)));
+      };
+      float* const dst = out + pos;
+      for (size_t i = 0; i < n; i += 32) {
+        const GroupMasks m = dec.masks(i);
+        const Group32 g = dec.group(i, m);
+        quarter(_mm512_castsi512_si256(g.lo), dst + i, m.values);
+        quarter(_mm512_extracti64x4_epi64(g.lo, 1), dst + i + 8, m.values >> 8);
+        quarter(_mm512_castsi512_si256(g.hi), dst + i + 16, m.values >> 16);
+        quarter(_mm512_extracti64x4_epi64(g.hi, 1), dst + i + 24, m.values >> 24);
+      }
+    }
+  } v{_mm512_set1_epi64(q), _mm512_set1_pd(twice_eb), twice_eb, out};
+  return walk_chain(payload, size, count, block_len, v);
+}
+
+/// The first group's block-local weights j and j(j+1)/2 of fold_chunk's
+/// sums, in the order VPMULDQ reads them: row k holds the even (k = 0, 2)
+/// or odd (k = 1, 3) dwords of the lo (k < 2) or hi register, one per qword
+/// lane.
 struct FoldWeights {
   int64_t j[4][8];
   int64_t tri[4][8];
@@ -1379,7 +1720,7 @@ constexpr FoldWeights make_fold_weights() {
     for (int lane = 0; lane < 8; ++lane) {
       const int64_t j = 16 * (k / 2) + 2 * lane + k % 2;
       w.j[k][lane] = j;
-      w.tri[k][lane] = j * (j - 1) / 2;
+      w.tri[k][lane] = j * (j + 1) / 2;
     }
   }
   return w;
@@ -1387,91 +1728,190 @@ constexpr FoldWeights make_fold_weights() {
 
 inline constexpr FoldWeights kFoldWeights = make_fold_weights();
 
-/// Decode and fold the closed form's three weighted sums (see
-/// digest_fold_sums) from registers.  VPMULDQ multiplies the low signed
-/// dword of each qword lane: the even residuals of a group register as they
-/// stand, the odd ones after a 64-bit arithmetic shift by 32.  Their
-/// weights j and j(j-1)/2 (block-local j) sit in matching even/odd vectors,
-/// loaded once per block and advanced by one group (j + 32, and
-/// j(j-1)/2 + 32j + 496) only when another group follows.
-inline HZCCL_HOT int64_t decode_fold_avx512_body(const uint8_t* payload, size_t n, int c,
-                                                 int64_t q, uint64_t pos, uint64_t* sum,
-                                                 uint64_t* wsum) {
-  const GroupDecoder dec(payload, n, c);
-  __m512i j[4];
-  __m512i tri[4];
-  for (int k = 0; k < 4; ++k) {
-    j[k] = _mm512_loadu_si512(kFoldWeights.j[k]);
-    tri[k] = _mm512_loadu_si512(kFoldWeights.tri[k]);
-  }
-  __m512i a0 = _mm512_setzero_si512();
-  __m512i a1 = _mm512_setzero_si512();
-  __m512i a2 = _mm512_setzero_si512();
-  const auto parity = [&](__m512i r, int k) {
-    a0 = _mm512_add_epi64(a0, r);
-    a1 = _mm512_add_epi64(a1, _mm512_mul_epi32(r, j[k]));
-    a2 = _mm512_add_epi64(a2, _mm512_mul_epi32(r, tri[k]));
-  };
-  for (size_t i = 0;;) {
-    const Group32 g = dec.group(i, dec.masks(i));
-    parity(_mm512_srai_epi64(_mm512_slli_epi64(g.lo, 32), 32), 0);
-    parity(_mm512_srai_epi64(g.lo, 32), 1);
-    parity(_mm512_srai_epi64(_mm512_slli_epi64(g.hi, 32), 32), 2);
-    parity(_mm512_srai_epi64(g.hi, 32), 3);
-    i += 32;
-    if (i >= n) break;
-    for (int k = 0; k < 4; ++k) {
-      tri[k] = _mm512_add_epi64(_mm512_add_epi64(tri[k], _mm512_slli_epi64(j[k], 5)),
-                                _mm512_set1_epi64(496));
-      j[k] = _mm512_add_epi64(j[k], _mm512_set1_epi64(32));
+/// x(x + 1)/2 mod 2^64, halving the even factor first.
+inline uint64_t tri_u64(uint64_t x) { return x % 2 == 0 ? (x / 2) * (x + 1) : x * ((x + 1) / 2); }
+
+/// The digest fold of a whole chunk with one reduction.  With g the
+/// chunk-local 0-based index of residual r_g, N values, K blocks of
+/// length L and chain start q0, summing the chain over every position
+/// gives
+///   sum  = N*q0 + N*S0 - S1,        S1 = sum g*r_g
+///   wsum = tri(N)*q0 + tri(N)*S0 - S2,   S2 = sum tri(g)*r_g
+/// (tri(x) = x(x+1)/2, S0 = sum r_g), and a raw block at [b, b + n) takes
+/// back n*q_B and (n*b + tri(n))*q_B, q_B being the chain there.  Block k
+/// starts at b = k*L, and g = b + j splits each weight into block-local
+/// parts: g = b + j and tri(g) = tri(b) + b*j + tri(j).  The lane sums of
+/// r, j*r and tri(j)*r (a0, a1, a2, VPMULDQ on the even and odd residuals
+/// of a group against weights that stay in registers) run over the whole
+/// chunk, and the block offsets come from running sums added once per
+/// block: v += a0, w += a1, y += v.  Then
+///   sum_k b*S0_k      = L*(K*S0 - V)
+///   sum_k b*S1loc_k   = L*(K*A1 - W)
+///   sum_k tri(b)*S0_k = tri(L*K)*S0 - L*(L*(2K+1) + 1)/2 * V + L*L*Y,
+/// V, W and Y being the reductions of v, w and y: every term is exact mod
+/// 2^64, so the words equal the per-value loop's.
+inline HZCCL_HOT ChunkStatus fold_chunk_avx512_body(const uint8_t* payload, size_t size,
+                                                    size_t count, uint32_t block_len, int64_t q,
+                                                    uint64_t* sum, uint64_t* wsum) {
+  struct Visitor {
+    __m512i j0[4];
+    __m512i t0[4];
+    __m512i a0 = _mm512_setzero_si512();
+    __m512i a1 = _mm512_setzero_si512();
+    __m512i a2 = _mm512_setzero_si512();
+    __m512i v = _mm512_setzero_si512();
+    __m512i w = _mm512_setzero_si512();
+    __m512i y = _mm512_setzero_si512();
+    uint64_t q0 = 0;
+    uint64_t raw_sum = 0;
+    uint64_t raw_wsum = 0;
+    void next_block() {
+      v = _mm512_add_epi64(v, a0);
+      w = _mm512_add_epi64(w, a1);
+      y = _mm512_add_epi64(y, v);
     }
+    void raw(const uint8_t*, size_t pos, size_t n) {
+      const uint64_t qb = q0 + static_cast<uint64_t>(_mm512_reduce_add_epi64(a0));
+      raw_sum += n * qb;
+      raw_wsum += qb * (n * pos + tri_u64(n));
+      next_block();
+    }
+    void constant(size_t, size_t) { next_block(); }
+    void residual(const uint8_t* p, int c, size_t, size_t len) {
+      with_block_len(len, [&](size_t n) __attribute__((always_inline)) { block(p, c, n); });
+      next_block();
+    }
+    __attribute__((always_inline)) void block(const uint8_t* p, int c, size_t n) {
+      const GroupDecoder dec(p, n, c);
+      __m512i j[4] = {j0[0], j0[1], j0[2], j0[3]};
+      __m512i t[4] = {t0[0], t0[1], t0[2], t0[3]};
+      const auto parity = [&](__m512i r, int k) {
+        a0 = _mm512_add_epi64(a0, r);
+        a1 = _mm512_add_epi64(a1, _mm512_mul_epi32(r, j[k]));
+        a2 = _mm512_add_epi64(a2, _mm512_mul_epi32(r, t[k]));
+      };
+      for (size_t i = 0;;) {
+        const Group32 g = dec.group(i, dec.masks(i));
+        parity(_mm512_srai_epi64(_mm512_slli_epi64(g.lo, 32), 32), 0);
+        parity(_mm512_srai_epi64(g.lo, 32), 1);
+        parity(_mm512_srai_epi64(_mm512_slli_epi64(g.hi, 32), 32), 2);
+        parity(_mm512_srai_epi64(g.hi, 32), 3);
+        i += 32;
+        if (i >= n) break;
+        // Next group: tri(j + 32) = tri(j) + 32j + 528.
+        for (int k = 0; k < 4; ++k) {
+          t[k] = _mm512_add_epi64(_mm512_add_epi64(t[k], _mm512_slli_epi64(j[k], 5)),
+                                  _mm512_set1_epi64(528));
+          j[k] = _mm512_add_epi64(j[k], _mm512_set1_epi64(32));
+        }
+      }
+    }
+  } vis;
+  for (int k = 0; k < 4; ++k) {
+    vis.j0[k] = _mm512_loadu_si512(kFoldWeights.j[k]);
+    vis.t0[k] = _mm512_loadu_si512(kFoldWeights.tri[k]);
   }
-  const int64_t s0 = _mm512_reduce_add_epi64(a0);
-  digest_fold_sums(n, q, pos, s0, _mm512_reduce_add_epi64(a1), _mm512_reduce_add_epi64(a2), sum,
-                   wsum);
-  return q + s0;
+  vis.q0 = static_cast<uint64_t>(q);
+  const ChunkStatus st = walk_chain(payload, size, count, block_len, vis);
+  const auto reduce = [](__m512i x) { return static_cast<uint64_t>(_mm512_reduce_add_epi64(x)); };
+  const uint64_t s0 = reduce(vis.a0);
+  const uint64_t a1 = reduce(vis.a1);
+  const uint64_t a2 = reduce(vis.a2);
+  const uint64_t sv = reduce(vis.v);
+  const uint64_t sw = reduce(vis.w);
+  const uint64_t sy = reduce(vis.y);
+  const uint64_t n = count;
+  const uint64_t len = block_len;
+  const uint64_t blocks = (n + len - 1) / len;
+  const uint64_t m = len * (2 * blocks + 1) + 1;  // even when len is odd
+  const uint64_t c1 = len % 2 == 0 ? (len / 2) * m : len * (m / 2);
+  const uint64_t s1 = len * (blocks * s0 - sv) + a1;
+  const uint64_t s2 = tri_u64(len * blocks) * s0 - c1 * sv + len * len * sy +
+                      len * (blocks * a1 - sw) + a2;
+  const uint64_t tn = tri_u64(n);
+  *sum = n * vis.q0 + n * s0 - s1 - vis.raw_sum;
+  *wsum = tn * vis.q0 + tn * s0 - s2 - vis.raw_wsum;
+  return st;
 }
 
-/// Decode both blocks and merge them, one group of each in registers: the
-/// int64 merge of combine_body on 8 lanes at a time, its magnitudes
-/// narrowed by VPMOVQD and its signs from VPMOVQ2M, every store masked to
-/// the block.
-template <int SIGN_B>
-inline uint64_t decode_combine_avx512_loop(const uint8_t* pa, int ca, const uint8_t* pb, int cb,
-                                           size_t n, uint32_t* mags, uint32_t* signs) {
+/// Pipeline 4 at AVX-512: one group of each operand decoded into registers
+/// and merged in int32 (exact whenever no lane overflows; a lane does when
+/// a +- b leaves int32, which the operands' and the sum's signs show, or
+/// lands on -2^31, whose |s| VPABSD leaves at 2^31), then encoded from
+/// registers once the block's OR of |s| gives its code length.  A block of
+/// one group never leaves registers; a longer one parks its merged groups
+/// in a stack block until the last group is merged.
+template <int Sign>
+__attribute__((always_inline)) inline ChunkStatus merge_encode_block(
+    const uint8_t* pa, int ca, const uint8_t* pb, int cb, size_t n, uint8_t* dst, size_t avail,
+    size_t* written) {
   const GroupDecoder da(pa, n, ca);
   const GroupDecoder db(pb, n, cb);
-  const __m256i one = _mm256_set1_epi32(1);
+  // The OR of all |s|, every bit set in a lane that overflowed.
   __m512i guard = _mm512_setzero_si512();
-  const auto quarter = [&](__m256i ra, __m256i rb, size_t at, uint32_t lanes) {
-    const __m512i a = _mm512_cvtepi32_epi64(ra);
-    const __m512i b = _mm512_cvtepi32_epi64(rb);
-    const __m512i s = SIGN_B >= 0 ? _mm512_add_epi64(a, b) : _mm512_sub_epi64(a, b);
-    const __m512i mag = _mm512_abs_epi64(s);
-    guard = _mm512_or_si512(guard, mag);
-    const auto m = static_cast<__mmask8>(lanes);
-    _mm256_mask_storeu_epi32(mags + at, m, _mm512_cvtepi64_epi32(mag));
-    _mm256_mask_storeu_epi32(signs + at, m, _mm256_maskz_mov_epi32(_mm512_movepi64_mask(s), one));
+  const auto merge = [&](__m512i x, __m512i y, __m512i* mag) {
+    const __m512i s = Sign > 0 ? _mm512_add_epi32(x, y) : _mm512_sub_epi32(x, y);
+    // Signed overflow: the operands share a sign the sum lacks (a + b), or
+    // differ in sign and the difference's sign differs from a's (a - b).
+    const __m512i o = Sign > 0 ? _mm512_and_si512(_mm512_xor_si512(x, s), _mm512_xor_si512(y, s))
+                               : _mm512_and_si512(_mm512_xor_si512(x, y), _mm512_xor_si512(x, s));
+    *mag = _mm512_abs_epi32(s);
+    guard = _mm512_ternarylogic_epi32(guard, *mag, _mm512_srai_epi32(o, 31), 0xFE);
+    return static_cast<uint32_t>(_mm512_movepi32_mask(s));
   };
+  uint32_t mags[kMaxBlockValues];
+  uint32_t negs[kMaxBlockValues / 32];
+  __m512i lo;
+  __m512i hi;
+  uint32_t neg = 0;
   for (size_t i = 0; i < n; i += 32) {
-    const GroupMasks m = da.masks(i);
-    const Group32 a = da.group(i, m);
+    const Group32 a = da.group(i, da.masks(i));
     const Group32 b = db.group(i, db.masks(i));
-    quarter(_mm512_castsi512_si256(a.lo), _mm512_castsi512_si256(b.lo), i, m.values);
-    quarter(_mm512_extracti64x4_epi64(a.lo, 1), _mm512_extracti64x4_epi64(b.lo, 1), i + 8,
-            m.values >> 8);
-    quarter(_mm512_castsi512_si256(a.hi), _mm512_castsi512_si256(b.hi), i + 16, m.values >> 16);
-    quarter(_mm512_extracti64x4_epi64(a.hi, 1), _mm512_extracti64x4_epi64(b.hi, 1), i + 24,
-            m.values >> 24);
+    neg = merge(a.lo, b.lo, &lo) | (merge(a.hi, b.hi, &hi) << 16);
+    if (n > 32) {
+      _mm512_storeu_si512(mags + i, lo);
+      _mm512_storeu_si512(mags + i + 16, hi);
+      negs[i / 32] = neg;
+    }
   }
-  return static_cast<uint64_t>(_mm512_reduce_or_epi64(guard));
+  const auto g = static_cast<uint32_t>(_mm512_reduce_or_epi32(guard));
+  if ((g >> 31) != 0) return ChunkStatus::kOverflow;
+  const int c = guard_code_length(g);
+  *written = block_bytes(c, n);
+  if (*written > avail) return ChunkStatus::kEncodeCapacity;
+  dst[0] = static_cast<uint8_t>(c);
+  if (c == 0) return ChunkStatus::kOk;
+  const GroupEncoder enc(dst + 1, n, c);
+  if (n <= 32) {
+    enc.group(0, enc.masks(0), lo, hi, neg);
+    return ChunkStatus::kOk;
+  }
+  for (size_t i = 0; i < n; i += 32) {
+    enc.group(i, enc.masks(i), _mm512_loadu_si512(mags + i), _mm512_loadu_si512(mags + i + 16),
+              negs[i / 32]);
+  }
+  return ChunkStatus::kOk;
 }
 
-inline HZCCL_HOT uint64_t decode_combine_avx512_body(const uint8_t* pa, int ca, const uint8_t* pb,
-                                                     int cb, size_t n, int sign_b, uint32_t* mags,
-                                                     uint32_t* signs) {
-  return sign_b >= 0 ? decode_combine_avx512_loop<+1>(pa, ca, pb, cb, n, mags, signs)
-                     : decode_combine_avx512_loop<-1>(pa, ca, pb, cb, n, mags, signs);
+template <int Sign>
+inline ChunkStatus merge_encode_avx512(const uint8_t* pa, int ca, const uint8_t* pb, int cb,
+                                       size_t len, uint8_t* dst, size_t avail, size_t* written) {
+  ChunkStatus st = ChunkStatus::kOk;
+  with_block_len(len, [&](size_t n) __attribute__((always_inline)) {
+    st = merge_encode_block<Sign>(pa, ca, pb, cb, n, dst, avail, written);
+  });
+  return st;
+}
+
+inline HZCCL_HOT CombineChunkResult combine_chunk_avx512_body(const uint8_t* a, size_t size_a,
+                                                              const uint8_t* b, size_t size_b,
+                                                              size_t count, uint32_t block_len,
+                                                              int sign_b, uint8_t* out,
+                                                              size_t capacity) {
+  return sign_b >= 0 ? combine_walk<+1>(a, size_a, b, size_b, count, block_len, out, capacity,
+                                        merge_encode_avx512<+1>)
+                     : combine_walk<-1>(a, size_a, b, size_b, count, block_len, out, capacity,
+                                        merge_encode_avx512<-1>);
 }
 
 // ---------------------------------------------------------------------------

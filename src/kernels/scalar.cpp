@@ -13,9 +13,9 @@ bool populate_scalar(KernelTable& t) {
   t.crc32c = &crc32c_scalar_body;
   t.decode_block = &decode_block_scalar_body;
   t.encode_block = &encode_block_scalar_body;
-  t.decode_dequantize = &decode_dequantize_scalar_body;
-  t.decode_fold = &decode_fold_scalar_body;
-  t.decode_combine = &decode_combine_scalar_body;
+  t.decompress_chunk = &decompress_chunk_scalar_body;
+  t.fold_chunk = &fold_chunk_scalar_body;
+  t.combine_chunk = &combine_chunk_scalar_body;
   return true;
 }
 

@@ -729,6 +729,28 @@ TEST(PoisonedCombine, ComputeSideCorruptionRecoversWithoutTheWire) {
   EXPECT_GT(max_abs_err(blind.rank0_output, reference), envelope);
 }
 
+TEST(VerifyPolicy, WireSdcWithVerifyOffHealsABrokenBlockChain) {
+  // A payload bit flipped before the CRC seal can land on a code-length
+  // byte: the stream still parses, but its block chain no longer holds
+  // together.  Under a link-fault plan the receive check walks every chain,
+  // so the stream heals (retransmit, then raw fallback) instead of throwing
+  // in the later decode, with no digests to help.  Without the walk this
+  // plan and input abort the C-Coll ring with "decode_block: truncated
+  // block payload".
+  JobConfig config;
+  config.nranks = 6;
+  config.abs_error_bound = 1e-3;
+  config.verify = VerifyPolicy::kOff;
+  config.faults = FaultPlan::parse("9,0,0,0,0,0,0,50e-6,200e-6,0.05");
+  const RankInputFn inputs = sweep_inputs(4096);
+  for (const Kernel k : {Kernel::kCCollMultiThread, Kernel::kHzcclMultiThread}) {
+    const JobResult r = run_collective(k, Op::kAllreduce, config, inputs);
+    EXPECT_EQ(r.attempts, 1) << kernel_name(k);
+    EXPECT_GT(r.transport.faults_injected, 0u) << kernel_name(k);
+    EXPECT_GT(r.transport.retransmits + r.transport.raw_fallbacks, 0u) << kernel_name(k);
+  }
+}
+
 TEST(IntegrityStats, CountersStayInternallyConsistent) {
   const RankInputFn inputs = sweep_inputs(6000);
   JobConfig config;

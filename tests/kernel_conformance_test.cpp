@@ -550,39 +550,43 @@ TEST(KernelConformance, EncodeBlockMatchesScalarOracle) {
 }
 
 // ---------------------------------------------------------------------------
-// The fused decodes (decode_dequantize, decode_fold, decode_combine): each
-// level against the scalar oracle, on payloads the scalar encoder wrote, and
-// the oracle itself against the residuals those payloads carry.  Payloads
+// The chunk slots (decompress_chunk, fold_chunk, combine_chunk): the scalar
+// slot against an independent per-value model (the residuals a chunk was
+// built from, prefix-summed and dequantized, folded or merged one value at
+// a time), and each level against the scalar slot.  Chunks hold residual
+// blocks at every code length, raw blocks and runs of constant blocks, at
+// block lengths 1, 7, 32, 33, 100 and 512 with short last blocks.  Payloads
 // sit flush against the end of their allocation 0-3 bytes into it, or end
 // at an inaccessible page; outputs are framed by canaries.
 // ---------------------------------------------------------------------------
 
-/// A random residual block at code length c, encoded by the scalar slot:
-/// magnitudes below 2^c with the extreme 2^c - 1 mixed in (at c = 31,
-/// +-(2^31 - 1), the largest the codec carries), random signs.
-struct EncodedBlock {
-  int c = 0;
-  std::vector<int32_t> residuals;
-  std::vector<uint8_t> payload;  ///< the bytes after the code-length byte
-};
-
-EncodedBlock encode_random_block(Prng& rng, size_t n, int c) {
-  const uint32_t low = (1u << c) - 1u;
-  EncodedBlock b;
-  b.c = c;
-  b.residuals.resize(n);
+/// The scalar slot's payload of `residuals` at code length c.
+std::vector<uint8_t> encode_residuals(const std::vector<int32_t>& residuals, int c) {
+  const size_t n = residuals.size();
   std::vector<uint32_t> mags(n);
   std::vector<uint32_t> signs(n);
   for (size_t i = 0; i < n; ++i) {
-    mags[i] = rng.u32() % 4u == 0 ? low : rng.u32() & low;
-    signs[i] = rng.u32() & 1u;
-    const auto mag = static_cast<int32_t>(mags[i]);
-    b.residuals[i] = signs[i] != 0 ? -mag : mag;
+    const int64_t r = residuals[i];
+    mags[i] = static_cast<uint32_t>(r < 0 ? -r : r);
+    signs[i] = r < 0 ? 1u : 0u;
   }
-  b.payload.resize(block_payload_size(c, n));
+  std::vector<uint8_t> payload(block_payload_size(c, n));
   kernels::table(DispatchLevel::kScalar)
-      .encode_block(mags.data(), signs.data(), n, c, b.payload.data());
-  return b;
+      .encode_block(mags.data(), signs.data(), n, c, payload.data());
+  return payload;
+}
+
+/// A random residual block at code length c: magnitudes below 2^c with
+/// the extreme 2^c - 1 mixed in (at c = 31, +-(2^31 - 1), the largest the
+/// codec carries), random signs.
+std::vector<int32_t> random_residuals(Prng& rng, size_t n, int c) {
+  const uint32_t low = (1u << c) - 1u;
+  std::vector<int32_t> r(n);
+  for (size_t i = 0; i < n; ++i) {
+    const auto mag = static_cast<int32_t>(rng.u32() % 4u == 0 ? low : rng.u32() & low);
+    r[i] = (rng.u32() & 1u) != 0 ? -mag : mag;
+  }
+  return r;
 }
 
 /// Placements 0-3: flush against the end of a heap allocation, that many
@@ -614,21 +618,113 @@ std::string placement_name(size_t placement) {
   return placement == kGuardedPlacement ? "guarded" : "misalign=" + std::to_string(placement);
 }
 
+/// One chunk's block chain with the per-value facts the models need.
+struct TestChunk {
+  uint32_t block_len = 0;
+  size_t count = 0;
+  std::vector<uint8_t> bytes;      ///< the payload
+  std::vector<int> codes;          ///< per block
+  std::vector<size_t> offsets;     ///< per block, into bytes
+  std::vector<int32_t> residuals;  ///< per value; 0 in constant and raw blocks
+  std::vector<uint32_t> raw_bits;  ///< per value; a raw block's float bits
+
+  size_t block_size(size_t k) const {
+    return (k + 1 < offsets.size() ? offsets[k + 1] : bytes.size()) - offsets[k];
+  }
+};
+
+/// Append one block to ch: constant (code 0), raw (kRawBlockMarker, random
+/// finite floats), or `residuals` at code length `code`.
+void append_block(TestChunk& ch, Prng& rng, size_t n, int code,
+                  const std::vector<int32_t>& residuals = {}) {
+  ch.codes.push_back(code);
+  ch.offsets.push_back(ch.bytes.size());
+  ch.bytes.push_back(static_cast<uint8_t>(code));
+  if (code == kRawBlockMarker) {
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t bits = (rng.u32() & 0x807FFFFFu) | ((1u + rng.u32() % 254u) << 23);
+      ch.raw_bits.push_back(bits);
+      ch.residuals.push_back(0);
+      for (int b = 0; b < 4; ++b) ch.bytes.push_back(static_cast<uint8_t>(bits >> (8 * b)));
+    }
+    return;
+  }
+  if (code == 0) {
+    ch.residuals.insert(ch.residuals.end(), n, 0);
+    ch.raw_bits.insert(ch.raw_bits.end(), n, 0u);
+    return;
+  }
+  const std::vector<uint8_t> payload = encode_residuals(residuals, code);
+  ch.bytes.insert(ch.bytes.end(), payload.begin(), payload.end());
+  ch.residuals.insert(ch.residuals.end(), residuals.begin(), residuals.end());
+  ch.raw_bits.insert(ch.raw_bits.end(), n, 0u);
+}
+
+void append_random_block(TestChunk& ch, Prng& rng, size_t n, int code) {
+  if (code == 0 || code == kRawBlockMarker) {
+    append_block(ch, rng, n, code);
+    return;
+  }
+  append_block(ch, rng, n, code, random_residuals(rng, n, code));
+}
+
+/// The code of block k of a test chain: every code length 0..31 in turn,
+/// then a run of four constant blocks, a raw block (with_raw) and three at
+/// random code lengths, repeating.
+int chain_code(Prng& rng, size_t k, bool with_raw) {
+  const size_t phase = k % 40;
+  if (phase < 32) return static_cast<int>(phase);
+  if (phase < 36) return 0;
+  if (phase == 36 && with_raw) return kRawBlockMarker;
+  return 1 + static_cast<int>(rng.u32() % 31u);
+}
+
+TestChunk make_chain(Prng& rng, size_t count, uint32_t block_len, bool with_raw) {
+  TestChunk ch;
+  ch.block_len = block_len;
+  ch.count = count;
+  for (size_t k = 0, pos = 0; pos < count; ++k, pos += block_len) {
+    append_random_block(ch, rng, std::min<size_t>(block_len, count - pos),
+                        chain_code(rng, k, with_raw));
+  }
+  return ch;
+}
+
+/// The chunk shapes every chain test sweeps: each block length with a
+/// short last block (whole chunks at 1, 7 and 512), and two chunks past
+/// 65536 values, where j(j+1)/2 outgrows 32 bits.
+std::vector<std::pair<uint32_t, size_t>> chain_shapes() {
+  std::vector<std::pair<uint32_t, size_t>> out;
+  for (const uint32_t len : {1u, 7u, 32u, 33u, 100u, 512u}) {
+    out.emplace_back(len, size_t{len} * 45 + (len > 1 ? len / 2 + 1 : 0));
+  }
+  out.emplace_back(7u, 7 * 45);
+  out.emplace_back(512u, 512 * 41);
+  out.emplace_back(32u, 70001);
+  out.emplace_back(512u, 70001);
+  return out;
+}
+
+std::string chain_name(const TestChunk& ch) {
+  return "block_len=" + std::to_string(ch.block_len) + " count=" + std::to_string(ch.count);
+}
+
 constexpr uint32_t kCanaryFloatBits = 0x7FA5A5A5u;  // a NaN no dequantize produces
 
-/// One decode_dequantize call into a canary-framed buffer, `dst_off` floats
-/// in: the chain value it returned and the bits of the whole frame.
-struct DequantizeRun {
-  int64_t q = 0;
+/// One decompress_chunk call into a canary-framed buffer, `dst_off` floats
+/// in: the status and the bits of the whole frame.
+struct DecompressRun {
+  kernels::ChunkStatus status = kernels::ChunkStatus::kOk;
   std::vector<uint32_t> frame;
 };
 
-DequantizeRun run_dequantize(const KernelTable& t, const uint8_t* payload, size_t n, int c,
-                             int64_t q, double twice_eb, size_t dst_off) {
-  std::vector<float> out(dst_off + n + 8);
+DecompressRun run_decompress(const KernelTable& t, const uint8_t* payload, const TestChunk& ch,
+                             int64_t q0, double twice_eb, size_t dst_off) {
+  std::vector<float> out(dst_off + ch.count + 8);
   for (float& v : out) std::memcpy(&v, &kCanaryFloatBits, sizeof v);
-  DequantizeRun run;
-  run.q = t.decode_dequantize(payload, n, c, q, twice_eb, out.data() + dst_off);
+  DecompressRun run;
+  run.status = t.decompress_chunk(payload, ch.bytes.size(), ch.count, ch.block_len, q0, twice_eb,
+                                  out.data() + dst_off);
   run.frame.resize(out.size());
   std::memcpy(run.frame.data(), out.data(), out.size() * sizeof(float));
   return run;
@@ -646,204 +742,334 @@ TEST(KernelConformance, DecodeDequantizeMatchesScalarOracle) {
   const double kScales[] = {2e-3, 1.0, 0.1, 6.103515625e-05, 3.3e-7};
   Prng rng(/*seed=*/0xDE0A47u, /*stream=*/0);
   size_t round = 0;
-  for (int c = 1; c <= kMaxCodeLength; ++c) {
-    for (const size_t n : block_lengths()) {
-      const EncodedBlock b = encode_random_block(rng, n, c);
-      const int64_t q0 = kStarts[round % std::size(kStarts)] +
-                         static_cast<int64_t>(rng.u32() % 1024u);
-      const double twice_eb = kScales[round % std::size(kScales)];
-      ++round;
-      const std::string what = "c=" + std::to_string(c) + " n=" + std::to_string(n) +
-                               " q0=" + std::to_string(q0);
-      // The oracle against the residuals it was encoded from.
-      const DequantizeRun want = run_dequantize(ref, b.payload.data(), n, c, q0, twice_eb, 0);
-      int64_t q = q0;
-      for (size_t i = 0; i < n; ++i) {
-        q += b.residuals[i];
+  for (const auto& [len, count] : chain_shapes()) {
+    const TestChunk ch = make_chain(rng, count, len, /*with_raw=*/true);
+    const int64_t q0 =
+        kStarts[round % std::size(kStarts)] + static_cast<int64_t>(rng.u32() % 1024u);
+    const double twice_eb = kScales[round % std::size(kScales)];
+    ++round;
+    const std::string what = chain_name(ch) + " q0=" + std::to_string(q0);
+    // The oracle against the per-value model: the chain prefix-summed and
+    // dequantized one value at a time, raw floats verbatim.
+    const DecompressRun want = run_decompress(ref, ch.bytes.data(), ch, q0, twice_eb, 0);
+    ASSERT_EQ(want.status, kernels::ChunkStatus::kOk) << what;
+    int64_t q = q0;
+    for (size_t i = 0; i < count; ++i) {
+      const size_t k = i / len;
+      uint32_t bits = ch.raw_bits[i];
+      if (ch.codes[k] != kRawBlockMarker) {
+        q += ch.residuals[i];
         const float f = static_cast<float>(static_cast<double>(q) * twice_eb);
-        uint32_t bits;
         std::memcpy(&bits, &f, sizeof bits);
-        ASSERT_EQ(want.frame[i], bits) << "scalar oracle: " << what << " i=" << i;
       }
-      ASSERT_EQ(want.q, q) << "scalar oracle chain: " << what;
-      for (size_t i = n; i < want.frame.size(); ++i) {
-        ASSERT_EQ(want.frame[i], kCanaryFloatBits) << "scalar oracle canary: " << what;
-      }
-      for (DispatchLevel lvl : vector_levels()) {
-        const KernelTable& vec = kernels::table(lvl);
-        for (size_t placement = 0; placement <= kGuardedPlacement; ++placement) {
-          const PlacedPayload src(b.payload, placement);
-          const size_t dst_off = placement % 4;
-          const DequantizeRun got = run_dequantize(vec, src.data(), n, c, q0, twice_eb, dst_off);
-          const DequantizeRun framed =
-              dst_off == 0 ? want
-                           : run_dequantize(ref, b.payload.data(), n, c, q0, twice_eb, dst_off);
-          ASSERT_EQ(got.q, framed.q) << "level=" << kernels::level_name(lvl) << " " << what
-                                     << " " << placement_name(placement);
-          ASSERT_EQ(got.frame, framed.frame)
-              << "floats (or the canaries around them) differ: level="
-              << kernels::level_name(lvl) << " " << what << " " << placement_name(placement);
-        }
+      ASSERT_EQ(want.frame[i], bits) << "scalar oracle: " << what << " i=" << i;
+    }
+    for (size_t i = count; i < want.frame.size(); ++i) {
+      ASSERT_EQ(want.frame[i], kCanaryFloatBits) << "scalar oracle canary: " << what;
+    }
+    for (DispatchLevel lvl : vector_levels()) {
+      const KernelTable& vec = kernels::table(lvl);
+      for (size_t placement = 0; placement <= kGuardedPlacement; ++placement) {
+        const PlacedPayload src(ch.bytes, placement);
+        const size_t dst_off = placement % 4;
+        const DecompressRun got = run_decompress(vec, src.data(), ch, q0, twice_eb, dst_off);
+        const DecompressRun framed =
+            dst_off == 0 ? want : run_decompress(ref, ch.bytes.data(), ch, q0, twice_eb, dst_off);
+        ASSERT_EQ(got.status, framed.status)
+            << "level=" << kernels::level_name(lvl) << " " << what << " "
+            << placement_name(placement);
+        ASSERT_EQ(got.frame, framed.frame)
+            << "floats (or the canaries around them) differ: level=" << kernels::level_name(lvl)
+            << " " << what << " " << placement_name(placement);
       }
     }
   }
 }
 
-/// The digest fold of decoded residuals one value at a time: the definition
-/// the oracle must meet.
-int64_t serial_fold(const std::vector<int32_t>& r, int64_t q, uint64_t pos, uint64_t* sum,
-                    uint64_t* wsum) {
-  integrity::Digest d{*sum, *wsum};
-  for (size_t i = 0; i < r.size(); ++i) {
-    q += r[i];
-    d.accumulate(q, pos + i);
-  }
-  *sum = d.sum;
-  *wsum = d.wsum;
-  return q;
+/// fold_chunk's digest words.
+struct FoldRun {
+  kernels::ChunkStatus status = kernels::ChunkStatus::kOk;
+  uint64_t sum = 0;
+  uint64_t wsum = 0;
+};
+
+FoldRun run_fold(const KernelTable& t, const uint8_t* payload, const TestChunk& ch, int64_t q0) {
+  FoldRun run;
+  run.status =
+      t.fold_chunk(payload, ch.bytes.size(), ch.count, ch.block_len, q0, &run.sum, &run.wsum);
+  return run;
 }
 
 TEST(KernelConformance, DigestBlockMatchesScalarOracle) {
   const KernelTable& ref = kernels::table(DispatchLevel::kScalar);
   Prng rng(/*seed=*/0xD16E57u, /*stream=*/0);
-  for (int c = 1; c <= kMaxCodeLength; ++c) {
-    for (const size_t n : block_lengths()) {
-      // Chain values up to +-2^62, positions up to 2^40, and a non-zero
-      // digest to fold into.
-      const EncodedBlock b = encode_random_block(rng, n, c);
-      const auto q = static_cast<int64_t>(rng.next() % (uint64_t{1} << 63)) - (int64_t{1} << 62);
-      const uint64_t pos = 1 + rng.next() % (uint64_t{1} << 40);
-      const uint64_t sum0 = rng.next();
-      const uint64_t wsum0 = rng.next();
-      const std::string what = "c=" + std::to_string(c) + " n=" + std::to_string(n);
-      uint64_t sum_ref = sum0;
-      uint64_t wsum_ref = wsum0;
-      const int64_t q_ref = ref.decode_fold(b.payload.data(), n, c, q, pos, &sum_ref, &wsum_ref);
-      uint64_t sum_def = sum0;
-      uint64_t wsum_def = wsum0;
-      ASSERT_EQ(q_ref, serial_fold(b.residuals, q, pos, &sum_def, &wsum_def)) << what;
-      ASSERT_EQ(sum_ref, sum_def) << "scalar oracle: " << what;
-      ASSERT_EQ(wsum_ref, wsum_def) << "scalar oracle: " << what;
+  for (const auto& [len, count] : chain_shapes()) {
+    for (const bool with_raw : {false, true}) {
+      const TestChunk ch = make_chain(rng, count, len, with_raw);
+      // Chain starts up to +-2^62: the words wrap mod 2^64 at once.
+      const auto q0 =
+          static_cast<int64_t>(rng.next() % (uint64_t{1} << 63)) - (int64_t{1} << 62);
+      const std::string what = chain_name(ch) + (with_raw ? " with raw blocks" : "");
+      // The oracle against the per-value model: Digest::accumulate over the
+      // chain at every non-raw position.
+      const FoldRun want = run_fold(ref, ch.bytes.data(), ch, q0);
+      ASSERT_EQ(want.status, kernels::ChunkStatus::kOk) << what;
+      integrity::Digest d;
+      int64_t q = q0;
+      for (size_t i = 0; i < count; ++i) {
+        if (ch.codes[i / len] == kRawBlockMarker) continue;
+        q += ch.residuals[i];
+        d.accumulate(q, i + 1);
+      }
+      ASSERT_EQ(want.sum, d.sum) << "scalar oracle: " << what;
+      ASSERT_EQ(want.wsum, d.wsum) << "scalar oracle: " << what;
       for (DispatchLevel lvl : vector_levels()) {
         const KernelTable& vec = kernels::table(lvl);
         for (size_t placement = 0; placement <= kGuardedPlacement; ++placement) {
-          const PlacedPayload src(b.payload, placement);
-          uint64_t sum_vec = sum0;
-          uint64_t wsum_vec = wsum0;
-          const int64_t q_vec = vec.decode_fold(src.data(), n, c, q, pos, &sum_vec, &wsum_vec);
+          const PlacedPayload src(ch.bytes, placement);
+          const FoldRun got = run_fold(vec, src.data(), ch, q0);
           const std::string where = std::string("level=") + kernels::level_name(lvl) + " " +
                                     what + " " + placement_name(placement);
-          ASSERT_EQ(q_vec, q_ref) << where;
-          ASSERT_EQ(sum_vec, sum_ref) << where;
-          ASSERT_EQ(wsum_vec, wsum_ref) << where;
+          ASSERT_EQ(got.status, want.status) << where;
+          ASSERT_EQ(got.sum, want.sum) << where;
+          ASSERT_EQ(got.wsum, want.wsum) << where;
         }
       }
-    }
-  }
-  // Chained blocks: folding a run block by block, each continuing from the
-  // previous chain value and position, equals one serial fold of the run.
-  Prng fill(/*seed=*/0xC4A1Du, /*stream=*/0);
-  std::vector<int32_t> run(kernels::kMaxBlockValues);
-  for (int32_t& v : run) v = static_cast<int32_t>(fill.u32() >> 1) - (1 << 30);
-  uint64_t sum_def = 0;
-  uint64_t wsum_def = 0;
-  const int64_t q0 = int64_t{1} << 61;
-  const int64_t q_def = serial_fold(run, q0, 1, &sum_def, &wsum_def);
-  for (DispatchLevel lvl : kernels::supported_levels()) {
-    const KernelTable& t = kernels::table(lvl);
-    for (const size_t block : {size_t{1}, size_t{7}, size_t{32}, size_t{100}, size_t{512}}) {
-      uint64_t sum = 0;
-      uint64_t wsum = 0;
-      int64_t q = q0;
-      for (size_t at = 0; at < run.size(); at += block) {
-        const size_t n = std::min(block, run.size() - at);
-        std::vector<uint32_t> mags(n);
-        std::vector<uint32_t> signs(n);
-        uint32_t max_mag = 0;
-        for (size_t i = 0; i < n; ++i) {
-          const int32_t r = run[at + i];
-          mags[i] = static_cast<uint32_t>(r < 0 ? -r : r);
-          signs[i] = r < 0 ? 1u : 0u;
-          max_mag |= mags[i];
-        }
-        const int c = std::max(code_length_for(max_mag), 1);
-        std::vector<uint8_t> payload(block_payload_size(c, n));
-        ref.encode_block(mags.data(), signs.data(), n, c, payload.data());
-        q = t.decode_fold(payload.data(), n, c, q, 1 + at, &sum, &wsum);
-      }
-      EXPECT_EQ(q, q_def) << "level=" << kernels::level_name(lvl) << " block=" << block;
-      EXPECT_EQ(sum, sum_def) << "level=" << kernels::level_name(lvl) << " block=" << block;
-      EXPECT_EQ(wsum, wsum_def) << "level=" << kernels::level_name(lvl) << " block=" << block;
     }
   }
 }
 
-/// One decode_combine call with canary-framed outputs.
+/// One combine_chunk call into a canary-framed buffer of `capacity` bytes.
 struct CombineRun {
-  uint64_t guard = 0;
-  std::vector<uint32_t> mags;
-  std::vector<uint32_t> signs;
+  kernels::CombineChunkResult res;
+  std::vector<uint8_t> frame;
 };
 
-CombineRun run_combine(const KernelTable& t, const uint8_t* pa, int ca, const uint8_t* pb, int cb,
-                       size_t n, int sign_b) {
+CombineRun run_combine(const KernelTable& t, const uint8_t* pa, const TestChunk& a,
+                       const uint8_t* pb, const TestChunk& b, int sign_b, size_t capacity) {
   CombineRun run;
-  run.mags.assign(n + 2 * kSlotPad, kCanaryU32);
-  run.signs.assign(n + 2 * kSlotPad, kCanaryU32);
-  run.guard = t.decode_combine(pa, ca, pb, cb, n, sign_b, run.mags.data() + kSlotPad,
-                               run.signs.data() + kSlotPad);
+  run.frame.assign(capacity + 16, kGuardByte);
+  run.res = t.combine_chunk(pa, a.bytes.size(), pb, b.bytes.size(), a.count, a.block_len, sign_b,
+                            run.frame.data(), capacity);
   return run;
+}
+
+void expect_same_result(const kernels::CombineChunkResult& got,
+                        const kernels::CombineChunkResult& want, const std::string& where) {
+  EXPECT_EQ(got.status, want.status) << where;
+  EXPECT_EQ(got.bytes, want.bytes) << where;
+  EXPECT_EQ(got.p1, want.p1) << where;
+  EXPECT_EQ(got.p2, want.p2) << where;
+  EXPECT_EQ(got.p3, want.p3) << where;
+  EXPECT_EQ(got.p4, want.p4) << where;
+  EXPECT_EQ(got.copied_bytes, want.copied_bytes) << where;
+  EXPECT_EQ(got.p4_elements, want.p4_elements) << where;
+}
+
+/// The per-value model of combine_chunk on a chain pair, a + sign_b * b:
+/// the output bytes and counts, or the fault at the first block that has
+/// one and the bytes and counts before it.
+struct CombineModel {
+  kernels::CombineChunkResult res;
+  std::vector<uint8_t> bytes;
+};
+
+CombineModel combine_model(const TestChunk& a, const TestChunk& b, int sign_b, size_t capacity) {
+  CombineModel m;
+  auto& r = m.res;
+  const auto fail = [&](kernels::ChunkStatus st) {
+    r.status = st;
+    return m;
+  };
+  for (size_t k = 0; k < a.codes.size(); ++k) {
+    const size_t pos = k * a.block_len;
+    const size_t n = std::min<size_t>(a.block_len, a.count - pos);
+    const int ca = a.codes[k];
+    const int cb = b.codes[k];
+    const auto block_a = a.bytes.begin() + static_cast<ptrdiff_t>(a.offsets[k]);
+    const auto block_b = b.bytes.begin() + static_cast<ptrdiff_t>(b.offsets[k]);
+    std::vector<uint8_t> out;
+    if (ca == 0 && cb == 0) {
+      out = {0};
+      ++r.p1;
+    } else if (ca == 0) {
+      out.assign(block_b, block_b + static_cast<ptrdiff_t>(b.block_size(k)));
+      if (sign_b < 0 && cb == kRawBlockMarker) {
+        for (size_t i = 0; i < n; ++i) out[1 + 4 * i + 3] ^= 0x80u;
+      } else if (sign_b < 0) {
+        for (size_t i = 0; i < n; ++i) out[1 + i / 8] ^= static_cast<uint8_t>(1u << (i % 8));
+      }
+      if (out.size() > capacity - r.bytes) {
+        return fail(sign_b > 0 ? kernels::ChunkStatus::kCopyCapacity
+                               : kernels::ChunkStatus::kNegateCapacity);
+      }
+      ++r.p2;
+      r.copied_bytes += out.size();
+    } else if (cb == 0) {
+      out.assign(block_a, block_a + static_cast<ptrdiff_t>(a.block_size(k)));
+      if (out.size() > capacity - r.bytes) return fail(kernels::ChunkStatus::kCopyCapacity);
+      ++r.p3;
+      r.copied_bytes += out.size();
+    } else {
+      if (ca == kRawBlockMarker || cb == kRawBlockMarker) {
+        return fail(kernels::ChunkStatus::kRawInMerge);
+      }
+      std::vector<int32_t> s(n);
+      uint64_t guard = 0;
+      for (size_t i = 0; i < n; ++i) {
+        const int64_t v = int64_t{a.residuals[pos + i]} + int64_t{sign_b} * b.residuals[pos + i];
+        guard |= static_cast<uint64_t>(v < 0 ? -v : v);
+        s[i] = static_cast<int32_t>(v);
+      }
+      if (guard > static_cast<uint64_t>(std::numeric_limits<int32_t>::max())) {
+        return fail(kernels::ChunkStatus::kOverflow);
+      }
+      const int c = code_length_for(static_cast<uint32_t>(guard));
+      out = {static_cast<uint8_t>(c)};
+      if (c > 0) {
+        const std::vector<uint8_t> payload = encode_residuals(s, c);
+        out.insert(out.end(), payload.begin(), payload.end());
+      }
+      if (out.size() > capacity - r.bytes) return fail(kernels::ChunkStatus::kEncodeCapacity);
+      ++r.p4;
+      r.p4_elements += n;
+    }
+    m.bytes.insert(m.bytes.end(), out.begin(), out.end());
+    r.bytes += out.size();
+  }
+  return m;
+}
+
+/// A chain pair for combine tests: block k of each side cycles through the
+/// four pipelines, constant runs, raw blocks copied by pipelines 2 and 3,
+/// and pipeline-4 pairs at code lengths 1..30 (whose sums always fit) or
+/// at 31 merging to exactly +-(2^31 - 1) in some lanes.
+std::pair<TestChunk, TestChunk> make_pair_chains(Prng& rng, size_t count, uint32_t block_len,
+                                                 int sign_b) {
+  std::pair<TestChunk, TestChunk> p;
+  auto& [a, b] = p;
+  a.block_len = b.block_len = block_len;
+  a.count = b.count = count;
+  for (size_t k = 0, pos = 0; pos < count; ++k, pos += block_len) {
+    const size_t n = std::min<size_t>(block_len, count - pos);
+    const auto code = [&] { return 1 + static_cast<int>(rng.u32() % 30u); };
+    switch (k % 10) {
+      case 0:
+      case 1:
+        append_block(a, rng, n, 0);
+        append_block(b, rng, n, 0);
+        break;
+      case 2:
+        append_block(a, rng, n, 0);
+        append_random_block(b, rng, n, k % 20 == 2 ? kRawBlockMarker : code());
+        break;
+      case 3:
+        append_random_block(a, rng, n, k % 20 == 3 ? kRawBlockMarker : code());
+        append_block(b, rng, n, 0);
+        break;
+      case 4: {
+        // Lanes that merge to exactly +-(2^31 - 1), the rest small.
+        std::vector<int32_t> ra(n);
+        std::vector<int32_t> rb(n);
+        for (size_t i = 0; i < n; ++i) {
+          const auto t = static_cast<int32_t>(rng.u32() >> 2);
+          const int32_t side = (rng.u32() & 1u) != 0 ? 1 : -1;
+          if (rng.u32() % 3u == 0) {
+            ra[i] = side * (std::numeric_limits<int32_t>::max() - t);
+            rb[i] = side * sign_b * t;
+          } else {
+            ra[i] = side * t;
+            rb[i] = -side * sign_b * (t / 2);
+          }
+        }
+        append_block(a, rng, n, 31, ra);
+        append_block(b, rng, n, 31, rb);
+        break;
+      }
+      default:
+        append_random_block(a, rng, n, code());
+        append_random_block(b, rng, n, code());
+        break;
+    }
+  }
+  return p;
 }
 
 TEST(KernelConformance, CombineResidualsMatchesScalarOracle) {
   const KernelTable& ref = kernels::table(DispatchLevel::kScalar);
-  // Equal and unequal code lengths; (31, 31) carries the guard-overflow
-  // lanes, where two extremes of one sign sum past INT32_MAX.
-  const std::pair<int, int> kPairs[] = {{31, 31}, {1, 1}, {5, 6}, {6, 5}, {1, 31},
-                                        {31, 1},  {8, 16}, {17, 9}, {0, 0}, {0, 0}};
   Prng rng(/*seed=*/0x5E5E5Eu, /*stream=*/0);
-  bool saw_overflow = false;
-  for (const size_t n : block_lengths()) {
-    for (auto [ca, cb] : kPairs) {
-      if (ca == 0) {  // random pair
-        ca = 1 + static_cast<int>(rng.u32() % 31u);
-        cb = 1 + static_cast<int>(rng.u32() % 31u);
-      }
-      const EncodedBlock a = encode_random_block(rng, n, ca);
-      const EncodedBlock b = encode_random_block(rng, n, cb);
-      for (const int sign_b : {+1, -1}) {
-        const std::string what = "ca=" + std::to_string(ca) + " cb=" + std::to_string(cb) +
-                                 " n=" + std::to_string(n) + " sign_b=" + std::to_string(sign_b);
-        const CombineRun want =
-            run_combine(ref, a.payload.data(), ca, b.payload.data(), cb, n, sign_b);
-        // The oracle against the int64 merge of the encoded residuals.
-        uint64_t guard = 0;
-        for (size_t i = 0; i < n; ++i) {
-          const int64_t s = int64_t{a.residuals[i]} + int64_t{sign_b} * b.residuals[i];
-          const uint64_t mag = static_cast<uint64_t>(s < 0 ? -s : s);
-          guard |= mag;
-          ASSERT_EQ(want.mags[kSlotPad + i], static_cast<uint32_t>(mag)) << what << " i=" << i;
-          ASSERT_EQ(want.signs[kSlotPad + i], s < 0 ? 1u : 0u) << what << " i=" << i;
-        }
-        ASSERT_EQ(want.guard, guard) << "scalar oracle: " << what;
-        saw_overflow |= guard > static_cast<uint64_t>(std::numeric_limits<int32_t>::max());
-        for (DispatchLevel lvl : vector_levels()) {
-          const KernelTable& vec = kernels::table(lvl);
-          for (size_t placement = 0; placement <= kGuardedPlacement; ++placement) {
-            const PlacedPayload pa(a.payload, placement);
-            const PlacedPayload pb(b.payload, (placement + 1) % (kGuardedPlacement + 1));
-            const CombineRun got = run_combine(vec, pa.data(), ca, pb.data(), cb, n, sign_b);
-            const std::string where = std::string("level=") + kernels::level_name(lvl) + " " +
-                                      what + " " + placement_name(placement);
-            ASSERT_EQ(got.guard, want.guard) << "combine guard mismatch: " << where;
-            ASSERT_EQ(got.mags, want.mags) << "magnitudes (or their canaries) differ: " << where;
-            ASSERT_EQ(got.signs, want.signs) << "signs (or their canaries) differ: " << where;
-          }
+  for (const auto& [len, count] : chain_shapes()) {
+    for (const int sign_b : {+1, -1}) {
+      const auto [a, b] = make_pair_chains(rng, count, len, sign_b);
+      const std::string what = chain_name(a) + " sign_b=" + std::to_string(sign_b);
+      // Room for every block at code length 31: the assembler's bound.
+      const size_t capacity = a.codes.size() * max_encoded_block_size(len);
+      const CombineModel model = combine_model(a, b, sign_b, capacity);
+      ASSERT_EQ(model.res.status, kernels::ChunkStatus::kOk) << what;
+      const CombineRun want = run_combine(ref, a.bytes.data(), a, b.bytes.data(), b, sign_b,
+                                          capacity);
+      expect_same_result(want.res, model.res, "scalar oracle: " + what);
+      ASSERT_TRUE(std::equal(model.bytes.begin(), model.bytes.end(), want.frame.begin()))
+          << "scalar oracle bytes: " << what;
+      ASSERT_TRUE(std::all_of(want.frame.begin() + static_cast<ptrdiff_t>(model.bytes.size()),
+                              want.frame.end(), [](uint8_t v) { return v == kGuardByte; }))
+          << "scalar oracle wrote past its output: " << what;
+      for (DispatchLevel lvl : vector_levels()) {
+        const KernelTable& vec = kernels::table(lvl);
+        for (size_t placement = 0; placement <= kGuardedPlacement; ++placement) {
+          const PlacedPayload pa(a.bytes, placement);
+          const PlacedPayload pb(b.bytes, (placement + 1) % (kGuardedPlacement + 1));
+          const CombineRun got = run_combine(vec, pa.data(), a, pb.data(), b, sign_b, capacity);
+          const std::string where = std::string("level=") + kernels::level_name(lvl) + " " +
+                                    what + " " + placement_name(placement);
+          expect_same_result(got.res, want.res, where);
+          ASSERT_EQ(got.frame, want.frame) << "output bytes (or their canaries) differ: " << where;
         }
       }
     }
   }
-  EXPECT_TRUE(saw_overflow) << "no guard-overflow lane was exercised";
+  // Past the guard: one lane of one pipeline-4 pair merges to +-2^31 (both
+  // signs of the sum, through either operand), the rest of the chunk fits.
+  for (const int sign_b : {+1, -1}) {
+    for (const int32_t side : {+1, -1}) {
+      for (const size_t lane : {size_t{0}, size_t{13}, size_t{31}, size_t{32}, size_t{99}}) {
+        constexpr uint32_t kLen = 100;
+        auto [a, b] = make_pair_chains(rng, kLen * 12, kLen, sign_b);
+        // Block 5 is a pipeline-4 pair (k % 10 == 5).
+        std::vector<int32_t> ra(kLen, 1);
+        std::vector<int32_t> rb(kLen, 0);
+        ra[lane] = side * std::numeric_limits<int32_t>::max();
+        rb[lane] = side * sign_b;
+        TestChunk a2;
+        TestChunk b2;
+        a2.block_len = b2.block_len = kLen;
+        a2.count = b2.count = a.count;
+        for (size_t k = 0; k < a.codes.size(); ++k) {
+          const auto slice = [&](const TestChunk& ch) {
+            return std::vector<int32_t>(ch.residuals.begin() + static_cast<ptrdiff_t>(k * kLen),
+                                        ch.residuals.begin() + static_cast<ptrdiff_t>((k + 1) * kLen));
+          };
+          append_block(a2, rng, kLen, k == 5 ? 31 : a.codes[k], k == 5 ? ra : slice(a));
+          append_block(b2, rng, kLen, k == 5 ? 1 : b.codes[k], k == 5 ? rb : slice(b));
+        }
+        const std::string what = "overflow lane " + std::to_string(lane) +
+                                 " side=" + std::to_string(side) +
+                                 " sign_b=" + std::to_string(sign_b);
+        const size_t capacity = a2.codes.size() * max_encoded_block_size(kLen);
+        const CombineModel model = combine_model(a2, b2, sign_b, capacity);
+        ASSERT_EQ(model.res.status, kernels::ChunkStatus::kOverflow) << what;
+        for (DispatchLevel lvl : kernels::supported_levels()) {
+          const CombineRun got = run_combine(kernels::table(lvl), a2.bytes.data(), a2,
+                                             b2.bytes.data(), b2, sign_b, capacity);
+          expect_same_result(got.res, model.res,
+                             std::string("level=") + kernels::level_name(lvl) + " " + what);
+          ASSERT_TRUE(std::equal(model.bytes.begin(), model.bytes.end(), got.frame.begin()))
+              << "bytes before the overflowing block: level=" << kernels::level_name(lvl) << " "
+              << what;
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <initializer_list>
 #include <cstdlib>
 #include <optional>
 #include <string>
@@ -13,6 +15,7 @@
 #include "hzccl/compressor/fz_light.hpp"
 #include "hzccl/datasets/registry.hpp"
 #include "hzccl/homomorphic/hz_dynamic.hpp"
+#include "hzccl/homomorphic/hz_ops.hpp"
 #include "hzccl/kernels/dispatch.hpp"
 #include "hzccl/stats/metrics.hpp"
 #include "hzccl/util/cpu.hpp"
@@ -98,9 +101,9 @@ TEST(KernelDispatch, SupportedTablesAreFullyPopulated) {
     EXPECT_NE(t.crc32c, nullptr);
     EXPECT_NE(t.decode_block, nullptr);
     EXPECT_NE(t.encode_block, nullptr);
-    EXPECT_NE(t.decode_dequantize, nullptr);
-    EXPECT_NE(t.decode_fold, nullptr);
-    EXPECT_NE(t.decode_combine, nullptr);
+    EXPECT_NE(t.decompress_chunk, nullptr);
+    EXPECT_NE(t.fold_chunk, nullptr);
+    EXPECT_NE(t.combine_chunk, nullptr);
   }
 }
 
@@ -187,51 +190,169 @@ TEST(KernelDispatch, CheckedEntryPointsRejectBadWidths) {
   bytes[0] = 1;
   EXPECT_THROW(decode_block(bytes.data(), end, too_long, residuals.data()), FormatError);
 
-  // The fused decodes make the same checks: a raw marker, code length 32, a
-  // truncated payload and n = 513 are rejected before any slot runs, so no
-  // output is written.
-  const size_t n = 8;
-  std::vector<uint8_t> good(max_encoded_block_size(too_long), 0);
-  good[0] = kMaxCodeLength;
-  const uint8_t* good_end = good.data() + good.size();
-  struct BadBlock {
+  // The chunk slots make the same checks on every block of a chunk and
+  // report the first fault as a status, at every level alike; the walkers
+  // turn it into the exception (type and message) that peek_block_size,
+  // decode_block or decode_raw_block raise for the same block.  Each case
+  // is one chunk of 4 blocks of 8 values.
+  constexpr uint32_t kLen = 8;
+  constexpr size_t kCount = 4 * kLen;
+  const std::vector<uint8_t> residual{3, 0x0F, 0x12, 0x34, 0x56};  // c = 3: 1 + 1 + 3 bytes
+  std::vector<uint8_t> raw(1 + 4 * kLen, 0);
+  raw[0] = static_cast<uint8_t>(kRawBlockMarker);
+  const auto chain = [&](std::initializer_list<std::vector<uint8_t>> blocks) {
+    std::vector<uint8_t> out;
+    for (const auto& b : blocks) out.insert(out.end(), b.begin(), b.end());
+    return out;
+  };
+  const std::vector<uint8_t> c0{0};
+  const std::vector<uint8_t> good = chain({residual, c0, residual, c0});
+  using kernels::ChunkStatus;
+  struct BadChunk {
     const char* what;
-    uint8_t code;
-    size_t n;
-    size_t size;
+    std::vector<uint8_t> bytes;
+    ChunkStatus status;
+    const char* decompress;  ///< fz_decompress's message
+    const char* verify;      ///< fz_verify_digests'
+    const char* combine;     ///< hz_add's and hz_sub's, against `good`
   };
-  const BadBlock bad_blocks[] = {
-      {"raw marker", static_cast<uint8_t>(kRawBlockMarker), n, max_encoded_block_size(n)},
-      {"code length 32", kMaxCodeLength + 1, n, max_encoded_block_size(n)},
-      {"truncated payload", kMaxCodeLength, n, max_encoded_block_size(n) - 1},
-      {"n = 513", 1, too_long, encoded_block_size(1, too_long)},
+  std::vector<uint8_t> truncated = chain({residual, c0, residual, residual});
+  truncated.pop_back();
+  std::vector<uint8_t> raw_cut = chain({residual, c0, c0, raw});
+  raw_cut.pop_back();
+  const BadChunk bad_chunks[] = {
+      {"code length 32", chain({residual, {32}, residual, c0}), ChunkStatus::kBadCodeLength,
+       "decode_block: bad code length", "decode_block: bad code length",
+       "peek_block_size: bad code length"},
+      {"code length 254", chain({residual, c0, residual, {254}}), ChunkStatus::kBadCodeLength,
+       "decode_block: bad code length", "decode_block: bad code length",
+       "peek_block_size: bad code length"},
+      {"truncated residual block", truncated, ChunkStatus::kTruncatedBlock,
+       "decode_block: truncated block payload", "decode_block: truncated block payload",
+       "peek_block_size: truncated block"},
+      {"truncated raw block", raw_cut, ChunkStatus::kTruncatedRaw,
+       "decode_raw_block: truncated raw payload", "peek_block_size: truncated block",
+       "peek_block_size: truncated block"},
+      {"missing last block", chain({residual, residual, residual}), ChunkStatus::kEmptyBlock,
+       "decode_block: empty input", "decode_block: empty input", "peek_block_size: empty input"},
   };
-  constexpr float kUntouched = -1.5f;
-  for (const BadBlock& bad : bad_blocks) {
+  const auto trailing = chain({residual, c0, residual, c0, c0});
+
+  for (DispatchLevel lvl : kernels::supported_levels()) {
+    const kernels::KernelTable& t = kernels::table(lvl);
+    SCOPED_TRACE(kernels::level_name(lvl));
+    std::vector<float> floats(kCount);
+    uint64_t sum = 0;
+    uint64_t wsum = 0;
+    std::vector<uint8_t> out(4 * max_encoded_block_size(kLen));
+    const auto decompress = [&](const std::vector<uint8_t>& c) {
+      return t.decompress_chunk(c.data(), c.size(), kCount, kLen, 5, 2e-3, floats.data());
+    };
+    const auto fold = [&](const std::vector<uint8_t>& c) {
+      return t.fold_chunk(c.data(), c.size(), kCount, kLen, 5, &sum, &wsum);
+    };
+    const auto combine = [&](const std::vector<uint8_t>& a, const std::vector<uint8_t>& b,
+                             int sign, size_t capacity) {
+      return t.combine_chunk(a.data(), a.size(), b.data(), b.size(), kCount, kLen, sign,
+                             out.data(), capacity);
+    };
+    EXPECT_EQ(decompress(good), ChunkStatus::kOk);
+    EXPECT_EQ(fold(good), ChunkStatus::kOk);
+    for (const BadChunk& bad : bad_chunks) {
+      SCOPED_TRACE(bad.what);
+      EXPECT_EQ(decompress(bad.bytes), bad.status);
+      EXPECT_EQ(fold(bad.bytes), bad.status);
+      for (const int sign : {+1, -1}) {
+        EXPECT_EQ(combine(bad.bytes, good, sign, out.size()).status, bad.status);
+        EXPECT_EQ(combine(good, bad.bytes, sign, out.size()).status, bad.status);
+      }
+    }
+    EXPECT_EQ(decompress(trailing), ChunkStatus::kTrailingBytes);
+    EXPECT_EQ(fold(trailing), ChunkStatus::kTrailingBytes);
+    EXPECT_EQ(combine(good, trailing, +1, out.size()).status, ChunkStatus::kTrailingBytes);
+    // A raw block meeting a residual block in pipeline 4.
+    const auto raw_pair = chain({residual, c0, raw, c0});
+    EXPECT_EQ(combine(good, raw_pair, +1, out.size()).status, ChunkStatus::kRawInMerge);
+    EXPECT_EQ(combine(raw_pair, good, -1, out.size()).status, ChunkStatus::kRawInMerge);
+    // Output capacity one byte short of the last block, in each pipeline.
+    const auto constant = chain({c0, c0, c0, c0});
+    const auto p3_last = chain({residual, c0, residual, residual});
+    const auto p4_pair = chain({c0, c0, c0, residual});
+    const struct {
+      const std::vector<uint8_t>& a;
+      const std::vector<uint8_t>& b;
+      int sign;
+      ChunkStatus status;
+    } short_cases[] = {
+        {constant, constant, +1, ChunkStatus::kCopyCapacity},
+        {constant, p3_last, +1, ChunkStatus::kCopyCapacity},
+        {constant, p3_last, -1, ChunkStatus::kNegateCapacity},
+        {p3_last, constant, -1, ChunkStatus::kCopyCapacity},
+        {p3_last, p4_pair, +1, ChunkStatus::kEncodeCapacity},
+    };
+    for (const auto& c : short_cases) {
+      const kernels::CombineChunkResult full = combine(c.a, c.b, c.sign, out.size());
+      ASSERT_EQ(full.status, ChunkStatus::kOk);
+      const kernels::CombineChunkResult cut = combine(c.a, c.b, c.sign, full.bytes - 1);
+      EXPECT_EQ(cut.status, c.status);
+      EXPECT_EQ(cut.blocks(), 3u);
+    }
+  }
+
+  // The walkers, through the public entry points, on one-chunk streams.
+  const auto stream = [&](const std::vector<uint8_t>& payload) {
+    FzHeader h;
+    h.num_elements = kCount;
+    h.block_len = kLen;
+    h.num_chunks = 1;
+    h.error_bound = 1e-3;
+    h.flags = kFlagHasDigests;
+    std::vector<uint8_t> wire(fz_preamble_size(1, h.flags), 0);
+    std::memcpy(wire.data(), &h, sizeof h);
+    wire.insert(wire.end(), payload.begin(), payload.end());
+    return CompressedBuffer{wire};
+  };
+  // The exact exception type (a ParseError is also a FormatError) and message.
+  const auto expect_raise = [](auto&& run, bool parse, const std::string& message) {
+    try {
+      run();
+      ADD_FAILURE() << "no exception, expected: " << message;
+    } catch (const FormatError& e) {
+      EXPECT_EQ(dynamic_cast<const ParseError*>(&e) != nullptr, parse) << e.what();
+      EXPECT_EQ(std::string(e.what()), message);
+    } catch (const Error& e) {
+      ADD_FAILURE() << "not a FormatError: " << e.what();
+    }
+  };
+  const CompressedBuffer good_stream = stream(good);
+  for (const BadChunk& bad : bad_chunks) {
     SCOPED_TRACE(bad.what);
-    std::vector<uint8_t> block(bad.size, 0);
-    block[0] = bad.code;
-    const uint8_t* block_end = block.data() + block.size();
-    std::vector<float> out(too_long, kUntouched);
-    int64_t q = 7;
-    uint64_t sum = 3;
-    uint64_t wsum = 5;
-    EXPECT_THROW(decode_block_dequantize(block.data(), block_end, bad.n, 2e-3, &q, out.data()),
-                 FormatError);
-    EXPECT_THROW(decode_block_fold(block.data(), block_end, bad.n, 1, &q, &sum, &wsum),
-                 FormatError);
-    EXPECT_THROW(decode_blocks_combine(block.data(), block_end, good.data(), good_end, bad.n, +1,
-                                       mags.data(), signs.data()),
-                 FormatError);
-    EXPECT_THROW(decode_blocks_combine(good.data(), good_end, block.data(), block_end, bad.n, -1,
-                                       mags.data(), signs.data()),
-                 FormatError);
-    EXPECT_EQ(q, 7);
-    EXPECT_EQ(sum, 3u);
-    EXPECT_EQ(wsum, 5u);
-    EXPECT_TRUE(std::all_of(out.begin(), out.end(), [](float v) { return v == kUntouched; }));
-    EXPECT_TRUE(std::all_of(mags.begin(), mags.end(), [](uint32_t v) { return v == 0; }));
-    EXPECT_TRUE(std::all_of(signs.begin(), signs.end(), [](uint32_t v) { return v == 0; }));
+    const CompressedBuffer s = stream(bad.bytes);
+    expect_raise([&] { (void)fz_decompress(s); }, true, bad.decompress);
+    expect_raise([&] { (void)fz_verify_digests(s); }, true, bad.verify);
+    expect_raise([&] { (void)hz_add(s, good_stream); }, true, bad.combine);
+    expect_raise([&] { (void)hz_sub(good_stream, s); }, true, bad.combine);
+  }
+  const CompressedBuffer trailing_stream = stream(trailing);
+  expect_raise([&] { (void)fz_decompress(trailing_stream); }, false,
+               "fz_decompress: trailing bytes in chunk payload");
+  expect_raise([&] { (void)fz_verify_digests(trailing_stream); }, false,
+               "fz_verify_digests: trailing bytes in chunk payload");
+  expect_raise([&] { (void)hz_add(good_stream, trailing_stream); }, false,
+               "hz combine: chunk payload longer than its block grid");
+  expect_raise([&] { (void)hz_add(good_stream, stream(chain({residual, c0, raw, c0}))); }, true,
+               "decode_block: raw block in a residual-only context");
+  // Two residuals of magnitude 2^30 + 2^29 (c = 31) sum past 2^31 - 1.
+  std::vector<int32_t> big(kLen, 0);
+  big[3] = (1 << 30) + (1 << 29);
+  std::vector<uint8_t> big_block(encoded_block_size(31, kLen));
+  encode_block(big.data(), kLen, big_block.data(), big_block.data() + big_block.size());
+  const CompressedBuffer big_stream = stream(chain({c0, big_block, c0, c0}));
+  try {
+    (void)hz_add(big_stream, big_stream);
+    ADD_FAILURE() << "no overflow raised";
+  } catch (const HomomorphicOverflowError& e) {
+    EXPECT_EQ(std::string(e.what()), "residual sum overflows the 31-bit magnitude domain");
   }
 }
 
