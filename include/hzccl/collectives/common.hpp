@@ -144,6 +144,11 @@ inline constexpr int kTagUnfold = (1 << 22) + 4096;
 /// and for Rabenseifner also by block index: step * nranks + block).
 inline constexpr int kTagDoubling = 1 << 24;
 inline constexpr int kTagHalving = (1 << 24) + (1 << 20);
+/// Binomial-tree broadcast and gather (movement.hpp); the gather offsets by
+/// the tree level's mask.  They share the two-level range: no collective
+/// runs both.
+inline constexpr int kTagBcast = 1 << 23;
+inline constexpr int kTagGather = (1 << 23) + 1;
 /// Offset added to a payload's tag for its 16-byte content-digest trailer
 /// (raw-float exchanges under a verify policy).  Above every payload tag
 /// space, so a message and its trailer never alias.
@@ -203,8 +208,7 @@ struct NodeGroups {
 NodeGroups node_groups(const simmpi::Topology& topo, const std::vector<int>& group, int rank);
 
 // ---------------------------------------------------------------------------
-// Receive-side healing helpers shared by the collective bodies
-// (schedules.hpp) and the blocking movement collectives.
+// Receive-side helpers of the collective bodies (schedules.hpp).
 // ---------------------------------------------------------------------------
 
 /// True when `bytes` parse as an fZ-light stream carrying `expect_elements`
@@ -224,14 +228,6 @@ struct CheckedBlock {
   std::vector<float> raw;
   bool degraded = false;
 };
-
-/// Validate-and-heal an already received stream in place: returns bytes
-/// guaranteed to parse as fZ-light, retransmitting and finally refetching
-/// the sender's pristine stream if needed.  For paths (like bcast) that
-/// must forward a decodable stream but learn the element count only from
-/// its header.
-[[nodiscard]] CompressedBuffer heal_stream(simmpi::Comm& comm, int src, int tag, CompressedBuffer received,
-                             const CollectiveConfig& config);
 
 /// Wire form of a content-digest trailer: two little-endian u64 words
 /// (sum, wsum), shipped on `tag + kTagDigest` after a raw-float payload

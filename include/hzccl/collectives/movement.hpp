@@ -3,7 +3,8 @@
 // accelerated Broadcast (C-Coll's framework covers *all* collectives —
 // paper §I: "realizes high performance ... for all collective operations";
 // data movement ops compress once at the root and decompress once at each
-// destination, with compressed bytes on every hop).
+// destination, with compressed bytes on every hop).  Each entry point runs
+// its one coroutine body in schedules.hpp, like every other collective.
 #pragma once
 
 #include <span>

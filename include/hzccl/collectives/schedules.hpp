@@ -189,28 +189,30 @@ void reduce_into(T& t, std::span<float> acc, std::span<const float> incoming, si
 }
 
 // ---------------------------------------------------------------------------
-// Receive-side healing of compressed blocks (graceful degradation).
+// Receive-side healing of compressed streams (graceful degradation).
 //
 // The transport heals wire damage (CRC-rejected frames, drops, duplicates)
 // inside its receive.  What it cannot catch is CRC-*valid* corruption — a
 // faulty sender whose encoder scribbled the stream before framing.
-// recv_checked_block closes that gap: validate that a received stream
-// decodes, NACK once for a retransmission, and on persistent failure request
-// the raw block instead of aborting the job.
+// heal_received_stream closes that gap for every compressed receive:
+// validate that the stream decodes, NACK once for a retransmission, and on
+// persistent failure take the sender's pristine stream instead of aborting
+// the job.
 // ---------------------------------------------------------------------------
 
-/// Receive one fZ-light block from (src, tag) and validate that it decodes
-/// to `expect_elements` elements (and, under per-round verification, passes
-/// its digests).  Failures under a link-fault plan heal in two stages: one
-/// NACK/retransmit, then the raw-block fallback (the sender decompresses its
-/// intact copy and ships floats; the sender-side decode is charged to DPR
-/// here and the wire is priced at raw size by the transport).  Without one a
-/// failure is a producer bug and throws.
+/// The one receive check and healing ladder of a compressed stream: `bytes`
+/// was just received from (src, tag) and must decode to `expect_elements`
+/// elements (0 accepts any count) and, under per-round verification, pass
+/// its digests.  Failures under a link-fault plan heal in two stages: one
+/// NACK/retransmit, then the raw fallback, which puts the sender's pristine
+/// stream in `bytes` and prices the wire at `expect_elements` floats (at the
+/// stored stream when the count is 0).  Returns true when `bytes` hold that
+/// pristine stream.  Without a fault plan a failure is a producer bug and
+/// throws.  Synchronous, so the ring receives run it with no coroutine frame
+/// of its own.
 template <Transport T>
-Task<CheckedBlock> recv_checked_block(T t, int src, int tag, size_t expect_elements,
-                                      const CollectiveConfig& config) {
-  CheckedBlock out;
-  out.compressed.bytes = co_await t.recv(src, tag);
+bool heal_received_stream(T& t, int src, int tag, std::vector<uint8_t>& bytes,
+                          size_t expect_elements, const CollectiveConfig& config) {
   // Per-round verification stacks the digest recheck on top of the
   // structural decode check: a CRC-valid, well-formed stream whose payload
   // was silently flipped decodes fine but fails its digests.
@@ -221,7 +223,7 @@ Task<CheckedBlock> recv_checked_block(T t, int src, int tag, size_t expect_eleme
   // and such a stream heals like a mangled one; the per-round digest walk
   // checks every block itself (and counts a broken chain as a detection).
   const bool walk_blocks = t.faults().enabled() && !check_digests;
-  const auto stream_ok = [&](const std::vector<uint8_t>& bytes, bool* digest_failure) {
+  const auto stream_ok = [&](bool* digest_failure) {
     if (!fz_stream_decodes(bytes, expect_elements, walk_blocks)) return false;
     if (check_digests && !verify_stream_digests(t, bytes, config)) {
       if (digest_failure != nullptr) *digest_failure = true;
@@ -230,7 +232,7 @@ Task<CheckedBlock> recv_checked_block(T t, int src, int tag, size_t expect_eleme
     return true;
   };
   bool digest_failure = false;
-  if (stream_ok(out.compressed.bytes, &digest_failure)) co_return out;
+  if (stream_ok(&digest_failure)) return false;
 
   if (!t.faults().enabled()) {
     // No faults were injected, so this is a genuine producer bug — surface
@@ -244,26 +246,35 @@ Task<CheckedBlock> recv_checked_block(T t, int src, int tag, size_t expect_eleme
   // Stage 1: one NACK/retransmit.  Heals anything that damaged only this
   // wire copy; a sender whose encoder is corrupting the stream itself
   // re-rolls its fault and may fail again.
-  out.compressed.bytes = t.refetch(src, tag, simmpi::Comm::Refetch::kRetransmit);
-  if (stream_ok(out.compressed.bytes, nullptr)) {
+  bytes = t.refetch(src, tag, simmpi::Comm::Refetch::kRetransmit);
+  if (stream_ok(nullptr)) {
     if (digest_failure) ++t.integrity().retransmit_recoveries;
-    co_return out;
+    return false;
   }
 
-  // Stage 2: persistent decode failure — request the raw block.  The
-  // transport hands back the sender's pristine stream and prices the wire
-  // at raw size; decoding it locally stands in for the sender decompressing
-  // its intact copy before shipping floats, so the DPR charge lands here.
-  // The pristine stream is the sender's own output, so it is ground truth:
-  // no digest recheck can reject it.
-  CompressedBuffer pristine;
-  pristine.bytes = t.refetch(src, tag, simmpi::Comm::Refetch::kRawFallback,
-                             expect_elements * sizeof(float));
-  out.raw.resize(expect_elements);
-  decompress_charged(t, pristine, out.raw, config);
-  out.compressed = CompressedBuffer{};
-  out.degraded = true;
+  // Stage 2: persistent decode failure — the sender's pristine stream, its
+  // own output and therefore ground truth: no digest recheck can reject it.
+  bytes = t.refetch(src, tag, simmpi::Comm::Refetch::kRawFallback,
+                    expect_elements * sizeof(float));
   if (digest_failure) ++t.integrity().raw_fallbacks;
+  return true;
+}
+
+/// Receive one fZ-light block of `expect_elements` elements from (src, tag)
+/// through heal_received_stream.  A raw-fallback block arrives degraded, as
+/// floats: decoding the pristine stream here, charged to DPR, stands in for
+/// the sender decompressing its intact copy before shipping them.
+template <Transport T>
+Task<CheckedBlock> recv_checked_block(T t, int src, int tag, size_t expect_elements,
+                                      const CollectiveConfig& config) {
+  CheckedBlock out;
+  out.compressed.bytes = co_await t.recv(src, tag);
+  if (heal_received_stream(t, src, tag, out.compressed.bytes, expect_elements, config)) {
+    out.raw.resize(expect_elements);
+    decompress_charged(t, out.compressed, out.raw, config);
+    out.compressed = CompressedBuffer{};
+    out.degraded = true;
+  }
   co_return out;
 }
 
@@ -307,6 +318,18 @@ void send_floats_checked(T& t, int dst, int tag, std::span<const float> data,
   const std::array<uint8_t, 16> wire =
       digest_trailer_bytes(charged_content_digest(t, data, config, mode));
   t.send(dst, tag + kTagDigest, wire);
+}
+
+/// The raw fallback of a float exchange: the sender's pristine payload on
+/// (src, tag) into `out`, with the wire priced at its size.
+template <Transport T>
+void refetch_pristine_floats(T& t, int src, int tag, std::span<float> out) {
+  const std::vector<uint8_t> pristine =
+      t.refetch(src, tag, simmpi::Comm::Refetch::kRawFallback, out.size_bytes());
+  if (pristine.size() != out.size_bytes()) {
+    throw FormatError("pristine raw payload size does not match the receive buffer");
+  }
+  std::memcpy(out.data(), pristine.data(), pristine.size());
 }
 
 /// The receiver's half under a verify policy, for a payload from `src` on
@@ -356,12 +379,7 @@ Task<void> verify_floats(T t, int src, int tag, std::span<float> out,
 
   // Stage 3: the sender's pristine payload is ground truth by construction —
   // accept it unconditionally.
-  const std::vector<uint8_t> pristine =
-      t.refetch(src, tag, simmpi::Comm::Refetch::kRawFallback, out.size_bytes());
-  if (pristine.size() != out.size_bytes()) {
-    throw FormatError("pristine raw payload size does not match the receive buffer");
-  }
-  std::memcpy(out.data(), pristine.data(), pristine.size());
+  refetch_pristine_floats(t, src, tag, out);
   ++t.integrity().raw_fallbacks;
 }
 
@@ -1130,12 +1148,7 @@ std::vector<CompressedBuffer> compress_leader_blocks(T& t, std::span<const float
   std::vector<float> pristine(input.size());
   for (size_t m = 1; m < g.node_members.size(); ++m) {
     const int member = g.node_members[m];
-    const std::vector<uint8_t> bytes =
-        t.refetch(member, kTagIntraReduce + member, simmpi::Comm::Refetch::kRawFallback);
-    if (bytes.size() != input.size_bytes()) {
-      throw FormatError("pristine raw payload size does not match the receive buffer");
-    }
-    std::memcpy(pristine.data(), bytes.data(), bytes.size());
+    refetch_pristine_floats(t, member, kTagIntraReduce + member, pristine);
     reduce_into(t, acc, pristine, 0, config, config.mode);
   }
   return compress_all_blocks(t, acc, nblocks, config);
@@ -1164,6 +1177,130 @@ Task<void> hzccl_allreduce_two_level(T t, std::span<const float> input,
     t.pool().release(std::move(owned.bytes));
   }
   intra_node_bcast(t, g, out_full, config, config.mode);
+}
+
+// ---------------------------------------------------------------------------
+// Data movement (movement.hpp): binomial-tree broadcast and gather.  The
+// raw bodies ship floats with the raw stack's digest trailer; the
+// compressed broadcast compresses once at the root, forwards compressed
+// bytes on every hop and decompresses once per rank.
+// ---------------------------------------------------------------------------
+
+inline int relative_rank(int rank, int root, int size) {
+  return ((rank - root) % size + size) % size;
+}
+inline int absolute_rank(int relative, int root, int size) { return (relative + root) % size; }
+
+/// Binomial-tree receive step: returns the relative parent, or -1 for the
+/// root, and leaves `mask` at the level below this rank (its send levels).
+inline int binomial_parent(int relative, int size, int& mask) {
+  mask = 1;
+  while (mask < size) {
+    if (relative & mask) return relative - mask;
+    mask <<= 1;
+  }
+  return -1;
+}
+
+template <Transport T>
+Task<void> raw_bcast(T t, std::vector<float>& data, int root, const CollectiveConfig& config) {
+  const int size = t.size();
+  const int relative = relative_rank(t.rank(), root, size);
+  int mask = 0;
+  const int parent = binomial_parent(relative, size, mask);
+  if (parent >= 0) {
+    const int parent_rank = absolute_rank(parent, root, size);
+    data = floats_from_bytes(co_await t.recv(parent_rank, kTagBcast), "raw_bcast payload");
+    // Recheck before forwarding, so a corrupt payload never propagates down
+    // the broadcast tree.
+    if (config.verify != VerifyPolicy::kOff) {
+      co_await verify_floats(t, parent_rank, kTagBcast, data, config, Mode::kSingleThread);
+    }
+  }
+  for (mask >>= 1; mask > 0; mask >>= 1) {
+    const int child = relative + mask;
+    if (child < size) {
+      send_floats_checked(t, absolute_rank(child, root, size), kTagBcast, data, config,
+                          Mode::kSingleThread);
+    }
+  }
+}
+
+template <Transport T>
+Task<void> ccoll_bcast(T t, std::vector<float>& data, int root, const CollectiveConfig& config) {
+  const int size = t.size();
+  const int relative = relative_rank(t.rank(), root, size);
+  CompressedBuffer compressed;
+  if (relative == 0) compressed = compress_block(t, data, config);
+
+  int mask = 0;
+  const int parent = binomial_parent(relative, size, mask);
+  if (parent >= 0) {
+    const int parent_rank = absolute_rank(parent, root, size);
+    compressed.bytes = co_await t.recv(parent_rank, kTagBcast);
+    // Heal before forwarding, so a corrupt stream never propagates down the
+    // broadcast tree; a pristine stream forwards as it is.
+    (void)heal_received_stream(t, parent_rank, kTagBcast, compressed.bytes, 0, config);
+  }
+  for (mask >>= 1; mask > 0; mask >>= 1) {
+    const int child = relative + mask;
+    if (child < size) t.send(absolute_rank(child, root, size), kTagBcast, compressed.span());
+  }
+
+  // Everyone (root included) materializes the decompressed field, so all
+  // ranks end bit-identical — the property applications actually rely on.
+  // Per-round verification already rechecked the stream on receive.
+  if (config.verify == VerifyPolicy::kFinal) final_verify_stream(t, compressed, config);
+  data.resize(parse_fz(compressed.bytes).num_elements());
+  decompress_charged(t, compressed, data, config);
+  t.pool().release(std::move(compressed.bytes));
+}
+
+template <Transport T>
+Task<void> raw_gather(T t, std::span<const float> mine, int root, std::vector<float>& out,
+                      const CollectiveConfig& config) {
+  const int size = t.size();
+  const int relative = relative_rank(t.rank(), root, size);
+  const size_t chunk = mine.size();
+
+  // Subtree buffer in relative-rank order, starting with this rank's data.
+  std::vector<float> buffer(mine.begin(), mine.end());
+  for (int mask = 1; mask < size; mask <<= 1) {
+    if (relative & mask) {
+      send_floats_checked(t, absolute_rank(relative - mask, root, size), kTagGather + mask,
+                          buffer, config, Mode::kSingleThread);
+      break;
+    }
+    const int child = relative + mask;
+    if (child < size) {
+      const int child_rank = absolute_rank(child, root, size);
+      const std::vector<uint8_t> payload = co_await t.recv(child_rank, kTagGather + mask);
+      const size_t stride = chunk * sizeof(float);
+      // Guard the stride before the modulo: with empty contributions any
+      // nonempty payload is malformed, and chunk == 0 must not divide by 0.
+      if (stride == 0 ? !payload.empty() : payload.size() % stride != 0) {
+        throw Error("raw_gather: ranks contributed unequal chunk sizes");
+      }
+      std::vector<float> received = floats_from_bytes(payload, "raw_gather payload");
+      if (config.verify != VerifyPolicy::kOff) {
+        co_await verify_floats(t, child_rank, kTagGather + mask, received, config,
+                               Mode::kSingleThread);
+      }
+      buffer.insert(buffer.end(), received.begin(), received.end());
+    }
+  }
+
+  out.clear();
+  if (relative == 0) {
+    // buffer holds contributions of relative ranks 0..size-1 in order;
+    // rotate into absolute rank order.
+    out.resize(chunk * static_cast<size_t>(size));
+    for (int v = 0; v < size; ++v) {
+      const int rank = absolute_rank(v, root, size);
+      std::memcpy(out.data() + static_cast<size_t>(rank) * chunk,
+                  buffer.data() + static_cast<size_t>(v) * chunk, chunk * sizeof(float));
+    }
+  }
 }
 
 }  // namespace hzccl::coll::body

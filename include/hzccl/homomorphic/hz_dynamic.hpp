@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "hzccl/compressor/format.hpp"
 
@@ -66,14 +67,19 @@ namespace detail {
                                           HzPipelineStats* stats, int num_threads,
                                           BufferPool* pool);
 
-/// Copy the encoded block of `n` values at [src, end) into [out, out_end)
-/// with its sign plane flipped, and return its size: the negate primitive
-/// of hz_negate and of hz_sub's pipeline 2.  Decoders read sign bits only
-/// where magnitudes are nonzero in value terms, so flipped signs of zero
-/// residuals are harmless but leave the stream non-canonical; value-level
-/// semantics are exact.
-size_t copy_block_negated(const uint8_t* src, const uint8_t* end, size_t n, uint8_t* out,
-                          const uint8_t* out_end);
+/// Combine one chunk pair, a + sign * b (sign in {+1, -1}), of
+/// `chunk_elems` values into [out, out + out_capacity) with the
+/// four-pipeline dispatch above, in one combine_chunk kernel slot call; adds
+/// the pipeline counts to `stats` and returns the bytes written.  Against a
+/// constant chain (one zero code-length byte per block) and sign -1 it
+/// negates b — constant blocks take pipeline 1, residual and raw blocks
+/// pipeline 2's negated copy — which is how hz_negate runs.  The negated
+/// copy flips the signs of zero residuals too: decoders read a sign only
+/// where its magnitude is nonzero, so values are exact, but the stream is
+/// no longer canonical.
+size_t combine_chunk(std::span<const uint8_t> ca, std::span<const uint8_t> cb,
+                     size_t chunk_elems, uint32_t block_len, int sign, uint8_t* out,
+                     size_t out_capacity, HzPipelineStats& stats);
 
 }  // namespace detail
 

@@ -7,7 +7,8 @@
 //  * hz_scale    — multiply by an integer: residuals and outliers scale
 //                  linearly, so the result decompresses to exactly k * x'.
 //  * hz_negate   — specialization of scale(-1) that only rewrites sign-bit
-//                  planes (a byte-level XOR), never touching magnitudes.
+//                  planes (a byte-level XOR), never touching magnitudes:
+//                  0 - a through hz_sub's chunk combine.
 //  * hz_sub      — a + (-b), fused: the copy pipelines flip signs on the
 //                  fly instead of materializing -b.
 //  * hz_add_many — balanced pairwise reduction of N operands, minimizing

@@ -7,6 +7,32 @@
 #include "hzccl/stats/metrics.hpp"
 
 namespace hzccl {
+namespace {
+
+/// The tuners' depth profile of a probe sample: its fresh compression
+/// ratio, then the ratio and pipeline mix of a self hz_add.  A self-add is
+/// the pessimistic depth-2 proxy (active regions fully overlap), which is
+/// the honest default when the tuner cannot see other ranks' data; activity
+/// cannot grow further once the supports fully overlap, so the model
+/// extends the depth-2 measurement to every deeper level.
+cluster::CompressionProfile probe_profile(std::span<const float> sample,
+                                          const JobConfig& config) {
+  FzParams params;
+  params.abs_error_bound = config.abs_error_bound;
+  params.block_len = config.block_len;
+  const CompressedBuffer probe = fz_compress(sample, params);
+  HzPipelineStats stats;
+  const CompressedBuffer self_sum = hz_add(probe, probe, &stats);
+  cluster::CompressionProfile profile;
+  profile.sample_elements = sample.size();
+  profile.block_len = params.block_len;
+  profile.ratio.push_back(compression_ratio(sample.size_bytes(), probe.size_bytes()));
+  profile.ratio.push_back(compression_ratio(sample.size_bytes(), self_sum.size_bytes()));
+  profile.hz_stats.push_back(stats);
+  return profile;
+}
+
+}  // namespace
 
 std::string AutotuneResult::summary() const {
   std::ostringstream out;
@@ -21,31 +47,9 @@ AutotuneResult choose_kernel(std::span<const float> sample, Op op, size_t bytes_
   if (config.nranks < 2) throw Error("choose_kernel: need at least 2 ranks");
 
   AutotuneResult result;
-
-  // Measure the probe: fresh ratio and the self-add pipeline mix.  A
-  // self-add is the pessimistic depth-2 proxy (active regions fully
-  // overlap), which is the honest default when the tuner cannot see other
-  // ranks' data.
-  FzParams params;
-  params.abs_error_bound = config.abs_error_bound;
-  params.block_len = config.block_len;
-  const CompressedBuffer probe = fz_compress(sample, params);
-  result.sample_ratio =
-      compression_ratio(sample.size_bytes(), probe.size_bytes());
-
-  HzPipelineStats stats;
-  const CompressedBuffer self_sum = hz_add(probe, probe, &stats);
-  result.pipeline4_percent = stats.percent(4);
-
-  // Depth profile for the model: the fresh ratio, then the self-add's ratio
-  // and stats for every deeper level (activity cannot grow further once the
-  // supports fully overlap, so the depth-2 measurement extends).
-  cluster::CompressionProfile profile;
-  profile.sample_elements = sample.size();
-  profile.block_len = params.block_len;
-  profile.ratio.push_back(result.sample_ratio);
-  profile.ratio.push_back(compression_ratio(sample.size_bytes(), self_sum.size_bytes()));
-  profile.hz_stats.push_back(stats);
+  const cluster::CompressionProfile profile = probe_profile(sample, config);
+  result.sample_ratio = profile.ratio[0];
+  result.pipeline4_percent = profile.hz_stats[0].percent(4);
 
   for (size_t k = 0; k < 5; ++k) {
     const Kernel kernel = static_cast<Kernel>(k);
@@ -81,29 +85,20 @@ AlgoSelection choose_allreduce_algo(std::span<const float> sample, Kernel kernel
                                     size_t bytes_per_rank, const JobConfig& config) {
   if (config.nranks < 2) throw Error("choose_allreduce_algo: need at least 2 ranks");
 
-  // Probe the data like choose_kernel: fresh ratio + a depth-2 self-add.
-  // The uncompressed kMpi kernel never consults the ratios, so it accepts an
-  // empty sample and uses a neutral profile.
+  // Probe the data like choose_kernel.  The uncompressed kMpi kernel never
+  // consults the ratios, so it accepts an empty sample and uses a neutral
+  // profile.
   cluster::CompressionProfile profile;
-  profile.block_len = config.block_len;
   if (sample.empty()) {
     if (kernel != Kernel::kMpi) {
       throw Error("choose_allreduce_algo: compressed kernels need a probe sample");
     }
     profile.sample_elements = 1;
+    profile.block_len = config.block_len;
     profile.ratio.push_back(1.0);
     profile.hz_stats.push_back(HzPipelineStats{});
   } else {
-    FzParams params;
-    params.abs_error_bound = config.abs_error_bound;
-    params.block_len = config.block_len;
-    const CompressedBuffer probe = fz_compress(sample, params);
-    HzPipelineStats stats;
-    const CompressedBuffer self_sum = hz_add(probe, probe, &stats);
-    profile.sample_elements = sample.size();
-    profile.ratio.push_back(compression_ratio(sample.size_bytes(), probe.size_bytes()));
-    profile.ratio.push_back(compression_ratio(sample.size_bytes(), self_sum.size_bytes()));
-    profile.hz_stats.push_back(stats);
+    profile = probe_profile(sample, config);
   }
 
   AlgoSelection result;

@@ -1,10 +1,11 @@
-// The blocking entry points of raw.hpp, ccoll.hpp, hzccl_coll.hpp and
-// algorithms.hpp.  Each runs its schedule's one coroutine body
-// (schedules.hpp) to completion on the calling rank thread: CommTransport's
-// receives block in place, so the body never suspends.
+// The blocking entry points of raw.hpp, ccoll.hpp, hzccl_coll.hpp,
+// algorithms.hpp and movement.hpp.  Each runs its schedule's one coroutine
+// body (schedules.hpp) to completion on the calling rank thread:
+// CommTransport's receives block in place, so the body never suspends.
 #include "hzccl/collectives/algorithms.hpp"
 #include "hzccl/collectives/ccoll.hpp"
 #include "hzccl/collectives/hzccl_coll.hpp"
+#include "hzccl/collectives/movement.hpp"
 #include "hzccl/collectives/raw.hpp"
 #include "hzccl/collectives/schedules.hpp"
 
@@ -85,6 +86,20 @@ void hzccl_allreduce_recursive_doubling(Comm& comm, std::span<const float> input
                                         HzPipelineStats* pipeline_stats) {
   run_to_completion(body::hzccl_allreduce_recursive_doubling(CommTransport(comm), input,
                                                              out_full, config, pipeline_stats));
+}
+
+void raw_bcast(Comm& comm, std::vector<float>& data, int root, const CollectiveConfig& config) {
+  run_to_completion(body::raw_bcast(CommTransport(comm), data, root, config));
+}
+
+void ccoll_bcast(Comm& comm, std::vector<float>& data, int root,
+                 const CollectiveConfig& config) {
+  run_to_completion(body::ccoll_bcast(CommTransport(comm), data, root, config));
+}
+
+void raw_gather(Comm& comm, std::span<const float> mine, int root, std::vector<float>& out,
+                const CollectiveConfig& config) {
+  run_to_completion(body::raw_gather(CommTransport(comm), mine, root, out, config));
 }
 
 }  // namespace hzccl::coll

@@ -6,14 +6,11 @@
 #include <numeric>
 #include <span>
 
-#include "hzccl/collectives/schedules.hpp"
 #include "hzccl/compressor/fixed_len.hpp"
 #include "hzccl/util/bytes.hpp"
 #include "hzccl/util/threading.hpp"
 
 namespace hzccl::coll {
-
-using simmpi::Comm;
 
 const char* allreduce_algo_name(AllreduceAlgo algo) {
   switch (algo) {
@@ -124,41 +121,6 @@ NodeGroups node_groups(const simmpi::Topology& topo, const std::vector<int>& gro
     if (node == my_node) g.node_members.push_back(static_cast<int>(v));
   }
   return g;
-}
-
-CompressedBuffer heal_stream(Comm& comm, int src, int tag, CompressedBuffer received,
-                             const CollectiveConfig& config) {
-  CommTransport t(comm);
-  const bool check_digests = config.verify == VerifyPolicy::kPerRound;
-  // See recv_checked_block: the digest walk checks every block itself.
-  const bool walk_blocks = comm.faults().enabled() && !check_digests;
-  auto stream_ok = [&](const std::vector<uint8_t>& bytes, bool* digest_failure) {
-    if (!fz_stream_decodes(bytes, 0, walk_blocks)) return false;
-    if (check_digests && !body::verify_stream_digests(t, bytes, config)) {
-      if (digest_failure != nullptr) *digest_failure = true;
-      return false;
-    }
-    return true;
-  };
-  bool digest_failure = false;
-  if (stream_ok(received.bytes, &digest_failure)) return received;
-  if (!comm.faults().enabled()) {
-    if (digest_failure) {
-      throw IntegrityError("received stream fails its ABFT digests with no fault plan");
-    }
-    throw FormatError("received stream does not parse as fZ-light");
-  }
-  received.bytes = comm.refetch(src, tag, Comm::Refetch::kRetransmit);
-  if (stream_ok(received.bytes, nullptr)) {
-    if (digest_failure) ++comm.integrity().retransmit_recoveries;
-    return received;
-  }
-  // The pristine copy always parses (the sender produced it with
-  // fz_compress) and is ground truth for its digests; with no element count
-  // known yet, the wire is priced at the stored stream size.
-  received.bytes = comm.refetch(src, tag, Comm::Refetch::kRawFallback);
-  if (digest_failure) ++comm.integrity().raw_fallbacks;
-  return received;
 }
 
 std::array<uint8_t, 16> digest_trailer_bytes(const integrity::Digest& d) {

@@ -1,7 +1,6 @@
 #include "hzccl/homomorphic/hz_dynamic.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 
 #include "hzccl/compressor/fixed_len.hpp"
@@ -85,38 +84,6 @@ HZCCL_COLD void replay_sdc_poison(integrity::SdcInjector& inj, std::span<const u
     default:
       detail::raise_error("hz combine: unexpected slot status");
   }
-}
-
-/// Homomorphically combine one chunk pair, a + Sign * b, into
-/// [out, out + out_capacity) with the four-pipeline dispatch (paper
-/// §III-C); returns bytes written.  One combine_chunk slot call walks both
-/// chains: pipelines 1-3 write a constant block or copy an operand's block
-/// (negated for a difference), pipeline 4 decodes both blocks, merges them
-/// in int64 and re-encodes the sum without storing residuals.  Operand
-/// payloads are untrusted: the slot validates every block and checks every
-/// write — copied or re-encoded — against the destination's worst-case
-/// capacity before it happens; a fault becomes the exception the per-block
-/// walk raised.  An armed SdcInjector poisons the finished pipeline-4
-/// blocks afterwards (replay_sdc_poison); a disarmed one costs one test.
-template <int Sign>
-HZCCL_HOT size_t combine_chunk(std::span<const uint8_t> ca, std::span<const uint8_t> cb,
-                               size_t chunk_elems, uint32_t block_len, uint8_t* out,
-                               size_t out_capacity, HzPipelineStats& stats) {
-  static_assert(Sign == 1 || Sign == -1, "combine_chunk: Sign must be +1 or -1");
-  const kernels::CombineChunkResult res = kernels::active().combine_chunk(
-      ca.data(), ca.size(), cb.data(), cb.size(), chunk_elems, block_len, Sign, out, out_capacity);
-  if (integrity::SdcInjector* inj = integrity::sdc_injector(); inj) {
-    replay_sdc_poison(*inj, ca, cb, out, out + out_capacity, chunk_elems, block_len,
-                      res.blocks());
-  }
-  if (res.status != kernels::ChunkStatus::kOk) raise_combine_fault(res.status);
-  stats.p1 += res.p1;
-  stats.p2 += res.p2;
-  stats.p3 += res.p3;
-  stats.p4 += res.p4;
-  stats.copied_bytes += res.copied_bytes;
-  stats.p4_elements += res.p4_elements;
-  return res.bytes;
 }
 
 /// Chain-tracking per-chunk combine (a + sign_b * b) for operand pairs with
@@ -241,6 +208,35 @@ HZCCL_HOT size_t combine_chunk_raw(std::span<const uint8_t> ca, std::span<const 
 
 namespace detail {
 
+/// The one homomorphic chunk combine (paper §III-C), declared in the header:
+/// one combine_chunk slot call walks both chains — pipelines 1-3 write a
+/// constant block or copy an operand's block (negated for a difference),
+/// pipeline 4 decodes both blocks, merges them in int64 and re-encodes the
+/// sum without storing residuals.  Operand payloads are untrusted: the slot
+/// validates every block and checks every write — copied or re-encoded —
+/// against the destination's worst-case capacity before it happens; a fault
+/// becomes the exception the per-block walk raised.  An armed SdcInjector
+/// poisons the finished pipeline-4 blocks afterwards (replay_sdc_poison); a
+/// disarmed one costs one test.
+HZCCL_HOT size_t combine_chunk(std::span<const uint8_t> ca, std::span<const uint8_t> cb,
+                               size_t chunk_elems, uint32_t block_len, int sign, uint8_t* out,
+                               size_t out_capacity, HzPipelineStats& stats) {
+  const kernels::CombineChunkResult res = kernels::active().combine_chunk(
+      ca.data(), ca.size(), cb.data(), cb.size(), chunk_elems, block_len, sign, out, out_capacity);
+  if (integrity::SdcInjector* inj = integrity::sdc_injector(); inj) {
+    replay_sdc_poison(*inj, ca, cb, out, out + out_capacity, chunk_elems, block_len,
+                      res.blocks());
+  }
+  if (res.status != kernels::ChunkStatus::kOk) raise_combine_fault(res.status);
+  stats.p1 += res.p1;
+  stats.p2 += res.p2;
+  stats.p3 += res.p3;
+  stats.p4 += res.p4;
+  stats.copied_bytes += res.copied_bytes;
+  stats.p4_elements += res.p4_elements;
+  return res.bytes;
+}
+
 CompressedBuffer hz_combine(const FzView& a, const FzView& b, int sign, HzPipelineStats* stats,
                             int num_threads, BufferPool* pool) {
   require_layout_compatible(a, b);
@@ -277,12 +273,8 @@ CompressedBuffer hz_combine(const FzView& a, const FzView& b, int sign, HzPipeli
           return res;
         }
         if (r.size() > 0) {
-          res.size = sign > 0 ? combine_chunk<+1>(a.chunk_payload(c), b.chunk_payload(c),
-                                                  r.size(), a.block_len(), out.data(),
-                                                  out.size(), chunk_stats[c])
-                              : combine_chunk<-1>(a.chunk_payload(c), b.chunk_payload(c),
-                                                  r.size(), a.block_len(), out.data(),
-                                                  out.size(), chunk_stats[c]);
+          res.size = combine_chunk(a.chunk_payload(c), b.chunk_payload(c), r.size(),
+                                   a.block_len(), sign, out.data(), out.size(), chunk_stats[c]);
         }
         if (digests) {
           res.digest = a.chunk_digest(c) + static_cast<int64_t>(sign) * b.chunk_digest(c);
@@ -293,35 +285,6 @@ CompressedBuffer hz_combine(const FzView& a, const FzView& b, int sign, HzPipeli
     for (const auto& s : chunk_stats) *stats += s;
   }
   return result;
-}
-
-/// Copy one encoded block while flipping its sign plane (see the header).
-HZCCL_HOT size_t copy_block_negated(const uint8_t* src, const uint8_t* end, size_t n, uint8_t* out,
-                                    const uint8_t* out_end) {
-  const size_t size = peek_block_size(src, end, n);
-  if (out > out_end || size > static_cast<size_t>(out_end - out)) {
-    detail::raise_capacity("hz negate: block copy exceeds output capacity");
-  }
-  std::memcpy(out, src, size);
-  const int c = out[0];
-  if (c == kRawBlockMarker) {
-    // Raw block: negation is a sign-bit flip on each stored float (exact for
-    // every value, infinities and NaN payloads included).
-    uint8_t* floats = out + 1;
-    for (size_t i = 0; i < n; ++i) floats[i * 4 + 3] ^= 0x80u;
-    return size;
-  }
-  if (c > 0) {
-    const size_t sign_bytes = (n + 7) / 8;
-    uint8_t* signs = out + 1;
-    for (size_t b = 0; b < sign_bytes; ++b) signs[b] = static_cast<uint8_t>(~signs[b]);
-    // Keep the padding bits of the tail byte zero (canonical padding).
-    const size_t tail_bits = n % 8;
-    if (tail_bits != 0) {
-      signs[sign_bytes - 1] &= static_cast<uint8_t>((1u << tail_bits) - 1);
-    }
-  }
-  return size;
 }
 
 }  // namespace detail

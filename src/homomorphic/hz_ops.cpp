@@ -99,27 +99,22 @@ CompressedBuffer hz_scale(const CompressedBuffer& a, int32_t factor, int num_thr
 }
 
 CompressedBuffer hz_negate(const FzView& a, int num_threads, BufferPool* pool) {
+  // -a = 0 - a: each chunk combines, with sign -1, against a prefix of one
+  // constant chain, a zero code-length byte per block of the whole stream
+  // (no larger than the output), taken before the assembler's chunk regions.
+  ArenaScope arena;
+  const auto blocks = [&](size_t elems) { return (elems + a.block_len() - 1) / a.block_len(); };
+  const std::span<const uint8_t> constant = arena.alloc<uint8_t>(blocks(a.num_elements()));
   return assemble_chunks(
-      a.header, num_threads, pool, [&](uint32_t c, Range r, std::span<uint8_t> out_span) {
+      a.header, num_threads, pool, [&](uint32_t c, Range r, std::span<uint8_t> out) {
         ChunkResult res;
         res.outlier = checked_outlier(-static_cast<int64_t>(a.chunk_outliers[c]));
         if (a.has_digests()) res.digest = -a.chunk_digest(c);
         if (r.size() == 0) return res;
-        const auto chunk = a.chunk_payload(c);
-        const uint8_t* src = chunk.data();
-        const uint8_t* const end = src + chunk.size();
-        uint8_t* out = out_span.data();
-        const uint8_t* const out_end = out + out_span.size();
-        size_t remaining = r.size();
-        while (remaining > 0) {
-          const size_t n = std::min<size_t>(a.block_len(), remaining);
-          const size_t size = detail::copy_block_negated(src, end, n, out, out_end);
-          src += size;
-          out += size;
-          remaining -= n;
-        }
-        if (src != end) throw FormatError("hz_negate: trailing bytes in chunk payload");
-        res.size = static_cast<size_t>(out - out_span.data());
+        HzPipelineStats stats;
+        res.size = detail::combine_chunk(constant.first(blocks(r.size())), a.chunk_payload(c),
+                                         r.size(), a.block_len(), -1, out.data(), out.size(),
+                                         stats);
         return res;
       });
 }

@@ -637,9 +637,10 @@ inline ChunkStatus fold_blockwise(const uint8_t* payload, size_t size, size_t co
   return st;
 }
 
-/// Pipeline 2's copy for sign -1 (hz_dynamic's copy_block_negated): a
-/// residual block with its sign plane inverted and the padding bits past
-/// value n kept zero, or a raw block with each float's sign bit flipped.
+/// Pipeline 2's copy for sign -1, the only negated block copy (hz_sub's,
+/// and hz_negate's against a constant chain): a residual block with its
+/// sign plane inverted and the padding bits past value n kept zero, or a
+/// raw block with each float's sign bit flipped.
 inline void copy_negated(const ChunkBlock& b, size_t n, uint8_t* out) {
   std::memcpy(out, b.at, b.size);
   if (b.code == kRawCode) {

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <initializer_list>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -405,6 +406,65 @@ TEST(Collectives, AlgoAndVerifySpellingsParse) {
   EXPECT_THROW((void)coll::parse_allreduce_algo("Ring"), Error);
   EXPECT_THROW((void)coll::parse_allreduce_algo(""), Error);
   EXPECT_THROW((void)coll::parse_verify_policy("always"), Error);
+}
+
+// fz_stream_decodes is the check every compressed receive rests on: a
+// stream passes when it parses and carries the expected element count (0
+// accepts any), and with walk_blocks also when every chunk's block chain
+// holds together.  The damaged chains below parse, so only the walk sees
+// them.
+TEST(Collectives, StreamDecodeCheckCases) {
+  const std::vector<float> field = generate_field(DatasetId::kHurricane, Scale::kTiny, 0);
+  FzParams params;
+  params.abs_error_bound = abs_bound_from_rel(field, 1e-3);
+  const std::vector<uint8_t> real = fz_compress(field, params).bytes;
+
+  // One chunk of 4 blocks of 8 values, built by hand so its chain can be
+  // damaged without touching the header or the chunk table.
+  constexpr uint32_t kLen = 8;
+  constexpr size_t kCount = 4 * kLen;
+  const std::vector<uint8_t> residual{3, 0x0F, 0x12, 0x34, 0x56};  // c = 3: 1 + 1 + 3 bytes
+  const auto stream = [&](std::initializer_list<std::vector<uint8_t>> blocks) {
+    FzHeader h;
+    h.num_elements = kCount;
+    h.block_len = kLen;
+    h.num_chunks = 1;
+    h.error_bound = 1e-3;
+    std::vector<uint8_t> wire(fz_preamble_size(1, h.flags), 0);
+    std::memcpy(wire.data(), &h, sizeof h);
+    for (const auto& b : blocks) wire.insert(wire.end(), b.begin(), b.end());
+    return wire;
+  };
+  const std::vector<uint8_t> c0{0};
+  const std::vector<uint8_t> chain = stream({residual, c0, residual, c0});
+  std::vector<uint8_t> flipped = chain;
+  flipped[fz_preamble_size(1)] ^= 0x80;  // the first block's code length: 3 -> 131
+  std::vector<uint8_t> truncated = stream({residual, c0, residual, residual});
+  truncated.pop_back();
+  const std::vector<uint8_t> trailing = stream({residual, c0, residual, c0, c0});
+
+  const struct {
+    const char* what;
+    std::vector<uint8_t> bytes;
+    size_t expect;
+    bool parse_only;  ///< fz_stream_decodes(..., walk_blocks = false)
+    bool walked;      ///< fz_stream_decodes(..., walk_blocks = true)
+  } cases[] = {
+      {"clean stream", real, field.size(), true, true},
+      {"wrong element count", real, field.size() + 1, false, false},
+      {"count 0 accepts any count", real, 0, true, true},
+      {"clean hand-built chunk", chain, kCount, true, true},
+      {"flipped code-length byte", flipped, kCount, true, false},
+      {"truncated block", truncated, kCount, true, false},
+      {"trailing byte in a chunk", trailing, kCount, true, false},
+      {"bytes that do not parse", {1, 2, 3}, 0, false, false},
+      {"truncated header", std::vector<uint8_t>(real.begin(), real.begin() + 8), 0, false, false},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.what);
+    EXPECT_EQ(coll::fz_stream_decodes(c.bytes, c.expect, false), c.parse_only);
+    EXPECT_EQ(coll::fz_stream_decodes(c.bytes, c.expect, true), c.walked);
+  }
 }
 
 // --- modeled-time orderings (the paper's headline comparisons) -----------------

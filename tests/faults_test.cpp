@@ -529,7 +529,8 @@ TEST(Chaos, BroadcastHealsUnderMixedFaults) {
     if (!compressed) continue;
 
     // Every frame mangled: each non-root hop's retransmit fails again, so
-    // heal_stream takes the pristine stream on all seven of them.
+    // the receive ladder (heal_received_stream) takes the pristine stream
+    // on all seven of them.
     FaultPlan always = FaultPlan::none();
     always.seed = 0xB0A7;
     always.mangle = 1.0;

@@ -588,6 +588,7 @@ TEST(VerifyPolicy, CompressedBcastChecksDigestsAtTheFinalDecode) {
   // still receiving may observe that failure as a peer-rank error first).
   std::vector<std::vector<float>> out;
   std::atomic<int> integrity_errors{0};
+  IntegrityStats integrity;
   auto bcast_under = [&](const FaultPlan& plan) {
     simmpi::Runtime rt(n, NetModel::omnipath_100g(), plan);
     out.assign(n, {});
@@ -602,6 +603,7 @@ TEST(VerifyPolicy, CompressedBcastChecksDigestsAtTheFinalDecode) {
       }
       out[static_cast<size_t>(comm.rank())] = std::move(data);
     });
+    integrity = total_integrity(rt.integrity_stats());
   };
   cc.verify = VerifyPolicy::kFinal;
   bcast_under(FaultPlan::none());
@@ -619,6 +621,12 @@ TEST(VerifyPolicy, CompressedBcastChecksDigestsAtTheFinalDecode) {
   cc.verify = VerifyPolicy::kPerRound;
   bcast_under(plan);
   for (int r = 0; r < n; ++r) EXPECT_EQ(out[r], clean[r]) << "rank " << r;
+  // Each of the 7 hops fails its digests on receive and again after the
+  // retransmit (the flip re-rolls onto every copy), then takes the pristine
+  // stream.
+  EXPECT_EQ(integrity.mismatches, 14u);
+  EXPECT_EQ(integrity.retransmit_recoveries, 0u);
+  EXPECT_EQ(integrity.raw_fallbacks, 7u);
 }
 
 TEST(VerifyPolicy, RawBcastAndGatherCheckDigestsOnEveryHop) {

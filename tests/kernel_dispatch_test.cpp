@@ -214,7 +214,7 @@ TEST(KernelDispatch, CheckedEntryPointsRejectBadWidths) {
     ChunkStatus status;
     const char* decompress;  ///< fz_decompress's message
     const char* verify;      ///< fz_verify_digests'
-    const char* combine;     ///< hz_add's and hz_sub's, against `good`
+    const char* combine;     ///< hz_add's and hz_sub's, against `good`, and hz_negate's
   };
   std::vector<uint8_t> truncated = chain({residual, c0, residual, residual});
   truncated.pop_back();
@@ -332,6 +332,7 @@ TEST(KernelDispatch, CheckedEntryPointsRejectBadWidths) {
     expect_raise([&] { (void)fz_verify_digests(s); }, true, bad.verify);
     expect_raise([&] { (void)hz_add(s, good_stream); }, true, bad.combine);
     expect_raise([&] { (void)hz_sub(good_stream, s); }, true, bad.combine);
+    expect_raise([&] { (void)hz_negate(s); }, true, bad.combine);
   }
   const CompressedBuffer trailing_stream = stream(trailing);
   expect_raise([&] { (void)fz_decompress(trailing_stream); }, false,
@@ -339,6 +340,8 @@ TEST(KernelDispatch, CheckedEntryPointsRejectBadWidths) {
   expect_raise([&] { (void)fz_verify_digests(trailing_stream); }, false,
                "fz_verify_digests: trailing bytes in chunk payload");
   expect_raise([&] { (void)hz_add(good_stream, trailing_stream); }, false,
+               "hz combine: chunk payload longer than its block grid");
+  expect_raise([&] { (void)hz_negate(trailing_stream); }, false,
                "hz combine: chunk payload longer than its block grid");
   expect_raise([&] { (void)hz_add(good_stream, stream(chain({residual, c0, raw, c0}))); }, true,
                "decode_block: raw block in a residual-only context");

@@ -6,12 +6,14 @@
 
 #include <atomic>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "hzccl/collectives/movement.hpp"
 #include "hzccl/datasets/registry.hpp"
 #include "hzccl/simmpi/runtime.hpp"
 #include "hzccl/stats/metrics.hpp"
+#include "hzccl/util/error.hpp"
 
 namespace hzccl {
 namespace {
@@ -132,6 +134,31 @@ TEST(Movement, GatherConcatenatesInRankOrder) {
           }
         }
       }
+    }
+  }
+}
+
+TEST(Movement, GatherRejectsUnequalChunkSizes) {
+  // Each parent checks a subtree's payload against its own contribution:
+  // rank 1 contributing one float too many, or the root contributing none
+  // while rank 1 sends floats, fails at the root (rank 1's parent).
+  const int n = 4, root = 0;
+  for (const bool empty_root : {false, true}) {
+    SCOPED_TRACE(empty_root ? "empty root" : "one float too many");
+    CollectiveConfig cc;
+    Runtime rt(n, NetModel::omnipath_100g());
+    try {
+      rt.run([&](simmpi::Comm& comm) {
+        size_t chunk = 4;
+        if (!empty_root && comm.rank() == 1) chunk = 5;
+        if (empty_root && comm.rank() == root) chunk = 0;
+        const std::vector<float> mine(chunk, 1.0f);
+        std::vector<float> out;
+        coll::raw_gather(comm, mine, root, out, cc);
+      });
+      ADD_FAILURE() << "no error raised";
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()), "raw_gather: ranks contributed unequal chunk sizes");
     }
   }
 }

@@ -28,6 +28,13 @@
 #      include/hzccl/simmpi/runtime.hpp, frames, checks or rolls a fault die
 #      itself (seal_frame, encode_frame_into, decode_frame, fault_roll).
 #      Both executors drive the one link layer in src/simmpi/link.cpp.
+#   8. Every collective is a Transport body: nothing under src/collectives/
+#      calls simmpi::Comm's data-plane, clock or counter methods (send,
+#      send_floats, recv, recv_into, recv_floats_into, refetch, charge,
+#      clock, endpoint, integrity), BufferPool::local or the codec
+#      (fz_compress, fz_decompress).  The blocking entry points run the
+#      bodies in include/hzccl/collectives/schedules.hpp through
+#      CommTransport.
 #
 # Exits nonzero listing every violation.  Runs clang-tidy (.clang-tidy) on
 # top when the binary exists; the baseline image is GCC-only, so the text
@@ -92,6 +99,12 @@ matches=$(grep -rnE "\b(seal_frame|encode_frame_into|decode_frame|fault_roll)\s*
   src/sched include/hzccl/sched src/simmpi/runtime.cpp include/hzccl/simmpi/runtime.hpp \
   2>/dev/null || true)
 report "one-data-plane" "$matches"
+
+# Rule 8: the blocking collectives are run_to_completion wrappers; moving
+# bytes, charging a clock or touching the codec happens in the bodies.
+matches=$(grep -rnE "((\.|->)(send|send_floats|recv|recv_into|recv_floats_into|refetch|charge|clock|endpoint|integrity)|BufferPool::local|\b(fz_compress|fz_decompress))\s*\(" \
+  src/collectives 2>/dev/null || true)
+report "every-collective-a-transport-body" "$matches"
 
 # Optional deep pass: clang-tidy with the checked-in .clang-tidy, if a
 # compilation database and the tool are both available.
