@@ -17,13 +17,15 @@
 //    payload and on 2 KiB ones; "payload_bytes" tells them apart), the
 //    whole-block codec on the codec's 32-value block (decode_block,
 //    encode_block; "bits" is the code length), the fused block pass on
-//    32-value blocks of three datasets (fz_quantize_predict) and the three
+//    32-value blocks of three datasets (fz_quantize_predict) and the four
 //    chunk walks on one 16384-value chunk of 32-value blocks of each of
-//    those datasets (decompress_chunk, fold_chunk, combine_chunk) are
+//    those datasets (decompress_chunk, fold_chunk, combine_chunk, and
+//    compress_chunk without and with digests) are
 //    measured once per supported dispatch level (tagged with a "level"
 //    field); --simd-floor R fails the run if the best level's decode_block
 //    at n = 32 over the measured code lengths together, or its
-//    fz_quantize_predict, decompress_chunk or fold_chunk over the three
+//    fz_quantize_predict, decompress_chunk, fold_chunk or either
+//    compress_chunk entry over the three
 //    datasets together, is below R× the scalar table's — the SIMD speedup gate on
 //    the codec the library runs — or, when the best level is avx512, if its
 //    1 MiB crc32c is below R× the avx2 level's (the carry-less fold against
@@ -485,12 +487,13 @@ std::vector<JsonEntry> measure_block_pass(const std::vector<std::vector<float>>&
   return out;
 }
 
-/// The three chunk slots at the active level, each on one 16384-value
+/// The four chunk slots at the active level, each on one 16384-value
 /// chunk of 32-value blocks per dataset (fz_compress output, digests on,
-/// one chunk): decompress_chunk and fold_chunk walk field 0's chunk, and
+/// one chunk): decompress_chunk and fold_chunk walk field 0's chunk,
 /// combine_chunk adds field 1's chunk to it (hZ pipelines 1-4 as they
-/// fall).  GB/s counts the 4-byte values walked (both operands' for
-/// combine_chunk).
+/// fall), and compress_chunk encodes field 0's values into it again,
+/// without and with the digest fold (compress_chunk_digests).  GB/s counts
+/// the 4-byte values walked (both operands' for combine_chunk).
 std::vector<JsonEntry> measure_chunk_kernels(const std::vector<std::vector<float>>& fields,
                                              const std::vector<std::vector<float>>& others,
                                              double min_seconds) {
@@ -534,6 +537,15 @@ std::vector<JsonEntry> measure_chunk_kernels(const std::vector<std::vector<float
                                                    count, 32, +1, merged.data(), merged.size()));
       benchmark::ClobberMemory();
     }));
+    for (const bool digest : {false, true}) {
+      out.push_back(measure_json(digest ? "compress_chunk_digests" : "compress_chunk", -1, slug,
+                                 bytes, min_seconds, [&] {
+        benchmark::DoNotOptimize(table.compress_chunk(fields[d].data(), count, 32,
+                                                      quant.inv_twice_eb, va.chunk_outliers[0],
+                                                      digest, merged.data(), merged.size()));
+        benchmark::ClobberMemory();
+      }));
+    }
   }
   return out;
 }
@@ -752,8 +764,8 @@ int run_json_mode(const JsonOptions& opts) {
   }
 
   // SIMD speedup gate: the best level's whole-block decode, its
-  // decode-dequantize and decode-fold walks, and the fused block pass at
-  // n = 32 (the loops the codec runs) must beat the scalar table by the
+  // decode-dequantize, decode-fold and compress walks, and the fused block
+  // pass at n = 32 (the loops the codec runs) must beat the scalar table by the
   // requested factor.  Scalar-only hosts have nothing to compare, so the
   // gate reports itself skipped.
   if (opts.simd_floor > 0) {
@@ -804,7 +816,8 @@ int run_json_mode(const JsonOptions& opts) {
       for (const DatasetId id : kBlockPassDatasets) {
         dataset_points.emplace_back(-1, dataset_slug(id));
       }
-      for (const char* kernel : {"fz_quantize_predict", "decompress_chunk", "fold_chunk"}) {
+      for (const char* kernel : {"fz_quantize_predict", "decompress_chunk", "fold_chunk",
+                                 "compress_chunk", "compress_chunk_digests"}) {
         gate_points(kernel, "all datasets", dataset_points);
       }
       // The AVX-512 table's CRC must be its own carry-less fold, not the

@@ -771,6 +771,36 @@ void doc_decompress(T& t, const CompressedBuffer& compressed, std::span<float> o
   decompress_charged(t, compressed, out, config);
 }
 
+/// C-Coll's DOC send at ring step `step` (N-1 for the allreduce's owned
+/// block, which its allgather sends): compress the partial block `partial`,
+/// whose own input block is `own`.  Past step 0 the partial was reduced from
+/// the stream received from `src` at step - 1.  Under a link-fault plan a wire-SDC flip that keeps that stream's
+/// block chain intact passes heal_received_stream's walk and decodes to wild
+/// floats, so the partial can leave the quantization domain.  Healed as
+/// compress_leader_blocks heals: the partial is rebuilt from `own` and the
+/// sender's pristine stream (Refetch::kRawFallback), then compressed once
+/// more; a second failure — the data itself is out of domain — propagates.
+/// Without a fault plan this is compress_block.
+template <Transport T>
+[[nodiscard]] CompressedBuffer compress_doc_partial(T& t, std::span<float> partial,
+                                                    std::span<const float> own, int src,
+                                                    int step, const CollectiveConfig& config) {
+  try {
+    return compress_block(t, partial, config);
+  } catch (const Error&) {
+    if (!t.faults().enabled() || step == 0) throw;
+  }
+  CompressedBuffer pristine;
+  pristine.bytes = t.refetch(src, kTagReduceScatter + step - 1,
+                             simmpi::Comm::Refetch::kRawFallback, partial.size_bytes());
+  std::vector<float> decoded(partial.size());
+  decompress_charged(t, pristine, decoded, config);
+  t.pool().release(std::move(pristine.bytes));
+  std::memcpy(partial.data(), own.data(), own.size_bytes());
+  reduce_into(t, partial, decoded, 0, config, config.mode);
+  return compress_block(t, partial, config);
+}
+
 template <Transport T>
 Task<void> ccoll_reduce_scatter(T t, std::span<const float> input, std::vector<float>& out_block,
                                 const CollectiveConfig& config) {
@@ -790,9 +820,9 @@ Task<void> ccoll_reduce_scatter(T t, std::span<const float> input, std::vector<f
     // DOC round, send side: compress the partially reduced block.  send()
     // copies the payload synchronously, so the stream's storage goes back
     // to the pool right away.
-    CompressedBuffer to_send =
-        compress_block(t, std::span<const float>(acc).subspan(send_r.begin, send_r.size()),
-                       config);
+    CompressedBuffer to_send = compress_doc_partial(
+        t, std::span<float>(acc).subspan(send_r.begin, send_r.size()),
+        input.subspan(send_r.begin, send_r.size()), ring_prev(rank, size), step, config);
     t.send(ring_next(rank, size), kTagReduceScatter + step, to_send.span());
     pool.release(std::move(to_send.bytes));
 
@@ -818,22 +848,25 @@ Task<void> ccoll_reduce_scatter(T t, std::span<const float> input, std::vector<f
                    acc.begin() + static_cast<ptrdiff_t>(owned.end));
 }
 
+/// C-Coll's ring allgather of this rank's owned block `my_block`, already
+/// compressed into `own`: compressed once, every hop forwards compressed
+/// bytes, and the N-1 received blocks are decompressed at the end.
 template <Transport T>
-Task<void> ccoll_allgather(T t, std::span<const float> my_block, size_t total_elements,
-                           std::vector<float>& out_full, const CollectiveConfig& config) {
+Task<void> ccoll_allgather_stream(T t, std::span<const float> my_block, CompressedBuffer own,
+                                  size_t total_elements, std::vector<float>& out_full,
+                                  const CollectiveConfig& config) {
   const int size = t.size();
   const int rank = t.rank();
   out_full.assign(total_elements, 0.0f);
   const int own_idx = rs_owned_block(rank, size);
-  const Range own = ring_block_range(total_elements, size, own_idx);
-  if (my_block.size() != own.size()) {
+  const Range own_r = ring_block_range(total_elements, size, own_idx);
+  if (my_block.size() != own_r.size()) {
     throw Error("ccoll_allgather: my_block size does not match the owned block");
   }
-  std::memcpy(out_full.data() + own.begin, my_block.data(), my_block.size_bytes());
+  std::memcpy(out_full.data() + own_r.begin, my_block.data(), my_block.size_bytes());
 
-  // Compress once; every hop forwards compressed bytes.
   std::vector<CompressedBuffer> blocks(static_cast<size_t>(size));
-  blocks[static_cast<size_t>(own_idx)] = compress_block(t, my_block, config);
+  blocks[static_cast<size_t>(own_idx)] = std::move(own);
 
   for (int step = 0; step < size - 1; ++step) {
     const size_t send_idx = static_cast<size_t>(ag_send_block(rank, step, size));
@@ -860,11 +893,27 @@ Task<void> ccoll_allgather(T t, std::span<const float> my_block, size_t total_el
 }
 
 template <Transport T>
+Task<void> ccoll_allgather(T t, std::span<const float> my_block, size_t total_elements,
+                           std::vector<float>& out_full, const CollectiveConfig& config) {
+  co_await ccoll_allgather_stream(t, my_block, compress_block(t, my_block, config),
+                                  total_elements, out_full, config);
+}
+
+/// The reduce-scatter, then the allgather of the owned block, which the
+/// last step reduced from ring_prev's stream: compressed as a DOC partial
+/// sent at step N-1.
+template <Transport T>
 Task<void> ccoll_allreduce(T t, std::span<const float> input, std::vector<float>& out_full,
                            const CollectiveConfig& config) {
+  const int size = t.size();
+  const int rank = t.rank();
   std::vector<float> block;
   co_await ccoll_reduce_scatter(t, input, block, config);
-  co_await ccoll_allgather(t, block, input.size(), out_full, config);
+  const Range owned = ring_block_range(input.size(), size, rs_owned_block(rank, size));
+  CompressedBuffer own = compress_doc_partial(t, std::span<float>(block),
+                                              input.subspan(owned.begin, owned.size()),
+                                              ring_prev(rank, size), size - 1, config);
+  co_await ccoll_allgather_stream(t, block, std::move(own), input.size(), out_full, config);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,47 +5,51 @@
 // §III-B3: a sign plane, c/8 byte planes and one x-bit remainder plane per
 // block, decoded or encoded in one call), fZ-light's fused block pass —
 // raw-fallback classification, quantization and 1-D Lorenzo prediction in
-// one walk over the block (§III-B2) — and three chunk walks, each of which
-// takes a whole chunk's block chain in one call, validates every block and
-// consumes each residual block while its values are still in registers:
-// decode, prefix sum and dequantize (decompression, the block pass run
-// backwards), the ABFT digest fold (the verify walk), and the hZ-dynamic
-// combine of two chunks, pipelines 1-3 as copies and pipeline 4's decode,
-// integer merge and re-encode (§III-C).  SZx's min/max scan and the
-// CRC-32C every wire frame carries complete the set: eight slots.  This
-// header exposes those primitives as a table of function pointers with one
-// table per *dispatch level*:
+// one walk over the block (§III-B2), which ompSZp and the raw-aware combine
+// call per block — and four chunk walks, each of which takes a whole chunk
+// in one call and keeps each block's values in registers from one step to
+// the next: the compress walk (classify, quantize, predict, encode and fold
+// the ABFT digest of every block), decode, prefix sum and dequantize
+// (decompression, the block pass run backwards), the digest fold (the
+// verify walk), and the hZ-dynamic combine of two chunks, pipelines 1-3 as
+// copies and pipeline 4's decode, integer merge and re-encode (§III-C).
+// SZx's min/max scan and the CRC-32C every wire frame carries complete the
+// set: nine slots.  This header exposes those primitives as a table of
+// function pointers with one table per *dispatch level*:
 //
 //   kScalar — the portable C++ reference.  Always compiled, always
 //             supported; it is both the fallback and the oracle every
 //             vectorized variant is differentially tested against
 //             (tests/kernel_conformance_test.cpp).  Its chunk walks visit
-//             one block at a time: the scalar block decode, then the
-//             scalar consumer (serial prefix sum, serial digest fold,
-//             int64 merge and the scalar encode).
+//             one block at a time: the scalar block pass and encode, or the
+//             scalar block decode, then the scalar consumer (serial prefix
+//             sum, serial digest fold, int64 merge and the scalar encode).
 //   kAvx2   — AVX2 + BMI2 + SSE4.2: the block codec on 8-value PDEP/PEXT
-//             groups (the chunk walks run it block by block into a stack
-//             block, then the consumer), the vector classify and predict of
-//             the fused block pass, and the hardware crc32 instruction.
+//             groups (the chunk walks run it block by block through stack
+//             blocks, around the consumer), the vector classify and predict
+//             of the fused block pass, and the hardware crc32 instruction.
 //   kAvx512 — AVX-512 (F/BW/DQ/VL/VBMI) with PCLMUL and VPCLMULQDQ, on
 //             top of the AVX2 level's set: the block codec on 32-value
 //             groups (VPERMB + VPMULTISHIFTQB remainder planes), with one
-//             group decoder shared by decode_block and the three chunk
-//             walks, whose state stays in registers from block to block
-//             (the dequantize chain carry; the digest fold's weights and
-//             lane sums, reduced once per chunk), and one group encoder
-//             shared by encode_block and pipeline 4, which encodes the
-//             merged block from registers; the fused block pass in one
+//             group decoder shared by decode_block and the three decoding
+//             chunk walks, whose state stays in registers from block to
+//             block (the dequantize chain carry; the digest fold's weights
+//             and lane sums, reduced once per chunk), and one group encoder
+//             shared by encode_block, pipeline 4 and the compress walk,
+//             which encode from registers; the fused block pass in one
 //             masked walk (VCVTPD2QQ, the exact llrint, with the
-//             predecessor lane from VALIGND); and a carry-less CRC-32C:
-//             four 512-bit VPCLMULQDQ accumulators fold 256 bytes per step
-//             down to a 128-bit remainder that two crc32 instructions
-//             reduce.
+//             predecessor lane from VALIGND), which the compress walk runs
+//             on each group it loads, with the chain carry and the digest's
+//             lane sums kept across blocks; and a carry-less CRC-32C: four
+//             512-bit VPCLMULQDQ accumulators fold 256 bytes per step down
+//             to a 128-bit remainder that two crc32 instructions reduce.
 //
-// All three levels run one chunk walk (walk_blocks in
+// All three levels run one decoding chunk walk (walk_blocks in
 // src/kernels/kernel_impls.hpp), which owns block validation, raw and
 // constant blocks and the short last block; a level only supplies the
-// visitor of a residual block (and of a pipeline-4 pair).
+// visitor of a residual block (and of a pipeline-4 pair).  The compress
+// walk has no stream to validate; scalar and AVX2 compose their block pass
+// and block encoder per block (compress_blockwise), AVX-512 fuses both.
 //
 // Contract: every variant produces byte-identical output to the scalar
 // reference on identical input — including sign conventions, guard
@@ -139,16 +143,20 @@ using EncodeBlockFn = void (*)(const uint32_t* mags, const uint32_t* signs, size
 /// never raise; each caller turns a status into its exception.
 enum class ChunkStatus : uint8_t {
   kOk = 0,
-  kEmptyBlock,       ///< a block starts at the end of its payload
-  kBadCodeLength,    ///< a code-length byte in 32..254
-  kTruncatedBlock,   ///< a residual block's bytes run past the payload
-  kTruncatedRaw,     ///< a raw block's 1 + 4n bytes run past the payload
-  kTrailingBytes,    ///< bytes after the chunk's last block
-  kRawInMerge,       ///< combine: a raw block in a pipeline-4 pair
-  kOverflow,         ///< combine: a merged residual past +-(2^31 - 1)
-  kCopyCapacity,     ///< combine: pipeline 1, 2 (sign +1) or 3 output past capacity
-  kNegateCapacity,   ///< combine: pipeline 2's negated copy (sign -1) past capacity
-  kEncodeCapacity,   ///< combine: pipeline 4's encoded block past capacity
+  kEmptyBlock,         ///< a block starts at the end of its payload
+  kBadCodeLength,      ///< a code-length byte in 32..254
+  kTruncatedBlock,     ///< a residual block's bytes run past the payload
+  kTruncatedRaw,       ///< a raw block's 1 + 4n bytes run past the payload
+  kTrailingBytes,      ///< bytes after the chunk's last block
+  kRawInMerge,         ///< combine: a raw block in a pipeline-4 pair
+  kOverflow,           ///< combine: a merged residual past +-(2^31 - 1)
+  kCopyCapacity,       ///< combine: pipeline 1, 2 (sign +1) or 3 output past capacity
+  kNegateCapacity,     ///< combine: pipeline 2's negated copy (sign -1) past capacity
+  kEncodeCapacity,     ///< combine (pipeline 4) or compress: an encoded residual
+                       ///< block past capacity
+  kQuantRange,         ///< compress: a quantized value past +-kMaxQuantValue
+  kConstantCapacity,   ///< compress: a constant block's byte past capacity
+  kRawCapacity,        ///< compress: a raw block's 1 + 4n bytes past capacity
 };
 
 /// The chunk slots below walk one fZ-light chunk's block chain
@@ -203,6 +211,44 @@ using CombineChunkFn = CombineChunkResult (*)(const uint8_t* a, size_t size_a, c
                                               size_t size_b, size_t count, uint32_t block_len,
                                               int sign_b, uint8_t* out, size_t capacity);
 
+/// Largest |q| the compress walk admits (fZ-light's 30-bit quantization
+/// domain, kMaxQuantMagnitude in hzccl/compressor/format.hpp): homomorphic
+/// sums of such chains keep their residuals within 31 bits.
+inline constexpr int32_t kMaxQuantValue = (1 << 30) - 1;
+
+/// What a compress_chunk call did: its status, the bytes of the blocks it
+/// wrote, and the facts fZ-light's chunk table and counters need.
+struct CompressChunkResult {
+  ChunkStatus status = ChunkStatus::kOk;
+  size_t bytes = 0;
+  bool emitted_raw = false;        ///< a raw block was written
+  uint64_t nonfinite_blocks = 0;   ///< raw verdicts kNonFinite met
+  uint64_t denormal_blocks = 0;    ///< raw verdicts kDenormalHeavy met
+  uint64_t sum = 0;                ///< digest words (0 without `digest` or on a fault)
+  uint64_t wsum = 0;
+};
+
+/// fZ-light's compress walk over one chunk (paper §III-B2/B3): `count`
+/// floats of data in blocks of block_len (1..kMaxBlockValues, the last
+/// block short), written as one chain into [out, out + capacity).  Each
+/// block gets the fused block pass's raw verdict first.  A raw block is
+/// written verbatim (0xFF, then its n floats) and stays outside the chain.
+/// Otherwise q_j = llrint(data[j] * inv_twice_eb) in double; a block whose
+/// OR of |q_j| exceeds kMaxQuantValue ends the walk with kQuantRange (raw
+/// verdicts outrank it).  The block's residuals (int32)q_j - (int32)q_{j-1},
+/// the chain starting at q0, are encoded at the code length of their OR of
+/// magnitudes: the code-length byte 0 alone for a constant block, else the
+/// fixed-length block.  With `digest`, on kOk, sum and wsum are the sums of
+/// q_j and of (j + 1) * q_j over the chunk's non-raw positions j, mod 2^64.
+/// Every block is checked against the capacity before it is written
+/// (kConstantCapacity, kEncodeCapacity, kRawCapacity); a raw block counts
+/// in its verdict's counter before that check.  Reads exactly `count`
+/// floats; on kOk writes exactly `bytes` bytes.
+using CompressChunkFn = CompressChunkResult (*)(const float* data, size_t count,
+                                                uint32_t block_len, double inv_twice_eb,
+                                                int32_t q0, bool digest, uint8_t* out,
+                                                size_t capacity);
+
 /// One dispatch level's kernel set.  Entries a level does not
 /// hand-vectorize alias the next-lower level's function, so every slot of a
 /// supported table is callable.
@@ -216,6 +262,7 @@ struct KernelTable {
   DecompressChunkFn decompress_chunk = nullptr;
   FoldChunkFn fold_chunk = nullptr;
   CombineChunkFn combine_chunk = nullptr;
+  CompressChunkFn compress_chunk = nullptr;
 };
 
 /// "scalar" / "avx2" / "avx512".

@@ -59,7 +59,7 @@ std::optional<RawBlockReason> classify_raw_block(const float* values, size_t n);
 /// Process-wide raw-fallback counters, one per reason — the
 /// pool_heap_allocations() idiom: encoders bump them from any thread; tests
 /// and tools read deltas around the region of interest.
-void count_raw_block(RawBlockReason reason);
+void count_raw_block(RawBlockReason reason, uint64_t blocks = 1);
 uint64_t raw_block_encodes(RawBlockReason reason);
 uint64_t raw_block_encodes();  ///< total across all reasons
 

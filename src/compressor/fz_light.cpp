@@ -23,73 +23,56 @@ void validate_params(const FzParams& p) {
   }
 }
 
-/// Compress one chunk into [out, out + out_capacity); returns bytes written.
-/// The capacity is the assembler's worst-case chunk region; every write is
-/// checked against it (CapacityError on violation).
-HZCCL_HOT size_t compress_chunk(std::span<const float> data, Range range, uint32_t block_len,
-                      const Quantizer& quant, int32_t* outlier, uint8_t* out,
-                      size_t out_capacity, bool* emitted_raw, integrity::Digest* digest) {
-  uint8_t* const out_begin = out;
-  const uint8_t* const out_end = out + out_capacity;
-  if (range.size() == 0) {
-    *outlier = 0;
-    return 0;
+static_assert(kernels::kMaxQuantValue == kMaxQuantMagnitude,
+              "the compress slot guards fZ-light's quantization domain");
+
+/// The exception of a compress_chunk slot fault: the one the per-block
+/// quantize, constant-byte and encode_block_prepared / encode_raw_block
+/// capacity checks raise for the same block.
+[[noreturn]] HZCCL_COLD void raise_compress_fault(kernels::ChunkStatus st) {
+  switch (st) {
+    case kernels::ChunkStatus::kQuantRange:
+      detail::raise_quant_range("value/error-bound ratio exceeds the 30-bit quantization domain");
+    case kernels::ChunkStatus::kConstantCapacity:
+      detail::raise_capacity("fz_compress: chunk capacity exceeded");
+    case kernels::ChunkStatus::kEncodeCapacity:
+      detail::raise_capacity("encode_block: encoded block exceeds output capacity");
+    case kernels::ChunkStatus::kRawCapacity:
+      detail::raise_capacity("encode_raw_block: raw block exceeds output capacity");
+    default:
+      detail::raise_error("fz_compress: unexpected slot status");
   }
+}
+
+/// Compress chunk `range` of `data` into [out, out + out_capacity), the
+/// assembler's worst-case chunk region: the anchor, then one compress_chunk
+/// slot call, which classifies, quantizes, predicts and encodes every block
+/// (paper §III-B2/B3) and folds the ABFT digest (with `digest`) in
+/// registers.  Every write is checked against the capacity; a slot fault
+/// becomes the exception the per-block steps raise, after the raw blocks
+/// met before it are counted.
+HZCCL_HOT void compress_chunk(std::span<const float> data, Range range, uint32_t block_len,
+                              const Quantizer& quant, bool digest, uint8_t* out,
+                              size_t out_capacity, ChunkResult& chunk) {
+  if (range.size() == 0) return;
   // The chunk outlier is the first quantized value; the first residual is
   // then zero by construction, which keeps every block the same shape.  A
   // non-finite first value anchors the chain at zero instead — its block is
   // about to take the raw fallback, so the anchor only has to be a value
   // every later (finite) block can predict from deterministically.
   const float f0 = data[range.begin];
-  const int32_t q0 = std::isfinite(f0) ? quant.quantize(f0) : 0;
-  *outlier = q0;
-
-  uint32_t mags[kMaxWireBlockLen];
-  uint32_t signs[kMaxWireBlockLen];
-  int64_t qbuf[kMaxWireBlockLen];
-  int32_t q_prev = q0;
-  size_t pos = range.begin;
-  const kernels::KernelTable& k = kernels::active();
-  while (pos < range.end) {
-    const size_t n = std::min<size_t>(block_len, range.end - pos);
-    // Fused classify + quantize + predict (paper §III-B2): one dispatched
-    // pass over the block decides the raw verdict, quantizes and emits the
-    // magnitude/sign split, OR-accumulating both guards.
-    const kernels::QuantizePredictResult s = k.fz_quantize_predict(
-        data.data() + pos, n, quant.inv_twice_eb, q_prev, /*restart=*/false, qbuf, mags, signs);
-    // Raw fallback: blocks the residual domain cannot carry faithfully
-    // (NaN/Inf would poison llrint; denormal-heavy blocks would collapse to
-    // zeros) store their floats verbatim and stay outside the prediction
-    // chain — q_prev is deliberately not advanced.  The verdict outranks
-    // the range guard, so a NaN block never raises.
-    if (s.raw != kernels::RawVerdict::kNone) {
-      count_raw_block(s.raw);
-      out = encode_raw_block(data.data() + pos, n, out, out_end);
-      *emitted_raw = true;
-      pos += n;
-      continue;
-    }
-    if (s.q_guard > static_cast<uint64_t>(kMaxQuantMagnitude)) {
-      detail::raise_quant_range(
-          "value/error-bound ratio exceeds the 30-bit quantization domain");
-    }
-    q_prev = static_cast<int32_t>(qbuf[n - 1]);
-    // ABFT digest: the decoder's chain value at element i is exactly
-    // qbuf[i], so the digest folds straight off the quantization buffer,
-    // once per block.  Raw blocks (above) sit outside the chain and
-    // contribute nothing.
-    if (digest) digest->accumulate_block(qbuf, n, static_cast<uint64_t>(pos - range.begin) + 1);
-    if (s.max_mag == 0) {
-      // Constant block: one code-length byte, no sign/magnitude work at all
-      // (the quiet-data fast path that dominates scientific fields).
-      if (out >= out_end) detail::raise_capacity("fz_compress: chunk capacity exceeded");
-      *out++ = 0;
-    } else {
-      out = encode_block_prepared(mags, signs, n, code_length_for(s.max_mag), out, out_end);
-    }
-    pos += n;
+  chunk.outlier = std::isfinite(f0) ? quant.quantize(f0) : 0;
+  const kernels::CompressChunkResult res = kernels::active().compress_chunk(
+      data.data() + range.begin, range.size(), block_len, quant.inv_twice_eb, chunk.outlier,
+      digest, out, out_capacity);
+  if (res.nonfinite_blocks != 0) count_raw_block(RawBlockReason::kNonFinite, res.nonfinite_blocks);
+  if (res.denormal_blocks != 0) {
+    count_raw_block(RawBlockReason::kDenormalHeavy, res.denormal_blocks);
   }
-  return static_cast<size_t>(out - out_begin);
+  if (res.status != kernels::ChunkStatus::kOk) raise_compress_fault(res.status);
+  chunk.size = res.bytes;
+  chunk.raw = res.emitted_raw;
+  chunk.digest = integrity::Digest{res.sum, res.wsum};
 }
 
 /// The exception of a chunk slot's fault in a residual-chain walk
@@ -220,9 +203,8 @@ CompressedBuffer fz_compress(std::span<const float> data, const FzParams& params
   return assemble_chunks(
       header, params.num_threads, pool, [&](uint32_t, Range r, std::span<uint8_t> out) {
         ChunkResult res;
-        integrity::Digest* const digest = params.emit_digests ? &res.digest : nullptr;
-        res.size = compress_chunk(data, r, params.block_len, quant, &res.outlier, out.data(),
-                                  out.size(), &res.raw, digest);
+        compress_chunk(data, r, params.block_len, quant, params.emit_digests, out.data(),
+                       out.size(), res);
         return res;
       });
 }

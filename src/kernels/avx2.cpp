@@ -28,6 +28,7 @@ bool populate_avx2(KernelTable& t) {
   t.decompress_chunk = &decompress_chunk_avx2_body;
   t.fold_chunk = &fold_chunk_avx2_body;
   t.combine_chunk = &combine_chunk_avx2_body;
+  t.compress_chunk = &compress_chunk_avx2_body;
   return true;
 }
 

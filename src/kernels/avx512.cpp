@@ -30,6 +30,7 @@ bool populate_avx512(KernelTable& t) {
   t.decompress_chunk = &decompress_chunk_avx512_body;
   t.fold_chunk = &fold_chunk_avx512_body;
   t.combine_chunk = &combine_chunk_avx512_body;
+  t.compress_chunk = &compress_chunk_avx512_body;
   return true;
 }
 

@@ -740,6 +740,77 @@ inline CombineChunkResult combine_blockwise(const uint8_t* a, size_t size_a, con
              : combine_walk<-1>(a, size_a, b, size_b, count, block_len, out, capacity, merge);
 }
 
+/// The compress walk block by block: QuantizePredict (the level's fused
+/// block pass) into stack blocks, the raw fallback or the range guard, the
+/// digest fold of the block's q, then EncodeBlock from the magnitude/sign
+/// split the pass left.
+template <auto QuantizePredict, auto EncodeBlock>
+inline CompressChunkResult compress_blockwise(const float* data, size_t count, uint32_t block_len,
+                                              double inv_twice_eb, int32_t q0, bool digest,
+                                              uint8_t* out, size_t capacity) {
+  CompressChunkResult res;
+  int64_t q[kMaxBlockValues];
+  uint32_t mags[kMaxBlockValues];
+  uint32_t signs[kMaxBlockValues];
+  int32_t q_prev = q0;
+  uint64_t sum = 0;
+  uint64_t wsum = 0;
+  for (size_t pos = 0; pos < count;) {
+    const size_t n = min_size(block_len, count - pos);
+    const QuantizePredictResult s =
+        QuantizePredict(data + pos, n, inv_twice_eb, q_prev, /*restart=*/false, q, mags, signs);
+    const size_t avail = capacity - res.bytes;
+    uint8_t* const dst = out + res.bytes;
+    if (s.raw != RawVerdict::kNone) {
+      ++(s.raw == RawVerdict::kNonFinite ? res.nonfinite_blocks : res.denormal_blocks);
+      if (1 + 4 * n > avail) {
+        res.status = ChunkStatus::kRawCapacity;
+        return res;
+      }
+      dst[0] = static_cast<uint8_t>(kRawCode);
+      std::memcpy(dst + 1, data + pos, n * sizeof(float));
+      res.bytes += 1 + 4 * n;
+      res.emitted_raw = true;
+      pos += n;
+      continue;
+    }
+    if (s.q_guard > static_cast<uint64_t>(kMaxQuantValue)) {
+      res.status = ChunkStatus::kQuantRange;
+      return res;
+    }
+    q_prev = static_cast<int32_t>(q[n - 1]);
+    if (digest) {
+      for (size_t i = 0; i < n; ++i) {
+        const auto u = static_cast<uint64_t>(q[i]);
+        sum += u;
+        wsum += (pos + 1 + i) * u;
+      }
+    }
+    const int c = guard_code_length(s.max_mag);
+    const size_t size = block_bytes(c, n);
+    if (size > avail) {
+      res.status = c == 0 ? ChunkStatus::kConstantCapacity : ChunkStatus::kEncodeCapacity;
+      return res;
+    }
+    dst[0] = static_cast<uint8_t>(c);
+    if (c > 0) EncodeBlock(mags, signs, n, c, dst + 1);
+    res.bytes += size;
+    pos += n;
+  }
+  res.sum = sum;
+  res.wsum = wsum;
+  return res;
+}
+
+inline HZCCL_HOT CompressChunkResult compress_chunk_scalar_body(const float* data, size_t count,
+                                                               uint32_t block_len,
+                                                               double inv_twice_eb, int32_t q0,
+                                                               bool digest, uint8_t* out,
+                                                               size_t capacity) {
+  return compress_blockwise<quantize_predict_body, encode_block_scalar_body>(
+      data, count, block_len, inv_twice_eb, q0, digest, out, capacity);
+}
+
 inline HZCCL_HOT ChunkStatus decompress_chunk_scalar_body(const uint8_t* payload, size_t size,
                                                           size_t count, uint32_t block_len,
                                                           int64_t q, double twice_eb,
@@ -1105,6 +1176,17 @@ inline HZCCL_HOT QuantizePredictResult quantize_predict_avx2_body(const float* d
   res.max_mag = static_cast<uint32_t>(_mm_cvtsi128_si32(lanes));
   if (j < n) res.max_mag |= predict_body(q + j, n - j, t[j], mags + j, signs + j);
   return res;
+}
+
+/// The compress walk at AVX2: the AVX2 block pass and PDEP/PEXT encoder
+/// per block, the digest fold recompiled under AVX2.
+inline HZCCL_HOT CompressChunkResult compress_chunk_avx2_body(const float* data, size_t count,
+                                                             uint32_t block_len,
+                                                             double inv_twice_eb, int32_t q0,
+                                                             bool digest, uint8_t* out,
+                                                             size_t capacity) {
+  return compress_blockwise<quantize_predict_avx2_body, encode_block_avx2_body>(
+      data, count, block_len, inv_twice_eb, q0, digest, out, capacity);
 }
 
 #endif  // __AVX2__ && __BMI2__
@@ -1913,6 +1995,212 @@ inline HZCCL_HOT CombineChunkResult combine_chunk_avx512_body(const uint8_t* a, 
                                         merge_encode_avx512<+1>)
                      : combine_walk<-1>(a, size_a, b, size_b, count, block_len, out, capacity,
                                         merge_encode_avx512<-1>);
+}
+
+/// The compress walk at AVX-512: one masked walk over the chunk.  Each
+/// 32-value group is loaded once, under the block's masks, for both the raw
+/// verdict and the quantize: exponent tests count its non-finite and
+/// subnormal lanes, VCVTPD2QQ quantizes its four quarters (the exact
+/// llrint, as in quantize_predict_avx512_body), and the prediction runs on
+/// its 32 int32 truncations with the predecessor lane from VALIGND, the
+/// chain carry held in a register from block to block.  Once the block's
+/// last group is in, its verdict decides: a raw block is copied verbatim
+/// and leaves the carry and the digest alone, an out-of-domain one ends the
+/// walk, and any other is encoded from registers through GroupEncoder (a
+/// block of one group never leaves them; a longer one parks its magnitudes
+/// in a stack block, as merge_encode_block does).  The digest sums q and
+/// j*q in lanes (j block-local, VPMULDQ against weights that stay in
+/// registers) and, once per block, the running sum v of those prefix sums;
+/// all three reduce once per chunk.  Block k of length L starts at k*L, so
+/// with K blocks and A0, A1, V the three reductions
+///   sum = A0,   wsum = A0 + L*(K*A0 - V) + A1,
+/// because V = sum_k (A0 up to block k) turns sum_k k*Q_k (Q_k block k's
+/// sum of q) into K*A0 - V.  Every term is exact mod 2^64.
+template <bool Digest>
+inline CompressChunkResult compress_walk_avx512(const float* data, size_t count,
+                                                uint32_t block_len, double inv_twice_eb,
+                                                int32_t q0, uint8_t* out, size_t capacity) {
+  struct Walk {
+    const float* data;
+    uint8_t* out;
+    size_t capacity;
+    __m512d vinv;
+    __m512i carry;  // lane 15: the chain value before the next block
+    __m512i a0 = _mm512_setzero_si512();
+    __m512i a1 = _mm512_setzero_si512();
+    __m512i v = _mm512_setzero_si512();
+    CompressChunkResult res{};
+
+    __attribute__((always_inline)) ChunkStatus block(size_t pos, size_t n) {
+      const float* const src = data + pos;
+      const __m512i zero = _mm512_setzero_si512();
+      const __m512i exp_mask = _mm512_set1_epi32(static_cast<int>(kFloatExpMask));
+      const __m512i mant_mask = _mm512_set1_epi32(static_cast<int>(kFloatMantissaMask));
+      // VPERMT2D index gathering the low dwords of two int64 vectors.
+      const __m512i low_dwords =
+          _mm512_set_epi32(30, 28, 26, 24, 22, 20, 18, 16, 14, 12, 10, 8, 6, 4, 2, 0);
+      // Block-local weights j of the group's four quarters.
+      __m512i w[4];
+      for (int k = 0; k < 4; ++k) {
+        w[k] = _mm512_add_epi64(_mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0),
+                                _mm512_set1_epi64(8 * k));
+      }
+      uint32_t mags[kMaxBlockValues];
+      uint32_t negs[kMaxBlockValues / 32];
+      __m512i guard = zero;  // OR of |q|, int64 lanes
+      __m512i mag_or = zero;
+      __m512i b0 = zero;  // the block's digest lane sums
+      __m512i b1 = zero;
+      __m512i c = carry;
+      __m512i t_lo = zero;
+      __m512i t_hi = zero;
+      __m512i mag_lo = zero;
+      __m512i mag_hi = zero;
+      uint32_t neg = 0;
+      uint32_t nonfinite = 0;
+      size_t subnormals = 0;
+      for (size_t i = 0; i < n; i += 32) {
+        const __mmask32 vm = i + 32 <= n ? ~__mmask32{0} : low_mask32(n - i);
+        const auto m_lo = static_cast<__mmask16>(vm);
+        const auto m_hi = static_cast<__mmask16>(vm >> 16);
+        // Masked-off lanes load as +0: neither non-finite nor subnormal, and
+        // they quantize to 0.  A group of at most 16 values forms no address
+        // past the block.
+        const __m512 f_lo = _mm512_maskz_loadu_ps(m_lo, src + i);
+        const __m512 f_hi = _mm512_maskz_loadu_ps(m_hi, src + i + (m_hi != 0 ? 16 : 0));
+        const __m512i bits_lo = _mm512_castps_si512(f_lo);
+        const __m512i bits_hi = _mm512_castps_si512(f_hi);
+        nonfinite |= static_cast<uint32_t>(
+            _mm512_cmpeq_epi32_mask(_mm512_and_si512(bits_lo, exp_mask), exp_mask) |
+            _mm512_cmpeq_epi32_mask(_mm512_and_si512(bits_hi, exp_mask), exp_mask));
+        const uint32_t sub =
+            static_cast<uint32_t>(_mm512_testn_epi32_mask(bits_lo, exp_mask) &
+                                  _mm512_test_epi32_mask(bits_lo, mant_mask)) |
+            (static_cast<uint32_t>(_mm512_testn_epi32_mask(bits_hi, exp_mask) &
+                                   _mm512_test_epi32_mask(bits_hi, mant_mask))
+             << 16);
+        subnormals += static_cast<size_t>(__builtin_popcount(sub));
+        const auto quantize = [&](__m256 f) {
+          return _mm512_cvtpd_epi64(_mm512_mul_pd(_mm512_cvtps_pd(f), vinv));
+        };
+        const __m512i q_0 = quantize(_mm512_castps512_ps256(f_lo));
+        const __m512i q_1 = quantize(_mm512_extractf32x8_ps(f_lo, 1));
+        const __m512i q_2 = quantize(_mm512_castps512_ps256(f_hi));
+        const __m512i q_3 = quantize(_mm512_extractf32x8_ps(f_hi, 1));
+        guard = _mm512_ternarylogic_epi64(guard, _mm512_abs_epi64(q_0), _mm512_abs_epi64(q_1),
+                                          0xFE);
+        guard = _mm512_ternarylogic_epi64(guard, _mm512_abs_epi64(q_2), _mm512_abs_epi64(q_3),
+                                          0xFE);
+        // r = t - prev in int64 has |r| < 2^32: its magnitude is the 32-bit
+        // difference taken in the order that is non-negative, its sign one
+        // signed compare; lanes past the block stay zero.
+        t_lo = _mm512_permutex2var_epi32(q_0, low_dwords, q_1);
+        t_hi = _mm512_permutex2var_epi32(q_2, low_dwords, q_3);
+        const __m512i p_lo = _mm512_alignr_epi32(t_lo, c, 15);
+        const __m512i p_hi = _mm512_alignr_epi32(t_hi, t_lo, 15);
+        const __mmask16 n_lo = _mm512_mask_cmpgt_epi32_mask(m_lo, p_lo, t_lo);
+        const __mmask16 n_hi = _mm512_mask_cmpgt_epi32_mask(m_hi, p_hi, t_hi);
+        mag_lo = _mm512_mask_sub_epi32(_mm512_maskz_sub_epi32(m_lo, t_lo, p_lo), n_lo, p_lo, t_lo);
+        mag_hi = _mm512_mask_sub_epi32(_mm512_maskz_sub_epi32(m_hi, t_hi, p_hi), n_hi, p_hi, t_hi);
+        mag_or = _mm512_ternarylogic_epi32(mag_or, mag_lo, mag_hi, 0xFE);
+        neg = static_cast<uint32_t>(n_lo) | (static_cast<uint32_t>(n_hi) << 16);
+        c = t_hi;
+        if (n > 32) {
+          _mm512_storeu_si512(mags + i, mag_lo);
+          _mm512_storeu_si512(mags + i + 16, mag_hi);
+          negs[i / 32] = neg;
+        }
+        if constexpr (Digest) {
+          // |q| <= kMaxQuantValue in every block the digest keeps, so
+          // VPMULDQ's low 32 bits of q are q itself.
+          b0 = _mm512_add_epi64(b0, _mm512_add_epi64(_mm512_add_epi64(q_0, q_1),
+                                                     _mm512_add_epi64(q_2, q_3)));
+          b1 = _mm512_add_epi64(
+              b1, _mm512_add_epi64(
+                      _mm512_add_epi64(_mm512_mul_epi32(q_0, w[0]), _mm512_mul_epi32(q_1, w[1])),
+                      _mm512_add_epi64(_mm512_mul_epi32(q_2, w[2]), _mm512_mul_epi32(q_3, w[3]))));
+          for (int k = 0; k < 4; ++k) w[k] = _mm512_add_epi64(w[k], _mm512_set1_epi64(32));
+        }
+      }
+      const size_t avail = capacity - res.bytes;
+      uint8_t* const dst = out + res.bytes;
+      if (nonfinite != 0 || 2 * subnormals > n) {
+        ++(nonfinite != 0 ? res.nonfinite_blocks : res.denormal_blocks);
+        if (1 + 4 * n > avail) return ChunkStatus::kRawCapacity;
+        dst[0] = static_cast<uint8_t>(kRawCode);
+        std::memcpy(dst + 1, src, n * sizeof(float));
+        res.bytes += 1 + 4 * n;
+        res.emitted_raw = true;
+        if constexpr (Digest) v = _mm512_add_epi64(v, a0);
+        return ChunkStatus::kOk;
+      }
+      if (_mm512_test_epi64_mask(guard, _mm512_set1_epi64(~int64_t{kMaxQuantValue})) != 0) {
+        return ChunkStatus::kQuantRange;
+      }
+      if (n % 32 == 0) {
+        carry = t_hi;
+      } else {
+        const size_t last = (n - 1) % 32;
+        carry = _mm512_permutexvar_epi32(_mm512_set1_epi32(static_cast<int>(last % 16)),
+                                         last < 16 ? t_lo : t_hi);
+      }
+      if constexpr (Digest) {
+        a0 = _mm512_add_epi64(a0, b0);
+        a1 = _mm512_add_epi64(a1, b1);
+        v = _mm512_add_epi64(v, a0);
+      }
+      const int code = guard_code_length(static_cast<uint32_t>(_mm512_reduce_or_epi32(mag_or)));
+      const size_t size = block_bytes(code, n);
+      if (size > avail) {
+        return code == 0 ? ChunkStatus::kConstantCapacity : ChunkStatus::kEncodeCapacity;
+      }
+      dst[0] = static_cast<uint8_t>(code);
+      res.bytes += size;
+      if (code == 0) return ChunkStatus::kOk;
+      const GroupEncoder enc(dst + 1, n, code);
+      if (n <= 32) {
+        enc.group(0, enc.masks(0), mag_lo, mag_hi, neg);
+        return ChunkStatus::kOk;
+      }
+      for (size_t i = 0; i < n; i += 32) {
+        enc.group(i, enc.masks(i), _mm512_loadu_si512(mags + i),
+                  _mm512_loadu_si512(mags + i + 16), negs[i / 32]);
+      }
+      return ChunkStatus::kOk;
+    }
+  } walk{data, out, capacity, _mm512_set1_pd(inv_twice_eb), _mm512_set1_epi32(q0)};
+  for (size_t pos = 0; pos < count;) {
+    const size_t len = min_size(block_len, count - pos);
+    ChunkStatus st = ChunkStatus::kOk;
+    with_block_len(len, [&](size_t n) __attribute__((always_inline)) { st = walk.block(pos, n); });
+    if (st != ChunkStatus::kOk) {
+      walk.res.status = st;
+      return walk.res;
+    }
+    pos += len;
+  }
+  if constexpr (Digest) {
+    const auto reduce = [](__m512i x) {
+      return static_cast<uint64_t>(_mm512_reduce_add_epi64(x));
+    };
+    const uint64_t s0 = reduce(walk.a0);
+    const uint64_t len = block_len;
+    const uint64_t blocks = (count + len - 1) / len;
+    walk.res.sum = s0;
+    walk.res.wsum = s0 + len * (blocks * s0 - reduce(walk.v)) + reduce(walk.a1);
+  }
+  return walk.res;
+}
+
+inline HZCCL_HOT CompressChunkResult compress_chunk_avx512_body(const float* data, size_t count,
+                                                               uint32_t block_len,
+                                                               double inv_twice_eb, int32_t q0,
+                                                               bool digest, uint8_t* out,
+                                                               size_t capacity) {
+  return digest ? compress_walk_avx512<true>(data, count, block_len, inv_twice_eb, q0, out,
+                                             capacity)
+                : compress_walk_avx512<false>(data, count, block_len, inv_twice_eb, q0, out,
+                                              capacity);
 }
 
 // ---------------------------------------------------------------------------

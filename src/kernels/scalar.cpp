@@ -16,6 +16,7 @@ bool populate_scalar(KernelTable& t) {
   t.decompress_chunk = &decompress_chunk_scalar_body;
   t.fold_chunk = &fold_chunk_scalar_body;
   t.combine_chunk = &combine_chunk_scalar_body;
+  t.compress_chunk = &compress_chunk_scalar_body;
   return true;
 }
 

@@ -70,8 +70,8 @@ namespace {
 std::atomic<uint64_t> g_raw_block_counts[2] = {};
 }  // namespace
 
-HZCCL_HOT void count_raw_block(RawBlockReason reason) {
-  g_raw_block_counts[static_cast<int>(reason)].fetch_add(1, std::memory_order_relaxed);
+HZCCL_HOT void count_raw_block(RawBlockReason reason, uint64_t blocks) {
+  g_raw_block_counts[static_cast<int>(reason)].fetch_add(blocks, std::memory_order_relaxed);
 }
 
 uint64_t raw_block_encodes(RawBlockReason reason) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -144,11 +145,26 @@ TEST(FzLight, RejectsBadBlockLength) {
 }
 
 TEST(FzLight, QuantizationRangeGuard) {
-  // 1e30 / (2 * 1e-4) is far beyond the 30-bit quantized domain.
+  // 1e30 / (2 * 1e-4) is far beyond the 30-bit quantized domain, as the
+  // chunk's anchor and in a middle block after raw ones (only those count).
   const std::vector<float> data = {1e30f};
   FzParams params;
   params.abs_error_bound = 1e-4;
   EXPECT_THROW(fz_compress(data, params), QuantizationRangeError);
+  std::vector<float> middle(32 * 6, 0.5f);
+  middle[32 + 3] = std::numeric_limits<float>::quiet_NaN();
+  middle[32 * 3 + 7] = 1e30f;
+  middle[32 * 4 + 1] = std::numeric_limits<float>::infinity();
+  const uint64_t raw_before = raw_block_encodes();
+  for (const std::vector<float>& d : {data, middle}) {
+    try {
+      (void)fz_compress(d, params);
+      ADD_FAILURE() << "no QuantizationRangeError";
+    } catch (const QuantizationRangeError& e) {
+      EXPECT_STREQ(e.what(), "value/error-bound ratio exceeds the 30-bit quantization domain");
+    }
+  }
+  EXPECT_EQ(raw_block_encodes() - raw_before, 1u);
 }
 
 TEST(FzLight, DecompressSizeMismatchThrows) {

@@ -503,6 +503,57 @@ TEST(VerifyPolicy, FinalIsDetectionWithoutRecovery) {
             3.0 * config.nranks * config.abs_error_bound + 1e-6);
 }
 
+TEST(WireSdc, CCollDocRoundsHealAnOutOfDomainPartialWithVerifyOff) {
+  // Every frame carries one silent bit flip and nothing checks digests, so
+  // a flip that keeps a block chain intact decodes to a wild float, and the
+  // next DOC round's recompress of the partial reduced from it leaves the
+  // quantization domain.  The partial is rebuilt from this rank's own block
+  // and the sender's pristine stream (a raw fallback), so the job completes
+  // on its first attempt, as the MPI and hZCCL stacks do.  At 8 ranks and
+  // seed 7 that happens inside the reduce-scatter; at 7 ranks and seed 294
+  // also to the owned block the allreduce's allgather compresses.
+  const RankInputFn inputs = [](int rank) {
+    return generate_field(DatasetId::kHurricane, Scale::kTiny, static_cast<uint32_t>(rank));
+  };
+  JobConfig config;
+  config.abs_error_bound = abs_bound_from_rel(inputs(0), 1e-3);
+  config.faults = FaultPlan::none();
+  config.faults.sdc = 1.0;
+  for (const auto& [ranks, seed] : {std::pair{8, uint64_t{7}}, std::pair{7, uint64_t{294}}}) {
+    config.nranks = ranks;
+    config.faults.seed = seed;
+    for (const Op op : {Op::kAllreduce, Op::kReduceScatter}) {
+      SCOPED_TRACE((op == Op::kAllreduce ? "allreduce at " : "reduce_scatter at ") +
+                   std::to_string(ranks) + " ranks, seed " + std::to_string(seed));
+      for (const Kernel k :
+           {Kernel::kMpi, Kernel::kCCollMultiThread, Kernel::kHzcclMultiThread}) {
+        SCOPED_TRACE(kernel_name(k));
+        JobResult r;
+        ASSERT_NO_THROW(r = run_collective(k, op, config, inputs));
+        EXPECT_EQ(r.attempts, 1);
+        if (k == Kernel::kCCollMultiThread && (ranks == 8 || op == Op::kAllreduce)) {
+          EXPECT_GT(r.transport.raw_fallbacks, 0u);
+        }
+      }
+    }
+  }
+  // Data that is itself out of the domain still raises on a faulty wire:
+  // rank 3 sends that block at step 1, so its rebuilt partial fails again.
+  const int n = 8;
+  config.nranks = n;
+  config.faults.seed = 7;
+  const RankInputFn wild = [&](int rank) {
+    std::vector<float> v = inputs(rank);
+    if (rank == 3) v[coll::ring_block_range(v.size(), n, coll::rs_send_block(3, 1, n)).begin] = 1e30f;
+    return v;
+  };
+  for (const Op op : {Op::kAllreduce, Op::kReduceScatter}) {
+    SCOPED_TRACE(op == Op::kAllreduce ? "allreduce, 1e30 input" : "reduce_scatter, 1e30 input");
+    EXPECT_THROW((void)run_collective(Kernel::kCCollMultiThread, op, config, wild),
+                 QuantizationRangeError);
+  }
+}
+
 TEST(VerifyPolicy, RawDigestWalksAreChargedAtTheRawStacksReduceMode) {
   // The raw stack reduces in MPI's single-threaded progress engine, and its
   // content-digest walks (the sender's trailer, the receiver's recheck) run

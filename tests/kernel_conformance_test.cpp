@@ -1185,6 +1185,355 @@ TEST(KernelConformance, QuantizePredictRawVerdictMatchesClassifyRawBlock) {
 }
 
 // ---------------------------------------------------------------------------
+// The compress walk (compress_chunk): the scalar slot against a per-value
+// model — llrint quantization, the Lorenzo residual from the chain carried
+// across blocks, the code length of each block's OR of magnitudes, and the
+// scalar decode_block as the oracle of every encoded block — and each level
+// against the scalar slot, output frames included.  Chunks cycle through
+// every code length 0..31 (each chunk's first cycle meets every length),
+// constant runs, tie-rounding and random values, NaN and +-Inf blocks (the
+// latter also out of domain), denormal-heavy blocks and blocks exactly half
+// denormal, at the chain shapes above; inputs sit flush against the end of
+// an allocation 0-3 floats into it or end at an inaccessible page, outputs
+// are framed by canaries, and every run goes with digests on and off.
+// ---------------------------------------------------------------------------
+
+/// One compress_chunk call into a canary-framed buffer of `capacity` bytes,
+/// `dst_off` bytes into it.
+struct CompressRun {
+  kernels::CompressChunkResult res;
+  std::vector<uint8_t> frame;
+};
+
+CompressRun run_compress(const KernelTable& t, const float* data, size_t count, uint32_t len,
+                         double inv, int32_t q0, bool digest, size_t capacity, size_t dst_off) {
+  CompressRun run;
+  run.frame.assign(dst_off + capacity + 16, kGuardByte);
+  run.res = t.compress_chunk(data, count, len, inv, q0, digest, run.frame.data() + dst_off,
+                             capacity);
+  return run;
+}
+
+void expect_same_compress(const kernels::CompressChunkResult& got,
+                          const kernels::CompressChunkResult& want, const std::string& where) {
+  EXPECT_EQ(got.status, want.status) << where;
+  EXPECT_EQ(got.bytes, want.bytes) << where;
+  EXPECT_EQ(got.emitted_raw, want.emitted_raw) << where;
+  EXPECT_EQ(got.nonfinite_blocks, want.nonfinite_blocks) << where;
+  EXPECT_EQ(got.denormal_blocks, want.denormal_blocks) << where;
+  EXPECT_EQ(got.sum, want.sum) << where;
+  EXPECT_EQ(got.wsum, want.wsum) << where;
+}
+
+/// The per-value model of compress_chunk: the result, and per block it
+/// wrote its code (0..31 or the raw marker) and output offset; per value of
+/// those blocks the residual (0 in raw blocks).
+struct CompressModel {
+  kernels::CompressChunkResult res;
+  std::vector<int> codes;
+  std::vector<size_t> offsets;
+  std::vector<int32_t> residuals;
+
+  size_t block_size(size_t k) const {
+    return (k + 1 < offsets.size() ? offsets[k + 1] : res.bytes) - offsets[k];
+  }
+};
+
+CompressModel compress_model(const std::vector<float>& data, uint32_t len, double inv, int32_t q0,
+                             bool digest, size_t capacity) {
+  CompressModel m;
+  auto& r = m.res;
+  const auto fail = [&](kernels::ChunkStatus st) {
+    r.status = st;
+    return m;
+  };
+  int64_t prev = q0;
+  uint64_t sum = 0;
+  uint64_t wsum = 0;
+  for (size_t pos = 0; pos < data.size(); pos += len) {
+    const size_t n = std::min<size_t>(len, data.size() - pos);
+    const size_t avail = capacity - r.bytes;
+    const kernels::RawVerdict verdict = classify_oracle(data.data() + pos, n);
+    if (verdict != kernels::RawVerdict::kNone) {
+      ++(verdict == kernels::RawVerdict::kNonFinite ? r.nonfinite_blocks : r.denormal_blocks);
+      if (raw_block_size(n) > avail) return fail(kernels::ChunkStatus::kRawCapacity);
+      m.codes.push_back(kRawBlockMarker);
+      m.offsets.push_back(r.bytes);
+      m.residuals.insert(m.residuals.end(), n, 0);
+      r.bytes += raw_block_size(n);
+      r.emitted_raw = true;
+      continue;
+    }
+    std::vector<int64_t> q(n);
+    for (size_t j = 0; j < n; ++j) {
+      q[j] = std::llrint(static_cast<double>(data[pos + j]) * inv);
+      if (q[j] > kMaxQuantMagnitude || q[j] < -kMaxQuantMagnitude) {
+        return fail(kernels::ChunkStatus::kQuantRange);
+      }
+    }
+    uint32_t max_mag = 0;
+    std::vector<int32_t> residuals(n);
+    for (size_t j = 0; j < n; ++j) {
+      const int64_t d = q[j] - prev;
+      prev = q[j];
+      residuals[j] = static_cast<int32_t>(d);
+      max_mag |= static_cast<uint32_t>(d < 0 ? -d : d);
+      sum += digest ? static_cast<uint64_t>(q[j]) : 0;
+      wsum += digest ? (pos + j + 1) * static_cast<uint64_t>(q[j]) : 0;
+    }
+    const int c = code_length_for(max_mag);
+    if (encoded_block_size(c, n) > avail) {
+      return fail(c == 0 ? kernels::ChunkStatus::kConstantCapacity
+                         : kernels::ChunkStatus::kEncodeCapacity);
+    }
+    m.codes.push_back(c);
+    m.offsets.push_back(r.bytes);
+    m.residuals.insert(m.residuals.end(), residuals.begin(), residuals.end());
+    r.bytes += encoded_block_size(c, n);
+  }
+  r.sum = sum;
+  r.wsum = wsum;
+  return m;
+}
+
+/// The scalar slot's run (output at offset 0) against the model: the
+/// result, every written block's code byte and its floats or its residuals
+/// through the scalar decode_block, and the canaries after the last block.
+void expect_scalar_matches_model(const CompressRun& run, const CompressModel& m,
+                                 const std::vector<float>& data, uint32_t len,
+                                 const std::string& what) {
+  expect_same_compress(run.res, m.res, "scalar oracle: " + what);
+  const KernelTable& ref = kernels::table(DispatchLevel::kScalar);
+  for (size_t k = 0; k < m.codes.size(); ++k) {
+    const size_t pos = k * len;
+    const size_t n = std::min<size_t>(len, data.size() - pos);
+    const uint8_t* const block = run.frame.data() + m.offsets[k];
+    const std::string where = what + " block " + std::to_string(k);
+    ASSERT_EQ(block[0], m.codes[k]) << "scalar oracle code byte: " << where;
+    if (m.codes[k] == kRawBlockMarker) {
+      ASSERT_EQ(std::memcmp(block + 1, data.data() + pos, n * sizeof(float)), 0)
+          << "scalar oracle raw floats: " << where;
+    } else if (m.codes[k] > 0) {
+      std::vector<int32_t> got(n);
+      ref.decode_block(block + 1, n, m.codes[k], got.data());
+      ASSERT_TRUE(std::equal(got.begin(), got.end(),
+                             m.residuals.begin() + static_cast<ptrdiff_t>(pos)))
+          << "scalar oracle residuals: " << where;
+    }
+  }
+  ASSERT_TRUE(std::all_of(run.frame.begin() + static_cast<ptrdiff_t>(m.res.bytes),
+                          run.frame.end(), [](uint8_t v) { return v == kGuardByte; }))
+      << "scalar oracle wrote past its blocks: " << what;
+}
+
+/// A float input of n values: placements 0-3 flush against the end of a
+/// heap allocation, that many floats into it; kGuardedPlacement ending at
+/// an inaccessible page.
+class PlacedFloats {
+ public:
+  PlacedFloats(const std::vector<float>& values, size_t placement) {
+    if (placement == kGuardedPlacement) {
+      guarded_ = std::make_unique<GuardedBytes>(std::span<const uint8_t>(
+          reinterpret_cast<const uint8_t*>(values.data()), values.size() * sizeof(float)));
+      data_ = reinterpret_cast<const float*>(guarded_->data());
+      return;
+    }
+    heap_.resize(placement + values.size());
+    std::copy(values.begin(), values.end(), heap_.begin() + static_cast<ptrdiff_t>(placement));
+    data_ = heap_.data() + placement;
+  }
+
+  const float* data() const { return data_; }
+
+ private:
+  std::vector<float> heap_;
+  std::unique_ptr<GuardedBytes> guarded_;
+  const float* data_ = nullptr;
+};
+
+/// Values of a compress test chunk: block k's kind comes from its phase k %
+/// 40 — code length k (0..31, values alternating 0 and 2^(k-1) quanta, or
+/// +-2^29 at 31, so each block of the first cycle meets exactly that
+/// length), constant runs of the chain's last value, k + 0.5 tie quanta,
+/// random in-domain values, a NaN, +-Inf among out-of-domain values, n/2 +
+/// 1 subnormals (denormal-heavy) and exactly n/2.  inv is a power of two,
+/// so every quantum target is an exact float.
+std::vector<float> make_compress_input(Prng& rng, size_t count, uint32_t len, double inv) {
+  const uint32_t kNaNs[] = {0x7FC00000u, 0xFFC00000u, 0x7F800001u, 0x7FC12345u};
+  const auto value = [&](double quanta) { return static_cast<float>(quanta / inv); };
+  const auto random_quanta = [&] {
+    return static_cast<double>(static_cast<int64_t>(rng.u32() % (1u << 21)) - (1 << 20)) +
+           0.25 * static_cast<double>(rng.u32() % 4u);
+  };
+  const auto subnormal = [&] {
+    return float_from_bits(std::max(rng.u32() & kFloatMantissaBits, 1u) | ((rng.u32() & 1u) << 31));
+  };
+  std::vector<float> data;
+  float chain_last = 0.0f;  // the last value of the last non-raw block
+  for (size_t k = 0, pos = 0; pos < count; ++k, pos += len) {
+    const size_t n = std::min<size_t>(len, count - pos);
+    const size_t phase = k % 40;
+    std::vector<float> block(n);
+    bool raw = false;
+    if (phase == 0 || phase == 32 || phase == 33) {
+      std::fill(block.begin(), block.end(), chain_last);
+    } else if (phase < 31) {
+      const double top = std::ldexp(1.0, static_cast<int>(phase) - 1);
+      for (size_t j = 0; j < n; ++j) block[j] = value(j % 2 ? top : 0.0);
+    } else if (phase == 31) {
+      for (size_t j = 0; j < n; ++j) block[j] = value(j % 2 ? 0x1p29 : -0x1p29);
+    } else if (phase == 34) {
+      for (float& v : block) v = value(std::floor(random_quanta()) + 0.5);
+    } else if (phase == 35 || phase == 39) {
+      for (float& v : block) v = value(random_quanta());
+      if (phase == 39) {
+        // Exactly n/2 subnormal lanes, at shuffled positions.
+        std::vector<size_t> lanes(n);
+        for (size_t i = 0; i < n; ++i) lanes[i] = i;
+        for (size_t i = n; i > 1; --i) std::swap(lanes[i - 1], lanes[rng.u32() % i]);
+        for (size_t j = 0; j < n / 2; ++j) block[lanes[j]] = subnormal();
+      }
+    } else if (phase == 36) {
+      for (float& v : block) v = value(random_quanta());
+      block[rng.u32() % n] = float_from_bits(kNaNs[k % std::size(kNaNs)]);
+      raw = true;
+    } else if (phase == 37) {
+      for (float& v : block) v = (rng.u32() % 2u ? 1.0f : -1.0f) * 1e13f;
+      block[rng.u32() % n] = (k % 2 ? 1.0f : -1.0f) * std::numeric_limits<float>::infinity();
+      raw = true;
+    } else {  // 38: denormal-heavy
+      for (float& v : block) v = subnormal();
+      for (size_t j = 0; j + 1 < (n + 1) / 2; ++j) block[rng.u32() % n] = value(random_quanta());
+      raw = true;
+    }
+    if (!raw) chain_last = block[n - 1];
+    data.insert(data.end(), block.begin(), block.end());
+  }
+  return data;
+}
+
+/// The chunk anchor fZ-light passes: the first value's quantum, 0 when it
+/// is not finite.
+int32_t compress_anchor(const std::vector<float>& data, double inv) {
+  if (data.empty() || !std::isfinite(data[0])) return 0;
+  return static_cast<int32_t>(std::llrint(static_cast<double>(data[0]) * inv));
+}
+
+/// Scalar against the model, then every level against scalar at every
+/// input placement and output offset 0-3.
+void check_compress(const std::vector<float>& data, uint32_t len, double inv, int32_t q0,
+                    bool digest, size_t capacity, const CompressModel& model,
+                    const std::string& what) {
+  const KernelTable& ref = kernels::table(DispatchLevel::kScalar);
+  const CompressRun want =
+      run_compress(ref, data.data(), data.size(), len, inv, q0, digest, capacity, 0);
+  expect_scalar_matches_model(want, model, data, len, what);
+  if (testing::Test::HasFailure()) return;
+  for (DispatchLevel lvl : vector_levels()) {
+    const KernelTable& vec = kernels::table(lvl);
+    for (size_t placement = 0; placement <= kGuardedPlacement; ++placement) {
+      const PlacedFloats src(data, placement);
+      const size_t dst_off = placement % 4;
+      const CompressRun got =
+          run_compress(vec, src.data(), data.size(), len, inv, q0, digest, capacity, dst_off);
+      const CompressRun framed =
+          dst_off == 0 ? want
+                       : run_compress(ref, data.data(), data.size(), len, inv, q0, digest,
+                                      capacity, dst_off);
+      const std::string where = std::string("level=") + kernels::level_name(lvl) + " " + what +
+                                " " + placement_name(placement);
+      expect_same_compress(got.res, framed.res, where);
+      ASSERT_EQ(got.frame, framed.frame) << "output bytes (or their canaries) differ: " << where;
+    }
+  }
+}
+
+TEST(KernelConformance, CompressChunkMatchesScalarOracle) {
+  Prng rng(/*seed=*/0xC0C4u, /*stream=*/0);
+  std::vector<bool> seen_code(kMaxCodeLength + 1, false);
+  bool seen_raw = false;
+  size_t round = 0;
+  for (const auto& [len, count] : chain_shapes()) {
+    const double inv = round++ % 2 == 0 ? 1.0 : 0.25;
+    const std::vector<float> data = make_compress_input(rng, count, len, inv);
+    const int32_t q0 = compress_anchor(data, inv);
+    // Room for every block at code length 31: the assembler's bound.
+    const size_t capacity = (count + len - 1) / len * max_encoded_block_size(len);
+    for (const bool digest : {false, true}) {
+      const std::string what = "block_len=" + std::to_string(len) +
+                               " count=" + std::to_string(count) + (digest ? " digests" : "");
+      const CompressModel model = compress_model(data, len, inv, q0, digest, capacity);
+      ASSERT_EQ(model.res.status, kernels::ChunkStatus::kOk) << what;
+      for (const int c : model.codes) {
+        if (c == kRawBlockMarker) {
+          seen_raw = true;
+        } else if (len > 1) {
+          seen_code[static_cast<size_t>(c)] = true;
+        }
+      }
+      check_compress(data, len, inv, q0, digest, capacity, model, what);
+      if (HasFailure()) return;
+
+      // One byte short at the first constant, residual and raw block past
+      // the first: the status comes at that block, nothing of it is written,
+      // and a raw block counts before its capacity check.
+      for (const int kind : {0, 1, kRawBlockMarker}) {
+        size_t k = 1;
+        while (k < model.codes.size() &&
+               (kind == 1 ? model.codes[k] == 0 || model.codes[k] == kRawBlockMarker
+                          : model.codes[k] != kind)) {
+          ++k;
+        }
+        if (k == model.codes.size()) continue;
+        const size_t short_cap = model.offsets[k] + model.block_size(k) - 1;
+        const CompressModel cut = compress_model(data, len, inv, q0, digest, short_cap);
+        const kernels::ChunkStatus want_status =
+            kind == 0 ? kernels::ChunkStatus::kConstantCapacity
+            : kind == 1 ? kernels::ChunkStatus::kEncodeCapacity
+                        : kernels::ChunkStatus::kRawCapacity;
+        ASSERT_EQ(cut.res.status, want_status) << what << " short at block " << k;
+        ASSERT_EQ(cut.res.bytes, model.offsets[k]) << what << " short at block " << k;
+        check_compress(data, len, inv, q0, digest, short_cap, cut,
+                       what + " capacity one byte short at block " + std::to_string(k));
+        if (HasFailure()) return;
+      }
+    }
+  }
+  for (int c = 0; c <= kMaxCodeLength; ++c) EXPECT_TRUE(seen_code[c]) << "code length " << c;
+  EXPECT_TRUE(seen_raw);
+
+  // Out of the domain in a middle block, with raw blocks before and after
+  // it: the walk stops there, and only the raw blocks before it count.
+  for (const uint32_t len : {7u, 32u, 33u, 100u}) {
+    for (const bool digest : {false, true}) {
+      std::vector<float> data;
+      const auto push_block = [&](const auto& make) {
+        for (size_t j = 0; j < len; ++j) data.push_back(make(j));
+      };
+      const auto finite = [&](size_t j) { return static_cast<float>(j % 5) * 0.5f; };
+      push_block(finite);
+      push_block([&](size_t j) { return j == 3 ? float_from_bits(0x7FC00000u) : finite(j); });
+      push_block([&](size_t) { return float_from_bits(1u + (rng.u32() & kFloatMantissaBits)); });
+      push_block(finite);
+      const size_t bad_block = 4;
+      push_block([&](size_t j) { return j == len / 2 ? 3e9f : finite(j); });
+      push_block([&](size_t j) { return j == 1 ? -std::numeric_limits<float>::infinity() : 1.0f; });
+      push_block(finite);
+      const std::string what = "out of domain: block_len=" + std::to_string(len) +
+                               (digest ? " digests" : "");
+      const size_t capacity = 7 * max_encoded_block_size(len);
+      const CompressModel model = compress_model(data, len, 1.0, 0, digest, capacity);
+      ASSERT_EQ(model.res.status, kernels::ChunkStatus::kQuantRange) << what;
+      ASSERT_EQ(model.codes.size(), bad_block) << what;
+      ASSERT_EQ(model.res.nonfinite_blocks, 1u) << what;
+      ASSERT_EQ(model.res.denormal_blocks, 1u) << what;
+      check_compress(data, len, 1.0, 0, digest, capacity, model, what);
+      if (HasFailure()) return;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Whole-pipeline sweep over every bundled dataset: forcing any level must
 // reproduce the scalar level's compressed bytes, homomorphic sums, and
 // decompressed floats exactly.

@@ -104,6 +104,7 @@ TEST(KernelDispatch, SupportedTablesAreFullyPopulated) {
     EXPECT_NE(t.decompress_chunk, nullptr);
     EXPECT_NE(t.fold_chunk, nullptr);
     EXPECT_NE(t.combine_chunk, nullptr);
+    EXPECT_NE(t.compress_chunk, nullptr);
   }
 }
 

@@ -198,10 +198,14 @@ if [ "$run_kernels" = "1" ]; then
   # the kernels together.  Unsupported levels clamp down gracefully, so the
   # sweep is safe on any host.
   cmake --build "$repo/build" -j "$jobs" \
-    --target kernel_conformance_test kernel_dispatch_test bench_kernels
+    --target kernel_conformance_test kernel_dispatch_test bench_kernels fz_light_test \
+    nonfinite_test
+  # fz_light_test and nonfinite_test reach fz_compress's per-level compress
+  # walk (raw fallback, range guard, capacity), so they run at every level.
   for level in scalar avx2 avx512; do
     echo "-- kernels: HZCCL_KERNEL_LEVEL=$level"
-    (cd "$repo/build" && HZCCL_KERNEL_LEVEL=$level ctest -L kernels --output-on-failure)
+    (cd "$repo/build" && HZCCL_KERNEL_LEVEL=$level ctest -L kernels --output-on-failure &&
+      HZCCL_KERNEL_LEVEL=$level tests/fz_light_test && HZCCL_KERNEL_LEVEL=$level tests/nonfinite_test)
   done
   echo "== kernels: sanitized conformance tier (ASan/UBSan) at every forced level =="
   # The block kernels rely on exact-length masked loads and stores; the
@@ -213,10 +217,11 @@ if [ "$run_kernels" = "1" ]; then
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -g -O1" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
   cmake --build "$repo/build-asan" -j "$jobs" \
-    --target kernel_conformance_test kernel_dispatch_test
+    --target kernel_conformance_test kernel_dispatch_test fz_light_test nonfinite_test
   for level in scalar avx2 avx512; do
     echo "-- kernels (sanitized): HZCCL_KERNEL_LEVEL=$level"
-    (cd "$repo/build-asan" && HZCCL_KERNEL_LEVEL=$level ctest -L kernels --output-on-failure)
+    (cd "$repo/build-asan" && HZCCL_KERNEL_LEVEL=$level ctest -L kernels --output-on-failure &&
+      HZCCL_KERNEL_LEVEL=$level tests/fz_light_test && HZCCL_KERNEL_LEVEL=$level tests/nonfinite_test)
   done
   echo "== kernels: SIMD speedup gate (bench_kernels --simd-floor) =="
   "$repo/build/bench/bench_kernels" --json --quick \
