@@ -51,9 +51,9 @@
 // block.
 //
 // Everything here is trivially copyable, allocation-free and HZCCL_HOT —
-// digest emission rides the compressors' existing per-block loops, summing
-// each block in locals and adding to the digest once per block
-// (accumulate_block), and folding is O(1) per chunk.
+// fZ-light's digest emission rides its compress walk (the compress_chunk
+// kernel slot sums each chunk's chain in locals or lanes and returns the
+// words), and folding is O(1) per chunk.
 #pragma once
 
 #include <cstddef>
@@ -76,23 +76,6 @@ struct Digest {
     const uint64_t u = static_cast<uint64_t>(q);
     sum += u;
     wsum += pos * u;
-  }
-
-  /// Fold the chain values q[0, n) at positions [pos, pos + n) (1-based),
-  /// summed in locals and added once: the compressor's per-block emission.
-  /// Through the member words a per-value loop could neither vectorize nor
-  /// keep its sums in registers, since q may alias them as far as the
-  /// compiler knows (int64_t and uint64_t may alias).
-  HZCCL_HOT void accumulate_block(const int64_t* q, size_t n, uint64_t pos) {
-    uint64_t s = 0;
-    uint64_t w = 0;
-    for (size_t i = 0; i < n; ++i) {
-      const uint64_t u = static_cast<uint64_t>(q[i]);
-      s += u;
-      w += (pos + i) * u;
-    }
-    sum += s;
-    wsum += w;
   }
 
   /// Fold a run of `n` identical values at positions [pos, pos + n)

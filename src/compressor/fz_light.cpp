@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstring>
 
-#include "hzccl/compressor/fixed_len.hpp"
 #include "hzccl/compressor/quantize.hpp"
 #include "hzccl/kernels/dispatch.hpp"
 #include "hzccl/stats/metrics.hpp"
