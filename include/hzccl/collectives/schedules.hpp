@@ -774,9 +774,10 @@ void doc_decompress(T& t, const CompressedBuffer& compressed, std::span<float> o
 /// C-Coll's DOC send at ring step `step` (N-1 for the allreduce's owned
 /// block, which its allgather sends): compress the partial block `partial`,
 /// whose own input block is `own`.  Past step 0 the partial was reduced from
-/// the stream received from `src` at step - 1.  Under a link-fault plan a wire-SDC flip that keeps that stream's
-/// block chain intact passes heal_received_stream's walk and decodes to wild
-/// floats, so the partial can leave the quantization domain.  Healed as
+/// the stream received from `src` at step - 1.  Under a link-fault plan a
+/// wire-SDC flip that keeps that stream's block chain intact passes
+/// heal_received_stream's walk and decodes to wild floats, so the partial
+/// can leave the quantization domain.  Healed as
 /// compress_leader_blocks heals: the partial is rebuilt from `own` and the
 /// sender's pristine stream (Refetch::kRawFallback), then compressed once
 /// more; a second failure — the data itself is out of domain — propagates.
