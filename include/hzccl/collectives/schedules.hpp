@@ -130,12 +130,14 @@ std::vector<CompressedBuffer> compress_all_blocks(T& t, std::span<const float> i
 
 /// The last stage of every compressed allgather: verify (any active policy)
 /// and decode each ring block into place, recycling every stream, then one
-/// DPR charge for the whole vector.
+/// DPR charge for the whole vector.  The decodes cover `out_full` whole, so
+/// it is resized, not zero-filled: run in its input's storage, each float
+/// is written once.
 template <Transport T>
 void decode_all_blocks(T& t, std::vector<CompressedBuffer>& blocks, size_t total_elements,
                        std::vector<float>& out_full, const CollectiveConfig& config) {
   const int nblocks = static_cast<int>(blocks.size());
-  out_full.assign(total_elements, 0.0f);
+  out_full.resize(total_elements);
   uint64_t compressed_bytes = 0;
   for (int b = 0; b < nblocks; ++b) {
     CompressedBuffer& block = blocks[static_cast<size_t>(b)];
@@ -152,13 +154,17 @@ void decode_all_blocks(T& t, std::vector<CompressedBuffer>& blocks, size_t total
 }
 
 /// Make `acc` a copy of `input` to accumulate in place, charged as a pack.
-/// `input` may lie in `acc`'s own storage (an in-place call).
+/// `input` may lie in `acc`'s own storage (an in-place call); when it is
+/// all of `acc` there is nothing to copy, and the pack is charged all the
+/// same, so virtual time does not depend on where the input lies.
 template <Transport T>
 void working_copy_into(T& t, std::span<const float> input, std::vector<float>& acc,
                        const CollectiveConfig& config) {
   const float* const base = acc.data();
-  if (std::less_equal<const float*>{}(base, input.data()) &&
-      std::less<const float*>{}(input.data(), base + acc.size())) {
+  if (input.data() == base && input.size() == acc.size()) {
+    // Already in place.
+  } else if (std::less_equal<const float*>{}(base, input.data()) &&
+             std::less<const float*>{}(input.data(), base + acc.size())) {
     std::memmove(acc.data(), input.data(), input.size_bytes());
     acc.resize(input.size());
   } else {
@@ -535,26 +541,40 @@ Task<void> raw_ring_allgather_steps(T t, std::span<float> buf, const std::vector
   }
 }
 
+/// The ring steps run in `out_block` itself, which ends as the owned block.
 template <Transport T>
 Task<void> raw_reduce_scatter(T t, std::span<const float> input, std::vector<float>& out_block,
                               const CollectiveConfig& config) {
-  std::vector<float> acc = working_copy(t, input, config);
+  working_copy_into(t, input, out_block, config);
   const std::vector<int> members = identity_members(t.size());
-  co_await raw_ring_reduce_scatter_steps(t, acc, members, t.rank(), config);
-  const Range owned = ring_block_range(acc.size(), t.size(), rs_owned_block(t.rank(), t.size()));
-  out_block.assign(acc.begin() + static_cast<ptrdiff_t>(owned.begin),
-                   acc.begin() + static_cast<ptrdiff_t>(owned.end));
+  co_await raw_ring_reduce_scatter_steps(t, out_block, members, t.rank(), config);
+  const Range owned =
+      ring_block_range(out_block.size(), t.size(), rs_owned_block(t.rank(), t.size()));
+  std::memmove(out_block.data(), out_block.data() + owned.begin, owned.size() * sizeof(float));
+  out_block.resize(owned.size());
+}
+
+/// Size `out_full` to `total_elements` floats for an allgather whose
+/// receives and decodes overwrite all of it but the owned range `own`, and
+/// put `my_block` there.  `my_block` lies either outside `out_full` or at
+/// `own` in it already (an allgather in its input's storage), when there is
+/// nothing to copy.  A vector that has the size is never zero-filled.
+inline void place_owned_block(std::span<const float> my_block, const Range& own,
+                              size_t total_elements, std::vector<float>& out_full) {
+  const bool in_place = !out_full.empty() && own.end <= out_full.size() &&
+                        my_block.data() == out_full.data() + own.begin;
+  out_full.resize(total_elements);
+  if (!in_place) std::memcpy(out_full.data() + own.begin, my_block.data(), my_block.size_bytes());
 }
 
 template <Transport T>
 Task<void> raw_allgather(T t, std::span<const float> my_block, size_t total_elements,
                          std::vector<float>& out_full, const CollectiveConfig& config) {
-  out_full.assign(total_elements, 0.0f);
   const Range own = ring_block_range(total_elements, t.size(), rs_owned_block(t.rank(), t.size()));
   if (my_block.size() != own.size()) {
     throw Error("raw_allgather: my_block size does not match the owned block");
   }
-  std::memcpy(out_full.data() + own.begin, my_block.data(), my_block.size_bytes());
+  place_owned_block(my_block, own, total_elements, out_full);
   t.charge(CostBucket::kOther, config.cost.seconds_memcpy(my_block.size_bytes()),
            EventKind::kPack, my_block.size_bytes());
   const std::vector<int> members = identity_members(t.size());
@@ -562,9 +582,10 @@ Task<void> raw_allgather(T t, std::span<const float> my_block, size_t total_elem
 }
 
 /// raw_reduce_scatter then raw_allgather, run in `out_full` itself: the
-/// input is copied once and each float of the result is written once.  The
-/// clock charges are the composition's, the owned block's hand-off to the
-/// allgather included.
+/// input is copied once (not at all when it lies in `out_full`, an in-place
+/// call) and each float of the result is written once.  The clock charges
+/// are the composition's, the owned block's hand-off to the allgather
+/// included.
 template <Transport T>
 Task<void> raw_allreduce(T t, std::span<const float> input, std::vector<float>& out_full,
                          const CollectiveConfig& config) {
@@ -583,7 +604,8 @@ Task<void> raw_allreduce_recursive_doubling(T t, std::span<const float> input,
                                             std::vector<float>& out_full,
                                             const CollectiveConfig& config) {
   const int rank = t.rank();
-  std::vector<float> acc = working_copy(t, input, config);
+  working_copy_into(t, input, out_full, config);
+  std::vector<float>& acc = out_full;
   const DoublingLayout d = doubling_layout(rank, t.size());
   // One receive buffer for the fold and every exchange, each of which
   // overwrites it whole, so it is never zero-filled; only active ranks (the
@@ -623,7 +645,6 @@ Task<void> raw_allreduce_recursive_doubling(T t, std::span<const float> input,
       send_floats_checked(t, rank - 1, kTagUnfold, acc, config, Mode::kSingleThread);
     }
   }
-  out_full = std::move(acc);
 }
 
 template <Transport T>
@@ -638,7 +659,8 @@ Task<void> raw_allreduce_rabenseifner(T t, std::span<const float> input,
     co_return;
   }
 
-  std::vector<float> acc = working_copy(t, input, config);
+  working_copy_into(t, input, out_full, config);
+  std::vector<float>& acc = out_full;
 
   // Recursive-halving reduce-scatter: each exchange halves the live segment
   // [lo, hi); the lower-ranked partner keeps the lower half.
@@ -685,7 +707,6 @@ Task<void> raw_allreduce_rabenseifner(T t, std::span<const float> input,
     lo = parent_lo;
     hi = parent_hi;
   }
-  out_full = std::move(acc);
 }
 
 // ---------------------------------------------------------------------------
@@ -858,13 +879,12 @@ Task<void> ccoll_allgather_stream(T t, std::span<const float> my_block, Compress
                                   const CollectiveConfig& config) {
   const int size = t.size();
   const int rank = t.rank();
-  out_full.assign(total_elements, 0.0f);
   const int own_idx = rs_owned_block(rank, size);
   const Range own_r = ring_block_range(total_elements, size, own_idx);
   if (my_block.size() != own_r.size()) {
     throw Error("ccoll_allgather: my_block size does not match the owned block");
   }
-  std::memcpy(out_full.data() + own_r.begin, my_block.data(), my_block.size_bytes());
+  place_owned_block(my_block, own_r, total_elements, out_full);
 
   std::vector<CompressedBuffer> blocks(static_cast<size_t>(size));
   blocks[static_cast<size_t>(own_idx)] = std::move(own);

@@ -119,10 +119,17 @@ struct JobResult {
 };
 
 /// Produces rank `r`'s input vector; every rank must return the same length.
+/// Both executors call it once per rank per attempt (and once more for rank
+/// 0 when JobConfig::algo is kAuto, to probe the data) and run the
+/// collective in the returned vector's storage, so a retried attempt (after
+/// a rank failure and shrink) calls it again; it must return the same
+/// vector every time.
 using RankInputFn = std::function<std::vector<float>(int rank)>;
 
 /// Run one collective with the chosen kernel across config.nranks simulated
-/// ranks.  Functionally exact (real bytes reduced); time is virtual.
+/// ranks.  Functionally exact (real bytes reduced); time is virtual.  Each
+/// rank's collective runs in place, in the vector `rank_input` returned
+/// (see RankInputFn).
 [[nodiscard]] JobResult run_collective(Kernel kernel, Op op, const JobConfig& config,
                                        const RankInputFn& rank_input);
 

@@ -172,14 +172,16 @@ class RecvAwaitable {
   friend class Port;
   friend class RecvIntoAwaitable;
   friend struct EngineImpl;
-  RecvAwaitable(EngineImpl* eng, int job, int vrank, int src, int tag)
-      : eng_(eng), job_(job), vrank_(vrank), src_(src), tag_(tag) {}
+  RecvAwaitable(EngineImpl* eng, int job, int vrank, int src, int tag,
+                std::span<uint8_t> into = {})
+      : eng_(eng), job_(job), vrank_(vrank), src_(src), tag_(tag), into_(into) {}
 
   EngineImpl* eng_;
   int job_;
   int vrank_;
   int src_;
   int tag_;
+  std::span<uint8_t> into_;  ///< recv_into's buffer, which the link layer checks the payload into
   simmpi::Delivery delivery_;
   std::exception_ptr error_;
 };
@@ -192,10 +194,7 @@ class RecvIntoAwaitable : public RecvAwaitable {
 
  private:
   friend class Port;
-  RecvIntoAwaitable(RecvAwaitable base, std::span<uint8_t> out)
-      : RecvAwaitable(std::move(base)), out_(out) {}
-
-  std::span<uint8_t> out_;
+  explicit RecvIntoAwaitable(RecvAwaitable base) : RecvAwaitable(std::move(base)) {}
 };
 
 class Port {

@@ -36,12 +36,14 @@
 // layer.  Per-rank counters land in hzccl::TransportStats.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "hzccl/util/crc32.hpp"
 #include "hzccl/util/error.hpp"
 
 namespace hzccl::simmpi {
@@ -267,26 +269,54 @@ constexpr size_t frame_size(size_t payload_bytes) {
   return sizeof(FrameHeader) + payload_bytes;
 }
 
+/// Payload bytes per tile of a frame's one pass: framing and checking fold
+/// each tile into the payload CRC and copy it while it sits in cache, so
+/// each payload byte is read once and written once on either side.
+inline constexpr size_t kFrameTile = 8192;
+
+/// The CRC-32C of `payload`, folded one kFrameTile tile at a time, each
+/// tile handed to `copy` (a callable taking the tile's offset and bytes)
+/// right after its fold.
+template <class CopyTile>
+uint32_t crc32c_tiles(std::span<const uint8_t> payload, CopyTile&& copy) {
+  uint32_t crc = 0;
+  for (size_t at = 0; at < payload.size(); at += kFrameTile) {
+    const std::span<const uint8_t> tile =
+        payload.subspan(at, std::min(kFrameTile, payload.size() - at));
+    crc = crc32c(tile, crc);
+    copy(at, tile);
+  }
+  return crc;
+}
+
 /// Frame `payload` into `out`, whose size must be exactly
-/// frame_size(payload.size()): copy the payload behind the header, then
-/// seal_frame.  Never allocates.
+/// frame_size(payload.size()): copy the payload behind the header, folding
+/// its CRC in the same pass, then seal_frame.  Never allocates.
 void encode_frame_into(uint64_t seq, std::span<const uint8_t> payload, std::span<uint8_t> out);
 
 /// Seal a frame whose payload is already in place at
-/// frame[sizeof(FrameHeader), end): write the header carrying `seq`, the
-/// payload length and both CRCs over the first sizeof(FrameHeader) bytes.
-/// The transmit path builds the payload in the frame (copy, then sender-side
-/// faults) and seals it here, so it pays one copy and one CRC pass.
-void seal_frame(uint64_t seq, std::span<uint8_t> frame);
+/// frame[sizeof(FrameHeader), end) and whose CRC-32C is `payload_crc`:
+/// write the header carrying `seq`, the payload length, `payload_crc` and
+/// the header's own CRC over the first sizeof(FrameHeader) bytes.  The
+/// transmit path (Link::frame) folds the CRC while it copies the payload
+/// in, so a clean frame costs one pass over the payload.
+void seal_frame(uint64_t seq, std::span<uint8_t> frame, uint32_t payload_crc);
 
 /// Result of validating a framed message.
 struct FrameView {
   bool valid = false;                 ///< magic, lengths and both CRCs check out
+  bool landed = false;                ///< valid, and the payload is in decode_frame's `out`
   uint64_t seq = 0;                   ///< meaningful only when valid
   std::span<const uint8_t> payload;   ///< meaningful only when valid
 };
 
 /// Validate a framed message; never throws — corruption yields !valid.
-[[nodiscard]] FrameView decode_frame(std::span<const uint8_t> frame);
+/// Given an `out` of exactly the payload's size, the check also lands the
+/// payload there in the same pass: the header is checked first, then the
+/// payload CRC tile by tile, each tile copied into `out` right after its
+/// fold.  A frame that fails the payload CRC leaves its damaged bytes in
+/// `out`; any other `out` is left alone.
+[[nodiscard]] FrameView decode_frame(std::span<const uint8_t> frame,
+                                     std::span<uint8_t> out = {});
 
 }  // namespace hzccl::simmpi

@@ -59,13 +59,16 @@ struct WireMessage {
 struct Delivery {
   std::vector<uint8_t> bytes;
   size_t offset = 0;
+  /// Link::take already checked the payload into the receive buffer.
+  bool landed = false;
   std::span<const uint8_t> payload() const {
     return std::span<const uint8_t>(bytes).subspan(offset);
   }
   /// The payload as its own vector: slid over the header, the one copy
   /// out, with no second allocation.
   std::vector<uint8_t> take_payload() &&;
-  /// Copy the payload into `out`, which must be exactly its size.
+  /// Put the payload in the receive buffer `out`, which must be exactly
+  /// its size: a copy, unless it already landed there.
   void copy_to(std::span<uint8_t> out) const;
 };
 
@@ -142,9 +145,9 @@ class Link {
   void stall(Endpoint& ep, FaultKind kind, uint8_t job) const;
 
   /// Frame `payload` as `sender`'s frame `seq` to physical rank `dst`:
-  /// one allocation and one copy, then the sender-side payload faults, the
-  /// seal and the wire dice.  Touches no inbox, so the runtime builds it
-  /// outside any lock.
+  /// one allocation and one pass that copies the payload in and folds its
+  /// CRC, then the sender-side payload faults, the seal and the wire dice.
+  /// Touches no inbox, so the runtime builds it outside any lock.
   [[nodiscard]] Transmission frame(Endpoint& sender, const LinkState& me, int dst, int tag,
                                    uint64_t seq, uint32_t epoch,
                                    std::span<const uint8_t> payload) const;
@@ -174,9 +177,13 @@ class Link {
   /// Complete that receive, if ready() is finite: accept the first
   /// matching frame, or NACK a corrupt one or time out on a dropped one
   /// and retransmit it from the window.  Every transfer, resends included,
-  /// moves at no more than `rate_cap` bytes/second.
+  /// moves at no more than `rate_cap` bytes/second.  A receive into a
+  /// caller's buffer passes it as `into`: a frame whose payload has its
+  /// size is checked straight into it (decode_frame), and the delivery
+  /// says it landed.
   [[nodiscard]] std::optional<Delivery> take(Inbox& inbox, Endpoint& receiver, LinkState& me,
                                              int src, int tag, uint32_t epoch, uint8_t job,
+                                             std::span<uint8_t> into = {},
                                              double rate_cap = kNoCap) const;
 
   /// NACK the last message `receiver` consumed on (`src`, `tag`) and fetch

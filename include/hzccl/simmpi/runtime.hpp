@@ -102,6 +102,7 @@ class Comm {
   std::vector<uint8_t> recv(int src, int tag);
 
   /// Receive into an existing buffer; the message size must match exactly.
+  /// The frame's payload is CRC-checked and copied into `out` in one pass.
   void recv_into(int src, int tag, std::span<uint8_t> out);
 
   /// What a refetch of the last consumed message should return.
@@ -172,8 +173,9 @@ class Comm {
   Comm(Runtime* rt, int rank, int size);
 
   /// The transport half of recv/recv_into: rank-fault check, held-frame
-  /// flush, stall, then the runtime's blocking take.
-  Delivery receive(int src, int tag);
+  /// flush, stall, then the runtime's blocking take (into `into`, for
+  /// recv_into).
+  Delivery receive(int src, int tag, std::span<uint8_t> into = {});
 
   /// Translate a virtual rank of the current group to its physical rank.
   int to_phys(int vrank) const { return group_[static_cast<size_t>(vrank)]; }
@@ -250,8 +252,8 @@ class Runtime {
   /// One blocking receive: wait until the link layer can complete it, or
   /// until `src` turns silent (the health machine takes over); returns the
   /// accepted bytes as they are (see Delivery), without copying the
-  /// payload out.
-  Delivery take(Comm& receiver, int src, int tag);
+  /// payload out unless it landed in `into` (Link::take).
+  Delivery take(Comm& receiver, int src, int tag, std::span<uint8_t> into);
 
   std::vector<uint8_t> refetch(Comm& receiver, int src, int tag, Refetch mode,
                                size_t raw_bytes_hint);

@@ -51,9 +51,11 @@ JobResult run_collective(Kernel kernel, Op op, const JobConfig& config,
 
   auto rank_fn = [&](simmpi::Comm& comm) {
     // Inputs are keyed by *physical* rank: a survivor contributes the same
-    // vector on every attempt no matter how the group is renumbered.
-    const std::vector<float> input = rank_input(comm.phys_rank());
-    std::vector<float> output;
+    // vector on every attempt no matter how the group is renumbered.  The
+    // collective runs in that vector's own storage, the way MPI_IN_PLACE
+    // does, so it ends as the output.
+    std::vector<float> output = rank_input(comm.phys_rank());
+    const size_t input_bytes = output.size() * sizeof(float);
     HzPipelineStats stats;
 
     // Algorithm marker: non-ring schedules stamp one zero-length span at the
@@ -62,20 +64,21 @@ JobResult run_collective(Kernel kernel, Op op, const JobConfig& config,
     if (algo != coll::AllreduceAlgo::kRing) {
       comm.endpoint().mark(trace::EventKind::kPack, trace::kNoJob,
                            static_cast<uint8_t>(trace::kAuxAlgoBase + static_cast<int>(algo)),
-                           input.size() * sizeof(float));
+                           input_bytes);
     }
 
+    int failures = 0;
     auto attempt = [&] {
-      // A retried attempt starts from scratch: partial results and stats of
-      // the failed run are discarded, not merged.
-      output.clear();
+      // A retried attempt starts from scratch: the failed run consumed the
+      // input, so it is fetched again, and its stats are discarded, not
+      // merged.
+      if (failures > 0) output = rank_input(comm.phys_rank());
       stats = HzPipelineStats{};
-      run_to_completion(run_stack(coll::CommTransport(comm), kernel, op, algo, input, output,
-                                  cc, &stats));
+      run_to_completion(run_stack(coll::CommTransport(comm), kernel, op, algo,
+                                  std::span<const float>(output), output, cc, &stats));
     };
 
     std::vector<int> lost;
-    int failures = 0;
     for (;;) {
       try {
         comm.guarded(attempt);
@@ -95,7 +98,7 @@ JobResult run_collective(Kernel kernel, Op op, const JobConfig& config,
     // outcome record; after a shrink that need not be physical rank 0.
     if (comm.rank() == 0) {
       result.rank0_output = std::move(output);
-      result.input_bytes_per_rank = input.size() * sizeof(float);
+      result.input_bytes_per_rank = input_bytes;
       result.failed_ranks = std::move(lost);
       result.final_group = comm.group();
       result.final_epoch = comm.epoch();

@@ -83,32 +83,36 @@ struct RootOutcome {
 
 /// One rank's whole collective as a lazy coroutine: run_stack, the dispatch
 /// run_collective drives, over the same bodies (collectives/schedules.hpp)
-/// with the engine's Port as the transport.  Allgather (engine only)
-/// contributes the rank's owned ring block of `input`, mirroring the
-/// blocking reduce-scatter + allgather decomposition.
+/// with the engine's Port as the transport.  Like run_collective it runs in
+/// the storage of `input`, which ends as the output.  Allgather (engine
+/// only) contributes the rank's owned ring block of `input`, mirroring the
+/// blocking reduce-scatter + allgather decomposition; that block is already
+/// in place.
 Task<RootOutcome> run_rank_collective(Port port, Kernel kernel, ICollOp op,
                                       coll::AllreduceAlgo algo, coll::CollectiveConfig config,
                                       std::vector<float> input) {
   RootOutcome out;
+  out.output = std::move(input);
+  const std::span<const float> in(out.output);
   if (op != ICollOp::kAllgather) {
     const Op stack_op = op == ICollOp::kAllreduce ? Op::kAllreduce : Op::kReduceScatter;
-    co_await run_stack(port, kernel, stack_op, algo, input, out.output, config, &out.stats);
+    co_await run_stack(port, kernel, stack_op, algo, in, out.output, config, &out.stats);
     co_return out;
   }
-  const Range own = coll::ring_block_range(input.size(), port.size(),
+  const Range own = coll::ring_block_range(in.size(), port.size(),
                                            coll::rs_owned_block(port.rank(), port.size()));
-  const std::span<const float> mine(input.data() + own.begin, own.size());
+  const std::span<const float> mine = in.subspan(own.begin, own.size());
   switch (kernel) {
     case Kernel::kMpi:
-      co_await coll::body::raw_allgather(port, mine, input.size(), out.output, config);
+      co_await coll::body::raw_allgather(port, mine, in.size(), out.output, config);
       break;
     case Kernel::kCCollMultiThread:
     case Kernel::kCCollSingleThread:
-      co_await coll::body::ccoll_allgather(port, mine, input.size(), out.output, config);
+      co_await coll::body::ccoll_allgather(port, mine, in.size(), out.output, config);
       break;
     case Kernel::kHzcclMultiThread:
     case Kernel::kHzcclSingleThread:
-      co_await coll::body::hzccl_allgather(port, mine, input.size(), out.output, config);
+      co_await coll::body::hzccl_allgather(port, mine, in.size(), out.output, config);
       break;
   }
   co_return out;
@@ -517,7 +521,7 @@ struct EngineImpl {
     const Waiter w = std::exchange(j.waiters[static_cast<size_t>(v)], Waiter{});
     std::optional<simmpi::Delivery> delivery =
         link(j).take(inbox(j, rank), r, link_state(j, rank), w.src_phys, w.tag, j.plane.epoch(),
-                     j.span_job(), rate_cap(j));
+                     j.span_job(), w.awaitable->into_, rate_cap(j));
     if (delivery) {
       w.awaitable->delivery_ = std::move(*delivery);
     } else {
@@ -941,7 +945,7 @@ RecvAwaitable Port::recv(int src, int tag) {
 }
 
 RecvIntoAwaitable Port::recv_into(int src, int tag, std::span<uint8_t> out) {
-  return RecvIntoAwaitable(recv(src, tag), out);
+  return RecvIntoAwaitable(RecvAwaitable(eng_, job_, vrank_, src, tag, out));
 }
 
 std::vector<uint8_t> Port::refetch(int src, int tag, simmpi::Refetch mode, size_t raw_bytes_hint) {
@@ -973,7 +977,7 @@ std::vector<uint8_t> RecvAwaitable::await_resume() {
 
 void RecvIntoAwaitable::await_resume() {
   if (error_) std::rethrow_exception(error_);
-  delivery_.copy_to(out_);
+  delivery_.copy_to(into_);
 }
 
 // ---------------------------------------------------------------------------

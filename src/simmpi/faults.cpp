@@ -309,19 +309,19 @@ std::string RetryPolicy::describe() const {
   return buf;
 }
 
-HZCCL_HOT void seal_frame(uint64_t seq, std::span<uint8_t> frame) {
+HZCCL_HOT void seal_frame(uint64_t seq, std::span<uint8_t> frame, uint32_t payload_crc) {
   if (frame.size() < sizeof(FrameHeader)) {
     hzccl::detail::raise_capacity("seal_frame: frame is shorter than its header");
   }
-  const std::span<const uint8_t> payload = frame.subspan(sizeof(FrameHeader));
+  const size_t payload_len = frame.size() - sizeof(FrameHeader);
   FrameHeader h;
   h.seq_lo = static_cast<uint32_t>(seq);
   h.seq_hi = static_cast<uint32_t>(seq >> 32);
-  h.payload_len = static_cast<uint32_t>(payload.size());
-  if (h.payload_len != payload.size()) {
+  h.payload_len = static_cast<uint32_t>(payload_len);
+  if (h.payload_len != payload_len) {
     hzccl::detail::raise_error("seal_frame: payload exceeds the 32-bit frame length field");
   }
-  h.payload_crc = crc32c(payload);
+  h.payload_crc = payload_crc;
   h.header_crc = crc32c(leading_bytes_of<offsetof(FrameHeader, header_crc)>(h));
   std::memcpy(frame.data(), &h, sizeof(FrameHeader));
 }
@@ -331,13 +331,13 @@ HZCCL_HOT void encode_frame_into(uint64_t seq, std::span<const uint8_t> payload,
   if (out.size() != frame_size(payload.size())) {
     hzccl::detail::raise_capacity("encode_frame: output span does not match frame size");
   }
-  if (!payload.empty()) {
-    std::memcpy(out.data() + sizeof(FrameHeader), payload.data(), payload.size());
-  }
-  seal_frame(seq, out);
+  uint8_t* const body = out.data() + sizeof(FrameHeader);
+  seal_frame(seq, out, crc32c_tiles(payload, [&](size_t at, std::span<const uint8_t> tile) {
+               std::memcpy(body + at, tile.data(), tile.size());
+             }));
 }
 
-HZCCL_HOT FrameView decode_frame(std::span<const uint8_t> frame) {
+HZCCL_HOT FrameView decode_frame(std::span<const uint8_t> frame, std::span<uint8_t> out) {
   FrameView view;
   if (frame.size() < sizeof(FrameHeader)) return view;
   const FrameHeader h = ByteReader(frame, "frame").read<FrameHeader>("frame header");
@@ -347,8 +347,16 @@ HZCCL_HOT FrameView decode_frame(std::span<const uint8_t> frame) {
   }
   if (frame.size() != sizeof(FrameHeader) + h.payload_len) return view;
   const std::span<const uint8_t> payload = frame.subspan(sizeof(FrameHeader));
-  if (h.payload_crc != crc32c(payload)) return view;
+  const bool lands = !out.empty() && out.size() == payload.size();
+  const uint32_t crc =
+      lands ? crc32c_tiles(payload,
+                           [&](size_t at, std::span<const uint8_t> tile) {
+                             std::memcpy(out.data() + at, tile.data(), tile.size());
+                           })
+            : crc32c(payload);
+  if (h.payload_crc != crc) return view;
   view.valid = true;
+  view.landed = lands;
   view.seq = (static_cast<uint64_t>(h.seq_hi) << 32) | h.seq_lo;
   view.payload = payload;
   return view;

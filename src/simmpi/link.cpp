@@ -96,7 +96,7 @@ void Delivery::copy_to(std::span<uint8_t> out) const {
     throw hzccl::Error("recv_into: message size " + std::to_string(p.size()) +
                        " != buffer size " + std::to_string(out.size()));
   }
-  std::memcpy(out.data(), p.data(), p.size());
+  if (!landed) std::memcpy(out.data(), p.data(), p.size());
 }
 
 size_t Inbox::purge(uint32_t epoch) {
@@ -127,18 +127,23 @@ Transmission Link::frame(Endpoint& sender, const LinkState& me, int dst, int tag
   msg.seq = seq;
   msg.epoch = epoch;
   msg.send_vtime = sender.now();
-  // Frame in place: one allocation and one copy of the caller's bytes.  The
-  // sender-side faults scribble on the frame body before the seal, so the
-  // CRCs cover the corrupted bytes and the wire checks cannot see them.
+  // Frame in place: one allocation and one pass over the caller's bytes,
+  // each tile appended while its CRC is folded.  The sender-side faults
+  // scribble on the frame body before the seal, and one that fires makes
+  // the seal fold the body again, so the CRCs cover the corrupted bytes and
+  // the wire checks cannot see them.
   msg.frame.reserve(frame_size(payload.size()));
   msg.frame.resize(sizeof(FrameHeader));
-  msg.frame.insert(msg.frame.end(), payload.begin(), payload.end());
+  uint32_t crc = crc32c_tiles(payload, [&](size_t, std::span<const uint8_t> tile) {
+    msg.frame.insert(msg.frame.end(), tile.begin(), tile.end());
+  });
   if (on) {
-    stats.faults_injected +=
-        apply_payload_faults(std::span<uint8_t>(msg.frame).subspan(sizeof(FrameHeader)), plan,
-                             src, dst, attempt_counter(seq, 0));
+    const std::span<uint8_t> body = std::span<uint8_t>(msg.frame).subspan(sizeof(FrameHeader));
+    const uint64_t fired = apply_payload_faults(body, plan, src, dst, attempt_counter(seq, 0));
+    stats.faults_injected += fired;
+    if (fired > 0) crc = crc32c(body);
   }
-  seal_frame(seq, msg.frame);
+  seal_frame(seq, msg.frame, crc);
   if (!on) return t;
 
   // Roll the wire dice.  Drop preempts everything; the others compose.
@@ -287,7 +292,8 @@ std::vector<uint8_t> Link::retransmit(Endpoint& receiver, WindowEntry& e, double
 }
 
 std::optional<Delivery> Link::take(Inbox& inbox, Endpoint& receiver, LinkState& me, int src,
-                                   int tag, uint32_t epoch, uint8_t job, double rate_cap) const {
+                                   int tag, uint32_t epoch, uint8_t job, std::span<uint8_t> into,
+                                   double rate_cap) const {
   const Match m = match(inbox, receiver, src, tag, epoch, rate_cap);
   if (m.frame == Match::kNone && m.lost == Match::kNone) return std::nullopt;
   const double ready = m.ready;
@@ -314,16 +320,17 @@ std::optional<Delivery> Link::take(Inbox& inbox, Endpoint& receiver, LinkState& 
   const auto it = inbox.messages.begin() + static_cast<ptrdiff_t>(m.frame);
   WireMessage msg = std::move(*it);
   inbox.messages.erase(it);
-  const FrameView frame = decode_frame(msg.frame);
+  const FrameView frame = decode_frame(msg.frame, into);
   if (frame.valid) {
     me.accepted.insert({src, frame.seq});
     receiver.accept({src, msg.tag, msg.seq, frame.payload.size(), msg.send_vtime}, ready, job);
     if (plan_->enabled()) consume(inbox, src, tag, msg.seq);
-    return Delivery{std::move(msg.frame), sizeof(FrameHeader)};
+    return Delivery{std::move(msg.frame), sizeof(FrameHeader), frame.landed};
   }
 
   // The CRC/length validation rejected the frame: pay for having received
-  // the damaged bytes, then NACK for a retransmission.
+  // the damaged bytes, then NACK for a retransmission, whose payload
+  // overwrites whatever the check left in `into`.
   ++receiver.transport().corrupt_frames;
   const auto wit =
       std::find_if(inbox.window.begin(), inbox.window.end(), [&](const WindowEntry& w) {

@@ -87,7 +87,7 @@ void Comm::send(int dst, int tag, std::span<const uint8_t> payload) {
                      link.frame(endpoint_, link_state_, pdst, tag, seq, epoch_view_, payload));
 }
 
-Delivery Comm::receive(int src, int tag) {
+Delivery Comm::receive(int src, int tag, std::span<uint8_t> into) {
   if (src < 0 || src >= size_) throw hzccl::Error("recv: bad source rank");
   runtime_->check_rank_fault(*this);
   // The NIC drains any reorder-held frames while this rank is about to wait;
@@ -95,7 +95,7 @@ Delivery Comm::receive(int src, int tag) {
   // deadlock-free (a blocked rank never sits on undelivered traffic).
   runtime_->flush_limbo(*this);
   runtime_->link_.stall(endpoint_, FaultKind::kStallRecv, trace::kNoJob);
-  Delivery delivery = runtime_->take(*this, to_phys(src), tag);
+  Delivery delivery = runtime_->take(*this, to_phys(src), tag, into);
   bytes_received_ += delivery.payload().size();
   return delivery;
 }
@@ -103,7 +103,7 @@ Delivery Comm::receive(int src, int tag) {
 std::vector<uint8_t> Comm::recv(int src, int tag) { return receive(src, tag).take_payload(); }
 
 void Comm::recv_into(int src, int tag, std::span<uint8_t> out) {
-  receive(src, tag).copy_to(out);
+  receive(src, tag, out).copy_to(out);
 }
 
 std::vector<uint8_t> Comm::refetch(int src, int tag, Refetch mode, size_t raw_bytes_hint) {
@@ -329,7 +329,7 @@ void Runtime::flush_limbo(Comm& sender, WireOutcome outcome) {
   }
 }
 
-Delivery Runtime::take(Comm& receiver, int src, int tag) {
+Delivery Runtime::take(Comm& receiver, int src, int tag, std::span<uint8_t> into) {
   Endpoint& ep = receiver.endpoint_;
   LinkState& mine = receiver.link_state_;
   const uint32_t epoch = receiver.epoch_view_;
@@ -338,7 +338,7 @@ Delivery Runtime::take(Comm& receiver, int src, int tag) {
   for (;;) {
     link_.discard(box.inbox, ep, mine, src, epoch, trace::kNoJob);
     std::optional<Delivery> delivery =
-        link_.take(box.inbox, ep, mine, src, tag, epoch, trace::kNoJob);
+        link_.take(box.inbox, ep, mine, src, tag, epoch, trace::kNoJob, into);
     if (delivery) return std::move(*delivery);
 
     // Nothing on the wire and nothing recoverable: with rank faults armed,

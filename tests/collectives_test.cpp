@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "hzccl/collectives/common.hpp"
 #include "hzccl/collectives/hzccl_coll.hpp"
 #include "hzccl/collectives/raw.hpp"
+#include "hzccl/core/dispatch.hpp"
 #include "hzccl/core/hzccl.hpp"
 #include "hzccl/datasets/registry.hpp"
 #include "hzccl/stats/metrics.hpp"
@@ -331,6 +334,121 @@ TEST(Collectives, RawAllreduceIsReduceScatterComposedWithAllgather) {
   }
 }
 
+/// run_collective and the engine run every collective in the storage of its
+/// input, which ends as the output.  Every body must be alias-safe: called
+/// through run_stack (the dispatch both executors run) once with the input
+/// lying in the output vector and once with separate buffers, it yields
+/// the same output bytes, per-rank clocks (total and every bucket) and
+/// trace events, for every stack and schedule, verification off and per
+/// round, clean and under link chaos.  So does the engine's allgather op,
+/// whose owned block already lies in place.
+TEST(Collectives, EveryBodyRunsInPlace) {
+  using coll::AllreduceAlgo;
+  simmpi::FaultPlan chaos;
+  chaos.seed = 0x1A9;
+  chaos.drop = 0.05;
+  chaos.corrupt = 0.05;
+  chaos.reorder = 0.08;
+  chaos.duplicate = 0.05;
+  chaos.stall = 0.05;
+  const NetModel net = NetModel::omnipath_100g_nodes(3);
+  struct Run {
+    std::vector<std::vector<float>> outputs;
+    std::vector<simmpi::ClockReport> reports;
+    TransportStats transport;
+    trace::Trace trace;
+  };
+  struct Schedule {
+    const char* name;
+    Op op;
+    AllreduceAlgo algo;
+    bool allgather = false;  ///< the engine's allgather op instead of run_stack
+  };
+  const Schedule schedules[] = {
+      {"ring allreduce", Op::kAllreduce, AllreduceAlgo::kRing},
+      {"rd allreduce", Op::kAllreduce, AllreduceAlgo::kRecursiveDoubling},
+      {"rab allreduce", Op::kAllreduce, AllreduceAlgo::kRabenseifner},
+      {"2level allreduce", Op::kAllreduce, AllreduceAlgo::kTwoLevel},
+      {"reduce-scatter", Op::kReduceScatter, AllreduceAlgo::kRing},
+      {"allgather", Op::kAllreduce, AllreduceAlgo::kRing, true}};
+  for (const int n : {6, 8}) {  // 6 folds in rd and leaves a remainder node; 8 halves in rab
+    std::vector<std::vector<float>> inputs;
+    for (int r = 0; r < n; ++r) inputs.push_back(make_inputs(3001)(r));
+    for (const Kernel kernel :
+         {Kernel::kMpi, Kernel::kCCollMultiThread, Kernel::kHzcclMultiThread}) {
+      for (const Schedule& s : schedules) {
+        // C-Coll always rings (run_stack ignores the schedule for it).
+        if (kernel == Kernel::kCCollMultiThread && s.algo != AllreduceAlgo::kRing) continue;
+        for (const coll::VerifyPolicy verify :
+             {coll::VerifyPolicy::kOff, coll::VerifyPolicy::kPerRound}) {
+          for (const bool faulty : {false, true}) {
+            SCOPED_TRACE(kernel_name(kernel) + " " + s.name + " N=" + std::to_string(n) +
+                         " verify " + coll::verify_policy_name(verify) +
+                         (faulty ? " chaos" : " clean"));
+            JobConfig config;
+            config.nranks = n;
+            config.abs_error_bound = 1e-3;
+            config.verify = verify;
+            const CollectiveConfig cc = config.collective_config(kernel_mode(kernel));
+            const auto run = [&](bool in_place) {
+              Runtime rt(n, net, faulty ? chaos : simmpi::FaultPlan::none(),
+                         trace::Options{.enabled = true});
+              Run r;
+              r.outputs.resize(static_cast<size_t>(n));
+              r.reports = rt.run([&](simmpi::Comm& comm) {
+                const std::vector<float>& input = inputs[static_cast<size_t>(comm.rank())];
+                std::vector<float>& out = r.outputs[static_cast<size_t>(comm.rank())];
+                if (in_place) out = input;
+                const std::span<const float> in = in_place ? std::span<const float>(out) : input;
+                const coll::CommTransport t(comm);
+                if (!s.allgather) {
+                  HzPipelineStats stats;
+                  run_to_completion(run_stack(t, kernel, s.op, s.algo, in, out, cc, &stats));
+                  return;
+                }
+                const Range own = coll::ring_block_range(
+                    in.size(), n, coll::rs_owned_block(comm.rank(), n));
+                const std::span<const float> mine = in.subspan(own.begin, own.size());
+                if (kernel == Kernel::kMpi) {
+                  run_to_completion(coll::body::raw_allgather(t, mine, in.size(), out, cc));
+                } else if (kernel == Kernel::kCCollMultiThread) {
+                  run_to_completion(coll::body::ccoll_allgather(t, mine, in.size(), out, cc));
+                } else {
+                  run_to_completion(coll::body::hzccl_allgather(t, mine, in.size(), out, cc));
+                }
+              });
+              r.transport = total_transport(rt.transport_stats());
+              r.trace = rt.trace();
+              return r;
+            };
+            const Run separate = run(false);
+            const Run in_place = run(true);
+            EXPECT_EQ(separate.transport.clean(), !faulty);
+            for (size_t r = 0; r < static_cast<size_t>(n); ++r) {
+              const std::vector<float>& want = separate.outputs[r];
+              const std::vector<float>& got = in_place.outputs[r];
+              ASSERT_EQ(got.size(), want.size()) << "rank " << r;
+              EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(float)), 0)
+                  << "rank " << r;
+              EXPECT_EQ(in_place.reports[r].total_seconds, separate.reports[r].total_seconds)
+                  << "rank " << r;
+              EXPECT_EQ(in_place.reports[r].bucket_seconds, separate.reports[r].bucket_seconds)
+                  << "rank " << r;
+              const std::vector<trace::Event>& events = in_place.trace.ranks[r];
+              const std::vector<trace::Event>& want_events = separate.trace.ranks[r];
+              ASSERT_EQ(events.size(), want_events.size()) << "rank " << r;
+              for (size_t i = 0; i < events.size(); ++i) {
+                ASSERT_EQ(event_fields(events[i]), event_fields(want_events[i]))
+                    << "rank " << r << " event " << i;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(Collectives, SingleRankDegenerate) {
   JobConfig config;
   config.nranks = 1;
@@ -406,6 +524,87 @@ TEST(Collectives, AlgoAndVerifySpellingsParse) {
   EXPECT_THROW((void)coll::parse_allreduce_algo("Ring"), Error);
   EXPECT_THROW((void)coll::parse_allreduce_algo(""), Error);
   EXPECT_THROW((void)coll::parse_verify_policy("always"), Error);
+}
+
+// The fold of recursive doubling: the largest power of two p2 <= size
+// stays active; each of the first rem = size - p2 pairs folds its even
+// rank into its odd one, and real_rank inverts the active numbering.
+TEST(Collectives, DoublingLayoutFoldsTheRemainder) {
+  const struct {
+    int size, p2, rem;
+  } cases[] = {{1, 1, 0}, {2, 2, 0}, {4, 4, 0}, {8, 8, 0}, {16, 16, 0},
+               {3, 2, 1}, {5, 4, 1}, {6, 4, 2}, {7, 4, 3}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE("size " + std::to_string(c.size));
+    std::vector<int> owner(static_cast<size_t>(c.p2), -1);
+    for (int rank = 0; rank < c.size; ++rank) {
+      const coll::DoublingLayout d = coll::doubling_layout(rank, c.size);
+      EXPECT_EQ(d.p2, c.p2);
+      EXPECT_EQ(d.rem, c.rem);
+      EXPECT_EQ(d.folded_pair, rank < 2 * c.rem) << "rank " << rank;
+      if (d.folded_pair && rank % 2 == 0) {
+        EXPECT_EQ(d.active, -1) << "rank " << rank << " folds into " << rank + 1;
+        continue;
+      }
+      ASSERT_GE(d.active, 0) << "rank " << rank;
+      ASSERT_LT(d.active, c.p2) << "rank " << rank;
+      EXPECT_EQ(d.active, d.folded_pair ? rank / 2 : rank - c.rem) << "rank " << rank;
+      EXPECT_EQ(d.real_rank(d.active), rank);
+      EXPECT_EQ(owner[static_cast<size_t>(d.active)], -1) << "active index shared";
+      owner[static_cast<size_t>(d.active)] = rank;
+    }
+    for (int a = 0; a < c.p2; ++a) {
+      EXPECT_EQ(owner[static_cast<size_t>(a)], coll::doubling_layout(0, c.size).real_rank(a))
+          << "active index " << a;
+    }
+  }
+}
+
+// Node grouping of the two-level schedules, from physical ranks: a
+// remainder node, a shrunk group and a flat topology, each member's node
+// listed leader first.
+TEST(Collectives, NodeGroupsElectEachNodesLowestRank) {
+  const simmpi::Topology three{.ranks_per_node = 3};
+  const struct {
+    const char* what;
+    simmpi::Topology topo;
+    std::vector<int> group;  ///< physical rank of each virtual rank
+    int rank;                ///< virtual
+    std::vector<int> leaders, members;
+    int leader_idx;
+  } cases[] = {
+      {"full node", three, {0, 1, 2, 3, 4, 5, 6, 7}, 4, {0, 3, 6}, {3, 4, 5}, 1},
+      {"remainder node", three, {0, 1, 2, 3, 4, 5, 6, 7}, 7, {0, 3, 6}, {6, 7}, 2},
+      {"first node", three, {0, 1, 2, 3, 4, 5, 6, 7}, 0, {0, 3, 6}, {0, 1, 2}, 0},
+      // Physical ranks 1, 3 and 6 failed: node 0 keeps 0 and 2, node 1 keeps
+      // 4 and 5 (virtual 2 and 3), node 2 keeps 7 alone.
+      {"shrunk group, survivor", three, {0, 2, 4, 5, 7}, 3, {0, 2, 4}, {2, 3}, 1},
+      {"shrunk group, lone rank", three, {0, 2, 4, 5, 7}, 4, {0, 2, 4}, {4}, 2},
+      {"shrunk group, leader lost", three, {1, 2, 4, 5}, 1, {0, 2}, {0, 1}, 0},
+      {"flat", simmpi::Topology{}, {0, 1, 2, 3}, 2, {0, 1, 2, 3}, {2}, 2},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.what);
+    const coll::NodeGroups g = coll::node_groups(c.topo, c.group, c.rank);
+    EXPECT_EQ(g.leaders, c.leaders);
+    EXPECT_EQ(g.node_members, c.members);
+    EXPECT_EQ(g.my_leader_idx, c.leader_idx);
+    ASSERT_FALSE(g.node_members.empty());
+    EXPECT_EQ(g.node_members.front(), g.leaders[static_cast<size_t>(g.my_leader_idx)]);
+  }
+}
+
+// The raw stack's content-digest trailer is exactly 16 bytes on the wire.
+TEST(Collectives, DigestTrailerIsSixteenBytes) {
+  const integrity::Digest d{.sum = 0x0123456789ABCDEFULL, .wsum = 0xFEDCBA9876543210ULL};
+  const std::array<uint8_t, 16> wire = coll::digest_trailer_bytes(d);
+  const integrity::Digest back = coll::parse_digest_trailer(wire);
+  EXPECT_EQ(back.sum, d.sum);
+  EXPECT_EQ(back.wsum, d.wsum);
+  for (const size_t n : {size_t{0}, size_t{8}, size_t{15}, size_t{17}, size_t{32}}) {
+    const std::vector<uint8_t> bytes(n, 0x5A);
+    EXPECT_THROW((void)coll::parse_digest_trailer(bytes), FormatError) << n << " bytes";
+  }
 }
 
 // fz_stream_decodes is the check every compressed receive rests on: a

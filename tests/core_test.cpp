@@ -2,6 +2,8 @@
 // the exact-reduction reference helper.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <vector>
 
 #include "hzccl/core/hzccl.hpp"
@@ -103,6 +105,49 @@ TEST(RunCollective, ConstantInputsReduceExactly) {
   for (Kernel k : {Kernel::kMpi, Kernel::kCCollMultiThread, Kernel::kHzcclMultiThread}) {
     const auto r = run_collective(k, Op::kAllreduce, config, inputs);
     for (float v : r.rank0_output) ASSERT_NEAR(v, 6.0f, 4e-4) << kernel_name(k);
+  }
+}
+
+// run_collective runs each rank's collective in the storage of its input,
+// which ends as the output, so a retried attempt fetches the input again:
+// once per rank on a clean plan, and once more for each retried attempt.
+TEST(RunCollective, FetchesEachInputOncePerAttempt) {
+  constexpr int kRanks = 6;
+  for (const Kernel k : {Kernel::kMpi, Kernel::kCCollMultiThread, Kernel::kHzcclMultiThread}) {
+    SCOPED_TRACE(kernel_name(k));
+    std::array<std::atomic<int>, kRanks> fetches{};
+    const RankInputFn counted = [&](int rank) {
+      ++fetches[static_cast<size_t>(rank)];
+      std::vector<float> v(3001);
+      for (size_t i = 0; i < v.size(); ++i) {
+        v[i] = static_cast<float>((i * 7 + static_cast<size_t>(rank)) % 101) * 0.01f;
+      }
+      return v;
+    };
+    JobConfig config;
+    config.nranks = kRanks;
+    config.abs_error_bound = 1e-3;
+    config.algo = coll::AllreduceAlgo::kRing;  // kAuto would probe rank 0's input once more
+    const JobResult clean = run_collective(k, Op::kAllreduce, config, counted);
+    EXPECT_EQ(clean.attempts, 1);
+    for (int r = 0; r < kRanks; ++r) EXPECT_EQ(fetches[static_cast<size_t>(r)], 1) << "rank " << r;
+
+    for (std::atomic<int>& f : fetches) f = 0;
+    config.retry.max_attempts = 3;
+    config.faults.rank_faults = simmpi::FaultPlan::parse_rank_faults("crash@rank=2,op=5");
+    const JobResult retried = run_collective(k, Op::kAllreduce, config, counted);
+    ASSERT_EQ(retried.attempts, 2);
+    EXPECT_EQ(retried.failed_ranks, std::vector<int>{2});
+    for (int r = 0; r < kRanks; ++r) {
+      EXPECT_EQ(fetches[static_cast<size_t>(r)], r == 2 ? 1 : retried.attempts) << "rank " << r;
+    }
+    // The retry reduced the survivors' pristine inputs, not what the failed
+    // attempt left in their storage.
+    const std::vector<float> exact = exact_reduction(retried.final_group, counted);
+    ASSERT_EQ(retried.rank0_output.size(), exact.size());
+    for (size_t i = 0; i < exact.size(); ++i) {
+      ASSERT_NEAR(retried.rank0_output[i], exact[i], 1e-2) << "element " << i;
+    }
   }
 }
 

@@ -14,13 +14,17 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "hzccl/collectives/movement.hpp"
 #include "hzccl/core/hzccl.hpp"
 #include "hzccl/datasets/registry.hpp"
+#include "hzccl/sched/engine.hpp"
 #include "hzccl/simmpi/faults.hpp"
+#include "hzccl/simmpi/link.hpp"
 
 namespace hzccl {
 namespace {
@@ -258,23 +262,25 @@ TEST(Framing, RoundTripsSequenceAndPayload) {
 }
 
 TEST(Framing, SealingInPlaceMatchesEncodeFrameInto) {
-  // The transmit path copies the payload into the frame body and seals the
-  // header over it; the wire bytes must not depend on which way was taken.
-  // 5000 bytes spans a whole three-lane CRC block plus a ragged tail.
-  for (const size_t n : {size_t{0}, size_t{1}, size_t{5000}}) {
+  // The transmit path copies the payload into the frame body, folding its
+  // CRC, and seals the header over it; the wire bytes must not depend on
+  // which way was taken.
+  // 5000 bytes spans a whole three-lane CRC block plus a ragged tail; the
+  // last size spans several of encode_frame_into's CRC tiles.
+  for (const size_t n : {size_t{0}, size_t{1}, size_t{5000}, 3 * simmpi::kFrameTile + 7}) {
     std::vector<uint8_t> payload(n);
     for (size_t i = 0; i < n; ++i) payload[i] = static_cast<uint8_t>(i * 131 + 7);
     const uint64_t seq = (uint64_t{3} << 33) | n;
 
     std::vector<uint8_t> in_place(simmpi::frame_size(n), 0xEE);  // stale header bytes
     std::copy(payload.begin(), payload.end(), in_place.begin() + sizeof(simmpi::FrameHeader));
-    seal_frame(seq, in_place);
+    seal_frame(seq, in_place, crc32c(payload));
 
     EXPECT_EQ(in_place, framed(seq, payload)) << "payload bytes " << n;
     EXPECT_TRUE(decode_frame(in_place).valid);
   }
   std::vector<uint8_t> too_short(sizeof(simmpi::FrameHeader) - 1);
-  EXPECT_THROW(seal_frame(0, too_short), Error);
+  EXPECT_THROW(seal_frame(0, too_short, 0), Error);
 }
 
 TEST(Framing, EverySingleBitFlipIsDetected) {
@@ -294,6 +300,213 @@ TEST(Framing, TruncationAndGarbageAreDetected) {
   }
   const std::vector<uint8_t> garbage(64, 0x5A);
   EXPECT_FALSE(decode_frame(garbage).valid);
+}
+
+// ---------------------------------------------------------------------------
+// The one-pass frame path: Link::frame copies the payload in and folds its
+// CRC one tile at a time, and a receive into a buffer checks the CRC tile
+// by tile, landing each tile right after its check.
+// ---------------------------------------------------------------------------
+
+constexpr size_t kTile = simmpi::kFrameTile;
+
+/// `n` payload bytes in which no two tiles are alike.
+std::vector<uint8_t> pattern(size_t n, int salt = 0) {
+  std::vector<uint8_t> bytes(n);
+  for (size_t i = 0; i < n; ++i) {
+    bytes[i] = static_cast<uint8_t>((i * 131 + i / kTile * 17 + static_cast<size_t>(salt)) & 0xFF);
+  }
+  return bytes;
+}
+
+/// One link layer between physical ranks 0 and 1 under `plan`, driven by
+/// hand: rank 0 frames and sends, rank 1 takes.
+struct OneLink {
+  explicit OneLink(const FaultPlan& p) : plan(p), link(plan, net, 2) {}
+  FaultPlan plan;
+  NetModel net = NetModel::omnipath_100g();
+  simmpi::Link link;
+  simmpi::Endpoint sender{0, 2, net, {}};
+  simmpi::Endpoint receiver{1, 2, net, {}};
+  simmpi::LinkState sender_state;
+  simmpi::LinkState receiver_state;
+  simmpi::Inbox inbox;
+  uint64_t seq = 0;
+
+  simmpi::Transmission frame(std::span<const uint8_t> payload, int tag) {
+    return link.frame(sender, sender_state, 1, tag, seq++, 0, payload);
+  }
+  void send(simmpi::Transmission t) { link.send(inbox, sender_state, 1, std::move(t)); }
+  std::optional<simmpi::Delivery> take(int tag, std::span<uint8_t> into) {
+    return link.take(inbox, receiver, receiver_state, 0, tag, 0, trace::kNoJob, into);
+  }
+};
+
+TEST(OnePassFrame, RoundTripsAtEveryTileBoundary) {
+  OneLink w(FaultPlan::none());
+  int tag = 0;
+  for (const size_t n : {size_t{0}, size_t{1}, kTile - 1, kTile, kTile + 1, 3 * kTile + 7}) {
+    SCOPED_TRACE("payload bytes " + std::to_string(n));
+    const std::vector<uint8_t> payload = pattern(n);
+
+    // The one pass writes the bytes encode_frame_into writes.
+    simmpi::Transmission t = w.frame(payload, tag);
+    EXPECT_EQ(t.msg.frame, framed(t.msg.seq, payload));
+    w.send(std::move(t));
+    // Received into a buffer, the payload lands during the check.
+    std::vector<uint8_t> out(n, 0xEE);
+    std::optional<simmpi::Delivery> into = w.take(tag++, out);
+    ASSERT_TRUE(into.has_value());
+    EXPECT_EQ(into->landed, n > 0);
+    EXPECT_EQ(out, payload);
+    into->copy_to(out);
+    EXPECT_EQ(out, payload);
+
+    // recv keeps handing over the frame's own buffer.
+    w.send(w.frame(payload, tag));
+    std::optional<simmpi::Delivery> own = w.take(tag++, {});
+    ASSERT_TRUE(own.has_value());
+    EXPECT_FALSE(own->landed);
+    EXPECT_EQ(std::move(*own).take_payload(), payload);
+  }
+  EXPECT_TRUE(w.receiver.transport().clean());
+}
+
+TEST(OnePassFrame, SenderSideFaultsAreSealedOver) {
+  // mangle and sdc write the frame body after the one pass folded its CRC:
+  // the seal must fold the faulted bytes again, so the frame checks out
+  // and only the consumer can see the damage.
+  for (const bool sdc : {false, true}) {
+    SCOPED_TRACE(sdc ? "sdc" : "mangle");
+    FaultPlan plan;
+    plan.seed = 17;
+    (sdc ? plan.sdc : plan.mangle) = 1.0;
+    OneLink w(plan);
+    int tag = 0;
+    for (const size_t n : {size_t{1}, kTile - 1, kTile + 1, 3 * kTile + 7}) {
+      SCOPED_TRACE("payload bytes " + std::to_string(n));
+      const std::vector<uint8_t> payload = pattern(n, 3);
+      simmpi::Transmission t = w.frame(payload, tag);
+      const FrameView view = decode_frame(t.msg.frame);
+      ASSERT_TRUE(view.valid);
+      EXPECT_NE(std::vector<uint8_t>(view.payload.begin(), view.payload.end()), payload);
+      EXPECT_EQ(t.pristine, payload);
+
+      // Received into a buffer, the faulted payload lands as it was sealed.
+      w.send(std::move(t));
+      std::vector<uint8_t> out(n);
+      std::optional<simmpi::Delivery> d = w.take(tag++, out);
+      ASSERT_TRUE(d.has_value());
+      EXPECT_TRUE(d->landed);
+      EXPECT_EQ(std::vector<uint8_t>(d->payload().begin(), d->payload().end()), out);
+      EXPECT_NE(out, payload);
+    }
+    EXPECT_EQ(w.sender.transport().faults_injected, 4u);
+    EXPECT_EQ(w.receiver.transport().corrupt_frames, 0u);
+  }
+}
+
+TEST(OnePassFrame, ACorruptFrameHealsIntoTheBuffer) {
+  // Every frame has one bit flipped in flight.  Where the flip lands in the
+  // payload, the check has already landed the damaged bytes; the
+  // retransmit must then rewrite the whole buffer with the pristine ones.
+  FaultPlan plan;
+  plan.seed = 23;
+  plan.corrupt = 1.0;
+  OneLink w(plan);
+  int payload_hits = 0;
+  for (int i = 0; i < 12; ++i) {
+    const std::vector<uint8_t> payload = pattern(kTile * static_cast<size_t>(i % 4) + 5, i);
+    simmpi::Transmission t = w.frame(payload, i);
+    const std::vector<uint8_t> sealed = framed(t.msg.seq, payload);
+    const bool header_hit = !std::equal(
+        sealed.begin(), sealed.begin() + sizeof(simmpi::FrameHeader), t.msg.frame.begin());
+    w.send(std::move(t));
+    const std::vector<uint8_t> fill(payload.size(), 0xEE);
+    std::vector<uint8_t> out = fill;
+    std::optional<simmpi::Delivery> d = w.take(i, out);
+    ASSERT_TRUE(d.has_value());
+    EXPECT_FALSE(d->landed) << "message " << i;
+    if (header_hit) {
+      EXPECT_EQ(out, fill) << "message " << i << ": a failed header lands nothing";
+    } else {
+      ++payload_hits;
+      EXPECT_NE(out, payload) << "message " << i << ": the check landed the damaged tile";
+      EXPECT_NE(out, fill) << "message " << i;
+    }
+    d->copy_to(out);
+    EXPECT_EQ(out, payload) << "message " << i;
+  }
+  EXPECT_GT(payload_hits, 0);
+  EXPECT_EQ(w.receiver.transport().corrupt_frames, 12u);
+  EXPECT_EQ(w.receiver.transport().retransmits, 12u);
+}
+
+TEST(OnePassFrame, AWrongSizeBufferRaisesTheSizeError) {
+  OneLink w(FaultPlan::none());
+  const std::vector<uint8_t> payload = pattern(kTile + 1);
+  for (const size_t n : {size_t{0}, kTile, kTile + 2}) {
+    const int tag = static_cast<int>(n);
+    w.send(w.frame(payload, tag));
+    std::vector<uint8_t> out(n, 0xEE);
+    std::optional<simmpi::Delivery> d = w.take(tag, out);
+    ASSERT_TRUE(d.has_value());
+    EXPECT_FALSE(d->landed);
+    EXPECT_EQ(out, std::vector<uint8_t>(n, 0xEE)) << "a wrong-size buffer is left alone";
+    try {
+      d->copy_to(out);
+      ADD_FAILURE() << "no size error for a " << n << "-byte buffer";
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()), "recv_into: message size " + std::to_string(kTile + 1) +
+                                           " != buffer size " + std::to_string(n));
+    }
+  }
+
+  Runtime rt(2, NetModel::omnipath_100g());
+  EXPECT_THROW(rt.run([&](Comm& comm) {
+                 if (comm.rank() == 0) {
+                   comm.send(1, 0, payload);
+                 } else {
+                   std::vector<uint8_t> short_buffer(kTile);
+                   comm.recv_into(0, 0, short_buffer);
+                 }
+               }),
+               Error);
+}
+
+/// A corrupted frame received into a buffer heals on either executor:
+/// raw allreduces (every receive a recv_into) under a plan that flips one
+/// bit of every frame in flight end with the clean run's bytes.
+TEST(OnePassFrame, CorruptFramesHealOnBothExecutors) {
+  JobConfig config;
+  config.nranks = 4;
+  const RankInputFn inputs = [](int rank) {
+    std::vector<float> v(3 * kTile + 11);  // ragged ring blocks spanning tiles
+    for (size_t i = 0; i < v.size(); ++i) {
+      v[i] = static_cast<float>((i * 13 + static_cast<size_t>(rank) * 7) % 1009) * 0.5f;
+    }
+    return v;
+  };
+  const JobResult clean = run_collective(Kernel::kMpi, Op::kAllreduce, config, inputs);
+  config.faults.seed = 29;
+  config.faults.corrupt = 1.0;
+
+  const JobResult runtime = run_collective(Kernel::kMpi, Op::kAllreduce, config, inputs);
+  EXPECT_EQ(runtime.rank0_output, clean.rank0_output);
+  EXPECT_EQ(runtime.transport.corrupt_frames, runtime.transport.frames_sent);
+  EXPECT_EQ(runtime.transport.retransmits, runtime.transport.frames_sent);
+
+  sched::EngineConfig ec;
+  ec.fleet_ranks = config.nranks;
+  ec.faults = config.faults;
+  sched::Engine engine(ec);
+  const sched::Request req = engine.submit(Kernel::kMpi, sched::ICollOp::kAllreduce, config, inputs);
+  engine.run();
+  const sched::JobOutcome& got = engine.outcome(req);
+  ASSERT_TRUE(got.completed) << got.error;
+  EXPECT_EQ(got.rank0_output, clean.rank0_output);
+  EXPECT_GT(got.transport.corrupt_frames, 0u);
+  EXPECT_EQ(got.transport.corrupt_frames, runtime.transport.corrupt_frames);
 }
 
 TEST(TransportStats, SumAndDescribe) {

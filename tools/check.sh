@@ -199,13 +199,16 @@ if [ "$run_kernels" = "1" ]; then
   # sweep is safe on any host.
   cmake --build "$repo/build" -j "$jobs" \
     --target kernel_conformance_test kernel_dispatch_test bench_kernels fz_light_test \
-    nonfinite_test
+    nonfinite_test faults_test simmpi_test
   # fz_light_test and nonfinite_test reach fz_compress's per-level compress
-  # walk (raw fallback, range guard, capacity), so they run at every level.
+  # walk (raw fallback, range guard, capacity), so they run at every level;
+  # faults_test and simmpi_test too, because every wire frame folds its
+  # payload CRC tile by tile through the level's crc32c slot.
   for level in scalar avx2 avx512; do
     echo "-- kernels: HZCCL_KERNEL_LEVEL=$level"
     (cd "$repo/build" && HZCCL_KERNEL_LEVEL=$level ctest -L kernels --output-on-failure &&
-      HZCCL_KERNEL_LEVEL=$level tests/fz_light_test && HZCCL_KERNEL_LEVEL=$level tests/nonfinite_test)
+      HZCCL_KERNEL_LEVEL=$level tests/fz_light_test && HZCCL_KERNEL_LEVEL=$level tests/nonfinite_test &&
+      HZCCL_KERNEL_LEVEL=$level tests/faults_test && HZCCL_KERNEL_LEVEL=$level tests/simmpi_test)
   done
   echo "== kernels: sanitized conformance tier (ASan/UBSan) at every forced level =="
   # The block kernels rely on exact-length masked loads and stores; the
